@@ -64,6 +64,27 @@ _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
 
 
+def _head_moments(kernel, lam):
+    """int_0^{1e-5/lam} u^k w(u) du for k = 0..3; once these overflow a float,
+    DomainError names the smallest supported lambda (least finite power of 2)."""
+
+    def finite(l):
+        try:
+            m = [kernel.moment(k, _HEAD_FRAC / l) for k in range(4)]
+        except OverflowError:
+            return None
+        return m if all(map(math.isfinite, m)) else None
+
+    m = finite(lam)
+    if m is None:
+        floor = 1.0
+        while floor > 1e-300 and finite(floor / 2.0) is not None:
+            floor /= 2.0
+        raise DomainError("lambda=%g is below the smallest supported lambda %r of this kernel "
+                          "(its truncated moments overflow)" % (lam, floor))
+    return m
+
+
 def _laplace_integral(kernel, lam, kind, n_nodes):
     """One of the three Laplace integrals at a single lambda > 0.
 
@@ -73,7 +94,7 @@ def _laplace_integral(kernel, lam, kind, n_nodes):
     """
     u0 = _HEAD_FRAC / lam
     hi = _TAIL_MULT / lam
-    m = [kernel.moment(k, u0) for k in range(4)]
+    m = _head_moments(kernel, lam)
     if kind == 0:
         head = m[0] - lam * m[1] + 0.5 * lam**2 * m[2]
     elif kind == 1:
@@ -284,7 +305,13 @@ class BernsteinTable:
             if j >= len(env):
                 raise RangeError("lam=%g above the envelope range of the grid" % lam, bracket=None)
             return float(self.lam_grid[j])
-        g = lambda s: s**alpha / self.phi(s) - lam
+
+        def g(s):
+            try:
+                return s**alpha / self.phi(s) - lam
+            except DomainError as exc:  # s below the kernel's smallest supported lambda
+                raise RangeError("lam=%g not reached by s^alpha/phi(s) at supported s" % lam) from exc
+
         lo, hi = self._bracket_from_grid(g_grid, lam)
         # g_grid holds the 24-node phi and g the checked 40-node one, which
         # differ by ulps: a target at or next to a node can fall just outside

@@ -36,14 +36,13 @@ import time
 import numpy as np
 from jsonschema import Draft202012Validator
 
-from . import __version__
+from . import __version__, golden
 from .bernstein import BernsteinTable
-from .comparability import exp_constant_fit, regime_grid, two_sided_check
+from .comparability import two_sided_check
 from .errors import RangeError, RegimeError
-from .estimates import CASE_TAGS, EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma, theorem_estimate
-from .fundamental import SolutionRequest, p_mc, p_quadrature, solve_u
-from .golden import DGAMMA_CASES, GOLDEN_SEED, run_all
-from .heat_kernel import Geometry, HKModel, model_from_config
+from .estimates import CASE_TAGS, EstimateCase, theorem_estimate
+from .fundamental import SolutionRequest, p_mc, p_quadrature
+from .heat_kernel import model_from_config
 from .kernels import check_conditions, kernel_from_config
 from .simulate import SimConfig, lower_tail_prob, upper_tail_prob
 from .tail_bounds import upper_bound_form
@@ -381,49 +380,13 @@ def _cmd_estimate(cfg, out, seed, manifest, args):
 
 
 def _compare_case(tag, budget, seed, paths):
-    from .kernels import caputo
-
-    kern = caputo(0.5)
-    tab = BernsteinTable(kern, points_per_decade=24)
+    tab = golden._half_caputo_table()
     if tag.startswith("dgamma-"):
-        case = tag.split("-", 1)[1]
-        alpha, d, gamma = DGAMMA_CASES[case]
-        m = HKModel("HK_J", alpha=alpha, d=d, gamma=gamma, lam=0.0, k=1)
-        g = Geometry("interval", 1.0)
-        obs, pred, coords = [], [], []
-        for t in (0.003, 0.02, 0.12, 0.7, 5.0):
-            for dx in (0.012, 0.02, 0.045, 0.08, 0.15, 0.25, 0.45):
-                for rho in (0.001, 0.004, 0.012, 0.03, 0.09, 0.2, 0.4):
-                    y = dx + rho
-                    if y >= 1.0 - 1e-9 or rho**alpha * tab.phi(1.0 / t) > 1.0 / (8.0 * math.e**2):
-                        continue
-                    closed, _, _ = closed_I_gamma(m, g, tab, t, dx, y)
-                    quadv = I_gamma_quadrature(m, g, tab, 1, t, dx, y)
-                    if quadv > 0.0 and closed > 0.0:
-                        obs.append(quadv)
-                        pred.append(closed)
-                        coords.append((t, dx, y))
-        rep = two_sided_check(np.array(obs), np.array(pred), budget or 8.0, coords=coords, case=tag)
-        return rep
-    m = HKModel("J1", alpha=1.0, d=1.0)
-    g = Geometry("interval", 1.0)
-    if tag == "mainsmall-i":
-        margin = 2.0
-    elif tag == "mainsmall-ii-a":
-        margin = 40.0
-    else:
+        obs, pred, coords, _ = golden._c7_case(tab, *golden.DGAMMA_CASES[tag.split("-", 1)[1]])
+        return two_sided_check(np.array(obs), np.array(pred), budget or 8.0, coords=coords, case=tag)
+    if tag not in golden.C8_MARGINS:
         raise RegimeError("compare supports mainsmall-i, mainsmall-ii-a and dgamma-<case>")
-    pts = regime_grid(tag, kern, tab, m, g, resolution=8, margin=margin, t_window=(1e-3, 0.1))
-    obs, pred = [], []
-    for (t, x, y) in pts:
-        obs.append(p_quadrature(SolutionRequest(kern, tab, m, g, t, x, y)).value)
-        if tag == "mainsmall-i":
-            pred.append(J_gamma(m, g, tab, kern, m.k, t, x, y))
-        else:
-            pred.append(
-                theorem_estimate(EstimateCase(tag, kern, tab, m, g, t, x, y, margin=margin))["value"]
-            )
-    return two_sided_check(np.array(obs), np.array(pred), budget or 50.0, case=tag)
+    return golden._c8_grid_spread(tab, tag, 8, budget or 50.0)
 
 
 def _cmd_compare(cfg, out, seed, manifest, args):
@@ -449,25 +412,16 @@ def _cmd_compare(cfg, out, seed, manifest, args):
 
 
 def _cmd_boundary(cfg, out, seed, manifest, args):
-    from .kernels import caputo
-
-    kern = caputo(0.5)
-    tab = BernsteinTable(kern, points_per_decade=24)
-    m = HKModel("J1", alpha=1.0, d=1.0)
-    g = Geometry("interval", 1.0)
-    t_values = cfg.get("t_values", [0.05, 0.2])
-    deltas = cfg.get("deltas", [1e-4, 1e-3, 1e-2, 1e-1])
-    budget = cfg.get("band_budget", 4.0)
+    tab = golden._half_caputo_table()
+    t_values = cfg.get("t_values", golden.C11_T_VALUES)
+    deltas = cfg.get("deltas", golden.C11_DELTAS)
+    budget = cfg.get("band_budget", golden.C11_BAND)
     rows = []
     bands = {}
     ok = True
     for t in t_values:
-        ratios = []
-        for dlt in deltas:
-            u = solve_u(SolutionRequest(kern, tab, m, g, t, dlt, f=lambda y: 1.0)).value
-            ratio = u / dlt ** (m.alpha * m.gamma)
-            ratios.append(ratio)
-            rows.append((float(t), float(dlt), u, ratio))
+        us, ratios = golden._c11_sweep(tab, t, deltas)
+        rows.extend((float(t), float(dlt), u, ratio) for dlt, u, ratio in zip(deltas, us, ratios))
         band = max(ratios) / min(ratios)
         bands["t=%g" % t] = band
         ok = ok and band <= budget
@@ -483,7 +437,7 @@ def _cmd_boundary(cfg, out, seed, manifest, args):
 
 
 def _cmd_report(cfg, out, seed, manifest, args):
-    results = run_all(seed=seed)
+    results = golden.run_all(seed=seed)
     payload = _strip_seconds(results)
     _write_json(os.path.join(out, "report.json"), payload, manifest)
     lines = ["criterion                                      verdict", "-" * 55]
@@ -534,7 +488,7 @@ def main(argv=None):
             print("config schema violation at %s: %s" % (err.json_path, err.message), file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else cfg.get("seed", GOLDEN_SEED)
+    seed = args.seed if args.seed is not None else cfg.get("seed", golden.GOLDEN_SEED)
     os.makedirs(args.out, exist_ok=True)
     resolved = {"config": cfg, "case": args.case, "paths": args.paths, "budget": args.budget}
     manifest = _manifest(args.subcommand, resolved, seed, args.config)

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RegimeError
+from .estimates import EstimateCase, regime_failure
 
 __all__ = ["RatioReport", "ExpFit", "two_sided_check", "exp_constant_fit", "regime_grid"]
-
-_Q4 = 1.0 / (4.0 * math.e**2)
 
 
 @dataclass
@@ -213,33 +212,28 @@ def regime_grid(tag, kernel, table, model, geometry, resolution=8, margin=2.0,
                 t_window=None, conditions=None):
     """Admissible (t, x, y) tuples for a theorem branch, margin applied.
 
-    The t and point grids are log-spaced and nested under resolution
-    doubling (2n-1 refinement keeps supersets).  Returns the admissible list
-    (deterministic order) and raises RegimeError if it is empty.
+    A point is admitted exactly when the regime predicates that
+    ``theorem_estimate`` checks for ``tag`` pass
+    (:func:`subtail.estimates.regime_failure`), so every point returned is
+    inside the theorem's regime; phi(1/t) is evaluated once per t.  The t
+    and point grids are log-spaced and nested under resolution doubling
+    (2n-1 refinement keeps supersets).  Returns the admissible list
+    (deterministic order); an unknown tag raises DomainError and an empty
+    set RegimeError.
     """
     if t_window is None:
         t_window = (1e-3, 1.0)
     ts = np.geomspace(t_window[0], t_window[1], max(4, resolution))
     pairs = _point_cloud(geometry, resolution)
-    alpha = model.alpha
     out = []
     for t in ts:
         phi_t = table.phi(1.0 / t)
         for x, y in pairs:
-            rho = geometry.rho(x, y)
-            prod = rho**alpha * phi_t
-            if tag in ("mainsmall-i", "mainlarge-i-near", "specialsmall-i-a", "specialsmall-i-b"):
-                ok = prod <= _Q4 / margin
-            elif tag.startswith("mainsmall-ii") or tag.startswith("specialsmall-ii"):
-                ok = prod >= margin * _Q4
-            elif tag.startswith("main2"):
-                t_f = kernel.support_end
-                window = math.floor(model.d / model.alpha + 2.0 * model.gamma) * t_f
-                ok = rho**alpha <= t / margin and t_f / 2.0 <= t <= window / margin
-            else:
-                ok = True
-            if ok:
-                out.append((float(t), float(x), float(y)))
+            point = (float(t), float(x), float(y))
+            case = EstimateCase(tag, kernel, table, model, geometry, *point, margin=margin,
+                                conditions=conditions)
+            if regime_failure(case, phi_t) is None:
+                out.append(point)
     if not out:
         raise RegimeError("empty admissible set for %s with margin %g" % (tag, margin))
     return out

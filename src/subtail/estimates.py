@@ -13,9 +13,13 @@ near-diagonal boundary integral
 
 its closed forms per exponent case (a)..(g) and boundary scenario
 (Sc.1)-(Sc.3), the elementary integral S_p with its asymptotic regimes, and
-a theorem_estimate dispatcher covering the special classes, the general
-theorems, and the two worked examples (truncated-Caputo in free space,
-distributed-order on a bounded interval).
+the theorem registry: each tag of the special classes, the general theorems
+and the two worked examples (truncated-Caputo in free space,
+distributed-order on a bounded interval) maps to its named regime
+predicates and its form.  theorem_estimate checks the predicates and
+evaluates the form; regime_grid admits exactly the points that pass them.
+The regime inequality Phi(rho) phi(1/t) vs 1/(4e^2) (near_diagonal /
+off_diagonal) and its constants are defined here and nowhere else.
 
 Conventions: log+ x = max(0, log x); when gamma = 0 the boundary distances
 are treated as infinite, which silently switches every scenario split to its
@@ -26,13 +30,16 @@ is used (never interpolation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import NamedTuple
 
-import numpy as np
 from scipy.integrate import quad
 
+from .bernstein import calN
 from .errors import DomainError, RegimeError
-from .heat_kernel import a_gamma, geometry_probe, q_eval
+from .heat_kernel import a_gamma_delta, boundary_min_form, geometry_probe, q_eval
+from .tail_bounds import within_bound
 
 __all__ = [
     "F_alpha_k",
@@ -45,11 +52,29 @@ __all__ = [
     "S_p",
     "EstimateCase",
     "theorem_estimate",
+    "regime_failure",
+    "near_diagonal",
+    "off_diagonal",
     "CASE_TAGS",
+    "QUARTER_E2",
+    "HALF_E2",
 ]
 
-_Q2 = 1.0 / (2.0 * math.e**2)
-_Q4 = 1.0 / (4.0 * math.e**2)
+# the near/off-diagonal edge of Phi(rho) phi(1/t), and the upper limit of the
+# near-diagonal integral in units of 1/phi(1/t)
+QUARTER_E2 = 1.0 / (4.0 * math.e**2)
+HALF_E2 = 1.0 / (2.0 * math.e**2)
+
+
+def near_diagonal(prod, margin, rtol):
+    """The regime inequality prod = Phi(rho) phi(1/t) <= 1/(4e^2 margin); its
+    edge is admitted by the tie rule ``within_bound`` (rtol: the table's quad_rtol)."""
+    return within_bound(prod, QUARTER_E2 / margin, rtol)
+
+
+def off_diagonal(prod, margin, rtol):
+    """Its strict complement Phi(rho) phi(1/t) > margin/(4e^2)."""
+    return not within_bound(prod, margin * QUARTER_E2, rtol)
 
 
 def _logp(x):
@@ -163,19 +188,6 @@ def G_alpha_d(table, alpha, d, t, l, T):
 # ---------------------------------------------------------------------------
 
 
-def _a_gamma_scalar(gamma, alpha, k, r, dx, dy):
-    if gamma == 0.0:
-        return 1.0
-    rr = r / (r + 1.0) if k == 2 else r
-    out = 1.0
-    for dp in (dx, dy):
-        if math.isinf(dp):
-            continue
-        ph = dp**alpha
-        out *= (ph / (ph + rr)) ** gamma
-    return out
-
-
 def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0, rtol=1e-8):
     """int_lo^hi r^{weight_pow} a_k^gamma(r)/V(Phi^{-1}(r)) dr.
 
@@ -187,7 +199,7 @@ def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0, rtol=1e-8):
     g, alpha, d = model.gamma, model.alpha, model.d
 
     def f(r):
-        return r**weight_pow * _a_gamma_scalar(g, alpha, k, r, dx, dy) / r ** (d / alpha)
+        return r**weight_pow * a_gamma_delta(g, alpha, k, r, dx, dy) / r ** (d / alpha)
 
     pts = sorted(
         {p**alpha for p in (dx, dy) if math.isfinite(p) and lo < p**alpha < hi}
@@ -205,7 +217,7 @@ def I_gamma_quadrature(model, geometry, table, k, t, x, y):
     """The near-diagonal integral I_k^gamma(t,x,y) by adaptive quadrature."""
     p = geometry_probe(geometry, x, y)
     lo = p["rho"] ** model.alpha
-    hi = _Q2 / table.phi(1.0 / t)
+    hi = HALF_E2 / table.phi(1.0 / t)
     return boundary_integral(model, k, lo, hi, p["delta_x"], p["delta_y"])
 
 
@@ -213,7 +225,7 @@ def J_gamma(model, geometry, table, kernel, k, t, x, y):
     """J_k^gamma(t,x,y): the full near-diagonal estimate form."""
     p = geometry_probe(geometry, x, y)
     phi_inv = 1.0 / table.phi(1.0 / t)
-    lead = _a_gamma_scalar(model.gamma, model.alpha, k, phi_inv, p["delta_x"], p["delta_y"])
+    lead = a_gamma_delta(model.gamma, model.alpha, k, phi_inv, p["delta_x"], p["delta_y"])
     lead /= model.V_inv_time(phi_inv)
     return lead + float(kernel.w(t)) * I_gamma_quadrature(model, geometry, table, k, t, x, y)
 
@@ -243,14 +255,6 @@ def _dgamma_case(alpha, d, gamma):
                       % (alpha, d, gamma))
 
 
-def _S_exact(p, A, B, alpha, d):
-    """Exact elementary value of S_p(A,B) for the power V, Phi."""
-    q = p + d / alpha
-    if abs(q - 1.0) < 1e-12:
-        return math.log(B / A)
-    return (B ** (1.0 - q) - A ** (1.0 - q)) / (1.0 - q)
-
-
 def closed_I_gamma(model, geometry, table, t, x, y):
     """Closed form of I_1^gamma via the boundary-scenario decomposition.
 
@@ -275,26 +279,27 @@ def closed_I_gamma(model, geometry, table, t, x, y):
         dx = dy = math.inf
     l = p["rho"]
     phi_t = table.phi(1.0 / t)
-    if l**alpha * phi_t > _Q4:
+    if not near_diagonal(l**alpha * phi_t, 1.0, table.quad_rtol):
         raise RegimeError(
             "closed_I_gamma needs Phi(rho) phi(1/t) = %g <= 1/(4e^2)" % (l**alpha * phi_t)
         )
     Phi = lambda r: r**alpha
+    S = lambda p, A, B: S_p(p, A, B, alpha, d)["quadrature"]
     case = _dgamma_case(alpha, d, g)
     A = Phi(l)
-    B = _Q2 / phi_t
+    B = HALF_E2 / phi_t
     dstar_phi = Phi(dx) * Phi(dy)
     if Phi(dx) <= 4.0 * A:
         sc = 1
-        val = dstar_phi**g * _S_exact(2.0 * g, A, B, alpha, d)
-    elif Phi(dy) <= _Q4 / phi_t:
+        val = dstar_phi**g * S(2.0 * g, A, B)
+    elif Phi(dy) <= QUARTER_E2 / phi_t:
         sc = 2
-        val = _S_exact(0.0, A, Phi(dx) / 2.0, alpha, d)
-        val += Phi(dx) ** g * _S_exact(g, Phi(dx) / 2.0, Phi(dy), alpha, d)
-        val += dstar_phi**g * _S_exact(2.0 * g, Phi(dy), B, alpha, d)
+        val = S(0.0, A, Phi(dx) / 2.0)
+        val += Phi(dx) ** g * S(g, Phi(dx) / 2.0, Phi(dy))
+        val += dstar_phi**g * S(2.0 * g, Phi(dy), B)
     else:
         sc = 3
-        val = _S_exact(0.0, A, B, alpha, d)
+        val = S(0.0, A, B)
     return val, case, "Sc.%d" % sc
 
 
@@ -305,9 +310,11 @@ def S_p(p, A, B, alpha, d, rtol=1e-10):
     asymptotic form: the A-endpoint dominates when d/alpha > 1-p, the
     B-endpoint when d/alpha < 1-p, and the integral is log(B/A) at equality.
     """
-    if not 0.0 < A < B:
-        raise DomainError("S_p needs 0 < A < B")
+    if not 0.0 <= A < B:
+        raise DomainError("S_p needs 0 <= A < B")
     q = p + d / alpha
+    if A == 0.0 and q > 1.0 - 1e-12:
+        raise DomainError("S_p diverges at A = 0 when p + d/alpha >= 1")
     if abs(q - 1.0) < 1e-12:
         direct = math.log(B / A)
         return {"quadrature": direct, "asymptotic": direct, "case": "iv"}
@@ -322,41 +329,8 @@ def S_p(p, A, B, alpha, d, rtol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# Theorem dispatcher
+# Theorem registry: tag -> (regime predicates, form)
 # ---------------------------------------------------------------------------
-
-CASE_TAGS = (
-    "specialsmall-i-a",
-    "specialsmall-i-b",
-    "specialsmall-ii-a",
-    "specialsmall-ii-b",
-    "specialsmall-ii-c",
-    "speciallarge-i",
-    "speciallarge-ii",
-    "speciallarge-iii",
-    "speciallarge-iv",
-    "speciallarge-v",
-    "specialsub-i",
-    "specialsub-ii",
-    "specialtrunc-i",
-    "specialtrunc-ii",
-    "specialtrunc-iii",
-    "mainsmall-i",
-    "mainsmall-ii-a",
-    "mainsmall-ii-b",
-    "mainsmall-ii-c",
-    "mainlarge-i",
-    "mainlarge-ii",
-    "mainsub-i",
-    "mainsub-ii",
-    "main2-i",
-    "main2-ii",
-    "example1-small",
-    "example1-large",
-    "example2-i",
-    "example2-ii",
-    "example2-iii",
-)
 
 
 @dataclass
@@ -385,17 +359,79 @@ class EstimateCase:
             raise DomainError("unknown estimate case tag %r" % (self.tag,))
 
 
-def _require(ok, predicate):
-    if not ok:
-        raise RegimeError("outside regime: %s" % predicate)
+class _Point(NamedTuple):
+    """What every form shares; prod is Phi(rho) phi(1/t), inv is 1/phi(1/t)."""
+
+    alpha: float
+    d: float
+    rho: float
+    dx: float
+    dy: float
+    phi_t: float
+    inv: float
+    w_t: float
+    prod: float
 
 
-def _bnd_min_form(alpha_gamma_exp, scale, dx, dy):
-    out = 1.0
-    for dp in (dx, dy):
-        if math.isfinite(dp):
-            out *= min(1.0, dp / scale) ** alpha_gamma_exp
-    return out
+class _Delegate(NamedTuple):
+    """select(case, prod) -> (sub tag, sub margin); branch formats the sub-branch."""
+
+    select: object
+    branch: str
+
+
+# Regime predicates (name, test(case, prod)) with prod = Phi(rho) phi(1/t); every
+# non-strict inequality goes through the tie rule ``within_bound``.
+_NEAR = ("Phi(rho) phi(1/t) <= 1/(4e^2)",
+         lambda c, prod: near_diagonal(prod, c.margin, c.table.quad_rtol))
+_OFF = ("Phi(rho) phi(1/t) > 1/(4e^2)",
+        lambda c, prod: off_diagonal(prod, c.margin, c.table.quad_rtol))
+_NEAR_OR_OFF = ("Phi(rho) phi(1/t) outside the margin band around 1/(4e^2)",
+                lambda c, prod: _NEAR[1](c, prod) or _OFF[1](c, prod))
+_LATE = ("t >= T", lambda c, prod: within_bound(c.margin * c.horizon_T, c.t, c.table.quad_rtol))
+_TRUNC_LATE = ("t >= t_f/2", lambda c, prod: within_bound(c.kernel.support_end / 2.0, c.t, c.table.quad_rtol))
+_EX1_EARLY = ("t <= delta/2", lambda c, prod: within_bound(c.t, c.kernel.delta / 2.0, c.table.quad_rtol))
+_EX1_LATE = ("t >= delta/2", lambda c, prod: within_bound(c.kernel.delta / 2.0, c.t, c.table.quad_rtol))
+_UNIT_EARLY = ("t <= 1", lambda c, prod: within_bound(c.t, 1.0, c.table.quad_rtol))
+_UNIT_LATE = ("t >= 1", lambda c, prod: within_bound(1.0, c.t, c.table.quad_rtol))
+_BOUNDED = ("diam(D) < inf", lambda c, prod: c.geometry.bounded)
+_LAMBDA_ZERO = ("lambda = 0", lambda c, prod: c.model.lam is None or c.model.lam == 0.0)
+_LAMBDA_POS = ("lambda > 0", lambda c, prod: c.model.lam is not None and c.model.lam > 0.0)
+_SUB = ("(Sub.) certified", lambda c, prod: c.conditions is not None and c.conditions.sub is not None)
+_TRUNC = ("(Trunc.) kernel", lambda c, prod: math.isfinite(c.kernel.support_end))
+
+
+def _large_time(near_tag, off_tag, branch):
+    """A t >= T statement that extends the small-time displays verbatim.
+
+    The sub-display is picked by the bare inequality and evaluated at margin
+    1, where near and off are complementary: no point of the outer tag's
+    margin band is refused, and the outer margin applies only to t >= m T.
+    """
+
+    def select(case, prod):
+        near = near_diagonal(prod, 1.0, case.table.quad_rtol)
+        return (near_tag if near else off_tag(case)), 1.0
+
+    return _Delegate(select, branch)
+
+
+# the off-diagonal display of each family under mainlarge-i
+_MAIN_OFF = {"HK_D": "mainsmall-ii-b", "D1": "mainsmall-ii-b", "D2": "mainsmall-ii-b",
+             "D3": "mainsmall-ii-b", "HK_M": "mainsmall-ii-c"}
+
+
+def _main_off_tag(case):
+    return _MAIN_OFF.get(case.model.family, "mainsmall-ii-a")
+
+
+def _diffusive(case):
+    return abs(case.model.alpha - 2.0) < 1e-12
+
+
+def _boundary_class(cls, alpha):
+    """Boundary exponent and F of the jump/diffusion ("k") or censored ("c") class."""
+    return (alpha / 2.0, F_alpha_k) if cls == "k" else (alpha - 1.0, F_alpha_c)
 
 
 def _one_over_rho_sq(dx, dy, rho, expo):
@@ -407,6 +443,276 @@ def _one_over_rho_sq(dx, dy, rho, expo):
     return min(1.0, ds / rho**2) ** expo
 
 
+def _q_ct(case):
+    return q_eval(case.model, case.geometry, case.exp_constant * case.t, case.x, case.y), "q(ct,x,y)"
+
+
+def _diffusion_off(case, pt, bnd):
+    """bnd phi(1/t)^{d/alpha} exp(-c t bar_phi_alpha((rho/t)^alpha))."""
+    t = case.t
+    return bnd * pt.phi_t ** (pt.d / pt.alpha) * math.exp(
+        -case.exp_constant * t * case.table.bar_phi_alpha(pt.alpha, (pt.rho / t) ** pt.alpha)
+    )
+
+
+def _f_special_near(cls, branch, case, pt):
+    alpha, d = pt.alpha, pt.d
+    expo, F = _boundary_class(cls, alpha)
+    ds = pt.dx * pt.dy
+    first = (min(1.0, ds / pt.inv ** (2.0 / alpha)) ** expo if math.isfinite(ds) else 1.0) * pt.phi_t ** (d / alpha)
+    second = pt.w_t * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * F(alpha, d, pt.inv, pt.rho, pt.dx, pt.dy)
+    return first + second, branch
+
+
+def _f_special_off(cls, branch, case, pt):
+    bnd = boundary_min_form(1.0, _boundary_class(cls, pt.alpha)[0], pt.inv ** (1.0 / pt.alpha), pt.dx, pt.dy)
+    if branch == "off-diagonal diffusion":
+        return _diffusion_off(case, pt, bnd), branch
+    return bnd * pt.inv / pt.rho ** (pt.d + pt.alpha), branch
+
+
+def _f_bounded(cls, subexp, case, pt):
+    """scale (1 ^ delta_*/rho^2)^e [(1 ^ delta_*^e) + F(d, T_D)] on a bounded D,
+    scale w(t) or, for the (Sub.) kernels, exp(-theta t^beta)."""
+    expo, F = _boundary_class(cls, pt.alpha)
+    # at t = T_D := [phi^{-1}(R^-alpha/(4e^2))]^{-1} the inverse exponent is
+    # exactly 4e^2 R^alpha
+    invTD = case.geometry.diam**pt.alpha / QUARTER_E2
+    ds = pt.dx * pt.dy
+    bracket = min(1.0, ds**expo) + F(pt.alpha, pt.d, invTD, pt.rho, pt.dx, pt.dy)
+    if not subexp:
+        return pt.w_t * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket, "large-time bounded"
+    beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
+    val = math.exp(-theta * case.t**beta) * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket
+    return val, "subexponential large-time"
+
+
+def _f_exterior(case, pt):
+    alpha, d, family = pt.alpha, pt.d, case.model.family
+    b1 = min(1.0, pt.dx) ** (alpha / 2.0) * min(1.0, pt.dy) ** (alpha / 2.0)
+    if near_diagonal(pt.prod, case.margin, case.table.quad_rtol):
+        G = G_alpha_d(case.table, alpha, d, case.t, max(1.0, pt.rho), case.horizon_T)
+        first = b1 * (pt.phi_t ** (d / alpha) + pt.w_t * G)
+        second = 0.0
+        if pt.rho <= 1.0:
+            # at t* = [phi^{-1}(1/(4e^2))]^{-1} the inverse exponent is 4e^2
+            second = (
+                pt.w_t
+                * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, alpha / 2.0)
+                * F_alpha_k(alpha, d, 1.0 / QUARTER_E2, pt.rho, pt.dx, pt.dy)
+            )
+        return first + second, "exterior near-diagonal"
+    if family.startswith("J") or family == "HK_J":
+        return b1 * pt.inv / pt.rho ** (d + alpha), "exterior off-diagonal jump"
+    return _diffusion_off(case, pt, b1), "exterior off-diagonal diffusion"
+
+
+def _f_trunc(cls, case, pt):
+    """The (Trunc.) window forms; cls None is the unbounded J2/J3/D2/D3 class."""
+    alpha, d, t, t_f = pt.alpha, pt.d, case.t, case.kernel.support_end
+    n_t = math.floor(t / t_f) + 1
+    ds = pt.dx * pt.dy
+    if cls is None:
+        if not (pt.rho**alpha <= pt.inv and t < math.floor((d + alpha) / alpha) * t_f):
+            return _q_ct(case)
+        expo, F, scale = alpha / 2.0, F_alpha_k, pt.inv
+        head = min(ds ** (alpha / 2.0), pt.inv) if math.isfinite(ds) else pt.inv
+    else:
+        expo, F = _boundary_class(cls, alpha)
+        thresh = math.floor((d + alpha) / alpha) if cls == "k" else math.floor((d + 2.0 * alpha - 2.0) / alpha)
+        if t >= thresh * t_f:
+            return ds**expo * math.exp(-case.exp_constant * t), "post-singular exponential"
+        scale = case.geometry.diam**alpha / QUARTER_E2
+        head = min(ds ** (alpha / 2.0), pt.inv)
+    bracket = (
+        head
+        + F(alpha, d - alpha * n_t, scale, pt.rho, pt.dx, pt.dy)
+        + (n_t * t_f - t) ** n_t * F(alpha, d - alpha * (n_t - 1), scale, pt.rho, pt.dx, pt.dy)
+    )
+    return _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket, "truncated polynomial window (n_t=%d)" % n_t
+
+
+def _f_main_near(case, pt):
+    m = case.model
+    return J_gamma(m, case.geometry, case.table, case.kernel, m.k, case.t, case.x, case.y), "near-diagonal J form"
+
+
+def _f_main_off(variant, case, pt):
+    m = case.model
+    a = a_gamma_delta(m.gamma, pt.alpha, m.k, pt.inv, pt.dx, pt.dy)
+    if variant == "a":
+        return a / (pt.phi_t * m.Phi(pt.rho) * m.V(pt.rho)), "off-diagonal jump"
+    N = calN(case.table, m.Phi, case.t, pt.rho)
+    diff = a * math.exp(-case.exp_constant * N) / m.V_inv_time(pt.inv)
+    if variant == "b":
+        return diff, "off-diagonal diffusion"
+    jump = a / (pt.phi_t * m.Psi(pt.rho) * m.V(pt.rho))
+    return jump + diff, "off-diagonal mixed"
+
+
+def _f_main_large_bounded(case, pt):
+    I = boundary_integral(case.model, 1, pt.rho**pt.alpha, 2.0 * case.geometry.diam**pt.alpha, pt.dx, pt.dy)
+    return pt.w_t * I, "large-time boundary integral"
+
+
+def _f_main_sub_near(case, pt):
+    if not near_diagonal(pt.prod, case.margin, case.table.quad_rtol):
+        return _q_ct(case)
+    m, t = case.model, case.t
+    beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
+    lead = a_gamma_delta(m.gamma, pt.alpha, m.k, t, pt.dx, pt.dy) / m.V_inv_time(t)
+    I = boundary_integral(m, m.k, pt.rho**pt.alpha, HALF_E2 / pt.phi_t, pt.dx, pt.dy)
+    lower = lead + pt.w_t * I
+    upper = lead + math.exp(-0.5 * theta * t**beta) * I
+    return 0.5 * (lower + upper), "subexp near-diagonal", lower, upper
+
+
+def _f_main_sub_bounded(case, pt):
+    m, t, w_t, alpha = case.model, case.t, pt.w_t, pt.alpha
+    beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
+    I = boundary_integral(m, 1, pt.rho**alpha, 2.0 * case.geometry.diam**alpha, pt.dx, pt.dy)
+    if beta < 1.0:
+        decay = math.exp(-theta * t**beta)
+        return 0.5 * (w_t + decay) * I, "subexp boundary integral", w_t * I, decay * I
+    bnd = (pt.dx**alpha) ** m.gamma * (pt.dy**alpha) ** m.gamma
+    lower = w_t * I + math.exp(-m.lam * 1.0 * t) * bnd
+    upper = math.exp(-0.5 * theta * t) * I + math.exp(-m.lam * 1.0 * t) * bnd
+    return 0.5 * (lower + upper), "exponential boundary mix", lower, upper
+
+
+def _f_main2(bounded, case, pt):
+    m, t, t_f, alpha = case.model, case.t, case.kernel.support_end, pt.alpha
+    n_t = math.floor(t / t_f) + 1
+    past_window = t >= math.floor(m.d / alpha + 2.0 * m.gamma) * t_f
+    if bounded and past_window:
+        bnd = (pt.dx**alpha) ** m.gamma * (pt.dy**alpha) ** m.gamma
+        return math.exp(-case.exp_constant * t) * bnd, "post-singular exponential"
+    if not bounded and pt.rho**alpha > t:
+        return _q_ct(case)
+    if past_window:
+        return a_gamma_delta(m.gamma, alpha, m.k, t, pt.dx, pt.dy) / m.V_inv_time(t), "post-singular q form"
+    hi = 2.0 * case.geometry.diam**alpha if bounded else 2.0 * t
+    i1 = boundary_integral(m, 1, pt.rho**alpha, hi, pt.dx, pt.dy, weight_pow=float(n_t))
+    i2 = boundary_integral(m, 1, pt.rho**alpha, hi, pt.dx, pt.dy, weight_pow=float(n_t - 1))
+    return i1 + (n_t * t_f - t) ** n_t * i2, "truncated window (n_t=%d)" % n_t
+
+
+def _f_example1_small(case, pt):
+    alpha, d, t, rho, beta = pt.alpha, pt.d, case.t, pt.rho, case.kernel.beta
+    if rho <= t ** (beta / alpha):
+        if d < alpha:
+            return t ** (-beta * d / alpha), "on-diagonal d<alpha"
+        if rho == 0.0:
+            return math.inf, "on-diagonal divergent"
+        if d == alpha:
+            return t**-beta * math.log(2.0 * t ** (beta / alpha) / rho), "on-diagonal log"
+        return t**-beta / rho ** (d - alpha), "on-diagonal d>alpha"
+    if not _diffusive(case):
+        return t**beta / rho ** (d + alpha), "off-diagonal jump"
+    val = t ** (-beta * d / alpha) * math.exp(
+        -case.exp_constant * rho ** (2.0 / (2.0 - beta)) * t ** (-beta / (2.0 - beta))
+    )
+    return val, "off-diagonal gaussian"
+
+
+def _f_example1_large(case, pt):
+    alpha, d, t, rho, delta = pt.alpha, pt.d, case.t, pt.rho, case.kernel.delta
+    n_t = math.floor(t / delta) + 1
+    if rho**alpha > t:
+        if not _diffusive(case):
+            return t / rho ** (d + alpha), "off-diagonal jump"
+        return t ** (-d / alpha) * math.exp(-case.exp_constant * rho**2 / t), "off-diagonal gaussian"
+    if t >= math.floor(d / alpha) * delta:
+        return t ** (-d / alpha), "diagonal-regular"
+    d_over_a_int = abs(d / alpha - round(d / alpha)) < 1e-12
+    if d_over_a_int and t >= (d - alpha) * delta / alpha:
+        val = t ** (-d / alpha) + (d * delta / (alpha * t) - 1.0) ** (d / alpha) * math.log(
+            2.0 * t / rho**alpha
+        )
+        return val, "log window"
+    if t >= math.floor((d - alpha) / alpha) * delta and not d_over_a_int:
+        val = t ** (-d / alpha) + (n_t * delta - t) ** n_t * t**-n_t / rho ** (d - alpha * n_t)
+        return val, "mixed window (n_t=%d)" % n_t
+    val = (rho**alpha / t + (n_t * delta - t) ** n_t) * t**-n_t / rho ** (d - alpha * n_t)
+    return val, "early window (n_t=%d)" % n_t
+
+
+_REGIMES = {
+    "specialsmall-i-a": ((_NEAR,), partial(_f_special_near, "k", "near-diagonal jump/diffusion")),
+    "specialsmall-i-b": ((_NEAR,), partial(_f_special_near, "c", "near-diagonal censored")),
+    "specialsmall-ii-a": ((_OFF,), partial(_f_special_off, "k", "off-diagonal jump")),
+    "specialsmall-ii-b": ((_OFF,), partial(_f_special_off, "c", "off-diagonal censored")),
+    "specialsmall-ii-c": ((_OFF,), partial(_f_special_off, "k", "off-diagonal diffusion")),
+    "speciallarge-i": ((_LATE, _BOUNDED), partial(_f_bounded, "k", False)),
+    "speciallarge-ii": ((_LATE, _BOUNDED), partial(_f_bounded, "c", False)),
+    "speciallarge-iii": ((_LATE,), _large_time(
+        "specialsmall-i-a", lambda c: "specialsmall-ii-a", "large-time unbounded: {}")),
+    "speciallarge-iv": ((_LATE,), _large_time(
+        "specialsmall-i-a", lambda c: "specialsmall-ii-c", "large-time unbounded: {}")),
+    "speciallarge-v": ((_LATE, _NEAR_OR_OFF), _f_exterior),
+    "specialsub-i": ((_LATE, _BOUNDED, _SUB), partial(_f_bounded, "k", True)),
+    "specialsub-ii": ((_LATE, _BOUNDED, _SUB), partial(_f_bounded, "c", True)),
+    "specialtrunc-i": ((_TRUNC, _TRUNC_LATE, _BOUNDED), partial(_f_trunc, "k")),
+    "specialtrunc-ii": ((_TRUNC, _TRUNC_LATE, _BOUNDED), partial(_f_trunc, "c")),
+    "specialtrunc-iii": ((_TRUNC, _TRUNC_LATE), partial(_f_trunc, None)),
+    "mainsmall-i": ((_NEAR,), _f_main_near),
+    "mainsmall-ii-a": ((_OFF,), partial(_f_main_off, "a")),
+    "mainsmall-ii-b": ((_OFF,), partial(_f_main_off, "b")),
+    "mainsmall-ii-c": ((_OFF,), partial(_f_main_off, "c")),
+    # lambda = 0: the small-time estimates extend verbatim to t >= T
+    "mainlarge-i": ((_LATE, _LAMBDA_ZERO), _large_time("mainsmall-i", _main_off_tag, "large-time: {}")),
+    "mainlarge-ii": ((_LATE, _LAMBDA_POS, _BOUNDED), _f_main_large_bounded),
+    "mainsub-i": ((_SUB, _LATE), _f_main_sub_near),
+    "mainsub-ii": ((_SUB, _LATE, _LAMBDA_POS, _BOUNDED), _f_main_sub_bounded),
+    "main2-i": ((_TRUNC, _TRUNC_LATE), partial(_f_main2, False)),
+    "main2-ii": ((_TRUNC, _TRUNC_LATE, _LAMBDA_POS, _BOUNDED), partial(_f_main2, True)),
+    "example1-small": ((_EX1_EARLY,), _f_example1_small),
+    "example1-large": ((_EX1_LATE,), _f_example1_large),
+    "example2-i": ((_UNIT_EARLY,), _Delegate(
+        lambda c, prod: ("specialsmall-i-a", c.margin), "distributed-order near-diagonal")),
+    "example2-ii": ((_UNIT_EARLY,), _Delegate(
+        lambda c, prod: ("specialsmall-ii-c" if _diffusive(c) else "specialsmall-ii-a", c.margin),
+        "distributed-order off-diagonal")),
+    "example2-iii": ((_UNIT_LATE,), _Delegate(
+        lambda c, prod: ("speciallarge-i", 1.0), "distributed-order large-time")),
+}
+
+CASE_TAGS = tuple(_REGIMES)
+
+
+def _sub_case(case, delegate, prod):
+    tag, margin = delegate.select(case, prod)
+    return replace(case, tag=tag, margin=margin)
+
+
+def regime_failure(case, phi_t):
+    """Name of the first regime predicate of ``case.tag`` that fails, or None.
+
+    ``phi_t`` is phi(1/t), passed in so that a t-grid computes it once per t.
+    A delegating tag also checks the predicates of the display it delegates
+    to, at the margin of the delegation.
+    """
+    prod = case.geometry.rho(case.x, case.y) ** case.model.alpha * phi_t
+    predicates, form = _REGIMES[case.tag]
+    for name, test in predicates:
+        if not test(case, prod):
+            return name
+    if isinstance(form, _Delegate):
+        return regime_failure(_sub_case(case, form, prod), phi_t)
+    return None
+
+
+def _evaluate(case, pt):
+    form = _REGIMES[case.tag][1]
+    if isinstance(form, _Delegate):
+        out = _evaluate(_sub_case(case, form, pt.prod), pt)
+        out["branch"] = form.branch.format(out["branch"])
+        return out
+    value, branch, *bounds = form(case, pt)
+    lower, upper = bounds or (value, value)
+    return {"value": value, "lower": lower, "upper": upper, "branch": branch}
+
+
 def theorem_estimate(case):
     """Evaluate the displayed two-sided form of one theorem branch.
 
@@ -414,320 +720,12 @@ def theorem_estimate(case):
     returns {"value", "lower", "upper", "branch"}; out-of-regime inputs
     raise RegimeError naming the failed predicate.
     """
-    tag = case.tag
-    m, g, table, kern = case.model, case.geometry, case.table, case.kernel
-    t, x, y = case.t, case.x, case.y
-    mg = case.margin
-    p = geometry_probe(g, x, y)
-    rho, dx, dy = p["rho"], p["delta_x"], p["delta_y"]
-    alpha, d = m.alpha, m.d
-    phi_t = table.phi(1.0 / t)
-    inv = 1.0 / phi_t
-    w_t = float(kern.w(t))
-    c = case.exp_constant
-
-    def done(v, branch, lower=None, upper=None):
-        return {
-            "value": v,
-            "lower": v if lower is None else lower,
-            "upper": v if upper is None else upper,
-            "branch": branch,
-        }
-
-    # ---- explicit special classes -----------------------------------------
-    if tag.startswith("specialsmall"):
-        if tag == "specialsmall-i-a":
-            _require(rho**alpha * phi_t <= _Q4 / mg, "phi(1/t) rho^alpha <= 1/(4e^2)")
-            ds = dx * dy
-            first = (min(1.0, ds / inv ** (2.0 / alpha)) ** (alpha / 2.0) if math.isfinite(ds) else 1.0) * phi_t ** (d / alpha)
-            second = w_t * _one_over_rho_sq(dx, dy, rho, alpha / 2.0) * F_alpha_k(alpha, d, inv, rho, dx, dy)
-            return done(first + second, "near-diagonal jump/diffusion")
-        if tag == "specialsmall-i-b":
-            _require(rho**alpha * phi_t <= _Q4 / mg, "phi(1/t) rho^alpha <= 1/(4e^2)")
-            ds = dx * dy
-            first = (min(1.0, ds / inv ** (2.0 / alpha)) ** (alpha - 1.0) if math.isfinite(ds) else 1.0) * phi_t ** (d / alpha)
-            second = w_t * _one_over_rho_sq(dx, dy, rho, alpha - 1.0) * F_alpha_c(alpha, d, inv, rho, dx, dy)
-            return done(first + second, "near-diagonal censored")
-        _require(rho**alpha * phi_t > mg * _Q4, "phi(1/t) rho^alpha > 1/(4e^2)")
-        if tag == "specialsmall-ii-a":
-            bnd = _bnd_min_form(alpha / 2.0, inv ** (1.0 / alpha), dx, dy)
-            return done(bnd * inv / rho ** (d + alpha), "off-diagonal jump")
-        if tag == "specialsmall-ii-b":
-            bnd = _bnd_min_form(alpha - 1.0, inv ** (1.0 / alpha), dx, dy)
-            return done(bnd * inv / rho ** (d + alpha), "off-diagonal censored")
-        bnd = _bnd_min_form(alpha / 2.0, inv ** (1.0 / alpha), dx, dy)
-        val = bnd * phi_t ** (d / alpha) * math.exp(
-            -c * t * table.bar_phi_alpha(alpha, (rho / t) ** alpha)
-        )
-        return done(val, "off-diagonal diffusion")
-
-    if tag.startswith("speciallarge"):
-        _require(t >= mg * case.horizon_T, "t >= T")
-        if tag in ("speciallarge-i", "speciallarge-ii"):
-            _require(g.bounded, "diam(D) < inf")
-            R = g.diam
-            # at t = T_D := [phi^{-1}(R^-alpha/(4e^2))]^{-1} the inverse
-            # exponent is exactly 4e^2 R^alpha
-            invTD = R**alpha / _Q4
-            expo = alpha / 2.0 if tag == "speciallarge-i" else alpha - 1.0
-            F = F_alpha_k if tag == "speciallarge-i" else F_alpha_c
-            ds = dx * dy
-            bracket = min(1.0, ds**expo) + F(alpha, d, invTD, rho, dx, dy)
-            val = w_t * _one_over_rho_sq(dx, dy, rho, expo) * bracket
-            return done(val, "large-time bounded")
-        if tag in ("speciallarge-iii", "speciallarge-iv"):
-            # the small-time displays extend to all t >= T
-            sub = EstimateCase(
-                "specialsmall-i-a" if rho**alpha * phi_t <= _Q4 else (
-                    "specialsmall-ii-a" if tag.endswith("iii") else "specialsmall-ii-c"
-                ),
-                kern, table, m, g, t, x, y, case.horizon_T, mg, exp_constant=c,
-            )
-            out = theorem_estimate(sub)
-            out["branch"] = "large-time unbounded: " + out["branch"]
-            return out
-        # speciallarge-v: J3 / D3 on the exterior-type domain
-        b1 = min(1.0, dx) ** (alpha / 2.0) * min(1.0, dy) ** (alpha / 2.0)
-        if rho**alpha * phi_t <= _Q4 / mg:
-            G = G_alpha_d(table, alpha, d, t, max(1.0, rho), case.horizon_T)
-            first = b1 * (phi_t ** (d / alpha) + w_t * G)
-            second = 0.0
-            if rho <= 1.0:
-                # at t* = [phi^{-1}(1/(4e^2))]^{-1} the inverse exponent is 4e^2
-                second = (
-                    w_t
-                    * _one_over_rho_sq(dx, dy, rho, alpha / 2.0)
-                    * F_alpha_k(alpha, d, 1.0 / _Q4, rho, dx, dy)
-                )
-            return done(first + second, "exterior near-diagonal")
-        _require(rho**alpha * phi_t > mg * _Q4, "phi(1/t) rho^alpha > 1/(4e^2)")
-        if m.family.startswith("J") or m.family == "HK_J":
-            return done(b1 * inv / rho ** (d + alpha), "exterior off-diagonal jump")
-        val = b1 * phi_t ** (d / alpha) * math.exp(
-            -c * t * table.bar_phi_alpha(alpha, (rho / t) ** alpha)
-        )
-        return done(val, "exterior off-diagonal diffusion")
-
-    if tag.startswith("specialsub"):
-        _require(t >= mg * case.horizon_T, "t >= T")
-        _require(g.bounded, "diam(D) < inf")
-        cond = case.conditions
-        _require(cond is not None and cond.sub is not None, "(Sub*.) certified")
-        beta, theta = cond.sub["beta"], cond.sub["theta"]
-        R = g.diam
-        invTD = R**alpha / _Q4
-        expo = alpha / 2.0 if tag == "specialsub-i" else alpha - 1.0
-        F = F_alpha_k if tag == "specialsub-i" else F_alpha_c
-        ds = dx * dy
-        bracket = min(1.0, ds**expo) + F(alpha, d, invTD, rho, dx, dy)
-        val = math.exp(-theta * t**beta) * _one_over_rho_sq(dx, dy, rho, expo) * bracket
-        return done(val, "subexponential large-time")
-
-    if tag.startswith("specialtrunc"):
-        t_f = kern.support_end
-        _require(math.isfinite(t_f), "(Trunc.) kernel")
-        _require(t >= t_f / 2.0, "t >= t_f/2")
-        n_t = math.floor(t / t_f) + 1
-        if tag == "specialtrunc-i" or tag == "specialtrunc-ii":
-            _require(g.bounded, "diam(D) < inf")
-            expo = alpha / 2.0 if tag == "specialtrunc-i" else alpha - 1.0
-            F = F_alpha_k if tag == "specialtrunc-i" else F_alpha_c
-            thresh = (
-                math.floor((d + alpha) / alpha)
-                if tag == "specialtrunc-i"
-                else math.floor((d + 2.0 * alpha - 2.0) / alpha)
-            )
-            ds = dx * dy
-            if t >= thresh * t_f:
-                return done(ds**expo * math.exp(-c * t), "post-singular exponential")
-            R = g.diam
-            invTD = R**alpha / _Q4
-            bracket = (
-                min(ds ** (alpha / 2.0), inv)
-                + F(alpha, d - alpha * n_t, invTD, rho, dx, dy)
-                + (n_t * t_f - t) ** n_t * F(alpha, d - alpha * (n_t - 1), invTD, rho, dx, dy)
-            )
-            val = _one_over_rho_sq(dx, dy, rho, expo) * bracket
-            return done(val, "truncated polynomial window (n_t=%d)" % n_t)
-        # specialtrunc-iii: J2/J3/D2/D3
-        if rho**alpha <= inv and t < math.floor((d + alpha) / alpha) * t_f:
-            ds = dx * dy
-            bracket = (
-                min(ds ** (alpha / 2.0), inv) if math.isfinite(ds) else inv
-            ) + F_alpha_k(alpha, d - alpha * n_t, inv, rho, dx, dy) + (
-                n_t * t_f - t
-            ) ** n_t * F_alpha_k(alpha, d - alpha * (n_t - 1), inv, rho, dx, dy)
-            val = _one_over_rho_sq(dx, dy, rho, alpha / 2.0) * bracket
-            return done(val, "truncated polynomial window (n_t=%d)" % n_t)
-        return done(q_eval(m, g, c * t, x, y), "q(ct,x,y)")
-
-    # ---- general theorems ---------------------------------------------------
-    if tag == "mainlarge-i":
-        # lambda = 0: the small-time estimates extend verbatim to t >= T
-        _require(t >= mg * case.horizon_T, "t >= T")
-        _require(m.lam is None or m.lam == 0.0, "lambda = 0")
-        if rho**alpha * phi_t <= _Q4:
-            sub_tag = "mainsmall-i"
-        elif m.family in ("HK_D", "D1", "D2", "D3"):
-            sub_tag = "mainsmall-ii-b"
-        elif m.family == "HK_M":
-            sub_tag = "mainsmall-ii-c"
-        else:
-            sub_tag = "mainsmall-ii-a"
-        sub = EstimateCase(
-            sub_tag, kern, table, m, g, t, x, y, case.horizon_T, 1.0,
-            conditions=case.conditions, exp_constant=c,
-        )
-        out = theorem_estimate(sub)
-        out["branch"] = "large-time: " + out["branch"]
-        return out
-    if tag == "mainsmall-i":
-        _require(rho**alpha * phi_t <= _Q4 / mg, "Phi(rho) phi(1/t) <= 1/(4e^2)")
-        val = J_gamma(m, g, table, kern, m.k, t, x, y)
-        return done(val, "near-diagonal J form")
-    if tag.startswith("mainsmall-ii"):
-        _require(rho**alpha * phi_t > mg * _Q4, "Phi(rho) phi(1/t) > 1/(4e^2)")
-        a = _a_gamma_scalar(m.gamma, alpha, m.k, inv, dx, dy)
-        if tag.endswith("a"):
-            val = a / (phi_t * m.Phi(rho) * m.V(rho))
-            return done(val, "off-diagonal jump")
-        from .bernstein import calN
-
-        N = calN(table, m.Phi, t, rho)
-        diff = a * math.exp(-c * N) / m.V_inv_time(inv)
-        if tag.endswith("b"):
-            return done(diff, "off-diagonal diffusion")
-        jump = a / (phi_t * m.Psi(rho) * m.V(rho))
-        return done(jump + diff, "off-diagonal mixed")
-    if tag == "mainlarge-ii":
-        _require(t >= mg * case.horizon_T, "t >= T")
-        _require(m.lam is not None and m.lam > 0.0, "lambda > 0")
-        _require(g.bounded, "R_D < inf")
-        R = g.diam
-        val = w_t * boundary_integral(m, 1, rho**alpha, 2.0 * R**alpha, dx, dy)
-        return done(val, "large-time boundary integral")
-    if tag == "mainsub-i":
-        cond = case.conditions
-        _require(cond is not None and cond.sub is not None, "(Sub.) certified")
-        beta, theta = cond.sub["beta"], cond.sub["theta"]
-        _require(t >= mg * case.horizon_T, "t >= T")
-        if rho**alpha * phi_t <= _Q4 / mg:
-            lead = _a_gamma_scalar(m.gamma, alpha, m.k, t, dx, dy) / m.V_inv_time(t)
-            I = boundary_integral(m, m.k, rho**alpha, _Q2 / phi_t, dx, dy)
-            lower = lead + w_t * I
-            upper = lead + math.exp(-0.5 * theta * t**beta) * I
-            return done(0.5 * (lower + upper), "subexp near-diagonal", lower=lower, upper=upper)
-        return done(q_eval(m, g, c * t, x, y), "q(ct,x,y)")
-    if tag == "mainsub-ii":
-        cond = case.conditions
-        _require(cond is not None and cond.sub is not None, "(Sub.) certified")
-        beta, theta = cond.sub["beta"], cond.sub["theta"]
-        _require(t >= mg * case.horizon_T, "t >= T")
-        _require(m.lam is not None and m.lam > 0.0 and g.bounded, "lambda > 0 and R_D < inf")
-        R = g.diam
-        I = boundary_integral(m, 1, rho**alpha, 2.0 * R**alpha, dx, dy)
-        if beta < 1.0:
-            return done(
-                0.5 * (w_t + math.exp(-theta * t**beta)) * I,
-                "subexp boundary integral",
-                lower=w_t * I,
-                upper=math.exp(-theta * t**beta) * I,
-            )
-        bnd = (dx**alpha) ** m.gamma * (dy**alpha) ** m.gamma
-        lower = w_t * I + math.exp(-m.lam * 1.0 * t) * bnd
-        upper = math.exp(-0.5 * theta * t) * I + math.exp(-m.lam * 1.0 * t) * bnd
-        return done(0.5 * (lower + upper), "exponential boundary mix", lower=lower, upper=upper)
-    if tag.startswith("main2"):
-        t_f = kern.support_end
-        _require(math.isfinite(t_f), "(Trunc.) kernel")
-        _require(t >= t_f / 2.0, "t >= t_f/2")
-        n_t = math.floor(t / t_f) + 1
-        window = math.floor(m.d / m.alpha + 2.0 * m.gamma) * t_f
-        if tag == "main2-i":
-            if rho**alpha > t:
-                return done(q_eval(m, g, c * t, x, y), "q(ct,x,y)")
-            if t >= window:
-                val = _a_gamma_scalar(m.gamma, alpha, m.k, t, dx, dy) / m.V_inv_time(t)
-                return done(val, "post-singular q form")
-            i1 = boundary_integral(m, 1, rho**alpha, 2.0 * t, dx, dy, weight_pow=float(n_t))
-            i2 = boundary_integral(m, 1, rho**alpha, 2.0 * t, dx, dy, weight_pow=float(n_t - 1))
-            return done(i1 + (n_t * t_f - t) ** n_t * i2, "truncated window (n_t=%d)" % n_t)
-        _require(m.lam is not None and m.lam > 0.0 and g.bounded, "lambda > 0 and R_D < inf")
-        R = g.diam
-        if t >= window:
-            bnd = (dx**alpha) ** m.gamma * (dy**alpha) ** m.gamma
-            return done(math.exp(-c * t) * bnd, "post-singular exponential")
-        i1 = boundary_integral(m, 1, rho**alpha, 2.0 * R**alpha, dx, dy, weight_pow=float(n_t))
-        i2 = boundary_integral(m, 1, rho**alpha, 2.0 * R**alpha, dx, dy, weight_pow=float(n_t - 1))
-        return done(i1 + (n_t * t_f - t) ** n_t * i2, "truncated window (n_t=%d)" % n_t)
-
-    # ---- worked examples ------------------------------------------------------
-    if tag.startswith("example1"):
-        beta, delta = kern.beta, kern.delta
-        diffusive = abs(alpha - 2.0) < 1e-12
-        if tag == "example1-small":
-            _require(t <= delta / 2.0, "t <= delta/2")
-            if rho <= t ** (beta / alpha):
-                if d < alpha:
-                    return done(t ** (-beta * d / alpha), "on-diagonal d<alpha")
-                if rho == 0.0:
-                    return done(math.inf, "on-diagonal divergent")
-                if d == alpha:
-                    return done(
-                        t**-beta * math.log(2.0 * t ** (beta / alpha) / rho), "on-diagonal log"
-                    )
-                return done(t**-beta / rho ** (d - alpha), "on-diagonal d>alpha")
-            if not diffusive:
-                return done(t**beta / rho ** (d + alpha), "off-diagonal jump")
-            val = t ** (-beta * d / alpha) * math.exp(
-                -c * rho ** (2.0 / (2.0 - beta)) * t ** (-beta / (2.0 - beta))
-            )
-            return done(val, "off-diagonal gaussian")
-        _require(t >= delta / 2.0, "t >= delta/2")
-        n_t = math.floor(t / delta) + 1
-        if rho**alpha > t:
-            if not diffusive:
-                return done(t / rho ** (d + alpha), "off-diagonal jump")
-            return done(t ** (-d / alpha) * math.exp(-c * rho**2 / t), "off-diagonal gaussian")
-        if t >= math.floor(d / alpha) * delta:
-            return done(t ** (-d / alpha), "diagonal-regular")
-        d_over_a_int = abs(d / alpha - round(d / alpha)) < 1e-12
-        if d_over_a_int and t >= (d - alpha) * delta / alpha:
-            val = t ** (-d / alpha) + (d * delta / (alpha * t) - 1.0) ** (d / alpha) * math.log(
-                2.0 * t / rho**alpha
-            )
-            return done(val, "log window")
-        if t >= math.floor((d - alpha) / alpha) * delta and not d_over_a_int:
-            val = t ** (-d / alpha) + (n_t * delta - t) ** n_t * t**-n_t / rho ** (
-                d - alpha * n_t
-            )
-            return done(val, "mixed window (n_t=%d)" % n_t)
-        val = (rho**alpha / t + (n_t * delta - t) ** n_t) * t**-n_t / rho ** (d - alpha * n_t)
-        return done(val, "early window (n_t=%d)" % n_t)
-
-    if tag.startswith("example2"):
-        if tag == "example2-iii":
-            _require(t >= 1.0, "t >= 1")
-            sub = EstimateCase(
-                "speciallarge-i", kern, table, m, g, t, x, y, case.horizon_T, 1.0, exp_constant=c
-            )
-            out = theorem_estimate(sub)
-            out["branch"] = "distributed-order large-time"
-            return out
-        _require(t <= 1.0, "t <= 1")
-        if tag == "example2-i":
-            sub = EstimateCase(
-                "specialsmall-i-a", kern, table, m, g, t, x, y, case.horizon_T, mg, exp_constant=c
-            )
-            out = theorem_estimate(sub)
-            out["branch"] = "distributed-order near-diagonal"
-            return out
-        sub_tag = "specialsmall-ii-c" if abs(alpha - 2.0) < 1e-12 else "specialsmall-ii-a"
-        sub = EstimateCase(
-            sub_tag, kern, table, m, g, t, x, y, case.horizon_T, mg, exp_constant=c
-        )
-        out = theorem_estimate(sub)
-        out["branch"] = "distributed-order off-diagonal"
-        return out
-
-    raise DomainError("tag %r not dispatched" % (tag,))
+    m = case.model
+    p = geometry_probe(case.geometry, case.x, case.y)
+    phi_t = case.table.phi(1.0 / case.t)
+    pt = _Point(m.alpha, m.d, p["rho"], p["delta_x"], p["delta_y"], phi_t, 1.0 / phi_t,
+                float(case.kernel.w(case.t)), p["rho"] ** m.alpha * phi_t)
+    failed = regime_failure(case, phi_t)
+    if failed is not None:
+        raise RegimeError("outside regime: %s" % failed)
+    return _evaluate(case, pt)

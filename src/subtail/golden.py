@@ -16,7 +16,8 @@ import numpy as np
 
 from .bernstein import BernsteinTable, calM, calN
 from .comparability import exp_constant_fit, regime_grid, two_sided_check
-from .estimates import EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma, theorem_estimate
+from .estimates import (QUARTER_E2, EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma,
+                        near_diagonal, theorem_estimate)
 from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
 from .heat_kernel import Geometry, HKModel
 from .kernels import (
@@ -38,7 +39,6 @@ from .simulate import (
 )
 
 GOLDEN_SEED = 20240612
-_Q4 = 1.0 / (4.0 * math.e**2)
 B_UPPER = 6.49569  # frozen sandwich constant of the acceptance criteria
 
 
@@ -52,6 +52,10 @@ def builtin_kernel_set():
         "distributed": DistributedOrder(weights=((0.3, 1.0), (0.7, 1.0))),
         "tabulated": Tabulated(knots=tuple(zip(tab_s, tab_w)), tail="power"),
     }
+
+
+def _half_caputo_table():
+    return BernsteinTable(caputo(0.5), points_per_decade=24)
 
 
 def _timed(fn):
@@ -158,7 +162,7 @@ def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
     obs, pred, ses, checks, coords = [], [], [], [], []
     for i, t in enumerate(t_vals):
         phi_t = tab.phi(1.0 / t)
-        r_edge = _Q4 / (2.0 * phi_t)  # margin-2 boundary
+        r_edge = QUARTER_E2 / (2.0 * phi_t)  # margin-2 boundary
         for j, frac in enumerate(fracs):
             r = frac * r_edge
             cfg = SimConfig(cutoff_eps=min(1e-4, t * 1e-3), n_paths=n_paths, seed=seed + 37 * i + j)
@@ -267,7 +271,7 @@ def crit_6_variational(seed=GOLDEN_SEED):
                 got = calM(2.0, t, l)
                 worst = max(worst, abs(got - l * l / (4.0 * t)) / (l * l / (4.0 * t)))
         shape = PowerLaw(2.0)
-        tab = BernsteinTable(caputo(0.5), points_per_decade=24)
+        tab = _half_caputo_table()
         rel_ok = True
         worst_m = (math.inf, 0.0)
         worst_n = (math.inf, 0.0)
@@ -303,38 +307,42 @@ DGAMMA_CASES = {
 }
 
 
+def _c7_case(tab, alpha, d, gamma):
+    """Criterion 7 for one exponent case: (quadrature, closed form, coords,
+    scenarios) of I_1^gamma on the margin-2 near-diagonal grid of (0, 1)."""
+    g = Geometry("interval", 1.0)
+    m = HKModel("HK_J", alpha=alpha, d=d, gamma=gamma, lam=0.0, k=1)
+    obs, pred, coords = [], [], []
+    scen = set()
+    for t in (0.003, 0.02, 0.12, 0.7, 5.0):
+        phi_t = tab.phi(1.0 / t)
+        for dx in (0.012, 0.02, 0.045, 0.08, 0.15, 0.25, 0.45):
+            for rho in (0.001, 0.004, 0.012, 0.03, 0.09, 0.2, 0.4):
+                y = dx + rho
+                if y >= 1.0 - 1e-9:
+                    continue
+                if not near_diagonal(rho**alpha * phi_t, 2.0, tab.quad_rtol):
+                    continue
+                closed, _, sc = closed_I_gamma(m, g, tab, t, dx, y)
+                quadv = I_gamma_quadrature(m, g, tab, 1, t, dx, y)
+                if quadv <= 0.0 or closed <= 0.0:
+                    continue
+                obs.append(quadv)
+                pred.append(closed)
+                coords.append((t, dx, y))
+                scen.add(sc)
+    return obs, pred, coords, scen
+
+
 def crit_7_dgamma():
     """closed_I_gamma vs quadrature: spread <= 8 per case on >= 60 points."""
 
     def run():
-        tab = BernsteinTable(caputo(0.5), points_per_decade=24)
-        g = Geometry("interval", 1.0)
-        deltas = (0.012, 0.02, 0.045, 0.08, 0.15, 0.25, 0.45)
-        rhos = (0.001, 0.004, 0.012, 0.03, 0.09, 0.2, 0.4)
-        ts = (0.003, 0.02, 0.12, 0.7, 5.0)
+        tab = _half_caputo_table()
         out = {}
         ok = True
         for case, (alpha, d, gamma) in DGAMMA_CASES.items():
-            m = HKModel("HK_J", alpha=alpha, d=d, gamma=gamma, lam=0.0, k=1)
-            obs, pred, coords = [], [], []
-            scen = set()
-            for t in ts:
-                phi_t = tab.phi(1.0 / t)
-                for dx in deltas:
-                    for rho in rhos:
-                        y = dx + rho
-                        if y >= 1.0 - 1e-9:
-                            continue
-                        if rho**alpha * phi_t > _Q4 / 2.0:
-                            continue
-                        closed, got_case, sc = closed_I_gamma(m, g, tab, t, dx, y)
-                        quadv = I_gamma_quadrature(m, g, tab, 1, t, dx, y)
-                        if quadv <= 0.0 or closed <= 0.0:
-                            continue
-                        obs.append(quadv)
-                        pred.append(closed)
-                        coords.append((t, dx, y))
-                        scen.add(sc)
+            obs, pred, coords, scen = _c7_case(tab, alpha, d, gamma)
             rep = two_sided_check(np.array(obs), np.array(pred), 8.0, coords=coords, case=case)
             out[case] = {
                 "n_points": rep.n_points,
@@ -352,7 +360,16 @@ def crit_7_dgamma():
     return _timed(run)
 
 
-def _c8_grid_spread(kern, tab, m, g, tag, margin, resolution):
+# criterion 8's branches and the margin each is sampled with
+C8_MARGINS = {"mainsmall-i": 2.0, "mainsmall-ii-a": 40.0}
+
+
+def _c8_grid_spread(tab, tag, resolution, budget):
+    """p_quadrature vs the theorem form of ``tag`` for J1 on the interval (0, 1)."""
+    kern = tab.kernel
+    m = HKModel("J1", alpha=1.0, d=1.0)
+    g = Geometry("interval", 1.0)
+    margin = C8_MARGINS[tag]
     pts = regime_grid(tag, kern, tab, m, g, resolution=resolution, margin=margin,
                       t_window=(1e-3, 0.1))
     obs, pred = [], []
@@ -365,23 +382,19 @@ def _c8_grid_spread(kern, tab, m, g, tag, margin, resolution):
             pred.append(
                 theorem_estimate(EstimateCase(tag, kern, tab, m, g, t, x, y, margin=margin))["value"]
             )
-    rep = two_sided_check(np.array(obs), np.array(pred), 50.0, case=tag)
-    return rep
+    return two_sided_check(np.array(obs), np.array(pred), budget, case=tag)
 
 
 def crit_8_mainsmall_quadrature():
     """p_quadrature vs the J / off-diagonal forms: spread <= 50, stable."""
 
     def run():
-        kern = caputo(0.5)
-        tab = BernsteinTable(kern, points_per_decade=24)
-        m = HKModel("J1", alpha=1.0, d=1.0)
-        g = Geometry("interval", 1.0)
+        tab = _half_caputo_table()
         out = {}
         ok = True
-        for tag, margin in (("mainsmall-i", 2.0), ("mainsmall-ii-a", 40.0)):
-            rep = _c8_grid_spread(kern, tab, m, g, tag, margin, resolution=8)
-            rep_fine = _c8_grid_spread(kern, tab, m, g, tag, margin, resolution=15)
+        for tag, margin in C8_MARGINS.items():
+            rep = _c8_grid_spread(tab, tag, 8, 50.0)
+            rep_fine = _c8_grid_spread(tab, tag, 15, 50.0)
             drift = abs(rep_fine.spread / rep.spread - 1.0)
             out[tag] = {
                 "n_points": rep.n_points,
@@ -473,32 +486,40 @@ def crit_10_diagonal_finiteness():
     return _timed(run)
 
 
+C11_T_VALUES = (0.05, 0.2)
+C11_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)
+C11_BAND = 4.0
+
+
+def _c11_sweep(tab, t, deltas):
+    """(u(t, delta), u/delta^{alpha gamma}) lists for J1 on (0, 1) with f = 1."""
+    m = HKModel("J1", alpha=1.0, d=1.0)
+    g = Geometry("interval", 1.0)
+    us, ratios = [], []
+    for dlt in deltas:
+        u = solve_u(SolutionRequest(tab.kernel, tab, m, g, t, dlt, f=lambda y: 1.0)).value
+        us.append(u)
+        ratios.append(u / dlt ** (m.alpha * m.gamma))
+    return us, ratios
+
+
 def crit_11_boundary_decay():
     """u(t,x)/delta^{alpha gamma} stays in a factor-4 band near the wall."""
 
     def run():
-        kern = caputo(0.5)
-        tab = BernsteinTable(kern, points_per_decade=24)
-        m = HKModel("J1", alpha=1.0, d=1.0)
-        g = Geometry("interval", 1.0)
-        deltas = (1e-4, 1e-3, 1e-2, 1e-1)
+        tab = _half_caputo_table()
         bands = {}
         ok = True
-        for t in (0.05, 0.2):
-            ratios = []
-            for dlt in deltas:
-                u = solve_u(
-                    SolutionRequest(kern, tab, m, g, t, dlt, f=lambda y: 1.0)
-                ).value
-                ratios.append(u / dlt ** (m.alpha * m.gamma))
+        for t in C11_T_VALUES:
+            _, ratios = _c11_sweep(tab, t, C11_DELTAS)
             band = max(ratios) / min(ratios)
             bands["t=%g" % t] = {"band": band, "ratios": ratios}
-            ok = ok and band <= 4.0
+            ok = ok and band <= C11_BAND
         return {
             "name": "11 boundary decay order",
             "passed": ok,
             "sweeps": bands,
-            "budget": {"band": 4.0},
+            "budget": {"band": C11_BAND},
         }
 
     return _timed(run)

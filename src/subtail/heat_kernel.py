@@ -39,7 +39,8 @@ from .bernstein import calM
 from .errors import DomainError
 from .shapes import PowerLaw
 
-__all__ = ["Geometry", "HKModel", "a_gamma", "q_eval", "geometry_probe"]
+__all__ = ["Geometry", "HKModel", "a_gamma", "a_gamma_delta", "boundary_min_form", "q_eval",
+           "geometry_probe"]
 
 
 @dataclass(frozen=True)
@@ -203,23 +204,34 @@ def model_from_config(cfg):
     return model, geometry
 
 
+def a_gamma_delta(gamma, alpha, k, t, dx, dy):
+    """Boundary factor a_k^gamma from the distances dx, dy (inf contributes 1)."""
+    if k == 2:
+        t = t / (t + 1.0)
+    if gamma == 0.0:
+        return 1.0
+    out = 1.0
+    for dp in (dx, dy):
+        if math.isinf(dp):
+            continue
+        ph = dp**alpha
+        out *= (ph / (ph + t)) ** gamma
+    return out
+
+
 def a_gamma(model, geometry, k, t, x, y):
     """Boundary factor a_k^gamma(t,x,y); k selects the long-time clock."""
     if t <= 0.0:
         raise DomainError("a_gamma requires t > 0")
-    if k == 2:
-        t = t / (t + 1.0)
-    g = model.gamma
-    if g == 0.0:
-        return 1.0
-    out = 1.0
-    for p in (x, y):
-        dp = geometry.delta(p)
-        if math.isinf(dp):
-            continue
-        ph = dp**model.alpha
-        out *= (ph / (ph + t)) ** g
-    return out
+    return a_gamma_delta(model.gamma, model.alpha, k, t, geometry.delta(x), geometry.delta(y))
+
+
+def boundary_min_form(body, expo, scale, dx, dy):
+    """(body (1 ^ dx/scale)^expo) (1 ^ dy/scale)^expo, in that order (inf gives 1)."""
+    for dp in (dx, dy):
+        if not math.isinf(dp):
+            body *= min(1.0, dp / scale) ** expo
+    return body
 
 
 def _q_jump_min_form(model, bnd_scale, t, x, y, geometry):
@@ -230,11 +242,7 @@ def _q_jump_min_form(model, bnd_scale, t, x, y, geometry):
         -model.d / model.alpha
     )
     g = model.gamma * model.alpha  # displayed exponent alpha/2 or alpha-1
-    for p in (x, y):
-        dp = geometry.delta(p)
-        if not math.isinf(dp):
-            out *= min(1.0, dp / bnd_scale) ** g
-    return out
+    return boundary_min_form(out, g, bnd_scale, geometry.delta(x), geometry.delta(y))
 
 
 def _q_diff_form(model, bnd_scale, t, x, y, geometry):
@@ -243,12 +251,7 @@ def _q_diff_form(model, bnd_scale, t, x, y, geometry):
     body = t ** (-model.d / a) * math.exp(
         -model.exp_c * rho ** (a / (a - 1.0)) / t ** (1.0 / (a - 1.0))
     )
-    g = model.gamma * a
-    for p in (x, y):
-        dp = geometry.delta(p)
-        if not math.isinf(dp):
-            body *= min(1.0, dp / bnd_scale) ** g
-    return body
+    return boundary_min_form(body, model.gamma * a, bnd_scale, geometry.delta(x), geometry.delta(y))
 
 
 def _q_special(model, geometry, t, x, y):

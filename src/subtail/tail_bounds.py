@@ -48,9 +48,6 @@ __all__ = [
     "within_bound",
 ]
 
-_QUARTER_E2 = 1.0 / (4.0 * math.e**2)
-
-
 @dataclass(frozen=True)
 class RegimeConfig:
     """Knobs of the regime classifier.
@@ -73,21 +70,18 @@ class Regime:
     constraints: list = field(default_factory=list)  # (name, value, bound) with value <= bound
     margin: float = 2.0
 
-    def check(self):
-        for name, value, bound in self.constraints:
-            if value > bound:
-                raise RegimeError("outside regime %s: %s = %g > %g" % (self.tag, name, value, bound))
-
 
 def truncated_small_r_threshold(table, kernel):
     """r_0 with r phi(1/r) <= 1/(4e^2) and r <= t_f/6 for all r <= r_0."""
+    from .estimates import QUARTER_E2  # imported here: estimates imports this module
+
     t_f = kernel.support_end
     lo, hi = 1e-12, t_f / 6.0
-    if hi * table.phi(1.0 / hi) <= _QUARTER_E2:
+    if hi * table.phi(1.0 / hi) <= QUARTER_E2:
         return hi
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        if mid * table.phi(1.0 / mid) <= _QUARTER_E2:
+        if mid * table.phi(1.0 / mid) <= QUARTER_E2:
             lo = mid
         else:
             hi = mid
@@ -97,50 +91,48 @@ def truncated_small_r_threshold(table, kernel):
 
 
 def classify(kernel, table, r, t, conditions=None, config=RegimeConfig()):
-    """All upper-bound regimes admitting (r, t) after the margin factor."""
+    """All upper-bound regimes admitting (r, t) after the margin factor.
+
+    A regime admits (r, t) when every constraint holds under the tie rule
+    ``within_bound``.
+    """
+    from .estimates import QUARTER_E2  # imported here: estimates imports this module
+
     if conditions is None:
         conditions = check_conditions(kernel)
     m = config.margin
-    out = []
+    regs = []
     rp = r * table.phi(1.0 / t)
     if conditions.spoly is not None:
-        reg = Regime(
+        regs.append(Regime(
             "small-t-poly",
-            [("t/t_s", t / conditions.spoly["t_s"], 1.0 / m), ("4e^2 r phi(1/t)", rp / _QUARTER_E2, 1.0 / m)],
+            [("t/t_s", t / conditions.spoly["t_s"], 1.0 / m), ("4e^2 r phi(1/t)", rp / QUARTER_E2, 1.0 / m)],
             m,
-        )
-        if all(v <= b for _, v, b in reg.constraints):
-            out.append(reg)
+        ))
     if conditions.lpoly is not None:
-        reg = Regime(
+        regs.append(Regime(
             "large-t-poly",
-            [("T/t", config.horizon_T / t, 1.0 / m), ("4e^2 r phi(1/t)", rp / _QUARTER_E2, 1.0 / m)],
+            [("T/t", config.horizon_T / t, 1.0 / m), ("4e^2 r phi(1/t)", rp / QUARTER_E2, 1.0 / m)],
             m,
-        )
-        if all(v <= b for _, v, b in reg.constraints):
-            out.append(reg)
+        ))
     if conditions.sub is not None:
-        reg = Regime(
+        regs.append(Regime(
             "subexp",
             [("T/t", config.horizon_T / t, 1.0 / m), ("(r/t)/L", (r / t) / config.sub_L, 1.0 / m)],
             m,
-        )
-        if all(v <= b for _, v, b in reg.constraints):
-            out.append(reg)
+        ))
     if conditions.trunc is not None:
         t_f = conditions.trunc["t_f"]
         r0 = truncated_small_r_threshold(table, kernel)
-        reg = Regime(
+        regs.append(Regime(
             "truncated-small-r",
             [("r/r_0", r / r0, 1.0 / m), ("t_f/(2t)", t_f / (2.0 * t), 1.0 / m)],
             m,
-        )
-        if all(v <= b for _, v, b in reg.constraints):
-            out.append(reg)
+        ))
         # the small-r statement refines the linear-in-log one on r <= r_0, so
         # the linear regime starts above r_0 to keep the classification a
         # partition (no point receives two structurally different forms)
-        reg = Regime(
+        regs.append(Regime(
             "truncated-linear",
             [
                 ("(r/t)/L", (r / t) / config.sub_L, 1.0 / m),
@@ -148,10 +140,12 @@ def classify(kernel, table, r, t, conditions=None, config=RegimeConfig()):
                 ("r_0/r", r0 / r, 1.0 / m),
             ],
             m,
-        )
-        if all(v <= b for _, v, b in reg.constraints):
-            out.append(reg)
-    return out
+        ))
+    return [reg for reg in regs if _admits(reg, table.quad_rtol)]
+
+
+def _admits(reg, rtol):
+    return all(within_bound(v, b, rtol) for _, v, b in reg.constraints)
 
 
 def within_bound(value, bound, rtol):

@@ -1,29 +1,9 @@
-import numpy as np
 import pytest
 
-from subtail.kernels import (
-    DistributedOrder,
-    Power,
-    Subexp,
-    Tabulated,
-    Truncated,
-    caputo,
-)
-
-
-def builtin_kernels():
-    """One representative of each of the five built-in variants."""
-    tab_s = np.geomspace(1e-6, 1e6, 61)
-    tab_w = 0.7 * tab_s**-0.4 + 0.05 * tab_s**-0.8
-    return {
-        "power": caputo(0.5),
-        "truncated": Truncated(beta=0.5, delta=1.0, scale=1.0),
-        "subexp": Subexp(beta=0.5, theta=1.0, c0=1.0, smallBeta=0.5),
-        "distributed": DistributedOrder(weights=((0.3, 1.0), (0.7, 1.0))),
-        "tabulated": Tabulated(knots=tuple(zip(tab_s, tab_w)), tail="power"),
-    }
+from subtail.golden import builtin_kernel_set
 
 
 @pytest.fixture(scope="session")
 def kernels():
-    return builtin_kernels()
+    """One representative of each of the five built-in variants."""
+    return builtin_kernel_set()

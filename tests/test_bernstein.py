@@ -206,6 +206,12 @@ class TestBarPhi:
         with pytest.raises(RangeError):
             caputo_half.bar_phi_alpha(2.0, 1e300)
 
+    def test_target_below_smallest_lambda_is_range_error(self, caputo_half):
+        # s^2/phi(s) = s^{3/2} reaches 1e-300 only at s = 1e-200, below the
+        # smallest lambda at which phi of this kernel can be evaluated
+        with pytest.raises(RangeError):
+            caputo_half.bar_phi_alpha(2.0, 1e-300)
+
     def test_truncated_large_lambda_asymptote(self):
         from scipy.optimize import brentq as brentq_oracle
         from scipy.special import erf
@@ -227,6 +233,22 @@ class TestBarPhi:
         # alpha = 0.3 < beta' region: s^0.3/s^0.5 decreasing -> envelope path
         with pytest.warns(RuntimeWarning):
             caputo_half.bar_phi_alpha(0.3, 0.5)
+
+
+class TestSmallestLambda:
+    def test_moment_overflow_is_domain_error(self, caputo_half):
+        # the head moments int_0^{1e-5/lam} u^k w(u) du overflow a float here
+        for query in (caputo_half.phi, caputo_half.phi_prime, caputo_half.H):
+            with pytest.raises(DomainError, match="smallest supported lambda"):
+                query(1e-100)
+
+    def test_named_floor_is_supported(self, caputo_half):
+        with pytest.raises(DomainError) as info:
+            caputo_half.phi(1e-300)
+        floor = float(str(info.value).split("smallest supported lambda ")[1].split()[0])
+        assert 1e-100 < floor < 1e-80
+        # phi(lam) = lam^{1/2} holds down to the named floor
+        assert caputo_half.phi(floor) == pytest.approx(math.sqrt(floor), rel=1e-8)
 
 
 class TestVariational:

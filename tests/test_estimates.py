@@ -107,9 +107,9 @@ class TestIGamma:
         assert first >= 0.0
         # J >= leading term alone (w(t) I >= 0)
         phi_inv = 1.0 / half_table.phi(1.0 / t)
-        from subtail.estimates import _a_gamma_scalar
+        from subtail.heat_kernel import a_gamma_delta
 
-        lead = _a_gamma_scalar(0.5, 1.0, 1, phi_inv, 0.4, 0.5) / m.V_inv_time(phi_inv)
+        lead = a_gamma_delta(0.5, 1.0, 1, phi_inv, 0.4, 0.5) / m.V_inv_time(phi_inv)
         assert first >= lead
 
 
