@@ -14,22 +14,25 @@ differentiation of w is ever needed, so tabulated kernels work too):
     H(lambda)    = lambda^2 * int_0^inf          u e^{-lambda u} w(u) du
 
 with H(lambda) = phi(lambda) - lambda phi'(lambda) the Jain-Pruitt
-concentration function.  phi' and H are computed from their own integrands,
-so the identity phi - lambda*phi' = H compares genuinely independent
-quadratures.
+concentration function.  phi' and H are integrated with their own weights,
+so the identity phi - lambda*phi' = H compares independent quadratures.
 
-The integrals are evaluated by composite Gauss-Legendre panels on octaves of
-[1e-5/lambda, 50/lambda] (split additionally at kernel breakpoints) plus a
-closed-form head: on [0, 1e-5/lambda] the factor e^{-lambda u} is Taylor
-expanded to three terms and the remaining truncated moments
-int_0^a u^k w(u) du come exactly from the kernel.  Every evaluation is done
-at two node counts and the discrepancy is the achieved-error diagnostic; a
-silent wrong value is never returned.
+One evaluator, ``_bernstein_values``, computes all three at a lambda: one
+set of composite Gauss-Legendre panels on octaves of [1e-5/lambda,
+50/lambda] (split additionally at kernel breakpoints), one ``kernel.w`` call
+on their nodes, and a closed-form head: on [0, 1e-5/lambda] the factor
+e^{-lambda u} is Taylor expanded to three terms and the remaining truncated
+moments int_0^a u^k w(u) du come exactly from the kernel.  Each integral is
+taken at 24 and at 40 nodes per panel and the discrepancy is the
+achieved-error diagnostic; a silent wrong value is never returned.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
-points per decade on [1e-9, 1e9]) and supplies monotone inverses, the
-composite function b(s) = s phi'(H^{-1}(1/s)), the envelope inverse
-bar_phi_alpha, and the variational quantities
+points per decade on [1e-9, 1e9]).  The grid is built by the same checked
+evaluator as the scalar queries, so it holds bit for bit what phi(),
+phi_prime() and H() return at its nodes.  The table supplies monotone
+inverses, the composite function b(s) = s phi'(H^{-1}(1/s)), the envelope
+inverse bar_phi_alpha, all solved by one bracketed root finder, and the
+variational quantities
 
     M(t,l) = sup_{s>0} { l/s - t/Phi(s) }
     N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }
@@ -51,24 +54,22 @@ from .shapes import PowerLaw, as_shape
 
 __all__ = ["BernsteinTable", "calM", "calN", "PowerLaw"]
 
-_NODE_CACHE = {}
-
-
-def _gl(n):
-    if n not in _NODE_CACHE:
-        _NODE_CACHE[n] = leggauss(n)
-    return _NODE_CACHE[n]
-
-
 _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
+_COARSE = 24  # nodes per panel of the check; the 40-node values are returned
+# Gauss-Legendre nodes and weights on [-1, 1]: the 24-node rule, then the 40-node one
+_NODES, _WEIGHTS = (np.concatenate(v) for v in zip(leggauss(_COARSE), leggauss(40)))
 
 
 def _head_moments(kernel, lam):
-    """int_0^{1e-5/lam} u^k w(u) du for k = 0..3; once these overflow a float,
-    DomainError names the smallest supported lambda (least finite power of 2)."""
+    """int_0^{1e-5/lam} u^k w(u) du for k = 0..3.  Where these, the panel
+    range 50/lam or the head's 1.5 lam^2 overflow a float, DomainError names
+    the smallest or largest supported lambda (the last power of 2 at which
+    all are finite)."""
 
     def finite(l):
+        if _TAIL_MULT / l == math.inf or 2.0 * l * l == math.inf:
+            return None
         try:
             m = [kernel.moment(k, _HEAD_FRAC / l) for k in range(4)]
         except OverflowError:
@@ -77,60 +78,54 @@ def _head_moments(kernel, lam):
 
     m = finite(lam)
     if m is None:
-        floor = 1.0
-        while floor > 1e-300 and finite(floor / 2.0) is not None:
-            floor /= 2.0
-        raise DomainError("lambda=%g is below the smallest supported lambda %r of this kernel "
-                          "(its truncated moments overflow)" % (lam, floor))
+        up = lam >= 1.0
+        edge, step = 1.0, (2.0 if up else 0.5)
+        while finite(edge * step) is not None:
+            edge *= step
+        raise DomainError("lambda=%g is %s the %s supported lambda %r of this kernel "
+                          "(its truncated moments or its panels overflow)"
+                          % (lam, "above" if up else "below", "largest" if up else "smallest", edge))
     return m
 
 
-def _laplace_integral(kernel, lam, kind, n_nodes):
-    """One of the three Laplace integrals at a single lambda > 0.
+def _bernstein_values(kernel, lam, rtol):
+    """(phi, H, phi') at one lambda > 0 from the three Laplace integrals
 
-    kind 0: int e^{-lam u} w du        (for phi)
-    kind 1: int u e^{-lam u} w du      (for H)
-    kind 2: int (1-lam u) e^{-lam u} w du  (for phi')
+        int e^{-lam u} w du,  int u e^{-lam u} w du,  int (1-lam u) e^{-lam u} w du.
+
+    Returns the 40-node values; QuadratureError when any integral differs
+    from its 24-node value by more than rtol relative.
     """
     u0 = _HEAD_FRAC / lam
     hi = _TAIL_MULT / lam
     m = _head_moments(kernel, lam)
-    if kind == 0:
-        head = m[0] - lam * m[1] + 0.5 * lam**2 * m[2]
-    elif kind == 1:
-        head = m[1] - lam * m[2] + 0.5 * lam**2 * m[3]
-    else:
-        head = m[0] - 2.0 * lam * m[1] + 1.5 * lam**2 * m[2]
-
+    heads = (
+        m[0] - lam * m[1] + 0.5 * lam**2 * m[2],
+        m[1] - lam * m[2] + 0.5 * lam**2 * m[3],
+        m[0] - 2.0 * lam * m[1] + 1.5 * lam**2 * m[2],
+    )
     n_oct = int(math.ceil(math.log2(hi / u0)))
     edges = np.geomspace(u0, hi, n_oct + 1)
     brk = [b for b in kernel.breakpoints() if u0 < b < hi]
     if brk:
         edges = np.unique(np.concatenate([edges, brk]))
     a, b = edges[:-1], edges[1:]
-    x, wgt = _gl(n_nodes)
-    u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
-    pw = 0.5 * (b - a)[:, None] * wgt[None, :]
+    u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES[None, :]
+    pw = 0.5 * (b - a)[:, None] * _WEIGHTS[None, :]
     f = np.exp(-lam * u) * kernel.w(u)
-    if kind == 1:
-        f = f * u
-    elif kind == 2:
-        f = f * (1.0 - lam * u)
-    return head + float(np.sum(pw * f))
-
-
-def _checked_integral(kernel, lam, kind, rtol):
-    v1 = _laplace_integral(kernel, lam, kind, 24)
-    v2 = _laplace_integral(kernel, lam, kind, 40)
-    scale = max(abs(v2), 1e-300)
-    achieved = abs(v1 - v2) / scale
-    if achieved > rtol:
-        raise QuadratureError(
-            "Laplace integral did not converge at lambda=%g (kind %d)" % (lam, kind),
-            achieved=achieved,
-            target=rtol,
-        )
-    return v2
+    out = []
+    for name, head, fk in zip(("phi", "H", "phi'"), heads, (f, f * u, f * (1.0 - lam * u))):
+        coarse = head + float(np.sum(pw[:, :_COARSE] * fk[:, :_COARSE]))
+        fine = head + float(np.sum(pw[:, _COARSE:] * fk[:, _COARSE:]))
+        achieved = abs(coarse - fine) / max(abs(fine), 1e-300)
+        if achieved > rtol:
+            raise QuadratureError(
+                "Laplace integral of %s did not converge at lambda=%g" % (name, lam),
+                achieved=achieved,
+                target=rtol,
+            )
+        out.append(fine)
+    return lam * out[0], lam**2 * out[1], out[2]
 
 
 class BernsteinTable:
@@ -145,23 +140,15 @@ class BernsteinTable:
         self.quad_rtol = quad_rtol
         n = int(round(points_per_decade * math.log10(lam_hi / lam_lo)))
         self.lam_grid = np.geomspace(lam_lo, lam_hi, n + 1)
-        i0 = np.empty_like(self.lam_grid)
-        i1 = np.empty_like(self.lam_grid)
-        i2 = np.empty_like(self.lam_grid)
-        for j, lam in enumerate(self.lam_grid):
-            i0[j] = _laplace_integral(kernel, lam, 0, 24)
-            i1[j] = _laplace_integral(kernel, lam, 1, 24)
-            i2[j] = _laplace_integral(kernel, lam, 2, 24)
-        self.phi_grid = self.lam_grid * i0
-        self.H_grid = self.lam_grid**2 * i1
-        self.phi_prime_grid = i2
+        # the checked values phi(), H() and phi_prime() return at the nodes
+        vals = [_bernstein_values(kernel, float(lam), quad_rtol) for lam in self.lam_grid]
+        self.phi_grid, self.H_grid, self.phi_prime_grid = np.array(vals).T.copy()
         # b on its own grid: with lam = H^{-1}(1/s) running over lam_grid,
         # s = 1/H(lam) and b(s) = phi'(lam)/H(lam), exact up to quadrature
         self.b_s_grid = 1.0 / self.H_grid[::-1]
         self.b_grid = (self.phi_prime_grid / self.H_grid)[::-1]
         self._log_lam = np.log(self.lam_grid)
         self._log_phi = np.log(self.phi_grid)
-        self._log_H = np.log(self.H_grid)
 
     # -- forward maps -------------------------------------------------------
 
@@ -174,7 +161,7 @@ class BernsteinTable:
             raise DomainError("phi requires lambda >= 0")
         if lam == 0.0:
             return 0.0
-        return lam * _checked_integral(self.kernel, lam, 0, self.quad_rtol)
+        return _bernstein_values(self.kernel, lam, self.quad_rtol)[0]
 
     def phi_prime(self, lam):
         if np.ndim(lam) > 0:
@@ -182,7 +169,7 @@ class BernsteinTable:
         lam = float(lam)
         if lam <= 0.0:
             raise DomainError("phi_prime requires lambda > 0")
-        return _checked_integral(self.kernel, lam, 2, self.quad_rtol)
+        return _bernstein_values(self.kernel, lam, self.quad_rtol)[2]
 
     def H(self, lam):
         if np.ndim(lam) > 0:
@@ -192,7 +179,7 @@ class BernsteinTable:
             raise DomainError("H requires lambda >= 0")
         if lam == 0.0:
             return 0.0
-        return lam**2 * _checked_integral(self.kernel, lam, 1, self.quad_rtol)
+        return _bernstein_values(self.kernel, lam, self.quad_rtol)[1]
 
     def b_fun(self, s):
         """b(s) = s * phi'(H^{-1}(1/s)), strictly increasing."""
@@ -206,40 +193,42 @@ class BernsteinTable:
 
     # -- inverses -----------------------------------------------------------
 
-    def _bracket_from_grid(self, grid_vals, y):
-        """Bracket lam for an increasing grid function, expanding if needed."""
-        j = int(np.searchsorted(grid_vals, y))
-        if 0 < j < len(grid_vals):
-            return self.lam_grid[j - 1], self.lam_grid[j]
-        if j == 0:
-            lo, hi = self.lam_grid[0] / 4.0, self.lam_grid[0]
-            return lo, hi
-        return self.lam_grid[-1], self.lam_grid[-1] * 4.0
+    def _root(self, g, g_grid, below=None):
+        """Root of g, increasing in lambda, where g_grid ~ g(lam_grid).
 
-    def _invert_monotone(self, fwd, grid_vals, y, increasing=True):
-        vals = grid_vals if increasing else -grid_vals
-        target = y if increasing else -y
-        lo, hi = self._bracket_from_grid(vals, target)
-        sign = 1.0 if increasing else -1.0
-        g = lambda lam: sign * (fwd(lam) - y)
+        The first bracket is the grid cell in which g_grid changes sign or,
+        for a root beyond either end of the grid, the factor 4 past that end.
+        Its signs are checked on g itself, the function brentq solves, and it
+        is moved outward by factors of 16 while both ends share a sign.  When
+        200 moves find no sign change, ``below`` is returned if g stayed
+        positive all the way down and is given; otherwise RangeError.
+        """
+        lam = self.lam_grid
+        j = int(np.searchsorted(g_grid, 0.0))
+        if j == 0:
+            lo, hi = lam[0] / 4.0, lam[0]
+        elif j == len(lam):
+            lo, hi = lam[-1], lam[-1] * 4.0
+        else:
+            lo, hi = lam[j - 1], lam[j]
         glo, ghi = g(lo), g(hi)
-        n_expand = 0
-        while glo > 0.0:
-            hi, ghi = lo, glo
-            lo /= 16.0
-            glo = g(lo)
-            n_expand += 1
-            if n_expand > 200 or lo < 1e-280:
-                raise RangeError("target %g below range" % y, bracket=(float(lo), float(hi)))
-        n_expand = 0
-        while ghi < 0.0:
-            lo, glo = hi, ghi
-            hi *= 16.0
-            ghi = g(hi)
-            n_expand += 1
-            if n_expand > 200 or hi > 1e280:
-                raise RangeError("target %g above range" % y, bracket=(float(lo), float(hi)))
-        return brentq(g, lo, hi, rtol=1e-14, maxiter=200)
+        for _ in range(200):
+            if glo > 0.0:
+                lo, hi, ghi = lo / 16.0, lo, glo
+                glo = g(lo)
+            elif ghi < 0.0:
+                lo, hi, glo = hi, hi * 16.0, ghi
+                ghi = g(hi)
+            elif glo <= 0.0 <= ghi:
+                # relative tolerance only: brentq's default absolute xtol of
+                # 2e-12 would swamp every root below lambda ~ 1e-3
+                return brentq(g, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+            else:  # NaN
+                break
+        if glo > 0.0 and below is not None:
+            return below
+        raise RangeError("target not bracketed within a factor 16^200 of the grid",
+                         bracket=(float(lo), float(hi)))
 
     def invert(self, which, y):
         """Inverse of phi, H, b or phi' at y; forward(invert(y)) = y to 1e-9."""
@@ -247,18 +236,19 @@ class BernsteinTable:
         if y <= 0.0:
             raise RangeError("invert target must be positive", bracket=None)
         if which == "phi":
-            return self._invert_monotone(self.phi, self.phi_grid, y)
+            return self._root(lambda lam: self.phi(lam) - y, self.phi_grid - y)
         if which == "H":
-            return self._invert_monotone(self.H, self.H_grid, y)
+            return self._root(lambda lam: self.H(lam) - y, self.H_grid - y)
         if which == "phi_prime":
-            return self._invert_monotone(self.phi_prime, self.phi_prime_grid, y, increasing=False)
+            return self._root(lambda lam: y - self.phi_prime(lam), y - self.phi_prime_grid)
         if which == "b":
             # b(1/H(lam)) = phi'(lam)/H(lam) is strictly decreasing in lam;
             # a single lambda-space solve avoids nesting two inversions
-            bfun = lambda lam: self.phi_prime(lam) / self.H(lam)
-            grid = self.phi_prime_grid / self.H_grid
-            lam = self._invert_monotone(bfun, grid, y, increasing=False)
-            return 1.0 / self.H(lam)
+            def g(lam):
+                _, H, dphi = _bernstein_values(self.kernel, float(lam), self.quad_rtol)
+                return y - dphi / H
+
+            return 1.0 / self.H(self._root(g, y - self.b_grid[::-1]))
         raise DomainError("invert target must be one of phi, H, b, phi_prime")
 
     def phi_inv_fast(self, y):
@@ -282,7 +272,8 @@ class BernsteinTable:
         For alpha >= 1 the target s -> s^alpha/phi(s) is increasing; for
         alpha < 1 it may not be, in which case the running-supremum envelope
         is used and a warning is emitted.  A lam that s^alpha/phi(s) does not
-        reach raises RangeError.
+        reach raises RangeError; one it stays above at every s the root
+        search tries gives 0, the set then holding every s > 0.
         """
         if alpha <= 0.0:
             raise DomainError("bar_phi_alpha requires alpha > 0")
@@ -291,15 +282,17 @@ class BernsteinTable:
             raise DomainError("bar_phi_alpha requires lam >= 0")
         if lam == 0.0:
             return 0.0
-        g_grid = self.lam_grid**alpha / self.phi_grid
-        if alpha < 1.0 and np.any(np.diff(g_grid) < 0.0):
+        # solved in logs, where s^alpha neither underflows nor overflows
+        log_g_grid = alpha * self._log_lam - self._log_phi
+        log_lam = math.log(lam)
+        if alpha < 1.0 and np.any(np.diff(log_g_grid) < 0.0):
             warnings.warn(
                 "s^alpha/phi(s) is not monotone for alpha=%g; using its running-supremum envelope"
                 % alpha,
                 RuntimeWarning,
             )
-            env = np.maximum.accumulate(g_grid)
-            j = int(np.searchsorted(env, lam))
+            env = np.maximum.accumulate(log_g_grid)
+            j = int(np.searchsorted(env, log_lam))
             if j == 0:
                 return float(self.lam_grid[0])
             if j >= len(env):
@@ -308,35 +301,12 @@ class BernsteinTable:
 
         def g(s):
             try:
-                return s**alpha / self.phi(s) - lam
-            except DomainError as exc:  # s below the kernel's smallest supported lambda
+                phi = self.phi(s)
+            except DomainError as exc:  # s beyond the kernel's supported lambda
                 raise RangeError("lam=%g not reached by s^alpha/phi(s) at supported s" % lam) from exc
+            return alpha * math.log(s) - math.log(phi) - log_lam
 
-        lo, hi = self._bracket_from_grid(g_grid, lam)
-        # g_grid holds the 24-node phi and g the checked 40-node one, which
-        # differ by ulps: a target at or next to a node can fall just outside
-        # the grid bracket, so the signs are verified on g itself and the
-        # bracket widened outward while both ends share a sign
-        glo, ghi = g(lo), g(hi)
-        for _ in range(200):
-            if glo > 0.0 and ghi > 0.0:
-                hi, ghi = lo, glo
-                lo /= 4.0
-                glo = g(lo)
-            elif glo < 0.0 and ghi < 0.0:
-                lo, glo = hi, ghi
-                hi *= 4.0
-                ghi = g(hi)
-            else:
-                break
-        if glo > 0.0 and ghi > 0.0:
-            # s^alpha/phi(s) stays above lam through 200 quarterings: the infimum is 0
-            return 0.0
-        if not (glo <= 0.0 <= ghi or ghi <= 0.0 <= glo):
-            raise RangeError(
-                "lam=%g not reached by s^alpha/phi(s)" % lam, bracket=(float(lo), float(hi))
-            )
-        return brentq(g, lo, hi, rtol=1e-13, maxiter=200)
+        return self._root(g, log_g_grid - log_lam, below=0.0)
 
     # -- comparability evidence ----------------------------------------------
 

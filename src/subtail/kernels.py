@@ -230,9 +230,10 @@ class Subexp:
 
     def w_inv(self, y):
         w1 = self._c_small
-        if y >= w1:
-            return (w1 / y) ** (1.0 / self.smallBeta)
-        return (math.log(self.c0 / y) / self.theta) ** (1.0 / self.beta)
+        small = (w1 / y) ** (1.0 / self.smallBeta)
+        # the min keeps the unused branch's logarithm away from y > c0
+        large = (np.log(self.c0 / np.minimum(y, w1)) / self.theta) ** (1.0 / self.beta)
+        return np.where(y >= w1, small, large)
 
     def atoms(self):
         return ()
@@ -507,12 +508,6 @@ def inverse_w_vec(kernel, y):
     y = np.asarray(y, dtype=float)
     winv = getattr(kernel, "w_inv", None)
     if winv is not None:
-        if isinstance(kernel, Subexp):
-            w1 = kernel._c_small
-            small = (w1 / np.maximum(y, 1e-300)) ** (1.0 / kernel.smallBeta)
-            yc = np.minimum(y, w1)
-            large = (np.log(kernel.c0 / yc) / kernel.theta) ** (1.0 / kernel.beta)
-            return np.where(y >= w1, small, large)
         return winv(y)
     end = kernel.support_end
     hi0 = end * (1.0 - 1e-14) if math.isfinite(end) else None

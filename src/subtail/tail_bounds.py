@@ -32,6 +32,7 @@ than guessed at.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import RegimeError
@@ -71,22 +72,34 @@ class Regime:
     margin: float = 2.0
 
 
+_R0 = weakref.WeakKeyDictionary()  # table -> {t_f: r_0}
+
+
 def truncated_small_r_threshold(table, kernel):
-    """r_0 with r phi(1/r) <= 1/(4e^2) and r <= t_f/6 for all r <= r_0."""
+    """r_0 with r phi(1/r) <= 1/(4e^2) and r <= t_f/6 for all r <= r_0.
+
+    r_0 depends only on the table's phi and on t_f, so the bisection runs
+    once per (table, t_f) and later calls return the remembered value.
+    """
     from .estimates import QUARTER_E2  # imported here: estimates imports this module
 
     t_f = kernel.support_end
+    known = _R0.setdefault(table, {})
+    if t_f in known:
+        return known[t_f]
     lo, hi = 1e-12, t_f / 6.0
     if hi * table.phi(1.0 / hi) <= QUARTER_E2:
-        return hi
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mid * table.phi(1.0 / mid) <= QUARTER_E2:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-12:
-            break
+        lo = hi
+    else:
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if mid * table.phi(1.0 / mid) <= QUARTER_E2:
+                lo = mid
+            else:
+                hi = mid
+            if hi / lo < 1.0 + 1e-12:
+                break
+    known[t_f] = lo
     return lo
 
 
@@ -153,10 +166,10 @@ def within_bound(value, bound, rtol):
 
     The theory's regions are closed (r phi(1/t) <= L and the like), but a
     ``value`` built from phi is certified only to the table's ``quad_rtol``:
-    ``_checked_integral`` accepts phi when its 24- and 40-node quadratures
-    agree to that relative error, so at a tie the computed value can land
-    ulps above the bound, and a strict float comparison would decide the
-    edge by rounding noise.
+    ``bernstein._bernstein_values`` accepts phi when its 24- and 40-node
+    quadratures agree to that relative error, so at a tie the computed value
+    can land ulps above the bound, and a strict float comparison would decide
+    the edge by rounding noise.
     So the value counts as ``<= bound`` unless it exceeds the bound by more
     than ``rtol`` relative.  The slack is the certified error of phi because
     nothing finer is known about the value and nothing coarser is needed;

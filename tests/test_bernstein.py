@@ -3,11 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from subtail.bernstein import BernsteinTable, calM, calN
 from subtail.errors import DomainError, RangeError
+from subtail.golden import builtin_kernel_set
 from subtail.kernels import Truncated, caputo
 from subtail.shapes import PowerLaw
 
@@ -97,6 +100,13 @@ class TestQuadOracle:
 
 
 class TestGridInvariants:
+    def test_grid_holds_scalar_values(self, tables):
+        # one checked evaluator serves both: every node, bit for bit
+        for name, tab in tables.items():
+            assert np.array_equal(tab.phi(tab.lam_grid), tab.phi_grid), name
+            assert np.array_equal(tab.H(tab.lam_grid), tab.H_grid), name
+            assert np.array_equal(tab.phi_prime(tab.lam_grid), tab.phi_prime_grid), name
+
     def test_phi_increasing_concave(self, tables):
         for name, tab in tables.items():
             assert np.all(np.diff(tab.phi_grid) > 0.0), name
@@ -193,8 +203,9 @@ class TestBarPhi:
             assert tab.bar_phi_alpha(2.0, 0.0) == 0.0
 
     def test_grid_node_targets(self, tables):
-        # g_grid is built from the 24-node phi and brentq solves the 40-node
-        # one; targets on a node and one ulp either side must still bracket
+        # g_grid is s^2/phi(s) on the grid, computed apart from the g that
+        # brentq solves; targets on a node and one ulp either side must still
+        # bracket
         for tab in tables.values():
             g_grid = tab.lam_grid**2 / tab.phi_grid
             for node in g_grid[::16]:
@@ -236,6 +247,24 @@ class TestBarPhi:
 
 
 class TestSmallestLambda:
+    def test_panel_overflow_is_domain_error(self):
+        # the truncated kernel's head moments stay finite, but the panel end
+        # 50/lambda overflows below ~2.8e-307 and 1e-5/lambda at 5e-324
+        tab = BernsteinTable(Truncated(0.5, 1.0, 1.0), points_per_decade=4)
+        for lam in (1e-310, 5e-324):
+            with pytest.raises(DomainError, match="smallest supported lambda"):
+                tab.phi(lam)
+        with pytest.raises(DomainError, match="largest supported lambda"):
+            tab.phi(1e200)
+
+    def test_bar_phi_turns_domain_error_into_range_error(self):
+        # s/phi(s) >= 1/E[S_1] = 1 for this kernel, so 0.5 is never reached
+        # and the downward search runs into the smallest supported lambda
+        tab = BernsteinTable(Truncated(0.5, 1.0, 1.0), lam_lo=1e-150, lam_hi=1.0, points_per_decade=1)
+        with pytest.raises(RangeError) as info:
+            tab.bar_phi_alpha(1.0, 0.5)
+        assert isinstance(info.value.__cause__, DomainError)
+
     def test_moment_overflow_is_domain_error(self, caputo_half):
         # the head moments int_0^{1e-5/lam} u^k w(u) du overflow a float here
         for query in (caputo_half.phi, caputo_half.phi_prime, caputo_half.H):
@@ -315,3 +344,47 @@ class TestVariational:
                 N = calN(caputo_half, shape, t, l)
                 ratio = (1.0 / caputo_half.phi(N / t)) / shape(l / N)
                 assert 1.0 / 8.0 <= ratio <= 8.0, (t, l, ratio)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the forward maps and their inverses
+# ---------------------------------------------------------------------------
+
+_KERNELS = builtin_kernel_set()
+_PROP_TABLES = {name: BernsteinTable(k, points_per_decade=8) for name, k in _KERNELS.items()}
+_kernel_names = st.sampled_from(sorted(_KERNELS))
+_log10_lam = st.floats(-8.0, 8.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=_kernel_names, x=_log10_lam, step=st.floats(1e-3, 2.0))
+def test_phi_H_b_monotone(name, x, step):
+    tab = _PROP_TABLES[name]
+    lo, hi = 10.0**x, 10.0 ** (x + step)
+    assert tab.phi(lo) < tab.phi(hi)
+    assert tab.H(lo) < tab.H(hi)
+    assert tab.b_fun(lo) < tab.b_fun(hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=_kernel_names, x=_log10_lam)
+def test_invert_round_trips(name, x):
+    tab = _PROP_TABLES[name]
+    lam = 10.0**x
+    for which, fwd in (("phi", tab.phi), ("H", tab.H), ("phi_prime", tab.phi_prime)):
+        assert tab.invert(which, fwd(lam)) == pytest.approx(lam, rel=1e-9), which
+    y = tab.b_fun(lam)
+    assert tab.invert("b", y) == pytest.approx(lam, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=_kernel_names, frac=st.floats(0.0, 1.0))
+def test_invert_exact_at_grid_values(name, frac):
+    # a grid value is what the forward map returns at its node, so brentq
+    # meets a zero at the bracket's end and returns the node itself
+    tab = _PROP_TABLES[name]
+    j = int(frac * (len(tab.lam_grid) - 1))
+    assert tab.invert("phi", tab.phi_grid[j]) == tab.lam_grid[j]
+    assert tab.invert("H", tab.H_grid[j]) == tab.lam_grid[j]
+    assert tab.invert("phi_prime", tab.phi_prime_grid[j]) == tab.lam_grid[j]
+    assert tab.invert("b", tab.b_grid[j]) == tab.b_s_grid[j]

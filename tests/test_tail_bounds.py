@@ -115,6 +115,25 @@ class TestUpperBoundForm:
         out = upper_bound_form(k, tab, 16.0 * r0, 2.0, conditions=rep)
         assert out["form"] == "exp(-c t log(t/r))"
 
+    def test_small_r_threshold_bisected_once_per_table(self):
+        # r_0 depends only on the table, so repeated forms reuse it: after the
+        # first call each upper_bound_form evaluates phi once, for r phi(1/t)
+        k = Truncated(beta=0.5, delta=1.0, scale=1.0)
+        rep = check_conditions(k, points_per_decade=16)
+        tab = BernsteinTable(k, points_per_decade=8)
+        calls = []
+        phi = tab.phi
+        tab.phi = lambda lam: calls.append(lam) or phi(lam)
+        per_call = []
+        for r, t in ((1e-3, 2.0), (0.05, 0.8), (1e-3, 2.0), (0.2, 5.0)):
+            del calls[:]
+            upper_bound_form(k, tab, r, t, conditions=rep)
+            per_call.append(len(calls))
+        assert per_call[0] > 20 and per_call[1:] == [1, 1, 1]
+        # the remembered r_0 is the bisection's own value on a fresh table
+        fresh = BernsteinTable(k, points_per_decade=8)
+        assert truncated_small_r_threshold(tab, k) == truncated_small_r_threshold(fresh, k)
+
     def test_power_overlap_of_equal_forms_classifies(self, caputo_table):
         # power kernels satisfy both polynomial regimes with the same form
         k = caputo(0.5)
