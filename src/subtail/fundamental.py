@@ -22,8 +22,11 @@ crossing-time form integrates the Stieltjes measure exactly.
 The solution u(t,x) = int_D p(t,x,y) f(y) m(dy) is evaluated with the order
 of integration swapped: the inner boundary integral Q(r,x) = int q(r,x,y)
 f(y) dy is computed per clock value and then averaged against g_t (or the
-ensemble).  Model kernels here are class representatives, so u verifies
-structure (decay rates, symmetry, boundary order), not physical values.
+ensemble).  Every integral over q, p's and Q's alike, evaluates q once per
+node array and is checked by one rule: its 32- and 64-node Gauss-Legendre
+panel sums must agree to the target, otherwise QuadratureError.  Model
+kernels here are class representatives, so u verifies structure (decay
+rates, symmetry, boundary order), not physical values.
 
 ``diagonal_probe`` feeds the truncated-kernel diagonal finiteness check:
 near r = 0 the crossing law follows the structural form
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, QuadratureError
@@ -138,18 +140,18 @@ class SolutionRequest:
     t: float
     x: float
     y: float | None = None
-    f: object = None  # callable y -> f(y), for solve_u
+    f: object = None  # callable on an array of points y -> f(y), for solve_u
     method: str = "quadrature"
     sim: SimConfig | None = None
     ensemble: object = None  # shared E_t ensemble (MC / empirical modes)
     rtol: float = 1e-8
     q_override: object = None  # diagnostic kernel r -> q(r), replaces q(r,x,y)
 
-    def q_at(self, r, x=None, y=None):
+    def q_at(self, r, y=None):
+        """q(r, x, y) on an array of clock values r or of points y (default self.y)."""
         if self.q_override is not None:
             return self.q_override(r)
-        return q_eval(self.model, self.geometry, r, self.x if x is None else x,
-                      self.y if y is None else y)
+        return q_eval(self.model, self.geometry, r, self.x, self.y if y is None else y)
 
 
 @dataclass
@@ -170,16 +172,21 @@ def _density_for(req):
             "empirical-CDF density mode cannot honour rtol=%g; it refuses targets below 1e-2"
             % req.rtol
         )
-    ens = req.ensemble
-    if ens is None:
-        if req.sim is None:
-            raise DomainError("empirical mode needs a SimConfig or a shared ensemble")
-        ens = sample_E_t(req.kernel, req.sim, req.t)
-    return EmpiricalDensity(ens)
+    return EmpiricalDensity(_ensemble(req, "empirical mode"))
+
+
+def _ensemble(req, what):
+    """The shared E_t ensemble of ``req``, or a fresh one from its SimConfig."""
+    if req.ensemble is not None:
+        return req.ensemble
+    if req.sim is None:
+        raise DomainError("%s needs a SimConfig or a shared ensemble" % what)
+    return sample_E_t(req.kernel, req.sim, req.t)
 
 
 def _panel_edges(req, r_hi):
     model, geometry = req.model, req.geometry
+    lo = r_hi * 1e-9
     kinks = set()
     if req.q_override is None:
         for pnt in (req.x, req.y):
@@ -189,9 +196,11 @@ def _panel_edges(req, r_hi):
         rho = geometry.rho(req.x, req.y)
         if rho > 0.0:
             kinks.add(rho**model.alpha)
+            # near the diagonal the kink would sit inside the first panel [0, lo]
+            lo = min(lo, 1e-3 * rho**model.alpha)
         kinks.add(1.0)  # long-time branch switch of the displayed classes
-    edges = set(np.geomspace(r_hi * 1e-9, r_hi, 40))
-    edges |= {k for k in kinks if r_hi * 1e-9 < k < r_hi}
+    edges = set(np.geomspace(lo, r_hi, 40))
+    edges |= {k for k in kinks if lo < k < r_hi}
     edges.add(0.0)
     edges.add(r_hi)
     return np.array(sorted(edges))
@@ -206,31 +215,32 @@ def _integrate_panels(fn, edges, nodes):
     return float(np.sum(wt * vals))
 
 
+def _checked_panels(what, fn, edges, rtol, atol=0.0):
+    """64-node panel sum of ``fn`` (one call per rule on all nodes), checked
+    against the 32-node sum to rtol relative or atol absolute."""
+    v32 = _integrate_panels(fn, edges, _GL32)
+    v64 = _integrate_panels(fn, edges, _GL64)
+    achieved = abs(v64 - v32) / max(abs(v64), 1e-300)
+    if achieved > rtol and abs(v64 - v32) > atol:
+        raise QuadratureError(
+            "%s quadrature achieved %.2g, target %.2g" % (what, achieved, rtol),
+            achieved=achieved,
+            target=rtol,
+        )
+    return v64
+
+
 def p_quadrature(req):
     """Deterministic p(t,x,y) through the E_t density."""
     dens = _density_for(req)
     edges = _panel_edges(req, dens.r_max())
-
-    if req.q_override is not None:
-        qf = req.q_override
-    else:
-        qf = lambda rs: np.array([req.q_at(r) for r in rs])
-
-    fn = lambda rs: qf(rs) * dens(rs)
-    v32 = _integrate_panels(fn, edges, _GL32)
-    v64 = _integrate_panels(fn, edges, _GL64)
-    achieved = abs(v64 - v32) / max(abs(v64), 1e-300)
-    target = max(req.rtol, dens.accuracy)
-    if achieved > target:
-        raise QuadratureError(
-            "p quadrature achieved %.2g, target %.2g" % (achieved, target),
-            achieved=achieved,
-            target=target,
-        )
+    v64 = _checked_panels("p", lambda rs: req.q_at(rs) * dens(rs), edges,
+                          max(req.rtol, dens.accuracy))
     if isinstance(dens, EmpiricalDensity):
         # boundary masses outside the fitted CDF window contribute endpoint values
-        v64 += dens.mass_below * float(qf(np.array([dens.lo]))[0])
-        v64 += dens.mass_above * float(qf(np.array([dens.hi]))[0])
+        q_lo, q_hi = req.q_at(np.array([dens.lo, dens.hi]))
+        v64 += dens.mass_below * float(q_lo)
+        v64 += dens.mass_above * float(q_hi)
         return PValue(value=v64, method="quadrature-empirical",
                       diagnostic="bandwidth=%.3g(log r)" % dens.bandwidth)
     return PValue(value=v64, method="quadrature")
@@ -238,16 +248,9 @@ def p_quadrature(req):
 
 def p_mc(req):
     """Monte Carlo p(t,x,y): ensemble mean of q(E_t,x,y), censoring counted."""
-    ens = req.ensemble
-    if ens is None:
-        if req.sim is None:
-            raise DomainError("p_mc needs a SimConfig or a shared ensemble")
-        ens = sample_E_t(req.kernel, req.sim, req.t)
+    ens = _ensemble(req, "p_mc")
     col = ens.values[:, 0]
-    if req.q_override is not None:
-        vals = np.asarray(req.q_override(col), dtype=float)
-    else:
-        vals = np.array([req.q_at(r) for r in col])
+    vals = np.asarray(req.q_at(col), dtype=float)
     n = len(vals)
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(n)
@@ -261,34 +264,37 @@ def p_mc(req):
     return PValue(value=mean, se=se, n_paths=n, censored=censored, method="mc", diagnostic=diag)
 
 
-def _inner_Q(req, r):
-    """Q(r,x) = int_D q(r,x,y) f(y) dy with a panel around the y = x kink."""
-    g = req.geometry
-    f = req.f if req.f is not None else (lambda y: 1.0)
-    x = req.x
+# panel edges toward a wall, as fractions of the distance to the window's middle
+_WALL_STEPS = 16.0 ** -np.arange(11)
+
+
+def _inner_edges(req, r):
+    """Panels of Q(r,x), split at the kinks of q(r,x,.): y = x +- r^{1/alpha} 8^j,
+    delta(y) = r^{1/alpha} and the interval's midpoint.  Toward a wall
+    q ~ delta(y)^{alpha gamma}, so the panels there shrink geometrically."""
+    g, x = req.geometry, req.x
     scale = r ** (1.0 / req.model.alpha)
+    offs = scale * 8.0 ** np.arange(8)
+    kinks = {x, *(x - offs), *(x + offs)}
     # unbounded windows sized so the power tail of q^j beyond them is <= 2e-4
     if g.kind == "interval":
         lo, hi = 0.0, g.length
+        kinks.update([scale, hi - scale], 0.5 * hi * _WALL_STEPS, hi - 0.5 * hi * _WALL_STEPS)
     elif g.kind == "half-line":
         lo, hi = 0.0, x + 1e4 * scale
+        kinks.update([scale], hi * _WALL_STEPS)
     elif g.kind == "free":
         lo, hi = x - 1e4 * scale, x + 1e4 * scale
     else:
         raise DomainError("solve_u supports interval, half-line and free geometries")
-    # geometric splits away from the y = x kink keep each panel fast for QAGS
-    offs = [scale * 8.0**j for j in range(8)]
-    pts = sorted({p for off in offs for p in (x - off, x + off) if lo < p < hi} | {x})
-    total = 0.0
-    edges = [lo, *pts, hi]
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        v, _ = quad(
-            lambda yy: q_eval(req.model, g, r, x, yy) * f(yy), a, b, limit=100, epsrel=1e-7
-        )
-        total += v
-    return total
+    return np.array([lo, *sorted(k for k in kinks if lo < k < hi), hi])
+
+
+def _inner_Q(req, r):
+    """Q(r,x) = int_D q(r,x,y) f(y) dy, checked to 1e-7 relative or 1.49e-8 absolute."""
+    f = req.f if req.f is not None else (lambda y: 1.0)
+    return _checked_panels("Q(r=%g, x)" % r, lambda ys: req.q_at(r, ys) * f(ys),
+                           _inner_edges(req, r), 1e-7, 1.49e-8)
 
 
 def solve_u(req):
@@ -310,11 +316,7 @@ def solve_u(req):
         qm = 0.5 * (vals[:-1] + vals[1:])
         total = float(np.sum(np.diff(edges) * gm * qm))
         return PValue(value=total, method="quadrature")
-    ens = req.ensemble
-    if ens is None:
-        if req.sim is None:
-            raise DomainError("solve_u MC mode needs a SimConfig or ensemble")
-        ens = sample_E_t(req.kernel, req.sim, req.t)
+    ens = _ensemble(req, "solve_u MC mode")
     col = ens.values[:, 0]
     grid = np.geomspace(max(col.min(), 1e-12), col.max(), 80)
     qvals = np.array([_inner_Q(req, r) for r in grid])

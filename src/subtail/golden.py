@@ -19,7 +19,7 @@ from .comparability import exp_constant_fit, regime_grid, two_sided_check
 from .estimates import (QUARTER_E2, EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma,
                         near_diagonal, theorem_estimate)
 from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
-from .heat_kernel import Geometry, HKModel
+from .heat_kernel import Geometry, HKModel, a_gamma_delta
 from .kernels import (
     DistributedOrder,
     Power,
@@ -433,8 +433,7 @@ def crit_9_exponential_constant():
                 p = p_quadrature(SolutionRequest(kern, tab, m, g, t, x0, x0 + rho)).value
                 if p <= 0.0:
                     continue
-                phx, phy = g.delta(x0) ** 2, g.delta(x0 + rho) ** 2
-                a = (phx / (phx + inv)) ** 0.5 * (phy / (phy + inv)) ** 0.5
+                a = a_gamma_delta(m.gamma, m.alpha, m.k, inv, g.delta(x0), g.delta(x0 + rho))
                 X.append(N)
                 LR.append(math.log(p / (a / inv**0.5)))
         fit = exp_constant_fit(np.array(LR), np.array(X))

@@ -19,7 +19,9 @@ with boundary factors
 Every comparability class is realized by a single representative member: the
 suppressed constants are 1 and the exponential rate inside q^d is the
 model's ``exp_c`` (default 1).  M(t,l) is evaluated through
-:func:`subtail.bernstein.calM`, the single source of truth.
+:func:`subtail.bernstein.calM`, the single source of truth.  :func:`q_eval`
+takes arrays of clock values and points, so an integral over q evaluates it
+once per node array.
 
 Geometries are one-dimensional (interval, half-line, exterior of [-1,1],
 free space) with the volume profile V(x,r) = r^d carried as a free exponent
@@ -61,8 +63,9 @@ class Geometry:
             raise DomainError("interval geometry needs a positive length")
 
     def contains(self, x):
+        """Whether x lies in the domain; elementwise for an array x."""
         if self.kind == "interval":
-            return 0.0 < x < self.length
+            return (0.0 < x) & (x < self.length)
         if self.kind == "half-line":
             return x > 0.0
         if self.kind == "exterior":
@@ -70,11 +73,12 @@ class Geometry:
         return True
 
     def delta(self, x):
-        """Distance to the boundary (inf in free space)."""
-        if not self.contains(x):
-            raise DomainError("x=%g is not in the domain" % x)
+        """Distance to the boundary (inf in free space); elementwise for an array x."""
+        inside = self.contains(x)
+        if not (inside is True or np.all(inside)):
+            raise DomainError("x=%s is not in the domain" % (x,))
         if self.kind == "interval":
-            return min(x, self.length - x)
+            return _min(x, self.length - x)
         if self.kind == "half-line":
             return x
         if self.kind == "exterior":
@@ -117,6 +121,7 @@ _SPECIAL = {
     "D2": ("half", "diffusion", 1, True, False),
     "D3": ("half", "diffusion", 2, True, False),
 }
+_DEFAULT_LAMBDA = 1.0  # long-time rate of the displayed classes that have one (J1, J4, D1)
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,6 @@ class HKModel:
     k: int | None = None
     psi_alpha: float | None = None
     exp_c: float = 1.0
-    lambda_rate: float = 1.0
 
     def __post_init__(self):
         if self.alpha <= 0.0 or self.d <= 0.0:
@@ -148,7 +152,7 @@ class HKModel:
             if needs_a1 and self.alpha <= 1.0:
                 raise DomainError("%s requires alpha > 1" % self.family)
             gamma = 0.5 if g_kind == "half" else (self.alpha - 1.0) / self.alpha
-            lam = (self.lambda_rate if lam_ok else 0.0) if self.lam is None else self.lam
+            lam = (_DEFAULT_LAMBDA if lam_ok else 0.0) if self.lam is None else self.lam
             if lam > 0.0 and not lam_ok:
                 raise DomainError("%s has no exponential long-time branch" % self.family)
             object.__setattr__(self, "gamma", gamma)
@@ -204,18 +208,29 @@ def model_from_config(cfg):
     return model, geometry
 
 
+def _min(a, b):
+    """min(a, b), elementwise for arrays; floats stay off numpy (the helpers
+    below also run inside adaptive quadratures, where a numpy call dominates)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return min(a, b)
+
+
 def a_gamma_delta(gamma, alpha, k, t, dx, dy):
-    """Boundary factor a_k^gamma from the distances dx, dy (inf contributes 1)."""
+    """Boundary factor a_k^gamma from the distances dx, dy (inf contributes 1).
+
+    Arrays broadcast; only free space has infinite distances, and those are floats.
+    """
     if k == 2:
         t = t / (t + 1.0)
     if gamma == 0.0:
         return 1.0
     out = 1.0
     for dp in (dx, dy):
-        if math.isinf(dp):
+        if isinstance(dp, float) and math.isinf(dp):
             continue
         ph = dp**alpha
-        out *= (ph / (ph + t)) ** gamma
+        out = out * (ph / (ph + t)) ** gamma
     return out
 
 
@@ -227,87 +242,56 @@ def a_gamma(model, geometry, k, t, x, y):
 
 
 def boundary_min_form(body, expo, scale, dx, dy):
-    """(body (1 ^ dx/scale)^expo) (1 ^ dy/scale)^expo, in that order (inf gives 1)."""
+    """(body (1 ^ dx/scale)^expo) (1 ^ dy/scale)^expo, in that order (inf gives 1); arrays broadcast."""
     for dp in (dx, dy):
-        if not math.isinf(dp):
-            body *= min(1.0, dp / scale) ** expo
+        body = body * _min(1.0, dp / scale) ** expo
     return body
 
 
-def _q_jump_min_form(model, bnd_scale, t, x, y, geometry):
-    """Displayed J-form: boundary factors (1 ^ delta/scale)^(alpha*gamma) times
-    t^{-d/a} ^ t/rho^{d+a}."""
-    rho = geometry.rho(x, y)
-    out = min(t ** (-model.d / model.alpha), t / rho ** (model.d + model.alpha)) if rho > 0 else t ** (
-        -model.d / model.alpha
-    )
-    g = model.gamma * model.alpha  # displayed exponent alpha/2 or alpha-1
-    return boundary_min_form(out, g, bnd_scale, geometry.delta(x), geometry.delta(y))
-
-
-def _q_diff_form(model, bnd_scale, t, x, y, geometry):
-    rho = geometry.rho(x, y)
-    a = model.alpha
-    body = t ** (-model.d / a) * math.exp(
-        -model.exp_c * rho ** (a / (a - 1.0)) / t ** (1.0 / (a - 1.0))
-    )
-    return boundary_min_form(body, model.gamma * a, bnd_scale, geometry.delta(x), geometry.delta(y))
-
-
-def _q_special(model, geometry, t, x, y):
-    kind = _SPECIAL[model.family][1]
-    lam = model.lam
-    a = model.alpha
-    if lam > 0.0 and t >= 1.0:
-        out = math.exp(-lam * t)
-        g = model.gamma * a
-        for p in (x, y):
-            out *= geometry.delta(p) ** g
-        return out
-    if model.k == 2:
-        scale = min(t ** (1.0 / a), 1.0)
-    else:
-        scale = t ** (1.0 / a)
-    if kind == "jump":
-        return _q_jump_min_form(model, scale, t, x, y, geometry)
-    return _q_diff_form(model, scale, t, x, y, geometry)
-
-
-def q_jump_part(model, geometry, t, x, y):
-    """General-class jump part a^gamma q^j with its t <> 1 branch rules."""
-    rho = geometry.rho(x, y)
-    qj = t / (t * model.V_inv_time(t) + model.Psi(rho) * model.V(rho))
-    if model.lam > 0.0 and t >= 1.0:
-        return a_gamma(model, geometry, 1, 1.0, x, y) * math.exp(-model.lam * t)
-    k = model.k if t >= 1.0 else 1
-    return a_gamma(model, geometry, k, t, x, y) * qj
-
-
-def q_diff_part(model, geometry, t, x, y):
-    """General-class diffusion part a^gamma q^d."""
-    rho = geometry.rho(x, y)
-    if model.lam > 0.0 and t >= 1.0:
-        return a_gamma(model, geometry, 1, 1.0, x, y) * math.exp(-model.lam * t)
-    k = model.k if t >= 1.0 else 1
-    if rho == 0.0:
-        qd = 1.0 / model.V_inv_time(t)
-    else:
-        qd = math.exp(-model.exp_c * calM(model.Phi, t, rho)) / model.V_inv_time(t)
-    return a_gamma(model, geometry, k, t, x, y) * qd
-
-
 def q_eval(model, geometry, t, x, y):
-    """Evaluate the model transition kernel at (t, x, y)."""
-    if t <= 0.0:
+    """Evaluate the model transition kernel at (t, x, y).
+
+    t, x and y may be arrays, which broadcast: one call evaluates q on a
+    whole node array.  All-scalar arguments return a float.
+    """
+    t, x, y = np.asarray(t, dtype=float), np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.any(t <= 0.0):
         raise DomainError("q requires t > 0")
-    if not (geometry.contains(x) and geometry.contains(y)):
-        raise DomainError("points must lie in the domain")
-    if model.lam and model.lam > 0.0 and not geometry.bounded:
+    if model.lam > 0.0 and not geometry.bounded:
         raise DomainError("lambda > 0 requires a bounded geometry")
+    dx, dy = geometry.delta(x), geometry.delta(y)
+    rho = geometry.rho(x, y)
+    a, d, lam = model.alpha, model.d, model.lam
+    # long-time branch: exp(-lam t) times the boundary factor at clock 1
+    late = (t >= 1.0) & (lam > 0.0)
     if model.family in _SPECIAL:
-        return _q_special(model, geometry, t, x, y)
-    if model.family == "HK_J":
-        return q_jump_part(model, geometry, t, x, y)
-    if model.family == "HK_D":
-        return q_diff_part(model, geometry, t, x, y)
-    return q_jump_part(model, geometry, t, x, y) + q_diff_part(model, geometry, t, x, y)
+        g = model.gamma * a  # displayed boundary exponent alpha/2 or alpha-1
+        scale = t ** (1.0 / a)
+        if model.k == 2:
+            scale = np.minimum(scale, 1.0)
+        body = t ** (-d / a)
+        if _SPECIAL[model.family][1] == "jump":
+            with np.errstate(divide="ignore"):  # rho = 0 leaves t^{-d/a}
+                body = np.minimum(body, t / rho ** (d + a))
+        else:
+            body = body * np.exp(-model.exp_c * rho ** (a / (a - 1.0)) / t ** (1.0 / (a - 1.0)))
+        q = boundary_min_form(body, g, scale, dx, dy)
+        if lam > 0.0:
+            q = np.where(late, np.exp(-lam * t) * dx**g * dy**g, q)
+    else:
+        clock = np.where(t >= 1.0, t / (t + 1.0), t) if model.k == 2 else t  # a_2 from t = 1 on
+        a_k = a_gamma_delta(model.gamma, a, 1, np.where(late, 1.0, clock), dx, dy)
+        v = model.V_inv_time(t)
+        parts = []
+        if model.family != "HK_D":
+            parts.append(t / (t * v + model.Psi(rho) * model.V(rho)))
+        if model.family != "HK_J":  # calM once per element; M = 0 on the diagonal
+            tb, rb = np.broadcast_arrays(t, rho)
+            M = np.zeros(tb.shape)
+            on = (rb > 0.0) & ~late
+            M[on] = [calM(model.Phi, ti, ri) for ti, ri in zip(tb[on].tolist(), rb[on].tolist())]
+            parts.append(np.exp(-model.exp_c * M) / v)
+        if lam > 0.0:
+            parts = [np.where(late, np.exp(-lam * t), part) for part in parts]
+        q = sum(a_k * part for part in parts)
+    return float(q) if np.ndim(q) == 0 else q

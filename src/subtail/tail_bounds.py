@@ -22,7 +22,7 @@ Lower bounds:
       exp(-r H((phi')^{-1}(t/r))) as the upper bound and the same exponent
       with free (c1, c2) below, on r >= N b^{-1}(t).
 
-Regime classification applies a margin factor (default 2) to every boundary
+Regime classification applies a margin factor of 2 to every boundary
 inequality, because the statements are asymptotic near their boundaries and
 MC noise would dominate there.  A point inside no regime, or inside two
 regimes whose structural forms disagree, is reported as unclassified rather
@@ -40,7 +40,6 @@ from .kernels import Truncated, check_conditions
 
 __all__ = [
     "Regime",
-    "RegimeConfig",
     "classify",
     "lower_bound_universal",
     "upper_bound_form",
@@ -49,27 +48,21 @@ __all__ = [
     "within_bound",
 ]
 
-@dataclass(frozen=True)
-class RegimeConfig:
-    """Knobs of the regime classifier.
-
-    ``horizon_T`` is the fixed large-time horizon of the t >= T statements;
-    ``sub_L`` the r/t threshold of the subexponential bounds (the theory
-    only guides it qualitatively); ``margin`` the safety factor kept from
-    every boundary.
-    """
-
-    margin: float = 2.0
-    horizon_T: float = 1.0
-    sub_L: float = 0.5
-    sub_k: float = 1.0
+# The regime classifier's constants: MARGIN is the safety factor kept from
+# every boundary, HORIZON_T the fixed large-time horizon of the t >= T
+# statements, SUB_L the r/t threshold of the subexponential bounds (the theory
+# only guides it qualitatively) and SUB_K the rate k of the sharp subexponential
+# form.
+MARGIN = 2.0
+HORIZON_T = 1.0
+SUB_L = 0.5
+SUB_K = 1.0
 
 
 @dataclass
 class Regime:
     tag: str
     constraints: list = field(default_factory=list)  # (name, value, bound) with value <= bound
-    margin: float = 2.0
 
 
 _R0 = weakref.WeakKeyDictionary()  # table -> {t_f: r_0}
@@ -103,7 +96,7 @@ def truncated_small_r_threshold(table, kernel):
     return lo
 
 
-def classify(kernel, table, r, t, conditions=None, config=RegimeConfig()):
+def classify(kernel, table, r, t, conditions=None):
     """All upper-bound regimes admitting (r, t) after the margin factor.
 
     A regime admits (r, t) when every constraint holds under the tie rule
@@ -113,34 +106,30 @@ def classify(kernel, table, r, t, conditions=None, config=RegimeConfig()):
 
     if conditions is None:
         conditions = check_conditions(kernel)
-    m = config.margin
+    edge = 1.0 / MARGIN  # every constraint reads value <= edge
     regs = []
     rp = r * table.phi(1.0 / t)
     if conditions.spoly is not None:
         regs.append(Regime(
             "small-t-poly",
-            [("t/t_s", t / conditions.spoly["t_s"], 1.0 / m), ("4e^2 r phi(1/t)", rp / QUARTER_E2, 1.0 / m)],
-            m,
+            [("t/t_s", t / conditions.spoly["t_s"], edge), ("4e^2 r phi(1/t)", rp / QUARTER_E2, edge)],
         ))
     if conditions.lpoly is not None:
         regs.append(Regime(
             "large-t-poly",
-            [("T/t", config.horizon_T / t, 1.0 / m), ("4e^2 r phi(1/t)", rp / QUARTER_E2, 1.0 / m)],
-            m,
+            [("T/t", HORIZON_T / t, edge), ("4e^2 r phi(1/t)", rp / QUARTER_E2, edge)],
         ))
     if conditions.sub is not None:
         regs.append(Regime(
             "subexp",
-            [("T/t", config.horizon_T / t, 1.0 / m), ("(r/t)/L", (r / t) / config.sub_L, 1.0 / m)],
-            m,
+            [("T/t", HORIZON_T / t, edge), ("(r/t)/L", (r / t) / SUB_L, edge)],
         ))
     if conditions.trunc is not None:
         t_f = conditions.trunc["t_f"]
         r0 = truncated_small_r_threshold(table, kernel)
         regs.append(Regime(
             "truncated-small-r",
-            [("r/r_0", r / r0, 1.0 / m), ("t_f/(2t)", t_f / (2.0 * t), 1.0 / m)],
-            m,
+            [("r/r_0", r / r0, edge), ("t_f/(2t)", t_f / (2.0 * t), edge)],
         ))
         # the small-r statement refines the linear-in-log one on r <= r_0, so
         # the linear regime starts above r_0 to keep the classification a
@@ -148,11 +137,10 @@ def classify(kernel, table, r, t, conditions=None, config=RegimeConfig()):
         regs.append(Regime(
             "truncated-linear",
             [
-                ("(r/t)/L", (r / t) / config.sub_L, 1.0 / m),
-                ("t_f/(2t)", t_f / (2.0 * t), 1.0 / m),
-                ("r_0/r", r0 / r, 1.0 / m),
+                ("(r/t)/L", (r / t) / SUB_L, edge),
+                ("t_f/(2t)", t_f / (2.0 * t), edge),
+                ("r_0/r", r0 / r, edge),
             ],
-            m,
         ))
     return [reg for reg in regs if _admits(reg, table.quad_rtol)]
 
@@ -189,7 +177,7 @@ def lower_bound_universal(table, kernel, r, t, L):
     return math.exp(-math.e * L) * r * float(kernel.w(t))
 
 
-def _form_value(tag, kernel, conditions, r, t, config):
+def _form_value(tag, kernel, conditions, r, t):
     w_t = float(kernel.w(t))
     if tag in ("small-t-poly", "large-t-poly"):
         return {"tag": tag, "form": "r*w(t)", "value": r * w_t, "constant": 1.0}
@@ -198,7 +186,7 @@ def _form_value(tag, kernel, conditions, r, t, config):
         val = r * math.exp(-0.5 * theta * t**beta)
         out = {"tag": tag, "form": "r*exp(-theta/2 t^beta)", "value": val, "constant": 1.0}
         if beta < 1.0:
-            out["sharp_value"] = r * math.exp(-theta * t**beta + config.sub_k * r)
+            out["sharp_value"] = r * math.exp(-theta * t**beta + SUB_K * r)
             out["sharp_form"] = "r*exp(-theta t^beta + k r)"
         return out
     if tag == "truncated-small-r":
@@ -222,7 +210,7 @@ def _form_value(tag, kernel, conditions, r, t, config):
     raise RegimeError("unknown regime tag %r" % tag)
 
 
-def upper_bound_form(kernel, table, r, t, conditions=None, config=RegimeConfig()):
+def upper_bound_form(kernel, table, r, t, conditions=None):
     """Structural upper bound for P(S_r >= t) at (r, t).
 
     Returns the form of the unique admissible regime (free constant left at
@@ -232,10 +220,10 @@ def upper_bound_form(kernel, table, r, t, conditions=None, config=RegimeConfig()
     """
     if conditions is None:
         conditions = check_conditions(kernel)
-    regs = classify(kernel, table, r, t, conditions=conditions, config=config)
+    regs = classify(kernel, table, r, t, conditions=conditions)
     if not regs:
         return {"tag": "unclassified", "reason": "no regime admits (r=%g, t=%g)" % (r, t)}
-    vals = [_form_value(reg.tag, kernel, conditions, r, t, config) for reg in regs]
+    vals = [_form_value(reg.tag, kernel, conditions, r, t) for reg in regs]
     forms = {v["form"] for v in vals}
     if len(forms) > 1:
         return {

@@ -12,6 +12,7 @@ from subtail.fundamental import (
     SolutionRequest,
     StableHalfDensity,
     diagonal_probe,
+    _inner_Q,
     p_mc,
     p_quadrature,
     solve_u,
@@ -129,6 +130,17 @@ class TestPValues:
             vals.append(p_quadrature(req).value)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_near_diagonal_point_is_finite_and_symmetric(self, half_table):
+        # |x - y| = 4e-6 puts the kink rho^alpha = 1.6e-11 of q(., x, y) below
+        # the geometric r-grid, which then starts under it
+        g = Geometry("interval", 1.0)
+        m = HKModel("D1", alpha=2.0, d=1.0)
+        k = caputo(0.5)
+        a = p_quadrature(SolutionRequest(k, half_table, m, g, 0.064, 0.5, 0.500004)).value
+        b = p_quadrature(SolutionRequest(k, half_table, m, g, 0.064, 0.500004, 0.5)).value
+        assert math.isfinite(a) and a > 0.0
+        assert a == pytest.approx(b, rel=1e-8)
+
     def test_increase_paths_diagnostic(self, half_table):
         # far off-diagonal at few paths: huge relative error -> diagnostic
         req = req_free_J(
@@ -159,6 +171,18 @@ class TestSolveU:
             SolutionRequest(caputo(0.5), half_table, m, g, 0.2, 0.5, f=lambda y: abs(y - 0.5))
         )
         assert abs(out.value) <= 1e-6 * ref.value
+
+    def test_inner_integral_closed_form(self, half_table):
+        # J1 on (0, 1) at r >= 1 is e^{-r} delta(x)^{1/2} delta(y)^{1/2}, so
+        # Q(r, x) = e^{-r} delta(x)^{1/2} int_0^1 delta(y)^{1/2} dy
+        #         = e^{-r} delta(x)^{1/2} sqrt(2)/3
+        g = Geometry("interval", 1.0)
+        m = HKModel("J1", alpha=1.0, d=1.0)
+        for x in (1e-3, 0.3, 0.5):
+            req = SolutionRequest(caputo(0.5), half_table, m, g, 0.2, x, f=lambda y: 1.0)
+            for r in (1.5, 4.0):
+                want = math.exp(-r) * math.sqrt(min(x, 1.0 - x)) * math.sqrt(2.0) / 3.0
+                assert _inner_Q(req, r) == pytest.approx(want, rel=1e-10), (x, r)
 
     def test_mc_mode_agrees(self, half_table):
         g = Geometry("interval", 1.0)

@@ -154,3 +154,52 @@ class TestQEval:
                 q1 = q_eval(m, g, t1, 4.0, 4.0 + rho)
                 q2 = q_eval(m, g, t2, 4.0, 4.0 + rho)
                 assert abs(q2 - q1) / (t2 - t1) <= C * q1 / t1
+
+
+# every family on a geometry it is valid on, with points (x, ys) inside
+_INTERVAL = (Geometry("interval", 1.0), 0.3, [0.05, 0.3, 0.31, 0.7, 0.99])
+_HALF_LINE = (Geometry("half-line"), 1.2, [0.01, 1.2, 1.3, 3.0, 5.0])
+_EXTERIOR = (Geometry("exterior"), 1.5, [-3.0, -1.01, 1.01, 1.5, 2.2])
+_FREE = (Geometry("free"), 0.0, [-2.0, 0.0, 0.01, 1.0, 5.0])
+ARRAY_CASES = [
+    (HKModel("J1", alpha=1.0, d=1.0), _INTERVAL),  # lambda = 1
+    (HKModel("J2", alpha=1.0, d=1.0), _HALF_LINE),
+    (HKModel("J3", alpha=1.0, d=1.0), _EXTERIOR),  # k = 2
+    (HKModel("J4", alpha=1.5, d=1.0), _INTERVAL),
+    (HKModel("D1", alpha=2.0, d=1.0), _INTERVAL),
+    (HKModel("D2", alpha=2.0, d=1.0), _HALF_LINE),
+    (HKModel("D3", alpha=2.0, d=1.0), _EXTERIOR),
+    (HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.3, lam=0.0, k=2), _HALF_LINE),
+    (HKModel("HK_J", alpha=1.0, d=2.0, gamma=0.4, lam=0.0, k=1, psi_alpha=1.5), _FREE),
+    (HKModel("HK_D", alpha=2.0, d=1.0, gamma=0.25, lam=0.5, k=2), _INTERVAL),
+    (HKModel("HK_M", alpha=1.5, d=1.0, gamma=0.5, lam=0.5, k=2, psi_alpha=2.0), _INTERVAL),
+    (HKModel("HK_M", alpha=2.0, d=1.0, gamma=0.5, lam=0.0, k=1), _HALF_LINE),
+]
+ARRAY_TIMES = np.array([0.05, 0.7, 1.0, 2.5])  # both sides of the long-time switch t = 1
+
+
+class TestQArrays:
+    @pytest.mark.parametrize("model,case", ARRAY_CASES, ids=lambda v: getattr(v, "family", ""))
+    def test_arrays_match_elementwise(self, model, case):
+        g, x, ys = case
+        ys = np.array(ys)
+        want = np.array([[q_eval(model, g, float(t), x, float(y)) for y in ys] for t in ARRAY_TIMES])
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(q_eval(model, g, ARRAY_TIMES[:, None], x, ys[None, :]), want,
+                                   rtol=1e-15, atol=0.0)
+        for j, y in enumerate(ys):
+            np.testing.assert_allclose(q_eval(model, g, ARRAY_TIMES, x, y), want[:, j],
+                                       rtol=1e-15, atol=0.0)
+        for i, t in enumerate(ARRAY_TIMES):
+            np.testing.assert_allclose(q_eval(model, g, t, x, ys), want[i], rtol=1e-15, atol=0.0)
+
+    def test_scalar_arguments_give_a_float(self):
+        m = HKModel("J1", alpha=1.0, d=1.0)
+        assert type(q_eval(m, Geometry("interval", 1.0), 0.4, 0.3, 0.6)) is float
+
+    def test_a_point_outside_an_array_is_refused(self):
+        m = HKModel("J1", alpha=1.0, d=1.0)
+        with pytest.raises(DomainError):
+            q_eval(m, Geometry("interval", 1.0), 0.4, 0.3, np.array([0.2, 1.2]))
+        with pytest.raises(DomainError):
+            q_eval(m, Geometry("interval", 1.0), np.array([0.4, 0.0]), 0.3, 0.5)

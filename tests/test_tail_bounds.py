@@ -8,7 +8,6 @@ from subtail.errors import RegimeError
 from subtail.kernels import Subexp, Truncated, caputo, check_conditions
 from subtail.simulate import SimConfig, lower_tail_prob, upper_tail_prob
 from subtail.tail_bounds import (
-    RegimeConfig,
     classify,
     lower_bound_universal,
     lower_tail_bounds,

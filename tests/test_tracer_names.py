@@ -72,6 +72,19 @@ def test_install_wraps_and_counts():
         "assert m['bernstein.invert_calls'] == 1, m\n"
         "assert m['bernstein.scalar_queries'] > 0, m\n"
         "assert m['kernels.w_calls'] > 0, m\n"
+        # q_eval is looked up at call time, so the tracer sees fundamental's calls
+        "from subtail.fundamental import SolutionRequest, p_mc, p_quadrature\n"
+        "from subtail.heat_kernel import Geometry, HKModel\n"
+        "from subtail.simulate import SimConfig\n"
+        "req = SolutionRequest(caputo(0.5), tab, HKModel('J1', alpha=1.0, d=1.0),\n"
+        "                      Geometry('interval', 1.0), 0.1, 0.3, 0.6,\n"
+        "                      sim=SimConfig(cutoff_eps=1e-2, n_paths=200, seed=1))\n"
+        "p_quadrature(req)\n"
+        "p_mc(req)\n"
+        "tr.end_round()\n"
+        "m = tr.rounds[1]['metrics']\n"
+        "assert m['heat_kernel.q_calls.p_quadrature'] > 0, m\n"
+        "assert m['heat_kernel.q_calls.p_mc'] > 0, m\n"
     ) % str(TRACER.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
