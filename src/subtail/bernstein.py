@@ -34,10 +34,8 @@ inverses, the composite function b(s) = s phi'(H^{-1}(1/s)), the envelope
 inverse bar_phi_alpha, all solved by one bracketed root finder, and the
 variational quantities
 
-    M(t,l) = sup_{s>0} { l/s - t/Phi(s) }
-    N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }
-
-computed by bracketed golden-section maximization.
+    M(t,l) = sup_{s>0} { l/s - t/Phi(s) }                 (closed form, arrays)
+    N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (golden section)
 """
 
 from __future__ import annotations
@@ -401,17 +399,21 @@ def _maximize_unimodal(f, s_heur, scan_points=33):
 
 
 def calM(phi_shape, t, l):
-    """M(t,l) = sup_{s>0} { l/s - t/Phi(s) } for a shape with alpha1 > 1."""
+    """M(t,l) = sup_{s>0} { l/s - t/Phi(s) } for a power shape Phi(s) = s^alpha.
+
+    For alpha > 1 the sup sits at s* = (alpha t/l)^{1/(alpha-1)}, so
+    M = (1 - 1/alpha) l (l/(alpha t))^{1/(alpha-1)}, and M(t,0) = 0.  t and
+    l may be arrays, which broadcast; all-scalar arguments return a float.
+    """
     shape = as_shape(phi_shape)
-    if shape.alpha1 <= 1.0:
-        raise DomainError("M(t,l) requires the lower scaling index alpha_1 > 1")
-    if t <= 0.0 or l <= 0.0:
-        raise DomainError("M(t,l) requires t, l > 0")
-    alpha = 0.5 * (shape.alpha1 + shape.alpha2)
-    s_heur = (alpha * t / l) ** (1.0 / (alpha - 1.0))
-    f = lambda s: l / s - t / shape(s)
-    val, _ = _maximize_unimodal(f, s_heur)
-    return val
+    if shape.alpha1 <= 1.0 or shape.alpha2 != shape.alpha1:
+        raise DomainError("M(t,l) requires a power shape s^alpha with alpha > 1")
+    t, l = np.asarray(t, dtype=float), np.asarray(l, dtype=float)
+    if np.any(t <= 0.0) or np.any(l < 0.0):
+        raise DomainError("M(t,l) requires t > 0 and l >= 0")
+    a = shape.alpha1
+    M = (1.0 - 1.0 / a) * l * (l / (a * t)) ** (1.0 / (a - 1.0))
+    return float(M) if M.ndim == 0 else M
 
 
 def calN(table, phi_shape, t, l):

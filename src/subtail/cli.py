@@ -15,7 +15,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 budget failure (the ratio report is still
 written); 2 config schema violation (with a JSON-pointer path); 3 empty or
-violated regime.
+violated regime, or a target outside a map's range (RegimeError,
+RangeError); 4 an argument outside its domain (DomainError, AtomError); 5 a
+quadrature that missed its target (QuadratureError).  On 3-5 the manifest
+is still written, with the error's type and message.
 
 Every run resolves its parameters into a manifest whose SHA-256 hash is
 cited by each output file; wall-clock time lives only in the manifest run
@@ -39,7 +42,7 @@ from jsonschema import Draft202012Validator
 from . import __version__, golden
 from .bernstein import BernsteinTable
 from .comparability import two_sided_check
-from .errors import RangeError, RegimeError
+from .errors import AtomError, DomainError, QuadratureError, RangeError, RegimeError, SubtailError
 from .estimates import CASE_TAGS, EstimateCase, theorem_estimate
 from .fundamental import SolutionRequest, p_mc, p_quadrature
 from .heat_kernel import model_from_config
@@ -462,6 +465,8 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
+_EXIT_CODES = {RegimeError: 3, RangeError: 3, DomainError: 4, AtomError: 4, QuadratureError: 5}
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -496,12 +501,10 @@ def main(argv=None):
     t0 = time.time()
     try:
         status = _COMMANDS[args.subcommand](cfg, args.out, seed, manifest, args)
-    except RegimeError as exc:
-        print("regime error: %s" % exc, file=sys.stderr)
-        return 3
-    except RangeError as exc:
-        print("range error: %s" % exc, file=sys.stderr)
-        return 3
+    except SubtailError as exc:
+        status = next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+        manifest["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
     manifest["wall_clock_s"] = round(time.time() - t0, 3)
     manifest["outputs"] = sorted(
         f for f in os.listdir(args.out) if not f.endswith(".tmp")

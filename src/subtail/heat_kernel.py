@@ -19,9 +19,9 @@ with boundary factors
 Every comparability class is realized by a single representative member: the
 suppressed constants are 1 and the exponential rate inside q^d is the
 model's ``exp_c`` (default 1).  M(t,l) is evaluated through
-:func:`subtail.bernstein.calM`, the single source of truth.  :func:`q_eval`
-takes arrays of clock values and points, so an integral over q evaluates it
-once per node array.
+:func:`subtail.bernstein.calM`, the single source of truth, in one array
+expression per call.  :func:`q_eval` takes arrays of clock values and
+points, so an integral over q evaluates it once per node array.
 
 Geometries are one-dimensional (interval, half-line, exterior of [-1,1],
 free space) with the volume profile V(x,r) = r^d carried as a free exponent
@@ -285,12 +285,8 @@ def q_eval(model, geometry, t, x, y):
         parts = []
         if model.family != "HK_D":
             parts.append(t / (t * v + model.Psi(rho) * model.V(rho)))
-        if model.family != "HK_J":  # calM once per element; M = 0 on the diagonal
-            tb, rb = np.broadcast_arrays(t, rho)
-            M = np.zeros(tb.shape)
-            on = (rb > 0.0) & ~late
-            M[on] = [calM(model.Phi, ti, ri) for ti, ri in zip(tb[on].tolist(), rb[on].tolist())]
-            parts.append(np.exp(-model.exp_c * M) / v)
+        if model.family != "HK_J":
+            parts.append(np.exp(-model.exp_c * calM(model.Phi, t, rho)) / v)
         if lam > 0.0:
             parts = [np.where(late, np.exp(-lam * t), part) for part in parts]
         q = sum(a_k * part for part in parts)

@@ -25,6 +25,11 @@ moments M_k(a) = int_0^a u^k w(u) du in closed form.  These drive the fast
 Laplace-transform quadrature in :mod:`subtail.bernstein` and give exact
 small-jump compensators for the simulator.
 
+Each family inverts its own w (``w_inv``: a closed form, or Newton for
+``DistributedOrder``) as the generalized inverse inf{s : w(s) < y}, which
+returns a zero-tail atom's location for any y at or below its mass.
+``inverse_w`` is the checked scalar form: RangeError for a y w never takes.
+
 ``check_conditions`` certifies, on a logarithmic grid, which of the
 structural scaling conditions a kernel satisfies: small-time polynomial
 decay, large-time polynomial decay, (sub)exponential decay, and finite
@@ -291,7 +296,26 @@ class DistributedOrder:
                 tot += kap / gamma_fn(1.0 - b) * a**p / p
         return tot
 
-    w_inv = None
+    def w_inv(self, y):
+        """Newton on log w in x = log s, from below the root.
+
+        log w(e^x) = log sum_i c_i e^{-beta_i x} is a log-sum-exp, so convex
+        and decreasing in x; w(s) >= c_i s^{-beta_i} puts the start
+        max_i log (c_i/y)^{1/beta_i} left of the root.  A convex function lies
+        above its tangents, so the iterates rise monotonically to the root.
+        """
+        y = np.asarray(y, dtype=float)
+        terms = [(b, k / gamma_fn(1.0 - b)) for b, k in self.weights if k > 0.0]
+        log_y = np.log(y)
+        x = np.max([(math.log(c) - log_y) / b for b, c in terms], axis=0)
+        for _ in range(64):
+            parts = [(b, c * np.exp(-b * x)) for b, c in terms]
+            w = sum(p for _, p in parts)
+            step = (np.log(w) - log_y) * w / sum(b * p for b, p in parts)
+            x = x + step
+            if not np.any(step > 1e-8):
+                break
+        return np.exp(x)
 
     def atoms(self):
         return ()
@@ -372,6 +396,16 @@ class Tabulated:
             out = np.where(s > self._s[-1], 0.0, out)
         return out
 
+    def w_inv(self, y):
+        """Closed form per segment; the atom's location for y at or below its mass."""
+        y = np.asarray(y, dtype=float)
+        # y in (v_{i+1}, v_i] has its preimage in [s_i, s_{i+1}), on segment i
+        i = np.clip(np.searchsorted(-self._v, -y, side="right") - 1, 0, len(self._q) - 1)
+        s = self._s[i] * (self._v[i] / y) ** (1.0 / self._q[i])
+        if self.tail == "zero":
+            s = np.where(y <= self._v[-1], self._s[-1], s)
+        return s
+
     def atoms(self):
         if self.tail == "zero":
             return ((float(self._s[-1]), float(self._v[-1])),)
@@ -451,75 +485,30 @@ def levy_density(kernel, s):
     return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
-def inverse_w(kernel, y, rtol=1e-12):
-    """Solve w(s) = y on the strictly-decreasing part of the kernel.
+def inverse_w(kernel, y):
+    """The s > 0 with w(s) = y, as a float.
 
-    Bracketed bisection on the monotone kernel, with closed forms where the
-    variant admits them.  RangeError outside the range of w.
+    RangeError unless y is positive, finite and above a zero-tail atom's
+    mass (which w's jump skips), and the root a positive finite float.
     """
     y = float(y)
     if not (y > 0.0) or not math.isfinite(y):
         raise RangeError("inverse_w target must be a positive finite real", bracket=None)
-    winv = getattr(kernel, "w_inv", None)
-    if winv is not None:
-        s = winv(y)
-        if not np.isscalar(s):
-            s = float(s)
-        end = kernel.support_end
-        if math.isfinite(end) and s > end:
-            raise RangeError(
-                "y=%g below inf of w on its support" % y, bracket=(kernel.w(end * 0.5), math.inf)
-            )
-        return s
-    # generic: bracket by geometric expansion, then bisect in log s
-    lo = hi = 1.0
-    end = kernel.support_end
-    if math.isfinite(end):
-        hi = end * (1.0 - 1e-14)
-        lo = min(lo, hi)
-    for _ in range(200):
-        if kernel.w(lo) >= y:
-            break
-        lo /= 8.0
-    else:
-        raise RangeError("y=%g above sup w" % y, bracket=(float(kernel.w(lo)), math.inf))
-    if not math.isfinite(end):
-        for _ in range(200):
-            if kernel.w(hi) <= y:
-                break
-            hi *= 8.0
-        else:
-            raise RangeError("y=%g below inf w" % y, bracket=(0.0, float(kernel.w(hi))))
-    elif kernel.w(hi) > y:
-        raise RangeError("y=%g below inf of w on its support" % y, bracket=(float(kernel.w(hi)), math.inf))
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if kernel.w(mid) >= y:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * lo:
-            break
-    return math.sqrt(lo * hi)
+    floor = max((mass for _, mass in kernel.atoms()), default=0.0)
+    if y <= floor:
+        raise RangeError("y=%g at or below the atom of w" % y, bracket=(floor, math.inf))
+    s = float(kernel.w_inv(y))
+    if not 0.0 < s < math.inf:
+        raise RangeError("w^-1(%g) = %g is not a positive finite float" % (y, s), bracket=None)
+    return s
 
 
 def inverse_w_vec(kernel, y):
-    """Vectorized inverse_w for jump-size sampling (fixed 60-step bisection)."""
-    y = np.asarray(y, dtype=float)
-    winv = getattr(kernel, "w_inv", None)
-    if winv is not None:
-        return winv(y)
-    end = kernel.support_end
-    hi0 = end * (1.0 - 1e-14) if math.isfinite(end) else None
-    lo = np.full(y.shape, 1e-18)
-    hi = np.full(y.shape, hi0 if hi0 is not None else 1e18)
-    for _ in range(60):
-        mid = np.sqrt(lo * hi)
-        w = kernel.w(mid)
-        take_lo = w >= y
-        lo = np.where(take_lo, mid, lo)
-        hi = np.where(take_lo, hi, mid)
-    return np.sqrt(lo * hi)
+    """``kernel.w_inv``, the generalized inverse inf{s : w(s) < y}, on an array.
+
+    Unchecked: at or below a zero-tail atom's mass it gives the atom's location.
+    """
+    return kernel.w_inv(np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +534,14 @@ class ConditionReport:
     diagnostics: list = field(default_factory=list)
 
 
-def _ratio_constant(logs, logw, delta, upto):
-    """min over pairs r<=R (both <= grid[upto]) of log[w(R)/w(r) (R/r)^delta].
+def _ratio_constants(logs, logw, delta):
+    """Entry j: min over pairs r <= R <= grid[j] of log[w(R)/w(r) (R/r)^delta].
 
-    One O(n) pass: y_j = log w_j + delta log s_j; the pair minimum equals
-    min_j (y_j - running_max_{i<=j} y_i).
+    With y_j = log w_j + delta log s_j the pair minimum up to j is
+    min_{k<=j} (y_k - max_{i<=k} y_i), one pass for every prefix.
     """
-    y = logw[: upto + 1] + delta * logs[: upto + 1]
-    runmax = np.maximum.accumulate(y)
-    return float(np.min(y - runmax))
+    y = logw + delta * logs
+    return np.minimum.accumulate(y - np.maximum.accumulate(y))
 
 
 def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25):
@@ -589,7 +577,7 @@ def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25
 
     # ---- (S.Poly.)(t_s): LS^0(-delta1, t_s) --------------------------------
     delta1 = float(kernel.small_exponent)
-    c_log = np.array([_ratio_constant(logs, logw, delta1, j) for j in range(len(grid))])
+    c_log = _ratio_constants(logs, logw, delta1)
     ok = c_log >= math.log(c_floor)
     if ok[0]:
         j_star = len(grid) - 1 if ok.all() else max(0, int(np.nonzero(~ok)[0][0]) - 1)
@@ -605,7 +593,7 @@ def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25
         report.spoly = {
             "t_s": t_s,
             "delta1": delta1,
-            "c": math.exp(_ratio_constant(logs, logw, delta1, j_star)),
+            "c": math.exp(c_log[j_star]),
             "empirical": empirical,
         }
 
@@ -615,8 +603,7 @@ def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25
         slopes = -np.diff(logw[i1:]) / np.diff(logs[i1:])
         delta2 = float(np.max(slopes))
         if 0.0 < delta2 <= 25.0:
-            y = logw[i1:] + delta2 * logs[i1:]
-            c2 = float(np.exp(np.min(y - np.maximum.accumulate(y))))
+            c2 = float(np.exp(_ratio_constants(logs[i1:], logw[i1:], delta2)[-1]))
             if c2 >= c_floor:
                 report.lpoly = {"delta2": delta2, "c": c2}
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from subtail.bernstein import BernsteinTable, calM, calN
+from subtail.bernstein import BernsteinTable, _maximize_unimodal, calM, calN
 from subtail.errors import DomainError, RangeError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import Truncated, caputo
@@ -313,6 +313,23 @@ class TestVariational:
         ts = np.geomspace(0.01, 10.0, 15)
         vals = [calM(2.0, t, 1.0) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_calM_matches_numeric_sup(self, alpha):
+        # golden criterion 6's grid
+        for t in np.geomspace(0.05, 20.0, 10):
+            for l in np.geomspace(0.05, 20.0, 10):
+                want, _ = _maximize_unimodal(lambda s: l / s - t / s**alpha, 1.0)
+                assert calM(alpha, t, l) == pytest.approx(want, rel=1e-12), (t, l)
+
+    def test_calM_zero_distance_and_arrays(self):
+        assert calM(2.0, 0.3, 0.0) == 0.0
+        t = np.geomspace(0.01, 10.0, 7)[:, None]
+        l = np.array([0.0, 0.1, 1.0, 30.0])
+        got = calM(PowerLaw(1.5), t, l)
+        assert got.shape == (7, 4)
+        want = [[calM(1.5, float(ti), float(li)) for li in l] for ti in t[:, 0]]
+        assert np.array_equal(got, np.array(want))
 
     def test_calM_rejects_alpha_below_one(self):
         with pytest.raises(DomainError):

@@ -102,8 +102,49 @@ class TestFundsolEstimate:
                       "lambda": 0.0, "k": 1, "geometry": {"kind": "free"}},
             "case": {"tag": "example1-small", "t": 5.0, "x": 0.0, "y": 0.05},
         }
-        status, _ = run_cli(tmp_path, "estimate", cfg)
+        status, out = run_cli(tmp_path, "estimate", cfg)
         assert status == 3
+        assert json.loads((out / "manifest.json").read_text())["error"]["type"] == "RegimeError"
+
+
+class TestTypedExits:
+    # a SubtailError exits with its type's code, and the manifest is still
+    # written, naming the error
+    def _fundsol(self, tmp_path, kernel, x):
+        cfg = {
+            "kernel": kernel,
+            "model": {"family": "D1", "alpha": 2.0, "d": 1.0,
+                      "geometry": {"kind": "interval", "length": 1.0}},
+            "points": [{"t": 0.1, "x": x, "y": 0.5}],
+        }
+        status, out = run_cli(tmp_path, "fundsol", cfg)
+        return status, json.loads((out / "manifest.json").read_text())["error"]
+
+    def test_point_outside_geometry_exits_4(self, tmp_path):
+        half = {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)}
+        status, err = self._fundsol(tmp_path, half, 1.3)
+        assert status == 4
+        assert err["type"] == "DomainError" and "x=1.3" in err["message"]
+
+    def test_truncated_kernel_quadrature_exits_4(self, tmp_path):
+        trunc = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
+        status, err = self._fundsol(tmp_path, trunc, 0.3)
+        assert status == 4
+        assert err["type"] == "DomainError" and "rtol" in err["message"]
+
+    def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
+        from subtail import cli
+        from subtail.errors import QuadratureError
+
+        def fail(req):
+            raise QuadratureError("p quadrature achieved 1e-3, target 1e-8")
+
+        monkeypatch.setattr(cli, "p_quadrature", fail)
+        half = {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)}
+        status, err = self._fundsol(tmp_path, half, 0.3)
+        assert status == 5
+        assert err == {"type": "QuadratureError",
+                       "message": "p quadrature achieved 1e-3, target 1e-8"}
 
 
 class TestCompare:

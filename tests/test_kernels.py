@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from subtail.errors import AtomError, DomainError, RangeError
+from subtail.golden import builtin_kernel_set
 from subtail.kernels import (
     DistributedOrder,
     Power,
@@ -100,6 +101,41 @@ class TestInverseW:
         k = Tabulated(knots=((0.5, 1.8), (1.0, 1.0)), tail="zero")
         with pytest.raises(RangeError):
             inverse_w(k, 0.5)
+
+
+    def test_below_zero_tail_atom(self):
+        # w jumps from 1.0 to 0 at s = 1: the sampler's generalized inverse
+        # puts every target at or below the jump on the atom; inverse_w refuses it
+        k = Tabulated(knots=((0.5, 1.8), (1.0, 1.0)), tail="zero")
+        got = inverse_w_vec(k, np.array([1e-9, 0.5, 1.0]))
+        assert np.all(got == 1.0)
+        for y in (0.5, 1.0):
+            with pytest.raises(RangeError):
+                inverse_w(k, y)
+
+    def test_scalar_and_vector_agree_far_out(self):
+        k = builtin_kernel_set()["distributed"]
+        s = inverse_w(k, 1e-7)
+        assert inverse_w_vec(k, np.array([1e-7]))[0] == pytest.approx(s, rel=1e-13)
+        assert eval_w(k, s) == pytest.approx(1e-7, rel=1e-13)
+
+
+_ROUND_TRIP_KERNELS = {
+    **builtin_kernel_set(),
+    "tabulated-zero": Tabulated(knots=((0.5, 1.8), (1.0, 1.0), (2.0, 0.55)), tail="zero"),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_ROUND_TRIP_KERNELS)), log_y=st.floats(-2.0, 6.0))
+def test_inverse_w_round_trip_property(name, log_y):
+    # targets from 1e-2 up: below that the truncated kernel's w(s) cancels
+    # s^-beta against delta^-beta and loses digits whatever the inverse
+    k = _ROUND_TRIP_KERNELS[name]
+    y = 10.0**log_y
+    if y <= max((m for _, m in k.atoms()), default=0.0):
+        return
+    assert eval_w(k, inverse_w(k, y)) == pytest.approx(y, rel=1e-13)
 
 
 class TestMomentsAndKerIntegral:

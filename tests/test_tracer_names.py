@@ -85,6 +85,19 @@ def test_install_wraps_and_counts():
         "m = tr.rounds[1]['metrics']\n"
         "assert m['heat_kernel.q_calls.p_quadrature'] > 0, m\n"
         "assert m['heat_kernel.q_calls.p_mc'] > 0, m\n"
+        # the sampler's and q's inner calls go through the wrapped names
+        "import numpy as np\n"
+        "from subtail import heat_kernel, simulate\n"
+        "from subtail.golden import builtin_kernel_set\n"
+        "simulate.sample_S_at(builtin_kernel_set()['distributed'],\n"
+        "                     SimConfig(cutoff_eps=1e-2, n_paths=200, seed=1), 0.5)\n"
+        "heat_kernel.q_eval(HKModel('HK_D', alpha=2.0, d=1.0, gamma=0.5, lam=0.0, k=1),\n"
+        "                   Geometry('interval', 1.0),\n"
+        "                   np.geomspace(0.01, 1.0, 8), 0.3, 0.6)\n"
+        "tr.end_round()\n"
+        "m = tr.rounds[2]['metrics']\n"
+        "assert m['kernels.inverse_w_draws'] > 0, m\n"
+        "assert m['bernstein.calM_calls'] > 0, m\n"
     ) % str(TRACER.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
