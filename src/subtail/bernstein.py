@@ -191,15 +191,14 @@ class BernsteinTable:
 
     # -- inverses -----------------------------------------------------------
 
-    def _root(self, g, g_grid, below=None):
+    def _root(self, g, g_grid):
         """Root of g, increasing in lambda, where g_grid ~ g(lam_grid).
 
         The first bracket is the grid cell in which g_grid changes sign or,
         for a root beyond either end of the grid, the factor 4 past that end.
         Its signs are checked on g itself, the function brentq solves, and it
         is moved outward by factors of 16 while both ends share a sign.  When
-        200 moves find no sign change, ``below`` is returned if g stayed
-        positive all the way down and is given; otherwise RangeError.
+        200 moves find no sign change, RangeError.
         """
         lam = self.lam_grid
         j = int(np.searchsorted(g_grid, 0.0))
@@ -223,8 +222,6 @@ class BernsteinTable:
                 return brentq(g, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
             else:  # NaN
                 break
-        if glo > 0.0 and below is not None:
-            return below
         raise RangeError("target not bracketed within a factor 16^200 of the grid",
                          bracket=(float(lo), float(hi)))
 
@@ -269,16 +266,19 @@ class BernsteinTable:
 
         For alpha >= 1 the target s -> s^alpha/phi(s) is increasing; for
         alpha < 1 it may not be, in which case the running-supremum envelope
-        is used and a warning is emitted.  A lam that s^alpha/phi(s) does not
-        reach raises RangeError; one it stays above at every s the root
-        search tries gives 0, the set then holding every s > 0.
+        is used and a warning is emitted.  A lam at or below the target's
+        limit at s -> 0 gives 0, the set then holding every s > 0; that limit
+        is 1/int_0^inf w at alpha = 1 and 0 above (and is taken as 0 below
+        alpha = 1).  A lam that s^alpha/phi(s) does not reach at a supported
+        s raises RangeError.
         """
         if alpha <= 0.0:
             raise DomainError("bar_phi_alpha requires alpha > 0")
         lam = float(lam)
         if lam < 0.0:
             raise DomainError("bar_phi_alpha requires lam >= 0")
-        if lam == 0.0:
+        # lim_{s -> 0} s^alpha/phi(s); phi(s)/s rises to int_0^inf w as s -> 0
+        if lam <= (1.0 / self.kernel.moment(0, math.inf) if alpha == 1.0 else 0.0):
             return 0.0
         # solved in logs, where s^alpha neither underflows nor overflows
         log_g_grid = alpha * self._log_lam - self._log_phi
@@ -304,7 +304,7 @@ class BernsteinTable:
                 raise RangeError("lam=%g not reached by s^alpha/phi(s) at supported s" % lam) from exc
             return alpha * math.log(s) - math.log(phi) - log_lam
 
-        return self._root(g, log_g_grid - log_lam, below=0.0)
+        return self._root(g, log_g_grid - log_lam)
 
     # -- comparability evidence ----------------------------------------------
 

@@ -47,7 +47,7 @@ from .estimates import CASE_TAGS, EstimateCase, theorem_estimate
 from .fundamental import SolutionRequest, p_mc, p_quadrature
 from .heat_kernel import model_from_config
 from .kernels import check_conditions, kernel_from_config
-from .simulate import SimConfig, lower_tail_prob, upper_tail_prob
+from .simulate import SimConfig, sample_S_at, tail_estimate
 from .tail_bounds import upper_bound_form
 
 _KERNEL_SCHEMA = {
@@ -300,9 +300,9 @@ def _cmd_tails(cfg, out, seed, manifest, args):
     conds = check_conditions(kern)
     rows = []
     for r in cfg["grid"]["r"]:
+        ens = sample_S_at(kern, sim, r)
         for t in cfg["grid"]["t"]:
-            up = upper_tail_prob(kern, sim, r, t)
-            lo = lower_tail_prob(kern, sim, r, t)
+            up, lo = (tail_estimate(kern, ens, t, side) for side in ("upper", "lower"))
             form = upper_bound_form(kern, tab, r, t, conditions=conds)
             rows.append(
                 (

@@ -1,18 +1,20 @@
 """Closed-form estimate families for the fundamental solution p(t,x,y).
 
 This module transcribes, with every suppressed constant set to 1, the
-displayed two-sided estimates: the auxiliary piecewise functions F_k / F_c
-(seven cases each, selected by the exponent s against {0, alpha/2, alpha}
-resp. {2-alpha, 1, alpha}), the large-domain log factor G_d, the
-near-diagonal boundary integral
+displayed two-sided estimates: the auxiliary piecewise function F_alpha
+(seven cases, selected by the exponent s against the thresholds of its
+boundary class: {0, alpha/2, alpha} for F_k, {2-alpha, 1, alpha} for F_c),
+the large-domain log factor G_d, the near-diagonal boundary integral
 
     I_k^gamma(t,x,y) = int_{Phi(rho)}^{1/(2e^2 phi(1/t))}
                            a_k^gamma(r,x,y) / V(x, Phi^{-1}(r)) dr,
     J_k^gamma(t,x,y) = a_k^gamma(1/phi(1/t),x,y) / V(Phi^{-1}(1/phi(1/t)))
                        + w(t) I_k^gamma(t,x,y),
 
-its closed forms per exponent case (a)..(g) and boundary scenario
-(Sc.1)-(Sc.3), the elementary integral S_p with its asymptotic regimes, and
+evaluated, like every integral of a_k^gamma here, by the package's checked
+panel rule (``quadrature.checked_panels``), its closed forms per exponent
+case (a)..(g) and boundary scenario (Sc.1)-(Sc.3), the elementary integral
+S_p with its asymptotic regimes, and
 the theorem registry: each tag of the special classes, the general theorems
 and the two worked examples (truncated-Caputo in free space,
 distributed-order on a bounded interval) maps to its named regime
@@ -34,16 +36,16 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
-from scipy.integrate import quad
+import numpy as np
 
 from .bernstein import calN
 from .errors import DomainError, RegimeError
 from .heat_kernel import a_gamma_delta, boundary_min_form, geometry_probe, q_eval
+from .quadrature import checked_panels
 from .tail_bounds import within_bound
 
 __all__ = [
-    "F_alpha_k",
-    "F_alpha_c",
+    "F_alpha",
     "G_alpha_d",
     "I_gamma_quadrature",
     "J_gamma",
@@ -64,6 +66,14 @@ __all__ = [
 # near-diagonal integral in units of 1/phi(1/t)
 QUARTER_E2 = 1.0 / (4.0 * math.e**2)
 HALF_E2 = 1.0 / (2.0 * math.e**2)
+# The boundary integral's target, and for lo = 0 the start hi*_GRADE of its
+# geometric panels.  The panel [0, hi*_GRADE] is resolved only roughly, so
+# it must hold a negligible share: for an integrand ~ r^q that share is
+# _GRADE^{1+q}, which at 1e-30 passes q = -1/2 and -2/3 (d/alpha of D1 and J4
+# on the diagonal) to the target, while every divergent q <= -1 still misses
+# it by percents.
+_BOUNDARY_RTOL = 1e-8
+_GRADE = 1e-30
 
 
 def near_diagonal(prod, margin, rtol):
@@ -86,84 +96,36 @@ def _logp(x):
 # ---------------------------------------------------------------------------
 
 
-def F_alpha_k(alpha, s, phi_t_inv, rho, dx, dy):
-    """F^alpha_k(s,t,x,y) with phi_t_inv = 1/phi(t^{-1}) precomputed.
+def F_alpha(cls, alpha, s, phi_t_inv, rho, dx, dy):
+    """F^alpha_k(s,t,x,y) (cls "k") or F^alpha_c(s,t,x,y) (cls "c"), with
+    phi_t_inv = 1/phi(t^{-1}) precomputed.
+
+    Seven cases, selected by s against the class thresholds {a0, a1, alpha}
+    of ``_boundary_class``: {0, alpha/2, alpha} resp. {2-alpha, 1, alpha}.
+    Below a0, F stands for int r^{-s/alpha} dr up to phi_t_inv, whence the
+    power phi_t_inv^{(a0-s)/alpha}.  The c class's 2-alpha < s < 1 display
+    abbreviates the boundary product as delta(x,y)^{alpha-1}; it is
+    evaluated as delta_*^{alpha-1} by pattern with the neighbouring cases.
 
     dx, dy may be inf (free space / gamma = 0 convention); the boundary
     indicator then vanishes and only the s = alpha and s > alpha cases
     survive.
     """
+    e, a0, a1 = _boundary_class(cls, alpha)
     dstar = dx * dy
     dmin, dmax = min(dx, dy), max(dx, dy)
-    ind = 1.0 if dstar ** (alpha / 2.0) <= phi_t_inv else 0.0
-    if s < 0.0:
-        if ind == 0.0:
-            return 0.0
-        return (max(rho**alpha, dstar ** (alpha / 2.0))) * phi_t_inv ** (s / alpha) * ind
-    if s == 0.0:
-        if ind == 0.0:
-            return 0.0
-        return (
-            max(rho**alpha, dstar ** (alpha / 2.0))
-            * _logp(2.0 * phi_t_inv / max(rho, dmax) ** alpha)
-        )
-    if s < alpha / 2.0:
-        if ind == 0.0:
-            return 0.0
-        return max(rho ** (alpha - s), dstar ** (alpha / 2.0) * dmax ** (-s))
-    if s == alpha / 2.0:
-        if ind == 0.0:
-            return 0.0
-        return rho ** (alpha / 2.0) + dmin ** (alpha / 2.0) * math.log(
-            max(rho, 2.0 * dmax) / max(rho, dmin)
-        )
+    # every case through a1 and below alpha carries the boundary indicator
+    if (s <= a1 or s < alpha) and not dstar ** (alpha / 2.0) <= phi_t_inv:
+        return 0.0
+    if s < a0:
+        return max(rho ** (2.0 * e), dstar**e) * phi_t_inv ** ((a0 - s) / alpha)
+    if s == a0:
+        return max(rho ** (2.0 * e), dstar**e) * _logp(2.0 * phi_t_inv / max(rho, dmax) ** alpha)
+    if s < a1:
+        return max(rho ** (alpha - s), dstar**e * dmax ** (a0 - s))
+    if s == a1:
+        return rho**e + dmin**e * math.log(max(rho, 2.0 * dmax) / max(rho, dmin))
     if s < alpha:
-        if ind == 0.0:
-            return 0.0
-        return max(rho ** (alpha - s), dmin ** (alpha - s))
-    if s == alpha:
-        if rho == 0.0:
-            return math.inf
-        return 1.0 + _logp(2.0 * min(phi_t_inv, dmin**alpha) / rho**alpha)
-    return rho ** (alpha - s)
-
-
-def F_alpha_c(alpha, s, phi_t_inv, rho, dx, dy):
-    """F^alpha_c(s,t,x,y), the censored-class companion of F^alpha_k.
-
-    The 2-alpha < s < 1 case's display abbreviates the boundary product as
-    delta(x,y)^{alpha-1}; it is evaluated as delta_*^{alpha-1} by pattern
-    with the neighbouring cases.
-    """
-    dstar = dx * dy
-    dmin, dmax = min(dx, dy), max(dx, dy)
-    ind = 1.0 if dstar ** (alpha / 2.0) <= phi_t_inv else 0.0
-    if s < 2.0 - alpha:
-        if ind == 0.0:
-            return 0.0
-        return (
-            max(rho ** (2.0 * alpha - 2.0), dstar ** (alpha - 1.0))
-            * phi_t_inv ** ((2.0 - alpha - s) / alpha)
-        )
-    if s == 2.0 - alpha:
-        if ind == 0.0:
-            return 0.0
-        return max(rho ** (2.0 * alpha - 2.0), dstar ** (alpha - 1.0)) * _logp(
-            2.0 * phi_t_inv / max(rho, dmax) ** alpha
-        )
-    if s < 1.0:
-        if ind == 0.0:
-            return 0.0
-        return max(rho ** (alpha - s), dstar ** (alpha - 1.0) * dmax ** (2.0 - alpha - s))
-    if s == 1.0:
-        if ind == 0.0:
-            return 0.0
-        return rho ** (alpha - 1.0) + dmin ** (alpha - 1.0) * math.log(
-            max(rho, 2.0 * dmax) / max(rho, dmin)
-        )
-    if s < alpha:
-        if ind == 0.0:
-            return 0.0
         return max(rho ** (alpha - s), dmin ** (alpha - s))
     if s == alpha:
         if rho == 0.0:
@@ -188,11 +150,15 @@ def G_alpha_d(table, alpha, d, t, l, T):
 # ---------------------------------------------------------------------------
 
 
-def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0, rtol=1e-8):
-    """int_lo^hi r^{weight_pow} a_k^gamma(r)/V(Phi^{-1}(r)) dr.
+def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0):
+    """int_lo^hi r^{weight_pow} a_k^gamma(r)/V(Phi^{-1}(r)) dr by the checked
+    panel rule, to _BOUNDARY_RTOL.
 
-    Inverted limits return 0 (the regime is empty).  Panels split at the
-    boundary scales Phi(delta) so the adaptive rule sees smooth pieces.
+    Inverted limits return 0 (the regime is empty).  The panels are
+    geometric on [lo, hi] and split at the scales Phi(delta_x), Phi(delta_y)
+    and 1 where a_k^gamma turns; for lo = 0 they are geometric from
+    hi*_GRADE, below which one panel reaches 0.  A divergent integral misses
+    the target and raises QuadratureError.
     """
     if hi <= lo:
         return 0.0
@@ -201,20 +167,14 @@ def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0, rtol=1e-8):
     def f(r):
         return r**weight_pow * a_gamma_delta(g, alpha, k, r, dx, dy) / r ** (d / alpha)
 
-    pts = sorted(
-        {p**alpha for p in (dx, dy) if math.isfinite(p) and lo < p**alpha < hi}
-        | ({1.0} if k == 2 and lo < 1.0 < hi else set())
-    )
-    total = 0.0
-    edges = [lo, *pts, hi]
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, _ = quad(f, a, b, epsrel=rtol, epsabs=1e-300, limit=200)
-        total += v
-    return total
+    splits = {p**alpha for p in (dx, dy) if math.isfinite(p)} | {1.0}
+    edges = set(np.geomspace(lo or hi * _GRADE, hi, 40)) | {lo}
+    edges |= {p for p in splits if lo < p < hi}
+    return checked_panels("boundary integral", f, np.array(sorted(edges)), _BOUNDARY_RTOL)
 
 
 def I_gamma_quadrature(model, geometry, table, k, t, x, y):
-    """The near-diagonal integral I_k^gamma(t,x,y) by adaptive quadrature."""
+    """The near-diagonal integral I_k^gamma(t,x,y) by the checked panel rule."""
     p = geometry_probe(geometry, x, y)
     lo = p["rho"] ** model.alpha
     hi = HALF_E2 / table.phi(1.0 / t)
@@ -303,7 +263,7 @@ def closed_I_gamma(model, geometry, table, t, x, y):
     return val, case, "Sc.%d" % sc
 
 
-def S_p(p, A, B, alpha, d, rtol=1e-10):
+def S_p(p, A, B, alpha, d):
     """The elementary integral S_p(A,B) = int_A^B r^{-p}/V(Phi^{-1}(r)) dr.
 
     Returns the direct quadrature value together with the matching
@@ -430,8 +390,9 @@ def _diffusive(case):
 
 
 def _boundary_class(cls, alpha):
-    """Boundary exponent and F of the jump/diffusion ("k") or censored ("c") class."""
-    return (alpha / 2.0, F_alpha_k) if cls == "k" else (alpha - 1.0, F_alpha_c)
+    """(e, a0, a1) of the jump/diffusion ("k") or censored ("c") class: the
+    boundary exponent e and the two lower thresholds of F_alpha's cases."""
+    return (alpha / 2.0, 0.0, alpha / 2.0) if cls == "k" else (alpha - 1.0, 2.0 - alpha, 1.0)
 
 
 def _one_over_rho_sq(dx, dy, rho, expo):
@@ -457,10 +418,10 @@ def _diffusion_off(case, pt, bnd):
 
 def _f_special_near(cls, branch, case, pt):
     alpha, d = pt.alpha, pt.d
-    expo, F = _boundary_class(cls, alpha)
+    expo = _boundary_class(cls, alpha)[0]
     ds = pt.dx * pt.dy
     first = (min(1.0, ds / pt.inv ** (2.0 / alpha)) ** expo if math.isfinite(ds) else 1.0) * pt.phi_t ** (d / alpha)
-    second = pt.w_t * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * F(alpha, d, pt.inv, pt.rho, pt.dx, pt.dy)
+    second = pt.w_t * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * F_alpha(cls, alpha, d, pt.inv, pt.rho, pt.dx, pt.dy)
     return first + second, branch
 
 
@@ -474,12 +435,12 @@ def _f_special_off(cls, branch, case, pt):
 def _f_bounded(cls, subexp, case, pt):
     """scale (1 ^ delta_*/rho^2)^e [(1 ^ delta_*^e) + F(d, T_D)] on a bounded D,
     scale w(t) or, for the (Sub.) kernels, exp(-theta t^beta)."""
-    expo, F = _boundary_class(cls, pt.alpha)
+    expo = _boundary_class(cls, pt.alpha)[0]
     # at t = T_D := [phi^{-1}(R^-alpha/(4e^2))]^{-1} the inverse exponent is
     # exactly 4e^2 R^alpha
     invTD = case.geometry.diam**pt.alpha / QUARTER_E2
     ds = pt.dx * pt.dy
-    bracket = min(1.0, ds**expo) + F(pt.alpha, pt.d, invTD, pt.rho, pt.dx, pt.dy)
+    bracket = min(1.0, ds**expo) + F_alpha(cls, pt.alpha, pt.d, invTD, pt.rho, pt.dx, pt.dy)
     if not subexp:
         return pt.w_t * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket, "large-time bounded"
     beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
@@ -499,7 +460,7 @@ def _f_exterior(case, pt):
             second = (
                 pt.w_t
                 * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, alpha / 2.0)
-                * F_alpha_k(alpha, d, 1.0 / QUARTER_E2, pt.rho, pt.dx, pt.dy)
+                * F_alpha("k", alpha, d, 1.0 / QUARTER_E2, pt.rho, pt.dx, pt.dy)
             )
         return first + second, "exterior near-diagonal"
     if family.startswith("J") or family == "HK_J":
@@ -512,13 +473,14 @@ def _f_trunc(cls, case, pt):
     alpha, d, t, t_f = pt.alpha, pt.d, case.t, case.kernel.support_end
     n_t = math.floor(t / t_f) + 1
     ds = pt.dx * pt.dy
+    F = partial(F_alpha, cls or "k", alpha)
+    expo = _boundary_class(cls or "k", alpha)[0]
     if cls is None:
         if not (pt.rho**alpha <= pt.inv and t < math.floor((d + alpha) / alpha) * t_f):
             return _q_ct(case)
-        expo, F, scale = alpha / 2.0, F_alpha_k, pt.inv
+        scale = pt.inv
         head = min(ds ** (alpha / 2.0), pt.inv) if math.isfinite(ds) else pt.inv
     else:
-        expo, F = _boundary_class(cls, alpha)
         thresh = math.floor((d + alpha) / alpha) if cls == "k" else math.floor((d + 2.0 * alpha - 2.0) / alpha)
         if t >= thresh * t_f:
             return ds**expo * math.exp(-case.exp_constant * t), "post-singular exponential"
@@ -526,8 +488,8 @@ def _f_trunc(cls, case, pt):
         head = min(ds ** (alpha / 2.0), pt.inv)
     bracket = (
         head
-        + F(alpha, d - alpha * n_t, scale, pt.rho, pt.dx, pt.dy)
-        + (n_t * t_f - t) ** n_t * F(alpha, d - alpha * (n_t - 1), scale, pt.rho, pt.dx, pt.dy)
+        + F(d - alpha * n_t, scale, pt.rho, pt.dx, pt.dy)
+        + (n_t * t_f - t) ** n_t * F(d - alpha * (n_t - 1), scale, pt.rho, pt.dx, pt.dy)
     )
     return _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket, "truncated polynomial window (n_t=%d)" % n_t
 

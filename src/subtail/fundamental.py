@@ -23,8 +23,9 @@ The solution u(t,x) = int_D p(t,x,y) f(y) m(dy) is evaluated with the order
 of integration swapped: the inner boundary integral Q(r,x) = int q(r,x,y)
 f(y) dy is computed per clock value and then averaged against g_t (or the
 ensemble).  Every integral over q, p's and Q's alike, evaluates q once per
-node array and is checked by one rule: its 32- and 64-node Gauss-Legendre
-panel sums must agree to the target, otherwise QuadratureError.  Model
+node array and is checked by the package's one rule,
+``quadrature.checked_panels``: its 32- and 64-node Gauss-Legendre panel
+sums must agree to the target, otherwise QuadratureError.  Model
 kernels here are class representatives, so u verifies structure (decay
 rates, symmetry, boundary order), not physical values.
 
@@ -38,15 +39,15 @@ int q(r,x,x) dP(r) toward r = 0 either converges (panel contribution below
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 from .heat_kernel import q_eval
 from .kernels import Power
+from .quadrature import GL32, checked_panels
 from .simulate import SimConfig, sample_E_t
 
 __all__ = [
@@ -59,10 +60,6 @@ __all__ = [
     "solve_u",
     "diagonal_probe",
 ]
-
-_GL32 = leggauss(32)
-_GL64 = leggauss(64)
-
 
 def is_half_caputo(kernel):
     return (
@@ -206,35 +203,11 @@ def _panel_edges(req, r_hi):
     return np.array(sorted(edges))
 
 
-def _integrate_panels(fn, edges, nodes):
-    x, w = nodes
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
-    wt = 0.5 * (b - a)[:, None] * w[None, :]
-    vals = fn(mid.ravel()).reshape(mid.shape)
-    return float(np.sum(wt * vals))
-
-
-def _checked_panels(what, fn, edges, rtol, atol=0.0):
-    """64-node panel sum of ``fn`` (one call per rule on all nodes), checked
-    against the 32-node sum to rtol relative or atol absolute."""
-    v32 = _integrate_panels(fn, edges, _GL32)
-    v64 = _integrate_panels(fn, edges, _GL64)
-    achieved = abs(v64 - v32) / max(abs(v64), 1e-300)
-    if achieved > rtol and abs(v64 - v32) > atol:
-        raise QuadratureError(
-            "%s quadrature achieved %.2g, target %.2g" % (what, achieved, rtol),
-            achieved=achieved,
-            target=rtol,
-        )
-    return v64
-
-
 def p_quadrature(req):
     """Deterministic p(t,x,y) through the E_t density."""
     dens = _density_for(req)
     edges = _panel_edges(req, dens.r_max())
-    v64 = _checked_panels("p", lambda rs: req.q_at(rs) * dens(rs), edges,
+    v64 = checked_panels("p", lambda rs: req.q_at(rs) * dens(rs), edges,
                           max(req.rtol, dens.accuracy))
     if isinstance(dens, EmpiricalDensity):
         # boundary masses outside the fitted CDF window contribute endpoint values
@@ -293,7 +266,7 @@ def _inner_edges(req, r):
 def _inner_Q(req, r):
     """Q(r,x) = int_D q(r,x,y) f(y) dy, checked to 1e-7 relative or 1.49e-8 absolute."""
     f = req.f if req.f is not None else (lambda y: 1.0)
-    return _checked_panels("Q(r=%g, x)" % r, lambda ys: req.q_at(r, ys) * f(ys),
+    return checked_panels("Q(r=%g, x)" % r, lambda ys: req.q_at(r, ys) * f(ys),
                            _inner_edges(req, r), 1e-7, 1.49e-8)
 
 
@@ -355,7 +328,7 @@ def diagonal_probe(kernel, model, t, n_octaves=60, rel_cut=1e-3):
     R = 1.0
     contributions = []
     total = 0.0
-    x, w = _GL32
+    x, w = GL32
     for j in range(n_octaves):
         a, b = R * 2.0 ** (-j - 1), R * 2.0 ** (-j)
         mid = 0.5 * (a + b) + 0.5 * (b - a) * x

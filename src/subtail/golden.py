@@ -36,6 +36,7 @@ from .simulate import (
     sample_S_at,
     stable_half_lower_cdf,
     stable_half_upper_cdf,
+    tail_estimate,
 )
 
 GOLDEN_SEED = 20240612
@@ -127,14 +128,10 @@ def crit_3_mc_vs_closed_form(seed=GOLDEN_SEED):
         for i, r in enumerate(rs):
             cfg = SimConfig(cutoff_eps=1e-4, n_paths=n, seed=seed + i)
             ens = sample_S_at(kern, cfg, r)
-            col = ens.column()
             for t in ts:
-                p_up = float(np.mean(col >= t))
-                p_lo = float(np.mean(col <= t))
-                se_up = math.sqrt(max(p_up * (1 - p_up), 1.0 / n) / n)
-                se_lo = math.sqrt(max(p_lo * (1 - p_lo), 1.0 / n) / n)
-                z_up = (p_up - stable_half_upper_cdf(r, t)) / se_up
-                z_lo = (p_lo - stable_half_lower_cdf(r, t)) / se_lo
+                up, lo = (tail_estimate(kern, ens, t, side) for side in ("upper", "lower"))
+                z_up = (up.p_hat - stable_half_upper_cdf(r, t)) / up.se
+                z_lo = (lo.p_hat - stable_half_lower_cdf(r, t)) / lo.se
                 worst_z = max(worst_z, abs(z_up), abs(z_lo))
                 rows.append({"r": r, "t": t, "z_upper": z_up, "z_lower": z_lo})
         # Kolmogorov-Smirnov: compound-Poisson ensemble vs exact stable sampler
@@ -166,9 +163,8 @@ def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
         for j, frac in enumerate(fracs):
             r = frac * r_edge
             cfg = SimConfig(cutoff_eps=min(1e-4, t * 1e-3), n_paths=n_paths, seed=seed + 37 * i + j)
-            ens = sample_S_at(kern, cfg, r)
-            p = float(np.mean(ens.column() >= t))
-            se = math.sqrt(max(p * (1 - p), 1.0 / n_paths) / n_paths)
+            est = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper")
+            p, se = est.p_hat, est.se
             L = r * phi_t
             lower = math.exp(-math.e * L) * r * float(kern.w(t))
             obs.append(p)
@@ -222,7 +218,7 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
         X, Y = [], []
         for i, (t, n) in enumerate(pts):
             cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 7 * i)
-            p = float(np.mean(sample_S_at(kern, cfg, r).column() >= t))
+            p = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper").p_hat
             n_t = math.floor(t) + 1
             X.append(n_t * math.log(n_t))
             Y.append(math.log(p))
@@ -236,7 +232,7 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
         ps = {}
         for t, n, off in ((1.5, 2 * 10**6, 0), (1.95, 8 * 10**6, 1)):
             cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 101 + off)
-            ps[t] = float(np.mean(sample_S_at(kern, cfg, r2).column() >= t))
+            ps[t] = tail_estimate(kern, sample_S_at(kern, cfg, r2), t, "upper").p_hat
         # n_t log n_t tracks t log t affinely over this window, so the fitted
         # slope doubles as the exponential rate; the factor-10 dip budget
         # absorbs the affine mismatch

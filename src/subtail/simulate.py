@@ -42,6 +42,7 @@ __all__ = [
     "PathEnsemble",
     "TailEstimate",
     "sample_S_at",
+    "tail_estimate",
     "upper_tail_prob",
     "lower_tail_prob",
     "sample_E_t",
@@ -214,16 +215,19 @@ def sample_S_at(kernel, config, r):
     )
 
 
-def _tail_estimate(kernel, config, r, t, side):
-    ens = sample_S_at(kernel, config, r)
+def tail_estimate(kernel, ens, t, side):
+    """Binomial estimate of P(S_r >= t) (side "upper") or P(S_r <= t)
+    ("lower") from the first column of an S_r ensemble, r = ens.levels[0]."""
+    if t <= 0.0:
+        raise DomainError("a tail estimate requires t > 0")
     col = ens.column(0)
     hits = int(np.count_nonzero(col >= t)) if side == "upper" else int(np.count_nonzero(col <= t))
-    n = config.n_paths
+    n = ens.n_paths
     p = hits / n
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
     diag = None
     if hits == 0:
-        expected = min(1.0, r * float(kernel.w(t))) if side == "upper" else None
+        expected = min(1.0, float(ens.levels[0]) * float(kernel.w(t))) if side == "upper" else None
         if expected is not None and (expected <= 0.0 or n < 10.0 / max(expected, 1e-300)):
             diag = (
                 "insufficient paths: structural expectation ~%.3g wants >= %.3g paths"
@@ -238,14 +242,14 @@ def upper_tail_prob(kernel, config, r, t):
     """Estimate P(S_r >= t) with its binomial standard error."""
     if r <= 0.0 or t <= 0.0:
         raise DomainError("upper_tail_prob requires r, t > 0")
-    return _tail_estimate(kernel, config, r, t, "upper")
+    return tail_estimate(kernel, sample_S_at(kernel, config, r), t, "upper")
 
 
 def lower_tail_prob(kernel, config, r, t):
     """Estimate P(S_r <= t) with its binomial standard error."""
     if r <= 0.0 or t <= 0.0:
         raise DomainError("lower_tail_prob requires r, t > 0")
-    return _tail_estimate(kernel, config, r, t, "lower")
+    return tail_estimate(kernel, sample_S_at(kernel, config, r), t, "lower")
 
 
 def _phi_proxy(kernel, lam):
@@ -359,7 +363,7 @@ def eps_refinement(kernel, config, r, t, side="upper"):
     rows = []
     eps = config.cutoff_eps
     for k in range(config.refine_steps + 1):
-        est = _tail_estimate(kernel, config.with_eps(eps), r, t, side)
+        est = tail_estimate(kernel, sample_S_at(kernel, config.with_eps(eps), r), t, side)
         rows.append({"cutoff_eps": eps, "p_hat": est.p_hat, "se": est.se})
         eps *= 0.5
     return rows

@@ -71,29 +71,23 @@ _R0 = weakref.WeakKeyDictionary()  # table -> {t_f: r_0}
 def truncated_small_r_threshold(table, kernel):
     """r_0 with r phi(1/r) <= 1/(4e^2) and r <= t_f/6 for all r <= r_0.
 
-    r_0 depends only on the table's phi and on t_f, so the bisection runs
-    once per (table, t_f) and later calls return the remembered value.
+    r phi(1/r) = phi(lam)/lam at lam = 1/r falls as lam grows, so below the
+    cap t_f/6 r_0 is 1/lam at the root of 1/(4e^2) - phi(lam)/lam, found by
+    the table's root finder from its own grid.  r_0 depends only on the
+    table's phi and on t_f, so the root is solved once per (table, t_f) and
+    later calls return the remembered value.
     """
     from .estimates import QUARTER_E2  # imported here: estimates imports this module
 
     t_f = kernel.support_end
     known = _R0.setdefault(table, {})
-    if t_f in known:
-        return known[t_f]
-    lo, hi = 1e-12, t_f / 6.0
-    if hi * table.phi(1.0 / hi) <= QUARTER_E2:
-        lo = hi
-    else:
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if mid * table.phi(1.0 / mid) <= QUARTER_E2:
-                lo = mid
-            else:
-                hi = mid
-            if hi / lo < 1.0 + 1e-12:
-                break
-    known[t_f] = lo
-    return lo
+    if t_f not in known:
+        r0 = t_f / 6.0
+        if r0 * table.phi(1.0 / r0) > QUARTER_E2:
+            r0 = 1.0 / table._root(lambda lam: QUARTER_E2 - table.phi(lam) / lam,
+                                   QUARTER_E2 - table.phi_grid / table.lam_grid)
+        known[t_f] = r0
+    return known[t_f]
 
 
 def classify(kernel, table, r, t, conditions=None):

@@ -258,12 +258,20 @@ class TestSmallestLambda:
             tab.phi(1e200)
 
     def test_bar_phi_turns_domain_error_into_range_error(self):
-        # s/phi(s) >= 1/E[S_1] = 1 for this kernel, so 0.5 is never reached
-        # and the downward search runs into the smallest supported lambda
+        # s^2/phi(s) ~ s/E[S_1] = s near 0, so 1e-308 is reached only below
+        # the smallest supported lambda (~3.6e-307), where the search ends
         tab = BernsteinTable(Truncated(0.5, 1.0, 1.0), lam_lo=1e-150, lam_hi=1.0, points_per_decade=1)
         with pytest.raises(RangeError) as info:
-            tab.bar_phi_alpha(1.0, 0.5)
+            tab.bar_phi_alpha(2.0, 1e-308)
         assert isinstance(info.value.__cause__, DomainError)
+
+    def test_bar_phi_below_the_limit_at_zero_is_zero(self):
+        # s/phi(s) falls to 1/E[S_1] = 1/int_0^inf w = 1 as s -> 0, so every
+        # s > 0 has s/phi(s) >= 0.5, whatever the grid's smallest lambda
+        kern = Truncated(0.5, 1.0, 1.0)
+        for tab in (BernsteinTable(kern),
+                    BernsteinTable(kern, lam_lo=1e-150, lam_hi=1.0, points_per_decade=1)):
+            assert tab.bar_phi_alpha(1.0, 0.5) == 0.0
 
     def test_moment_overflow_is_domain_error(self, caputo_half):
         # the head moments int_0^{1e-5/lam} u^k w(u) du overflow a float here

@@ -66,6 +66,27 @@ class TestTails:
         assert row["bound_tag"] in ("small-t-poly", "large-t-poly")
         assert float(row["upper_p"]) + float(row["lower_p"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_one_ensemble_per_clock_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
+        from subtail import cli
+        from subtail.kernels import kernel_from_config
+        from subtail.simulate import SimConfig, lower_tail_prob, upper_tail_prob
+
+        kcfg = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
+        cfg = {"kernel": kcfg, "sim": {"cutoff_eps": 1e-3, "n_paths": 1000},
+               "grid": {"r": [0.5, 2.0], "t": [0.3, 1.0, 4.0]}}
+        calls = []
+        sample = cli.sample_S_at
+        monkeypatch.setattr(cli, "sample_S_at", lambda *a: calls.append(a[2]) or sample(*a))
+        status, out = run_cli(tmp_path, "tails", cfg, extra=["--seed", "5"])
+        assert status == 0 and calls == [0.5, 2.0]
+        kern, sim = kernel_from_config(kcfg), SimConfig(cutoff_eps=1e-3, n_paths=1000, seed=5)
+        rows = [row.split(",") for row in (out / "tails.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 6
+        for row in rows:
+            r, t = float(row[0]), float(row[1])
+            up, lo = upper_tail_prob(kern, sim, r, t), lower_tail_prob(kern, sim, r, t)
+            assert row[2:6] == ["%.17g" % v for v in (up.p_hat, up.se, lo.p_hat, lo.se)]
+
 
 class TestFundsolEstimate:
     def test_fundsol_csv(self, tmp_path):

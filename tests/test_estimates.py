@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 
 from subtail.bernstein import BernsteinTable
-from subtail.errors import RegimeError
+from subtail.errors import QuadratureError, RegimeError
 from subtail.estimates import (
     EstimateCase,
-    F_alpha_c,
-    F_alpha_k,
+    F_alpha,
     G_alpha_d,
     I_gamma_quadrature,
     J_gamma,
+    boundary_integral,
     S_p,
     closed_I_gamma,
     theorem_estimate,
 )
 from subtail.heat_kernel import Geometry, HKModel
+from subtail.golden import builtin_kernel_set
 from subtail.kernels import Truncated, caputo, check_conditions
 
 INF = math.inf
@@ -30,22 +31,22 @@ def half_table():
 class TestFFunctions:
     def test_s_above_alpha(self):
         # alpha=1, s=d=2 > alpha: rho^{alpha-s}
-        assert F_alpha_k(1.0, 2.0, 10.0, 0.5, INF, INF) == pytest.approx(2.0)
+        assert F_alpha("k", 1.0, 2.0, 10.0, 0.5, INF, INF) == pytest.approx(2.0)
 
     def test_s_equal_alpha_log_cut(self):
         # log+ term zero once rho^alpha >= 2/phi(1/t)
-        assert F_alpha_k(2.0, 2.0, 1.0, 2.0, INF, INF) == pytest.approx(1.0)
+        assert F_alpha("k", 2.0, 2.0, 1.0, 2.0, INF, INF) == pytest.approx(1.0)
         # and 1 + log(arg) below the cut
-        got = F_alpha_k(2.0, 2.0, 8.0, 1.0, INF, INF)
+        got = F_alpha("k", 2.0, 2.0, 8.0, 1.0, INF, INF)
         assert got == pytest.approx(1.0 + math.log(16.0))
 
     def test_indicator_kills_interior_cases_in_free_space(self):
-        assert F_alpha_k(2.0, 0.5, 1.0, 0.3, INF, INF) == 0.0
-        assert F_alpha_k(2.0, -1.0, 1.0, 0.3, INF, INF) == 0.0
+        assert F_alpha("k", 2.0, 0.5, 1.0, 0.3, INF, INF) == 0.0
+        assert F_alpha("k", 2.0, -1.0, 1.0, 0.3, INF, INF) == 0.0
 
     def test_fc_s_equal_one(self):
         # alpha=1.5, s=1, rho=dmin=dmax=0.1: rho^{a-1} + dmin^{a-1} log 2
-        got = F_alpha_c(1.5, 1.0, 1e9, 0.1, 0.1, 0.1)
+        got = F_alpha("c", 1.5, 1.0, 1e9, 0.1, 0.1, 0.1)
         want = 0.1**0.5 + 0.1**0.5 * math.log(2.0)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -54,12 +55,25 @@ class TestFFunctions:
         phi_inv, rho, dx, dy = 5.0, 0.7, 0.8, 0.9
         a = 2.0
         for s0 in (a / 2.0, a):
-            below = F_alpha_k(a, s0 - 1e-9, phi_inv, rho, dx, dy)
-            at = F_alpha_k(a, s0, phi_inv, rho, dx, dy)
-            above = F_alpha_k(a, s0 + 1e-9, phi_inv, rho, dx, dy)
+            below = F_alpha("k", a, s0 - 1e-9, phi_inv, rho, dx, dy)
+            at = F_alpha("k", a, s0, phi_inv, rho, dx, dy)
+            above = F_alpha("k", a, s0 + 1e-9, phi_inv, rho, dx, dy)
             for pair in ((below, at), (at, above)):
                 ratio = pair[0] / pair[1]
                 assert 1.0 / 8.0 <= ratio <= 8.0, (s0, pair)
+
+    def test_k_class_below_zero_tracks_the_integral_it_stands_for(self):
+        # for s < 0, (1 ^ delta_*/rho^2)^{alpha/2} F_k is comparable to
+        # int_{Phi(rho)}^U r^{-s/alpha} a_1^{1/2}(r) dr, which grows like U^{-s/alpha}
+        alpha, s, d = 2.0, -1.0, 1.0
+        m = HKModel("HK_J", alpha=alpha, d=d, gamma=0.5, lam=0.0, k=1)
+        for rho, dx, dy in ((0.1, 0.2, 0.3), (0.05, 0.1, 0.5), (0.2, 0.1, 0.1)):
+            ratios = []
+            for U in (0.1, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5):
+                F = F_alpha("k", alpha, s, U, rho, dx, dy)
+                I = boundary_integral(m, 1, rho**alpha, U, dx, dy, weight_pow=(d - s) / alpha)
+                ratios.append(min(1.0, dx * dy / rho**2) ** (alpha / 2.0) * F / I)
+            assert max(ratios) / min(ratios) <= 8.0, (rho, dx, dy, ratios)
 
 
 class TestGFunction:
@@ -111,6 +125,17 @@ class TestIGamma:
 
         lead = a_gamma_delta(0.5, 1.0, 1, phi_inv, 0.4, 0.5) / m.V_inv_time(phi_inv)
         assert first >= lead
+
+    def test_boundary_integral_from_zero(self):
+        # gamma = 0: the integrand is r^{weight_pow - d/alpha}.  int_0^1 r^{-1/2}
+        # and r^{-2/3} converge to 2 and 3; int_0^1 r^{-1} diverges and must
+        # miss the target rather than return a number
+        for alpha, want in ((2.0, 2.0), (1.5, 3.0)):
+            m = HKModel("HK_J", alpha=alpha, d=1.0, gamma=0.0, lam=0.0, k=1)
+            assert boundary_integral(m, 1, 0.0, 1.0, INF, INF) == pytest.approx(want, rel=1e-8)
+        m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.0, lam=0.0, k=1)
+        with pytest.raises(QuadratureError):
+            boundary_integral(m, 1, 0.0, 1.0, INF, INF)
 
 
 class TestClosedIGamma:
@@ -251,6 +276,16 @@ class TestTheoremEstimate:
         out = theorem_estimate(EstimateCase("main2-i", kern, tab, m, g, t, 3.0, 3.2))
         assert "n_t=2" in out["branch"]
         assert out["value"] > 0.0
+
+    def test_mainlarge_ii_divergent_diagonal_is_quadrature_error(self):
+        # on the diagonal rho = 0, and for J1 (d = alpha) the boundary integral
+        # from Phi(rho) = 0 diverges like int_0 dr/r
+        kern = builtin_kernel_set()["distributed"]
+        tab = BernsteinTable(kern, points_per_decade=24)
+        m = HKModel("J1", alpha=1.0, d=1.0)
+        g = Geometry("interval", 1.0)
+        with pytest.raises(QuadratureError):
+            theorem_estimate(EstimateCase("mainlarge-ii", kern, tab, m, g, 9.0, 0.3, 0.3))
 
     def test_mainsmall_regime_guard(self, half_table):
         kern = caputo(0.5)

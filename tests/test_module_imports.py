@@ -1,0 +1,30 @@
+"""Every integral in the package goes through its one checked rule, and
+every numeric root through ``bernstein``'s one bracketed root finder.
+
+The modules are parsed, not imported, so a banned import is found even in
+a branch no test runs.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "subtail"
+
+
+def _imported_modules(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module
+            yield from (node.module + "." + alias.name for alias in node.names)
+
+
+def test_no_scipy_integrate_and_one_root_finder():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for name in _imported_modules(path):
+            assert not name.startswith("scipy.integrate"), (path.name, name)
+            if path.name != "bernstein.py":
+                assert not name.startswith("scipy.optimize"), (path.name, name)

@@ -128,8 +128,8 @@ class TestUpperBoundForm:
             del calls[:]
             upper_bound_form(k, tab, r, t, conditions=rep)
             per_call.append(len(calls))
-        assert per_call[0] > 20 and per_call[1:] == [1, 1, 1]
-        # the remembered r_0 is the bisection's own value on a fresh table
+        assert 1 < per_call[0] <= 16 and per_call[1:] == [1, 1, 1]
+        # the remembered r_0 is the root finder's own value on a fresh table
         fresh = BernsteinTable(k, points_per_decade=8)
         assert truncated_small_r_threshold(tab, k) == truncated_small_r_threshold(fresh, k)
 
