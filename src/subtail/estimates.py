@@ -36,12 +36,10 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from .bernstein import calN
 from .errors import DomainError, RegimeError
 from .heat_kernel import a_gamma_delta, boundary_min_form, geometry_probe, q_eval
-from .quadrature import checked_panels
+from .quadrature import GRADE, checked_panels, graded_edges
 from .tail_bounds import within_bound
 
 __all__ = [
@@ -66,14 +64,8 @@ __all__ = [
 # near-diagonal integral in units of 1/phi(1/t)
 QUARTER_E2 = 1.0 / (4.0 * math.e**2)
 HALF_E2 = 1.0 / (2.0 * math.e**2)
-# The boundary integral's target, and for lo = 0 the start hi*_GRADE of its
-# geometric panels.  The panel [0, hi*_GRADE] is resolved only roughly, so
-# it must hold a negligible share: for an integrand ~ r^q that share is
-# _GRADE^{1+q}, which at 1e-30 passes q = -1/2 and -2/3 (d/alpha of D1 and J4
-# on the diagonal) to the target, while every divergent q <= -1 still misses
-# it by percents.
+# the boundary integral's target
 _BOUNDARY_RTOL = 1e-8
-_GRADE = 1e-30
 
 
 def near_diagonal(prod, margin, rtol):
@@ -157,8 +149,8 @@ def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0):
     Inverted limits return 0 (the regime is empty).  The panels are
     geometric on [lo, hi] and split at the scales Phi(delta_x), Phi(delta_y)
     and 1 where a_k^gamma turns; for lo = 0 they are geometric from
-    hi*_GRADE, below which one panel reaches 0.  A divergent integral misses
-    the target and raises QuadratureError.
+    hi*GRADE, below which one panel reaches 0 (``quadrature.graded_edges``).
+    A divergent integral misses the target and raises QuadratureError.
     """
     if hi <= lo:
         return 0.0
@@ -168,9 +160,8 @@ def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0):
         return r**weight_pow * a_gamma_delta(g, alpha, k, r, dx, dy) / r ** (d / alpha)
 
     splits = {p**alpha for p in (dx, dy) if math.isfinite(p)} | {1.0}
-    edges = set(np.geomspace(lo or hi * _GRADE, hi, 40)) | {lo}
-    edges |= {p for p in splits if lo < p < hi}
-    return checked_panels("boundary integral", f, np.array(sorted(edges)), _BOUNDARY_RTOL)
+    edges = graded_edges(lo, lo or hi * GRADE, hi, splits)
+    return checked_panels("boundary integral", f, edges, _BOUNDARY_RTOL)
 
 
 def I_gamma_quadrature(model, geometry, table, k, t, x, y):
@@ -312,7 +303,6 @@ class EstimateCase:
     horizon_T: float = 1.0
     margin: float = 2.0
     conditions: object = None
-    exp_constant: float = 1.0
 
     def __post_init__(self):
         if self.tag not in CASE_TAGS:
@@ -405,14 +395,14 @@ def _one_over_rho_sq(dx, dy, rho, expo):
 
 
 def _q_ct(case):
-    return q_eval(case.model, case.geometry, case.exp_constant * case.t, case.x, case.y), "q(ct,x,y)"
+    return q_eval(case.model, case.geometry, case.t, case.x, case.y), "q(ct,x,y)"
 
 
 def _diffusion_off(case, pt, bnd):
     """bnd phi(1/t)^{d/alpha} exp(-c t bar_phi_alpha((rho/t)^alpha))."""
     t = case.t
     return bnd * pt.phi_t ** (pt.d / pt.alpha) * math.exp(
-        -case.exp_constant * t * case.table.bar_phi_alpha(pt.alpha, (pt.rho / t) ** pt.alpha)
+        -t * case.table.bar_phi_alpha(pt.alpha, (pt.rho / t) ** pt.alpha)
     )
 
 
@@ -483,7 +473,7 @@ def _f_trunc(cls, case, pt):
     else:
         thresh = math.floor((d + alpha) / alpha) if cls == "k" else math.floor((d + 2.0 * alpha - 2.0) / alpha)
         if t >= thresh * t_f:
-            return ds**expo * math.exp(-case.exp_constant * t), "post-singular exponential"
+            return ds**expo * math.exp(-t), "post-singular exponential"
         scale = case.geometry.diam**alpha / QUARTER_E2
         head = min(ds ** (alpha / 2.0), pt.inv)
     bracket = (
@@ -505,7 +495,7 @@ def _f_main_off(variant, case, pt):
     if variant == "a":
         return a / (pt.phi_t * m.Phi(pt.rho) * m.V(pt.rho)), "off-diagonal jump"
     N = calN(case.table, m.Phi, case.t, pt.rho)
-    diff = a * math.exp(-case.exp_constant * N) / m.V_inv_time(pt.inv)
+    diff = a * math.exp(-N) / m.V_inv_time(pt.inv)
     if variant == "b":
         return diff, "off-diagonal diffusion"
     jump = a / (pt.phi_t * m.Psi(pt.rho) * m.V(pt.rho))
@@ -537,8 +527,8 @@ def _f_main_sub_bounded(case, pt):
         decay = math.exp(-theta * t**beta)
         return 0.5 * (w_t + decay) * I, "subexp boundary integral", w_t * I, decay * I
     bnd = (pt.dx**alpha) ** m.gamma * (pt.dy**alpha) ** m.gamma
-    lower = w_t * I + math.exp(-m.lam * 1.0 * t) * bnd
-    upper = math.exp(-0.5 * theta * t) * I + math.exp(-m.lam * 1.0 * t) * bnd
+    lower = w_t * I + math.exp(-m.lam * t) * bnd
+    upper = math.exp(-0.5 * theta * t) * I + math.exp(-m.lam * t) * bnd
     return 0.5 * (lower + upper), "exponential boundary mix", lower, upper
 
 
@@ -548,7 +538,7 @@ def _f_main2(bounded, case, pt):
     past_window = t >= math.floor(m.d / alpha + 2.0 * m.gamma) * t_f
     if bounded and past_window:
         bnd = (pt.dx**alpha) ** m.gamma * (pt.dy**alpha) ** m.gamma
-        return math.exp(-case.exp_constant * t) * bnd, "post-singular exponential"
+        return math.exp(-t) * bnd, "post-singular exponential"
     if not bounded and pt.rho**alpha > t:
         return _q_ct(case)
     if past_window:
@@ -572,7 +562,7 @@ def _f_example1_small(case, pt):
     if not _diffusive(case):
         return t**beta / rho ** (d + alpha), "off-diagonal jump"
     val = t ** (-beta * d / alpha) * math.exp(
-        -case.exp_constant * rho ** (2.0 / (2.0 - beta)) * t ** (-beta / (2.0 - beta))
+        -rho ** (2.0 / (2.0 - beta)) * t ** (-beta / (2.0 - beta))
     )
     return val, "off-diagonal gaussian"
 
@@ -583,7 +573,7 @@ def _f_example1_large(case, pt):
     if rho**alpha > t:
         if not _diffusive(case):
             return t / rho ** (d + alpha), "off-diagonal jump"
-        return t ** (-d / alpha) * math.exp(-case.exp_constant * rho**2 / t), "off-diagonal gaussian"
+        return t ** (-d / alpha) * math.exp(-rho**2 / t), "off-diagonal gaussian"
     if t >= math.floor(d / alpha) * delta:
         return t ** (-d / alpha), "diagonal-regular"
     d_over_a_int = abs(d / alpha - round(d / alpha)) < 1e-12
@@ -678,9 +668,10 @@ def _evaluate(case, pt):
 def theorem_estimate(case):
     """Evaluate the displayed two-sided form of one theorem branch.
 
-    Free constants are 1 (``exp_constant`` scales exponential arguments);
-    returns {"value", "lower", "upper", "branch"}; out-of-regime inputs
-    raise RegimeError naming the failed predicate.
+    Free constants are 1, the constant c of every exponential argument
+    (as in q(ct,x,y) and exp(-ct)) included; returns {"value", "lower",
+    "upper", "branch"}; out-of-regime inputs raise RegimeError naming the
+    failed predicate.
     """
     m = case.model
     p = geometry_probe(case.geometry, case.x, case.y)

@@ -11,10 +11,14 @@ inverse subordinator in both modes:
 * Monte Carlo:  p = E[ q(E_t, x, y) ], the ensemble mean over sample_E_t;
 * quadrature:   p = int q(r,x,y) g_t(r) dr with g_t the density of E_t.
 
-The density g_t is closed-form for the order-1/2 Caputo kernel,
-g_t(r) = exp(-r^2/(4t)) / sqrt(pi t); any other kernel uses a monotone
-log-spline fit of the empirical E_t CDF, whose smoothing bandwidth is
-reported and whose advertised accuracy is capped at 1e-2 relative.
+Quadrature mode needs the closed-form density of the order-1/2 Caputo
+kernel, g_t(r) = exp(-r^2/(4t)) / sqrt(pi t); any other kernel is refused
+with DomainError and goes through method="mc".  Its target is 1e-8
+relative.  The clock panels are geometric from r_hi*1e-9, split at the kinks
+of q; next to the diagonal they start below 1e-3 rho^alpha, and on it, where
+q ~ r^{-d/alpha} is singular at r = 0, they grade down to r_hi*1e-30
+(``quadrature.graded_edges``): p(t,x,x) is finite there when d < alpha, and
+a divergent one raises QuadratureError.
 
 p is never obtained by numerically differentiating P(S_r >= t) in r: the
 crossing-time form integrates the Stieltjes measure exactly.
@@ -23,17 +27,17 @@ The solution u(t,x) = int_D p(t,x,y) f(y) m(dy) is evaluated with the order
 of integration swapped: the inner boundary integral Q(r,x) = int q(r,x,y)
 f(y) dy is computed per clock value and then averaged against g_t (or the
 ensemble).  Every integral over q, p's and Q's alike, evaluates q once per
-node array and is checked by the package's one rule,
-``quadrature.checked_panels``: its 32- and 64-node Gauss-Legendre panel
-sums must agree to the target, otherwise QuadratureError.  Model
-kernels here are class representatives, so u verifies structure (decay
-rates, symmetry, boundary order), not physical values.
+node array and is checked by ``quadrature.checked_panels``: its 32- and
+64-node Gauss-Legendre panel sums must agree to the target, otherwise
+QuadratureError.  Model kernels here are class representatives, so u
+verifies structure (decay rates, symmetry, boundary order), not physical
+values.
 
 ``diagonal_probe`` feeds the truncated-kernel diagonal finiteness check:
 near r = 0 the crossing law follows the structural form
 [r + (n t_f - t)^n] r^n exp(-c t log t), and geometric panel refinement of
 int q(r,x,x) dP(r) toward r = 0 either converges (panel contribution below
-1e-3 of the running total) or divergence is declared.
+1e-3 of the total) or divergence is declared.
 """
 
 from __future__ import annotations
@@ -42,24 +46,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .heat_kernel import q_eval
 from .kernels import Power
-from .quadrature import GL32, checked_panels
+from .quadrature import GL32, GRADE, checked_panels, graded_edges, integrate_panels
 from .simulate import SimConfig, sample_E_t
 
 __all__ = [
     "SolutionRequest",
     "PValue",
     "StableHalfDensity",
-    "EmpiricalDensity",
     "p_quadrature",
     "p_mc",
     "solve_u",
     "diagonal_probe",
 ]
+
+# the one target of the quadrature mode, relative
+_RTOL = 1e-8
+
 
 def is_half_caputo(kernel):
     return (
@@ -76,8 +82,6 @@ class StableHalfDensity:
     g_t(r) = exp(-r^2/(4t)) / sqrt(pi t).
     """
 
-    accuracy = 1e-10
-
     def __init__(self, t):
         self.t = t
 
@@ -86,44 +90,6 @@ class StableHalfDensity:
 
     def r_max(self):
         return 18.0 * math.sqrt(self.t)  # exp(-81) tail mass
-
-
-class EmpiricalDensity:
-    """Monotone log-spline density from an E_t crossing ensemble.
-
-    The CDF is fitted by a PCHIP interpolant through quantile knots in log r
-    (monotone by construction); the density is its log-derivative over r.
-    The knot spacing is the smoothing bandwidth; accuracy claims are capped
-    at 1e-2 relative accordingly.
-    """
-
-    accuracy = 1e-2
-
-    def __init__(self, ensemble, j=0, n_knots=64):
-        col = np.sort(ensemble.values[:, j])
-        if ensemble.censored is not None:
-            keep = ~ensemble.censored[:, j]
-            col = np.sort(ensemble.values[keep, j])
-        qs = np.linspace(0.002, 0.998, n_knots)
-        knots = np.quantile(col, qs)
-        logk, idx = np.unique(np.log(knots), return_index=True)
-        cdf = qs[idx]
-        self._spline = PchipInterpolator(logk, cdf, extrapolate=False)
-        self._deriv = self._spline.derivative()
-        self.lo, self.hi = float(np.exp(logk[0])), float(np.exp(logk[-1]))
-        self.mass_below = float(cdf[0])
-        self.mass_above = 1.0 - float(cdf[-1])
-        self.bandwidth = float(np.max(np.diff(logk)))
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        ok = (r >= self.lo) & (r <= self.hi)
-        out[ok] = np.maximum(self._deriv(np.log(r[ok])), 0.0) / r[ok]
-        return out
-
-    def r_max(self):
-        return self.hi
 
 
 @dataclass
@@ -140,8 +106,7 @@ class SolutionRequest:
     f: object = None  # callable on an array of points y -> f(y), for solve_u
     method: str = "quadrature"
     sim: SimConfig | None = None
-    ensemble: object = None  # shared E_t ensemble (MC / empirical modes)
-    rtol: float = 1e-8
+    ensemble: object = None  # shared E_t ensemble (MC mode)
     q_override: object = None  # diagnostic kernel r -> q(r), replaces q(r,x,y)
 
     def q_at(self, r, y=None):
@@ -162,14 +127,12 @@ class PValue:
 
 
 def _density_for(req):
-    if is_half_caputo(req.kernel):
-        return StableHalfDensity(req.t)
-    if req.rtol < 1e-2:
+    if not is_half_caputo(req.kernel):
         raise DomainError(
-            "empirical-CDF density mode cannot honour rtol=%g; it refuses targets below 1e-2"
-            % req.rtol
+            'quadrature mode needs the closed-form E_t density of the order-1/2 Caputo '
+            'kernel; use method="mc" for %s' % type(req.kernel).__name__
         )
-    return EmpiricalDensity(_ensemble(req, "empirical mode"))
+    return StableHalfDensity(req.t)
 
 
 def _ensemble(req, what):
@@ -182,10 +145,10 @@ def _ensemble(req, what):
 
 
 def _panel_edges(req, r_hi):
-    model, geometry = req.model, req.geometry
-    lo = r_hi * 1e-9
+    start = r_hi * 1e-9
     kinks = set()
     if req.q_override is None:
+        model, geometry = req.model, req.geometry
         for pnt in (req.x, req.y):
             dp = geometry.delta(pnt)
             if math.isfinite(dp):
@@ -193,37 +156,26 @@ def _panel_edges(req, r_hi):
         rho = geometry.rho(req.x, req.y)
         if rho > 0.0:
             kinks.add(rho**model.alpha)
-            # near the diagonal the kink would sit inside the first panel [0, lo]
-            lo = min(lo, 1e-3 * rho**model.alpha)
+            # near the diagonal the kink would sit inside the first panel [0, start]
+            start = min(start, 1e-3 * rho**model.alpha)
+        else:
+            # on it the first panel must hold a negligible share of r^{-d/alpha}
+            start = r_hi * GRADE
         kinks.add(1.0)  # long-time branch switch of the displayed classes
-    edges = set(np.geomspace(lo, r_hi, 40))
-    edges |= {k for k in kinks if lo < k < r_hi}
-    edges.add(0.0)
-    edges.add(r_hi)
-    return np.array(sorted(edges))
+    return graded_edges(0.0, start, r_hi, kinks)
 
 
 def p_quadrature(req):
-    """Deterministic p(t,x,y) through the E_t density."""
+    """Deterministic p(t,x,y) through the E_t density, checked to 1e-8 relative."""
     dens = _density_for(req)
     edges = _panel_edges(req, dens.r_max())
-    v64 = checked_panels("p", lambda rs: req.q_at(rs) * dens(rs), edges,
-                          max(req.rtol, dens.accuracy))
-    if isinstance(dens, EmpiricalDensity):
-        # boundary masses outside the fitted CDF window contribute endpoint values
-        q_lo, q_hi = req.q_at(np.array([dens.lo, dens.hi]))
-        v64 += dens.mass_below * float(q_lo)
-        v64 += dens.mass_above * float(q_hi)
-        return PValue(value=v64, method="quadrature-empirical",
-                      diagnostic="bandwidth=%.3g(log r)" % dens.bandwidth)
-    return PValue(value=v64, method="quadrature")
+    value = checked_panels("p", lambda rs: req.q_at(rs) * dens(rs), edges, _RTOL)
+    return PValue(value=value, method="quadrature")
 
 
-def p_mc(req):
-    """Monte Carlo p(t,x,y): ensemble mean of q(E_t,x,y), censoring counted."""
-    ens = _ensemble(req, "p_mc")
-    col = ens.values[:, 0]
-    vals = np.asarray(req.q_at(col), dtype=float)
+def _mc_value(ens, vals):
+    """Ensemble mean of the per-path ``vals`` with its CLT standard error and
+    the censored count of ``ens``."""
     n = len(vals)
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(n)
@@ -235,6 +187,12 @@ def p_mc(req):
             % (100.0 * se / mean, float(np.var(vals)), n)
         )
     return PValue(value=mean, se=se, n_paths=n, censored=censored, method="mc", diagnostic=diag)
+
+
+def p_mc(req):
+    """Monte Carlo p(t,x,y): ensemble mean of q(E_t,x,y), censoring counted."""
+    ens = _ensemble(req, "p_mc")
+    return _mc_value(ens, np.asarray(req.q_at(ens.values[:, 0]), dtype=float))
 
 
 # panel edges toward a wall, as fractions of the distance to the window's middle
@@ -293,14 +251,7 @@ def solve_u(req):
     col = ens.values[:, 0]
     grid = np.geomspace(max(col.min(), 1e-12), col.max(), 80)
     qvals = np.array([_inner_Q(req, r) for r in grid])
-    z = np.interp(col, grid, qvals)
-    return PValue(
-        value=float(np.mean(z)),
-        se=float(np.std(z)) / math.sqrt(len(z)),
-        n_paths=len(z),
-        censored=int(np.count_nonzero(ens.censored[:, 0])) if ens.censored is not None else 0,
-        method="mc",
-    )
+    return _mc_value(ens, np.interp(col, grid, qvals))
 
 
 def diagonal_probe(kernel, model, t, n_octaves=60, rel_cut=1e-3):
@@ -308,9 +259,9 @@ def diagonal_probe(kernel, model, t, n_octaves=60, rel_cut=1e-3):
 
     Integrates q(r,x,x) = r^{-d/alpha} against the structural small-r
     crossing law [r + (n t_f - t)^n] r^n (the exp(-c t log t) factor is an
-    r-independent constant and irrelevant to convergence), over geometric
-    panels [R 2^{-j-1}, R 2^{-j}].  Convergence is declared when the last
-    octave contributes less than ``rel_cut`` of the running total, otherwise
+    r-independent constant and irrelevant to convergence), over the octaves
+    [2^{-j-1}, 2^{-j}], j < n_octaves.  Convergence is declared when the
+    last octave contributes less than ``rel_cut`` of the total, otherwise
     divergence.
     """
     t_f = kernel.support_end
@@ -322,25 +273,18 @@ def diagonal_probe(kernel, model, t, n_octaves=60, rel_cut=1e-3):
     weight = (n * t_f - t) ** n
     s = model.d / model.alpha
 
-    def dP(r):  # structural dP/dr up to the constant exp(-c t log t)
-        return (n + 1.0) * r**n + n * weight * r ** (n - 1.0)
+    def integrand(r):  # q times the structural dP/dr, up to exp(-c t log t)
+        return r**-s * ((n + 1.0) * r**n + n * weight * r ** (n - 1.0))
 
-    R = 1.0
-    contributions = []
-    total = 0.0
-    x, w = GL32
-    for j in range(n_octaves):
-        a, b = R * 2.0 ** (-j - 1), R * 2.0 ** (-j)
-        mid = 0.5 * (a + b) + 0.5 * (b - a) * x
-        val = float(np.sum(0.5 * (b - a) * w * mid**-s * dP(mid)))
-        contributions.append(val)
-        total += val
-    verdict = "converged" if contributions[-1] <= rel_cut * total else "diverged"
+    edges = 2.0 ** -np.arange(n_octaves, -1.0, -1.0)
+    total = integrate_panels(integrand, edges, GL32)
+    last = integrate_panels(integrand, edges[:2], GL32)
+    verdict = "converged" if last <= rel_cut * total else "diverged"
     return {
         "verdict": verdict,
         "n_t": n,
         "weight": weight,
         "total": total,
-        "last_fraction": contributions[-1] / total,
+        "last_fraction": last / total,
         "octaves": n_octaves,
     }

@@ -1,9 +1,12 @@
-"""The one checked quadrature rule of the package.
+"""The checked quadrature rule and the graded panel builder of the package.
 
-Composite Gauss-Legendre on caller-chosen panel edges: the integrand is
-called once per rule on the nodes of every panel, the 64-node sum is
-returned, and it is accepted only when the 32-node sum agrees with it to the
-target; otherwise QuadratureError, carrying the achieved and target errors.
+Composite Gauss-Legendre on panel edges: the integrand is called once per
+rule on the nodes of every panel, the 64-node sum is returned, and it is
+accepted only when the 32-node sum agrees with it to the target; otherwise
+QuadratureError, carrying the achieved and target errors.  Every integral
+over the clock r (p's, and the boundary integrals I and J) takes its edges
+from ``graded_edges``.  phi's Laplace integrals keep their own 24- vs
+40-node check in ``bernstein``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,21 @@ from .errors import QuadratureError
 
 GL32 = leggauss(32)
 GL64 = leggauss(64)
+# Start of the graded panels, as a fraction of their end, for an integral from
+# 0 whose integrand ~ r^q is singular there.  The panel [0, hi*GRADE] is
+# resolved only roughly, so it must hold a negligible share: that share is
+# GRADE^{1+q}, which at 1e-30 passes q = -1/2 and -2/3 (d/alpha of D1 and J4
+# on the diagonal) to a 1e-8 target, while every divergent q <= -1 still
+# misses it by percents.
+GRADE = 1e-30
+
+
+def graded_edges(lo, start, hi, kinks):
+    """Panel edges on [lo, hi]: 40 geometric edges from ``start`` to ``hi``,
+    plus ``lo`` and every kink strictly between ``start`` and ``hi``."""
+    edges = set(np.geomspace(start, hi, 40)) | {lo, hi}
+    edges |= {k for k in kinks if start < k < hi}
+    return np.array(sorted(edges))
 
 
 def integrate_panels(fn, edges, nodes):

@@ -154,10 +154,8 @@ class TailEstimate:
     diagnostic: str | None = None
 
     def __post_init__(self):
-        lo = self.p_hat - 6.0 * self.se
-        hi = self.p_hat + 6.0 * self.se
-        if not (-0.01 <= lo and hi <= 1.01):
-            raise DomainError("tail estimate %g +- %g outside the unit band" % (self.p_hat, self.se))
+        if not (0.0 <= self.p_hat <= 1.0 and self.se >= 0.0):
+            raise DomainError("tail estimate %g +- %g is not a probability" % (self.p_hat, self.se))
 
 
 def _drift_rate(kernel, eps):

@@ -151,7 +151,7 @@ class TestTypedExits:
         trunc = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
         status, err = self._fundsol(tmp_path, trunc, 0.3)
         assert status == 4
-        assert err["type"] == "DomainError" and "rtol" in err["message"]
+        assert err["type"] == "DomainError" and 'method="mc"' in err["message"]
 
     def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
         from subtail import cli

@@ -5,12 +5,10 @@ import pytest
 from scipy.special import erfc
 
 from subtail.bernstein import BernsteinTable
-from subtail.errors import DomainError
+from subtail.errors import DomainError, QuadratureError
 from subtail.fundamental import (
-    EmpiricalDensity,
     PValue,
     SolutionRequest,
-    StableHalfDensity,
     diagonal_probe,
     _inner_Q,
     p_mc,
@@ -53,16 +51,7 @@ class TestDensities:
             assert p_quadrature(req).value == pytest.approx(want, rel=1e-9)
         assert math.e * erfc(1.0) == pytest.approx(0.427584, rel=1e-6)
 
-    def test_empirical_density_matches_closed_form(self, half_table):
-        k = caputo(0.5)
-        cfg = SimConfig(cutoff_eps=1e-4, n_paths=60_000, seed=71)
-        ens = sample_E_t(k, cfg, 1.0)
-        dens = EmpiricalDensity(ens)
-        exact = StableHalfDensity(1.0)
-        rs = np.linspace(0.3, 2.5, 9)
-        assert np.allclose(dens(rs), exact(rs), rtol=0.08)
-
-    def test_empirical_mode_refuses_tight_target(self, half_table):
+    def test_quadrature_mode_refuses_a_kernel_without_closed_form_density(self, half_table):
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
         tab = BernsteinTable(k, points_per_decade=16)
         req = SolutionRequest(
@@ -73,10 +62,9 @@ class TestDensities:
             t=0.4,
             x=0.0,
             y=0.5,
-            rtol=1e-6,
             sim=SimConfig(cutoff_eps=1e-3, n_paths=20_000, seed=5),
         )
-        with pytest.raises(DomainError, match="1e-2"):
+        with pytest.raises(DomainError, match='method="mc"'):
             p_quadrature(req)
 
 
@@ -132,14 +120,30 @@ class TestPValues:
 
     def test_near_diagonal_point_is_finite_and_symmetric(self, half_table):
         # |x - y| = 4e-6 puts the kink rho^alpha = 1.6e-11 of q(., x, y) below
-        # the geometric r-grid, which then starts under it
+        # the geometric r-grid, which then starts under it.  On the diagonal
+        # q ~ r^{-d/alpha} (1/2 for D1, 2/3 for J4) and the grid grades down
+        # to r_hi*1e-30; p there meets its value at |x - y| = 1e-12.
         g = Geometry("interval", 1.0)
-        m = HKModel("D1", alpha=2.0, d=1.0)
+        d1 = HKModel("D1", alpha=2.0, d=1.0)
+        j4 = HKModel("J4", alpha=1.5, d=1.0)
         k = caputo(0.5)
-        a = p_quadrature(SolutionRequest(k, half_table, m, g, 0.064, 0.5, 0.500004)).value
-        b = p_quadrature(SolutionRequest(k, half_table, m, g, 0.064, 0.500004, 0.5)).value
-        assert math.isfinite(a) and a > 0.0
-        assert a == pytest.approx(b, rel=1e-8)
+        cases = [(d1, 0.064, (0.5, 0.500004), (0.500004, 0.5), 1e-8)]
+        for t in (0.01, 0.1, 0.5):
+            cases.append((d1, t, (0.5, 0.5), (0.5 + 1e-12, 0.5), 1e-9))
+            cases.append((j4, t, (0.5, 0.5), (0.5 + 1e-12, 0.5), 1e-5))
+        for m, t, (x, y), (x2, y2), rel in cases:
+            a = p_quadrature(SolutionRequest(k, half_table, m, g, t, x, y)).value
+            b = p_quadrature(SolutionRequest(k, half_table, m, g, t, x2, y2)).value
+            assert math.isfinite(a) and a > 0.0
+            assert a == pytest.approx(b, rel=rel), (m.family, t)
+
+    def test_divergent_diagonal_is_quadrature_error(self, half_table):
+        # J1 has d/alpha = 1: int_0 q(r,x,x) dr ~ int_0 r^{-1} dr diverges
+        g = Geometry("interval", 1.0)
+        m = HKModel("J1", alpha=1.0, d=1.0)
+        for t in (0.01, 0.1, 0.5):
+            with pytest.raises(QuadratureError):
+                p_quadrature(SolutionRequest(caputo(0.5), half_table, m, g, t, 0.5, 0.5))
 
     def test_increase_paths_diagnostic(self, half_table):
         # far off-diagonal at few paths: huge relative error -> diagnostic

@@ -1,5 +1,6 @@
-"""Every integral in the package goes through its one checked rule, and
-every numeric root through ``bernstein``'s one bracketed root finder.
+"""Every integral in the package goes through its one checked rule, every
+numeric root through ``bernstein``'s one bracketed root finder, and no
+density is fitted by a spline.
 
 The modules are parsed, not imported, so a banned import is found even in
 a branch no test runs.
@@ -28,3 +29,9 @@ def test_no_scipy_integrate_and_one_root_finder():
             assert not name.startswith("scipy.integrate"), (path.name, name)
             if path.name != "bernstein.py":
                 assert not name.startswith("scipy.optimize"), (path.name, name)
+
+
+def test_no_scipy_interpolate():
+    for path in sorted(SRC.glob("*.py")):
+        for name in _imported_modules(path):
+            assert not name.startswith("scipy.interpolate"), (path.name, name)

@@ -98,6 +98,18 @@ class TestTailProbs:
         assert est.p_hat == 0.0
         assert est.diagnostic is not None and "insufficient paths" in est.diagnostic
 
+    def test_small_path_counts_give_estimates(self):
+        # p_hat - 6 se falls below 0 here, which is no reason to refuse them
+        k = caputo(0.5)
+        for n in (100, 400):
+            cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=3)
+            for t in (5.0, 10.0, 20.0, 40.0, 80.0):
+                est = upper_tail_prob(k, cfg, 0.5, t)
+                assert 0.0 <= est.p_hat <= 1.0 and est.se > 0.0, (n, t)
+                assert abs(est.p_hat - stable_half_upper_cdf(0.5, t)) <= 4.0 * est.se, (n, t)
+        with pytest.raises(DomainError):
+            TailEstimate(p_hat=0.5, se=-0.1, n_paths=100)
+
     def test_eps_refinement_stable(self):
         k = caputo(0.5)
         cfg = SimConfig(cutoff_eps=2e-3, n_paths=50_000, seed=9, refine_steps=2)
