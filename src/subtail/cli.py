@@ -35,6 +35,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -50,21 +51,37 @@ from .kernels import check_conditions, kernel_from_config
 from .simulate import SimConfig, sample_S_at, tail_estimate
 from .tail_bounds import upper_bound_form
 
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_NUMBER_PAIRS = {"type": "array", "items": {**_NUMBERS, "minItems": 2, "maxItems": 2}}
+# the parameters kernel_from_config has no default for, per kernel kind
+_KERNEL_REQUIRED = {
+    "power": ["beta"],
+    "truncated": ["beta"],
+    "subexp": ["beta", "theta"],
+    "distributed": ["weights"],
+    "tabulated": ["knots"],
+}
+
 _KERNEL_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["power", "truncated", "subexp", "distributed", "tabulated"]},
+        "kind": {"enum": list(_KERNEL_REQUIRED)},
         "beta": {"type": "number"},
         "scale": {"type": "number"},
         "delta": {"type": "number"},
         "theta": {"type": "number"},
         "c0": {"type": "number"},
         "smallBeta": {"type": "number"},
-        "weights": {"type": "array"},
-        "knots": {"type": "array"},
+        "weights": _NUMBER_PAIRS,
+        "knots": _NUMBER_PAIRS,
         "tail": {"enum": ["power", "zero"]},
     },
+    "allOf": [
+        {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+         "then": {"required": params}}
+        for kind, params in _KERNEL_REQUIRED.items()
+    ],
 }
 
 _MODEL_SCHEMA = {
@@ -99,8 +116,8 @@ _SIM_SCHEMA = {
         "n_paths": {"type": "integer"},
         "seed": {"type": "integer"},
         "compensate": {"type": "boolean"},
-        "refine_steps": {"type": "integer"},
     },
+    "additionalProperties": False,
 }
 
 SCHEMAS = {
@@ -129,7 +146,7 @@ SCHEMAS = {
             "grid": {
                 "type": "object",
                 "required": ["r", "t"],
-                "properties": {"r": {"type": "array"}, "t": {"type": "array"}},
+                "properties": {"r": _NUMBERS, "t": _NUMBERS},
             },
         },
     },
@@ -141,7 +158,14 @@ SCHEMAS = {
             "model": _MODEL_SCHEMA,
             "sim": _SIM_SCHEMA,
             "method": {"enum": ["quadrature", "mc"]},
-            "points": {"type": "array"},
+            "points": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["t", "x", "y"],
+                    "properties": {v: {"type": "number"} for v in ("t", "x", "y")},
+                },
+            },
         },
     },
     "estimate": {
@@ -171,8 +195,8 @@ SCHEMAS = {
     "boundary": {
         "type": "object",
         "properties": {
-            "t_values": {"type": "array"},
-            "deltas": {"type": "array"},
+            "t_values": _NUMBERS,
+            "deltas": _NUMBERS,
             "band_budget": {"type": "number"},
         },
     },
@@ -272,30 +296,22 @@ def _cmd_phi_table(cfg, out, seed, manifest, args):
 
 def _cmd_conditions(cfg, out, seed, manifest, args):
     kern = kernel_from_config(cfg["kernel"])
-    rep = check_conditions(kern)
-    payload = {
-        "ker_ok": rep.ker_ok,
-        "ker_integral": rep.ker_integral,
-        "spoly": rep.spoly,
-        "lpoly": rep.lpoly,
-        "sub": rep.sub,
-        "trunc": rep.trunc,
-        "diagnostics": rep.diagnostics,
-        "evidence": rep.evidence,
-    }
-    _write_json(os.path.join(out, "conditions.json"), payload, manifest)
+    _write_json(os.path.join(out, "conditions.json"), asdict(check_conditions(kern)), manifest)
     return 0
+
+
+def _sim_config(cfg, seed, args, n_paths):
+    """The run's SimConfig: the config's "sim" entry over the defaults, the
+    manifest seed, and --paths over both."""
+    sim_cfg = {"cutoff_eps": 1e-4, "n_paths": n_paths, **cfg.get("sim", {}), "seed": seed}
+    if args.paths:
+        sim_cfg["n_paths"] = args.paths
+    return SimConfig(**sim_cfg)
 
 
 def _cmd_tails(cfg, out, seed, manifest, args):
     kern = kernel_from_config(cfg["kernel"])
-    sim_cfg = dict(cfg.get("sim", {}))
-    sim_cfg.setdefault("cutoff_eps", 1e-4)
-    sim_cfg.setdefault("n_paths", 100_000)
-    sim_cfg["seed"] = seed
-    if args.paths:
-        sim_cfg["n_paths"] = args.paths
-    sim = SimConfig(**sim_cfg)
+    sim = _sim_config(cfg, seed, args, 100_000)
     tab = BernsteinTable(kern, points_per_decade=24)
     conds = check_conditions(kern)
     rows = []
@@ -330,15 +346,7 @@ def _cmd_fundsol(cfg, out, seed, manifest, args):
     model, geometry = model_from_config(cfg["model"])
     tab = BernsteinTable(kern, points_per_decade=24)
     method = cfg.get("method", "quadrature")
-    sim = None
-    if "sim" in cfg or method == "mc":
-        sim_cfg = dict(cfg.get("sim", {}))
-        sim_cfg.setdefault("cutoff_eps", 1e-4)
-        sim_cfg.setdefault("n_paths", 50_000)
-        sim_cfg["seed"] = seed
-        if args.paths:
-            sim_cfg["n_paths"] = args.paths
-        sim = SimConfig(**sim_cfg)
+    sim = _sim_config(cfg, seed, args, 50_000) if "sim" in cfg or method == "mc" else None
     rows = []
     for pnt in cfg["points"]:
         req = SolutionRequest(
@@ -357,32 +365,23 @@ def _cmd_estimate(cfg, out, seed, manifest, args):
     model, geometry = model_from_config(cfg["model"])
     tab = BernsteinTable(kern, points_per_decade=24)
     c = cfg["case"]
-    case = EstimateCase(
-        c["tag"],
-        kern,
-        tab,
-        model,
-        geometry,
-        c["t"],
-        c["x"],
-        c["y"],
-        horizon_T=c.get("horizon_T", 1.0),
-        margin=c.get("margin", 2.0),
-        conditions=check_conditions(kern),
-    )
+    # horizon_T and margin default to the classifier's HORIZON_T and MARGIN
+    case = EstimateCase(c["tag"], kern, tab, model, geometry, c["t"], c["x"], c["y"],
+                        conditions=check_conditions(kern),
+                        **{k: c[k] for k in ("horizon_T", "margin") if k in c})
     res = theorem_estimate(case)
     payload = {
         "value": res["value"],
         "lower": res["lower"],
         "upper": res["upper"],
         "branch": res["branch"],
-        "regime": {"tag": c["tag"], "margin": c.get("margin", 2.0)},
+        "regime": {"tag": c["tag"], "margin": case.margin},
     }
     _write_json(os.path.join(out, "estimate.json"), payload, manifest)
     return 0
 
 
-def _compare_case(tag, budget, seed, paths):
+def _compare_case(tag, budget):
     tab = golden._half_caputo_table()
     if tag.startswith("dgamma-"):
         obs, pred, coords, _ = golden._c7_case(tab, *golden.DGAMMA_CASES[tag.split("-", 1)[1]])
@@ -397,7 +396,7 @@ def _cmd_compare(cfg, out, seed, manifest, args):
     if not tag:
         raise RegimeError("compare needs --case or a 'case' config entry")
     budget = args.budget or cfg.get("budget")
-    rep = _compare_case(tag, budget, seed, args.paths)
+    rep = _compare_case(tag, budget)
     payload = rep.to_dict()
     _write_json(os.path.join(out, "compare_%s.json" % tag), payload, manifest)
     text = [

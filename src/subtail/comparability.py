@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DomainError, RegimeError
 from .estimates import EstimateCase, regime_failure
+from .tail_bounds import MARGIN
 
 __all__ = ["RatioReport", "ExpFit", "two_sided_check", "exp_constant_fit", "regime_grid"]
 
@@ -42,11 +43,10 @@ class RatioReport:
     worst_low: object = None  # coordinates of the envelope extremes
     worst_high: object = None
     per_branch: dict = field(default_factory=dict)
-    fitted: dict | None = None
     grid: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
+        return {
             "case": self.case,
             "n_points": self.n_points,
             "ratio_min": self.ratio_min,
@@ -59,9 +59,6 @@ class RatioReport:
             "per_branch": self.per_branch,
             "grid": self.grid,
         }
-        if self.fitted is not None:
-            out["fitted"] = self.fitted
-        return out
 
 
 def two_sided_check(observed, predicted, spread_budget, se=None, coords=None,
@@ -208,7 +205,7 @@ def _point_cloud(geometry, resolution):
     return pairs
 
 
-def regime_grid(tag, kernel, table, model, geometry, resolution=8, margin=2.0,
+def regime_grid(tag, kernel, table, model, geometry, resolution=8, margin=MARGIN,
                 t_window=None, conditions=None):
     """Admissible (t, x, y) tuples for a theorem branch, margin applied.
 

@@ -20,8 +20,9 @@ and the two worked examples (truncated-Caputo in free space,
 distributed-order on a bounded interval) maps to its named regime
 predicates and its form.  theorem_estimate checks the predicates and
 evaluates the form; regime_grid admits exactly the points that pass them.
-The regime inequality Phi(rho) phi(1/t) vs 1/(4e^2) (near_diagonal /
-off_diagonal) and its constants are defined here and nowhere else.
+The regime inequality Phi(rho) phi(1/t) vs 1/(4e^2), its tie rule and the
+default margin and horizon come from ``tail_bounds``, the one place they are
+defined.
 
 Conventions: log+ x = max(0, log x); when gamma = 0 the boundary distances
 are treated as infinite, which silently switches every scenario split to its
@@ -40,7 +41,7 @@ from .bernstein import calN
 from .errors import DomainError, RegimeError
 from .heat_kernel import a_gamma_delta, boundary_min_form, geometry_probe, q_eval
 from .quadrature import GRADE, checked_panels, graded_edges
-from .tail_bounds import within_bound
+from .tail_bounds import HORIZON_T, MARGIN, QUARTER_E2, near_diagonal, off_diagonal, within_bound
 
 __all__ = [
     "F_alpha",
@@ -53,30 +54,14 @@ __all__ = [
     "EstimateCase",
     "theorem_estimate",
     "regime_failure",
-    "near_diagonal",
-    "off_diagonal",
     "CASE_TAGS",
-    "QUARTER_E2",
     "HALF_E2",
 ]
 
-# the near/off-diagonal edge of Phi(rho) phi(1/t), and the upper limit of the
-# near-diagonal integral in units of 1/phi(1/t)
-QUARTER_E2 = 1.0 / (4.0 * math.e**2)
-HALF_E2 = 1.0 / (2.0 * math.e**2)
+# the upper limit 1/(2e^2) of the near-diagonal integral in units of 1/phi(1/t)
+HALF_E2 = 2.0 * QUARTER_E2
 # the boundary integral's target
 _BOUNDARY_RTOL = 1e-8
-
-
-def near_diagonal(prod, margin, rtol):
-    """The regime inequality prod = Phi(rho) phi(1/t) <= 1/(4e^2 margin); its
-    edge is admitted by the tie rule ``within_bound`` (rtol: the table's quad_rtol)."""
-    return within_bound(prod, QUARTER_E2 / margin, rtol)
-
-
-def off_diagonal(prod, margin, rtol):
-    """Its strict complement Phi(rho) phi(1/t) > margin/(4e^2)."""
-    return not within_bound(prod, margin * QUARTER_E2, rtol)
 
 
 def _logp(x):
@@ -300,8 +285,8 @@ class EstimateCase:
     t: float
     x: float
     y: float
-    horizon_T: float = 1.0
-    margin: float = 2.0
+    horizon_T: float = HORIZON_T
+    margin: float = MARGIN
     conditions: object = None
 
     def __post_init__(self):

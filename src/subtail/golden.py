@@ -15,9 +15,8 @@ import time
 import numpy as np
 
 from .bernstein import BernsteinTable, _maximize_unimodal, calM, calN
-from .comparability import exp_constant_fit, regime_grid, two_sided_check
-from .estimates import (QUARTER_E2, EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma,
-                        near_diagonal, theorem_estimate)
+from .comparability import RatioReport, exp_constant_fit, regime_grid, two_sided_check
+from .estimates import EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma, theorem_estimate
 from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
 from .heat_kernel import Geometry, HKModel, a_gamma_delta
 from .kernels import (
@@ -37,7 +36,9 @@ from .simulate import (
     stable_half_lower_cdf,
     stable_half_upper_cdf,
     tail_estimate,
+    upper_tail_prob,
 )
+from .tail_bounds import MARGIN, QUARTER_E2, lower_bound_universal, near_diagonal, upper_bound_form
 
 GOLDEN_SEED = 20240612
 B_UPPER = 6.49569  # frozen sandwich constant of the acceptance criteria
@@ -155,25 +156,32 @@ def crit_3_mc_vs_closed_form(seed=GOLDEN_SEED):
 
 
 def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
-    fracs = (0.1, 0.3, 1.0)
-    obs, pred, ses, checks, coords = [], [], [], [], []
+    """MC tails P(S_r >= t) against the ``tail_bounds`` form r w(t) and the
+    universal lower bound at L = r phi(1/t), on r = 0.1, 0.3 and 1 times the
+    classifier's margin edge.  Returns the ratio report and whether every
+    point clears the lower bound; a point outside the r w(t) form leaves the
+    criterion without a prediction, so it fails with an infinite spread."""
+    conditions = check_conditions(kern)
+    obs, pred, ses, coords = [], [], [], []
+    lower_ok = True
     for i, t in enumerate(t_vals):
         phi_t = tab.phi(1.0 / t)
-        r_edge = QUARTER_E2 / (2.0 * phi_t)  # margin-2 boundary
-        for j, frac in enumerate(fracs):
+        r_edge = QUARTER_E2 / (MARGIN * phi_t)
+        for j, frac in enumerate((0.1, 0.3, 1.0)):
             r = frac * r_edge
+            form = upper_bound_form(kern, tab, r, t, conditions=conditions)
+            if form.get("form") != "r*w(t)":
+                return RatioReport("", 0, math.nan, math.nan, math.inf, 10.0, False), False
             cfg = SimConfig(cutoff_eps=min(1e-4, t * 1e-3), n_paths=n_paths, seed=seed + 37 * i + j)
-            est = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper")
-            p, se = est.p_hat, est.se
-            L = r * phi_t
-            lower = math.exp(-math.e * L) * r * float(kern.w(t))
-            obs.append(p)
-            pred.append(r * float(kern.w(t)))
-            ses.append(se)
-            checks.append(p + 3.0 * se >= lower)
+            est = upper_tail_prob(kern, cfg, r, t)
+            lower = lower_bound_universal(tab, kern, r, t, r * phi_t)
+            lower_ok = lower_ok and est.p_hat + 3.0 * est.se >= lower
+            obs.append(est.p_hat)
+            pred.append(form["value"])
+            ses.append(est.se)
             coords.append((float(t), float(r)))
     rep = two_sided_check(np.array(obs), np.array(pred), 10.0, se=np.array(ses), coords=coords)
-    return rep, all(checks)
+    return rep, lower_ok
 
 
 def crit_4_tail_two_sidedness(seed=GOLDEN_SEED):
@@ -218,7 +226,7 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
         X, Y = [], []
         for i, (t, n) in enumerate(pts):
             cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 7 * i)
-            p = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper").p_hat
+            p = upper_tail_prob(kern, cfg, r, t).p_hat
             n_t = math.floor(t) + 1
             X.append(n_t * math.log(n_t))
             Y.append(math.log(p))
@@ -232,7 +240,7 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
         ps = {}
         for t, n, off in ((1.5, 2 * 10**6, 0), (1.95, 8 * 10**6, 1)):
             cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 101 + off)
-            ps[t] = tail_estimate(kern, sample_S_at(kern, cfg, r2), t, "upper").p_hat
+            ps[t] = upper_tail_prob(kern, cfg, r2, t).p_hat
         # n_t log n_t tracks t log t affinely over this window, so the fitted
         # slope doubles as the exponential rate; the factor-10 dip budget
         # absorbs the affine mismatch

@@ -583,13 +583,9 @@ def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25
         j_star = len(grid) - 1 if ok.all() else max(0, int(np.nonzero(~ok)[0][0]) - 1)
         t_s = float(grid[j_star])
         empirical = True
-        if isinstance(kernel, Truncated) or (
-            isinstance(kernel, Tabulated) and kernel.tail == "zero"
-        ):
-            t_f = end
-            if t_s > t_f / 2.0:
-                t_s, empirical = t_f / 2.0, False
-                j_star = int(np.searchsorted(grid, t_s, side="right") - 1)
+        if math.isfinite(end) and t_s > end / 2.0:
+            t_s, empirical = end / 2.0, False
+            j_star = int(np.searchsorted(grid, t_s, side="right") - 1)
         report.spoly = {
             "t_s": t_s,
             "delta1": delta1,
@@ -622,16 +618,10 @@ def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25
     if math.isfinite(end):
         t_f = float(end)
         pts = np.linspace(t_f / 4.0, t_f, 33)[:-1]
-        try:
-            sec = kernel.w(pts) / (t_f - pts)  # secants anchored at (t_f, 0)
-            k_lo, k_hi = float(np.min(sec)), float(np.max(sec))
-            report.trunc = {"t_f": t_f, "K_lo": k_lo, "K_hi": k_hi}
-            if report.spoly is not None:
-                report.trunc["delta3"] = report.spoly["delta1"]
-            report.evidence["trunc_secants"] = {"n": len(pts)}
-        except AtomError:
-            report.diagnostics.append(
-                "insufficient resolution: cannot probe bi-Lipschitz window of tabulated kernel"
-            )
+        sec = kernel.w(pts) / (t_f - pts)  # secants anchored at (t_f, 0)
+        report.trunc = {"t_f": t_f, "K_lo": float(np.min(sec)), "K_hi": float(np.max(sec))}
+        if report.spoly is not None:
+            report.trunc["delta3"] = report.spoly["delta1"]
+        report.evidence["trunc_secants"] = {"n": len(pts)}
 
     return report

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erf, erfc
@@ -63,7 +63,6 @@ class SimConfig:
     n_paths: int = 100_000
     seed: int = 0
     compensate: bool = True
-    refine_steps: int = 0
 
     def __post_init__(self):
         if not self.cutoff_eps > 0.0:
@@ -72,10 +71,10 @@ class SimConfig:
             raise DomainError("n_paths must be at least 100")
 
     def with_eps(self, eps):
-        return SimConfig(eps, self.n_paths, self.seed, self.compensate, self.refine_steps)
+        return replace(self, cutoff_eps=eps)
 
     def with_paths(self, n):
-        return SimConfig(self.cutoff_eps, n, self.seed, self.compensate, self.refine_steps)
+        return replace(self, n_paths=n)
 
 
 def _rng(config, stream):
@@ -356,11 +355,11 @@ def exact_stable_sampler(beta, r, n_samples=1, seed=0, rng=None):
     return float(out[0]) if n_samples == 1 else out
 
 
-def eps_refinement(kernel, config, r, t, side="upper"):
-    """Convergence table: the tail estimate under refine_steps eps-halvings."""
+def eps_refinement(kernel, config, r, t, steps, side="upper"):
+    """Convergence table: the tail estimate under ``steps`` eps-halvings."""
     rows = []
     eps = config.cutoff_eps
-    for k in range(config.refine_steps + 1):
+    for _ in range(steps + 1):
         est = tail_estimate(kernel, sample_S_at(kernel, config.with_eps(eps), r), t, side)
         rows.append({"cutoff_eps": eps, "p_hat": est.p_hat, "se": est.se})
         eps *= 0.5

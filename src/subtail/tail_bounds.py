@@ -22,6 +22,12 @@ Lower bounds:
       exp(-r H((phi')^{-1}(t/r))) as the upper bound and the same exponent
       with free (c1, c2) below, on r >= N b^{-1}(t).
 
+The regime inequality r phi(1/t) vs 1/(4e^2), which the heat-kernel
+estimates reuse with r = Phi(rho) (near_diagonal / off_diagonal), its tie
+rule (within_bound) and the classifier's constants are defined here and
+nowhere else.  The tail-regime table maps each tag to the structural
+condition it needs, its predicates and its form.
+
 Regime classification applies a margin factor of 2 to every boundary
 inequality, because the statements are asymptotic near their boundaries and
 MC noise would dominate there.  A point inside no regime, or inside two
@@ -33,21 +39,28 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RegimeError
-from .kernels import Truncated, check_conditions
+from .kernels import check_conditions
 
 __all__ = [
-    "Regime",
+    "QUARTER_E2",
+    "MARGIN",
+    "HORIZON_T",
+    "near_diagonal",
+    "off_diagonal",
+    "within_bound",
     "classify",
     "lower_bound_universal",
     "upper_bound_form",
     "lower_tail_bounds",
     "truncated_small_r_threshold",
-    "within_bound",
 ]
 
+# the edge 1/(4e^2) of the regime inequality
+QUARTER_E2 = 1.0 / (4.0 * math.e**2)
 # The regime classifier's constants: MARGIN is the safety factor kept from
 # every boundary, HORIZON_T the fixed large-time horizon of the t >= T
 # statements, SUB_L the r/t threshold of the subexponential bounds (the theory
@@ -57,90 +70,6 @@ MARGIN = 2.0
 HORIZON_T = 1.0
 SUB_L = 0.5
 SUB_K = 1.0
-
-
-@dataclass
-class Regime:
-    tag: str
-    constraints: list = field(default_factory=list)  # (name, value, bound) with value <= bound
-
-
-_R0 = weakref.WeakKeyDictionary()  # table -> {t_f: r_0}
-
-
-def truncated_small_r_threshold(table, kernel):
-    """r_0 with r phi(1/r) <= 1/(4e^2) and r <= t_f/6 for all r <= r_0.
-
-    r phi(1/r) = phi(lam)/lam at lam = 1/r falls as lam grows, so below the
-    cap t_f/6 r_0 is 1/lam at the root of 1/(4e^2) - phi(lam)/lam, found by
-    the table's root finder from its own grid.  r_0 depends only on the
-    table's phi and on t_f, so the root is solved once per (table, t_f) and
-    later calls return the remembered value.
-    """
-    from .estimates import QUARTER_E2  # imported here: estimates imports this module
-
-    t_f = kernel.support_end
-    known = _R0.setdefault(table, {})
-    if t_f not in known:
-        r0 = t_f / 6.0
-        if r0 * table.phi(1.0 / r0) > QUARTER_E2:
-            r0 = 1.0 / table._root(lambda lam: QUARTER_E2 - table.phi(lam) / lam,
-                                   QUARTER_E2 - table.phi_grid / table.lam_grid)
-        known[t_f] = r0
-    return known[t_f]
-
-
-def classify(kernel, table, r, t, conditions=None):
-    """All upper-bound regimes admitting (r, t) after the margin factor.
-
-    A regime admits (r, t) when every constraint holds under the tie rule
-    ``within_bound``.
-    """
-    from .estimates import QUARTER_E2  # imported here: estimates imports this module
-
-    if conditions is None:
-        conditions = check_conditions(kernel)
-    edge = 1.0 / MARGIN  # every constraint reads value <= edge
-    regs = []
-    rp = r * table.phi(1.0 / t)
-    if conditions.spoly is not None:
-        regs.append(Regime(
-            "small-t-poly",
-            [("t/t_s", t / conditions.spoly["t_s"], edge), ("4e^2 r phi(1/t)", rp / QUARTER_E2, edge)],
-        ))
-    if conditions.lpoly is not None:
-        regs.append(Regime(
-            "large-t-poly",
-            [("T/t", HORIZON_T / t, edge), ("4e^2 r phi(1/t)", rp / QUARTER_E2, edge)],
-        ))
-    if conditions.sub is not None:
-        regs.append(Regime(
-            "subexp",
-            [("T/t", HORIZON_T / t, edge), ("(r/t)/L", (r / t) / SUB_L, edge)],
-        ))
-    if conditions.trunc is not None:
-        t_f = conditions.trunc["t_f"]
-        r0 = truncated_small_r_threshold(table, kernel)
-        regs.append(Regime(
-            "truncated-small-r",
-            [("r/r_0", r / r0, edge), ("t_f/(2t)", t_f / (2.0 * t), edge)],
-        ))
-        # the small-r statement refines the linear-in-log one on r <= r_0, so
-        # the linear regime starts above r_0 to keep the classification a
-        # partition (no point receives two structurally different forms)
-        regs.append(Regime(
-            "truncated-linear",
-            [
-                ("(r/t)/L", (r / t) / SUB_L, edge),
-                ("t_f/(2t)", t_f / (2.0 * t), edge),
-                ("r_0/r", r0 / r, edge),
-            ],
-        ))
-    return [reg for reg in regs if _admits(reg, table.quad_rtol)]
-
-
-def _admits(reg, rtol):
-    return all(within_bound(v, b, rtol) for _, v, b in reg.constraints)
 
 
 def within_bound(value, bound, rtol):
@@ -160,6 +89,133 @@ def within_bound(value, bound, rtol):
     return value - bound <= rtol * abs(bound)
 
 
+def near_diagonal(prod, margin, rtol):
+    """The regime inequality prod <= 1/(4e^2 margin), prod = r phi(1/t) (with
+    r = Phi(rho) in the heat-kernel estimates); its edge is admitted by the
+    tie rule ``within_bound`` (rtol: the table's quad_rtol)."""
+    return within_bound(prod, QUARTER_E2 / margin, rtol)
+
+
+def off_diagonal(prod, margin, rtol):
+    """Its strict complement prod > margin/(4e^2)."""
+    return not within_bound(prod, margin * QUARTER_E2, rtol)
+
+
+_R0 = weakref.WeakKeyDictionary()  # table -> {t_f: r_0}
+
+
+def truncated_small_r_threshold(table, kernel):
+    """r_0 with r phi(1/r) <= 1/(4e^2) and r <= t_f/6 for all r <= r_0.
+
+    r phi(1/r) = phi(lam)/lam at lam = 1/r falls as lam grows, so below the
+    cap t_f/6 r_0 is 1/lam at the root of 1/(4e^2) - phi(lam)/lam, found by
+    the table's root finder from its own grid.  r_0 depends only on the
+    table's phi and on t_f, so the root is solved once per (table, t_f) and
+    later calls return the remembered value.
+    """
+    t_f = kernel.support_end
+    known = _R0.setdefault(table, {})
+    if t_f not in known:
+        r0 = t_f / 6.0
+        if r0 * table.phi(1.0 / r0) > QUARTER_E2:
+            r0 = 1.0 / table._root(lambda lam: QUARTER_E2 - table.phi(lam) / lam,
+                                   QUARTER_E2 - table.phi_grid / table.lam_grid)
+        known[t_f] = r0
+    return known[t_f]
+
+
+class _TailPoint(NamedTuple):
+    """What every predicate and form shares; rp is r phi(1/t), r0 the
+    truncated small-r threshold (None unless the kernel is truncated)."""
+
+    kernel: object
+    conditions: object
+    r: float
+    t: float
+    rp: float
+    r0: float | None
+    rtol: float
+
+
+def _edge(value):
+    """The predicate value(p) <= 1/MARGIN under the tie rule."""
+    return lambda p: within_bound(value(p), 1.0 / MARGIN, p.rtol)
+
+
+def _near(p):
+    return near_diagonal(p.rp, MARGIN, p.rtol)
+
+
+_SMALL_T = _edge(lambda p: p.t / p.conditions.spoly["t_s"])
+_LATE = _edge(lambda p: HORIZON_T / p.t)
+_SMALL_R_OVER_T = _edge(lambda p: (p.r / p.t) / SUB_L)
+_TRUNC_LATE = _edge(lambda p: p.conditions.trunc["t_f"] / (2.0 * p.t))
+_BELOW_R0 = _edge(lambda p: p.r / p.r0)
+_ABOVE_R0 = _edge(lambda p: p.r0 / p.r)
+
+
+def _poly_form(p):
+    return {"form": "r*w(t)", "value": p.r * float(p.kernel.w(p.t))}
+
+
+def _subexp_form(p):
+    beta, theta = p.conditions.sub["beta"], p.conditions.sub["theta"]
+    out = {"form": "r*exp(-theta/2 t^beta)", "value": p.r * math.exp(-0.5 * theta * p.t**beta)}
+    if beta < 1.0:
+        out["sharp_value"] = p.r * math.exp(-theta * p.t**beta + SUB_K * p.r)
+        out["sharp_form"] = "r*exp(-theta t^beta + k r)"
+    return out
+
+
+def _truncated_small_r_form(p):
+    t_f = p.conditions.trunc["t_f"]
+    n = math.floor(p.t / t_f) + 1
+    return {
+        "form": "[r+(n t_f - t)^n] r^n exp(-c t log t)",
+        "value": (p.r + (n * t_f - p.t) ** n) * p.r**n * math.exp(-p.t * math.log(p.t)),
+        "n_t": n,
+    }
+
+
+def _truncated_linear_form(p):
+    return {"form": "exp(-c t log(t/r))", "value": math.exp(-p.t * math.log(p.t / p.r))}
+
+
+# tag -> (ConditionReport field the kernel needs, predicates, form).  The
+# small-r statement refines the linear-in-log one on r <= r_0, so the linear
+# regime starts above r_0 to keep the classification a partition (no point
+# receives two structurally different forms).
+_TAIL_REGIMES = {
+    "small-t-poly": ("spoly", (_SMALL_T, _near), _poly_form),
+    "large-t-poly": ("lpoly", (_LATE, _near), _poly_form),
+    "subexp": ("sub", (_LATE, _SMALL_R_OVER_T), _subexp_form),
+    "truncated-small-r": ("trunc", (_BELOW_R0, _TRUNC_LATE), _truncated_small_r_form),
+    "truncated-linear": ("trunc", (_SMALL_R_OVER_T, _TRUNC_LATE, _ABOVE_R0),
+                         _truncated_linear_form),
+}
+
+
+def _point(kernel, table, r, t, conditions):
+    if conditions is None:
+        conditions = check_conditions(kernel)
+    r0 = None if conditions.trunc is None else truncated_small_r_threshold(table, kernel)
+    return _TailPoint(kernel, conditions, r, t, r * table.phi(1.0 / t), r0, table.quad_rtol)
+
+
+def _admitted(p):
+    return [tag for tag, (needs, predicates, _) in _TAIL_REGIMES.items()
+            if getattr(p.conditions, needs) is not None and all(test(p) for test in predicates)]
+
+
+def classify(kernel, table, r, t, conditions=None):
+    """Tags of all upper-bound regimes admitting (r, t) after the margin factor.
+
+    A regime admits (r, t) when the kernel satisfies its structural
+    condition and every predicate holds under the tie rule ``within_bound``.
+    """
+    return _admitted(_point(kernel, table, r, t, conditions))
+
+
 def lower_bound_universal(table, kernel, r, t, L):
     """Universal lower bound e^{-eL} r w(t), valid whenever r phi(1/t) <= L.
 
@@ -171,39 +227,6 @@ def lower_bound_universal(table, kernel, r, t, L):
     return math.exp(-math.e * L) * r * float(kernel.w(t))
 
 
-def _form_value(tag, kernel, conditions, r, t):
-    w_t = float(kernel.w(t))
-    if tag in ("small-t-poly", "large-t-poly"):
-        return {"tag": tag, "form": "r*w(t)", "value": r * w_t, "constant": 1.0}
-    if tag == "subexp":
-        beta, theta = conditions.sub["beta"], conditions.sub["theta"]
-        val = r * math.exp(-0.5 * theta * t**beta)
-        out = {"tag": tag, "form": "r*exp(-theta/2 t^beta)", "value": val, "constant": 1.0}
-        if beta < 1.0:
-            out["sharp_value"] = r * math.exp(-theta * t**beta + SUB_K * r)
-            out["sharp_form"] = "r*exp(-theta t^beta + k r)"
-        return out
-    if tag == "truncated-small-r":
-        t_f = conditions.trunc["t_f"]
-        n = math.floor(t / t_f) + 1
-        val = (r + (n * t_f - t) ** n) * r**n * math.exp(-t * math.log(t))
-        return {
-            "tag": tag,
-            "form": "[r+(n t_f - t)^n] r^n exp(-c t log t)",
-            "value": val,
-            "n_t": n,
-            "constant": 1.0,
-        }
-    if tag == "truncated-linear":
-        return {
-            "tag": tag,
-            "form": "exp(-c t log(t/r))",
-            "value": math.exp(-t * math.log(t / r)),
-            "constant": 1.0,
-        }
-    raise RegimeError("unknown regime tag %r" % tag)
-
-
 def upper_bound_form(kernel, table, r, t, conditions=None):
     """Structural upper bound for P(S_r >= t) at (r, t).
 
@@ -212,31 +235,26 @@ def upper_bound_form(kernel, table, r, t, conditions=None):
     coincide structurally; otherwise the result is the tag "unclassified",
     never a guess.
     """
-    if conditions is None:
-        conditions = check_conditions(kernel)
-    regs = classify(kernel, table, r, t, conditions=conditions)
-    if not regs:
+    p = _point(kernel, table, r, t, conditions)
+    tags = _admitted(p)
+    if not tags:
         return {"tag": "unclassified", "reason": "no regime admits (r=%g, t=%g)" % (r, t)}
-    vals = [_form_value(reg.tag, kernel, conditions, r, t) for reg in regs]
-    forms = {v["form"] for v in vals}
-    if len(forms) > 1:
-        return {
-            "tag": "unclassified",
-            "reason": "regimes %s disagree structurally" % sorted(v["tag"] for v in vals),
-        }
+    vals = [{"tag": tag, **_TAIL_REGIMES[tag][2](p)} for tag in tags]
+    if len({v["form"] for v in vals}) > 1:
+        return {"tag": "unclassified", "reason": "regimes %s disagree structurally" % sorted(tags)}
     out = vals[0]
-    out["regimes"] = [reg.tag for reg in regs]
+    out["regimes"] = tags
     return out
 
 
 @dataclass(frozen=True)
 class LowerTailBounds:
     """Two-sided bounds for P(S_r <= t): exp(-exponent) above, and the same
-    exponent with free (c1, c2) below (evaluated at c1 = c2 = 1)."""
+    exponent with free (c1, c2) below, which at c1 = c2 = 1 is the upper
+    bound again."""
 
     exponent: float
     upper: float
-    lower: float
 
 
 def lower_tail_bounds(table, r, t, N=1.0):
@@ -248,5 +266,4 @@ def lower_tail_bounds(table, r, t, N=1.0):
         )
     lam = table.invert("phi_prime", t / r)
     expo = r * table.H(lam)
-    up = math.exp(-expo)
-    return LowerTailBounds(exponent=expo, upper=up, lower=math.exp(-expo))
+    return LowerTailBounds(exponent=expo, upper=math.exp(-expo))

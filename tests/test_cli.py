@@ -41,6 +41,26 @@ class TestPhiTable:
         assert status == 2
 
 
+_POWER = {"kind": "power", "beta": 0.5}
+_J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", "length": 1.0}}
+
+
+@pytest.mark.parametrize("sub, cfg, path", [
+    ("tails", {"kernel": _POWER, "sim": {"bogus": 2}, "grid": {"r": [0.5], "t": [1.0]}}, "$.sim"),
+    ("tails", {"kernel": _POWER, "grid": {"r": ["0.5"], "t": [1.0]}}, "$.grid.r[0]"),
+    ("fundsol", {"kernel": _POWER, "model": _J1, "points": [{"x": 0.3, "y": 0.6}]}, "$.points[0]"),
+    ("conditions", {"kernel": {"kind": "power"}}, "$.kernel"),
+    ("conditions", {"kernel": {"kind": "distributed", "weights": [0.5]}}, "$.kernel.weights[0]"),
+    ("conditions", {"kernel": {"kind": "tabulated", "knots": [[1.0, 2.0, 3.0]]}},
+     "$.kernel.knots[0]"),
+    ("boundary", {"t_values": ["0.1"]}, "$.t_values[0]"),
+])
+def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, sub, cfg, path):
+    status, _ = run_cli(tmp_path, sub, cfg)
+    assert status == 2
+    assert "config schema violation at %s:" % path in capsys.readouterr().err
+
+
 class TestConditions:
     def test_truncated_report(self, tmp_path):
         cfg = {"kernel": {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}}

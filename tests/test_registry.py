@@ -12,14 +12,9 @@ import pytest
 
 from subtail.comparability import regime_grid
 from subtail.errors import DomainError
-from subtail.estimates import (
-    CASE_TAGS,
-    QUARTER_E2,
-    EstimateCase,
-    regime_failure,
-    theorem_estimate,
-)
+from subtail.estimates import CASE_TAGS, EstimateCase, regime_failure, theorem_estimate
 from subtail.heat_kernel import Geometry, HKModel
+from subtail.tail_bounds import QUARTER_E2
 from test_theorem_dispatch import DISPATCH_MATRIX, _model, tabs  # noqa: F401 (fixture)
 
 ROWS = {row[0]: row for row in DISPATCH_MATRIX}
@@ -101,4 +96,4 @@ def test_regime_constants_written_once():
     src = pathlib.Path(__file__).resolve().parents[1] / "src" / "subtail"
     spelled = [p.name for p in sorted(src.glob("*.py"))
                if re.search(r"math\.e\s*\*\*\s*2", p.read_text(encoding="utf-8"))]
-    assert spelled == ["estimates.py"]
+    assert spelled == ["tail_bounds.py"]

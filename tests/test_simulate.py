@@ -112,8 +112,8 @@ class TestTailProbs:
 
     def test_eps_refinement_stable(self):
         k = caputo(0.5)
-        cfg = SimConfig(cutoff_eps=2e-3, n_paths=50_000, seed=9, refine_steps=2)
-        rows = eps_refinement(k, cfg, 2.0, 1.0)
+        cfg = SimConfig(cutoff_eps=2e-3, n_paths=50_000, seed=9)
+        rows = eps_refinement(k, cfg, 2.0, 1.0, steps=2)
         assert len(rows) == 3
         for a, b in zip(rows[:-1], rows[1:]):
             pooled = math.hypot(a["se"], b["se"])

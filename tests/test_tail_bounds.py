@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from subtail import golden
 from subtail.bernstein import BernsteinTable
 from subtail.errors import RegimeError
 from subtail.kernels import Subexp, Truncated, caputo, check_conditions
@@ -106,11 +107,9 @@ class TestUpperBoundForm:
         k, tab, rep = trunc_pair
         r0 = truncated_small_r_threshold(tab, k)
         # r below r_0: only the sharp small-r statement fires
-        tags = sorted(reg.tag for reg in classify(k, tab, r0 / 8.0, 2.0, conditions=rep))
-        assert tags == ["truncated-small-r"]
+        assert classify(k, tab, r0 / 8.0, 2.0, conditions=rep) == ["truncated-small-r"]
         # r well above r_0 with r/t still small: only the linear-in-log one
-        tags = sorted(reg.tag for reg in classify(k, tab, 16.0 * r0, 2.0, conditions=rep))
-        assert tags == ["truncated-linear"]
+        assert classify(k, tab, 16.0 * r0, 2.0, conditions=rep) == ["truncated-linear"]
         out = upper_bound_form(k, tab, 16.0 * r0, 2.0, conditions=rep)
         assert out["form"] == "exp(-c t log(t/r))"
 
@@ -174,7 +173,30 @@ class TestRegimePartition:
         t = 0.25
         r_edge = 1.0 / (4.0 * math.e**2 * caputo_table.phi(1.0 / t))
         # just inside the unmargined boundary but outside margin 2
-        regs = classify(k, caputo_table, 0.9 * r_edge, t)
-        assert regs == []
-        regs = classify(k, caputo_table, 0.4 * r_edge, t)
-        assert any(reg.tag == "small-t-poly" for reg in regs)
+        assert classify(k, caputo_table, 0.9 * r_edge, t) == []
+        assert "small-t-poly" in classify(k, caputo_table, 0.4 * r_edge, t)
+
+
+class TestCriterionFour:
+    def test_point_outside_the_form_fails_without_raising(self, caputo_table, monkeypatch):
+        # criterion 4 predicts from upper_bound_form: once a point leaves the
+        # r w(t) form the criterion has no prediction there, so it fails
+        real = golden.upper_bound_form
+        calls = []
+
+        def first_point_only(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                return real(*args, **kwargs)
+            return {"tag": "unclassified", "reason": "patched"}
+
+        monkeypatch.setattr(golden, "upper_bound_form", first_point_only)
+        rep, lower_ok = golden._tail_ratio_grid(caputo(0.5), caputo_table, (0.1, 0.4), 7, 200)
+        assert len(calls) == 2
+        assert not (rep.passed and lower_ok)
+        monkeypatch.setattr(golden, "upper_bound_form", lambda *a, **k: {"tag": "unclassified"})
+        out = golden.crit_4_tail_two_sidedness()
+        assert out["passed"] is False
+        for res in out["kernels"].values():
+            assert set(res) == {"spread", "spread_doubled_paths", "lower_bound_ok",
+                                "verdict_stable", "n_points"}
