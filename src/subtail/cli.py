@@ -114,8 +114,6 @@ _SIM_SCHEMA = {
     "properties": {
         "cutoff_eps": {"type": "number"},
         "n_paths": {"type": "integer"},
-        "seed": {"type": "integer"},
-        "compensate": {"type": "boolean"},
     },
     "additionalProperties": False,
 }

@@ -18,7 +18,7 @@ latter absorb the unknown constants of the theorems).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,6 @@ class RatioReport:
     passed: bool
     worst_low: object = None  # coordinates of the envelope extremes
     worst_high: object = None
-    per_branch: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -56,13 +54,10 @@ class RatioReport:
             "passed": bool(self.passed),
             "worst_low": self.worst_low,
             "worst_high": self.worst_high,
-            "per_branch": self.per_branch,
-            "grid": self.grid,
         }
 
 
-def two_sided_check(observed, predicted, spread_budget, se=None, coords=None,
-                    branches=None, case=""):
+def two_sided_check(observed, predicted, spread_budget, se=None, coords=None, case=""):
     """Certify observed comparable-to predicted with the given spread budget.
 
     The envelope ratios use observed +- 3 se; a lower envelope touching 0
@@ -86,17 +81,6 @@ def two_sided_check(observed, predicted, spread_budget, se=None, coords=None,
     i_hi = int(np.argmax(hi_env))
     rmin, rmax = float(lo_env[i_lo]), float(hi_env[i_hi])
     spread = math.inf if rmin <= 0.0 else rmax / rmin
-    per_branch = {}
-    if branches is not None:
-        for b in sorted(set(branches)):
-            mask = np.array([bb == b for bb in branches])
-            bmin, bmax = float(np.min(lo_env[mask])), float(np.max(hi_env[mask]))
-            per_branch[b] = {
-                "ratio_min": bmin,
-                "ratio_max": bmax,
-                "spread": math.inf if bmin <= 0.0 else bmax / bmin,
-                "n_points": int(np.count_nonzero(mask)),
-            }
     return RatioReport(
         case=case,
         n_points=int(obs.size),
@@ -107,7 +91,6 @@ def two_sided_check(observed, predicted, spread_budget, se=None, coords=None,
         passed=bool(spread <= spread_budget),
         worst_low=None if coords is None else coords[i_lo],
         worst_high=None if coords is None else coords[i_hi],
-        per_branch=per_branch,
     )
 
 

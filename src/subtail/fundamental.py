@@ -179,7 +179,7 @@ def _mc_value(ens, vals):
     n = len(vals)
     mean = float(np.mean(vals))
     se = float(np.std(vals)) / math.sqrt(n)
-    censored = int(np.count_nonzero(ens.censored[:, 0])) if ens.censored is not None else 0
+    censored = int(np.count_nonzero(ens.censored)) if ens.censored is not None else 0
     diag = None
     if mean > 0.0 and se / mean > 0.10:
         diag = (
@@ -192,7 +192,7 @@ def _mc_value(ens, vals):
 def p_mc(req):
     """Monte Carlo p(t,x,y): ensemble mean of q(E_t,x,y), censoring counted."""
     ens = _ensemble(req, "p_mc")
-    return _mc_value(ens, np.asarray(req.q_at(ens.values[:, 0]), dtype=float))
+    return _mc_value(ens, np.asarray(req.q_at(ens.values), dtype=float))
 
 
 # panel edges toward a wall, as fractions of the distance to the window's middle
@@ -248,7 +248,7 @@ def solve_u(req):
         total = float(np.sum(np.diff(edges) * gm * qm))
         return PValue(value=total, method="quadrature")
     ens = _ensemble(req, "solve_u MC mode")
-    col = ens.values[:, 0]
+    col = ens.values
     grid = np.geomspace(max(col.min(), 1e-12), col.max(), 80)
     qvals = np.array([_inner_Q(req, r) for r in grid])
     return _mc_value(ens, np.interp(col, grid, qvals))

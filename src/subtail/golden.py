@@ -137,7 +137,7 @@ def crit_3_mc_vs_closed_form(seed=GOLDEN_SEED):
                 rows.append({"r": r, "t": t, "z_upper": z_up, "z_lower": z_lo})
         # Kolmogorov-Smirnov: compound-Poisson ensemble vs exact stable sampler
         cfg = SimConfig(cutoff_eps=1e-4, n_paths=n, seed=seed + 17)
-        approx = np.sort(sample_S_at(kern, cfg, 2.0).column())
+        approx = np.sort(sample_S_at(kern, cfg, 2.0).values)
         exact = np.sort(exact_stable_sampler(0.5, 2.0, n, seed=seed + 23))
         grid = np.concatenate([approx, exact])
         f1 = np.searchsorted(approx, grid, side="right") / n

