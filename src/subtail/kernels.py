@@ -303,17 +303,21 @@ class DistributedOrder:
         and decreasing in x; w(s) >= c_i s^{-beta_i} puts the start
         max_i log (c_i/y)^{1/beta_i} left of the root.  A convex function lies
         above its tangents, so the iterates rise monotonically to the root.
+        Each entry stops at its own first step of 1e-8 or less, so an entry's
+        result does not depend on the other entries of the batch.
         """
         y = np.asarray(y, dtype=float)
         terms = [(b, k / gamma_fn(1.0 - b)) for b, k in self.weights if k > 0.0]
         log_y = np.log(y)
         x = np.max([(math.log(c) - log_y) / b for b, c in terms], axis=0)
+        done = np.zeros(x.shape, dtype=bool)
         for _ in range(64):
             parts = [(b, c * np.exp(-b * x)) for b, c in terms]
             w = sum(p for _, p in parts)
             step = (np.log(w) - log_y) * w / sum(b * p for b, p in parts)
-            x = x + step
-            if not np.any(step > 1e-8):
+            x = np.where(done, x, x + step)
+            done |= ~(step > 1e-8)
+            if done.all():
                 break
         return np.exp(x)
 

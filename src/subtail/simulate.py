@@ -24,8 +24,11 @@ the compound-Poisson approximation.
 Reproducibility: all randomness flows from an integer seed through one key
 constructor, ``_rng(seed, stream)``, which keys a counter-based Philox
 generator by (seed mod 2^64, stream): stream 1 serves S_r, 2 serves E_t and
-3 the exact sampler.  Draws are made in fixed path-major order, so identical
-configs give bit-identical ensembles, and any integer seed works.
+3 the exact sampler.  ``sample_S_at`` draws all Poisson jump counts first,
+then the jump-size uniforms in path order, consumed in blocks of whole paths
+of at most ``_JUMP_BLOCK`` jumps (a path with more gets a block of its own),
+so its memory is O(paths + block) whatever the jump count.  Identical configs
+give bit-identical ensembles, and any integer seed works.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
 ]
 
 _MAX_EXPECTED_JUMPS = 4e8  # across all paths; beyond this, ask for a larger eps
+_JUMP_BLOCK = 1 << 18  # jumps held at once by sample_S_at, unless one path has more
 
 
 @dataclass(frozen=True)
@@ -139,15 +143,18 @@ def sample_S_at(kernel, config, r):
         )
     rng = _rng(config.seed, 1)
     n = config.n_paths
-    counts = rng.poisson(r * w_eps, size=n)
-    path_idx = np.repeat(np.arange(n), counts)
-    # allocated before the jump arrays: a result allocated after them sits
-    # above their freed heap memory and keeps it from being returned, which
-    # raises the peak RSS of the calls that follow
+    ends = np.cumsum(rng.poisson(r * w_eps, size=n))  # jump offset after each path
     values = np.empty(n)
-    sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=int(counts.sum())))
-    np.add(np.bincount(path_idx, weights=sizes, minlength=n), _drift_rate(kernel, eps) * r,
-           out=values)
+    lo = start = 0
+    while lo < n:
+        # the next paths whose jumps fit in one block, at least one path
+        hi = max(int(np.searchsorted(ends, start + _JUMP_BLOCK, side="right")), lo + 1)
+        stop = int(ends[hi - 1])
+        sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=stop - start))
+        path_idx = np.repeat(np.arange(hi - lo), np.diff(ends[lo:hi], prepend=start))
+        values[lo:hi] = np.bincount(path_idx, weights=sizes, minlength=hi - lo)
+        lo, start = hi, stop
+    values += _drift_rate(kernel, eps) * r
     return PathEnsemble(level=r, values=values)
 
 

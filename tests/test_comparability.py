@@ -44,7 +44,7 @@ class TestTwoSided:
         assert rep.spread == math.inf
         assert not rep.passed
 
-    def test_per_branch_spreads(self):
+    def test_spread_is_max_over_min_ratio(self):
         obs = np.array([1.0, 1.1, 3.0, 3.3])
         pred = np.ones(4)
         rep = two_sided_check(obs, pred, 8.0)

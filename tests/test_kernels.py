@@ -94,6 +94,17 @@ class TestInverseW:
             got = inverse_w_vec(k, y)
             assert np.allclose(got, s0, rtol=1e-9), name
 
+    def test_batch_independent(self, kernels):
+        # the sampler inverts its jump draws in blocks of any size, so an
+        # entry's inverse must not depend on the rest of its batch
+        for name, k in kernels.items():
+            y = float(k.w(1e-3)) * np.random.default_rng(17).uniform(0.0, 1.0, 3000)
+            full = k.w_inv(y)
+            for chunk in (1, 7, 1000):
+                for i in range(0, y.size, chunk):
+                    assert np.array_equal(full[i : i + chunk], k.w_inv(y[i : i + chunk])), (
+                        name, chunk, i)
+
     def test_out_of_range(self):
         with pytest.raises(RangeError):
             inverse_w(caputo(0.5), -1.0)

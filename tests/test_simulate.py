@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erfinv
 
+from subtail import simulate
 from subtail.errors import DomainError
-from subtail.kernels import Truncated, caputo
+from subtail.golden import builtin_kernel_set
+from subtail.kernels import Tabulated, Truncated, caputo, inverse_w_vec
 from subtail.simulate import (
     SimConfig,
     TailEstimate,
@@ -221,7 +224,58 @@ class TestExactStable:
         assert np.max(np.abs(f1 - f2)) < 0.01
 
 
-class TestEnsembleExport:
+class TestTailEstimateBand:
     def test_tail_estimate_band_invariant(self):
         with pytest.raises(DomainError):
             TailEstimate(p_hat=1.5, se=0.0, n_paths=100)
+
+
+_BLOCK_KERNELS = {
+    **builtin_kernel_set(),
+    "tabulated-zero": Tabulated(knots=((0.5, 1.8), (1.0, 1.0), (2.0, 0.55)), tail="zero"),
+}
+
+
+def _one_shot_S(kernel, config, r):
+    """S_r with every jump held at once: the reference for the blocked draws."""
+    n, eps = config.n_paths, config.cutoff_eps
+    w_eps = float(kernel.w(eps))
+    rng = simulate._rng(config.seed, 1)
+    counts = rng.poisson(r * w_eps, size=n)
+    path_idx = np.repeat(np.arange(n), counts)
+    sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=int(counts.sum())))
+    jumps = np.bincount(path_idx, weights=sizes, minlength=n)
+    return jumps + simulate._drift_rate(kernel, eps) * r, counts
+
+
+class TestBlockedDraws:
+    @pytest.mark.parametrize("block", [1, 7, 1000, None])
+    @pytest.mark.parametrize("name", sorted(_BLOCK_KERNELS))
+    def test_blocked_equals_one_shot(self, monkeypatch, name, block):
+        if block is not None:
+            monkeypatch.setattr(simulate, "_JUMP_BLOCK", block)
+        k = _BLOCK_KERNELS[name]
+        cfg = SimConfig(cutoff_eps=1e-2, n_paths=400, seed=61)
+        w_eps = float(k.w(cfg.cutoff_eps))
+        # ~0.5 jumps per path leaves many paths jump-free; ~12 puts more
+        # jumps on one path than a block of 1 or 7 holds
+        for mean_jumps in (0.5, 12.0):
+            r = mean_jumps / w_eps
+            want, counts = _one_shot_S(k, cfg, r)
+            assert np.array_equal(sample_S_at(k, cfg, r).values, want), (name, block, r)
+        if block in (1, 7):
+            assert counts.max() > block  # some path spans more than a block
+
+    def test_memory_scales_with_paths_not_jumps(self):
+        # ~1.8M jumps: holding them all at once takes ~60 MB, several times
+        # the path arrays plus a few block-sized temporaries
+        k = Truncated(beta=0.5, delta=1.0, scale=1.0)
+        cfg = SimConfig(cutoff_eps=1e-3, n_paths=200_000, seed=7)
+        tracemalloc.start()
+        try:
+            sample_S_at(k, cfg, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (4 * cfg.n_paths + 8 * simulate._JUMP_BLOCK)
+        assert peak <= bound, (peak, bound)
