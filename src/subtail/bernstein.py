@@ -17,19 +17,28 @@ with H(lambda) = phi(lambda) - lambda phi'(lambda) the Jain-Pruitt
 concentration function.  phi' and H are integrated with their own weights,
 so the identity phi - lambda*phi' = H compares independent quadratures.
 
-One evaluator, ``_bernstein_values``, computes all three at a lambda: one
-set of composite Gauss-Legendre panels on octaves of [1e-5/lambda,
-50/lambda] (split additionally at kernel breakpoints), one ``kernel.w`` call
-on their nodes, and a closed-form head: on [0, 1e-5/lambda] the factor
-e^{-lambda u} is Taylor expanded to three terms and the remaining truncated
-moments int_0^a u^k w(u) du come exactly from the kernel.  Each integral is
-taken at 24 and at 40 nodes per panel and the discrepancy is the
-achieved-error diagnostic; a silent wrong value is never returned.
+One evaluator, ``_bernstein_values``, computes all three on a 1-D array of
+lambda: per lambda, composite Gauss-Legendre panels on the 23 octaves of
+[1e-5/lambda, 50/lambda] (split additionally at kernel breakpoints), and a
+closed-form head: on [0, 1e-5/lambda] the factor e^{-lambda u} is Taylor
+expanded to three terms and the remaining truncated moments
+int_0^a u^k w(u) du come exactly from the kernel, one ``kernel.moment`` call
+per k for the whole array.  The lambdas are grouped by panel count and
+evaluated in chunks of at most ``_PANEL_CHUNK`` panels, one ``kernel.w`` call
+per chunk, which bounds the memory of a build.  Each lambda's panel sums
+reduce its own contiguous block of node values, and every power that feeds a
+value is rounded as a lone float's would be (``kernels.float_pow``), so a
+value never depends on the batch it was computed in.  Each integral is taken
+at 24 and at 40 nodes per panel and the discrepancy is the achieved-error
+diagnostic; a silent wrong value is never returned, and an array fails at its
+first failing lambda, as that lambda alone would.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
-points per decade on [1e-9, 1e9]).  The grid is built by the same checked
-evaluator as the scalar queries, so it holds bit for bit what phi(),
-phi_prime() and H() return at its nodes.  The table supplies monotone
+points per decade on [1e-9, 1e9]), built by one evaluator call.  Its queries
+phi(), phi_prime() and H() make one evaluator call per array and evaluate a
+scalar as a one-element array, so the grid holds bit for bit what they return
+at its nodes.  Scalar evaluations are memoised per table, since root finders
+and callers repeat their lambdas.  The table supplies monotone
 inverses, the composite function b(s) = s phi'(H^{-1}(1/s)), the envelope
 inverse bar_phi_alpha, all solved by one bracketed root finder, and the
 variational quantities
@@ -48,136 +57,215 @@ from numpy.polynomial.legendre import leggauss
 from scipy.optimize import brentq
 
 from .errors import DomainError, QuadratureError, RangeError
+from .kernels import float_pow
 from .shapes import PowerLaw, as_shape
 
 __all__ = ["BernsteinTable", "calM", "calN", "PowerLaw"]
 
 _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
+# geometric panels on [u0, 50/lambda]: 23 octaves for every lambda
+_OCTAVES = math.ceil(math.log2(_TAIL_MULT / _HEAD_FRAC))
+_STEPS = np.arange(_OCTAVES + 1.0)
 _COARSE = 24  # nodes per panel of the check; the 40-node values are returned
 # Gauss-Legendre nodes and weights on [-1, 1]: the 24-node rule, then the 40-node one
 _NODES, _WEIGHTS = (np.concatenate(v) for v in zip(leggauss(_COARSE), leggauss(40)))
+# most panels evaluated at once: bounds the (lambdas, panels, 64) temporaries
+_PANEL_CHUNK = 256
+_NAMES = ("phi", "H", "phi'")
 
 
-def _head_moments(kernel, lam):
-    """int_0^{1e-5/lam} u^k w(u) du for k = 0..3.  Where these, the panel
-    range 50/lam or the head's 1.5 lam^2 overflow a float, DomainError names
-    the smallest or largest supported lambda (the last power of 2 at which
-    all are finite)."""
+def _supported(kernel, lam):
+    """u0 = 1e-5/lam, hi = 50/lam, m and the mask of the supported lam.
 
-    def finite(l):
-        if _TAIL_MULT / l == math.inf or 2.0 * l * l == math.inf:
-            return None
-        try:
-            m = [kernel.moment(k, _HEAD_FRAC / l) for k in range(4)]
-        except OverflowError:
-            return None
-        return m if all(map(math.isfinite, m)) else None
+    Rows 0-3 of m are the truncated moments int_0^{u0} u^k w(u) du, one
+    kernel.moment call per k; rows 4-5, hi and 2 lam^2, only join the check.
+    A lam is supported where all of m is finite; overflow beyond that raises
+    no warning."""
+    with np.errstate(all="ignore"):
+        u0, hi = _HEAD_FRAC / lam, _TAIL_MULT / lam
+        m = np.array([kernel.moment(k, u0) for k in range(4)] + [hi, 2.0 * lam * lam])
+    return u0, hi, m, np.isfinite(m).all(axis=0)
 
-    m = finite(lam)
-    if m is None:
-        up = lam >= 1.0
-        edge, step = 1.0, (2.0 if up else 0.5)
-        while finite(edge * step) is not None:
-            edge *= step
-        raise DomainError("lambda=%g is %s the %s supported lambda %r of this kernel "
-                          "(its truncated moments or its panels overflow)"
-                          % (lam, "above" if up else "below", "largest" if up else "smallest", edge))
-    return m
+
+def _unsupported(kernel, lam):
+    """DomainError naming the smallest or largest supported lambda of the
+    kernel: going from 1 towards lam in factors of 2, the last power of 2
+    before the first unsupported one."""
+    up = lam >= 1.0
+    with np.errstate(over="ignore"):
+        powers = np.ldexp(1.0, np.arange(1, 1080) if up else -np.arange(1, 1080))
+    j = int(np.argmin(_supported(kernel, powers)[3]))
+    edge = float(powers[j - 1]) if j else 1.0
+    return DomainError("lambda=%g is %s the %s supported lambda %r of this kernel "
+                       "(its truncated moments or its panels overflow)"
+                       % (lam, "above" if up else "below", "largest" if up else "smallest", edge))
+
+
+def _panel_edges(kernel, u0, hi):
+    """Row j: the sorted panel edges on [u0[j], hi[j]], the geometric octaves
+    (as np.geomspace makes them) and the kernel's breakpoints inside, padded
+    with inf; and the panel count of each row."""
+    u0, hi = u0[:, None], hi[:, None]
+    lo10 = np.log10(u0)
+    edges = 10.0 ** (_STEPS * ((np.log10(hi) - lo10) / _OCTAVES) + lo10)
+    edges[:, :1], edges[:, -1:] = u0, hi
+    brk = np.array(kernel.breakpoints(), dtype=float)
+    inside = (u0 < brk) & (brk < hi) if brk.size else brk
+    if not inside.any():
+        return edges, np.full(len(edges), _OCTAVES)
+    edges = np.concatenate([edges, np.where(inside, brk, np.inf)], axis=1)
+    edges.sort(axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.inf  # a breakpoint on an edge
+    edges.sort(axis=1)
+    return edges, np.isfinite(edges).sum(axis=1) - 1
+
+
+def _panel_sums(kernel, lam, edges):
+    """The 24-node and the 40-node panel sums of the three Laplace integrands,
+    each (3, n), for the n lam (shaped (n, 1, 1)) of one panel count (edges:
+    (n, panels + 1)).  Every lam's sums reduce its own contiguous block of
+    node values."""
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    half = 0.5 * (b - a)
+    u = 0.5 * (a + b) + half * _NODES
+    f = np.empty((3,) + u.shape)
+    f0, f1, f2 = f
+    np.multiply(lam, u, out=f2)  # lam u
+    np.exp(np.negative(f2, out=f0), out=f0)
+    f0 *= kernel.w(u)
+    np.multiply(f0, u, out=f1)
+    np.subtract(1.0, f2, out=f2)
+    f2 *= f0
+    f *= half * _WEIGHTS
+    rows = (3, len(lam), -1)
+    return f[..., :_COARSE].reshape(rows).sum(axis=2), f[..., _COARSE:].reshape(rows).sum(axis=2)
 
 
 def _bernstein_values(kernel, lam, rtol):
-    """(phi, H, phi') at one lambda > 0 from the three Laplace integrals
+    """(phi, H, phi') at each entry of the 1-D array lam > 0, from the three
+    Laplace integrals
 
         int e^{-lam u} w du,  int u e^{-lam u} w du,  int (1-lam u) e^{-lam u} w du.
 
-    Returns the 40-node values; QuadratureError when any integral differs
-    from its 24-node value by more than rtol relative.
+    The lam are grouped by panel count and evaluated in chunks of at most
+    _PANEL_CHUNK panels, one ``kernel.w`` call per chunk, and each lam's
+    panel sums reduce its own contiguous block, so a value does not depend
+    on the other entries of lam.  Returns the 40-node values.  At the first
+    lam (in array order) that fails: DomainError when it is not supported,
+    else QuadratureError for the first integral (phi, H, phi') whose 40-node
+    value differs from its 24-node one by more than rtol relative.
     """
-    u0 = _HEAD_FRAC / lam
-    hi = _TAIL_MULT / lam
-    m = _head_moments(kernel, lam)
-    heads = (
-        m[0] - lam * m[1] + 0.5 * lam**2 * m[2],
-        m[1] - lam * m[2] + 0.5 * lam**2 * m[3],
-        m[0] - 2.0 * lam * m[1] + 1.5 * lam**2 * m[2],
-    )
-    n_oct = int(math.ceil(math.log2(hi / u0)))
-    edges = np.geomspace(u0, hi, n_oct + 1)
-    brk = [b for b in kernel.breakpoints() if u0 < b < hi]
-    if brk:
-        edges = np.unique(np.concatenate([edges, brk]))
-    a, b = edges[:-1], edges[1:]
-    u = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES[None, :]
-    pw = 0.5 * (b - a)[:, None] * _WEIGHTS[None, :]
-    f = np.exp(-lam * u) * kernel.w(u)
-    out = []
-    for name, head, fk in zip(("phi", "H", "phi'"), heads, (f, f * u, f * (1.0 - lam * u))):
-        coarse = head + float(np.sum(pw[:, :_COARSE] * fk[:, :_COARSE]))
-        fine = head + float(np.sum(pw[:, _COARSE:] * fk[:, _COARSE:]))
-        achieved = abs(coarse - fine) / max(abs(fine), 1e-300)
-        if achieved > rtol:
-            raise QuadratureError(
-                "Laplace integral of %s did not converge at lambda=%g" % (name, lam),
-                achieved=achieved,
-                target=rtol,
-            )
-        out.append(fine)
-    return lam * out[0], lam**2 * out[1], out[2]
+    u0, hi, m, ok = _supported(kernel, lam)
+    all_ok = ok.all()
+    sub = slice(None) if all_ok else np.flatnonzero(ok)
+    l, (m0, m1, m2, m3) = lam[sub], m[:4, sub]
+    l2 = float_pow(l, 2.0)
+    heads = np.array([
+        m0 - l * m1 + 0.5 * l2 * m2,
+        m1 - l * m2 + 0.5 * l2 * m3,
+        m0 - 2.0 * l * m1 + 1.5 * l2 * m2,
+    ])
+    sums = np.empty((2, 3, l.size))
+    l3 = l[:, None, None]
+    edges, panels = _panel_edges(kernel, u0[sub], hi[sub])
+    for n_p in set(panels.tolist()):
+        rows = np.flatnonzero(panels == n_p)
+        per = max(1, _PANEL_CHUNK // n_p)
+        for k in range(0, rows.size, per):
+            r = rows[k : k + per]
+            sums[:, :, r] = _panel_sums(kernel, l3[r], edges[r, : n_p + 1])
+    sums += heads
+    coarse, fine = sums
+    achieved = abs(coarse - fine) / np.maximum(abs(fine), 1e-300)
+    if (achieved > rtol).any() or not all_ok:
+        # the first failing lam in array order; there, its first failing integral
+        err = np.zeros((3, lam.size))
+        err[:, sub] = achieved
+        j = int(np.argmax(~ok | (err > rtol).any(axis=0)))
+        if not ok[j]:
+            raise _unsupported(kernel, lam[j])
+        q = int(np.argmax(err[:, j] > rtol))
+        raise QuadratureError(
+            "Laplace integral of %s did not converge at lambda=%g" % (_NAMES[q], lam[j]),
+            achieved=float(err[q, j]),
+            target=rtol,
+        )
+    fine[0] *= l
+    fine[1] *= l2
+    return fine[0], fine[1], fine[2]
 
 
 class BernsteinTable:
     """Cached monotone representations of phi, phi', H, b and their inverses.
 
-    Immutable after construction; all queries are pure, so a table can be
-    shared freely across threads.
+    Immutable after construction, but for a memo of scalar evaluations that
+    holds only what the evaluator returns; all queries are pure, so a table
+    can be shared freely across threads.
     """
 
     def __init__(self, kernel, lam_lo=1e-9, lam_hi=1e9, points_per_decade=96, quad_rtol=1e-10):
+        n = 0
+        if 0.0 < lam_lo < lam_hi and lam_hi / lam_lo < math.inf and 0.0 < points_per_decade < math.inf:
+            n = int(round(points_per_decade * math.log10(lam_hi / lam_lo)))
+        if n < 1:
+            raise DomainError(
+                "the lambda grid needs 0 < lam_lo < lam_hi, a finite lam_hi/lam_lo and "
+                "points_per_decade > 0 making at least two nodes; got lam_lo=%r, lam_hi=%r, "
+                "points_per_decade=%r" % (lam_lo, lam_hi, points_per_decade))
         self.kernel = kernel
         self.quad_rtol = quad_rtol
-        n = int(round(points_per_decade * math.log10(lam_hi / lam_lo)))
         self.lam_grid = np.geomspace(lam_lo, lam_hi, n + 1)
         # the checked values phi(), H() and phi_prime() return at the nodes
-        vals = [_bernstein_values(kernel, float(lam), quad_rtol) for lam in self.lam_grid]
-        self.phi_grid, self.H_grid, self.phi_prime_grid = np.array(vals).T.copy()
+        self.phi_grid, self.H_grid, self.phi_prime_grid = _bernstein_values(
+            kernel, self.lam_grid, quad_rtol)
         # b on its own grid: with lam = H^{-1}(1/s) running over lam_grid,
         # s = 1/H(lam) and b(s) = phi'(lam)/H(lam), exact up to quadrature
         self.b_s_grid = 1.0 / self.H_grid[::-1]
         self.b_grid = (self.phi_prime_grid / self.H_grid)[::-1]
         self._log_lam = np.log(self.lam_grid)
         self._log_phi = np.log(self.phi_grid)
+        self._memo = {}
 
     # -- forward maps -------------------------------------------------------
 
+    def _at(self, lam):
+        """(phi, H, phi') at one float lam > 0: the evaluator on a one-element
+        array.  Memoised, since root finders and callers ask for the same lam
+        again and again; the memo holds at most as many lam as the grid."""
+        v = self._memo.get(lam)
+        if v is None:
+            if len(self._memo) >= len(self.lam_grid):
+                self._memo.clear()
+            vals = _bernstein_values(self.kernel, np.array([lam]), self.quad_rtol)
+            v = self._memo[lam] = tuple(c.item() for c in vals)
+        return v
+
+    def _forward(self, lam, col, name, zero_ok):
+        """Column col of the evaluator at lam, a scalar or an array (one
+        evaluator call for all its entries); 0 where lam = 0 if zero_ok."""
+        x = np.array(lam, dtype=float, ndmin=1)
+        flat = x.ravel()
+        pos = flat > 0.0
+        if not pos.all():
+            if (flat < 0.0).any() or (not zero_ok and (flat == 0.0).any()):
+                raise DomainError("%s requires lambda %s 0" % (name, ">=" if zero_ok else ">"))
+            pos = flat != 0.0  # NaN goes on to the evaluator, which rejects it
+        if np.ndim(lam) == 0:
+            return self._at(flat.item())[col] if pos[0] else 0.0
+        out = np.zeros(flat.shape)
+        out[pos] = _bernstein_values(self.kernel, flat[pos], self.quad_rtol)[col]
+        return out.reshape(x.shape)
+
     def phi(self, lam):
         """Laplace exponent phi(lambda); phi(0) = 0 exactly."""
-        if np.ndim(lam) > 0:
-            return np.array([self.phi(v) for v in np.asarray(lam, float)])
-        lam = float(lam)
-        if lam < 0.0:
-            raise DomainError("phi requires lambda >= 0")
-        if lam == 0.0:
-            return 0.0
-        return _bernstein_values(self.kernel, lam, self.quad_rtol)[0]
+        return self._forward(lam, 0, "phi", True)
 
     def phi_prime(self, lam):
-        if np.ndim(lam) > 0:
-            return np.array([self.phi_prime(v) for v in np.asarray(lam, float)])
-        lam = float(lam)
-        if lam <= 0.0:
-            raise DomainError("phi_prime requires lambda > 0")
-        return _bernstein_values(self.kernel, lam, self.quad_rtol)[2]
+        return self._forward(lam, 2, "phi_prime", False)
 
     def H(self, lam):
-        if np.ndim(lam) > 0:
-            return np.array([self.H(v) for v in np.asarray(lam, float)])
-        lam = float(lam)
-        if lam < 0.0:
-            raise DomainError("H requires lambda >= 0")
-        if lam == 0.0:
-            return 0.0
-        return _bernstein_values(self.kernel, lam, self.quad_rtol)[1]
+        return self._forward(lam, 1, "H", True)
 
     def b_fun(self, s):
         """b(s) = s * phi'(H^{-1}(1/s)), strictly increasing."""
@@ -240,7 +328,7 @@ class BernsteinTable:
             # b(1/H(lam)) = phi'(lam)/H(lam) is strictly decreasing in lam;
             # a single lambda-space solve avoids nesting two inversions
             def g(lam):
-                _, H, dphi = _bernstein_values(self.kernel, float(lam), self.quad_rtol)
+                _, H, dphi = self._at(float(lam))
                 return y - dphi / H
 
             return 1.0 / self.H(self._root(g, y - self.b_grid[::-1]))
@@ -314,8 +402,8 @@ class BernsteinTable:
         Returns min/max over the grid of phi(l)/(l * int_0^{1/l} w) and
         H(l)/(l^2 * int_0^{1/l} u w(u) du); the moment integrals are exact.
         """
-        m0 = np.array([self.kernel.moment(0, 1.0 / l) for l in self.lam_grid])
-        m1 = np.array([self.kernel.moment(1, 1.0 / l) for l in self.lam_grid])
+        m0 = self.kernel.moment(0, 1.0 / self.lam_grid)
+        m1 = self.kernel.moment(1, 1.0 / self.lam_grid)
         r_phi = self.phi_grid / (self.lam_grid * m0)
         r_H = self.H_grid / (self.lam_grid**2 * m1)
         return {

@@ -21,9 +21,11 @@ Five kernel families are built in:
 * ``Tabulated``        piecewise log-linear table with a declared tail class
 
 Each family exposes, besides pointwise evaluation, the exact truncated
-moments M_k(a) = int_0^a u^k w(u) du in closed form.  These drive the fast
-Laplace-transform quadrature in :mod:`subtail.bernstein` and give exact
-small-jump compensators for the simulator.
+moments M_k(a) = int_0^a u^k w(u) du in closed form, for a scalar or an
+array a; an array entry equals the scalar call at it bit for bit (powers go
+through ``float_pow``).  These drive the fast Laplace-transform quadrature
+in :mod:`subtail.bernstein` and give exact small-jump compensators for the
+simulator.
 
 Each family inverts its own w (``w_inv``: a closed form, or Newton for
 ``DistributedOrder``) as the generalized inverse inf{s : w(s) < y}, which
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaincc
@@ -61,6 +64,39 @@ __all__ = [
     "check_conditions",
     "ConditionReport",
 ]
+
+
+def float_pow(x, p):
+    """x**p elementwise, rounded as a Python float power rounds it (the C
+    library's pow); inf where it overflows.  p is a scalar or an array of
+    x's shape.
+
+    numpy's vectorised power differs from that pow in the last bit for about
+    one argument in twenty.  A moment or phi value must not depend on
+    whether it was asked for alone or in an array, so every power that
+    feeds one goes through here.
+    """
+    x = np.asarray(x, dtype=float)
+    xs = x.ravel().tolist()
+    ps = p.ravel().tolist() if isinstance(p, np.ndarray) else repeat(float(p))
+    try:
+        vals = list(map(pow, xs, ps))
+    except OverflowError:
+        vals = [_pow_or_inf(a, b) for a, b in zip(xs, ps)]
+    out = np.array(vals)
+    return out if x.ndim == 1 else out.reshape(x.shape)
+
+
+def _pow_or_inf(a, b):
+    try:
+        return a**b
+    except OverflowError:
+        return math.inf
+
+
+def _like(a, out):
+    """``out`` as a float when the argument ``a`` was a scalar."""
+    return out.item() if np.ndim(a) == 0 else out
 
 
 def _as_positive_array(s):
@@ -107,7 +143,7 @@ class Power:
 
     def moment(self, k, a):
         p = k + 1.0 - self.beta
-        return self.scale * a**p / p
+        return _like(a, self.scale * float_pow(a, p) / p)
 
     def w_inv(self, y):
         return (self.scale / y) ** (1.0 / self.beta)
@@ -152,9 +188,10 @@ class Truncated:
         return np.where(s < self.delta, out, 0.0)
 
     def moment(self, k, a):
-        b = min(a, self.delta)
+        b = np.minimum(a, self.delta)
         p = k + 1.0 - self.beta
-        return self.scale * (b**p / p - self.delta ** (-self.beta) * b ** (k + 1.0) / (k + 1.0))
+        out = float_pow(b, p) / p - self.delta ** (-self.beta) * float_pow(b, k + 1.0) / (k + 1.0)
+        return _like(a, self.scale * out)
 
     def w_inv(self, y):
         return (y / self.scale + self.delta ** (-self.beta)) ** (-1.0 / self.beta)
@@ -216,11 +253,13 @@ class Subexp:
         return np.where(s <= 1.0, small, large)
 
     def moment(self, k, a):
+        x = np.array(a, dtype=float, ndmin=1)
         p = k + 1.0 - self.smallBeta
-        head = self._c_small * min(a, 1.0) ** p / p
-        if a <= 1.0:
-            return head
-        return head + self._tail_moment(k, 1.0) - self._tail_moment(k, a)
+        out = self._c_small * float_pow(np.minimum(x, 1.0), p) / p
+        far = ~(x <= 1.0)
+        if far.any():
+            out[far] = out[far] + self._tail_moment(k, 1.0) - self._tail_moment(k, x[far])
+        return _like(a, out)
 
     def _tail_moment(self, k, a):
         # int_a^inf u^k c0 exp(-theta u^beta) du via the upper incomplete gamma
@@ -230,7 +269,7 @@ class Subexp:
             / self.beta
             * self.theta ** (-q)
             * gamma_fn(q)
-            * gammaincc(q, self.theta * a**self.beta)
+            * gammaincc(q, self.theta * float_pow(a, self.beta))
         )
 
     def w_inv(self, y):
@@ -262,6 +301,8 @@ class DistributedOrder:
                 raise DomainError("DistributedOrder weights must be >= 0")
         if not any(k > 0.0 for _, k in ws):
             raise DomainError("DistributedOrder needs one strictly positive weight")
+        # (beta_i, c_i) of the Caputo terms c_i s^{-beta_i}, c_i = kappa_i/Gamma(1-beta_i)
+        object.__setattr__(self, "_terms", tuple((b, k / gamma_fn(1.0 - b)) for b, k in ws if k > 0.0))
 
     support_end = math.inf
 
@@ -275,9 +316,8 @@ class DistributedOrder:
     def w(self, s):
         s = _as_positive_array(s)
         out = np.zeros_like(s)
-        for b, k in self.weights:
-            if k > 0.0:
-                out += k / gamma_fn(1.0 - b) * s ** (-b)
+        for b, c in self._terms:
+            out += c * s ** (-b)
         return out
 
     def nu(self, s):
@@ -290,11 +330,10 @@ class DistributedOrder:
 
     def moment(self, k, a):
         tot = 0.0
-        for b, kap in self.weights:
-            if kap > 0.0:
-                p = k + 1.0 - b
-                tot += kap / gamma_fn(1.0 - b) * a**p / p
-        return tot
+        for b, c in self._terms:
+            p = k + 1.0 - b
+            tot += c * float_pow(a, p) / p
+        return _like(a, tot)
 
     def w_inv(self, y):
         """Newton on log w in x = log s, from below the root.
@@ -307,7 +346,7 @@ class DistributedOrder:
         result does not depend on the other entries of the batch.
         """
         y = np.asarray(y, dtype=float)
-        terms = [(b, k / gamma_fn(1.0 - b)) for b, k in self.weights if k > 0.0]
+        terms = self._terms
         log_y = np.log(y)
         x = np.max([(math.log(c) - log_y) / b for b, c in terms], axis=0)
         done = np.zeros(x.shape, dtype=bool)
@@ -359,6 +398,9 @@ class Tabulated:
         object.__setattr__(self, "_s", s)
         object.__setattr__(self, "_v", v)
         object.__setattr__(self, "_q", q)
+        # segment i is c_i u^{-q_i}; the moment tables are cached per k
+        object.__setattr__(self, "_c", np.array([vi * si**qi for vi, si, qi in zip(v, s, q)]))
+        object.__setattr__(self, "_tables", {})
         if q[0] >= 1.0:
             raise DomainError(
                 "first-segment slope %.3f >= 1 violates the min{1,s} integrability condition"
@@ -417,28 +459,49 @@ class Tabulated:
 
     def _piece_moment(self, k, lo, hi, i):
         # int_lo^hi u^k v_i (u/s_i)^(-q_i) du on one power-law piece
-        c = self._v[i] * self._s[i] ** self._q[i]
+        c = self._c[i]
         p = k + 1.0 - self._q[i]
         if abs(p) < 1e-12:
             return c * math.log(hi / lo)
         return c * (hi**p - lo**p) / p
 
+    def _moment_table(self, k):
+        """Per j = searchsorted(knots, a), the terms of M_k(a) for s_{j-1} <
+        a <= s_j: the whole pieces below s_{j-1} summed one after another in
+        knot order (0 for j = 0), and the piece holding a, c u^{-q} from
+        lo = s_{j-1} (from 0 below the first knot), as c, p = k + 1 - q, lo**p
+        and lo.  Cached per k."""
+        tab = self._tables.get(k)
+        if tab is None:
+            s, last = self._s, len(self._q) - 1
+            lo = np.concatenate([[0.0], s])
+            seg = np.minimum(np.arange(-1, len(s)).clip(0), last)
+            base = np.cumsum([0.0, self._piece_moment(k, 0.0, s[0], 0)]
+                             + [self._piece_moment(k, s[i], s[i + 1], i) for i in range(last + 1)])
+            p = k + 1.0 - self._q[seg]
+            lo_p = np.array([x**e for x, e in zip(lo.tolist(), p.tolist())])
+            tab = self._tables[k] = (base, self._c[seg], p, lo_p, lo)
+        return tab
+
     def moment(self, k, a):
-        s = self._s
+        x = np.array(a, dtype=float, ndmin=1)
         # head below the first knot: extrapolated power law, finite since q0 < k+1
         if self._q[0] >= k + 1.0:
-            return math.inf
-        tot = self._piece_moment(k, 0.0, min(a, s[0]), 0)
-        if a <= s[0]:
-            return tot
-        for i in range(len(self._q)):
-            lo, hi = s[i], s[i + 1]
-            if a <= lo:
-                break
-            tot += self._piece_moment(k, lo, min(a, hi), i)
-        if a > s[-1] and self.tail == "power":
-            tot += self._piece_moment(k, s[-1], a, len(self._q) - 1)
-        return tot
+            return _like(a, np.full(x.shape, math.inf))
+        base, c, p, lo_p, lo = self._moment_table(k)
+        j = np.searchsorted(self._s, x)
+        pj = p[j]
+        flat = np.abs(pj) < 1e-12  # on a segment of slope k + 1 the piece is a logarithm
+        logs = flat.any()
+        if logs:
+            pj[flat] = 1.0
+        part = c[j] * (float_pow(x, pj) - lo_p[j]) / pj
+        if logs:
+            part[flat] = [cj * math.log(v / lj) for cj, v, lj in zip(c[j[flat]], x[flat], lo[j[flat]])]
+        out = base[j] + part
+        if self.tail == "zero":
+            out = np.where(x > self._s[-1], base[-1], out)
+        return _like(a, out)
 
 
 def caputo(beta):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
+from subtail import bernstein
 from subtail.bernstein import BernsteinTable, _maximize_unimodal, calM, calN
-from subtail.errors import DomainError, RangeError
+from subtail.errors import DomainError, QuadratureError, RangeError
 from subtail.golden import builtin_kernel_set
-from subtail.kernels import Truncated, caputo
+from subtail.kernels import Tabulated, Truncated, caputo
 from subtail.shapes import PowerLaw
 
 # the golden enclosure constant of the b-sandwich, (e^2-e)/(e-2)
@@ -131,6 +133,104 @@ class TestGridInvariants:
             br = tab.phiHw_brackets()
             assert 0.25 <= br["phi"][0] <= br["phi"][1] <= 4.0, (name, br)
             assert 0.125 <= br["H"][0] <= br["H"][1] <= 8.0, (name, br)
+
+
+_ZERO_TAIL_KNOTS = np.geomspace(1e-3, 1e2, 17)
+_ZERO_TAIL = Tabulated(knots=tuple(zip(_ZERO_TAIL_KNOTS, 0.8 * _ZERO_TAIL_KNOTS**-0.6)), tail="zero")
+
+
+class TestArrayEvaluator:
+    """One evaluator serves every query: a value never depends on its batch."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    def test_batch_equals_one_element_calls(self, kernels, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(bernstein, "_PANEL_CHUNK", chunk)
+        rng = np.random.default_rng(11)
+        lam = 10.0 ** rng.uniform(-8.0, 8.0, 40)
+        # duplicates, and lambdas around those at which the truncation point 1
+        # is an end of the panel range
+        lam = np.concatenate([lam, lam[:6], [1e-5, 50.0, 1e-5 * 1.001, 50.0 / 1.001]])
+        rng.shuffle(lam)
+        for name, k in {**kernels, "tabulated-zero": _ZERO_TAIL}.items():
+            if k.breakpoints():  # the batch mixes several panel counts
+                _, panels = bernstein._panel_edges(k, 1e-5 / lam, 50.0 / lam)
+                assert len(set(panels.tolist())) > 1, name
+            batch = bernstein._bernstein_values(k, lam, 1e-10)
+            ones = [bernstein._bernstein_values(k, lam[i : i + 1], 1e-10) for i in range(lam.size)]
+            for col in range(3):
+                assert np.array_equal(batch[col], [v[col][0] for v in ones]), (name, chunk, col)
+
+    def test_array_query_is_one_evaluator_call(self, caputo_half, monkeypatch):
+        calls = []
+        evaluate = bernstein._bernstein_values
+        monkeypatch.setattr(bernstein, "_bernstein_values",
+                            lambda k, lam, rtol: calls.append(lam.size) or evaluate(k, lam, rtol))
+        lam = np.array([[0.0, 1.0, 4.0], [9.0, 0.25, 1.0]])
+        assert np.allclose(caputo_half.phi(lam), np.sqrt(lam), rtol=1e-10, atol=0.0)
+        assert calls == [5]
+
+    def test_build_memory_is_bounded_by_the_panel_chunk(self, kernels):
+        # Chunks of at most _PANEL_CHUNK panels bound the build's node arrays:
+        # one (panels, 64) float array of a chunk is _PANEL_CHUNK * 64 * 8 B,
+        # and a chunk holds at most 16 of them at once.  Beside them live the
+        # padded edges, n_lambda * (24 + breakpoints) floats, at most 3 copies.
+        k = kernels["tabulated"]
+        BernsteinTable(k, points_per_decade=4)  # moment tables, imports
+        tracemalloc.start()
+        try:
+            tab = BernsteinTable(k, points_per_decade=96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = bernstein._PANEL_CHUNK * 64 * 8
+        edges = tab.lam_grid.size * (24 + len(k.breakpoints())) * 8
+        assert peak <= 16 * chunk + 3 * edges, (peak, chunk, edges)
+
+
+class TestBuildErrors:
+    """A failed build reports the first failing node in grid order, and there
+    the first failing integral (phi, H, phi'), as a grid starting at that node does."""
+
+    def test_quadrature_error_at_the_first_node(self):
+        with pytest.raises(QuadratureError) as built:
+            BernsteinTable(caputo(0.5), quad_rtol=1e-17)
+        with pytest.raises(QuadratureError) as alone:
+            BernsteinTable(caputo(0.5), lam_lo=1e-9, lam_hi=1e-8, points_per_decade=1, quad_rtol=1e-17)
+        for err in (built.value, alone.value):
+            assert str(err) == "Laplace integral of phi did not converge at lambda=1e-09"
+            assert err.target == 1e-17
+        assert built.value.achieved == alone.value.achieved
+        assert built.value.achieved == pytest.approx(2.30e-16, rel=5e-3)
+
+    def test_domain_error_names_the_largest_supported_lambda(self):
+        with pytest.raises(DomainError) as built:
+            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4)
+        assert str(built.value) == (
+            "lambda=1e+154 is above the largest supported lambda 6.703903964971299e+153 "
+            "of this kernel (its truncated moments or its panels overflow)")
+
+    def test_earlier_node_decides_between_the_two(self):
+        # the failing quadrature at 1e-9 comes before the unsupported 1e154 ...
+        with pytest.raises(QuadratureError, match="lambda=1e-09"):
+            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4, quad_rtol=1e-17)
+        # ... and the unsupported 1e-120 before any failing quadrature
+        with pytest.raises(DomainError, match="lambda=1e-120 is below the smallest supported"):
+            BernsteinTable(caputo(0.5), lam_lo=1e-120, points_per_decade=4, quad_rtol=1e-17)
+
+    @pytest.mark.parametrize("grid", [
+        {"lam_lo": 0.0},
+        {"lam_lo": 1.0, "lam_hi": 0.5},
+        {"lam_lo": 1e-320},
+        {"lam_hi": math.inf},
+        {"lam_lo": math.nan},
+        {"points_per_decade": 0},
+        {"points_per_decade": -4},
+        {"lam_lo": 1.0, "lam_hi": 1.001, "points_per_decade": 1},
+    ])
+    def test_bad_grid_is_domain_error(self, grid):
+        with pytest.raises(DomainError, match="lambda grid"):
+            BernsteinTable(caputo(0.5), **grid)
 
 
 class TestBSandwich:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammaincc
 
 from subtail.errors import AtomError, DomainError, RangeError
 from subtail.golden import builtin_kernel_set
@@ -180,6 +180,77 @@ class TestMomentsAndKerIntegral:
             got, _ = quad(lambda s: k.nu(s), a, b, limit=200, epsrel=1e-11)
             want = eval_w(k, a) - eval_w(k, b)
             assert got == pytest.approx(want, rel=1e-8), name
+
+
+def _moment_one_float(k, j, a):
+    """M_j(a) of kernel k from its closed form, one Python float at a time:
+    the reference the array moments must match bit for bit."""
+    if isinstance(k, Power):
+        p = j + 1.0 - k.beta
+        return k.scale * a**p / p
+    if isinstance(k, Truncated):
+        b, p = min(a, k.delta), j + 1.0 - k.beta
+        return k.scale * (b**p / p - k.delta ** (-k.beta) * b ** (j + 1.0) / (j + 1.0))
+    if isinstance(k, Subexp):
+        p, q = j + 1.0 - k.smallBeta, (j + 1.0) / k.beta
+        tail = lambda x: (k.c0 / k.beta * k.theta ** (-q) * gamma_fn(q)
+                          * gammaincc(q, k.theta * x**k.beta))
+        head = k.c0 * math.exp(-k.theta) * min(a, 1.0) ** p / p
+        return head if a <= 1.0 else head + tail(1.0) - tail(a)
+    if isinstance(k, DistributedOrder):
+        tot = 0.0
+        for b, kap in k.weights:
+            if kap > 0.0:
+                p = j + 1.0 - b
+                tot += kap / gamma_fn(1.0 - b) * a**p / p
+        return tot
+    s, v, q = k._s, k._v, k._q  # Tabulated: pieces in knot order
+
+    def piece(lo, hi, i):
+        c, p = v[i] * s[i] ** q[i], j + 1.0 - q[i]
+        return c * math.log(hi / lo) if abs(p) < 1e-12 else c * (hi**p - lo**p) / p
+
+    tot = piece(0.0, min(a, s[0]), 0)
+    for i in range(len(q)):
+        if a <= s[i]:
+            break
+        tot += piece(s[i], min(a, s[i + 1]), i)
+    if a > s[-1] and k.tail == "power":
+        tot += piece(s[-1], a, len(q) - 1)
+    return tot
+
+
+def _joins(k):
+    # the knots of a table, the truncation point, Subexp's join at 1, and
+    # their neighbouring floats on either side
+    pts = [float(b) for b in k.breakpoints()] + [1.0]
+    return pts + [float(np.nextafter(b, d)) for b in pts for d in (0.0, np.inf)]
+
+
+_MOMENT_KERNELS = {
+    **_ROUND_TRIP_KERNELS,
+    # the segment from 1 to 2 has slope 1, where M_0's piece is a logarithm
+    "tabulated-log": Tabulated(knots=((0.5, 1.5), (1.0, 1.0), (2.0, 0.5), (4.0, 0.1))),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_MOMENT_KERNELS)),
+    j=st.integers(0, 3),
+    logs=st.lists(st.floats(-14.0, 8.0), max_size=12),
+    picks=st.lists(st.integers(0, 10**6), max_size=12),
+)
+def test_array_moments_equal_scalar_calls(name, j, logs, picks):
+    k = _MOMENT_KERNELS[name]
+    joins = _joins(k)
+    a = np.array([10.0**x for x in logs] + [joins[i % len(joins)] for i in picks], dtype=float)
+    got = k.moment(j, a)
+    assert got.shape == a.shape
+    one_by_one = [k.moment(j, float(x)) for x in a]
+    assert all(isinstance(m, float) for m in one_by_one)
+    assert np.array_equal(got, np.array(one_by_one, dtype=float))
+    assert np.array_equal(got, np.array([_moment_one_float(k, j, float(x)) for x in a], dtype=float))
 
 
 @settings(max_examples=40, deadline=None)
