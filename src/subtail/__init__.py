@@ -13,39 +13,4 @@ Two-sided comparability ("the ratio stays in a bounded band") is the
 verification currency throughout; see :mod:`subtail.comparability`.
 """
 
-from .errors import (
-    AtomError,
-    DomainError,
-    QuadratureError,
-    RangeError,
-    RegimeError,
-    SubtailError,
-)
-from .kernels import (
-    ConditionReport,
-    DistributedOrder,
-    Power,
-    Subexp,
-    Tabulated,
-    Truncated,
-    caputo,
-    check_conditions,
-    eval_w,
-    inverse_w,
-    kernel_from_config,
-    levy_density,
-)
-
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # heavier submodule API re-exported lazily to keep import light
-    from importlib import import_module
-
-    for mod in ("bernstein", "simulate", "tail_bounds", "heat_kernel",
-                "fundamental", "estimates", "comparability", "shapes"):
-        module = import_module("subtail." + mod)
-        if hasattr(module, name):
-            return getattr(module, name)
-    raise AttributeError("module 'subtail' has no attribute %r" % name)

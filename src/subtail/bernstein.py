@@ -58,9 +58,9 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, QuadratureError, RangeError
 from .kernels import float_pow
-from .shapes import PowerLaw, as_shape
+from .shapes import as_shape
 
-__all__ = ["BernsteinTable", "calM", "calN", "PowerLaw"]
+__all__ = ["BernsteinTable", "calM", "calN"]
 
 _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50

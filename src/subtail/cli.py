@@ -47,11 +47,13 @@ from .errors import AtomError, DomainError, QuadratureError, RangeError, RegimeE
 from .estimates import CASE_TAGS, EstimateCase, theorem_estimate
 from .fundamental import SolutionRequest, p_mc, p_quadrature
 from .heat_kernel import model_from_config
-from .kernels import check_conditions, kernel_from_config
+from .kernels import caputo, check_conditions, kernel_from_config
 from .simulate import SimConfig, sample_S_at, tail_estimate
 from .tail_bounds import upper_bound_form
 
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_POSITIVES = {"type": "array", "minItems": 1, "items": _POSITIVE}
 _NUMBER_PAIRS = {"type": "array", "items": {**_NUMBERS, "minItems": 2, "maxItems": 2}}
 # the parameters kernel_from_config has no default for, per kernel kind
 _KERNEL_REQUIRED = {
@@ -127,9 +129,9 @@ SCHEMAS = {
             "lambdas": {
                 "type": "object",
                 "properties": {
-                    "lo": {"type": "number"},
-                    "hi": {"type": "number"},
-                    "n": {"type": "integer"},
+                    "lo": _POSITIVE,
+                    "hi": _POSITIVE,
+                    "n": {"type": "integer", "minimum": 1},
                 },
             },
         },
@@ -161,7 +163,7 @@ SCHEMAS = {
                 "items": {
                     "type": "object",
                     "required": ["t", "x", "y"],
-                    "properties": {v: {"type": "number"} for v in ("t", "x", "y")},
+                    "properties": {"t": _POSITIVE, "x": {"type": "number"}, "y": {"type": "number"}},
                 },
             },
         },
@@ -177,7 +179,7 @@ SCHEMAS = {
                 "required": ["tag", "t", "x", "y"],
                 "properties": {
                     "tag": {"enum": list(CASE_TAGS)},
-                    "t": {"type": "number"},
+                    "t": _POSITIVE,
                     "x": {"type": "number"},
                     "y": {"type": "number"},
                     "horizon_T": {"type": "number"},
@@ -193,8 +195,8 @@ SCHEMAS = {
     "boundary": {
         "type": "object",
         "properties": {
-            "t_values": _NUMBERS,
-            "deltas": _NUMBERS,
+            "t_values": _POSITIVES,
+            "deltas": _POSITIVES,
             "band_budget": {"type": "number"},
         },
     },
@@ -342,13 +344,12 @@ def _cmd_tails(cfg, out, seed, manifest, args):
 def _cmd_fundsol(cfg, out, seed, manifest, args):
     kern = kernel_from_config(cfg["kernel"])
     model, geometry = model_from_config(cfg["model"])
-    tab = BernsteinTable(kern, points_per_decade=24)
     method = cfg.get("method", "quadrature")
     sim = _sim_config(cfg, seed, args, 50_000) if "sim" in cfg or method == "mc" else None
     rows = []
     for pnt in cfg["points"]:
         req = SolutionRequest(
-            kern, tab, model, geometry, pnt["t"], pnt["x"], pnt["y"], method=method, sim=sim
+            kern, model, geometry, pnt["t"], pnt["x"], pnt["y"], method=method, sim=sim
         )
         res = p_mc(req) if method == "mc" else p_quadrature(req)
         rows.append((pnt["t"], pnt["x"], pnt["y"], res.value, res.se, res.method))
@@ -412,7 +413,7 @@ def _cmd_compare(cfg, out, seed, manifest, args):
 
 
 def _cmd_boundary(cfg, out, seed, manifest, args):
-    tab = golden._half_caputo_table()
+    kern = caputo(0.5)
     t_values = cfg.get("t_values", golden.C11_T_VALUES)
     deltas = cfg.get("deltas", golden.C11_DELTAS)
     budget = cfg.get("band_budget", golden.C11_BAND)
@@ -420,7 +421,7 @@ def _cmd_boundary(cfg, out, seed, manifest, args):
     bands = {}
     ok = True
     for t in t_values:
-        us, ratios = golden._c11_sweep(tab, t, deltas)
+        us, ratios = golden._c11_sweep(kern, t, deltas)
         rows.extend((float(t), float(dlt), u, ratio) for dlt, u, ratio in zip(deltas, us, ratios))
         band = max(ratios) / min(ratios)
         bands["t=%g" % t] = band

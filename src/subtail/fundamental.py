@@ -97,7 +97,6 @@ class SolutionRequest:
     """One p(t,x,y) or u(t,x) evaluation request."""
 
     kernel: object
-    table: object
     model: object
     geometry: object
     t: float

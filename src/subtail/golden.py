@@ -21,7 +21,6 @@ from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
 from .heat_kernel import Geometry, HKModel, a_gamma_delta
 from .kernels import (
     DistributedOrder,
-    Power,
     Subexp,
     Tabulated,
     Truncated,
@@ -36,7 +35,6 @@ from .simulate import (
     stable_half_lower_cdf,
     stable_half_upper_cdf,
     tail_estimate,
-    upper_tail_prob,
 )
 from .tail_bounds import MARGIN, QUARTER_E2, lower_bound_universal, near_diagonal, upper_bound_form
 
@@ -173,7 +171,7 @@ def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
             if form.get("form") != "r*w(t)":
                 return RatioReport("", 0, math.nan, math.nan, math.inf, 10.0, False), False
             cfg = SimConfig(cutoff_eps=min(1e-4, t * 1e-3), n_paths=n_paths, seed=seed + 37 * i + j)
-            est = upper_tail_prob(kern, cfg, r, t)
+            est = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper")
             lower = lower_bound_universal(tab, kern, r, t, r * phi_t)
             lower_ok = lower_ok and est.p_hat + 3.0 * est.se >= lower
             obs.append(est.p_hat)
@@ -226,7 +224,7 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
         X, Y = [], []
         for i, (t, n) in enumerate(pts):
             cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 7 * i)
-            p = upper_tail_prob(kern, cfg, r, t).p_hat
+            p = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper").p_hat
             n_t = math.floor(t) + 1
             X.append(n_t * math.log(n_t))
             Y.append(math.log(p))
@@ -240,7 +238,7 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
         ps = {}
         for t, n, off in ((1.5, 2 * 10**6, 0), (1.95, 8 * 10**6, 1)):
             cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 101 + off)
-            ps[t] = upper_tail_prob(kern, cfg, r2, t).p_hat
+            ps[t] = tail_estimate(kern, sample_S_at(kern, cfg, r2), t, "upper").p_hat
         # n_t log n_t tracks t log t affinely over this window, so the fitted
         # slope doubles as the exponential rate; the factor-10 dip budget
         # absorbs the affine mismatch
@@ -379,7 +377,7 @@ def _c8_grid_spread(tab, tag, resolution, budget):
                       t_window=(1e-3, 0.1))
     obs, pred = [], []
     for (t, x, y) in pts:
-        req = SolutionRequest(kern, tab, m, g, t, x, y)
+        req = SolutionRequest(kern, m, g, t, x, y)
         obs.append(p_quadrature(req).value)
         if tag == "mainsmall-i":
             pred.append(J_gamma(m, g, tab, kern, m.k, t, x, y))
@@ -435,7 +433,7 @@ def crit_9_exponential_constant():
                 N = calN(tab, m.Phi, t, rho)
                 if N > 80.0:
                     continue
-                p = p_quadrature(SolutionRequest(kern, tab, m, g, t, x0, x0 + rho)).value
+                p = p_quadrature(SolutionRequest(kern, m, g, t, x0, x0 + rho)).value
                 if p <= 0.0:
                     continue
                 a = a_gamma_delta(m.gamma, m.alpha, m.k, inv, g.delta(x0), g.delta(x0 + rho))
@@ -495,13 +493,13 @@ C11_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)
 C11_BAND = 4.0
 
 
-def _c11_sweep(tab, t, deltas):
+def _c11_sweep(kern, t, deltas):
     """(u(t, delta), u/delta^{alpha gamma}) lists for J1 on (0, 1) with f = 1."""
     m = HKModel("J1", alpha=1.0, d=1.0)
     g = Geometry("interval", 1.0)
     us, ratios = [], []
     for dlt in deltas:
-        u = solve_u(SolutionRequest(tab.kernel, tab, m, g, t, dlt, f=lambda y: 1.0)).value
+        u = solve_u(SolutionRequest(kern, m, g, t, dlt, f=lambda y: 1.0)).value
         us.append(u)
         ratios.append(u / dlt ** (m.alpha * m.gamma))
     return us, ratios
@@ -511,11 +509,11 @@ def crit_11_boundary_decay():
     """u(t,x)/delta^{alpha gamma} stays in a factor-4 band near the wall."""
 
     def run():
-        tab = _half_caputo_table()
+        kern = caputo(0.5)
         bands = {}
         ok = True
         for t in C11_T_VALUES:
-            _, ratios = _c11_sweep(tab, t, C11_DELTAS)
+            _, ratios = _c11_sweep(kern, t, C11_DELTAS)
             band = max(ratios) / min(ratios)
             bands["t=%g" % t] = {"band": band, "ratios": ratios}
             ok = ok and band <= C11_BAND

@@ -41,7 +41,7 @@ from .bernstein import calM
 from .errors import DomainError
 from .shapes import PowerLaw
 
-__all__ = ["Geometry", "HKModel", "a_gamma", "a_gamma_delta", "boundary_min_form", "q_eval",
+__all__ = ["Geometry", "HKModel", "a_gamma_delta", "boundary_min_form", "q_eval",
            "geometry_probe"]
 
 
@@ -232,13 +232,6 @@ def a_gamma_delta(gamma, alpha, k, t, dx, dy):
         ph = dp**alpha
         out = out * (ph / (ph + t)) ** gamma
     return out
-
-
-def a_gamma(model, geometry, k, t, x, y):
-    """Boundary factor a_k^gamma(t,x,y); k selects the long-time clock."""
-    if t <= 0.0:
-        raise DomainError("a_gamma requires t > 0")
-    return a_gamma_delta(model.gamma, model.alpha, k, t, geometry.delta(x), geometry.delta(y))
 
 
 def boundary_min_form(body, expo, scale, dx, dy):

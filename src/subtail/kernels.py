@@ -29,8 +29,8 @@ simulator.
 
 Each family inverts its own w (``w_inv``: a closed form, or Newton for
 ``DistributedOrder``) as the generalized inverse inf{s : w(s) < y}, which
-returns a zero-tail atom's location for any y at or below its mass.
-``inverse_w`` is the checked scalar form: RangeError for a y w never takes.
+returns a zero-tail atom's location for any y at or below its mass;
+``inverse_w_vec`` applies it to an array.
 
 ``check_conditions`` certifies, on a logarithmic grid, which of the
 structural scaling conditions a kernel satisfies: small-time polynomial
@@ -48,7 +48,7 @@ from itertools import repeat
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaincc
 
-from .errors import AtomError, DomainError, RangeError
+from .errors import AtomError, DomainError
 
 __all__ = [
     "Power",
@@ -58,9 +58,6 @@ __all__ = [
     "Tabulated",
     "caputo",
     "kernel_from_config",
-    "eval_w",
-    "levy_density",
-    "inverse_w",
     "check_conditions",
     "ConditionReport",
 ]
@@ -533,41 +530,6 @@ def kernel_from_config(cfg):
 # ---------------------------------------------------------------------------
 # Module-level operations
 # ---------------------------------------------------------------------------
-
-
-def eval_w(kernel, s):
-    """Evaluate the tail kernel; exactly 0 beyond the support for Truncated."""
-    out = kernel.w(s)
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
-
-
-def levy_density(kernel, s):
-    """Levy density nu(s) = -w'(s) at interior points of an a.c. piece.
-
-    For Tabulated kernels the density is undefined exactly at knots/atoms and
-    an AtomError is raised there; the atom list is available via
-    ``kernel.atoms()``.
-    """
-    out = kernel.nu(s)
-    return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
-
-
-def inverse_w(kernel, y):
-    """The s > 0 with w(s) = y, as a float.
-
-    RangeError unless y is positive, finite and above a zero-tail atom's
-    mass (which w's jump skips), and the root a positive finite float.
-    """
-    y = float(y)
-    if not (y > 0.0) or not math.isfinite(y):
-        raise RangeError("inverse_w target must be a positive finite real", bracket=None)
-    floor = max((mass for _, mass in kernel.atoms()), default=0.0)
-    if y <= floor:
-        raise RangeError("y=%g at or below the atom of w" % y, bracket=(floor, math.inf))
-    s = float(kernel.w_inv(y))
-    if not 0.0 < s < math.inf:
-        raise RangeError("w^-1(%g) = %g is not a positive finite float" % (y, s), bracket=None)
-    return s
 
 
 def inverse_w_vec(kernel, y):

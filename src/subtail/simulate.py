@@ -6,9 +6,9 @@ P(J > s) = w(s)/w(eps); jumps below eps are replaced by their mean drift
 
     d_eps = int_0^eps s (-dw(s)) = M_0(eps) - eps w(eps),
 
-which is exact from the kernel's closed-form truncated moments.  Halving eps
-(``eps_refinement``) quantifies the residual bias; this convergence table is
-the deliverable, not a proof.
+which is exact from the kernel's closed-form truncated moments.  What remains
+is the bias of replacing the sub-eps jumps by their mean; it shrinks with
+eps, and halving eps must move a tail estimate by no more than its noise.
 
 Both samplers work at one level: ``sample_S_at`` draws S_r at one clock
 value r, and ``sample_E_t`` draws the inverse subordinator
@@ -34,7 +34,7 @@ give bit-identical ensembles, and any integer seed works.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, erfc
@@ -48,11 +48,8 @@ __all__ = [
     "TailEstimate",
     "sample_S_at",
     "tail_estimate",
-    "upper_tail_prob",
-    "lower_tail_prob",
     "sample_E_t",
     "exact_stable_sampler",
-    "eps_refinement",
     "stable_half_upper_cdf",
     "stable_half_lower_cdf",
 ]
@@ -74,9 +71,6 @@ class SimConfig:
             raise DomainError("cutoff_eps must be positive")
         if self.n_paths < 100:
             raise DomainError("n_paths must be at least 100")
-
-    def with_eps(self, eps):
-        return replace(self, cutoff_eps=eps)
 
 
 def _rng(seed, stream):
@@ -181,20 +175,6 @@ def tail_estimate(kernel, ens, t, side):
     return TailEstimate(p_hat=p, se=se, n_paths=n, diagnostic=diag)
 
 
-def upper_tail_prob(kernel, config, r, t):
-    """Estimate P(S_r >= t) with its binomial standard error."""
-    if r <= 0.0 or t <= 0.0:
-        raise DomainError("upper_tail_prob requires r, t > 0")
-    return tail_estimate(kernel, sample_S_at(kernel, config, r), t, "upper")
-
-
-def lower_tail_prob(kernel, config, r, t):
-    """Estimate P(S_r <= t) with its binomial standard error."""
-    if r <= 0.0 or t <= 0.0:
-        raise DomainError("lower_tail_prob requires r, t > 0")
-    return tail_estimate(kernel, sample_S_at(kernel, config, r), t, "lower")
-
-
 def _phi_proxy(kernel, lam):
     # phi(lam) is comparable (within [1/4,4]-ish) to lam * int_0^{1/lam} w,
     # which is closed-form; good enough to size the censoring budget
@@ -269,17 +249,6 @@ def exact_stable_sampler(beta, r, n_samples, seed=0):
     )
     s1 = (a / w) ** ((1.0 - beta) / beta)
     return r ** (1.0 / beta) * s1
-
-
-def eps_refinement(kernel, config, r, t, steps, side="upper"):
-    """Convergence table: the tail estimate under ``steps`` eps-halvings."""
-    rows = []
-    eps = config.cutoff_eps
-    for _ in range(steps + 1):
-        est = tail_estimate(kernel, sample_S_at(kernel, config.with_eps(eps), r), t, side)
-        rows.append({"cutoff_eps": eps, "p_hat": est.p_hat, "se": est.se})
-        eps *= 0.5
-    return rows
 
 
 def stable_half_upper_cdf(r, t):

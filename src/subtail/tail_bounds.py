@@ -52,7 +52,6 @@ __all__ = [
     "near_diagonal",
     "off_diagonal",
     "within_bound",
-    "classify",
     "lower_bound_universal",
     "upper_bound_form",
     "lower_tail_bounds",
@@ -202,20 +201,6 @@ def _point(kernel, table, r, t, conditions):
     return _TailPoint(kernel, conditions, r, t, r * table.phi(1.0 / t), r0, table.quad_rtol)
 
 
-def _admitted(p):
-    return [tag for tag, (needs, predicates, _) in _TAIL_REGIMES.items()
-            if getattr(p.conditions, needs) is not None and all(test(p) for test in predicates)]
-
-
-def classify(kernel, table, r, t, conditions=None):
-    """Tags of all upper-bound regimes admitting (r, t) after the margin factor.
-
-    A regime admits (r, t) when the kernel satisfies its structural
-    condition and every predicate holds under the tie rule ``within_bound``.
-    """
-    return _admitted(_point(kernel, table, r, t, conditions))
-
-
 def lower_bound_universal(table, kernel, r, t, L):
     """Universal lower bound e^{-eL} r w(t), valid whenever r phi(1/t) <= L.
 
@@ -230,13 +215,16 @@ def lower_bound_universal(table, kernel, r, t, L):
 def upper_bound_form(kernel, table, r, t, conditions=None):
     """Structural upper bound for P(S_r >= t) at (r, t).
 
+    A regime admits (r, t) when the kernel satisfies its structural
+    condition and every predicate holds under the tie rule ``within_bound``.
     Returns the form of the unique admissible regime (free constant left at
-    1).  Points admitted by several regimes are fine only when the forms
-    coincide structurally; otherwise the result is the tag "unclassified",
-    never a guess.
+    1), with the admitting tags under "regimes".  Points admitted by several
+    regimes are fine only when the forms coincide structurally; otherwise the
+    result is the tag "unclassified", never a guess.
     """
     p = _point(kernel, table, r, t, conditions)
-    tags = _admitted(p)
+    tags = [tag for tag, (needs, predicates, _) in _TAIL_REGIMES.items()
+            if getattr(p.conditions, needs) is not None and all(test(p) for test in predicates)]
     if not tags:
         return {"tag": "unclassified", "reason": "no regime admits (r=%g, t=%g)" % (r, t)}
     vals = [{"tag": tag, **_TAIL_REGIMES[tag][2](p)} for tag in tags]

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from subtail import cli
+from subtail import bernstein, cli
 from subtail.cli import main
 from subtail.simulate import SimConfig
 
@@ -45,6 +45,7 @@ class TestPhiTable:
 
 
 _POWER = {"kind": "power", "beta": 0.5}
+_HALF_CAPUTO = {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)}
 _J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", "length": 1.0}}
 
 
@@ -59,11 +60,37 @@ _J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", 
     ("boundary", {"t_values": ["0.1"]}, "$.t_values[0]"),
     # the seed comes from the manifest, so a sim seed would be ignored
     ("tails", {"kernel": _POWER, "sim": {"seed": 5}, "grid": {"r": [0.5], "t": [1.0]}}, "$.sim"),
+    # values the program cannot run on: each used to end in a traceback
+    ("phi-table", {"kernel": _POWER, "lambdas": {"lo": 0}}, "$.lambdas.lo"),
+    ("phi-table", {"kernel": _POWER, "lambdas": {"n": -3}}, "$.lambdas.n"),
+    ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "points": [{"t": 0, "x": 0.3, "y": 0.6}]},
+     "$.points[0].t"),
+    ("estimate", {"kernel": _HALF_CAPUTO, "model": _J1,
+                  "case": {"tag": "mainsmall-i", "t": 0, "x": 0.3, "y": 0.6}}, "$.case.t"),
+    ("boundary", {"t_values": [-1]}, "$.t_values[0]"),
+    ("boundary", {"deltas": []}, "$.deltas"),
 ])
 def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, sub, cfg, path):
     status, _ = run_cli(tmp_path, sub, cfg)
     assert status == 2
     assert "config schema violation at %s:" % path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub, cfg", [
+    ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "points": [{"t": 0.1, "x": 0.3, "y": 0.6}]}),
+    ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "method": "mc",
+                 "sim": {"cutoff_eps": 1e-2, "n_paths": 200},
+                 "points": [{"t": 0.1, "x": 0.3, "y": 0.6}]}),
+    ("boundary", {"t_values": [0.2], "deltas": [1e-2, 1e-1]}),
+])
+def test_commands_that_read_no_bernstein_table_build_none(tmp_path, monkeypatch, sub, cfg):
+    # p, u and the boundary sweep need the E_t law, not phi, H or b
+    def refuse(*args, **kwargs):
+        raise AssertionError("BernsteinTable built")
+
+    monkeypatch.setattr(bernstein.BernsteinTable, "__init__", refuse)
+    status, _ = run_cli(tmp_path, sub, cfg)
+    assert status == 0
 
 
 def test_sim_schema_sets_every_sim_config_field_but_the_seed():
@@ -100,7 +127,7 @@ class TestTails:
 
     def test_one_ensemble_per_clock_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
         from subtail.kernels import kernel_from_config
-        from subtail.simulate import lower_tail_prob, upper_tail_prob
+        from subtail.simulate import sample_S_at, tail_estimate
 
         kcfg = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
         cfg = {"kernel": kcfg, "sim": {"cutoff_eps": 1e-3, "n_paths": 1000},
@@ -115,7 +142,8 @@ class TestTails:
         assert len(rows) == 6
         for row in rows:
             r, t = float(row[0]), float(row[1])
-            up, lo = upper_tail_prob(kern, sim, r, t), lower_tail_prob(kern, sim, r, t)
+            up, lo = (tail_estimate(kern, sample_S_at(kern, sim, r), t, side)
+                      for side in ("upper", "lower"))
             assert row[2:6] == ["%.17g" % v for v in (up.p_hat, up.se, lo.p_hat, lo.se)]
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from subtail.bernstein import BernsteinTable
 from subtail.errors import DomainError, QuadratureError
 from subtail.fundamental import (
     PValue,
@@ -20,15 +19,9 @@ from subtail.kernels import Truncated, caputo
 from subtail.simulate import SimConfig, sample_E_t
 
 
-@pytest.fixture(scope="module")
-def half_table():
-    return BernsteinTable(caputo(0.5), points_per_decade=16)
-
-
-def req_free_J(table, t, x, y, **kw):
+def req_free_J(t, x, y, **kw):
     return SolutionRequest(
         kernel=caputo(0.5),
-        table=table,
         model=HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.0, lam=0.0, k=1),
         geometry=Geometry("free"),
         t=t,
@@ -39,24 +32,22 @@ def req_free_J(table, t, x, y, **kw):
 
 
 class TestDensities:
-    def test_closed_form_normalizes(self, half_table):
-        req = req_free_J(half_table, 1.3, 0.0, 1.0, q_override=lambda r: np.ones_like(r))
+    def test_closed_form_normalizes(self):
+        req = req_free_J(1.3, 0.0, 1.0, q_override=lambda r: np.ones_like(r))
         assert p_quadrature(req).value == pytest.approx(1.0, abs=1e-10)
 
-    def test_exponential_diagnostic_value(self, half_table):
+    def test_exponential_diagnostic_value(self):
         # q(r) = e^{-r} gives p = e^t erfc(sqrt t) in closed form
         for t in (0.3, 1.0, 4.0):
-            req = req_free_J(half_table, t, 0.0, 1.0, q_override=lambda r: np.exp(-r))
+            req = req_free_J(t, 0.0, 1.0, q_override=lambda r: np.exp(-r))
             want = math.exp(t) * erfc(math.sqrt(t))
             assert p_quadrature(req).value == pytest.approx(want, rel=1e-9)
         assert math.e * erfc(1.0) == pytest.approx(0.427584, rel=1e-6)
 
-    def test_quadrature_mode_refuses_a_kernel_without_closed_form_density(self, half_table):
+    def test_quadrature_mode_refuses_a_kernel_without_closed_form_density(self):
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        tab = BernsteinTable(k, points_per_decade=16)
         req = SolutionRequest(
             kernel=k,
-            table=tab,
             model=HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.0, lam=0.0, k=1),
             geometry=Geometry("free"),
             t=0.4,
@@ -69,9 +60,8 @@ class TestDensities:
 
 
 class TestPValues:
-    def test_mc_constant_kernel_total_mass(self, half_table):
+    def test_mc_constant_kernel_total_mass(self):
         req = req_free_J(
-            half_table,
             0.7,
             0.0,
             1.0,
@@ -82,43 +72,43 @@ class TestPValues:
         assert out.value == pytest.approx(2.5, abs=1e-12)
         assert out.se == 0.0
 
-    def test_mc_matches_quadrature(self, half_table):
+    def test_mc_matches_quadrature(self):
         cfg = SimConfig(cutoff_eps=1e-4, n_paths=40_000, seed=17)
         for t in (0.25, 1.0):
             for rho in (0.5, 2.0):
-                req = req_free_J(half_table, t, 0.0, rho, sim=cfg)
+                req = req_free_J(t, 0.0, rho, sim=cfg)
                 mc = p_mc(req)
                 qd = p_quadrature(req)
                 assert abs(mc.value - qd.value) <= 3.0 * mc.se, (t, rho)
 
-    def test_mc_symmetry_shared_ensemble(self, half_table):
+    def test_mc_symmetry_shared_ensemble(self):
         k = caputo(0.5)
         ens = sample_E_t(k, SimConfig(cutoff_eps=1e-3, n_paths=10_000, seed=29), 0.8)
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
-        a = p_mc(SolutionRequest(k, half_table, m, g, 0.8, 0.3, 0.7, ensemble=ens))
-        b = p_mc(SolutionRequest(k, half_table, m, g, 0.8, 0.7, 0.3, ensemble=ens))
+        a = p_mc(SolutionRequest(k, m, g, 0.8, 0.3, 0.7, ensemble=ens))
+        b = p_mc(SolutionRequest(k, m, g, 0.8, 0.7, 0.3, ensemble=ens))
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
-    def test_quadrature_symmetry_and_positivity(self, half_table):
+    def test_quadrature_symmetry_and_positivity(self):
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
         k = caputo(0.5)
         for t in (0.05, 0.4):
-            a = p_quadrature(SolutionRequest(k, half_table, m, g, t, 0.2, 0.9))
-            b = p_quadrature(SolutionRequest(k, half_table, m, g, t, 0.9, 0.2))
+            a = p_quadrature(SolutionRequest(k, m, g, t, 0.2, 0.9))
+            b = p_quadrature(SolutionRequest(k, m, g, t, 0.9, 0.2))
             assert a.value > 0.0
             assert a.value == pytest.approx(b.value, rel=1e-9)
 
-    def test_time_monotone_off_diagonal(self, half_table):
+    def test_time_monotone_off_diagonal(self):
         # deep off-diagonal J regime: p increases in t (the t/rho^{d+a} branch)
         vals = []
         for t in (0.01, 0.02, 0.04, 0.08):
-            req = req_free_J(half_table, t, 0.0, 25.0)
+            req = req_free_J(t, 0.0, 25.0)
             vals.append(p_quadrature(req).value)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_near_diagonal_point_is_finite_and_symmetric(self, half_table):
+    def test_near_diagonal_point_is_finite_and_symmetric(self):
         # |x - y| = 4e-6 puts the kink rho^alpha = 1.6e-11 of q(., x, y) below
         # the geometric r-grid, which then starts under it.  On the diagonal
         # q ~ r^{-d/alpha} (1/2 for D1, 2/3 for J4) and the grid grades down
@@ -132,66 +122,59 @@ class TestPValues:
             cases.append((d1, t, (0.5, 0.5), (0.5 + 1e-12, 0.5), 1e-9))
             cases.append((j4, t, (0.5, 0.5), (0.5 + 1e-12, 0.5), 1e-5))
         for m, t, (x, y), (x2, y2), rel in cases:
-            a = p_quadrature(SolutionRequest(k, half_table, m, g, t, x, y)).value
-            b = p_quadrature(SolutionRequest(k, half_table, m, g, t, x2, y2)).value
+            a = p_quadrature(SolutionRequest(k, m, g, t, x, y)).value
+            b = p_quadrature(SolutionRequest(k, m, g, t, x2, y2)).value
             assert math.isfinite(a) and a > 0.0
             assert a == pytest.approx(b, rel=rel), (m.family, t)
 
-    def test_divergent_diagonal_is_quadrature_error(self, half_table):
+    def test_divergent_diagonal_is_quadrature_error(self):
         # J1 has d/alpha = 1: int_0 q(r,x,x) dr ~ int_0 r^{-1} dr diverges
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
         for t in (0.01, 0.1, 0.5):
             with pytest.raises(QuadratureError):
-                p_quadrature(SolutionRequest(caputo(0.5), half_table, m, g, t, 0.5, 0.5))
+                p_quadrature(SolutionRequest(caputo(0.5), m, g, t, 0.5, 0.5))
 
-    def test_increase_paths_diagnostic(self, half_table):
+    def test_increase_paths_diagnostic(self):
         # far off-diagonal at few paths: huge relative error -> diagnostic
-        req = req_free_J(
-            half_table, 0.01, 0.0, 60.0, sim=SimConfig(cutoff_eps=1e-3, n_paths=500, seed=13)
-        )
+        req = req_free_J(0.01, 0.0, 60.0, sim=SimConfig(cutoff_eps=1e-3, n_paths=500, seed=13))
         out = p_mc(req)
         assert out.diagnostic is None or "increase paths" in out.diagnostic
 
 
 class TestSolveU:
-    def test_free_space_mass_golden(self, half_table):
+    def test_free_space_mass_golden(self):
         # d = alpha = 1 free-space model: int q^j(r,x,y) dy
         # = int r/(r^2 + rho^2) drho = pi for every r, so u(t,x) with f = 1
         # equals pi at any t (golden number; scale-free in r)
         for t in (0.1, 0.7):
-            req = req_free_J(half_table, t, 0.0, None, f=lambda y: 1.0)
+            req = req_free_J(t, 0.0, None, f=lambda y: 1.0)
             out = solve_u(req)
             assert out.value == pytest.approx(math.pi, rel=2e-3)
 
-    def test_odd_f_cancels_at_midpoint(self, half_table):
+    def test_odd_f_cancels_at_midpoint(self):
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
-        req = SolutionRequest(
-            caputo(0.5), half_table, m, g, 0.2, 0.5, f=lambda y: y - 0.5
-        )
-        out = solve_u(req)
-        ref = solve_u(
-            SolutionRequest(caputo(0.5), half_table, m, g, 0.2, 0.5, f=lambda y: abs(y - 0.5))
-        )
+        out = solve_u(SolutionRequest(caputo(0.5), m, g, 0.2, 0.5, f=lambda y: y - 0.5))
+        ref = solve_u(SolutionRequest(caputo(0.5), m, g, 0.2, 0.5, f=lambda y: abs(y - 0.5)))
         assert abs(out.value) <= 1e-6 * ref.value
 
-    def test_inner_integral_closed_form(self, half_table):
+    def test_inner_integral_closed_form(self):
         # J1 on (0, 1) at r >= 1 is e^{-r} delta(x)^{1/2} delta(y)^{1/2}, so
         # Q(r, x) = e^{-r} delta(x)^{1/2} int_0^1 delta(y)^{1/2} dy
         #         = e^{-r} delta(x)^{1/2} sqrt(2)/3
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
         for x in (1e-3, 0.3, 0.5):
-            req = SolutionRequest(caputo(0.5), half_table, m, g, 0.2, x, f=lambda y: 1.0)
+            req = SolutionRequest(caputo(0.5), m, g, 0.2, x, f=lambda y: 1.0)
             for r in (1.5, 4.0):
                 want = math.exp(-r) * math.sqrt(min(x, 1.0 - x)) * math.sqrt(2.0) / 3.0
                 assert _inner_Q(req, r) == pytest.approx(want, rel=1e-10), (x, r)
 
-    def test_mc_mode_agrees(self, half_table):
+    def test_mc_mode_agrees(self):
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
-        base = SolutionRequest(caputo(0.5), half_table, m, g, 0.3, 0.4, f=lambda y: 1.0)
+        base = SolutionRequest(caputo(0.5), m, g, 0.3, 0.4, f=lambda y: 1.0)
         u_q = solve_u(base)
         base.method = "mc"
         base.sim = SimConfig(cutoff_eps=1e-4, n_paths=20_000, seed=37)

@@ -5,7 +5,7 @@ import pytest
 
 from subtail.bernstein import calM
 from subtail.errors import DomainError
-from subtail.heat_kernel import Geometry, HKModel, a_gamma, geometry_probe, q_eval
+from subtail.heat_kernel import Geometry, HKModel, a_gamma_delta, geometry_probe, q_eval
 
 
 class TestGeometry:
@@ -48,19 +48,21 @@ class TestAGamma:
         m = HKModel("HK_J", alpha=2.0, d=1.0, gamma=0.5, lam=0.0, k=1)
         x = 0.3
         t = g.delta(x) ** 2
-        assert a_gamma(m, g, 1, t, x, 1.0 - x) == pytest.approx(0.5, rel=1e-12)
+        a = a_gamma_delta(m.gamma, m.alpha, 1, t, g.delta(x), g.delta(1.0 - x))
+        assert a == pytest.approx(0.5, rel=1e-12)
 
     def test_gamma_zero_is_one(self):
         g = Geometry("interval", 1.0)
         m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.0, lam=0.0, k=1)
-        assert a_gamma(m, g, 1, 17.3, 0.2, 0.9) == 1.0
+        assert a_gamma_delta(m.gamma, m.alpha, 1, 17.3, g.delta(0.2), g.delta(0.9)) == 1.0
 
     def test_a2_is_a1_at_shrunk_clock(self):
         g = Geometry("exterior")
         m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.5, lam=0.0, k=2)
         t = 1.0
-        assert a_gamma(m, g, 2, t, 3.0, -2.0) == pytest.approx(
-            a_gamma(m, g, 1, 0.5, 3.0, -2.0), rel=1e-12
+        dx, dy = g.delta(3.0), g.delta(-2.0)
+        assert a_gamma_delta(m.gamma, m.alpha, 2, t, dx, dy) == pytest.approx(
+            a_gamma_delta(m.gamma, m.alpha, 1, 0.5, dx, dy), rel=1e-12
         )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammaincc
 
-from subtail.errors import AtomError, DomainError, RangeError
+from subtail.errors import AtomError, DomainError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import (
     DistributedOrder,
@@ -17,72 +17,67 @@ from subtail.kernels import (
     Truncated,
     caputo,
     check_conditions,
-    eval_w,
-    inverse_w,
     inverse_w_vec,
     kernel_from_config,
-    levy_density,
 )
 
 
 class TestEvalW:
     def test_caputo_at_one(self):
         # Gamma(1/2) = sqrt(pi)
-        assert eval_w(caputo(0.5), 1.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
+        assert caputo(0.5).w(1.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
 
     def test_truncated_vanishes_at_endpoint(self):
-        assert eval_w(Truncated(beta=0.5, delta=1.0, scale=1.0), 1.0) == 0.0
-        assert eval_w(Truncated(beta=0.5, delta=1.0, scale=1.0), 2.0) == 0.0
+        assert Truncated(beta=0.5, delta=1.0, scale=1.0).w(1.0) == 0.0
+        assert Truncated(beta=0.5, delta=1.0, scale=1.0).w(2.0) == 0.0
 
     def test_subexp_huge_argument_underflows_to_zero(self):
         k = Subexp(beta=1.0, theta=1.0, c0=1.0, smallBeta=0.5)
-        assert eval_w(k, 1e9) == 0.0  # underflow, not an error
+        assert k.w(1e9) == 0.0  # underflow, not an error
 
     def test_nonpositive_argument_is_domain_error(self):
         for s in (0.0, -1.0):
             with pytest.raises(DomainError):
-                eval_w(caputo(0.5), s)
+                caputo(0.5).w(s)
 
 
 class TestLevyDensity:
     def test_power_density(self):
-        assert levy_density(caputo(0.5), 1.0) == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-12)
+        assert caputo(0.5).nu(1.0) == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-12)
 
     def test_truncated_density_inside_and_outside(self):
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        assert levy_density(k, 0.25) == pytest.approx(0.5 * 0.25**-1.5, rel=1e-12)  # = 4
-        assert levy_density(k, 2.0) == 0.0
+        assert k.nu(0.25) == pytest.approx(0.5 * 0.25**-1.5, rel=1e-12)  # = 4
+        assert k.nu(2.0) == 0.0
 
     def test_tabulated_knot_signals_atom(self):
         k = Tabulated(knots=((0.5, 1.8), (1.0, 1.0), (2.0, 0.55)))
         with pytest.raises(AtomError):
-            levy_density(k, 1.0)
-        assert levy_density(k, 0.7) > 0.0
+            k.nu(1.0)
+        assert k.nu(0.7) > 0.0
 
     def test_tabulated_zero_tail_lists_atom(self):
         k = Tabulated(knots=((0.5, 1.8), (1.0, 1.0)), tail="zero")
         assert k.atoms() == ((1.0, 1.0),)
-        assert eval_w(k, 1.5) == 0.0
+        assert k.w(1.5) == 0.0
 
 
 class TestInverseW:
     def test_power_closed_form(self):
-        assert inverse_w(Power(beta=0.5, scale=1.0), 2.0) == pytest.approx(0.25, rel=1e-12)
+        assert Power(beta=0.5, scale=1.0).w_inv(2.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_truncated_closed_form(self):
-        assert inverse_w(Truncated(beta=0.5, delta=1.0, scale=1.0), 1.0) == pytest.approx(
-            0.25, rel=1e-12
-        )
+        assert Truncated(beta=0.5, delta=1.0, scale=1.0).w_inv(1.0) == pytest.approx(0.25, rel=1e-12)
 
     def test_round_trip_all_variants(self, kernels):
         for name, k in kernels.items():
             end = k.support_end
             hi = min(end * 0.999, 1e3) if math.isfinite(end) else 1e3
             for s0 in np.geomspace(1e-3, hi, 17):
-                y = eval_w(k, s0)
+                y = k.w(s0)
                 if y <= 0.0:
                     continue
-                s = inverse_w(k, y)
+                s = k.w_inv(y)
                 assert s == pytest.approx(s0, rel=1e-10), (name, s0)
 
     def test_vectorized_matches_scalar(self, kernels):
@@ -105,30 +100,18 @@ class TestInverseW:
                     assert np.array_equal(full[i : i + chunk], k.w_inv(y[i : i + chunk])), (
                         name, chunk, i)
 
-    def test_out_of_range(self):
-        with pytest.raises(RangeError):
-            inverse_w(caputo(0.5), -1.0)
-        # below the infimum of w on the support of a truncated-table kernel
-        k = Tabulated(knots=((0.5, 1.8), (1.0, 1.0)), tail="zero")
-        with pytest.raises(RangeError):
-            inverse_w(k, 0.5)
-
-
     def test_below_zero_tail_atom(self):
         # w jumps from 1.0 to 0 at s = 1: the sampler's generalized inverse
-        # puts every target at or below the jump on the atom; inverse_w refuses it
+        # puts every target at or below the jump on the atom
         k = Tabulated(knots=((0.5, 1.8), (1.0, 1.0)), tail="zero")
         got = inverse_w_vec(k, np.array([1e-9, 0.5, 1.0]))
         assert np.all(got == 1.0)
-        for y in (0.5, 1.0):
-            with pytest.raises(RangeError):
-                inverse_w(k, y)
 
     def test_scalar_and_vector_agree_far_out(self):
         k = builtin_kernel_set()["distributed"]
-        s = inverse_w(k, 1e-7)
+        s = k.w_inv(1e-7)
         assert inverse_w_vec(k, np.array([1e-7]))[0] == pytest.approx(s, rel=1e-13)
-        assert eval_w(k, s) == pytest.approx(1e-7, rel=1e-13)
+        assert k.w(s) == pytest.approx(1e-7, rel=1e-13)
 
 
 _ROUND_TRIP_KERNELS = {
@@ -146,7 +129,7 @@ def test_inverse_w_round_trip_property(name, log_y):
     y = 10.0**log_y
     if y <= max((m for _, m in k.atoms()), default=0.0):
         return
-    assert eval_w(k, inverse_w(k, y)) == pytest.approx(y, rel=1e-13)
+    assert k.w(k.w_inv(y)) == pytest.approx(y, rel=1e-13)
 
 
 class TestMomentsAndKerIntegral:
@@ -168,7 +151,7 @@ class TestMomentsAndKerIntegral:
                 piece, _ = quad(lambda s: min(1.0, s) * k.nu(s), a, b, limit=200)
                 direct += piece
             direct += sum(min(1.0, s) * j for s, j in k.atoms())
-            direct += eval_w(k, hi)  # analytic remainder: int_hi^inf nu = w(hi)
+            direct += k.w(hi)  # analytic remainder: int_hi^inf nu = w(hi)
             rep = check_conditions(k, points_per_decade=16)
             assert rep.ker_integral == pytest.approx(direct, rel=1e-5), name
             assert rep.ker_ok, name
@@ -178,7 +161,7 @@ class TestMomentsAndKerIntegral:
         for name, k in kernels.items():
             a, b = 0.011, 0.77
             got, _ = quad(lambda s: k.nu(s), a, b, limit=200, epsrel=1e-11)
-            want = eval_w(k, a) - eval_w(k, b)
+            want = k.w(a) - k.w(b)
             assert got == pytest.approx(want, rel=1e-8), name
 
 
@@ -261,15 +244,14 @@ def test_array_moments_equal_scalar_calls(name, j, logs, picks):
 )
 def test_monotone_property(beta, s1, ratio):
     k = Power(beta=beta, scale=1.0)
-    assert eval_w(k, s1) >= eval_w(k, s1 * ratio)
+    assert k.w(s1) >= k.w(s1 * ratio)
 
 
 @settings(max_examples=40, deadline=None)
 @given(beta=st.floats(0.1, 0.9), y=st.floats(1e-6, 1e6))
 def test_power_round_trip_property(beta, y):
     k = Power(beta=beta, scale=1.0)
-    s = inverse_w(k, y)
-    assert eval_w(k, s) == pytest.approx(y, rel=1e-9)
+    assert k.w(k.w_inv(y)) == pytest.approx(y, rel=1e-9)
 
 
 class TestCheckConditions:
@@ -315,7 +297,7 @@ class TestConfig:
         ]
         for cfg in cfgs:
             k = kernel_from_config(cfg)
-            assert eval_w(k, 0.3) > 0.0
+            assert k.w(0.3) > 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):

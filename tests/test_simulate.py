@@ -12,14 +12,12 @@ from subtail.kernels import Tabulated, Truncated, caputo, inverse_w_vec
 from subtail.simulate import (
     SimConfig,
     TailEstimate,
-    eps_refinement,
     exact_stable_sampler,
-    lower_tail_prob,
     sample_E_t,
     sample_S_at,
     stable_half_lower_cdf,
     stable_half_upper_cdf,
-    upper_tail_prob,
+    tail_estimate,
 )
 
 CFG = SimConfig(cutoff_eps=1e-3, n_paths=50_000, seed=20240517)
@@ -71,27 +69,28 @@ class TestTailProbs:
     def test_stable_upper_lower(self):
         k = caputo(0.5)
         cfg = SimConfig(cutoff_eps=1e-4, n_paths=100_000, seed=7)
-        up = upper_tail_prob(k, cfg, 2.0, 1.0)
-        lo = lower_tail_prob(k, cfg, 2.0, 1.0)
+        ens = sample_S_at(k, cfg, 2.0)
+        up, lo = (tail_estimate(k, ens, 1.0, side) for side in ("upper", "lower"))
         assert abs(up.p_hat - stable_half_upper_cdf(2.0, 1.0)) < 3.0 * up.se
         assert abs(lo.p_hat - stable_half_lower_cdf(2.0, 1.0)) < 3.0 * lo.se
 
     def test_upper_plus_lower_is_one(self):
         k = caputo(0.5)
-        up = upper_tail_prob(k, CFG, 1.3, 0.9)
-        lo = lower_tail_prob(k, CFG, 1.3, 0.9)
+        ens = sample_S_at(k, CFG, 1.3)
+        up, lo = (tail_estimate(k, ens, 0.9, side) for side in ("upper", "lower"))
         pooled = math.hypot(up.se, lo.se)
         assert abs(up.p_hat + lo.p_hat - 1.0) <= 3.0 * pooled + 1e-12
 
     def test_tiny_t_gives_probability_one(self):
         k = caputo(0.5)
         cfg = SimConfig(cutoff_eps=1e-6, n_paths=1000, seed=2)
-        assert upper_tail_prob(k, cfg, 1.0, 1e-9).p_hat == 1.0
+        assert tail_estimate(k, sample_S_at(k, cfg, 1.0), 1e-9, "upper").p_hat == 1.0
 
     def test_insufficient_paths_diagnostic(self):
         k = caputo(0.5)
         cfg = SimConfig(cutoff_eps=1e-3, n_paths=1000, seed=2)
-        est = upper_tail_prob(k, cfg, 1e-7, 50.0)  # expectation ~ r w(50) ~ 8e-9
+        # expectation ~ r w(50) ~ 8e-9
+        est = tail_estimate(k, sample_S_at(k, cfg, 1e-7), 50.0, "upper")
         assert est.p_hat == 0.0
         assert est.diagnostic is not None and "insufficient paths" in est.diagnostic
 
@@ -99,22 +98,24 @@ class TestTailProbs:
         # p_hat - 6 se falls below 0 here, which is no reason to refuse them
         k = caputo(0.5)
         for n in (100, 400):
-            cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=3)
+            ens = sample_S_at(k, SimConfig(cutoff_eps=1e-3, n_paths=n, seed=3), 0.5)
             for t in (5.0, 10.0, 20.0, 40.0, 80.0):
-                est = upper_tail_prob(k, cfg, 0.5, t)
+                est = tail_estimate(k, ens, t, "upper")
                 assert 0.0 <= est.p_hat <= 1.0 and est.se > 0.0, (n, t)
                 assert abs(est.p_hat - stable_half_upper_cdf(0.5, t)) <= 4.0 * est.se, (n, t)
         with pytest.raises(DomainError):
             TailEstimate(p_hat=0.5, se=-0.1, n_paths=100)
 
     def test_eps_refinement_stable(self):
+        # halving the cutoff moves the estimate by no more than its noise
         k = caputo(0.5)
-        cfg = SimConfig(cutoff_eps=2e-3, n_paths=50_000, seed=9)
-        rows = eps_refinement(k, cfg, 2.0, 1.0, steps=2)
-        assert len(rows) == 3
+        rows = []
+        for i in range(3):
+            cfg = SimConfig(cutoff_eps=2e-3 * 0.5**i, n_paths=50_000, seed=9)
+            rows.append(tail_estimate(k, sample_S_at(k, cfg, 2.0), 1.0, "upper"))
         for a, b in zip(rows[:-1], rows[1:]):
-            pooled = math.hypot(a["se"], b["se"])
-            assert abs(a["p_hat"] - b["p_hat"]) <= 3.0 * pooled
+            pooled = math.hypot(a.se, b.se)
+            assert abs(a.p_hat - b.p_hat) <= 3.0 * pooled
 
 
 class TestSampleEt:
@@ -126,7 +127,7 @@ class TestSampleEt:
         ens = sample_E_t(k, cfg, t)
         for r in np.linspace(0.3, 3.0, 10):
             p_e = float(np.mean(ens.values <= r))
-            up = upper_tail_prob(k, cfg, r, t)
+            up = tail_estimate(k, sample_S_at(k, cfg, r), t, "upper")
             pooled = math.hypot(math.sqrt(p_e * (1 - p_e) / ens.n_paths) + 1e-12, up.se)
             assert abs(p_e - up.p_hat) <= 3.5 * pooled, r
 
@@ -173,7 +174,7 @@ class TestMassSpreadsOverWindow:
                 for k in range(-4, 5):
                     r = 2.0**k * base
                     cfg = SimConfig(cutoff_eps=t * 1e-3, n_paths=20_000, seed=500 + k)
-                    probs[k] = upper_tail_prob(kern, cfg, r, t).p_hat
+                    probs[k] = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper").p_hat
                 found = any(
                     probs[kN] - probs[ke] >= 0.25
                     for ke in probs

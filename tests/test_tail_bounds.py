@@ -7,9 +7,8 @@ from subtail import golden
 from subtail.bernstein import BernsteinTable
 from subtail.errors import RegimeError
 from subtail.kernels import Subexp, Truncated, caputo, check_conditions
-from subtail.simulate import SimConfig, lower_tail_prob, upper_tail_prob
+from subtail.simulate import SimConfig, sample_S_at, tail_estimate
 from subtail.tail_bounds import (
-    classify,
     lower_bound_universal,
     lower_tail_bounds,
     truncated_small_r_threshold,
@@ -66,7 +65,7 @@ class TestUniversalLower:
             L = 0.05
             r = L / caputo_table.phi(1.0 / t)
             bound = lower_bound_universal(caputo_table, k, r, t, L=L)
-            est = upper_tail_prob(k, cfg, r, t)
+            est = tail_estimate(k, sample_S_at(k, cfg, r), t, "upper")
             assert est.p_hat + 3.0 * est.se >= bound
 
 
@@ -107,10 +106,11 @@ class TestUpperBoundForm:
         k, tab, rep = trunc_pair
         r0 = truncated_small_r_threshold(tab, k)
         # r below r_0: only the sharp small-r statement fires
-        assert classify(k, tab, r0 / 8.0, 2.0, conditions=rep) == ["truncated-small-r"]
+        out = upper_bound_form(k, tab, r0 / 8.0, 2.0, conditions=rep)
+        assert out["regimes"] == ["truncated-small-r"]
         # r well above r_0 with r/t still small: only the linear-in-log one
-        assert classify(k, tab, 16.0 * r0, 2.0, conditions=rep) == ["truncated-linear"]
         out = upper_bound_form(k, tab, 16.0 * r0, 2.0, conditions=rep)
+        assert out["regimes"] == ["truncated-linear"]
         assert out["form"] == "exp(-c t log(t/r))"
 
     def test_small_r_threshold_bisected_once_per_table(self):
@@ -162,7 +162,7 @@ class TestLowerTail:
         k = caputo(0.5)
         cfg = SimConfig(cutoff_eps=1e-4, n_paths=30_000, seed=55)
         for r in (4.0, 6.0):
-            est = lower_tail_prob(k, cfg, r, 1.0)
+            est = tail_estimate(k, sample_S_at(k, cfg, r), 1.0, "lower")
             up = lower_tail_bounds(caputo_table, r, 1.0).upper
             assert est.p_hat <= up + 3.0 * est.se
 
@@ -173,8 +173,9 @@ class TestRegimePartition:
         t = 0.25
         r_edge = 1.0 / (4.0 * math.e**2 * caputo_table.phi(1.0 / t))
         # just inside the unmargined boundary but outside margin 2
-        assert classify(k, caputo_table, 0.9 * r_edge, t) == []
-        assert "small-t-poly" in classify(k, caputo_table, 0.4 * r_edge, t)
+        out = upper_bound_form(k, caputo_table, 0.9 * r_edge, t)
+        assert out["tag"] == "unclassified" and out["reason"].startswith("no regime admits")
+        assert "small-t-poly" in upper_bound_form(k, caputo_table, 0.4 * r_edge, t)["regimes"]
 
 
 class TestCriterionFour:

@@ -76,7 +76,7 @@ def test_install_wraps_and_counts():
         "from subtail.fundamental import SolutionRequest, p_mc, p_quadrature\n"
         "from subtail.heat_kernel import Geometry, HKModel\n"
         "from subtail.simulate import SimConfig\n"
-        "req = SolutionRequest(caputo(0.5), tab, HKModel('J1', alpha=1.0, d=1.0),\n"
+        "req = SolutionRequest(caputo(0.5), HKModel('J1', alpha=1.0, d=1.0),\n"
         "                      Geometry('interval', 1.0), 0.1, 0.3, 0.6,\n"
         "                      sim=SimConfig(cutoff_eps=1e-2, n_paths=200, seed=1))\n"
         "p_quadrature(req)\n"
