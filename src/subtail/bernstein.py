@@ -60,7 +60,7 @@ from .errors import DomainError, QuadratureError, RangeError
 from .kernels import float_pow
 from .shapes import as_shape
 
-__all__ = ["BernsteinTable", "calM", "calN"]
+__all__ = ["BernsteinTable", "calM", "calN", "increasing_root"]
 
 _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
@@ -196,6 +196,32 @@ def _bernstein_values(kernel, lam, rtol):
     return fine[0], fine[1], fine[2]
 
 
+def increasing_root(g, lo, hi):
+    """Root of g, increasing on (0, inf), from the first bracket [lo, hi].
+
+    The bracket's signs are checked on g itself, the function brentq
+    solves, and it is moved outward by factors of 16 while both ends share a
+    sign.  When 200 moves find no sign change, RangeError.  The package's
+    one root finder.
+    """
+    glo, ghi = g(lo), g(hi)
+    for _ in range(200):
+        if glo > 0.0:
+            lo, hi, ghi = lo / 16.0, lo, glo
+            glo = g(lo)
+        elif ghi < 0.0:
+            lo, hi, glo = hi, hi * 16.0, ghi
+            ghi = g(hi)
+        elif glo <= 0.0 <= ghi:
+            # relative tolerance only: brentq's default absolute xtol of
+            # 2e-12 would swamp every root below ~1e-3
+            return brentq(g, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        else:  # NaN
+            break
+    raise RangeError("target not bracketed within a factor 16^200 of the first bracket",
+                     bracket=(float(lo), float(hi)))
+
+
 class BernsteinTable:
     """Cached monotone representations of phi, phi', H, b and their inverses.
 
@@ -283,10 +309,8 @@ class BernsteinTable:
         """Root of g, increasing in lambda, where g_grid ~ g(lam_grid).
 
         The first bracket is the grid cell in which g_grid changes sign or,
-        for a root beyond either end of the grid, the factor 4 past that end.
-        Its signs are checked on g itself, the function brentq solves, and it
-        is moved outward by factors of 16 while both ends share a sign.  When
-        200 moves find no sign change, RangeError.
+        for a root beyond either end of the grid, the factor 4 past that end;
+        ``increasing_root`` takes it from there.
         """
         lam = self.lam_grid
         j = int(np.searchsorted(g_grid, 0.0))
@@ -296,22 +320,7 @@ class BernsteinTable:
             lo, hi = lam[-1], lam[-1] * 4.0
         else:
             lo, hi = lam[j - 1], lam[j]
-        glo, ghi = g(lo), g(hi)
-        for _ in range(200):
-            if glo > 0.0:
-                lo, hi, ghi = lo / 16.0, lo, glo
-                glo = g(lo)
-            elif ghi < 0.0:
-                lo, hi, glo = hi, hi * 16.0, ghi
-                ghi = g(hi)
-            elif glo <= 0.0 <= ghi:
-                # relative tolerance only: brentq's default absolute xtol of
-                # 2e-12 would swamp every root below lambda ~ 1e-3
-                return brentq(g, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
-            else:  # NaN
-                break
-        raise RangeError("target not bracketed within a factor 16^200 of the grid",
-                         bracket=(float(lo), float(hi)))
+        return increasing_root(g, lo, hi)
 
     def invert(self, which, y):
         """Inverse of phi, H, b or phi' at y; forward(invert(y)) = y to 1e-9."""

@@ -182,8 +182,8 @@ SCHEMAS = {
                     "t": _POSITIVE,
                     "x": {"type": "number"},
                     "y": {"type": "number"},
-                    "horizon_T": {"type": "number"},
-                    "margin": {"type": "number"},
+                    "horizon_T": _POSITIVE,
+                    "margin": _POSITIVE,
                 },
             },
         },
@@ -381,12 +381,14 @@ def _cmd_estimate(cfg, out, seed, manifest, args):
 
 
 def _compare_case(tag, budget):
-    tab = golden._half_caputo_table()
-    if tag.startswith("dgamma-"):
-        obs, pred, coords, _ = golden._c7_case(tab, *golden.DGAMMA_CASES[tag.split("-", 1)[1]])
+    dgamma = tag[len("dgamma-"):] if tag.startswith("dgamma-") else None
+    if dgamma not in golden.DGAMMA_CASES and tag not in golden.C8_MARGINS:
+        raise RegimeError("compare supports mainsmall-i, mainsmall-ii-a and dgamma-<case>, "
+                          "<case> one of %s" % ", ".join(golden.DGAMMA_CASES))
+    tab = golden._half_caputo_table(golden.TableCache())
+    if dgamma:
+        obs, pred, coords, _ = golden._c7_case(tab, *golden.DGAMMA_CASES[dgamma])
         return two_sided_check(np.array(obs), np.array(pred), budget or 8.0, coords=coords, case=tag)
-    if tag not in golden.C8_MARGINS:
-        raise RegimeError("compare supports mainsmall-i, mainsmall-ii-a and dgamma-<case>")
     return golden._c8_grid_spread(tab, tag, 8, budget or 50.0)
 
 

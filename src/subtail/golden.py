@@ -4,7 +4,9 @@ Each function runs one frozen acceptance case end to end and returns a
 JSON-serializable verdict dict: {"name", "passed", "seconds", details...}.
 The CLI `report` subcommand renders the pass/fail matrix from `run_all`;
 tests assert the same dicts.  All parameters (grids, seeds, budgets, path
-counts) are frozen here; nothing is tuned at run time.
+counts) are frozen here; nothing is tuned at run time.  The criteria of one
+``run_all`` share one ``TableCache``, so each (kernel, grid) table is built
+once per run and dropped with it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .simulate import (
     SimConfig,
     exact_stable_sampler,
     sample_S_at,
+    sample_S_tilted,
     stable_half_lower_cdf,
     stable_half_upper_cdf,
     tail_estimate,
@@ -54,8 +57,26 @@ def builtin_kernel_set():
     }
 
 
-def _half_caputo_table():
-    return BernsteinTable(caputo(0.5), points_per_decade=24)
+class TableCache:
+    """The BernsteinTables of one run, one per (kernel, points per decade).
+
+    Kernels are frozen dataclasses, so equal parameters share a table.  A
+    cache lives as long as the run that made it, never longer.
+    """
+
+    def __init__(self):
+        self._tables = {}
+
+    def __call__(self, kernel, points_per_decade=96):
+        key = (kernel, points_per_decade)
+        tab = self._tables.get(key)
+        if tab is None:
+            tab = self._tables[key] = BernsteinTable(kernel, points_per_decade=points_per_decade)
+        return tab
+
+
+def _half_caputo_table(tables):
+    return tables(caputo(0.5), points_per_decade=24)
 
 
 def _timed(fn):
@@ -65,14 +86,14 @@ def _timed(fn):
     return out
 
 
-def crit_1_stable_identity():
+def crit_1_stable_identity(tables):
     """phi = lam^beta to 1e-8 and H = (1-beta) lam^beta to 1e-7."""
 
     def run():
         lams = np.geomspace(1e-3, 1e3, 64)
         worst_phi = worst_H = 0.0
         for beta in (0.3, 0.5, 0.8):
-            tab = BernsteinTable(caputo(beta))
+            tab = tables(caputo(beta))
             for lam in lams:
                 worst_phi = max(worst_phi, abs(tab.phi(lam) - lam**beta) / lam**beta)
                 wantH = (1.0 - beta) * lam**beta
@@ -88,7 +109,7 @@ def crit_1_stable_identity():
     return _timed(run)
 
 
-def crit_2_b_sandwich():
+def crit_2_b_sandwich(tables):
     """phi(1/s)^{-1} <= b^{-1}(s) <= 6.49569 phi(1/s)^{-1}, all five kernels."""
 
     def run():
@@ -96,7 +117,7 @@ def crit_2_b_sandwich():
         violations = []
         worst = {"low": math.inf, "high": 0.0}
         for name, kern in builtin_kernel_set().items():
-            tab = BernsteinTable(kern)
+            tab = tables(kern)
             for s in svals:
                 ratio = tab.invert("b", s) * tab.phi(1.0 / s)
                 worst["low"] = min(worst["low"], ratio)
@@ -182,7 +203,7 @@ def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
     return rep, lower_ok
 
 
-def crit_4_tail_two_sidedness(seed=GOLDEN_SEED):
+def crit_4_tail_two_sidedness(tables, seed=GOLDEN_SEED):
     """P(S_r >= t)/(r w(t)) spread <= 10 and above e^{-eL}, Caputo+Truncated."""
 
     def run():
@@ -192,7 +213,7 @@ def crit_4_tail_two_sidedness(seed=GOLDEN_SEED):
             ("caputo", caputo(0.5), np.geomspace(0.05, 0.8, 5)),
             ("truncated", Truncated(beta=0.5, delta=1.0, scale=1.0), (0.06, 0.12, 0.24)),
         ):
-            tab = BernsteinTable(kern, points_per_decade=24)
+            tab = tables(kern, points_per_decade=24)
             rep, lower_ok = _tail_ratio_grid(kern, tab, t_vals, seed, 100_000)
             rep2, lower_ok2 = _tail_ratio_grid(kern, tab, t_vals, seed + 1000, 200_000)
             stable = rep.passed == rep2.passed
@@ -215,16 +236,24 @@ def crit_4_tail_two_sidedness(seed=GOLDEN_SEED):
 
 
 def crit_5_truncated_structure(seed=GOLDEN_SEED):
-    """log P affine in n_t log n_t (residual <= 0.5) and the (n t_f - t)^n dip."""
+    """log P affine in n_t log n_t (residual <= 0.5) and the (n t_f - t)^n dip.
+
+    Every tail is a tilted estimate (``sample_S_tilted``); the path counts
+    put each se below that of the plain 1M-8M-path estimate at its point.
+    """
 
     def run():
         kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
+
+        def tail(r, t, n, seed):
+            cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed)
+            return tail_estimate(kern, sample_S_tilted(kern, cfg, r, t), t, "upper").p_hat
+
         r = 0.3
-        pts = ((0.5, 10**6), (1.5, 10**6), (2.5, 2 * 10**6), (3.5, 8 * 10**6))
+        pts = ((0.5, 2**19), (1.5, 2**16), (2.5, 2**16), (3.5, 2**16))
         X, Y = [], []
         for i, (t, n) in enumerate(pts):
-            cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 7 * i)
-            p = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper").p_hat
+            p = tail(r, t, n, seed + 7 * i)
             n_t = math.floor(t) + 1
             X.append(n_t * math.log(n_t))
             Y.append(math.log(p))
@@ -235,10 +264,7 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
 
         # dip of the (n t_f - t)^n factor as t -> n t_f, at n = 2
         r2 = 0.05
-        ps = {}
-        for t, n, off in ((1.5, 2 * 10**6, 0), (1.95, 8 * 10**6, 1)):
-            cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed + 101 + off)
-            ps[t] = tail_estimate(kern, sample_S_at(kern, cfg, r2), t, "upper").p_hat
+        ps = {t: tail(r2, t, 2**16, seed + 101 + off) for t, off in ((1.5, 0), (1.95, 1))}
         # n_t log n_t tracks t log t affinely over this window, so the fitted
         # slope doubles as the exponential rate; the factor-10 dip budget
         # absorbs the affine mismatch
@@ -255,13 +281,13 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
             "dip_measured": meas_ratio,
             "dip_predicted": pred_ratio,
             "dip_ratio": meas_ratio / pred_ratio,
-            "budget": {"residual": 0.5, "dip_spread": 10.0},
+            "budget": {"residual": 0.5, "dip_spread": 10.0, "runtime_s": 5.0},
         }
 
     return _timed(run)
 
 
-def crit_6_variational(seed=GOLDEN_SEED):
+def crit_6_variational(tables):
     """M against the numeric sup to 1e-6; defining relations within [1/8, 8]."""
 
     def run():
@@ -274,7 +300,7 @@ def crit_6_variational(seed=GOLDEN_SEED):
                 want, _ = _maximize_unimodal(lambda s: l / s - t / s**2, 1.0)
                 worst = max(worst, abs(calM(2.0, t, l) - want) / want)
         shape = PowerLaw(2.0)
-        tab = _half_caputo_table()
+        tab = _half_caputo_table(tables)
         rel_ok = True
         worst_m = (math.inf, 0.0)
         worst_n = (math.inf, 0.0)
@@ -337,11 +363,11 @@ def _c7_case(tab, alpha, d, gamma):
     return obs, pred, coords, scen
 
 
-def crit_7_dgamma():
+def crit_7_dgamma(tables):
     """closed_I_gamma vs quadrature: spread <= 8 per case on >= 60 points."""
 
     def run():
-        tab = _half_caputo_table()
+        tab = _half_caputo_table(tables)
         out = {}
         ok = True
         for case, (alpha, d, gamma) in DGAMMA_CASES.items():
@@ -388,11 +414,11 @@ def _c8_grid_spread(tab, tag, resolution, budget):
     return two_sided_check(np.array(obs), np.array(pred), budget, case=tag)
 
 
-def crit_8_mainsmall_quadrature():
+def crit_8_mainsmall_quadrature(tables):
     """p_quadrature vs the J / off-diagonal forms: spread <= 50, stable."""
 
     def run():
-        tab = _half_caputo_table()
+        tab = _half_caputo_table(tables)
         out = {}
         ok = True
         for tag, margin in C8_MARGINS.items():
@@ -417,12 +443,12 @@ def crit_8_mainsmall_quadrature():
     return _timed(run)
 
 
-def crit_9_exponential_constant():
+def crit_9_exponential_constant(tables):
     """exp-constant fit of p vs the D2 form against N(t, rho)."""
 
     def run():
         kern = caputo(0.5)
-        tab = BernsteinTable(kern, points_per_decade=24)
+        tab = tables(kern, points_per_decade=24)
         m = HKModel("D2", alpha=2.0, d=1.0)
         g = Geometry("half-line")
         x0 = 10.0
@@ -454,12 +480,12 @@ def crit_9_exponential_constant():
     return _timed(run)
 
 
-def crit_10_diagonal_finiteness():
+def crit_10_diagonal_finiteness(tables):
     """p(t,x,x) < inf iff t >= floor(d/alpha) delta, via probe + branches."""
 
     def run():
         kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        tab = BernsteinTable(kern, points_per_decade=16)
+        tab = tables(kern, points_per_decade=16)
         m = HKModel("HK_J", alpha=1.0, d=2.0, gamma=0.0, lam=0.0, k=1)
         g = Geometry("free")
         probe_bad = diagonal_probe(kern, m, 1.5)
@@ -544,13 +570,13 @@ CRITERIA = (
 
 def run_all(seed=GOLDEN_SEED):
     """Run every golden criterion; criterion 12 (determinism) is the caller
-    re-running this very function and comparing bytes."""
+    re-running this very function and comparing bytes.  The criteria share
+    one TableCache, made here and dropped on return."""
+    shared = {"seed": seed, "tables": TableCache()}
     results = []
     for fn in CRITERIA:
-        if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            results.append(fn(seed))
-        else:
-            results.append(fn())
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        results.append(fn(**{k: v for k, v in shared.items() if k in params}))
     return {
         "seed": seed,
         "passed": all(r["passed"] for r in results),

@@ -17,18 +17,35 @@ r-clock until the running sum plus drift crosses t; a crossing inside a
 jump-free drift segment is resolved analytically, so E_t carries no
 time-discretization error.  Each returns a flat ``PathEnsemble``.
 
+``sample_S_tilted`` draws S_r for one rare event {S_r >= t} under an
+exponentially tilted law (Asmussen & Glynn, *Stochastic Simulation*, 2007,
+ch. VI), for kernels with bounded support and no atoms.  With
+
+    kappa(theta) = r int_eps^end (e^{theta s} - 1) nu(ds),
+
+the jumps above eps form a Poisson process of intensity r e^{theta s} nu(ds),
+theta = theta* solving the saddle-point equation kappa'(theta) + r d_eps = t,
+and each path carries the likelihood ratio exp(kappa(theta) - theta sum J).
+The tilted jumps are drawn by thinning (Lewis & Shedler 1979): (eps, end] is
+cut into geometric cells, each so narrow that |theta| times its width is at
+most ln 2; a proposal from nu on a cell (``kernel.w_inv`` of a uniform
+between w at its ends) is kept with probability e^{theta (s - top)}, top the
+cell end where e^{theta s} is largest, so at most half the proposals are
+lost.  Both integrals of kappa are checked quadratures.
+
 ``exact_stable_sampler`` draws S_r for the pure stable exponent
 phi(lambda) = lambda^beta by Kanter's method and is used only to validate
 the compound-Poisson approximation.
 
 Reproducibility: all randomness flows from an integer seed through one key
 constructor, ``_rng(seed, stream)``, which keys a counter-based Philox
-generator by (seed mod 2^64, stream): stream 1 serves S_r, 2 serves E_t and
-3 the exact sampler.  ``sample_S_at`` draws all Poisson jump counts first,
-then the jump-size uniforms in path order, consumed in blocks of whole paths
-of at most ``_JUMP_BLOCK`` jumps (a path with more gets a block of its own),
-so its memory is O(paths + block) whatever the jump count.  Identical configs
-give bit-identical ensembles, and any integer seed works.
+generator by (seed mod 2^64, stream): stream 1 serves S_r, 2 serves E_t, 3
+the exact sampler and 4 the tilted S_r.  Both S_r samplers draw all Poisson
+jump counts first, then the per-jump uniforms in path order, consumed in
+blocks of whole paths of at most ``_JUMP_BLOCK`` jumps (a path with more
+gets a block of its own), so their memory is O(paths + block) whatever the
+jump count.  Identical configs give bit-identical ensembles, and any integer
+seed works.
 """
 
 from __future__ import annotations
@@ -39,14 +56,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, erfc
 
+from .bernstein import increasing_root
 from .errors import DomainError
 from .kernels import inverse_w_vec
+from .quadrature import checked_panels, graded_edges
 
 __all__ = [
     "SimConfig",
     "PathEnsemble",
     "TailEstimate",
     "sample_S_at",
+    "sample_S_tilted",
+    "cumulant",
+    "saddle_point",
     "tail_estimate",
     "sample_E_t",
     "exact_stable_sampler",
@@ -55,7 +77,8 @@ __all__ = [
 ]
 
 _MAX_EXPECTED_JUMPS = 4e8  # across all paths; beyond this, ask for a larger eps
-_JUMP_BLOCK = 1 << 18  # jumps held at once by sample_S_at, unless one path has more
+_JUMP_BLOCK = 1 << 18  # jumps held at once by an S_r sampler, unless one path has more
+_KAPPA_RTOL = 1e-12  # target of the two checked integrals of kappa
 
 
 @dataclass(frozen=True)
@@ -84,11 +107,13 @@ class PathEnsemble:
     """Per-path samples at one level: S_r at the clock value r, or E_t at the
     level t.  For E_t, ``censored`` flags the paths that had not crossed
     within the r-budget; they hold the budget and are flagged, not dropped.
+    A tilted S_r ensemble carries each path's likelihood ratio in ``weights``.
     """
 
     level: float
     values: np.ndarray
     censored: np.ndarray | None = None
+    weights: np.ndarray | None = None
 
     @property
     def n_paths(self):
@@ -97,7 +122,7 @@ class PathEnsemble:
 
 @dataclass
 class TailEstimate:
-    """Binomial estimate of one tail probability."""
+    """Estimate of one tail probability: binomial, or a weighted mean."""
 
     p_hat: float
     se: float
@@ -111,6 +136,32 @@ class TailEstimate:
 
 def _drift_rate(kernel, eps):
     return kernel.moment(0, eps) - eps * float(kernel.w(eps))
+
+
+def _path_sums(counts, draw):
+    """Per path i, the sum of its counts[i] values of ``draw(m)``, which
+    returns the next m per-jump values in path order; drawn in blocks of
+    whole paths of at most _JUMP_BLOCK jumps, at least one path each."""
+    n = counts.size
+    ends = np.cumsum(counts)  # jump offset after each path
+    sums = np.empty(n)
+    lo = start = 0
+    while lo < n:
+        hi = max(int(np.searchsorted(ends, start + _JUMP_BLOCK, side="right")), lo + 1)
+        stop = int(ends[hi - 1])
+        values = draw(stop - start)  # before path_idx, so their temporaries never coexist
+        path_idx = np.repeat(np.arange(hi - lo), np.diff(ends[lo:hi], prepend=start))
+        sums[lo:hi] = np.bincount(path_idx, weights=values, minlength=hi - lo)
+        lo, start = hi, stop
+    return sums
+
+
+def _check_jump_budget(config, rate):
+    if config.n_paths * rate > _MAX_EXPECTED_JUMPS:
+        raise DomainError(
+            "expected %.2g jumps for eps=%g; raise cutoff_eps (never silently truncates)"
+            % (config.n_paths * rate, config.cutoff_eps)
+        )
 
 
 def sample_S_at(kernel, config, r):
@@ -130,36 +181,115 @@ def sample_S_at(kernel, config, r):
     w_eps = float(kernel.w(eps))
     if not math.isfinite(w_eps):
         raise DomainError("w(eps) overflowed; raise cutoff_eps")
-    if config.n_paths * r * w_eps > _MAX_EXPECTED_JUMPS:
-        raise DomainError(
-            "expected %.2g jumps for eps=%g; raise cutoff_eps (never silently truncates)"
-            % (config.n_paths * r * w_eps, eps)
-        )
+    _check_jump_budget(config, r * w_eps)
     rng = _rng(config.seed, 1)
-    n = config.n_paths
-    ends = np.cumsum(rng.poisson(r * w_eps, size=n))  # jump offset after each path
-    values = np.empty(n)
-    lo = start = 0
-    while lo < n:
-        # the next paths whose jumps fit in one block, at least one path
-        hi = max(int(np.searchsorted(ends, start + _JUMP_BLOCK, side="right")), lo + 1)
-        stop = int(ends[hi - 1])
-        sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=stop - start))
-        path_idx = np.repeat(np.arange(hi - lo), np.diff(ends[lo:hi], prepend=start))
-        values[lo:hi] = np.bincount(path_idx, weights=sizes, minlength=hi - lo)
-        lo, start = hi, stop
+    counts = rng.poisson(r * w_eps, size=config.n_paths)
+    values = _path_sums(counts, lambda m: inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=m)))
     values += _drift_rate(kernel, eps) * r
     return PathEnsemble(level=r, values=values)
 
 
+def _tiltable_support(kernel, eps):
+    """The support end of a kernel whose jumps above eps can be tilted."""
+    end = kernel.support_end
+    if not math.isfinite(end) or kernel.atoms():
+        raise DomainError(
+            "exponential tilting needs a kernel with finite support and no atoms; "
+            "%s has support end %g and atoms %r" % (type(kernel).__name__, end, kernel.atoms())
+        )
+    if eps >= end:
+        raise DomainError("cutoff_eps=%g is outside the kernel support (0, %g)" % (eps, end))
+    return end
+
+
+def cumulant(kernel, eps, r, theta):
+    """(kappa(theta), kappa'(theta)) of the jumps above eps over clock r:
+    r int (e^{theta s} - 1) nu(ds) and r int s e^{theta s} nu(ds) on
+    (eps, end], each a checked quadrature (QuadratureError on a miss)."""
+    end = _tiltable_support(kernel, eps)
+    edges = graded_edges(eps, eps, end, kernel.breakpoints())
+    kappa = checked_panels("kappa", lambda s: np.expm1(theta * s) * kernel.nu(s), edges, _KAPPA_RTOL)
+    slope = checked_panels("kappa'", lambda s: s * np.exp(theta * s) * kernel.nu(s), edges, _KAPPA_RTOL)
+    return r * kappa, r * slope
+
+
+def saddle_point(kernel, eps, r, t):
+    """theta* solving kappa'(theta) + r d_eps = t, by a bracketed search.
+
+    kappa' increases from 0 (theta -> -inf) to inf, so a root exists iff t
+    exceeds the drift r d_eps; otherwise DomainError.  The search runs in
+    x = e^{theta end} > 0, from the bracket [1, 16].
+    """
+    end = _tiltable_support(kernel, eps)
+    target = t - r * _drift_rate(kernel, eps)
+    if not target > 0.0:
+        raise DomainError("t=%g is at or below the drift r d_eps=%g" % (t, t - target))
+    g = lambda x: cumulant(kernel, eps, r, math.log(x) / end)[1] - target
+    return math.log(increasing_root(g, 1.0, 16.0)) / end
+
+
+def sample_S_tilted(kernel, config, r, t):
+    """Sample S_r under the law tilted towards {S_r >= t}, with weights.
+
+    theta = ``saddle_point``; the jumps above eps are Poisson with intensity
+    r e^{theta s} nu(ds), drawn by thinning proposals cell by cell (see the
+    module docstring), and path i has weight exp(kappa(theta) - theta J_i),
+    J_i its jump sum, so mean(weight * 1{S >= t}) estimates P(S_r >= t)
+    without bias.  DomainError unless the kernel has finite support and no
+    atoms.
+    """
+    if not r > 0.0:
+        raise DomainError("the clock value must be positive")
+    r, t = float(r), float(t)
+    eps = config.cutoff_eps
+    end = _tiltable_support(kernel, eps)
+    theta = saddle_point(kernel, eps, r, t)
+    kappa, _ = cumulant(kernel, eps, r, theta)
+    # octaves of (eps, end], each cut into equal cells with |theta| width <= ln 2
+    octaves = np.geomspace(eps, end, max(1, math.ceil(math.log2(end / eps))) + 1)
+    cuts = np.ceil(abs(theta) * np.diff(octaves) / math.log(2.0)).clip(1).astype(int)
+    lo = np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b, k in zip(octaves, octaves[1:], cuts)])
+    hi = np.append(lo[1:], end)
+    top = hi if theta >= 0.0 else lo
+    w_lo, w_hi = kernel.w(lo), kernel.w(hi)
+    env = r * np.exp(theta * top) * (w_lo - w_hi)  # proposal rate of each cell
+    cum = np.cumsum(env)
+    rate = float(cum[-1])
+    dw = (w_lo - w_hi) / env  # w per unit of envelope mass, per cell
+    _check_jump_budget(config, rate)
+    rng = _rng(config.seed, 4)
+    counts = rng.poisson(rate, size=config.n_paths)
+
+    def draw(m):
+        v, u = rng.random((m, 2)).T  # a jump's two uniforms are adjacent draws
+        v = v * rate
+        cell = np.searchsorted(cum, v, side="right")
+        np.minimum(cell, cum.size - 1, out=cell)
+        # v's place in its cell's envelope mass, mapped onto [w(hi), w(lo)]
+        s = inverse_w_vec(kernel, w_hi[cell] + (cum[cell] - v) * dw[cell])
+        s[u >= np.exp(theta * (s - top[cell]))] = 0.0  # thinned out
+        return s
+
+    jumps = _path_sums(counts, draw)
+    weights = np.exp(kappa - theta * jumps)
+    return PathEnsemble(level=r, values=jumps + _drift_rate(kernel, eps) * r, weights=weights)
+
+
 def tail_estimate(kernel, ens, t, side):
-    """Binomial estimate of P(S_r >= t) (side "upper") or P(S_r <= t)
-    ("lower") from an S_r ensemble, r = ens.level."""
+    """Estimate of P(S_r >= t) (side "upper") or P(S_r <= t) ("lower") from
+    an S_r ensemble, r = ens.level: binomial, or for a weighted ensemble the
+    mean of weight * 1{hit} with se its sample sd / sqrt(n)."""
     if t <= 0.0:
         raise DomainError("a tail estimate requires t > 0")
     col = ens.values
-    hits = int(np.count_nonzero(col >= t)) if side == "upper" else int(np.count_nonzero(col <= t))
+    hit = col >= t if side == "upper" else col <= t
     n = ens.n_paths
+    if ens.weights is not None:
+        x = np.where(hit, ens.weights, 0.0)
+        diag = None if hit.any() else "no tilted path reached the tail"
+        return TailEstimate(p_hat=float(np.mean(x)), se=float(np.std(x, ddof=1)) / math.sqrt(n),
+                            n_paths=n, diagnostic=diag)
+    hits = int(np.count_nonzero(hit))
     p = hits / n
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
     diag = None

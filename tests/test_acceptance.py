@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from subtail.bernstein import BernsteinTable
 from subtail.cli import main
 
 
@@ -19,16 +20,26 @@ from subtail.cli import main
 def report_runs(tmp_path_factory):
     outs = []
     seconds = []
-    for name in ("run_a", "run_b"):
-        out = tmp_path_factory.mktemp(name)
-        t0 = time.time()
-        status = main(["report", "--out", str(out), "--seed", "20240612"])
-        seconds.append(time.time() - t0)
-        assert status == 0, "golden report failed"
-        outs.append(out)
+    builds = []
+    build = BernsteinTable.__init__
+
+    def counted(self, *args, **kwargs):
+        builds[-1] += 1
+        build(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BernsteinTable, "__init__", counted)
+        for name in ("run_a", "run_b"):
+            out = tmp_path_factory.mktemp(name)
+            builds.append(0)
+            t0 = time.time()
+            status = main(["report", "--out", str(out), "--seed", "20240612"])
+            seconds.append(time.time() - t0)
+            assert status == 0, "golden report failed"
+            outs.append(out)
     report = json.loads((outs[0] / "report.json").read_text())
     timing = json.loads((outs[0] / "report_timing.json").read_text())["seconds"]
-    return {"outs": outs, "report": report, "timing": timing, "wall": seconds}
+    return {"outs": outs, "report": report, "timing": timing, "wall": seconds, "builds": builds}
 
 
 def _crit(report_runs, prefix):
@@ -87,6 +98,7 @@ def test_criterion_05_truncated_structure(report_runs):
     _announce(c, "residual=%.3f dip_ratio=%.2f" % (c["regression_residual"], c["dip_ratio"]))
     assert c["regression_residual"] <= 0.5
     assert 0.1 <= c["dip_ratio"] <= 10.0
+    assert report_runs["timing"][c["name"]] < 5.0
     assert c["passed"]
 
 
@@ -165,6 +177,12 @@ def test_criterion_12_determinism_and_runtime(report_runs):
         "PASS" if same else "FAIL", *report_runs["wall"]))
     assert same, "report outputs are not byte-identical across reruns"
     assert max(report_runs["wall"]) < 1200.0, "golden suite exceeded the 20-minute budget"
+
+
+def test_each_run_builds_each_table_once(report_runs):
+    # ten distinct (kernel, grid) tables; the second run in the same process
+    # builds them all again, so no table outlives its run
+    assert report_runs["builds"] == [10, 10]
 
 
 def test_overall_verdict(report_runs):

@@ -69,6 +69,13 @@ _J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", 
                   "case": {"tag": "mainsmall-i", "t": 0, "x": 0.3, "y": 0.6}}, "$.case.t"),
     ("boundary", {"t_values": [-1]}, "$.t_values[0]"),
     ("boundary", {"deltas": []}, "$.deltas"),
+    # a zero margin or horizon ended in a ZeroDivisionError traceback
+    ("estimate", {"kernel": _HALF_CAPUTO, "model": _J1,
+                  "case": {"tag": "mainsmall-i", "t": 0.05, "x": 0.3, "y": 0.6, "margin": 0}},
+     "$.case.margin"),
+    ("estimate", {"kernel": _HALF_CAPUTO, "model": _J1,
+                  "case": {"tag": "mainsmall-i", "t": 0.05, "x": 0.3, "y": 0.6, "horizon_T": 0}},
+     "$.case.horizon_T"),
 ])
 def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, sub, cfg, path):
     status, _ = run_cli(tmp_path, sub, cfg)
@@ -234,6 +241,12 @@ class TestCompare:
         assert rep["passed"] and rep["spread"] <= 8.0
         txt = (out / "compare_dgamma-g.txt").read_text()
         assert "verdict       pass" in txt
+
+    def test_unknown_dgamma_case_exits_3(self, tmp_path):
+        status, out = run_cli(tmp_path, "compare", {"case": "dgamma-zzz"})
+        assert status == 3
+        err = json.loads((out / "manifest.json").read_text())["error"]
+        assert err["type"] == "RegimeError" and "dgamma-<case>" in err["message"]
 
     def test_budget_failure_exits_1_with_report(self, tmp_path):
         status, out = run_cli(

@@ -8,13 +8,16 @@ from scipy.special import erfinv
 from subtail import simulate
 from subtail.errors import DomainError
 from subtail.golden import builtin_kernel_set
-from subtail.kernels import Tabulated, Truncated, caputo, inverse_w_vec
+from subtail.kernels import Subexp, Tabulated, Truncated, caputo, inverse_w_vec
 from subtail.simulate import (
     SimConfig,
     TailEstimate,
+    cumulant,
     exact_stable_sampler,
+    saddle_point,
     sample_E_t,
     sample_S_at,
+    sample_S_tilted,
     stable_half_lower_cdf,
     stable_half_upper_cdf,
     tail_estimate,
@@ -280,3 +283,71 @@ class TestBlockedDraws:
             tracemalloc.stop()
         bound = 8 * (4 * cfg.n_paths + 8 * simulate._JUMP_BLOCK)
         assert peak <= bound, (peak, bound)
+
+
+_TRUNC = Truncated(beta=0.5, delta=1.0, scale=1.0)
+
+
+class TestTiltedS:
+    def test_mean_weight_is_one(self):
+        # E[exp(kappa - theta J)] = 1 under the tilted law
+        for r, t in ((0.3, 1.5), (0.3, 0.1), (0.05, 1.95)):
+            w = sample_S_tilted(_TRUNC, SimConfig(cutoff_eps=1e-3, n_paths=20_000, seed=71), r, t).weights
+            se = float(np.std(w, ddof=1)) / math.sqrt(w.size)
+            assert abs(float(np.mean(w)) - 1.0) <= 4.0 * se, (r, t)
+
+    def test_saddle_point_solves_its_equation(self):
+        eps = 1e-3
+        drift = simulate._drift_rate(_TRUNC, eps)
+        # E S_r = r M_0(t_f) = r: t = 0.1 lies below the mean of S_0.3, so
+        # its theta is negative
+        for r, t in ((0.3, 0.1), (0.3, 0.5), (0.3, 3.5), (0.05, 1.95)):
+            theta = saddle_point(_TRUNC, eps, r, t)
+            assert (theta < 0.0) == (t < r * _TRUNC.moment(0, 1.0)), (r, t)
+            _, slope = cumulant(_TRUNC, eps, r, theta)
+            assert abs(slope + r * drift - t) <= 1e-10 * t, (r, t)
+        with pytest.raises(DomainError, match="drift"):
+            saddle_point(_TRUNC, eps, 0.3, 0.5 * 0.3 * drift)
+
+    def test_rare_tail_matches_de_hoog(self):
+        # P(S_0.3 >= 3.5) = 1.2951085e-6 by de Hoog inversion of
+        # (1 - e^{-r phi(s)})/s at 30 and 50 digits; plain MC would need ~1e8 paths
+        est = tail_estimate(
+            _TRUNC, sample_S_tilted(_TRUNC, SimConfig(cutoff_eps=1e-3, n_paths=2**16, seed=73), 0.3, 3.5),
+            3.5, "upper")
+        assert est.se < 0.02 * est.p_hat
+        assert abs(est.p_hat - 1.2951085e-6) <= 3.0 * est.se
+
+    def test_agrees_with_plain_sampler(self):
+        for r, t in ((0.3, 1.5), (0.3, 0.1), (0.05, 0.5)):
+            cfg = SimConfig(cutoff_eps=1e-3, n_paths=20_000, seed=79)
+            plain = tail_estimate(_TRUNC, sample_S_at(_TRUNC, cfg, r), t, "upper")
+            tilted = tail_estimate(_TRUNC, sample_S_tilted(_TRUNC, cfg, r, t), t, "upper")
+            assert abs(plain.p_hat - tilted.p_hat) <= 3.0 * math.hypot(plain.se, tilted.se), (r, t)
+
+    @pytest.mark.parametrize("kernel", [
+        caputo(0.5),
+        Subexp(beta=0.5, theta=1.0),
+        Tabulated(knots=((0.5, 1.8), (1.0, 1.0), (2.0, 0.55)), tail="zero"),  # atom at 2
+    ])
+    def test_unbounded_or_atomic_kernels_are_refused(self, kernel):
+        with pytest.raises(DomainError, match="finite support and no atoms"):
+            sample_S_tilted(kernel, SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1), 0.3, 1.0)
+
+    def test_determinism_and_blocks(self, monkeypatch):
+        cfg = SimConfig(cutoff_eps=1e-3, n_paths=2000, seed=83)
+        a = sample_S_tilted(_TRUNC, cfg, 0.3, 2.5)
+        b = sample_S_tilted(_TRUNC, cfg, 0.3, 2.5)
+        monkeypatch.setattr(simulate, "_JUMP_BLOCK", 7)
+        c = sample_S_tilted(_TRUNC, cfg, 0.3, 2.5)
+        for other in (b, c):
+            assert np.array_equal(a.values, other.values)
+            assert np.array_equal(a.weights, other.weights)
+
+    def test_weighted_estimate_is_the_weighted_mean(self):
+        ens = simulate.PathEnsemble(level=1.0, values=np.array([0.5, 2.0, 3.0, 1.0]),
+                                    weights=np.array([1.0, 0.5, 0.25, 2.0]))
+        est = tail_estimate(_TRUNC, ens, 2.0, "upper")
+        x = np.array([0.0, 0.5, 0.25, 0.0])
+        assert est.p_hat == float(np.mean(x))
+        assert est.se == pytest.approx(float(np.std(x, ddof=1)) / 2.0, rel=1e-15)

@@ -196,7 +196,7 @@ class TestCriterionFour:
         assert len(calls) == 2
         assert not (rep.passed and lower_ok)
         monkeypatch.setattr(golden, "upper_bound_form", lambda *a, **k: {"tag": "unclassified"})
-        out = golden.crit_4_tail_two_sidedness()
+        out = golden.crit_4_tail_two_sidedness(golden.TableCache())
         assert out["passed"] is False
         for res in out["kernels"].values():
             assert set(res) == {"spread", "spread_doubled_paths", "lower_bound_ok",
