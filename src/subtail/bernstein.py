@@ -54,7 +54,6 @@ import warnings
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import brentq
 
 from .errors import DomainError, QuadratureError, RangeError
 from .kernels import float_pow
@@ -196,13 +195,96 @@ def _bernstein_values(kernel, lam, rtol):
     return fine[0], fine[1], fine[2]
 
 
+# Brent's tolerances: relative only, since an absolute xtol such as 2e-12
+# would swamp every root below ~1e-3
+_XTOL, _RTOL, _MAXITER = 1e-300, 1e-14, 200
+
+
+def _signbit(x):
+    return math.copysign(1.0, x) < 0.0
+
+
+def _div(a, b):
+    """a / b as C divides doubles: +-inf, or NaN for a = 0, where b = 0."""
+    if b:
+        return a / b
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _brent(f, xa, xb):
+    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), to |error| below
+    (_XTOL + _RTOL |x|)/2.
+
+    A line-for-line port of scipy's ``brentq.c``: the same steps in the same
+    floating-point order, so it returns scipy.optimize.brentq's root bit for
+    bit.  f must change sign on [xa, xb].  A NaN value of f, or no
+    convergence in _MAXITER steps, raises RangeError with the bracket.
+    """
+    bracket = (float(xa), float(xb))
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise RangeError("the function is NaN at x=%r inside the bracket" % x,
+                             bracket=bracket)
+        return fx
+
+    xpre, xcur = bracket
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise RangeError("the function has one sign on the bracket", bracket=bracket)
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RangeError("Brent's method did not converge in %d steps" % _MAXITER, bracket=bracket)
+
+
 def increasing_root(g, lo, hi):
     """Root of g, increasing on (0, inf), from the first bracket [lo, hi].
 
-    The bracket's signs are checked on g itself, the function brentq
-    solves, and it is moved outward by factors of 16 while both ends share a
-    sign.  When 200 moves find no sign change, RangeError.  The package's
-    one root finder.
+    The bracket's signs are checked on g itself, the function Brent's
+    method solves, and it is moved outward by factors of 16 while both ends
+    share a sign.  When 200 moves find no sign change, or g turns NaN inside
+    the final bracket, or Brent's method does not converge, RangeError.
+    The package's one root finder.
     """
     glo, ghi = g(lo), g(hi)
     for _ in range(200):
@@ -213,9 +295,7 @@ def increasing_root(g, lo, hi):
             lo, hi, glo = hi, hi * 16.0, ghi
             ghi = g(hi)
         elif glo <= 0.0 <= ghi:
-            # relative tolerance only: brentq's default absolute xtol of
-            # 2e-12 would swamp every root below ~1e-3
-            return brentq(g, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+            return _brent(g, lo, hi)
         else:  # NaN
             break
     raise RangeError("target not bracketed within a factor 16^200 of the first bracket",

@@ -40,6 +40,7 @@ from typing import NamedTuple
 from .bernstein import calN
 from .errors import DomainError, RegimeError
 from .heat_kernel import a_gamma_delta, boundary_min_form, geometry_probe, q_eval
+from .kernels import Truncated
 from .quadrature import GRADE, checked_panels, graded_edges
 from .tail_bounds import HORIZON_T, MARGIN, QUARTER_E2, near_diagonal, off_diagonal, within_bound
 
@@ -292,6 +293,11 @@ class EstimateCase:
     def __post_init__(self):
         if self.tag not in CASE_TAGS:
             raise DomainError("unknown estimate case tag %r" % (self.tag,))
+        # Example 1 is stated for w = s^-beta - delta^-beta on (0, delta]: its
+        # regimes and forms read the kernel's beta and delta
+        if self.tag.startswith("example1-") and not isinstance(self.kernel, Truncated):
+            raise DomainError("case tag %r needs a Truncated kernel, got %s"
+                              % (self.tag, type(self.kernel).__name__))
 
 
 class _Point(NamedTuple):

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammaincc
 
 from .errors import AtomError, DomainError
 
@@ -260,6 +259,8 @@ class Subexp:
 
     def _tail_moment(self, k, a):
         # int_a^inf u^k c0 exp(-theta u^beta) du via the upper incomplete gamma
+        from scipy.special import gamma as gamma_fn, gammaincc
+
         q = (k + 1.0) / self.beta
         return (
             self.c0
@@ -298,6 +299,8 @@ class DistributedOrder:
                 raise DomainError("DistributedOrder weights must be >= 0")
         if not any(k > 0.0 for _, k in ws):
             raise DomainError("DistributedOrder needs one strictly positive weight")
+        from scipy.special import gamma as gamma_fn
+
         # (beta_i, c_i) of the Caputo terms c_i s^{-beta_i}, c_i = kappa_i/Gamma(1-beta_i)
         object.__setattr__(self, "_terms", tuple((b, k / gamma_fn(1.0 - b)) for b, k in ws if k > 0.0))
 
@@ -318,6 +321,8 @@ class DistributedOrder:
         return out
 
     def nu(self, s):
+        from scipy.special import gamma as gamma_fn
+
         s = _as_positive_array(s)
         out = np.zeros_like(s)
         for b, k in self.weights:
@@ -503,6 +508,8 @@ class Tabulated:
 
 def caputo(beta):
     """Caputo kernel of order beta: w(s) = s^{-beta} / Gamma(1-beta)."""
+    from scipy.special import gamma as gamma_fn
+
     return Power(beta=beta, scale=1.0 / gamma_fn(1.0 - beta))
 
 

@@ -54,7 +54,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, erfc
 
 from .bernstein import increasing_root
 from .errors import DomainError
@@ -383,9 +382,13 @@ def exact_stable_sampler(beta, r, n_samples, seed=0):
 
 def stable_half_upper_cdf(r, t):
     """P(S_r >= t) = erf(r/(2 sqrt(t))) for the beta = 1/2 stable subordinator."""
+    from scipy.special import erf
+
     return erf(r / (2.0 * np.sqrt(t)))
 
 
 def stable_half_lower_cdf(r, t):
     """P(S_r <= t) = erfc(r/(2 sqrt(t))) for the beta = 1/2 stable subordinator."""
+    from scipy.special import erfc
+
     return erfc(r / (2.0 * np.sqrt(t)))

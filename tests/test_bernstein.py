@@ -388,6 +388,79 @@ class TestSmallestLambda:
         assert caputo_half.phi(floor) == pytest.approx(math.sqrt(floor), rel=1e-8)
 
 
+def _scipy_brentq(g, lo, hi):
+    from scipy.optimize import brentq
+
+    return brentq(g, lo, hi, xtol=bernstein._XTOL, rtol=bernstein._RTOL,
+                  maxiter=bernstein._MAXITER)
+
+
+def _seeded_brackets(n=500):
+    """(g, lo, hi): increasing power, log, tanh, cubic and tiny linear g
+    around seeded roots, on seeded brackets from 1e-3 to 1e3 times the root
+    wide.  Products of the tiny g's values underflow to 0, so Brent's
+    extrapolation divides by zero, as scipy's C does without an error."""
+    rng = np.random.default_rng(20240612)
+    out = []
+    for _ in range(n):
+        r = float(10.0 ** rng.uniform(-8.0, 8.0))
+        lo = r * float(10.0 ** rng.uniform(-3.0, 0.0))
+        hi = r * float(10.0 ** rng.uniform(0.0, 3.0))
+        p, a = float(rng.uniform(0.2, 3.0)), float(10.0 ** rng.uniform(-2.0, 2.0))
+        c, tiny = r**p, float(10.0 ** rng.uniform(-300.0, -150.0))
+        out += [
+            (lambda x, p=p, c=c: x**p - c, lo, hi),
+            (lambda x, r=r: math.log(x) - math.log(r), lo, hi),
+            (lambda x, r=r, a=a: math.tanh(a * (x / r - 1.0)), lo, hi),
+            (lambda x, r=r, a=a: (x - r) ** 3 + a * r * r * (x - r), lo, hi),
+            (lambda x, r=r, tiny=tiny: tiny * (x / r - 1.0), lo, hi),
+        ]
+    return out
+
+
+class TestBrent:
+    # the port keeps scipy.optimize.brentq's roots bit for bit, so replacing
+    # it moved no number of the package
+
+    def test_port_matches_scipy_on_seeded_brackets(self):
+        for g, lo, hi in _seeded_brackets():
+            assert bernstein._brent(g, lo, hi).hex() == _scipy_brentq(g, lo, hi).hex(), (lo, hi)
+
+    def test_port_matches_scipy_on_table_solves(self, tables, monkeypatch):
+        solves = []
+
+        def both(g, lo, hi):
+            x = port(g, lo, hi)
+            assert x.hex() == _scipy_brentq(g, lo, hi).hex(), (lo, hi)
+            solves.append(x)
+            return x
+
+        port = bernstein._brent
+        monkeypatch.setattr(bernstein, "_brent", both)
+        for tab in tables.values():
+            for y in (1e-3, 0.37, 1.0, 42.0, 1e4):
+                tab.invert("b", y)
+            for alpha in (1.0, 1.5, 2.0):
+                for lam in (1e-2, 0.9, 3.0, 1e3):
+                    tab.bar_phi_alpha(alpha, lam)
+        assert len(solves) >= 5 * 15
+
+    def test_nan_inside_the_bracket_is_range_error(self):
+        # increasing where defined; the first secant step lands at x = 1
+        g = lambda x: math.nan if 0.75 < x < 1.25 else x - 1.0
+        with pytest.raises(RangeError) as info:
+            bernstein.increasing_root(g, 0.5, 4.0)
+        assert info.value.bracket == (0.5, 4.0)
+
+    def test_no_convergence_is_range_error(self):
+        # a step at 1 is found by halving the bracket, and 2^900 takes ~940
+        # halvings to shrink to 1e-14
+        g = lambda x: -1.0 if x < 1.0 else 1.0
+        with pytest.raises(RangeError) as info:
+            bernstein.increasing_root(g, 0.5, 2.0**900)
+        assert info.value.bracket == (0.5, 2.0**900)
+
+
 class TestVariational:
     def test_calM_quadratic(self):
         for t in (0.1, 1.0, 7.0):

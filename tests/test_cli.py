@@ -8,6 +8,7 @@ import pytest
 
 from subtail import bernstein, cli
 from subtail.cli import main
+from subtail.estimates import CASE_TAGS
 from subtail.simulate import SimConfig
 
 
@@ -192,6 +193,25 @@ class TestFundsolEstimate:
         status, out = run_cli(tmp_path, "estimate", cfg)
         assert status == 3
         assert json.loads((out / "manifest.json").read_text())["error"]["type"] == "RegimeError"
+
+
+_SUBEXP = {"kind": "subexp", "beta": 0.5, "theta": 1.0}
+_HK_J_FREE = {"family": "HK_J", "alpha": 1.0, "d": 1.0, "gamma": 0.3, "lambda": 0.0, "k": 1,
+              "geometry": {"kind": "free"}}
+
+
+@pytest.mark.parametrize("kernel", [_HALF_CAPUTO, _SUBEXP], ids=["half-caputo", "subexp"])
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_every_tag_gives_a_value_or_a_typed_error(tmp_path, kernel, tag):
+    # most tags are stated for other kernels or regimes: those exit 3 or 4,
+    # never 1 (a budget failure) and never with an untyped exception
+    for i, (model, t) in enumerate(((_J1, 0.05), (_HK_J_FREE, 5.0))):
+        cfg = {"kernel": kernel, "model": model, "case": {"tag": tag, "t": t, "x": 0.3, "y": 0.6}}
+        status, out = run_cli(tmp_path / str(i), "estimate", cfg)
+        assert status in (0, 3, 4), (model["family"], t, status)
+        if tag.startswith("example1-"):
+            err = json.loads((out / "manifest.json").read_text())["error"]
+            assert status == 4 and "Truncated" in err["message"], err
 
 
 class TestTypedExits:

@@ -1,14 +1,20 @@
 """Every integral in the package goes through its one checked rule, every
 numeric root through ``bernstein``'s one bracketed root finder, no density
 is fitted by a spline, no module imports the package inside a function,
-every module-level import is used, and every name in a module's ``__all__``
-is read somewhere in the package.
+every module-level import is used, every name in a module's ``__all__``
+is read somewhere in the package, and neither importing the CLI nor a
+half-Caputo ``fundsol`` run loads scipy.
 
 The modules are parsed, not imported, so a banned import is found even in
-a branch no test runs.
+a branch no test runs; the scipy checks run in a fresh interpreter.
 """
 
 import ast
+import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "subtail"
@@ -24,19 +30,47 @@ def _imported_modules(path):
 
 
 def test_no_scipy_integrate_and_one_root_finder():
+    # the one root finder is bernstein's port of Brent's method
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) > 10
     for path in modules:
         for name in _imported_modules(path):
-            assert not name.startswith("scipy.integrate"), (path.name, name)
-            if path.name != "bernstein.py":
-                assert not name.startswith("scipy.optimize"), (path.name, name)
+            assert not name.startswith(("scipy.integrate", "scipy.optimize")), (path.name, name)
 
 
 def test_no_scipy_interpolate():
     for path in sorted(SRC.glob("*.py")):
         for name in _imported_modules(path):
             assert not name.startswith("scipy.interpolate"), (path.name, name)
+
+
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_the_cli_imports_no_scipy():
+    # scipy.special loads on first use, by the kernels and CDFs that need it
+    assert _scipy_modules_after("import subtail.cli") == "[]"
+
+
+def test_a_half_caputo_fundsol_run_imports_no_scipy(tmp_path):
+    cfg = tmp_path / "fundsol.json"
+    cfg.write_text(json.dumps({
+        "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
+        "model": {"family": "D1", "alpha": 2.0, "d": 1.0,
+                  "geometry": {"kind": "interval", "length": 1.0}},
+        "points": [{"t": 0.1, "x": 0.3, "y": 0.6}],
+    }))
+    code = ("from subtail import cli\n"
+            "assert cli.main(['fundsol', '--config', %r, '--out', %r]) == 0\n"
+            % (str(cfg), str(tmp_path / "out")))
+    assert _scipy_modules_after(code) == "[]"
 
 
 def _imports_the_package(node):
