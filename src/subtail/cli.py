@@ -14,11 +14,12 @@ Subcommands:
 * ``report``     the full golden suite as one pass/fail matrix
 
 Exit codes: 0 success; 1 budget failure (the ratio report is still
-written); 2 config schema violation (with a JSON-pointer path); 3 empty or
-violated regime, or a target outside a map's range (RegimeError,
-RangeError); 4 an argument outside its domain (DomainError, AtomError); 5 a
-quadrature that missed its target (QuadratureError).  On 3-5 the manifest
-is still written, with the error's type and message.
+written); 2 an unreadable config file, or a config schema violation (with
+the value's JSON path); 3 empty or violated regime, or a target outside a
+map's range (RegimeError, RangeError); 4 an argument outside its domain
+(DomainError, AtomError); 5 a quadrature that missed its target
+(QuadratureError).  On 3-5 the manifest is still written, with the error's
+type and message.
 
 Every run resolves its parameters into a manifest whose SHA-256 hash is
 cited by each output file; wall-clock time lives only in the manifest run
@@ -33,12 +34,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import asdict
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from . import __version__, golden
 from .bernstein import BernsteinTable
@@ -202,6 +203,97 @@ SCHEMAS = {
     },
     "report": {"type": "object", "properties": {}},
 }
+
+
+# ---------------------------------------------------------------------------
+# Config checking: the JSON Schema (Draft 2020-12) keywords SCHEMAS uses
+# ---------------------------------------------------------------------------
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# "integer" is a JSON integer literal and "number" a finite one: json.load
+# gives 1000.0, NaN and Infinity, which the commands cannot count or compute
+# with.  bool is neither.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": _is_int,
+    "number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+}
+
+
+def _equal(a, b):
+    # as JSON values: True is not 1, and 1.0 is 1
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _json_path(path, key):
+    # written as jsonschema's ValidationError.json_path writes it
+    if re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", key):
+        return path + "." + key
+    return "%s['%s']" % (path, key.replace("\\", "\\\\").replace("'", "\\'"))
+
+
+# the instance type a keyword applies to; the other keywords apply to any value
+_APPLIES_TO = {"required": "object", "properties": "object", "additionalProperties": "object",
+               "items": "array", "minItems": "array", "maxItems": "array",
+               "minimum": "number", "exclusiveMinimum": "number"}
+_KEYWORDS = {*_APPLIES_TO, "type", "enum", "const", "allOf", "if", "then"}
+
+
+def _schema_errors(schema, value, path="$"):
+    """Yield ``(json_path, message)`` for each way ``value`` breaks
+    ``schema``, with jsonschema's paths and messages.  Only the keywords in
+    ``_KEYWORDS`` are implemented; a schema with any other raises ValueError."""
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown:
+        raise ValueError("schema keywords not implemented: %s" % ", ".join(unknown))
+    for keyword, arg in schema.items():
+        if keyword in _APPLIES_TO and not _TYPES[_APPLIES_TO[keyword]](value):
+            continue
+        if keyword == "type":
+            if not _TYPES[arg](value):
+                finite = arg == "number" and isinstance(value, float)
+                yield path, "%r is %s" % (value, "not a finite number" if finite
+                                          else "not of type %r" % arg)
+        elif keyword == "required":
+            yield from ((path, "%r is a required property" % k) for k in arg if k not in value)
+        elif keyword == "properties":
+            for key, sub in arg.items():
+                if key in value:
+                    yield from _schema_errors(sub, value[key], _json_path(path, key))
+        elif keyword == "additionalProperties":
+            if arg is not False:
+                raise ValueError("only additionalProperties: false is implemented")
+            extras = sorted(k for k in value if k not in schema.get("properties", {}))
+            if extras:
+                yield path, "Additional properties are not allowed (%s %s unexpected)" % (
+                    ", ".join(map(repr, extras)), "was" if len(extras) == 1 else "were")
+        elif keyword == "items":
+            for i, item in enumerate(value):
+                yield from _schema_errors(arg, item, "%s[%d]" % (path, i))
+        elif keyword == "minItems" and len(value) < arg:
+            yield path, "%r %s" % (value, "should be non-empty" if arg == 1 else "is too short")
+        elif keyword == "maxItems" and len(value) > arg:
+            yield path, "%r %s" % (value, "is expected to be empty" if arg == 0 else "is too long")
+        elif keyword == "enum" and not any(_equal(value, v) for v in arg):
+            yield path, "%r is not one of %r" % (value, arg)
+        elif keyword == "const" and not _equal(value, arg):
+            yield path, "%r was expected" % (arg,)
+        elif keyword == "minimum" and value < arg:
+            yield path, "%r is less than the minimum of %r" % (value, arg)
+        elif keyword == "exclusiveMinimum" and value <= arg:
+            yield path, "%r is less than or equal to the minimum of %r" % (value, arg)
+        elif keyword == "allOf":
+            for sub in arg:
+                yield from _schema_errors(sub, value, path)
+        elif keyword == "if" and "then" in schema and not any(_schema_errors(arg, value, path)):
+            yield from _schema_errors(schema["then"], value, path)
+        # "then" is applied by "if"
 
 
 def _np_default(o):
@@ -483,14 +575,17 @@ def main(argv=None):
 
     cfg = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    schema = SCHEMAS[args.subcommand]
-    validator = Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: malformed JSON or UTF-8
+            reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+            print("config %s unreadable: %s" % (args.config, reason), file=sys.stderr)
+            return 2
+    errors = sorted(_schema_errors(SCHEMAS[args.subcommand], cfg), key=lambda e: e[0])
     if errors:
-        for err in errors:
-            print("config schema violation at %s: %s" % (err.json_path, err.message), file=sys.stderr)
+        for path, message in errors:
+            print("config schema violation at %s: %s" % (path, message), file=sys.stderr)
         return 2
 
     seed = args.seed if args.seed is not None else cfg.get("seed", golden.GOLDEN_SEED)

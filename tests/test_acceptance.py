@@ -3,14 +3,19 @@
 The suite is executed through the CLI `report` subcommand twice (which is
 itself criterion 12's determinism requirement); the per-criterion tests
 assert the frozen tolerances against the recorded details and print one
-pass/fail line each.
+pass/fail line each.  The first run's `report.json` and `report.txt` must
+equal the committed reference in `tests/golden/` byte for byte.
 """
 
 import json
 import math
+import platform
 import time
+from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from subtail.bernstein import BernsteinTable
 from subtail.cli import main
@@ -187,3 +192,64 @@ def test_each_run_builds_each_table_once(report_runs):
 
 def test_overall_verdict(report_runs):
     assert report_runs["report"]["passed"]
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _host():
+    """What the reference's bits depend on besides the code."""
+    cpu, flags = platform.processor(), ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            info = dict(map(str.strip, line.split(":", 1)) for line in fh if ":" in line)
+        cpu, flags = info.get("model name", cpu), info.get("flags", "")
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine(), "cpu": cpu,
+            "avx512f": "avx512f" in flags.split()}
+
+
+def _first_difference(ref, new, path="$"):
+    """The JSON path of the first value, in sorted-key order, where ``new``
+    differs from ``ref`` (floats to the last digit), or None."""
+    if isinstance(ref, dict) and isinstance(new, dict):
+        for key in sorted(set(ref) | set(new)):
+            if key not in ref or key not in new:
+                return "%s.%s (only in %s)" % (path, key, "the reference" if key in ref else "this run")
+            diff = _first_difference(ref[key], new[key], "%s.%s" % (path, key))
+            if diff:
+                return diff
+        return None
+    if isinstance(ref, list) and isinstance(new, list) and len(ref) == len(new):
+        for i, (a, b) in enumerate(zip(ref, new)):
+            diff = _first_difference(a, b, "%s[%d]" % (path, i))
+            if diff:
+                return diff
+        return None
+    return None if repr(ref) == repr(new) else "%s: reference %r, this run %r" % (path, ref, new)
+
+
+def _mismatch(name, ref, new):
+    if name.endswith(".json"):
+        diff = _first_difference(json.loads(ref), json.loads(new))
+        return "first difference at %s" % diff if diff else "same values, different bytes"
+    lines = list(zip(ref.decode().splitlines(), new.decode().splitlines()))
+    i = next((i for i, (a, b) in enumerate(lines) if a != b), len(lines))
+    return "first difference on line %d" % (i + 1)
+
+
+def test_report_matches_the_golden_reference(report_runs):
+    # a change that moves a golden number updates the reference with it
+    problems = []
+    for name in ("report.json", "report.txt"):
+        ref, new = (GOLDEN / name).read_bytes(), (report_runs["outs"][0] / name).read_bytes()
+        if new != ref:
+            problems.append("%s differs from tests/golden/%s: %s" % (name, name, _mismatch(name, ref, new)))
+    if problems:
+        recorded, host = json.loads((GOLDEN / "host.json").read_text()), _host()
+        changed = {k: (recorded.get(k), host[k]) for k in host if recorded.get(k) != host[k]}
+        if changed:
+            problems.append("this host differs from the reference's (recorded, now): %s" % changed)
+    assert not problems, "\n".join(problems)

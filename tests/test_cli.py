@@ -1,10 +1,14 @@
+import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subtail import bernstein, cli
 from subtail.cli import main
@@ -23,13 +27,15 @@ def run_cli(tmp_path, sub, cfg=None, extra=()):
     return main(argv), tmp_path / "out"
 
 
+_PHI_TABLE = {
+    "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
+    "lambdas": {"lo": 1e-2, "hi": 1e2, "n": 9},
+}
+
+
 class TestPhiTable:
     def test_caputo_column_is_sqrt(self, tmp_path):
-        cfg = {
-            "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
-            "lambdas": {"lo": 1e-2, "hi": 1e2, "n": 9},
-        }
-        status, out = run_cli(tmp_path, "phi-table", cfg)
+        status, out = run_cli(tmp_path, "phi-table", _PHI_TABLE)
         assert status == 0
         lines = (out / "phi_table.csv").read_text().splitlines()
         assert lines[0].startswith("# manifest ")
@@ -48,9 +54,13 @@ class TestPhiTable:
 _POWER = {"kind": "power", "beta": 0.5}
 _HALF_CAPUTO = {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)}
 _J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", "length": 1.0}}
+_SUBEXP = {"kind": "subexp", "beta": 0.5, "theta": 1.0}
+_HK_J_FREE = {"family": "HK_J", "alpha": 1.0, "d": 1.0, "gamma": 0.3, "lambda": 0.0, "k": 1,
+              "geometry": {"kind": "free"}}
 
 
-@pytest.mark.parametrize("sub, cfg, path", [
+# configs that break the schemas under Draft 2020-12 too
+_INVALID = [
     ("tails", {"kernel": _POWER, "sim": {"bogus": 2}, "grid": {"r": [0.5], "t": [1.0]}}, "$.sim"),
     ("tails", {"kernel": _POWER, "grid": {"r": ["0.5"], "t": [1.0]}}, "$.grid.r[0]"),
     ("fundsol", {"kernel": _POWER, "model": _J1, "points": [{"x": 0.3, "y": 0.6}]}, "$.points[0]"),
@@ -77,20 +87,42 @@ _J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", 
     ("estimate", {"kernel": _HALF_CAPUTO, "model": _J1,
                   "case": {"tag": "mainsmall-i", "t": 0.05, "x": 0.3, "y": 0.6, "horizon_T": 0}},
      "$.case.horizon_T"),
-])
+    # True is not the k = 1 of the enum
+    ("estimate", {"kernel": _HALF_CAPUTO, "model": {**_HK_J_FREE, "k": True},
+                  "case": {"tag": "mainsmall-i", "t": 0.05, "x": 0.3, "y": 0.6}}, "$.model.k"),
+]
+# configs that Draft 2020-12 accepts and the CLI's validator refuses
+_TIGHTENED = [
+    # an integral float is not an integer: both ended in a TypeError traceback
+    ("tails", {"kernel": _POWER, "sim": {"n_paths": 1000.0}, "grid": {"r": [0.5], "t": [1.0]}},
+     "$.sim.n_paths"),
+    ("phi-table", {"kernel": _POWER, "lambdas": {"n": 5.0}}, "$.lambdas.n"),
+    # NaN and Infinity are not numbers: p = nan with exit 0, and exit 4 from
+    # inside the evaluator
+    ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1,
+                 "points": [{"t": math.nan, "x": 0.3, "y": 0.6}]}, "$.points[0].t"),
+    ("phi-table", {"kernel": _POWER, "lambdas": {"hi": math.inf}}, "$.lambdas.hi"),
+    ("conditions", {"kernel": {"kind": "power", "beta": math.nan}}, "$.kernel.beta"),
+]
+
+
+@pytest.mark.parametrize("sub, cfg, path", _INVALID + _TIGHTENED)
 def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, sub, cfg, path):
     status, _ = run_cli(tmp_path, sub, cfg)
     assert status == 2
     assert "config schema violation at %s:" % path in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sub, cfg", [
+_NO_TABLE = [
     ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "points": [{"t": 0.1, "x": 0.3, "y": 0.6}]}),
     ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "method": "mc",
                  "sim": {"cutoff_eps": 1e-2, "n_paths": 200},
                  "points": [{"t": 0.1, "x": 0.3, "y": 0.6}]}),
     ("boundary", {"t_values": [0.2], "deltas": [1e-2, 1e-1]}),
-])
+]
+
+
+@pytest.mark.parametrize("sub, cfg", _NO_TABLE)
 def test_commands_that_read_no_bernstein_table_build_none(tmp_path, monkeypatch, sub, cfg):
     # p, u and the boundary sweep need the E_t law, not phi, H or b
     def refuse(*args, **kwargs):
@@ -108,24 +140,30 @@ def test_sim_schema_sets_every_sim_config_field_but_the_seed():
     assert set(cli._SIM_SCHEMA["properties"]) == fields - {"seed"}
 
 
+_TRUNCATED = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
+
+
 class TestConditions:
     def test_truncated_report(self, tmp_path):
-        cfg = {"kernel": {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}}
-        status, out = run_cli(tmp_path, "conditions", cfg)
+        status, out = run_cli(tmp_path, "conditions", {"kernel": _TRUNCATED})
         assert status == 0
         rep = json.loads((out / "conditions.json").read_text())
         assert rep["trunc"]["t_f"] == 1.0
         assert rep["spoly"]["t_s"] == pytest.approx(0.5)
 
 
+_TAILS = {
+    "kernel": _HALF_CAPUTO,
+    "sim": {"cutoff_eps": 1e-3, "n_paths": 5000},
+    "grid": {"r": [0.001], "t": [0.5]},
+}
+_TAILS_TRUNCATED = {"kernel": _TRUNCATED, "sim": {"cutoff_eps": 1e-3, "n_paths": 1000},
+                    "grid": {"r": [0.5, 2.0], "t": [0.3, 1.0, 4.0]}}
+
+
 class TestTails:
     def test_rows_and_bound_tags(self, tmp_path):
-        cfg = {
-            "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
-            "sim": {"cutoff_eps": 1e-3, "n_paths": 5000},
-            "grid": {"r": [0.001], "t": [0.5]},
-        }
-        status, out = run_cli(tmp_path, "tails", cfg, extra=["--seed", "5"])
+        status, out = run_cli(tmp_path, "tails", _TAILS, extra=["--seed", "5"])
         assert status == 0
         lines = (out / "tails.csv").read_text().splitlines()
         hdr = lines[1].split(",")
@@ -137,15 +175,12 @@ class TestTails:
         from subtail.kernels import kernel_from_config
         from subtail.simulate import sample_S_at, tail_estimate
 
-        kcfg = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
-        cfg = {"kernel": kcfg, "sim": {"cutoff_eps": 1e-3, "n_paths": 1000},
-               "grid": {"r": [0.5, 2.0], "t": [0.3, 1.0, 4.0]}}
         calls = []
         sample = cli.sample_S_at
         monkeypatch.setattr(cli, "sample_S_at", lambda *a: calls.append(a[2]) or sample(*a))
-        status, out = run_cli(tmp_path, "tails", cfg, extra=["--seed", "5"])
+        status, out = run_cli(tmp_path, "tails", _TAILS_TRUNCATED, extra=["--seed", "5"])
         assert status == 0 and calls == [0.5, 2.0]
-        kern, sim = kernel_from_config(kcfg), SimConfig(cutoff_eps=1e-3, n_paths=1000, seed=5)
+        kern, sim = kernel_from_config(_TRUNCATED), SimConfig(cutoff_eps=1e-3, n_paths=1000, seed=5)
         rows = [row.split(",") for row in (out / "tails.csv").read_text().splitlines()[2:]]
         assert len(rows) == 6
         for row in rows:
@@ -155,15 +190,20 @@ class TestTails:
             assert row[2:6] == ["%.17g" % v for v in (up.p_hat, up.se, lo.p_hat, lo.se)]
 
 
+_FUNDSOL = {
+    "kernel": _HALF_CAPUTO,
+    "model": _J1,
+    "points": [{"t": 0.05, "x": 0.3, "y": 0.6}, {"t": 0.1, "x": 0.2, "y": 0.25}],
+}
+_HK_J_EX1 = {"family": "HK_J", "alpha": 2.0, "d": 1.0, "gamma": 0.0, "lambda": 0.0, "k": 1,
+             "geometry": {"kind": "free"}}
+_ESTIMATE = {"kernel": _TRUNCATED, "model": _HK_J_EX1,
+             "case": {"tag": "example1-small", "t": 0.25, "x": 0.0, "y": 0.05}}
+
+
 class TestFundsolEstimate:
     def test_fundsol_csv(self, tmp_path):
-        cfg = {
-            "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
-            "model": {"family": "J1", "alpha": 1.0, "d": 1.0,
-                      "geometry": {"kind": "interval", "length": 1.0}},
-            "points": [{"t": 0.05, "x": 0.3, "y": 0.6}, {"t": 0.1, "x": 0.2, "y": 0.25}],
-        }
-        status, out = run_cli(tmp_path, "fundsol", cfg)
+        status, out = run_cli(tmp_path, "fundsol", _FUNDSOL)
         assert status == 0
         lines = (out / "fundsol.csv").read_text().splitlines()
         assert lines[1] == "t,x,y,p,se,method"
@@ -171,33 +211,19 @@ class TestFundsolEstimate:
         assert float(lines[2].split(",")[3]) > 0.0
 
     def test_estimate_json(self, tmp_path):
-        cfg = {
-            "kernel": {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0},
-            "model": {"family": "HK_J", "alpha": 2.0, "d": 1.0, "gamma": 0.0,
-                      "lambda": 0.0, "k": 1, "geometry": {"kind": "free"}},
-            "case": {"tag": "example1-small", "t": 0.25, "x": 0.0, "y": 0.05},
-        }
-        status, out = run_cli(tmp_path, "estimate", cfg)
+        status, out = run_cli(tmp_path, "estimate", _ESTIMATE)
         assert status == 0
         res = json.loads((out / "estimate.json").read_text())
         assert res["value"] == pytest.approx(0.25**-0.25, rel=1e-9)
         assert res["branch"] == "on-diagonal d<alpha"
 
     def test_estimate_out_of_regime_exits_3(self, tmp_path):
-        cfg = {
-            "kernel": {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0},
-            "model": {"family": "HK_J", "alpha": 2.0, "d": 1.0, "gamma": 0.0,
-                      "lambda": 0.0, "k": 1, "geometry": {"kind": "free"}},
-            "case": {"tag": "example1-small", "t": 5.0, "x": 0.0, "y": 0.05},
-        }
+        cfg = {**_ESTIMATE, "case": {**_ESTIMATE["case"], "t": 5.0}}
         status, out = run_cli(tmp_path, "estimate", cfg)
         assert status == 3
         assert json.loads((out / "manifest.json").read_text())["error"]["type"] == "RegimeError"
 
 
-_SUBEXP = {"kind": "subexp", "beta": 0.5, "theta": 1.0}
-_HK_J_FREE = {"family": "HK_J", "alpha": 1.0, "d": 1.0, "gamma": 0.3, "lambda": 0.0, "k": 1,
-              "geometry": {"kind": "free"}}
 
 
 @pytest.mark.parametrize("kernel", [_HALF_CAPUTO, _SUBEXP], ids=["half-caputo", "subexp"])
@@ -214,28 +240,24 @@ def test_every_tag_gives_a_value_or_a_typed_error(tmp_path, kernel, tag):
             assert status == 4 and "Truncated" in err["message"], err
 
 
+_D1 = {"family": "D1", "alpha": 2.0, "d": 1.0, "geometry": {"kind": "interval", "length": 1.0}}
+
+
 class TestTypedExits:
     # a SubtailError exits with its type's code, and the manifest is still
     # written, naming the error
     def _fundsol(self, tmp_path, kernel, x):
-        cfg = {
-            "kernel": kernel,
-            "model": {"family": "D1", "alpha": 2.0, "d": 1.0,
-                      "geometry": {"kind": "interval", "length": 1.0}},
-            "points": [{"t": 0.1, "x": x, "y": 0.5}],
-        }
+        cfg = {"kernel": kernel, "model": _D1, "points": [{"t": 0.1, "x": x, "y": 0.5}]}
         status, out = run_cli(tmp_path, "fundsol", cfg)
         return status, json.loads((out / "manifest.json").read_text())["error"]
 
     def test_point_outside_geometry_exits_4(self, tmp_path):
-        half = {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)}
-        status, err = self._fundsol(tmp_path, half, 1.3)
+        status, err = self._fundsol(tmp_path, _HALF_CAPUTO, 1.3)
         assert status == 4
         assert err["type"] == "DomainError" and "x=1.3" in err["message"]
 
     def test_truncated_kernel_quadrature_exits_4(self, tmp_path):
-        trunc = {"kind": "truncated", "beta": 0.5, "delta": 1.0, "scale": 1.0}
-        status, err = self._fundsol(tmp_path, trunc, 0.3)
+        status, err = self._fundsol(tmp_path, _TRUNCATED, 0.3)
         assert status == 4
         assert err["type"] == "DomainError" and 'method="mc"' in err["message"]
 
@@ -246,8 +268,7 @@ class TestTypedExits:
             raise QuadratureError("p quadrature achieved 1e-3, target 1e-8")
 
         monkeypatch.setattr(cli, "p_quadrature", fail)
-        half = {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)}
-        status, err = self._fundsol(tmp_path, half, 0.3)
+        status, err = self._fundsol(tmp_path, _HALF_CAPUTO, 0.3)
         assert status == 5
         assert err == {"type": "QuadratureError",
                        "message": "p quadrature achieved 1e-3, target 1e-8"}
@@ -277,10 +298,13 @@ class TestCompare:
         assert not rep["passed"]
 
 
+_UNIT_POWER = {"kind": "power", "beta": 0.5, "scale": 1.0}
+_PHI_TABLE_SHORT = {"kernel": _UNIT_POWER, "lambdas": {"lo": 0.1, "hi": 10.0, "n": 5}}
+
+
 class TestManifest:
     def test_outputs_cite_manifest_hash(self, tmp_path):
-        cfg = {"kernel": {"kind": "power", "beta": 0.5, "scale": 1.0}}
-        status, out = run_cli(tmp_path, "conditions", cfg)
+        status, out = run_cli(tmp_path, "conditions", {"kernel": _UNIT_POWER})
         assert status == 0
         man = json.loads((out / "manifest.json").read_text())
         rep = json.loads((out / "conditions.json").read_text())
@@ -288,12 +312,226 @@ class TestManifest:
         assert "conditions.json" in man["outputs"]
 
     def test_same_manifest_byte_identical(self, tmp_path):
-        cfg = {
-            "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0},
-            "lambdas": {"lo": 0.1, "hi": 10.0, "n": 5},
-        }
-        s1, out1 = run_cli(tmp_path / "a", "phi-table", cfg)
-        s2, out2 = run_cli(tmp_path / "b", "phi-table", cfg)
+        s1, out1 = run_cli(tmp_path / "a", "phi-table", _PHI_TABLE_SHORT)
+        s2, out2 = run_cli(tmp_path / "b", "phi-table", _PHI_TABLE_SHORT)
         assert s1 == s2 == 0
         assert (out1 / "phi_table.csv").read_bytes() == (out2 / "phi_table.csv").read_bytes()
         assert (out1 / "phi_table.json").read_bytes() == (out2 / "phi_table.json").read_bytes()
+
+
+class TestUnreadableConfig:
+    # exit 2 and one line on stderr, like a schema violation, not a traceback
+    def _run(self, tmp_path, capsys, path):
+        status = main(["conditions", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        return status, err
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        status, err = self._run(tmp_path, capsys, path)
+        assert status == 2
+        assert err == "config %s unreadable: No such file or directory\n" % path
+
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"kernel": ')
+        status, err = self._run(tmp_path, capsys, path)
+        assert status == 2
+        assert err.startswith("config %s unreadable: Expecting value" % path)
+        assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# The config validator, against jsonschema's Draft 2020-12 as an oracle
+# ---------------------------------------------------------------------------
+
+
+def _workload_configs():
+    """(subcommand, config) of every call the benchmark's workloads make."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    calls = [call for name in workloads.WORKLOADS for seed in (1, 2)
+             for call in workloads.build(name, seed)]
+    kernels = [{"kernel": kern} for kern in workloads.KERNELS.values()]
+    return ([(call["subcommand"], call["config"] or {}) for call in calls]
+            + [(sub, cfg) for sub in ("conditions", "phi-table") for cfg in kernels])
+
+
+_VALID_CONFIGS = [
+    ("phi-table", _PHI_TABLE), ("phi-table", _PHI_TABLE_SHORT),
+    ("conditions", {"kernel": _TRUNCATED}), ("conditions", {"kernel": _UNIT_POWER}),
+    ("tails", _TAILS), ("tails", _TAILS_TRUNCATED),
+    ("fundsol", _FUNDSOL), ("fundsol", {"kernel": _TRUNCATED, "model": _D1,
+                                        "points": [{"t": 0.1, "x": 0.3, "y": 0.5}]}),
+    ("estimate", _ESTIMATE), ("phi-table", {"kernel": _POWER, "lambdas": {"n": 1}}),
+    *[("estimate", {"kernel": kern, "model": model, "case": {"tag": tag, "t": 0.05, "x": 0.3,
+                                                             "y": 0.6, "margin": 2}})
+      for kern in (_HALF_CAPUTO, _SUBEXP) for model in (_J1, _HK_J_FREE) for tag in CASE_TAGS[:3]],
+    *_NO_TABLE,
+    ("compare", {}), ("compare", {"case": "dgamma-g", "budget": 8}),
+    ("boundary", {}), ("report", {}),
+    *_workload_configs(),
+]
+
+
+@pytest.fixture(scope="module")
+def draft202012():
+    return pytest.importorskip("jsonschema").Draft202012Validator
+
+
+def _agree(draft202012, sub, cfg):
+    # what main prints: the violations sorted by path, stable within a path
+    schema = cli.SCHEMAS[sub]
+    ours = sorted(cli._schema_errors(schema, cfg), key=lambda e: e[0])
+    theirs = sorted(draft202012(schema).iter_errors(cfg), key=lambda e: e.json_path)
+    assert ours == [(e.json_path, e.message) for e in theirs], (sub, cfg)
+    return ours
+
+
+@pytest.mark.parametrize("sub, cfg", _VALID_CONFIGS)
+def test_every_valid_config_passes_both_validators(draft202012, sub, cfg):
+    assert _agree(draft202012, sub, cfg) == []
+
+
+@pytest.mark.parametrize("sub, cfg, path", _INVALID)
+def test_invalid_configs_fail_both_validators_at_the_same_paths(draft202012, sub, cfg, path):
+    assert path in [p for p, _ in _agree(draft202012, sub, cfg)]
+
+
+@pytest.mark.parametrize("sub, cfg, path", _TIGHTENED)
+def test_the_tightened_configs_pass_draft_2020_12(draft202012, sub, cfg, path):
+    assert list(draft202012(cli.SCHEMAS[sub]).iter_errors(cfg)) == []
+
+
+def _nodes(schema, value, path=()):
+    """(path, schema, value) of the config and of every value in it that the
+    schema describes."""
+    yield path, schema, value
+    if isinstance(value, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in value:
+                yield from _nodes(sub, value[key], path + (key,))
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            yield from _nodes(schema["items"], item, path + (i,))
+
+
+def _replace(cfg, path, new):
+    if not path:
+        return new
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return cfg
+
+
+# Values of another type, or out of range, for any value.  None of them is a
+# float with an integral value or a non-finite one: there the validator
+# deliberately differs from Draft 2020-12 (the exit-2 rows above).
+_OTHER_VALUES = ["x", None, [], {}, ["x"], {"kind": "x"}, 0.5, 0, -2, 3]
+
+
+def _draw(data, nodes):
+    """One of ``nodes``, drawn by schema first, so that the few values with
+    their own schema weigh as much as the many points that share one."""
+    by_schema = {}
+    for node in nodes:
+        by_schema.setdefault(id(node[1]), []).append(node)
+    return data.draw(st.sampled_from(data.draw(st.sampled_from(list(by_schema.values())))))
+
+
+def _mutate(data, sub, cfg):
+    """``cfg`` with one mutation applied, where the config has a target for it."""
+    nodes = list(_nodes(cli.SCHEMAS[sub], cfg))
+    kind = data.draw(st.sampled_from(
+        ["drop-key", "retype", "bool", "extra-sim-key", "empty-array", "off-enum", "pair-length",
+         "at-bound"]))
+    if kind == "extra-sim-key":
+        # SimConfig's own seed is set by the manifest, so "seed" is extra too
+        if "sim" in cli.SCHEMAS[sub]["properties"] and isinstance(cfg, dict) and isinstance(
+                cfg.get("sim", {}), dict):
+            cfg.setdefault("sim", {})[data.draw(st.sampled_from(["bogus", "seed"]))] = 5
+        return cfg
+    targets = [n for n in nodes if {
+        "drop-key": lambda p, s, v: isinstance(v, dict) and v,
+        "retype": lambda p, s, v: True,
+        "bool": lambda p, s, v: s.get("type") in ("number", "integer") or "enum" in s,
+        "empty-array": lambda p, s, v: isinstance(v, list),
+        "off-enum": lambda p, s, v: "enum" in s,
+        "pair-length": lambda p, s, v: (len(p) >= 2 and p[-2] in ("weights", "knots")
+                                        and isinstance(v, list) and v),
+        "at-bound": lambda p, s, v: "minimum" in s or "exclusiveMinimum" in s,
+    }[kind](*n)]
+    if not targets:
+        return cfg
+    path, schema, value = _draw(data, targets)
+    if kind == "drop-key":
+        del value[data.draw(st.sampled_from(sorted(value)))]
+    elif kind == "pair-length":
+        value.append(1.0) if data.draw(st.booleans()) else value.pop()
+    elif kind == "at-bound":
+        low = schema.get("minimum", schema.get("exclusiveMinimum"))
+        cfg = _replace(cfg, path, data.draw(st.sampled_from([low - 1, low, low + 1])))
+    else:
+        # 2.0 is k's 2, as JSON sees it
+        new = {"retype": st.sampled_from(_OTHER_VALUES), "bool": st.booleans(),
+               "empty-array": st.just([]), "off-enum": st.sampled_from(["zzz", 0, 1.5, 2.0])}[kind]
+        cfg = _replace(cfg, path, data.draw(new))
+    return cfg
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_fail_both_validators_at_the_same_paths(draft202012, data):
+    sub = data.draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    cfg = copy.deepcopy(data.draw(st.sampled_from([c for s, c in _VALID_CONFIGS if s == sub])))
+    for _ in range(data.draw(st.integers(1, 3))):
+        cfg = _mutate(data, sub, cfg)
+    _agree(draft202012, sub, cfg)
+
+
+def test_paths_are_written_as_jsonschema_writes_them():
+    schema = {"properties": {"a b": {"type": "number"}, "it's": {"type": "number"},
+                             "x1_y": {"items": {"type": "number"}}}}
+    errors = list(cli._schema_errors(schema, {"a b": "s", "it's": "s", "x1_y": [0, "s"]}))
+    assert [path for path, _ in errors] == ["$['a b']", "$['it\\'s']", "$.x1_y[1]"]
+
+
+def test_integers_are_integer_literals_and_numbers_are_finite():
+    integer, number = {"type": "integer"}, {"type": "number"}
+    assert list(cli._schema_errors(integer, 3)) == []
+    for value in (3.0, True):
+        assert list(cli._schema_errors(integer, value)) == [
+            ("$", "%r is not of type 'integer'" % value)]
+    for value in (math.nan, math.inf, -math.inf):
+        assert list(cli._schema_errors(number, value)) == [
+            ("$", "%r is not a finite number" % value)]
+    assert list(cli._schema_errors(number, False)) == [("$", "False is not of type 'number'")]
+    # enum and const compare as JSON does
+    assert list(cli._schema_errors({"enum": [1, 2]}, 1.0)) == []
+    assert list(cli._schema_errors({"const": 1}, True)) == [("$", "1 was expected")]
+
+
+def _keywords(schema):
+    yield from schema
+    for keyword, arg in schema.items():
+        subs = {"properties": list(arg.values()) if keyword == "properties" else [],
+                "items": [arg], "allOf": arg, "if": [arg], "then": [arg]}.get(keyword, [])
+        for sub in subs:
+            yield from _keywords(sub)
+
+
+def test_an_unimplemented_keyword_raises():
+    with pytest.raises(ValueError, match="pattern"):
+        list(cli._schema_errors({"type": "string", "pattern": "^a"}, "abc"))
+    # also where the instance is not of the keyword's type
+    with pytest.raises(ValueError, match="pattern"):
+        list(cli._schema_errors({"pattern": "^a"}, 1))
+    with pytest.raises(ValueError, match="additionalProperties"):
+        list(cli._schema_errors({"additionalProperties": {"type": "number"}}, {"a": 1}))
+    # and no schema of the CLI uses one, even in a branch no config reaches
+    for schema in cli.SCHEMAS.values():
+        assert set(_keywords(schema)) <= set(cli._KEYWORDS)

@@ -3,10 +3,11 @@ numeric root through ``bernstein``'s one bracketed root finder, no density
 is fitted by a spline, no module imports the package inside a function,
 every module-level import is used, every name in a module's ``__all__``
 is read somewhere in the package, and neither importing the CLI nor a
-half-Caputo ``fundsol`` run loads scipy.
+half-Caputo ``fundsol`` run loads scipy or jsonschema.
 
 The modules are parsed, not imported, so a banned import is found even in
-a branch no test runs; the scipy checks run in a fresh interpreter.
+a branch no test runs; the checks of loaded modules run in a fresh
+interpreter.
 """
 
 import ast
@@ -16,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "subtail"
 
@@ -44,22 +47,29 @@ def test_no_scipy_interpolate():
             assert not name.startswith("scipy.interpolate"), (path.name, name)
 
 
-def _scipy_modules_after(code):
-    """The scipy modules a fresh interpreter has loaded after running code."""
+def _modules_after(code):
+    """The top-level names of the modules a fresh interpreter has loaded
+    after running code."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    code += "\nimport json, sys\nprint(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))\n"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def test_the_cli_imports_no_scipy():
-    # scipy.special loads on first use, by the kernels and CDFs that need it
-    assert _scipy_modules_after("import subtail.cli") == "[]"
+# jsonschema and the packages it pulls in; the CLI checks configs itself
+_JSONSCHEMA = {"jsonschema", "referencing", "rpds", "attrs"}
 
 
-def test_a_half_caputo_fundsol_run_imports_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    return _modules_after("import subtail.cli")
+
+
+@pytest.fixture(scope="module")
+def fundsol_run_modules(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fundsol")
     cfg = tmp_path / "fundsol.json"
     cfg.write_text(json.dumps({
         "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
@@ -70,7 +80,24 @@ def test_a_half_caputo_fundsol_run_imports_no_scipy(tmp_path):
     code = ("from subtail import cli\n"
             "assert cli.main(['fundsol', '--config', %r, '--out', %r]) == 0\n"
             % (str(cfg), str(tmp_path / "out")))
-    assert _scipy_modules_after(code) == "[]"
+    return _modules_after(code)
+
+
+def test_the_cli_imports_no_scipy(cli_import_modules):
+    # scipy.special loads on first use, by the kernels and CDFs that need it
+    assert "scipy" not in cli_import_modules
+
+
+def test_a_half_caputo_fundsol_run_imports_no_scipy(fundsol_run_modules):
+    assert "scipy" not in fundsol_run_modules
+
+
+def test_the_cli_imports_no_jsonschema(cli_import_modules):
+    assert cli_import_modules & _JSONSCHEMA == set()
+
+
+def test_a_half_caputo_fundsol_run_imports_no_jsonschema(fundsol_run_modules):
+    assert fundsol_run_modules & _JSONSCHEMA == set()
 
 
 def _imports_the_package(node):
