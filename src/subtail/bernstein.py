@@ -34,7 +34,9 @@ diagnostic; a silent wrong value is never returned, and an array fails at its
 first failing lambda, as that lambda alone would.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
-points per decade on [1e-9, 1e9]), built by one evaluator call.  Its queries
+points per decade on [1e-9, 1e9]), built by one evaluator call the first time
+something reads it; a grid that cannot be built raises there, not when the
+table is made, and a table whose grid nothing reads never builds it.  Its queries
 phi(), phi_prime() and H() make one evaluator call per array and evaluate a
 scalar as a one-element array, so the grid holds bit for bit what they return
 at its nodes.  Scalar evaluations are memoised per table, since root finders
@@ -302,12 +304,23 @@ def increasing_root(g, lo, hi):
                      bracket=(float(lo), float(hi)))
 
 
+# the attributes of a table's grid, all built by one evaluator call at the
+# first read of any of them
+_GRID_ATTRS = frozenset(
+    ("phi_grid", "H_grid", "phi_prime_grid", "b_s_grid", "b_grid", "_log_lam", "_log_phi"))
+
+
 class BernsteinTable:
     """Cached monotone representations of phi, phi', H, b and their inverses.
 
-    Immutable after construction, but for a memo of scalar evaluations that
-    holds only what the evaluator returns; all queries are pure, so a table
-    can be shared freely across threads.
+    Construction checks the arguments and makes lam_grid only.  The grid
+    values are built at the first read of any of them, and that read raises
+    the build's DomainError or QuadratureError if the grid cannot be built;
+    the queries phi(), H() and phi_prime() never need it.  Beyond that lazy
+    build and a memo of scalar evaluations, both holding only what the
+    evaluator returns, a table is immutable and all queries are pure, so it
+    can be shared freely across threads (two threads may both build the
+    grid, to the same values).
     """
 
     def __init__(self, kernel, lam_lo=1e-9, lam_hi=1e9, points_per_decade=96, quad_rtol=1e-10):
@@ -322,16 +335,24 @@ class BernsteinTable:
         self.kernel = kernel
         self.quad_rtol = quad_rtol
         self.lam_grid = np.geomspace(lam_lo, lam_hi, n + 1)
-        # the checked values phi(), H() and phi_prime() return at the nodes
-        self.phi_grid, self.H_grid, self.phi_prime_grid = _bernstein_values(
-            kernel, self.lam_grid, quad_rtol)
-        # b on its own grid: with lam = H^{-1}(1/s) running over lam_grid,
-        # s = 1/H(lam) and b(s) = phi'(lam)/H(lam), exact up to quadrature
-        self.b_s_grid = 1.0 / self.H_grid[::-1]
-        self.b_grid = (self.phi_prime_grid / self.H_grid)[::-1]
-        self._log_lam = np.log(self.lam_grid)
-        self._log_phi = np.log(self.phi_grid)
         self._memo = {}
+
+    def __getattr__(self, name):
+        """Build the grid at the first read of one of its attributes.  Only
+        reached when the attribute is missing, so later reads are plain
+        attribute reads."""
+        if name not in _GRID_ATTRS:
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        # the checked values phi(), H() and phi_prime() return at the nodes
+        phi, H, dphi = _bernstein_values(self.kernel, self.lam_grid, self.quad_rtol)
+        self.__dict__.update(
+            phi_grid=phi, H_grid=H, phi_prime_grid=dphi,
+            # b on its own grid: with lam = H^{-1}(1/s) running over lam_grid,
+            # s = 1/H(lam) and b(s) = phi'(lam)/H(lam), exact up to quadrature
+            b_s_grid=1.0 / H[::-1], b_grid=(dphi / H)[::-1],
+            _log_lam=np.log(self.lam_grid), _log_phi=np.log(phi),
+        )
+        return self.__dict__[name]
 
     # -- forward maps -------------------------------------------------------
 

@@ -56,6 +56,8 @@ _NUMBERS = {"type": "array", "items": {"type": "number"}}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _POSITIVES = {"type": "array", "minItems": 1, "items": _POSITIVE}
 _NUMBER_PAIRS = {"type": "array", "items": {**_NUMBERS, "minItems": 2, "maxItems": 2}}
+# the manifest seed of every subcommand, which --seed overrides
+_SEED = {"type": "integer"}
 # the parameters kernel_from_config has no default for, per kernel kind
 _KERNEL_REQUIRED = {
     "power": ["beta"],
@@ -126,6 +128,7 @@ SCHEMAS = {
         "type": "object",
         "required": ["kernel"],
         "properties": {
+            "seed": _SEED,
             "kernel": _KERNEL_SCHEMA,
             "lambdas": {
                 "type": "object",
@@ -137,11 +140,16 @@ SCHEMAS = {
             },
         },
     },
-    "conditions": {"type": "object", "required": ["kernel"], "properties": {"kernel": _KERNEL_SCHEMA}},
+    "conditions": {
+        "type": "object",
+        "required": ["kernel"],
+        "properties": {"seed": _SEED, "kernel": _KERNEL_SCHEMA},
+    },
     "tails": {
         "type": "object",
         "required": ["kernel", "grid"],
         "properties": {
+            "seed": _SEED,
             "kernel": _KERNEL_SCHEMA,
             "sim": _SIM_SCHEMA,
             "grid": {
@@ -155,6 +163,7 @@ SCHEMAS = {
         "type": "object",
         "required": ["kernel", "model", "points"],
         "properties": {
+            "seed": _SEED,
             "kernel": _KERNEL_SCHEMA,
             "model": _MODEL_SCHEMA,
             "sim": _SIM_SCHEMA,
@@ -173,6 +182,7 @@ SCHEMAS = {
         "type": "object",
         "required": ["kernel", "model", "case"],
         "properties": {
+            "seed": _SEED,
             "kernel": _KERNEL_SCHEMA,
             "model": _MODEL_SCHEMA,
             "case": {
@@ -191,17 +201,18 @@ SCHEMAS = {
     },
     "compare": {
         "type": "object",
-        "properties": {"case": {"type": "string"}, "budget": {"type": "number"}},
+        "properties": {"seed": _SEED, "case": {"type": "string"}, "budget": {"type": "number"}},
     },
     "boundary": {
         "type": "object",
         "properties": {
+            "seed": _SEED,
             "t_values": _POSITIVES,
             "deltas": _POSITIVES,
             "band_budget": {"type": "number"},
         },
     },
-    "report": {"type": "object", "properties": {}},
+    "report": {"type": "object", "properties": {"seed": _SEED}},
 }
 
 
@@ -396,7 +407,7 @@ def _sim_config(cfg, seed, args, n_paths):
     """The run's SimConfig: the config's "sim" entry over the defaults, the
     manifest seed, and --paths over both."""
     sim_cfg = {"cutoff_eps": 1e-4, "n_paths": n_paths, **cfg.get("sim", {}), "seed": seed}
-    if args.paths:
+    if args.paths is not None:
         sim_cfg["n_paths"] = args.paths
     return SimConfig(**sim_cfg)
 

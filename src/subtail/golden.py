@@ -61,7 +61,9 @@ class TableCache:
     """The BernsteinTables of one run, one per (kernel, points per decade).
 
     Kernels are frozen dataclasses, so equal parameters share a table.  A
-    cache lives as long as the run that made it, never longer.
+    table builds its grid at the first read, so a criterion that only
+    queries phi or H never pays for it.  A cache lives as long as the run
+    that made it, never longer.
     """
 
     def __init__(self):

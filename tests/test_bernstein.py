@@ -176,10 +176,11 @@ class TestArrayEvaluator:
         # and a chunk holds at most 16 of them at once.  Beside them live the
         # padded edges, n_lambda * (24 + breakpoints) floats, at most 3 copies.
         k = kernels["tabulated"]
-        BernsteinTable(k, points_per_decade=4)  # moment tables, imports
+        BernsteinTable(k, points_per_decade=4).phi_grid  # moment tables, imports
         tracemalloc.start()
         try:
             tab = BernsteinTable(k, points_per_decade=96)
+            tab.phi_grid  # the build
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,15 +189,57 @@ class TestArrayEvaluator:
         assert peak <= 16 * chunk + 3 * edges, (peak, chunk, edges)
 
 
+class TestLazyGrid:
+    """The grid is built by one evaluator call at the first read of any of its
+    attributes; construction and the queries phi(), H(), phi_prime() never
+    build it."""
+
+    @pytest.fixture
+    def array_calls(self, monkeypatch):
+        calls = []
+        evaluate = bernstein._bernstein_values
+
+        def counting(kernel, lam, rtol):
+            if lam.size > 1:
+                calls.append(lam.size)
+            return evaluate(kernel, lam, rtol)
+
+        monkeypatch.setattr(bernstein, "_bernstein_values", counting)
+        return calls
+
+    def test_construction_and_scalar_queries_build_nothing(self, array_calls):
+        tab = BernsteinTable(caputo(0.5))
+        assert tab.phi(4.0) == pytest.approx(2.0, rel=1e-10)
+        tab.H(4.0), tab.phi_prime(4.0)
+        assert array_calls == []
+
+    @pytest.mark.parametrize("first", sorted(bernstein._GRID_ATTRS))
+    def test_the_first_grid_read_builds_every_grid_attribute(self, array_calls, first):
+        tab = BernsteinTable(caputo(0.5), points_per_decade=4)
+        value = getattr(tab, first)
+        for name in sorted(bernstein._GRID_ATTRS):
+            getattr(tab, name)
+        assert array_calls == [tab.lam_grid.size]
+        assert getattr(tab, first) is value
+
+    def test_other_missing_attributes_raise_attribute_error(self, array_calls):
+        tab = BernsteinTable(caputo(0.5), points_per_decade=4)
+        with pytest.raises(AttributeError, match="no attribute 'psi_grid'"):
+            tab.psi_grid
+        assert not hasattr(tab, "grid") and array_calls == []
+
+
 class TestBuildErrors:
     """A failed build reports the first failing node in grid order, and there
-    the first failing integral (phi, H, phi'), as a grid starting at that node does."""
+    the first failing integral (phi, H, phi'), as a grid starting at that node does.
+    The grid is built, and fails, at its first read."""
 
     def test_quadrature_error_at_the_first_node(self):
         with pytest.raises(QuadratureError) as built:
-            BernsteinTable(caputo(0.5), quad_rtol=1e-17)
+            BernsteinTable(caputo(0.5), quad_rtol=1e-17).phi_grid
         with pytest.raises(QuadratureError) as alone:
-            BernsteinTable(caputo(0.5), lam_lo=1e-9, lam_hi=1e-8, points_per_decade=1, quad_rtol=1e-17)
+            BernsteinTable(caputo(0.5), lam_lo=1e-9, lam_hi=1e-8, points_per_decade=1,
+                           quad_rtol=1e-17).phi_grid
         for err in (built.value, alone.value):
             assert str(err) == "Laplace integral of phi did not converge at lambda=1e-09"
             assert err.target == 1e-17
@@ -205,7 +248,7 @@ class TestBuildErrors:
 
     def test_domain_error_names_the_largest_supported_lambda(self):
         with pytest.raises(DomainError) as built:
-            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4)
+            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4).phi_grid
         assert str(built.value) == (
             "lambda=1e+154 is above the largest supported lambda 6.703903964971299e+153 "
             "of this kernel (its truncated moments or its panels overflow)")
@@ -213,10 +256,12 @@ class TestBuildErrors:
     def test_earlier_node_decides_between_the_two(self):
         # the failing quadrature at 1e-9 comes before the unsupported 1e154 ...
         with pytest.raises(QuadratureError, match="lambda=1e-09"):
-            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4, quad_rtol=1e-17)
+            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4,
+                           quad_rtol=1e-17).phi_grid
         # ... and the unsupported 1e-120 before any failing quadrature
         with pytest.raises(DomainError, match="lambda=1e-120 is below the smallest supported"):
-            BernsteinTable(caputo(0.5), lam_lo=1e-120, points_per_decade=4, quad_rtol=1e-17)
+            BernsteinTable(caputo(0.5), lam_lo=1e-120, points_per_decade=4,
+                           quad_rtol=1e-17).phi_grid
 
     @pytest.mark.parametrize("grid", [
         {"lam_lo": 0.0},

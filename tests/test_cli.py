@@ -27,6 +27,15 @@ def run_cli(tmp_path, sub, cfg=None, extra=()):
     return main(argv), tmp_path / "out"
 
 
+def _workloads():
+    """The benchmark's workloads module, which this file only reads."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 _PHI_TABLE = {
     "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
     "lambdas": {"lo": 1e-2, "hi": 1e2, "n": 9},
@@ -106,7 +115,16 @@ _TIGHTENED = [
 ]
 
 
-@pytest.mark.parametrize("sub, cfg, path", _INVALID + _TIGHTENED)
+# a top-level seed that is not an integer literal, under Draft 2020-12 too:
+# "abc" ended in a ValueError traceback and 1.5 ran.  Kept apart from _INVALID
+# so that the rows above keep their test ids.
+_INVALID_SEEDS = [
+    ("tails", {"kernel": _POWER, "grid": {"r": [0.5], "t": [1.0]}, "seed": "abc"}, "$.seed"),
+    ("tails", {"kernel": _POWER, "grid": {"r": [0.5], "t": [1.0]}, "seed": 1.5}, "$.seed"),
+]
+
+
+@pytest.mark.parametrize("sub, cfg, path", _INVALID + _TIGHTENED + _INVALID_SEEDS)
 def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, sub, cfg, path):
     status, _ = run_cli(tmp_path, sub, cfg)
     assert status == 2
@@ -131,6 +149,28 @@ def test_commands_that_read_no_bernstein_table_build_none(tmp_path, monkeypatch,
     monkeypatch.setattr(bernstein.BernsteinTable, "__init__", refuse)
     status, _ = run_cli(tmp_path, sub, cfg)
     assert status == 0
+
+
+_MC_TAILS = [call for call in _workloads().build("mc", 1) if call["subcommand"] == "tails"]
+
+
+@pytest.mark.parametrize("call", _MC_TAILS, ids=lambda call: call["label"])
+def test_tails_builds_a_grid_only_for_the_truncated_r0(tmp_path, monkeypatch, call):
+    # the tail forms need r phi(1/t) at a few points; only the truncated
+    # kernel's r_0 root reads the table's grid: one build of its 18 * 24 + 1
+    # nodes, 24 per decade on [1e-9, 1e9]
+    calls = []
+    evaluate = bernstein._bernstein_values
+
+    def counting(kernel, lam, rtol):
+        if lam.size > 1:
+            calls.append(lam.size)
+        return evaluate(kernel, lam, rtol)
+
+    monkeypatch.setattr(bernstein, "_bernstein_values", counting)
+    status, _ = run_cli(tmp_path, "tails", call["config"], extra=["--seed", str(call["seed"])])
+    assert status == 0
+    assert calls == ([18 * 24 + 1] if call["config"]["kernel"]["kind"] == "truncated" else [])
 
 
 def test_sim_schema_sets_every_sim_config_field_but_the_seed():
@@ -170,6 +210,17 @@ class TestTails:
         row = dict(zip(hdr, lines[2].split(",")))
         assert row["bound_tag"] in ("small-t-poly", "large-t-poly")
         assert float(row["upper_p"]) + float(row["lower_p"]) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cfg, extra", [
+        ({**_TAILS, "sim": {"cutoff_eps": 1e-3, "n_paths": 0}}, []),
+        (_TAILS, ["--paths", "0"]),
+    ], ids=["config", "flag"])
+    def test_zero_paths_exits_4(self, tmp_path, cfg, extra):
+        # --paths overrides the config's count whatever its value, 0 included
+        status, out = run_cli(tmp_path, "tails", cfg, extra=extra)
+        assert status == 4
+        err = json.loads((out / "manifest.json").read_text())["error"]
+        assert err == {"type": "DomainError", "message": "n_paths must be at least 100"}
 
     def test_one_ensemble_per_clock_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
         from subtail.kernels import kernel_from_config
@@ -348,10 +399,7 @@ class TestUnreadableConfig:
 
 def _workload_configs():
     """(subcommand, config) of every call the benchmark's workloads make."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = _workloads()
     calls = [call for name in workloads.WORKLOADS for seed in (1, 2)
              for call in workloads.build(name, seed)]
     kernels = [{"kernel": kern} for kern in workloads.KERNELS.values()]
@@ -395,7 +443,7 @@ def test_every_valid_config_passes_both_validators(draft202012, sub, cfg):
     assert _agree(draft202012, sub, cfg) == []
 
 
-@pytest.mark.parametrize("sub, cfg, path", _INVALID)
+@pytest.mark.parametrize("sub, cfg, path", _INVALID + _INVALID_SEEDS)
 def test_invalid_configs_fail_both_validators_at_the_same_paths(draft202012, sub, cfg, path):
     assert path in [p for p, _ in _agree(draft202012, sub, cfg)]
 
