@@ -19,19 +19,20 @@ so the identity phi - lambda*phi' = H compares independent quadratures.
 
 One evaluator, ``_bernstein_values``, computes all three on a 1-D array of
 lambda: per lambda, composite Gauss-Legendre panels on the 23 octaves of
-[1e-5/lambda, 50/lambda] (split additionally at kernel breakpoints), and a
-closed-form head: on [0, 1e-5/lambda] the factor e^{-lambda u} is Taylor
-expanded to three terms and the remaining truncated moments
-int_0^a u^k w(u) du come exactly from the kernel, one ``kernel.moment`` call
-per k for the whole array.  The lambdas are grouped by panel count and
-evaluated in chunks of at most ``_PANEL_CHUNK`` panels, one ``kernel.w`` call
-per chunk, which bounds the memory of a build.  Each lambda's panel sums
-reduce its own contiguous block of node values, and every power that feeds a
-value is rounded as a lone float's would be (``kernels.float_pow``), so a
-value never depends on the batch it was computed in.  Each integral is taken
-at 24 and at 40 nodes per panel and the discrepancy is the achieved-error
-diagnostic; a silent wrong value is never returned, and an array fails at its
-first failing lambda, as that lambda alone would.
+[1e-5/lambda, 50/lambda] (``quadrature.geometric_edges``, split additionally
+at kernel breakpoints), and a closed-form head: on [0, 1e-5/lambda] the
+factor e^{-lambda u} is Taylor expanded to three terms and the remaining
+truncated moments int_0^a u^k w(u) du come exactly from the kernel, one
+``kernel.moment`` call per k for the whole array.  The lambdas are grouped by
+panel count and evaluated in chunks of at most ``_PANEL_CHUNK`` panels, one
+``kernel.w`` call per chunk, which bounds the memory of a build.  Each
+lambda's panel sums reduce its own contiguous block of node values, and every
+power that feeds a value is rounded as a lone float's would be
+(``kernels.float_pow``), so a value never depends on the batch it was
+computed in.  Each integral is taken at 24 and at 40 nodes per panel and the
+discrepancy is the achieved-error diagnostic; a silent wrong value is never
+returned, and an array fails at its first failing lambda, as that lambda
+alone would.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
 points per decade on [1e-9, 1e9]), built by one evaluator call the first time
@@ -59,6 +60,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, QuadratureError, RangeError
 from .kernels import float_pow
+from .quadrature import geometric_edges
 from .shapes import as_shape
 
 __all__ = ["BernsteinTable", "calM", "calN", "increasing_root"]
@@ -67,7 +69,6 @@ _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
 # geometric panels on [u0, 50/lambda]: 23 octaves for every lambda
 _OCTAVES = math.ceil(math.log2(_TAIL_MULT / _HEAD_FRAC))
-_STEPS = np.arange(_OCTAVES + 1.0)
 _COARSE = 24  # nodes per panel of the check; the 40-node values are returned
 # Gauss-Legendre nodes and weights on [-1, 1]: the 24-node rule, then the 40-node one
 _NODES, _WEIGHTS = (np.concatenate(v) for v in zip(leggauss(_COARSE), leggauss(40)))
@@ -105,12 +106,10 @@ def _unsupported(kernel, lam):
 
 def _panel_edges(kernel, u0, hi):
     """Row j: the sorted panel edges on [u0[j], hi[j]], the geometric octaves
-    (as np.geomspace makes them) and the kernel's breakpoints inside, padded
-    with inf; and the panel count of each row."""
+    (``quadrature.geometric_edges``, np.geomspace's values) and the kernel's
+    breakpoints inside, padded with inf; and the panel count of each row."""
     u0, hi = u0[:, None], hi[:, None]
-    lo10 = np.log10(u0)
-    edges = 10.0 ** (_STEPS * ((np.log10(hi) - lo10) / _OCTAVES) + lo10)
-    edges[:, :1], edges[:, -1:] = u0, hi
+    edges = geometric_edges(u0, hi, _OCTAVES + 1)
     brk = np.array(kernel.breakpoints(), dtype=float)
     inside = (u0 < brk) & (brk < hi) if brk.size else brk
     if not inside.any():

@@ -26,12 +26,12 @@ crossing-time form integrates the Stieltjes measure exactly.
 The solution u(t,x) = int_D p(t,x,y) f(y) m(dy) is evaluated with the order
 of integration swapped: the inner boundary integral Q(r,x) = int q(r,x,y)
 f(y) dy is computed per clock value and then averaged against g_t (or the
-ensemble).  Every integral over q, p's and Q's alike, evaluates q once per
-node array and is checked by ``quadrature.checked_panels``: its 32- and
-64-node Gauss-Legendre panel sums must agree to the target, otherwise
-QuadratureError.  Model kernels here are class representatives, so u
-verifies structure (decay rates, symmetry, boundary order), not physical
-values.
+ensemble).  Every integral over q, p's and Q's alike, is checked by
+``quadrature.checked_panels`` and evaluates q once per check, on one node
+array holding the 32- and the 64-node Gauss-Legendre points of every panel:
+the two panel sums must agree to the target, otherwise QuadratureError.
+Model kernels here are class representatives, so u verifies structure
+(decay rates, symmetry, boundary order), not physical values.
 
 ``diagonal_probe`` feeds the truncated-kernel diagonal finiteness check:
 near r = 0 the crossing law follows the structural form

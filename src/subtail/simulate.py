@@ -183,7 +183,7 @@ def sample_S_at(kernel, config, r):
     _check_jump_budget(config, r * w_eps)
     rng = _rng(config.seed, 1)
     counts = rng.poisson(r * w_eps, size=config.n_paths)
-    values = _path_sums(counts, lambda m: inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=m)))
+    values = _path_sums(counts, lambda m: inverse_w_vec(kernel, w_eps * rng.random(m)))
     values += _drift_rate(kernel, eps) * r
     return PathEnsemble(level=r, values=values)
 
@@ -330,23 +330,24 @@ def sample_E_t(kernel, config, t):
     n = config.n_paths
     drift = _drift_rate(kernel, eps)
 
+    # the uncrossed paths only: their index, running sum and clock
+    idx = np.arange(n)
     S = np.zeros(n)
     clock = np.zeros(n)
     E = np.full(n, np.nan)
-    active = np.arange(n)
-    while active.size:
-        k = active.size
+    while idx.size:
+        k = idx.size
         gaps = rng.standard_exponential(k) / w_eps
-        jumps = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=k))
-        s_a, c_a = S[active], clock[active]
-        s_after_gap = s_a + drift * gaps if drift > 0.0 else s_a
-        by_drift = s_after_gap >= t  # never true without drift: s_a < t
-        E[active[by_drift]] = c_a[by_drift] + (t - s_a[by_drift]) / drift
+        jumps = inverse_w_vec(kernel, w_eps * rng.random(k))
+        s_after_gap = S + drift * gaps if drift > 0.0 else S
+        by_drift = s_after_gap >= t  # never true without drift: S < t
+        E[idx[by_drift]] = clock[by_drift] + (t - S[by_drift]) / drift
         by_jump = ~by_drift & (s_after_gap + jumps >= t)
-        E[active[by_jump]] = c_a[by_jump] + gaps[by_jump]
-        S[active] = s_after_gap + jumps
-        clock[active] = c_a + gaps
-        active = active[np.isnan(E[active]) & (clock[active] < budget)]
+        E[idx[by_jump]] = clock[by_jump] + gaps[by_jump]
+        S = s_after_gap + jumps
+        clock = clock + gaps
+        go_on = ~(by_drift | by_jump) & (clock < budget)
+        idx, S, clock = idx[go_on], S[go_on], clock[go_on]
 
     censored = np.isnan(E)
     return PathEnsemble(level=t, values=np.where(censored, budget, E), censored=censored)

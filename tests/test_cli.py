@@ -527,7 +527,8 @@ def _mutate(data, sub, cfg):
         # 2.0 is k's 2, as JSON sees it
         new = {"retype": st.sampled_from(_OTHER_VALUES), "bool": st.booleans(),
                "empty-array": st.just([]), "off-enum": st.sampled_from(["zzz", 0, 1.5, 2.0])}[kind]
-        cfg = _replace(cfg, path, data.draw(new))
+        # a copy: a later mutation must not edit the shared _OTHER_VALUES
+        cfg = _replace(cfg, path, copy.deepcopy(data.draw(new)))
     return cfg
 
 

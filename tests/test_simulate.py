@@ -162,6 +162,59 @@ class TestSampleEt:
         assert np.array_equal(a, b)
 
 
+def _gathering_E(kernel, config, t):
+    """E_t walked over n-length running sums and clocks, gathered from and
+    scattered into at every step: the reference for the uncrossed-only walk."""
+    eps, n = config.cutoff_eps, config.n_paths
+    w_eps = float(kernel.w(eps))
+    budget = 1e6 / simulate._phi_proxy(kernel, 1.0 / t)
+    rng = simulate._rng(config.seed, 2)
+    drift = simulate._drift_rate(kernel, eps)
+    S, clock, E = np.zeros(n), np.zeros(n), np.full(n, np.nan)
+    active = np.arange(n)
+    while active.size:
+        k = active.size
+        gaps = rng.standard_exponential(k) / w_eps
+        jumps = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=k))
+        s_a, c_a = S[active], clock[active]
+        s_after_gap = s_a + drift * gaps if drift > 0.0 else s_a
+        by_drift = s_after_gap >= t
+        E[active[by_drift]] = c_a[by_drift] + (t - s_a[by_drift]) / drift
+        by_jump = ~by_drift & (s_after_gap + jumps >= t)
+        E[active[by_jump]] = c_a[by_jump] + gaps[by_jump]
+        S[active] = s_after_gap + jumps
+        clock[active] = c_a + gaps
+        active = active[np.isnan(E[active]) & (clock[active] < budget)]
+    censored = np.isnan(E)
+    return np.where(censored, budget, E), censored
+
+
+class TestUncrossedWalk:
+    @pytest.mark.parametrize("name", sorted(builtin_kernel_set()))
+    def test_equals_the_gathering_walk_with_censoring(self, monkeypatch, name):
+        k = builtin_kernel_set()[name]
+        cfg = SimConfig(cutoff_eps=1e-2, n_paths=2000, seed=17)
+        t = 0.5
+        # a budget at the median of E_t censors about half of the paths
+        budget = float(np.median(sample_E_t(k, cfg, t).values))
+        monkeypatch.setattr(simulate, "_phi_proxy", lambda kernel, lam: 1e6 / budget)
+        ens = sample_E_t(k, cfg, t)
+        values, censored = _gathering_E(k, cfg, t)
+        assert np.array_equal(ens.values, values) and np.array_equal(ens.censored, censored)
+        assert 0 < np.count_nonzero(censored) < cfg.n_paths
+
+
+class TestUniformDraws:
+    def test_random_is_uniform_zero_one_on_the_philox_stream(self):
+        # the samplers' rng.random(m) gives the doubles and stream positions
+        # of rng.uniform(0.0, 1.0, size=m), interleaved with other draws
+        a, b = simulate._rng(20240517, 2), simulate._rng(20240517, 2)
+        for m in (1, 7, 0, 1000, 3, 4096, 65, 1 << 15):
+            assert np.array_equal(a.standard_exponential(m), b.standard_exponential(m))
+            assert a.random(m).tobytes() == b.uniform(0.0, 1.0, size=m).tobytes()
+        assert a.random() == b.uniform(0.0, 1.0)
+
+
 class TestMassSpreadsOverWindow:
     def test_quarter_mass_moves_across_the_phi_window(self):
         # searching dyadic multiples c in {2^k}: some eps1 < N have
