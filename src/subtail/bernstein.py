@@ -36,18 +36,33 @@ alone would.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
 points per decade on [1e-9, 1e9]), built by one evaluator call the first time
-something reads it; a grid that cannot be built raises there, not when the
-table is made, and a table whose grid nothing reads never builds it.  Its queries
-phi(), phi_prime() and H() make one evaluator call per array and evaluate a
-scalar as a one-element array, so the grid holds bit for bit what they return
-at its nodes.  Scalar evaluations are memoised per table, since root finders
-and callers repeat their lambdas.  The table supplies monotone
+something reads it (``phi_inv_fast``, ``bar_phi_alpha``, ``phiHw_brackets`` or
+a ``*_grid`` attribute); a grid that cannot be built raises there, not when
+the table is made, and a table whose grid nothing reads never builds it.  Its
+queries phi(), phi_prime() and H() make one evaluator call per array and
+evaluate a scalar as a one-element array, so the grid holds bit for bit what
+they return at its nodes.  Scalar evaluations are memoised per table, since
+root finders and callers repeat their lambdas.  The table supplies monotone
 inverses, the composite function b(s) = s phi'(H^{-1}(1/s)), the envelope
 inverse bar_phi_alpha, all solved by one bracketed root finder, and the
 variational quantities
 
     M(t,l) = sup_{s>0} { l/s - t/Phi(s) }                 (closed form, arrays)
     N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (golden section)
+
+The root finder is written as step generators (``_brent_steps``,
+``_increasing_root_steps``) that yield each lambda they need and receive the
+function's value there; ``increasing_root`` drives them with a function.
+Its first bracket is the grid cell np.searchsorted(g(lam_grid), 0.0) picks,
+found by probing g at only the nodes that search reads, in numpy's order
+(``_probe_search``), so neither ``invert`` nor the truncated r_0 builds the
+grid; ``bar_phi_alpha`` keeps searching its own log-space grid, whose
+np.log values can differ from math.log's.  ``invert`` takes a scalar or an
+array of targets, rejects a NaN, infinite or non-positive one with
+RangeError before it evaluates anything, and solves them in lockstep, one
+solver per target and one evaluator call per step for the lambdas not yet
+memoised; if a step raises, the targets are solved again one at a time, in
+order, so an array raises what its first failing target raises alone.
 """
 
 from __future__ import annotations
@@ -214,28 +229,35 @@ def _div(a, b):
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _brent(f, xa, xb):
-    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4), to |error| below
-    (_XTOL + _RTOL |x|)/2.
+def _drive(steps, f):
+    """Run the step generator steps to its result, answering each x it
+    yields with f(x)."""
+    fx = None
+    while True:
+        try:
+            x = steps.send(fx)
+        except StopIteration as stop:
+            return stop.value
+        fx = f(x)
 
-    A line-for-line port of scipy's ``brentq.c``: the same steps in the same
-    floating-point order, so it returns scipy.optimize.brentq's root bit for
-    bit.  f must change sign on [xa, xb].  A NaN value of f, or no
-    convergence in _MAXITER steps, raises RangeError with the bracket.
-    """
+
+def _checked(fx, x, bracket):
+    """float(fx), or RangeError with the bracket where fx is NaN."""
+    fx = float(fx)
+    if math.isnan(fx):
+        raise RangeError("the function is NaN at x=%r inside the bracket" % x, bracket=bracket)
+    return fx
+
+
+def _brent_steps(xa, xb):
+    """Brent's method on [xa, xb] as a step generator: it yields each x at
+    which it needs f, receives f(x) and returns the root; ``_brent`` drives
+    it with f."""
     bracket = (float(xa), float(xb))
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise RangeError("the function is NaN at x=%r inside the bracket" % x,
-                             bracket=bracket)
-        return fx
-
     xpre, xcur = bracket
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre = _checked((yield xpre), xpre, bracket)
+    fcur = _checked((yield xcur), xcur, bracket)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -274,8 +296,42 @@ def _brent(f, xa, xb):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = _checked((yield xcur), xcur, bracket)
     raise RangeError("Brent's method did not converge in %d steps" % _MAXITER, bracket=bracket)
+
+
+def _brent(f, xa, xb):
+    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), to |error| below
+    (_XTOL + _RTOL |x|)/2.
+
+    A line-for-line port of scipy's ``brentq.c`` (``_brent_steps``): the
+    same steps in the same floating-point order, so it returns
+    scipy.optimize.brentq's root bit for bit.  f must change sign on
+    [xa, xb].  A NaN value of f, or no convergence in _MAXITER steps, raises
+    RangeError with the bracket.
+    """
+    return _drive(_brent_steps(xa, xb), f)
+
+
+def _increasing_root_steps(lo, hi):
+    """``increasing_root`` as a step generator: yields each x at which it
+    needs g, receives g(x) and returns the root."""
+    glo = yield lo
+    ghi = yield hi
+    for _ in range(200):
+        if glo > 0.0:
+            lo, hi, ghi = lo / 16.0, lo, glo
+            glo = yield lo
+        elif ghi < 0.0:
+            lo, hi, glo = hi, hi * 16.0, ghi
+            ghi = yield hi
+        elif glo <= 0.0 <= ghi:
+            return (yield from _brent_steps(lo, hi))
+        else:  # NaN
+            break
+    raise RangeError("target not bracketed within a factor 16^200 of the first bracket",
+                     bracket=(float(lo), float(hi)))
 
 
 def increasing_root(g, lo, hi):
@@ -285,22 +341,37 @@ def increasing_root(g, lo, hi):
     method solves, and it is moved outward by factors of 16 while both ends
     share a sign.  When 200 moves find no sign change, or g turns NaN inside
     the final bracket, or Brent's method does not converge, RangeError.
-    The package's one root finder.
+    The package's one root finder (``_increasing_root_steps``).
     """
-    glo, ghi = g(lo), g(hi)
-    for _ in range(200):
-        if glo > 0.0:
-            lo, hi, ghi = lo / 16.0, lo, glo
-            glo = g(lo)
-        elif ghi < 0.0:
-            lo, hi, glo = hi, hi * 16.0, ghi
-            ghi = g(hi)
-        elif glo <= 0.0 <= ghi:
-            return _brent(g, lo, hi)
-        else:  # NaN
-            break
-    raise RangeError("target not bracketed within a factor 16^200 of the first bracket",
-                     bracket=(float(lo), float(hi)))
+    return _drive(_increasing_root_steps(lo, hi), g)
+
+
+def _probe_search(points):
+    """np.searchsorted(g(points), 0.0), side "left", as a step generator:
+    it yields the points whose g numpy's binary search reads, in its order,
+    and receives g there.  From lo, hi = 0, len(points) it probes
+    mid = lo + ((hi - lo) >> 1), and g < 0 sets lo = mid + 1, anything
+    else (NaN included, which numpy sorts last) hi = mid."""
+    lo, hi = 0, len(points)
+    while lo < hi:
+        mid = lo + ((hi - lo) >> 1)
+        if (yield points[mid]) < 0.0:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+# invert's function of lambda for each target map, from (phi, H, phi') at
+# lambda and the target y; each increases in lambda
+_INVERSES = {
+    "phi": lambda v, y: v[0] - y,
+    "H": lambda v, y: v[1] - y,
+    "phi_prime": lambda v, y: y - v[2],
+    # b(1/H(lam)) = phi'(lam)/H(lam) is strictly decreasing in lam; a single
+    # lambda-space solve avoids nesting two inversions
+    "b": lambda v, y: y - v[2] / v[1],
+}
 
 
 # the attributes of a table's grid, all built by one evaluator call at the
@@ -315,11 +386,11 @@ class BernsteinTable:
     Construction checks the arguments and makes lam_grid only.  The grid
     values are built at the first read of any of them, and that read raises
     the build's DomainError or QuadratureError if the grid cannot be built;
-    the queries phi(), H() and phi_prime() never need it.  Beyond that lazy
-    build and a memo of scalar evaluations, both holding only what the
-    evaluator returns, a table is immutable and all queries are pure, so it
-    can be shared freely across threads (two threads may both build the
-    grid, to the same values).
+    the queries phi(), H(), phi_prime(), b_fun() and invert() never need
+    it.  Beyond that lazy build and a memo of scalar evaluations, both
+    holding only what the evaluator returns, a table is immutable and all
+    queries are pure, so it can be shared freely across threads (two threads
+    may both build the grid, to the same values).
     """
 
     def __init__(self, kernel, lam_lo=1e-9, lam_hi=1e9, points_per_decade=96, quad_rtol=1e-10):
@@ -355,17 +426,35 @@ class BernsteinTable:
 
     # -- forward maps -------------------------------------------------------
 
-    def _at(self, lam):
-        """(phi, H, phi') at one float lam > 0: the evaluator on a one-element
-        array.  Memoised, since root finders and callers ask for the same lam
-        again and again; the memo holds at most as many lam as the grid."""
-        v = self._memo.get(lam)
-        if v is None:
-            if len(self._memo) >= len(self.lam_grid):
-                self._memo.clear()
-            vals = _bernstein_values(self.kernel, np.array([lam]), self.quad_rtol)
-            v = self._memo[lam] = tuple(c.item() for c in vals)
-        return v
+    def _values(self, lams):
+        """(phi, H, phi') at each float lam > 0 of the list lams.  A lam is
+        taken from the memo, else from the grid if it is built and lam is
+        one of its nodes (the evaluator's own bits), else from one evaluator
+        call for all such lam.  New values join the memo, which holds at
+        most as many lam as the grid, since root finders and callers ask
+        for the same lam again and again."""
+        memo, got, new = self._memo, {}, []
+        for lam in lams:
+            if lam not in got:
+                got[lam] = v = memo.get(lam)
+                if v is None:
+                    new.append(lam)
+        if new:
+            x = np.array(new)
+            vals = np.empty((3, x.size))
+            off = np.ones(x.size, dtype=bool)
+            if "phi_grid" in self.__dict__:
+                j = np.searchsorted(self.lam_grid, x).clip(max=self.lam_grid.size - 1)
+                off = self.lam_grid[j] != x
+                for row, grid in zip(vals, (self.phi_grid, self.H_grid, self.phi_prime_grid)):
+                    row[~off] = grid[j[~off]]
+            if off.any():
+                vals[:, off] = _bernstein_values(self.kernel, x[off], self.quad_rtol)
+            for lam, v in zip(new, zip(*vals.tolist())):
+                if len(memo) >= len(self.lam_grid):
+                    memo.clear()
+                memo[lam] = got[lam] = v
+        return [got[lam] for lam in lams]
 
     def _forward(self, lam, col, name, zero_ok):
         """Column col of the evaluator at lam, a scalar or an array (one
@@ -378,7 +467,7 @@ class BernsteinTable:
                 raise DomainError("%s requires lambda %s 0" % (name, ">=" if zero_ok else ">"))
             pos = flat != 0.0  # NaN goes on to the evaluator, which rejects it
         if np.ndim(lam) == 0:
-            return self._at(flat.item())[col] if pos[0] else 0.0
+            return self._values([flat.item()])[0][col] if pos[0] else 0.0
         out = np.zeros(flat.shape)
         out[pos] = _bernstein_values(self.kernel, flat[pos], self.quad_rtol)[col]
         return out.reshape(x.shape)
@@ -394,54 +483,92 @@ class BernsteinTable:
         return self._forward(lam, 1, "H", True)
 
     def b_fun(self, s):
-        """b(s) = s * phi'(H^{-1}(1/s)), strictly increasing."""
-        if np.ndim(s) > 0:
-            return np.array([self.b_fun(v) for v in np.asarray(s, float)])
-        s = float(s)
-        if s <= 0.0:
+        """b(s) = s * phi'(H^{-1}(1/s)), strictly increasing; for an array
+        s, one inversion and one phi' call."""
+        s = float(s) if np.ndim(s) == 0 else np.asarray(s, dtype=float)
+        if np.any(s <= 0.0):
             raise DomainError("b requires s > 0")
-        lam = self.invert("H", 1.0 / s)
-        return s * self.phi_prime(lam)
+        return s * self.phi_prime(self.invert("H", 1.0 / s))
 
     # -- inverses -----------------------------------------------------------
 
-    def _root(self, g, g_grid):
-        """Root of g, increasing in lambda, where g_grid ~ g(lam_grid).
+    def _root_steps(self, g_grid=None):
+        """Step generator of the root of g, increasing in lambda.
 
-        The first bracket is the grid cell in which g_grid changes sign or,
-        for a root beyond either end of the grid, the factor 4 past that end;
-        ``increasing_root`` takes it from there.
+        The first bracket is the grid cell in which g changes sign, at the
+        index np.searchsorted(g_grid, 0.0) or, without g_grid, at the same
+        index found by probing g at only the nodes that search reads
+        (``_probe_search``); for a root beyond either end of the grid it is
+        the factor 4 past that end.  ``increasing_root``'s steps take it
+        from there.
         """
         lam = self.lam_grid
-        j = int(np.searchsorted(g_grid, 0.0))
+        if g_grid is None:
+            j = yield from _probe_search(lam)
+        else:
+            j = int(np.searchsorted(g_grid, 0.0))
         if j == 0:
             lo, hi = lam[0] / 4.0, lam[0]
         elif j == len(lam):
             lo, hi = lam[-1], lam[-1] * 4.0
         else:
             lo, hi = lam[j - 1], lam[j]
-        return increasing_root(g, lo, hi)
+        return (yield from _increasing_root_steps(lo, hi))
+
+    def _root(self, g, g_grid=None):
+        """Root of g, increasing in lambda; g_grid ~ g(lam_grid) if given,
+        else g is probed at the nodes that pick the first bracket."""
+        return _drive(self._root_steps(g_grid), g)
+
+    def _solve(self, which, ys):
+        """invert's results at the float targets ys, one solver per target.
+        The solvers advance in lockstep: each step answers every solver's
+        lambda with one ``_values`` call."""
+        g = _INVERSES[which]
+        solvers = [self._root_steps() for _ in ys]
+        xs = [float(s.send(None)) for s in solvers]
+        roots = [None] * len(ys)
+        live = range(len(ys))
+        while live:
+            vals = self._values([xs[i] for i in live])
+            going = []
+            for i, v in zip(live, vals):
+                try:
+                    xs[i] = float(solvers[i].send(g(v, ys[i])))
+                    going.append(i)
+                except StopIteration as stop:
+                    roots[i] = stop.value
+            live = going
+        if which == "b":
+            return [1.0 / v[1] for v in self._values(roots)]
+        return roots
 
     def invert(self, which, y):
-        """Inverse of phi, H, b or phi' at y; forward(invert(y)) = y to 1e-9."""
-        y = float(y)
-        if y <= 0.0:
-            raise RangeError("invert target must be positive", bracket=None)
-        if which == "phi":
-            return self._root(lambda lam: self.phi(lam) - y, self.phi_grid - y)
-        if which == "H":
-            return self._root(lambda lam: self.H(lam) - y, self.H_grid - y)
-        if which == "phi_prime":
-            return self._root(lambda lam: y - self.phi_prime(lam), y - self.phi_prime_grid)
-        if which == "b":
-            # b(1/H(lam)) = phi'(lam)/H(lam) is strictly decreasing in lam;
-            # a single lambda-space solve avoids nesting two inversions
-            def g(lam):
-                _, H, dphi = self._at(float(lam))
-                return y - dphi / H
+        """Inverse of phi, H, b or phi' at y, a scalar or an array of
+        targets; forward(invert(y)) = y to 1e-9.
 
-            return 1.0 / self.H(self._root(g, y - self.b_grid[::-1]))
-        raise DomainError("invert target must be one of phi, H, b, phi_prime")
+        Every target is checked before any solve: a NaN, infinite or
+        non-positive one raises RangeError.  The targets are solved in
+        lockstep (``_solve``); if that raises, they are solved again one at
+        a time, in order, so an array raises what its first failing target
+        raises alone.
+        """
+        ys = np.array(y, dtype=float, ndmin=1)
+        flat = ys.ravel().tolist()
+        for v in flat:
+            if not math.isfinite(v):
+                raise RangeError("invert target %r is not finite" % v, bracket=None)
+            if v <= 0.0:
+                raise RangeError("invert target must be positive", bracket=None)
+        if which not in _INVERSES:
+            raise DomainError("invert target must be one of phi, H, b, phi_prime")
+        try:
+            out = self._solve(which, flat)
+        except Exception:
+            # whatever a lockstep step raised, the first target that fails
+            # on its own raises again here
+            out = [self._solve(which, [v])[0] for v in flat]
+        return out[0] if np.ndim(y) == 0 else np.array(out).reshape(ys.shape)
 
     def phi_inv_fast(self, y):
         """phi^{-1} by log-log interpolation on the cache (~1e-5 relative).
@@ -453,7 +580,7 @@ class BernsteinTable:
         out = np.exp(np.interp(np.log(y_arr), self._log_phi, self._log_lam))
         bad = (y_arr < self.phi_grid[0]) | (y_arr > self.phi_grid[-1])
         if np.any(bad):
-            out[bad] = [self.invert("phi", v) for v in y_arr[bad]]
+            out[bad] = self.invert("phi", y_arr[bad])
         return float(out[0]) if np.ndim(y) == 0 else out
 
     # -- envelope inverse ---------------------------------------------------

@@ -377,17 +377,8 @@ def _cmd_phi_table(cfg, out, seed, manifest, args):
     lam_cfg = cfg.get("lambdas", {})
     lams = np.geomspace(lam_cfg.get("lo", 1e-3), lam_cfg.get("hi", 1e3), lam_cfg.get("n", 97))
     tab = BernsteinTable(kern)
-    rows = []
-    for lam in lams:
-        rows.append(
-            (
-                float(lam),
-                tab.phi(lam),
-                tab.phi_prime(lam),
-                tab.H(lam),
-                tab.b_fun(lam),
-            )
-        )
+    cols = (lams, tab.phi(lams), tab.phi_prime(lams), tab.H(lams), tab.b_fun(lams))
+    rows = list(zip(*(c.tolist() for c in cols)))
     _write_csv(os.path.join(out, "phi_table.csv"), ["lambda", "phi", "phi_prime", "H", "b"], rows, manifest)
     _write_json(
         os.path.join(out, "phi_table.json"),

@@ -120,8 +120,8 @@ def crit_2_b_sandwich(tables):
         worst = {"low": math.inf, "high": 0.0}
         for name, kern in builtin_kernel_set().items():
             tab = tables(kern)
-            for s in svals:
-                ratio = tab.invert("b", s) * tab.phi(1.0 / s)
+            ratios = tab.invert("b", svals) * tab.phi(1.0 / svals)
+            for s, ratio in zip(svals, ratios.tolist()):
                 worst["low"] = min(worst["low"], ratio)
                 worst["high"] = max(worst["high"], ratio)
                 if not (1.0 - 1e-9 <= ratio <= B_UPPER):

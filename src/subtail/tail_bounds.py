@@ -108,17 +108,17 @@ def truncated_small_r_threshold(table, kernel):
 
     r phi(1/r) = phi(lam)/lam at lam = 1/r falls as lam grows, so below the
     cap t_f/6 r_0 is 1/lam at the root of 1/(4e^2) - phi(lam)/lam, found by
-    the table's root finder from its own grid.  r_0 depends only on the
-    table's phi and on t_f, so the root is solved once per (table, t_f) and
-    later calls return the remembered value.
+    the table's root finder from the grid cell its probes pick, without
+    building the grid.  r_0 depends only on the table's phi and on t_f, so
+    the root is solved once per (table, t_f) and later calls return the
+    remembered value.
     """
     t_f = kernel.support_end
     known = _R0.setdefault(table, {})
     if t_f not in known:
         r0 = t_f / 6.0
         if r0 * table.phi(1.0 / r0) > QUARTER_E2:
-            r0 = 1.0 / table._root(lambda lam: QUARTER_E2 - table.phi(lam) / lam,
-                                   QUARTER_E2 - table.phi_grid / table.lam_grid)
+            r0 = 1.0 / table._root(lambda lam: QUARTER_E2 - table.phi(lam) / lam)
         known[t_f] = r0
     return known[t_f]
 

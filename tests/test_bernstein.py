@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from subtail import bernstein
+from subtail import bernstein, golden
 from subtail.bernstein import BernsteinTable, _maximize_unimodal, calM, calN
 from subtail.errors import DomainError, QuadratureError, RangeError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import Tabulated, Truncated, caputo
 from subtail.shapes import PowerLaw
+from subtail.tail_bounds import QUARTER_E2, truncated_small_r_threshold
 
 # the golden enclosure constant of the b-sandwich, (e^2-e)/(e-2)
 B_SANDWICH = (math.e**2 - math.e) / (math.e - 2.0)
@@ -472,23 +473,29 @@ class TestBrent:
             assert bernstein._brent(g, lo, hi).hex() == _scipy_brentq(g, lo, hi).hex(), (lo, hi)
 
     def test_port_matches_scipy_on_table_solves(self, tables, monkeypatch):
-        solves = []
+        # every table solve runs the step generator; each recorded solve is
+        # repeated by scipy on the same g and bracket
+        solves, g = [], []
 
-        def both(g, lo, hi):
-            x = port(g, lo, hi)
-            assert x.hex() == _scipy_brentq(g, lo, hi).hex(), (lo, hi)
-            solves.append(x)
+        def recording(xa, xb):
+            x = yield from steps(xa, xb)
+            solves.append((g[0], xa, xb, x))
             return x
 
-        port = bernstein._brent
-        monkeypatch.setattr(bernstein, "_brent", both)
+        steps = bernstein._brent_steps
+        monkeypatch.setattr(bernstein, "_brent_steps", recording)
         for tab in tables.values():
             for y in (1e-3, 0.37, 1.0, 42.0, 1e4):
+                g[:] = [lambda lam, tab=tab, y=y: y - tab.phi_prime(lam) / tab.H(lam)]
                 tab.invert("b", y)
             for alpha in (1.0, 1.5, 2.0):
                 for lam in (1e-2, 0.9, 3.0, 1e3):
+                    g[:] = [lambda s, tab=tab, a=alpha, lam=lam:
+                            a * math.log(s) - math.log(tab.phi(s)) - math.log(lam)]
                     tab.bar_phi_alpha(alpha, lam)
         assert len(solves) >= 5 * 15
+        for f, xa, xb, x in solves:
+            assert x.hex() == _scipy_brentq(f, xa, xb).hex(), (xa, xb)
 
     def test_nan_inside_the_bracket_is_range_error(self):
         # increasing where defined; the first secant step lands at x = 1
@@ -504,6 +511,141 @@ class TestBrent:
         with pytest.raises(RangeError) as info:
             bernstein.increasing_root(g, 0.5, 2.0**900)
         assert info.value.bracket == (0.5, 2.0**900)
+
+
+def _reference_invert(tab, which, y):
+    """invert as a first bracket from np.searchsorted on the built grid and
+    the scalar increasing_root from there, one target at a time."""
+    y = float(y)
+    g_grid, g = {
+        "phi": (tab.phi_grid - y, lambda lam: tab.phi(lam) - y),
+        "H": (tab.H_grid - y, lambda lam: tab.H(lam) - y),
+        "phi_prime": (y - tab.phi_prime_grid, lambda lam: y - tab.phi_prime(lam)),
+        "b": (y - tab.b_grid[::-1], lambda lam: y - tab.phi_prime(lam) / tab.H(lam)),
+    }[which]
+    lam = tab.lam_grid
+    j = int(np.searchsorted(g_grid, 0.0))
+    if j == 0:
+        lo, hi = lam[0] / 4.0, lam[0]
+    elif j == len(lam):
+        lo, hi = lam[-1], lam[-1] * 4.0
+    else:
+        lo, hi = lam[j - 1], lam[j]
+    root = bernstein.increasing_root(g, lo, hi)
+    return 1.0 / tab.H(root) if which == "b" else root
+
+
+def _targets(tab, which):
+    """Values of the map at lambda past both ends of the grid, off the grid
+    and at nodes (the grid's own values), with a repeat."""
+    grid = {"phi": tab.phi_grid, "H": tab.H_grid, "phi_prime": tab.phi_prime_grid,
+            "b": tab.b_grid}[which]
+    lam = np.array([1e-12, 3e-10, 0.37, 1.0, 42.0, 7e9, 1e12])
+    fwd = {"phi": tab.phi, "H": tab.H, "phi_prime": tab.phi_prime,
+           "b": lambda l: tab.phi_prime(l) / tab.H(l)}[which](lam)
+    n = len(grid)
+    return np.concatenate([fwd, grid[[0, 1, n // 3, n // 2, n - 2, n - 1, n // 2]]])
+
+
+class TestLockstepInvert:
+    """invert solves an array of targets in lockstep, from first brackets
+    probed without building the grid, to the bits of the scalar reference."""
+
+    @pytest.fixture(scope="class")
+    def built(self, kernels):
+        # reference tables, their grids read
+        tabs = {name: BernsteinTable(k, points_per_decade=12) for name, k in kernels.items()}
+        for tab in tabs.values():
+            tab.phi_grid
+        return tabs
+
+    @pytest.mark.parametrize("which", ["phi", "H", "phi_prime", "b"])
+    def test_array_equals_the_scalar_reference(self, kernels, built, which):
+        for name, k in kernels.items():
+            ref = built[name]
+            y = _targets(ref, which)
+            want = [_reference_invert(ref, which, v).hex() for v in y]
+            fresh = BernsteinTable(k, points_per_decade=12)
+            assert [v.hex() for v in fresh.invert(which, y).tolist()] == want, name
+            assert "phi_grid" not in vars(fresh), name
+            # a built grid answers the probes at its nodes with the same bits
+            assert [v.hex() for v in ref.invert(which, y).tolist()] == want, name
+            assert fresh.invert(which, y[2]).hex() == want[2], name
+
+    def test_scalar_and_shaped_targets(self, caputo_half):
+        y = np.array([[0.5, 2.0], [3.0, 8.0]])
+        x = caputo_half.invert("phi", y)
+        assert x.shape == (2, 2)
+        assert isinstance(caputo_half.invert("phi", 2.0), float)
+        assert x[1, 1] == caputo_half.invert("phi", 8.0)
+        assert caputo_half.invert("H", np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_is_range_error_before_any_evaluation(self, monkeypatch, bad):
+        calls = []
+        evaluate = bernstein._bernstein_values
+        monkeypatch.setattr(bernstein, "_bernstein_values",
+                            lambda *a: calls.append(1) or evaluate(*a))
+        tab = BernsteinTable(caputo(0.5))
+        for which in ("phi", "H", "phi_prime", "b"):
+            for y in (bad, [2.0, 3.0, bad]):
+                with pytest.raises(RangeError, match="invert target %s is not finite" % bad):
+                    tab.invert(which, y)
+        assert calls == []
+
+    def test_array_raises_what_its_first_failing_target_raises(self):
+        tab = BernsteinTable(caputo(0.5))
+        with pytest.raises(DomainError) as alone:
+            tab.invert("phi", 1e200)
+        with pytest.raises(DomainError) as among:
+            tab.invert("phi", [2.0, 1e200, 3.0])
+        assert str(among.value) == str(alone.value)
+        assert "largest supported lambda" in str(alone.value)
+        # in lockstep the second target's downward bracket search fails
+        # first; the array still raises the first target's error
+        with pytest.raises(DomainError) as both:
+            tab.invert("phi", [1e200, 1e-200])
+        assert str(both.value) == str(alone.value)
+
+    def test_criterion_2_builds_no_grid(self):
+        made = []
+
+        def tables(kernel):
+            made.append(BernsteinTable(kernel))
+            return made[-1]
+
+        assert golden.crit_2_b_sandwich(tables)["passed"]
+        assert len(made) == 5
+        assert not any("phi_grid" in vars(tab) for tab in made)
+
+    def test_truncated_r0_builds_no_grid_and_keeps_its_bits(self):
+        k = Truncated(beta=0.5, delta=1.0, scale=1.0)
+        fresh, ref = BernsteinTable(k), BernsteinTable(k)
+        r0 = truncated_small_r_threshold(fresh, k)
+        assert "phi_grid" not in vars(fresh)
+        root = ref._root(lambda lam: QUARTER_E2 - ref.phi(lam) / lam,
+                         QUARTER_E2 - ref.phi_grid / ref.lam_grid)
+        assert r0 < k.support_end / 6.0
+        assert r0.hex() == (1.0 / root).hex()
+
+
+_finite_or_not = st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, -0.0, 1.0, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_finite_or_not, max_size=70))
+def test_probe_search_is_numpy_searchsorted(values):
+    # any array: unsorted, with NaN entries, zeros of both signs, infinities
+    arr = np.array(values, dtype=float)
+    probed = []
+
+    def g(i):
+        probed.append(i)
+        return arr[i]
+
+    j = bernstein._drive(bernstein._probe_search(range(arr.size)), g)
+    assert j == np.searchsorted(arr, 0.0)
+    assert len(probed) <= math.ceil(math.log2(arr.size + 1))
 
 
 class TestVariational:

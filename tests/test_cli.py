@@ -36,6 +36,9 @@ def _workloads():
     return workloads
 
 
+_MC_TAILS = [call for call in _workloads().build("mc", 1) if call["subcommand"] == "tails"]
+
+
 _PHI_TABLE = {
     "kernel": {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)},
     "lambdas": {"lo": 1e-2, "hi": 1e2, "n": 9},
@@ -58,6 +61,21 @@ class TestPhiTable:
     def test_schema_violation_exits_2(self, tmp_path):
         status, _ = run_cli(tmp_path, "phi-table", {"kernel": {"kind": "gaussian"}})
         assert status == 2
+
+    @pytest.mark.parametrize("call", _MC_TAILS, ids=lambda call: call["config"]["kernel"]["kind"])
+    def test_csv_equals_a_scalar_loop(self, tmp_path, call):
+        # the table is queried with arrays; each value is the scalar query's
+        cfg = {"kernel": call["config"]["kernel"], "lambdas": {"lo": 1e-4, "hi": 1e4, "n": 17}}
+        status, out = run_cli(tmp_path, "phi-table", cfg)
+        assert status == 0
+        got = (out / "phi_table.csv").read_bytes()
+        tab = bernstein.BernsteinTable(cli.kernel_from_config(cfg["kernel"]))
+        rows = [(float(lam), tab.phi(lam), tab.phi_prime(lam), tab.H(lam), tab.b_fun(lam))
+                for lam in np.geomspace(1e-4, 1e4, 17)]
+        manifest = {"hash": got.split(b"\n", 1)[0].split()[-1].decode()}
+        cli._write_csv(str(tmp_path / "ref.csv"), ["lambda", "phi", "phi_prime", "H", "b"], rows,
+                       manifest)
+        assert got == (tmp_path / "ref.csv").read_bytes()
 
 
 _POWER = {"kind": "power", "beta": 0.5}
@@ -151,14 +169,11 @@ def test_commands_that_read_no_bernstein_table_build_none(tmp_path, monkeypatch,
     assert status == 0
 
 
-_MC_TAILS = [call for call in _workloads().build("mc", 1) if call["subcommand"] == "tails"]
-
-
 @pytest.mark.parametrize("call", _MC_TAILS, ids=lambda call: call["label"])
 def test_tails_builds_a_grid_only_for_the_truncated_r0(tmp_path, monkeypatch, call):
-    # the tail forms need r phi(1/t) at a few points; only the truncated
-    # kernel's r_0 root reads the table's grid: one build of its 18 * 24 + 1
-    # nodes, 24 per decade on [1e-9, 1e9]
+    # the tail forms need r phi(1/t) at a few points, and the truncated
+    # kernel's r_0 root probes phi only at the nodes that pick its first
+    # bracket, so no kernel builds its grid, the truncated one included
     calls = []
     evaluate = bernstein._bernstein_values
 
@@ -170,7 +185,7 @@ def test_tails_builds_a_grid_only_for_the_truncated_r0(tmp_path, monkeypatch, ca
     monkeypatch.setattr(bernstein, "_bernstein_values", counting)
     status, _ = run_cli(tmp_path, "tails", call["config"], extra=["--seed", str(call["seed"])])
     assert status == 0
-    assert calls == ([18 * 24 + 1] if call["config"]["kernel"]["kind"] == "truncated" else [])
+    assert calls == []
 
 
 def test_sim_schema_sets_every_sim_config_field_but_the_seed():

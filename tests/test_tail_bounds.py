@@ -115,7 +115,9 @@ class TestUpperBoundForm:
 
     def test_small_r_threshold_bisected_once_per_table(self):
         # r_0 depends only on the table, so repeated forms reuse it: after the
-        # first call each upper_bound_form evaluates phi once, for r phi(1/t)
+        # first call each upper_bound_form evaluates phi once, for r phi(1/t).
+        # The first call's root probes phi at the ceil(log2(nodes + 1)) nodes
+        # that pick its first bracket and builds no grid.
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
         rep = check_conditions(k, points_per_decade=16)
         tab = BernsteinTable(k, points_per_decade=8)
@@ -127,7 +129,10 @@ class TestUpperBoundForm:
             del calls[:]
             upper_bound_form(k, tab, r, t, conditions=rep)
             per_call.append(len(calls))
-        assert 1 < per_call[0] <= 16 and per_call[1:] == [1, 1, 1]
+        probes = math.ceil(math.log2(len(tab.lam_grid) + 1))
+        assert probes == 8
+        assert 1 < per_call[0] <= 16 + probes and per_call[1:] == [1, 1, 1]
+        assert "phi_grid" not in vars(tab)
         # the remembered r_0 is the root finder's own value on a fresh table
         fresh = BernsteinTable(k, points_per_decade=8)
         assert truncated_small_r_threshold(tab, k) == truncated_small_r_threshold(fresh, k)

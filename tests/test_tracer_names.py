@@ -66,6 +66,8 @@ def test_install_wraps_and_counts():
         "from subtail.kernels import caputo\n"
         "tab = BernsteinTable(caputo(0.5), points_per_decade=2)\n"
         "tab.invert('phi', 2.0)\n"
+        # invert reads the evaluator's values directly, not the wrapped phi
+        "tab.phi(0.5)\n"
         "tr.end_round()\n"
         "m = tr.rounds[0]['metrics']\n"
         "assert m['bernstein.table_builds'] == 1, m\n"
