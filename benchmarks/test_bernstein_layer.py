@@ -20,6 +20,7 @@ KERNELS = builtin_kernel_set()
 LAM = 0.37  # the scalar phi query
 S = 1.0  # the scalar b-inverse target
 SVALS = np.geomspace(1e-3, 1e3, 48)  # golden criterion 2's b-inverse targets
+ALPHA, TARGET = 2.0, 3.0  # the envelope inverse bar_phi_alpha(ALPHA, TARGET)
 
 
 def _run(benchmark, kernel, query, rounds):
@@ -48,3 +49,9 @@ def test_scalar_b_inverse(benchmark, name):
 def test_b_inverse_of_criterion_2(benchmark, name):
     out = _run(benchmark, KERNELS[name], lambda tab: tab.invert("b", SVALS), rounds=5)
     assert np.all(np.diff(out) > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_bar_phi_alpha(benchmark, name):
+    assert _run(benchmark, KERNELS[name], lambda tab: tab.bar_phi_alpha(ALPHA, TARGET),
+                rounds=10) > 0.0

@@ -36,16 +36,15 @@ alone would.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
 points per decade on [1e-9, 1e9]), built by one evaluator call the first time
-something reads it (``phi_inv_fast``, ``bar_phi_alpha``, ``phiHw_brackets`` or
-a ``*_grid`` attribute); a grid that cannot be built raises there, not when
-the table is made, and a table whose grid nothing reads never builds it.  Its
-queries phi(), phi_prime() and H() make one evaluator call per array and
-evaluate a scalar as a one-element array, so the grid holds bit for bit what
-they return at its nodes.  Scalar evaluations are memoised per table, since
-root finders and callers repeat their lambdas.  The table supplies monotone
-inverses, the composite function b(s) = s phi'(H^{-1}(1/s)), the envelope
-inverse bar_phi_alpha, all solved by one bracketed root finder, and the
-variational quantities
+something reads it (``phi_inv_fast``, ``phiHw_brackets``, a ``*_grid``
+attribute or ``bar_phi_alpha``'s envelope check at alpha < 1); a grid that
+cannot be built raises there, not when the table is made, and a table whose
+grid nothing reads never builds it.  Its queries phi(), phi_prime() and H()
+take a value from the table's memo, else from one evaluator call for all the
+lambdas of the query not memoised, so the grid holds bit for bit what they
+return at its nodes.  The table supplies monotone inverses, the composite
+function b(s) = s phi'(H^{-1}(1/s)), the envelope inverse bar_phi_alpha, all
+solved by one bracketed root finder, and the variational quantities
 
     M(t,l) = sup_{s>0} { l/s - t/Phi(s) }                 (closed form, arrays)
     N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (golden section)
@@ -55,14 +54,12 @@ The root finder is written as step generators (``_brent_steps``,
 function's value there; ``increasing_root`` drives them with a function.
 Its first bracket is the grid cell np.searchsorted(g(lam_grid), 0.0) picks,
 found by probing g at only the nodes that search reads, in numpy's order
-(``_probe_search``), so neither ``invert`` nor the truncated r_0 builds the
-grid; ``bar_phi_alpha`` keeps searching its own log-space grid, whose
-np.log values can differ from math.log's.  ``invert`` takes a scalar or an
-array of targets, rejects a NaN, infinite or non-positive one with
-RangeError before it evaluates anything, and solves them in lockstep, one
-solver per target and one evaluator call per step for the lambdas not yet
-memoised; if a step raises, the targets are solved again one at a time, in
-order, so an array raises what its first failing target raises alone.
+(``_probe_search``), so no root solve builds the grid.  ``invert`` takes a
+scalar or an array of targets, rejects a NaN, infinite or non-positive one
+with RangeError before it evaluates anything, and solves them in lockstep,
+one solver per target and one evaluator call per step for the lambdas not
+yet memoised; if a step raises, the targets are solved again one at a time,
+in order, so an array raises what its first failing target raises alone.
 """
 
 from __future__ import annotations
@@ -250,9 +247,16 @@ def _checked(fx, x, bracket):
 
 
 def _brent_steps(xa, xb):
-    """Brent's method on [xa, xb] as a step generator: it yields each x at
-    which it needs f, receives f(x) and returns the root; ``_brent`` drives
-    it with f."""
+    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4), to |error| below
+    (_XTOL + _RTOL |x|)/2, as a step generator: it yields each x at which it
+    needs f, receives f(x) and returns the root (``_drive`` runs it with f).
+
+    A line-for-line port of scipy's ``brentq.c``: the same steps in the same
+    floating-point order, so it returns scipy.optimize.brentq's root bit for
+    bit.  f must change sign on [xa, xb].  A NaN value of f, or no
+    convergence in _MAXITER steps, raises RangeError with the bracket.
+    """
     bracket = (float(xa), float(xb))
     xpre, xcur = bracket
     xblk = fblk = spre = scur = 0.0
@@ -298,20 +302,6 @@ def _brent_steps(xa, xb):
             xcur += delta if sbis > 0 else -delta
         fcur = _checked((yield xcur), xcur, bracket)
     raise RangeError("Brent's method did not converge in %d steps" % _MAXITER, bracket=bracket)
-
-
-def _brent(f, xa, xb):
-    """Root of f in [xa, xb] by Brent's method (Brent, *Algorithms for
-    Minimization without Derivatives*, 1973, ch. 4), to |error| below
-    (_XTOL + _RTOL |x|)/2.
-
-    A line-for-line port of scipy's ``brentq.c`` (``_brent_steps``): the
-    same steps in the same floating-point order, so it returns
-    scipy.optimize.brentq's root bit for bit.  f must change sign on
-    [xa, xb].  A NaN value of f, or no convergence in _MAXITER steps, raises
-    RangeError with the bracket.
-    """
-    return _drive(_brent_steps(xa, xb), f)
 
 
 def _increasing_root_steps(lo, hi):
@@ -376,8 +366,7 @@ _INVERSES = {
 
 # the attributes of a table's grid, all built by one evaluator call at the
 # first read of any of them
-_GRID_ATTRS = frozenset(
-    ("phi_grid", "H_grid", "phi_prime_grid", "b_s_grid", "b_grid", "_log_lam", "_log_phi"))
+_GRID_ATTRS = frozenset(("phi_grid", "H_grid", "phi_prime_grid", "_log_lam", "_log_phi"))
 
 
 class BernsteinTable:
@@ -386,11 +375,12 @@ class BernsteinTable:
     Construction checks the arguments and makes lam_grid only.  The grid
     values are built at the first read of any of them, and that read raises
     the build's DomainError or QuadratureError if the grid cannot be built;
-    the queries phi(), H(), phi_prime(), b_fun() and invert() never need
-    it.  Beyond that lazy build and a memo of scalar evaluations, both
-    holding only what the evaluator returns, a table is immutable and all
-    queries are pure, so it can be shared freely across threads (two threads
-    may both build the grid, to the same values).
+    the queries phi(), H(), phi_prime(), b_fun(), invert() and
+    bar_phi_alpha() at alpha >= 1 neither build nor read it.  Beyond that
+    lazy build and a memo of evaluations, both holding only what the
+    evaluator returns, a table is immutable and all queries are pure, so it
+    can be shared freely across threads (two threads may both build the
+    grid, to the same values).
     """
 
     def __init__(self, kernel, lam_lo=1e-9, lam_hi=1e9, points_per_decade=96, quad_rtol=1e-10):
@@ -415,24 +405,17 @@ class BernsteinTable:
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
         # the checked values phi(), H() and phi_prime() return at the nodes
         phi, H, dphi = _bernstein_values(self.kernel, self.lam_grid, self.quad_rtol)
-        self.__dict__.update(
-            phi_grid=phi, H_grid=H, phi_prime_grid=dphi,
-            # b on its own grid: with lam = H^{-1}(1/s) running over lam_grid,
-            # s = 1/H(lam) and b(s) = phi'(lam)/H(lam), exact up to quadrature
-            b_s_grid=1.0 / H[::-1], b_grid=(dphi / H)[::-1],
-            _log_lam=np.log(self.lam_grid), _log_phi=np.log(phi),
-        )
+        self.__dict__.update(phi_grid=phi, H_grid=H, phi_prime_grid=dphi,
+                             _log_lam=np.log(self.lam_grid), _log_phi=np.log(phi))
         return self.__dict__[name]
 
     # -- forward maps -------------------------------------------------------
 
     def _values(self, lams):
-        """(phi, H, phi') at each float lam > 0 of the list lams.  A lam is
-        taken from the memo, else from the grid if it is built and lam is
-        one of its nodes (the evaluator's own bits), else from one evaluator
-        call for all such lam.  New values join the memo, which holds at
-        most as many lam as the grid, since root finders and callers ask
-        for the same lam again and again."""
+        """(phi, H, phi') at each float lam > 0 of the list lams: from the
+        memo, else from one evaluator call for all lam not in it.  New values
+        join the memo, which holds at most as many lam as the grid, since
+        root finders and callers ask for the same lam again and again."""
         memo, got, new = self._memo, {}, []
         for lam in lams:
             if lam not in got:
@@ -440,25 +423,16 @@ class BernsteinTable:
                 if v is None:
                     new.append(lam)
         if new:
-            x = np.array(new)
-            vals = np.empty((3, x.size))
-            off = np.ones(x.size, dtype=bool)
-            if "phi_grid" in self.__dict__:
-                j = np.searchsorted(self.lam_grid, x).clip(max=self.lam_grid.size - 1)
-                off = self.lam_grid[j] != x
-                for row, grid in zip(vals, (self.phi_grid, self.H_grid, self.phi_prime_grid)):
-                    row[~off] = grid[j[~off]]
-            if off.any():
-                vals[:, off] = _bernstein_values(self.kernel, x[off], self.quad_rtol)
-            for lam, v in zip(new, zip(*vals.tolist())):
+            vals = _bernstein_values(self.kernel, np.array(new), self.quad_rtol)
+            for lam, v in zip(new, zip(*(row.tolist() for row in vals))):
                 if len(memo) >= len(self.lam_grid):
                     memo.clear()
                 memo[lam] = got[lam] = v
         return [got[lam] for lam in lams]
 
     def _forward(self, lam, col, name, zero_ok):
-        """Column col of the evaluator at lam, a scalar or an array (one
-        evaluator call for all its entries); 0 where lam = 0 if zero_ok."""
+        """Column col of ``_values`` at lam, a scalar or an array; 0 where
+        lam = 0 if zero_ok."""
         x = np.array(lam, dtype=float, ndmin=1)
         flat = x.ravel()
         pos = flat > 0.0
@@ -466,10 +440,11 @@ class BernsteinTable:
             if (flat < 0.0).any() or (not zero_ok and (flat == 0.0).any()):
                 raise DomainError("%s requires lambda %s 0" % (name, ">=" if zero_ok else ">"))
             pos = flat != 0.0  # NaN goes on to the evaluator, which rejects it
+        vals = [v[col] for v in self._values(flat[pos].tolist())]
         if np.ndim(lam) == 0:
-            return self._values([flat.item()])[0][col] if pos[0] else 0.0
+            return vals[0] if vals else 0.0
         out = np.zeros(flat.shape)
-        out[pos] = _bernstein_values(self.kernel, flat[pos], self.quad_rtol)[col]
+        out[pos] = vals
         return out.reshape(x.shape)
 
     def phi(self, lam):
@@ -492,21 +467,17 @@ class BernsteinTable:
 
     # -- inverses -----------------------------------------------------------
 
-    def _root_steps(self, g_grid=None):
+    def _root_steps(self):
         """Step generator of the root of g, increasing in lambda.
 
         The first bracket is the grid cell in which g changes sign, at the
-        index np.searchsorted(g_grid, 0.0) or, without g_grid, at the same
-        index found by probing g at only the nodes that search reads
-        (``_probe_search``); for a root beyond either end of the grid it is
-        the factor 4 past that end.  ``increasing_root``'s steps take it
-        from there.
+        index np.searchsorted(g(lam_grid), 0.0), found by probing g at only
+        the nodes that search reads (``_probe_search``); for a root beyond
+        either end of the grid it is the factor 4 past that end.
+        ``increasing_root``'s steps take it from there.
         """
         lam = self.lam_grid
-        if g_grid is None:
-            j = yield from _probe_search(lam)
-        else:
-            j = int(np.searchsorted(g_grid, 0.0))
+        j = yield from _probe_search(lam)
         if j == 0:
             lo, hi = lam[0] / 4.0, lam[0]
         elif j == len(lam):
@@ -515,10 +486,9 @@ class BernsteinTable:
             lo, hi = lam[j - 1], lam[j]
         return (yield from _increasing_root_steps(lo, hi))
 
-    def _root(self, g, g_grid=None):
-        """Root of g, increasing in lambda; g_grid ~ g(lam_grid) if given,
-        else g is probed at the nodes that pick the first bracket."""
-        return _drive(self._root_steps(g_grid), g)
+    def _root(self, g):
+        """Root of g, increasing in lambda (``_root_steps``)."""
+        return _drive(self._root_steps(), g)
 
     def _solve(self, which, ys):
         """invert's results at the float targets ys, one solver per target.
@@ -588,13 +558,14 @@ class BernsteinTable:
     def bar_phi_alpha(self, alpha, lam):
         """bar_phi_alpha(lam) = inf { s > 0 : s^alpha / phi(s) >= lam }.
 
-        For alpha >= 1 the target s -> s^alpha/phi(s) is increasing; for
-        alpha < 1 it may not be, in which case the running-supremum envelope
-        is used and a warning is emitted.  A lam at or below the target's
-        limit at s -> 0 gives 0, the set then holding every s > 0; that limit
-        is 1/int_0^inf w at alpha = 1 and 0 above (and is taken as 0 below
-        alpha = 1).  A lam that s^alpha/phi(s) does not reach at a supported
-        s raises RangeError.
+        For alpha >= 1 the target s -> s^alpha/phi(s) is increasing and
+        solved by ``_root``, which builds no grid; for alpha < 1 it may not
+        be, which is checked on the grid, and then the running-supremum
+        envelope is used and a warning is emitted.  A lam at or below the
+        target's limit at s -> 0 gives 0, the set then holding every s > 0;
+        that limit is 1/int_0^inf w at alpha = 1 and 0 above (and is taken
+        as 0 below alpha = 1).  A lam that s^alpha/phi(s) does not reach at a
+        supported s raises RangeError.
         """
         if alpha <= 0.0:
             raise DomainError("bar_phi_alpha requires alpha > 0")
@@ -605,21 +576,23 @@ class BernsteinTable:
         if lam <= (1.0 / self.kernel.moment(0, math.inf) if alpha == 1.0 else 0.0):
             return 0.0
         # solved in logs, where s^alpha neither underflows nor overflows
-        log_g_grid = alpha * self._log_lam - self._log_phi
         log_lam = math.log(lam)
-        if alpha < 1.0 and np.any(np.diff(log_g_grid) < 0.0):
-            warnings.warn(
-                "s^alpha/phi(s) is not monotone for alpha=%g; using its running-supremum envelope"
-                % alpha,
-                RuntimeWarning,
-            )
-            env = np.maximum.accumulate(log_g_grid)
-            j = int(np.searchsorted(env, log_lam))
-            if j == 0:
-                return float(self.lam_grid[0])
-            if j >= len(env):
-                raise RangeError("lam=%g above the envelope range of the grid" % lam, bracket=None)
-            return float(self.lam_grid[j])
+        if alpha < 1.0:
+            log_g = alpha * self._log_lam - self._log_phi
+            if np.any(np.diff(log_g) < 0.0):
+                warnings.warn(
+                    "s^alpha/phi(s) is not monotone for alpha=%g; using its running-supremum "
+                    "envelope" % alpha,
+                    RuntimeWarning,
+                )
+                env = np.maximum.accumulate(log_g)
+                j = int(np.searchsorted(env, log_lam))
+                if j == 0:
+                    return float(self.lam_grid[0])
+                if j >= len(env):
+                    raise RangeError("lam=%g above the envelope range of the grid" % lam,
+                                     bracket=None)
+                return float(self.lam_grid[j])
 
         def g(s):
             try:
@@ -628,7 +601,7 @@ class BernsteinTable:
                 raise RangeError("lam=%g not reached by s^alpha/phi(s) at supported s" % lam) from exc
             return alpha * math.log(s) - math.log(phi) - log_lam
 
-        return self._root(g, log_g_grid - log_lam)
+        return self._root(g)
 
     # -- comparability evidence ----------------------------------------------
 

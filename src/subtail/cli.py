@@ -14,12 +14,12 @@ Subcommands:
 * ``report``     the full golden suite as one pass/fail matrix
 
 Exit codes: 0 success; 1 budget failure (the ratio report is still
-written); 2 an unreadable config file, or a config schema violation (with
-the value's JSON path); 3 empty or violated regime, or a target outside a
-map's range (RegimeError, RangeError); 4 an argument outside its domain
-(DomainError, AtomError); 5 a quadrature that missed its target
-(QuadratureError).  On 3-5 the manifest is still written, with the error's
-type and message.
+written); 2 an unreadable config file, a config schema violation (with
+the value's JSON path) or a ``--budget`` that is not a finite number > 0;
+3 empty or violated regime, or a target outside a map's range
+(RegimeError, RangeError); 4 an argument outside its domain (DomainError,
+AtomError); 5 a quadrature that missed its target (QuadratureError).  On
+3-5 the manifest is still written, with the error's type and message.
 
 Every run resolves its parameters into a manifest whose SHA-256 hash is
 cited by each output file; wall-clock time lives only in the manifest run
@@ -201,7 +201,7 @@ SCHEMAS = {
     },
     "compare": {
         "type": "object",
-        "properties": {"seed": _SEED, "case": {"type": "string"}, "budget": {"type": "number"}},
+        "properties": {"seed": _SEED, "case": {"type": "string"}, "budget": _POSITIVE},
     },
     "boundary": {
         "type": "object",
@@ -209,7 +209,7 @@ SCHEMAS = {
             "seed": _SEED,
             "t_values": _POSITIVES,
             "deltas": _POSITIVES,
-            "band_budget": {"type": "number"},
+            "band_budget": _POSITIVE,
         },
     },
     "report": {"type": "object", "properties": {"seed": _SEED}},
@@ -482,15 +482,16 @@ def _compare_case(tag, budget):
     tab = golden._half_caputo_table(golden.TableCache())
     if dgamma:
         obs, pred, coords, _ = golden._c7_case(tab, *golden.DGAMMA_CASES[dgamma])
-        return two_sided_check(np.array(obs), np.array(pred), budget or 8.0, coords=coords, case=tag)
-    return golden._c8_grid_spread(tab, tag, 8, budget or 50.0)
+        return two_sided_check(np.array(obs), np.array(pred), 8.0 if budget is None else budget,
+                               coords=coords, case=tag)
+    return golden._c8_grid_spread(tab, tag, 8, 50.0 if budget is None else budget)
 
 
 def _cmd_compare(cfg, out, seed, manifest, args):
     tag = args.case or cfg.get("case")
     if not tag:
         raise RegimeError("compare needs --case or a 'case' config entry")
-    budget = args.budget or cfg.get("budget")
+    budget = args.budget if args.budget is not None else cfg.get("budget")
     rep = _compare_case(tag, budget)
     payload = rep.to_dict()
     _write_json(os.path.join(out, "compare_%s.json" % tag), payload, manifest)
@@ -584,6 +585,9 @@ def main(argv=None):
             reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
             print("config %s unreadable: %s" % (args.config, reason), file=sys.stderr)
             return 2
+    if args.budget is not None and not 0.0 < args.budget < math.inf:
+        print("--budget must be a finite number > 0; got %r" % args.budget, file=sys.stderr)
+        return 2
     errors = sorted(_schema_errors(SCHEMAS[args.subcommand], cfg), key=lambda e: e[0])
     if errors:
         for path, message in errors:

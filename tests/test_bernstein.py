@@ -31,6 +31,15 @@ def caputo_half(tables):
     return tables["power"]
 
 
+@pytest.fixture(scope="module")
+def built(kernels):
+    # reference tables, their grids read
+    tabs = {name: BernsteinTable(k, points_per_decade=12) for name, k in kernels.items()}
+    for tab in tabs.values():
+        tab.phi_grid
+    return tabs
+
+
 class TestStableIdentities:
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
     def test_phi_prime_H(self, beta):
@@ -102,6 +111,12 @@ class TestQuadOracle:
                 assert lhs == pytest.approx(tab.H(lam), rel=1e-8), name
 
 
+def _b_grid(tab):
+    """b on the table's grid, s ascending: with lam = H^{-1}(1/s) running over
+    lam_grid, s = 1/H(lam) and b(s) = phi'(lam)/H(lam)."""
+    return 1.0 / tab.H_grid[::-1], (tab.phi_prime_grid / tab.H_grid)[::-1]
+
+
 class TestGridInvariants:
     def test_grid_holds_scalar_values(self, tables):
         # one checked evaluator serves both: every node, bit for bit
@@ -124,9 +139,10 @@ class TestGridInvariants:
     def test_b_increasing_with_limits(self, tables):
         # Lemma: b strictly increasing, b(0+) = 0, b(inf) = inf
         for name, tab in tables.items():
-            assert np.all(np.diff(tab.b_s_grid) > 0.0), name
-            assert np.all(np.diff(tab.b_grid) > 0.0), name
-            assert tab.b_grid[0] < 1e-6 and tab.b_grid[-1] > 1e6, name
+            b_s, b = _b_grid(tab)
+            assert np.all(np.diff(b_s) > 0.0), name
+            assert np.all(np.diff(b) > 0.0), name
+            assert b[0] < 1e-6 and b[-1] > 1e6, name
 
     def test_phiHw_comparability(self, tables):
         # phi(l) within [1/4,4] of l*int_0^{1/l} w; H within [1/8,8] of its moment
@@ -162,14 +178,20 @@ class TestArrayEvaluator:
             for col in range(3):
                 assert np.array_equal(batch[col], [v[col][0] for v in ones]), (name, chunk, col)
 
-    def test_array_query_is_one_evaluator_call(self, caputo_half, monkeypatch):
+    def test_array_query_is_one_evaluator_call(self, monkeypatch):
+        # an array goes through the scalar memo: one call on its distinct
+        # positive lambdas, and none when it is asked again
         calls = []
         evaluate = bernstein._bernstein_values
         monkeypatch.setattr(bernstein, "_bernstein_values",
                             lambda k, lam, rtol: calls.append(lam.size) or evaluate(k, lam, rtol))
+        tab = BernsteinTable(caputo(0.5))
         lam = np.array([[0.0, 1.0, 4.0], [9.0, 0.25, 1.0]])
-        assert np.allclose(caputo_half.phi(lam), np.sqrt(lam), rtol=1e-10, atol=0.0)
-        assert calls == [5]
+        first = tab.phi(lam)
+        assert np.allclose(first, np.sqrt(lam), rtol=1e-10, atol=0.0)
+        assert calls == [4]
+        assert np.array_equal(tab.phi(lam), first)
+        assert calls == [4]
 
     def test_build_memory_is_bounded_by_the_panel_chunk(self, kernels):
         # Chunks of at most _PANEL_CHUNK panels bound the build's node arrays:
@@ -386,6 +408,21 @@ class TestBarPhi:
         # phi ~ lam^{1/2} at large lam so bar_phi_2 approaches lam^{2/3}
         assert tab.bar_phi_alpha(2.0, 1e4) == pytest.approx(1e4 ** (2.0 / 3.0), rel=0.05)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
+    def test_fresh_table_builds_no_grid_and_keeps_its_bits(self, kernels, built, alpha):
+        # targets inside the grid's range, below the limit at 0 (alpha = 1,
+        # finite-mean kernels) and at nodes
+        for name, k in kernels.items():
+            ref = built[name]
+            n = len(ref.lam_grid)
+            lams = [1e-3, 0.37, 1.0, 42.0, 1e4] + [
+                float(ref.lam_grid[j] ** alpha / ref.phi_grid[j]) for j in (n // 3, n // 2, 2 * n // 3)]
+            want = [_reference_bar_phi(ref, alpha, lam).hex() for lam in lams]
+            fresh = BernsteinTable(k, points_per_decade=12)
+            assert [fresh.bar_phi_alpha(alpha, lam).hex() for lam in lams] == want, name
+            assert "phi_grid" not in vars(fresh), name
+            assert [ref.bar_phi_alpha(alpha, lam).hex() for lam in lams] == want, name
+
     def test_envelope_flag_below_one(self, caputo_half):
         # alpha = 0.3 < beta' region: s^0.3/s^0.5 decreasing -> envelope path
         with pytest.warns(RuntimeWarning):
@@ -470,7 +507,8 @@ class TestBrent:
 
     def test_port_matches_scipy_on_seeded_brackets(self):
         for g, lo, hi in _seeded_brackets():
-            assert bernstein._brent(g, lo, hi).hex() == _scipy_brentq(g, lo, hi).hex(), (lo, hi)
+            root = bernstein._drive(bernstein._brent_steps(lo, hi), g)
+            assert root.hex() == _scipy_brentq(g, lo, hi).hex(), (lo, hi)
 
     def test_port_matches_scipy_on_table_solves(self, tables, monkeypatch):
         # every table solve runs the step generator; each recorded solve is
@@ -513,16 +551,10 @@ class TestBrent:
         assert info.value.bracket == (0.5, 2.0**900)
 
 
-def _reference_invert(tab, which, y):
-    """invert as a first bracket from np.searchsorted on the built grid and
-    the scalar increasing_root from there, one target at a time."""
-    y = float(y)
-    g_grid, g = {
-        "phi": (tab.phi_grid - y, lambda lam: tab.phi(lam) - y),
-        "H": (tab.H_grid - y, lambda lam: tab.H(lam) - y),
-        "phi_prime": (y - tab.phi_prime_grid, lambda lam: y - tab.phi_prime(lam)),
-        "b": (y - tab.b_grid[::-1], lambda lam: y - tab.phi_prime(lam) / tab.H(lam)),
-    }[which]
+def _grid_root(tab, g_grid, g):
+    """Root of g, increasing in lambda, from the first bracket that
+    np.searchsorted(g_grid, 0.0) picks on the table's built grid (the factor 4
+    past an end for a root beyond it), then the scalar increasing_root."""
     lam = tab.lam_grid
     j = int(np.searchsorted(g_grid, 0.0))
     if j == 0:
@@ -531,15 +563,37 @@ def _reference_invert(tab, which, y):
         lo, hi = lam[-1], lam[-1] * 4.0
     else:
         lo, hi = lam[j - 1], lam[j]
-    root = bernstein.increasing_root(g, lo, hi)
+    return bernstein.increasing_root(g, lo, hi)
+
+
+def _reference_invert(tab, which, y):
+    """invert by ``_grid_root``, one target at a time."""
+    y = float(y)
+    g_grid, g = {
+        "phi": (tab.phi_grid - y, lambda lam: tab.phi(lam) - y),
+        "H": (tab.H_grid - y, lambda lam: tab.H(lam) - y),
+        "phi_prime": (y - tab.phi_prime_grid, lambda lam: y - tab.phi_prime(lam)),
+        "b": (y - tab.phi_prime_grid / tab.H_grid, lambda lam: y - tab.phi_prime(lam) / tab.H(lam)),
+    }[which]
+    root = _grid_root(tab, g_grid, g)
     return 1.0 / tab.H(root) if which == "b" else root
+
+
+def _reference_bar_phi(tab, alpha, lam):
+    """bar_phi_alpha at alpha >= 1 by ``_grid_root`` on the log grid
+    alpha log(lam_grid) - log(phi_grid) - log(lam)."""
+    if lam <= (1.0 / tab.kernel.moment(0, math.inf) if alpha == 1.0 else 0.0):
+        return 0.0
+    log_lam = math.log(lam)
+    g = lambda s: alpha * math.log(s) - math.log(tab.phi(s)) - log_lam
+    return _grid_root(tab, alpha * np.log(tab.lam_grid) - np.log(tab.phi_grid) - log_lam, g)
 
 
 def _targets(tab, which):
     """Values of the map at lambda past both ends of the grid, off the grid
     and at nodes (the grid's own values), with a repeat."""
     grid = {"phi": tab.phi_grid, "H": tab.H_grid, "phi_prime": tab.phi_prime_grid,
-            "b": tab.b_grid}[which]
+            "b": _b_grid(tab)[1]}[which]
     lam = np.array([1e-12, 3e-10, 0.37, 1.0, 42.0, 7e9, 1e12])
     fwd = {"phi": tab.phi, "H": tab.H, "phi_prime": tab.phi_prime,
            "b": lambda l: tab.phi_prime(l) / tab.H(l)}[which](lam)
@@ -550,14 +604,6 @@ def _targets(tab, which):
 class TestLockstepInvert:
     """invert solves an array of targets in lockstep, from first brackets
     probed without building the grid, to the bits of the scalar reference."""
-
-    @pytest.fixture(scope="class")
-    def built(self, kernels):
-        # reference tables, their grids read
-        tabs = {name: BernsteinTable(k, points_per_decade=12) for name, k in kernels.items()}
-        for tab in tabs.values():
-            tab.phi_grid
-        return tabs
 
     @pytest.mark.parametrize("which", ["phi", "H", "phi_prime", "b"])
     def test_array_equals_the_scalar_reference(self, kernels, built, which):
@@ -623,8 +669,8 @@ class TestLockstepInvert:
         fresh, ref = BernsteinTable(k), BernsteinTable(k)
         r0 = truncated_small_r_threshold(fresh, k)
         assert "phi_grid" not in vars(fresh)
-        root = ref._root(lambda lam: QUARTER_E2 - ref.phi(lam) / lam,
-                         QUARTER_E2 - ref.phi_grid / ref.lam_grid)
+        root = _grid_root(ref, QUARTER_E2 - ref.phi_grid / ref.lam_grid,
+                          lambda lam: QUARTER_E2 - ref.phi(lam) / lam)
         assert r0 < k.support_end / 6.0
         assert r0.hex() == (1.0 / root).hex()
 
@@ -772,4 +818,5 @@ def test_invert_exact_at_grid_values(name, frac):
     assert tab.invert("phi", tab.phi_grid[j]) == tab.lam_grid[j]
     assert tab.invert("H", tab.H_grid[j]) == tab.lam_grid[j]
     assert tab.invert("phi_prime", tab.phi_prime_grid[j]) == tab.lam_grid[j]
-    assert tab.invert("b", tab.b_grid[j]) == tab.b_s_grid[j]
+    b_s, b = _b_grid(tab)
+    assert tab.invert("b", b[j]) == b_s[j]

@@ -140,9 +140,17 @@ _INVALID_SEEDS = [
     ("tails", {"kernel": _POWER, "grid": {"r": [0.5], "t": [1.0]}, "seed": "abc"}, "$.seed"),
     ("tails", {"kernel": _POWER, "grid": {"r": [0.5], "t": [1.0]}, "seed": 1.5}, "$.seed"),
 ]
+# spread budgets of 0 or below: "budget": 0 ran with the default 8 and a
+# negative one always failed; kept apart for the same reason
+_NON_POSITIVE_BUDGETS = [
+    ("compare", {"case": "dgamma-f", "budget": 0}, "$.budget"),
+    ("compare", {"case": "dgamma-f", "budget": -3}, "$.budget"),
+    ("boundary", {"band_budget": 0}, "$.band_budget"),
+]
 
 
-@pytest.mark.parametrize("sub, cfg, path", _INVALID + _TIGHTENED + _INVALID_SEEDS)
+@pytest.mark.parametrize("sub, cfg, path",
+                         _INVALID + _TIGHTENED + _INVALID_SEEDS + _NON_POSITIVE_BUDGETS)
 def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, sub, cfg, path):
     status, _ = run_cli(tmp_path, sub, cfg)
     assert status == 2
@@ -363,6 +371,24 @@ class TestCompare:
         rep = json.loads((out / "compare_dgamma-g.json").read_text())
         assert not rep["passed"]
 
+    @pytest.mark.parametrize("budget", ["0", "-3", "nan", "inf"])
+    def test_budget_flag_not_finite_and_positive_exits_2(self, tmp_path, capsys, budget):
+        status, out = run_cli(tmp_path, "compare", {}, extra=["--case", "dgamma-f", "--budget", budget])
+        assert status == 2
+        assert capsys.readouterr().err == "--budget must be a finite number > 0; got %r\n" % float(
+            budget)
+        assert not out.exists()
+
+    def test_budget_flag_and_config_budget_are_used_as_given(self, tmp_path):
+        # the flag's 8 is the default's and passes; the config's 1.0001 fails
+        status, out = run_cli(tmp_path / "flag", "compare", {}, extra=["--case", "dgamma-f",
+                                                                       "--budget", "8"])
+        assert status == 0
+        assert json.loads((out / "compare_dgamma-f.json").read_text())["budget"] == 8.0
+        status, out = run_cli(tmp_path / "cfg", "compare", {"case": "dgamma-f", "budget": 1.0001})
+        assert status == 1
+        assert json.loads((out / "compare_dgamma-f.json").read_text())["budget"] == 1.0001
+
 
 _UNIT_POWER = {"kind": "power", "beta": 0.5, "scale": 1.0}
 _PHI_TABLE_SHORT = {"kernel": _UNIT_POWER, "lambdas": {"lo": 0.1, "hi": 10.0, "n": 5}}
@@ -458,7 +484,7 @@ def test_every_valid_config_passes_both_validators(draft202012, sub, cfg):
     assert _agree(draft202012, sub, cfg) == []
 
 
-@pytest.mark.parametrize("sub, cfg, path", _INVALID + _INVALID_SEEDS)
+@pytest.mark.parametrize("sub, cfg, path", _INVALID + _INVALID_SEEDS + _NON_POSITIVE_BUDGETS)
 def test_invalid_configs_fail_both_validators_at_the_same_paths(draft202012, sub, cfg, path):
     assert path in [p for p, _ in _agree(draft202012, sub, cfg)]
 
