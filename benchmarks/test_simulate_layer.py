@@ -1,0 +1,44 @@
+"""Micro-benchmarks of the S_r and E_t samplers, on frozen inputs.
+
+From the repository root:
+
+    PYTHONPATH=src python -m pytest benchmarks/test_simulate_layer.py
+
+pytest-benchmark times each case and prints min/median/mean per round.
+Each case is one sampler call as ``report`` or the ``mc`` workload makes
+it: golden criterion 3's S_r at r = 2, criterion 5's rarest tilted S_r, and
+a ``fundsol --method mc`` ensemble of E_t.  The default test run does not
+collect this directory (``testpaths = ["tests"]``).
+"""
+
+import numpy as np
+
+from subtail.golden import GOLDEN_SEED
+from subtail.kernels import Truncated, caputo
+from subtail.simulate import SimConfig, sample_E_t, sample_S_at, sample_S_tilted
+
+
+def _run(benchmark, sampler, args, rounds):
+    return benchmark.pedantic(sampler, args=args, rounds=rounds, iterations=1)
+
+
+def test_sample_S_at_of_criterion_3(benchmark):
+    # ~11M jumps over 100k paths
+    cfg = SimConfig(cutoff_eps=1e-4, n_paths=100_000, seed=GOLDEN_SEED + 2)
+    ens = _run(benchmark, sample_S_at, (caputo(0.5), cfg, 2.0), rounds=10)
+    assert np.all(ens.values > 0.0)
+
+
+def test_sample_S_tilted_of_criterion_5(benchmark):
+    # theta* ~ 4.5: 14 cells, ~1.1M proposals over 2^16 paths
+    cfg = SimConfig(cutoff_eps=1e-3, n_paths=2**16, seed=GOLDEN_SEED + 21)
+    ens = _run(benchmark, sample_S_tilted, (Truncated(beta=0.5, delta=1.0, scale=1.0), cfg, 0.3, 3.5),
+               rounds=10)
+    assert np.all(ens.weights > 0.0)
+
+
+def test_sample_E_t_of_the_mc_workload(benchmark):
+    # the mc workload's p_mc ensemble: half-Caputo, eps 1e-3, 4000 paths
+    cfg = SimConfig(cutoff_eps=1e-3, n_paths=4000, seed=1)
+    ens = _run(benchmark, sample_E_t, (caputo(0.5), cfg, 0.1), rounds=20)
+    assert not ens.censored.any()

@@ -31,7 +31,11 @@ cut into geometric cells, each so narrow that |theta| times its width is at
 most ln 2; a proposal from nu on a cell (``kernel.w_inv`` of a uniform
 between w at its ends) is kept with probability e^{theta (s - top)}, top the
 cell end where e^{theta s} is largest, so at most half the proposals are
-lost.  Both integrals of kappa are checked quadratures.
+lost.  A proposal's cell is np.searchsorted's, found at a fifth of its cost
+by a guide table (Chen & Asau 1974; ``_cell_finder``): bin k = floor(v K/rate)
+of K = 64 x cells starts at the cell of (k - 1) rate/K, below v's since
+rounding moves v's bin by far less than one, and steps forward while v
+reaches the cell's end.  Both integrals of kappa are checked quadratures.
 
 ``exact_stable_sampler`` draws S_r for the pure stable exponent
 phi(lambda) = lambda^beta by Kanter's method and is used only to validate
@@ -42,10 +46,11 @@ constructor, ``_rng(seed, stream)``, which keys a counter-based Philox
 generator by (seed mod 2^64, stream): stream 1 serves S_r, 2 serves E_t, 3
 the exact sampler and 4 the tilted S_r.  Both S_r samplers draw all Poisson
 jump counts first, then the per-jump uniforms in path order, consumed in
-blocks of whole paths of at most ``_JUMP_BLOCK`` jumps (a path with more
-gets a block of its own), so their memory is O(paths + block) whatever the
-jump count.  Identical configs give bit-identical ensembles, and any integer
-seed works.
+blocks of whole paths of at most ``_JUMP_BLOCK`` = 2^15 jumps (a path with
+more gets a block of its own): memory is O(paths + block), and a block's
+256 KiB temporaries stay in L2 cache.  Philox's stream and each path's sum
+are the same in any blocks.  Identical configs give bit-identical
+ensembles, and any integer seed works.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import increasing_root
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .kernels import inverse_w_vec
 from .quadrature import checked_panels, graded_edges
 
@@ -76,7 +81,7 @@ __all__ = [
 ]
 
 _MAX_EXPECTED_JUMPS = 4e8  # across all paths; beyond this, ask for a larger eps
-_JUMP_BLOCK = 1 << 18  # jumps held at once by an S_r sampler, unless one path has more
+_JUMP_BLOCK = 1 << 15  # jumps held at once by an S_r sampler, unless one path has more
 _KAPPA_RTOL = 1e-12  # target of the two checked integrals of kappa
 
 
@@ -149,7 +154,7 @@ def _path_sums(counts, draw):
         hi = max(int(np.searchsorted(ends, start + _JUMP_BLOCK, side="right")), lo + 1)
         stop = int(ends[hi - 1])
         values = draw(stop - start)  # before path_idx, so their temporaries never coexist
-        path_idx = np.repeat(np.arange(hi - lo), np.diff(ends[lo:hi], prepend=start))
+        path_idx = np.repeat(np.arange(hi - lo), counts[lo:hi])
         sums[lo:hi] = np.bincount(path_idx, weights=values, minlength=hi - lo)
         lo, start = hi, stop
     return sums
@@ -217,14 +222,36 @@ def saddle_point(kernel, eps, r, t):
 
     kappa' increases from 0 (theta -> -inf) to inf, so a root exists iff t
     exceeds the drift r d_eps; otherwise DomainError.  The search runs in
-    x = e^{theta end} > 0, from the bracket [1, 16].
+    x = e^{theta end} > 0, from the bracket [1, 16] moved by x16 at most 200
+    times; a t so near the drift that theta* < -200 ln 16/end raises RangeError.
     """
     end = _tiltable_support(kernel, eps)
     target = t - r * _drift_rate(kernel, eps)
     if not target > 0.0:
         raise DomainError("t=%g is at or below the drift r d_eps=%g" % (t, t - target))
     g = lambda x: cumulant(kernel, eps, r, math.log(x) / end)[1] - target
-    return math.log(increasing_root(g, 1.0, 16.0)) / end
+    try:
+        return math.log(increasing_root(g, 1.0, 16.0)) / end
+    except RangeError as exc:
+        raise RangeError("no saddle point for t=%g above the drift r d_eps=%g; smallest theta tried %g"
+                         % (t, t - target, math.log(exc.bracket[0]) / end)) from exc
+
+
+def _cell_finder(cum):
+    """v -> min(np.searchsorted(cum, v, side="right"), cum.size - 1) for arrays
+    v in [0, cum[-1]], cum non-decreasing, by a guide table (module docstring)."""
+    bins, ends = 64 * cum.size, np.append(cum[:-1], np.inf)
+    guide = np.searchsorted(ends, np.arange(-1, bins) * (cum[-1] / bins), side="right")
+
+    def find(v):
+        cell = guide[(v * (bins / cum[-1])).astype(np.intp)]
+        up = np.flatnonzero(v >= ends[cell])
+        while up.size:
+            cell[up] += 1
+            up = up[v[up] >= ends[cell[up]]]
+        return cell
+
+    return find
 
 
 def sample_S_tilted(kernel, config, r, t):
@@ -258,12 +285,12 @@ def sample_S_tilted(kernel, config, r, t):
     _check_jump_budget(config, rate)
     rng = _rng(config.seed, 4)
     counts = rng.poisson(rate, size=config.n_paths)
+    cell_of = _cell_finder(cum)
 
     def draw(m):
         v, u = rng.random((m, 2)).T  # a jump's two uniforms are adjacent draws
         v = v * rate
-        cell = np.searchsorted(cum, v, side="right")
-        np.minimum(cell, cum.size - 1, out=cell)
+        cell = cell_of(v)
         # v's place in its cell's envelope mass, mapped onto [w(hi), w(lo)]
         s = inverse_w_vec(kernel, w_hi[cell] + (cum[cell] - v) * dw[cell])
         s[u >= np.exp(theta * (s - top[cell]))] = 0.0  # thinned out
@@ -280,6 +307,8 @@ def tail_estimate(kernel, ens, t, side):
     mean of weight * 1{hit} with se its sample sd / sqrt(n)."""
     if t <= 0.0:
         raise DomainError("a tail estimate requires t > 0")
+    if side not in ("upper", "lower"):
+        raise DomainError("side must be 'upper' or 'lower', not %r" % (side,))
     col = ens.values
     hit = col >= t if side == "upper" else col <= t
     n = ens.n_paths
@@ -292,15 +321,13 @@ def tail_estimate(kernel, ens, t, side):
     p = hits / n
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
     diag = None
-    if hits == 0:
-        expected = min(1.0, ens.level * float(kernel.w(t))) if side == "upper" else None
-        if expected is not None and (expected <= 0.0 or n < 10.0 / max(expected, 1e-300)):
-            diag = (
-                "insufficient paths: structural expectation ~%.3g wants >= %.3g paths"
-                % (expected, 10.0 / max(expected, 1e-300))
-            )
-        elif expected is None:
-            diag = "insufficient paths for the lower tail at this (r, t)"
+    if hits == 0 and side == "lower":
+        diag = "insufficient paths for the lower tail at this (r, t)"
+    elif hits == 0:
+        expected = min(1.0, ens.level * float(kernel.w(t)))
+        want = 10.0 / max(expected, 1e-300)
+        if expected <= 0.0 or n < want:
+            diag = "insufficient paths: structural expectation ~%.3g wants >= %.3g paths" % (expected, want)
     return TailEstimate(p_hat=p, se=se, n_paths=n, diagnostic=diag)
 
 
@@ -318,8 +345,8 @@ def sample_E_t(kernel, config, t):
     the jump's epoch.  Paths that have not crossed within
     r <= 1e6/phi(1/t) are censored at the budget and flagged.
     """
-    if not t > 0.0:
-        raise DomainError("the level must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError("the level must be a positive finite number")
     t = float(t)
     eps = config.cutoff_eps
     w_eps = float(kernel.w(eps))

@@ -3,10 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfinv
 
 from subtail import simulate
-from subtail.errors import DomainError
+from subtail.errors import DomainError, RangeError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import Subexp, Tabulated, Truncated, caputo, inverse_w_vec
 from subtail.simulate import (
@@ -155,6 +157,12 @@ class TestSampleEt:
         )
         assert np.allclose(q16 / q, 4.0, rtol=0.02)
 
+    @pytest.mark.parametrize("kernel", [caputo(0.5), Truncated(beta=0.5, delta=1.0, scale=1.0)])
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+    def test_level_must_be_positive_and_finite(self, kernel, t):
+        with pytest.raises(DomainError, match="the level must be a positive finite number"):
+            sample_E_t(kernel, SimConfig(cutoff_eps=1e-3, n_paths=100, seed=1), t)
+
     def test_determinism(self):
         k = caputo(0.5)
         a = sample_E_t(k, CFG, 1.0).values
@@ -286,6 +294,13 @@ class TestTailEstimateBand:
         with pytest.raises(DomainError):
             TailEstimate(p_hat=1.5, se=0.0, n_paths=100)
 
+    @pytest.mark.parametrize("side", ["uper", "Upper", "", None])
+    def test_unknown_side_is_refused(self, side):
+        k = caputo(0.5)
+        ens = sample_S_at(k, SimConfig(cutoff_eps=1e-2, n_paths=100, seed=3), 1.0)
+        with pytest.raises(DomainError, match="side must be 'upper' or 'lower'"):
+            tail_estimate(k, ens, 1.0, side)
+
 
 _BLOCK_KERNELS = {
     **builtin_kernel_set(),
@@ -341,6 +356,71 @@ class TestBlockedDraws:
 _TRUNC = Truncated(beta=0.5, delta=1.0, scale=1.0)
 
 
+def _searchsorted_tilted(kernel, config, r, t):
+    """S_r tilted towards {S_r >= t} with each jump's cell found by
+    np.searchsorted and every jump held at once: the reference for the
+    guide-table lookup and the blocked draws."""
+    eps = config.cutoff_eps
+    end = kernel.support_end
+    theta = saddle_point(kernel, eps, r, t)
+    kappa, _ = cumulant(kernel, eps, r, theta)
+    octaves = np.geomspace(eps, end, max(1, math.ceil(math.log2(end / eps))) + 1)
+    cuts = np.ceil(abs(theta) * np.diff(octaves) / math.log(2.0)).clip(1).astype(int)
+    lo = np.concatenate([np.linspace(a, b, k + 1)[:-1] for a, b, k in zip(octaves, octaves[1:], cuts)])
+    hi = np.append(lo[1:], end)
+    top = hi if theta >= 0.0 else lo
+    w_lo, w_hi = kernel.w(lo), kernel.w(hi)
+    env = r * np.exp(theta * top) * (w_lo - w_hi)
+    cum = np.cumsum(env)
+    rate = float(cum[-1])
+    dw = (w_lo - w_hi) / env
+    rng = simulate._rng(config.seed, 4)
+    counts = rng.poisson(rate, size=config.n_paths)
+    v, u = rng.random((int(counts.sum()), 2)).T
+    v = v * rate
+    cell = np.minimum(np.searchsorted(cum, v, side="right"), cum.size - 1)
+    s = inverse_w_vec(kernel, w_hi[cell] + (cum[cell] - v) * dw[cell])
+    s[u >= np.exp(theta * (s - top[cell]))] = 0.0
+    jumps = np.bincount(np.repeat(np.arange(config.n_paths), counts), weights=s, minlength=config.n_paths)
+    return jumps + simulate._drift_rate(kernel, eps) * r, np.exp(kappa - theta * jumps)
+
+
+@st.composite
+def _cum_and_points(draw):
+    """A non-decreasing positive cum (zero masses repeat entries) and points
+    v in [0, cum[-1]]: 0, every entry and its 1-ulp neighbours, cum[-1] and
+    the float just below it, and uniform draws."""
+    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1e-3), st.floats(1e-3, 1e3))
+    masses = draw(st.lists(mass, min_size=1, max_size=40).filter(lambda m: sum(m) > 0.0))
+    cum = np.cumsum(masses)
+    rate = float(cum[-1])
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30)))
+    v = np.concatenate([[0.0, rate, np.nextafter(rate, 0.0)], cum, np.nextafter(cum, 0.0),
+                        np.nextafter(cum, np.inf), u * rate])
+    return cum, v[(v >= 0.0) & (v <= rate)]
+
+
+class TestGuideTable:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_cum_and_points())
+    def test_equals_searchsorted(self, case):
+        cum, v = case
+        # the last cell also takes v = cum[-1], which a draw v = u rate can round to
+        want = np.minimum(np.searchsorted(cum, v, side="right"), cum.size - 1)
+        assert np.array_equal(simulate._cell_finder(cum)(v), want)
+
+    @pytest.mark.parametrize("block", [1, 7, None, 1 << 18])
+    @pytest.mark.parametrize("r, t", [(0.3, 0.1), (0.3, 3.5), (0.05, 1.95)])
+    def test_tilted_sampler_equals_the_searchsorted_draw(self, monkeypatch, block, r, t):
+        if block is not None:
+            monkeypatch.setattr(simulate, "_JUMP_BLOCK", block)
+        cfg = SimConfig(cutoff_eps=1e-3, n_paths=3000, seed=89)
+        ens = sample_S_tilted(_TRUNC, cfg, r, t)
+        values, weights = _searchsorted_tilted(_TRUNC, cfg, r, t)
+        assert np.array_equal(ens.values, values), (block, r, t)
+        assert np.array_equal(ens.weights, weights), (block, r, t)
+
+
 class TestTiltedS:
     def test_mean_weight_is_one(self):
         # E[exp(kappa - theta J)] = 1 under the tilted law
@@ -361,6 +441,14 @@ class TestTiltedS:
             assert abs(slope + r * drift - t) <= 1e-10 * t, (r, t)
         with pytest.raises(DomainError, match="drift"):
             saddle_point(_TRUNC, eps, 0.3, 0.5 * 0.3 * drift)
+
+    def test_saddle_point_search_reach(self):
+        # t = 0.012 lies just above the drift 0.3 d_eps = 0.00949, where
+        # theta* < -200 ln 16/end = -554.5, beyond the x16 search's reach
+        end = _TRUNC.support_end
+        with pytest.raises(RangeError, match=r"t=0\.012 above the drift r d_eps=0\.00948683") as info:
+            saddle_point(_TRUNC, 1e-3, 0.3, 0.012)
+        assert str(info.value).endswith("smallest theta tried %g" % (-200.0 * math.log(16.0) / end))
 
     def test_rare_tail_matches_de_hoog(self):
         # P(S_0.3 >= 3.5) = 1.2951085e-6 by de Hoog inversion of
