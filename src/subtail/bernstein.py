@@ -47,7 +47,7 @@ function b(s) = s phi'(H^{-1}(1/s)), the envelope inverse bar_phi_alpha, all
 solved by one bracketed root finder, and the variational quantities
 
     M(t,l) = sup_{s>0} { l/s - t/Phi(s) }                 (closed form, arrays)
-    N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (golden section)
+    N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (golden section, arrays)
 
 The root finder is written as step generators (``_brent_steps``,
 ``_increasing_root_steps``) that yield each lambda they need and receive the
@@ -60,6 +60,8 @@ with RangeError before it evaluates anything, and solves them in lockstep,
 one solver per target and one evaluator call per step for the lambdas not
 yet memoised; if a step raises, the targets are solved again one at a time,
 in order, so an array raises what its first failing target raises alone.
+N's golden-section search is a step generator too (``_unimodal_steps``), and
+``_lockstep`` advances one per (t, l), as it advances ``invert``'s solvers.
 """
 
 from __future__ import annotations
@@ -236,6 +238,24 @@ def _drive(steps, f):
         except StopIteration as stop:
             return stop.value
         fx = f(x)
+
+
+def _lockstep(solvers, f):
+    """Run the step generators solvers to their results in lockstep.  Each
+    round answers the x of every live solver with one call f(xs, live),
+    live being their indices; a solver that returns drops out."""
+    xs, out = [float(s.send(None)) for s in solvers], [None] * len(solvers)
+    live = list(range(len(solvers)))
+    while live:
+        going = []
+        for i, v in zip(live, f([xs[i] for i in live], live)):
+            try:
+                xs[i] = float(solvers[i].send(v))
+                going.append(i)
+            except StopIteration as stop:
+                out[i] = stop.value
+        live = going
+    return out
 
 
 def _checked(fx, x, bracket):
@@ -495,20 +515,8 @@ class BernsteinTable:
         The solvers advance in lockstep: each step answers every solver's
         lambda with one ``_values`` call."""
         g = _INVERSES[which]
-        solvers = [self._root_steps() for _ in ys]
-        xs = [float(s.send(None)) for s in solvers]
-        roots = [None] * len(ys)
-        live = range(len(ys))
-        while live:
-            vals = self._values([xs[i] for i in live])
-            going = []
-            for i, v in zip(live, vals):
-                try:
-                    xs[i] = float(solvers[i].send(g(v, ys[i])))
-                    going.append(i)
-                except StopIteration as stop:
-                    roots[i] = stop.value
-            live = going
+        roots = _lockstep([self._root_steps() for _ in ys],
+                          lambda xs, live: [g(v, ys[i]) for v, i in zip(self._values(xs), live)])
         if which == "b":
             return [1.0 / v[1] for v in self._values(roots)]
         return roots
@@ -544,13 +552,15 @@ class BernsteinTable:
         """phi^{-1} by log-log interpolation on the cache (~1e-5 relative).
 
         Used inside optimizer loops; out-of-grid targets fall back to the
-        precise bracketed inverse.
+        precise bracketed inverse, which refuses a NaN, infinite or
+        non-positive one before any log is taken.  An array entry has the
+        bits of its scalar call.
         """
         y_arr = np.atleast_1d(np.asarray(y, float))
+        bad = ~((y_arr >= self.phi_grid[0]) & (y_arr <= self.phi_grid[-1]))  # NaN too
+        inv = self.invert("phi", y_arr[bad]) if bad.any() else ()
         out = np.exp(np.interp(np.log(y_arr), self._log_phi, self._log_lam))
-        bad = (y_arr < self.phi_grid[0]) | (y_arr > self.phi_grid[-1])
-        if np.any(bad):
-            out[bad] = self.invert("phi", y_arr[bad])
+        out[bad] = inv
         return float(out[0]) if np.ndim(y) == 0 else out
 
     # -- envelope inverse ---------------------------------------------------
@@ -629,36 +639,14 @@ class BernsteinTable:
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
-def _golden_max(f, a, b, tol=1e-12, maxiter=300):
-    """Golden-section maximum of f on [a, b] in log coordinates."""
-    a, b = math.log(a), math.log(b)
-    x1 = b - _INV_GOLD * (b - a)
-    x2 = a + _INV_GOLD * (b - a)
-    f1, f2 = f(math.exp(x1)), f(math.exp(x2))
-    for _ in range(maxiter):
-        if b - a <= tol:
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLD * (b - a)
-            f1 = f(math.exp(x1))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLD * (b - a)
-            f2 = f(math.exp(x2))
-    x = x1 if f1 >= f2 else x2
-    return max(f1, f2), math.exp(x)
-
-
-def _maximize_unimodal(f, s_heur, scan_points=33):
-    """Bracket a unimodal maximum by factor-4 expansion, then golden section."""
-    s0 = s_heur
-    f0 = f(s0)
+def _unimodal_steps(s0, scan_points, tol=1e-12, maxiter=300):
+    """One problem of ``_maximize_unimodal``, as a step generator of s."""
+    f0 = yield s0
     lo, hi = s0, s0
     flo, fhi = f0, f0
     for _ in range(200):
         cand = lo / 4.0
-        fc = f(cand)
+        fc = yield cand
         if fc < flo:
             break
         lo, flo = cand, fc
@@ -667,7 +655,7 @@ def _maximize_unimodal(f, s_heur, scan_points=33):
     lo = lo / 4.0
     for _ in range(200):
         cand = hi * 4.0
-        fc = f(cand)
+        fc = yield cand
         if fc < fhi:
             break
         hi, fhi = cand, fc
@@ -677,22 +665,48 @@ def _maximize_unimodal(f, s_heur, scan_points=33):
     # unimodality scan: values should rise then fall across the bracket
     lw, hw = math.log(lo), math.log(hi)
     ss = [math.exp(lw + (hw - lw) * i / (scan_points - 1)) for i in range(scan_points)]
-    vals = [f(s) for s in ss]
+    vals = []
+    for s in ss:
+        vals.append((yield s))
     k = max(range(scan_points), key=vals.__getitem__)
-    drops = sum(
-        1
-        for i in range(1, scan_points - 1)
-        if vals[i] < vals[i - 1] - 1e-14 and vals[i] < vals[i + 1] - 1e-14
-    )
-    if drops > 0:
-        warnings.warn(
-            "objective not unimodal on the bracket; reporting the best local scan peak",
-            RuntimeWarning,
-        )
-    a = ss[max(k - 1, 0)]
-    b = ss[min(k + 1, scan_points - 1)]
-    val, s_star = _golden_max(f, a, b)
-    return max(val, vals[k]), s_star
+    if any(vals[i] < vals[i - 1] - 1e-14 and vals[i] < vals[i + 1] - 1e-14
+           for i in range(1, scan_points - 1)):
+        warnings.warn("objective not unimodal on the bracket; reporting the best local scan "
+                      "peak", RuntimeWarning)
+    # golden section on the scan's cells next to its peak, in log coordinates
+    a, b = math.log(ss[max(k - 1, 0)]), math.log(ss[min(k + 1, scan_points - 1)])
+    x1 = b - _INV_GOLD * (b - a)
+    x2 = a + _INV_GOLD * (b - a)
+    f1 = yield math.exp(x1)
+    f2 = yield math.exp(x2)
+    for _ in range(maxiter):
+        if b - a <= tol:
+            break
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_GOLD * (b - a)
+            f1 = yield math.exp(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_GOLD * (b - a)
+            f2 = yield math.exp(x2)
+    x = x1 if f1 >= f2 else x2
+    return max(f1, f2, vals[k]), math.exp(x)
+
+
+def _maximize_unimodal(f, s0, scan_points=33):
+    """[(max, argmax)] per start s0[i]: factor-4 bracket expansion, a
+    unimodality scan, golden section to 1e-12 in log s, for all problems in
+    lockstep, each round one call f(s, idx) -> objective of problem idx[j] at
+    s[j].  A problem's steps stay on libm (math.exp/math.log), never numpy's
+    SIMD exp/log, so it has the bits it has alone.  If a round raises, the
+    problems run again one by one, so a batch raises what its first failing
+    problem raises alone."""
+    try:
+        return _lockstep([_unimodal_steps(s, scan_points) for s in s0], f)
+    except Exception:
+        return [_lockstep([_unimodal_steps(s, scan_points)], lambda xs, _: f(xs, [i]))[0]
+                for i, s in enumerate(s0)]
 
 
 def calM(phi_shape, t, l):
@@ -706,22 +720,40 @@ def calM(phi_shape, t, l):
     if shape.alpha1 <= 1.0 or shape.alpha2 != shape.alpha1:
         raise DomainError("M(t,l) requires a power shape s^alpha with alpha > 1")
     t, l = np.asarray(t, dtype=float), np.asarray(l, dtype=float)
-    if np.any(t <= 0.0) or np.any(l < 0.0):
-        raise DomainError("M(t,l) requires t > 0 and l >= 0")
+    # reductions without temporaries; a NaN propagates through min and max and fails
+    if not (t.min(initial=math.inf) > 0.0 and l.min(initial=0.0) >= 0.0
+            and max(t.max(initial=0.0), l.max(initial=0.0)) < math.inf):
+        raise DomainError("M(t,l) requires finite t > 0 and l >= 0")
     a = shape.alpha1
     M = (1.0 - 1.0 / a) * l * (l / (a * t)) ** (1.0 / (a - 1.0))
     return float(M) if M.ndim == 0 else M
 
 
 def calN(table, phi_shape, t, l):
-    """N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) } from the table."""
+    """N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) } from the table.
+
+    t and l broadcast as in calM; each (t, l) is a problem of one
+    ``_maximize_unimodal``, a round one ``phi_inv_fast`` call with Phi(s)
+    and the rest in Python floats, so an entry has its scalar call's bits.
+    """
     shape = as_shape(phi_shape)
     if shape.alpha1 <= 1.0:
         raise DomainError("N(t,l) requires the lower scaling index alpha_1 > 1")
-    if t <= 0.0 or l <= 0.0:
-        raise DomainError("N(t,l) requires t, l > 0")
+    t, l = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(l, dtype=float))
+    ts, ls = t.ravel().tolist(), l.ravel().tolist()
+    if not all(0.0 < v < math.inf for v in ts + ls):
+        raise DomainError("N(t,l) requires finite t, l > 0")
     alpha = 0.5 * (shape.alpha1 + shape.alpha2)
-    s_heur = (alpha * t / l) ** (1.0 / (alpha - 1.0))
-    f = lambda s: l / s - t * table.phi_inv_fast(1.0 / shape(s))
-    val, _ = _maximize_unimodal(f, s_heur)
-    return val
+
+    def f(s, idx):
+        try:
+            ys = table.phi_inv_fast(np.array([1.0 / shape(x) for x in s])).tolist()
+            return [ls[i] / x - ts[i] * y for x, i, y in zip(s, idx, ys)]
+        except (ArithmeticError, RangeError) as exc:
+            # named for idx[0]: a failing round is asked again problem by problem
+            raise RangeError("the search for N(t,l) left the float range at t=%r, l=%r"
+                             % (ts[idx[0]], ls[idx[0]]), bracket=None) from exc
+
+    s0 = float_pow(np.array([alpha * a / b for a, b in zip(ts, ls)]), 1.0 / (alpha - 1.0))
+    N = np.array([v for v, _ in _maximize_unimodal(f, s0.tolist())]).reshape(t.shape)
+    return float(N) if N.ndim == 0 else N

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -731,10 +732,10 @@ class TestVariational:
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_calM_matches_numeric_sup(self, alpha):
         # golden criterion 6's grid
-        for t in np.geomspace(0.05, 20.0, 10):
-            for l in np.geomspace(0.05, 20.0, 10):
-                want, _ = _maximize_unimodal(lambda s: l / s - t / s**alpha, 1.0)
-                assert calM(alpha, t, l) == pytest.approx(want, rel=1e-12), (t, l)
+        grid = [(t, l) for t in np.geomspace(0.05, 20.0, 10) for l in np.geomspace(0.05, 20.0, 10)]
+        f = lambda s, idx: [grid[i][1] / x - grid[i][0] / x**alpha for x, i in zip(s, idx)]
+        for (t, l), (want, _) in zip(grid, _maximize_unimodal(f, [1.0] * len(grid))):
+            assert calM(alpha, t, l) == pytest.approx(want, rel=1e-12), (t, l)
 
     def test_calM_zero_distance_and_arrays(self):
         assert calM(2.0, 0.3, 0.0) == 0.0
@@ -820,3 +821,183 @@ def test_invert_exact_at_grid_values(name, frac):
     assert tab.invert("phi_prime", tab.phi_prime_grid[j]) == tab.lam_grid[j]
     b_s, b = _b_grid(tab)
     assert tab.invert("b", b[j]) == b_s[j]
+
+
+# ---------------------------------------------------------------------------
+# N(t,l) in lockstep: the scalar search it replaced, as a reference
+# ---------------------------------------------------------------------------
+
+_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _ref_golden_max(f, a, b, tol=1e-12, maxiter=300):
+    a, b = math.log(a), math.log(b)
+    x1 = b - _GOLD * (b - a)
+    x2 = a + _GOLD * (b - a)
+    f1, f2 = f(math.exp(x1)), f(math.exp(x2))
+    for _ in range(maxiter):
+        if b - a <= tol:
+            break
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLD * (b - a)
+            f1 = f(math.exp(x1))
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLD * (b - a)
+            f2 = f(math.exp(x2))
+    x = x1 if f1 >= f2 else x2
+    return max(f1, f2), math.exp(x)
+
+
+def _ref_maximize(f, s0, scan_points=33):
+    lo = hi = s0
+    flo = fhi = f(s0)
+    for _ in range(200):
+        fc = f(lo / 4.0)
+        if fc < flo:
+            break
+        lo, flo = lo / 4.0, fc
+    lo = lo / 4.0
+    for _ in range(200):
+        fc = f(hi * 4.0)
+        if fc < fhi:
+            break
+        hi, fhi = hi * 4.0, fc
+    hi = hi * 4.0
+    lw, hw = math.log(lo), math.log(hi)
+    ss = [math.exp(lw + (hw - lw) * i / (scan_points - 1)) for i in range(scan_points)]
+    vals = [f(s) for s in ss]
+    k = max(range(scan_points), key=vals.__getitem__)
+    val, _ = _ref_golden_max(f, ss[max(k - 1, 0)], ss[min(k + 1, scan_points - 1)])
+    return max(val, vals[k])
+
+
+def _ref_calN(table, shape, t, l):
+    """One scalar golden-section search per (t, l), as calN was written
+    before it solved arrays in lockstep."""
+    alpha = 0.5 * (shape.alpha1 + shape.alpha2)
+    s_heur = (alpha * t / l) ** (1.0 / (alpha - 1.0))
+    return _ref_maximize(lambda s: l / s - t * table.phi_inv_fast(1.0 / shape(s)), s_heur)
+
+
+_N_TABLES = {
+    "power": BernsteinTable(caputo(0.5), points_per_decade=24),
+    "truncated": BernsteinTable(Truncated(beta=0.5, delta=1.0, scale=1.0), points_per_decade=24),
+}
+# golden criterion 6's (t, l) grid, and criterion 9's (t, rho) grid
+_C6_T = _C6_L = np.geomspace(0.05, 20.0, 10)
+_C9_T, _C9_RHO = np.array([0.02, 0.1, 0.5]), np.geomspace(2.0, 14.0, 10)
+
+
+class TestLockstepN:
+    @pytest.mark.parametrize("name", sorted(_N_TABLES))
+    @pytest.mark.parametrize("ts, ls", [(_C6_T, _C6_L), (_C9_T, _C9_RHO)], ids=["crit6", "crit9"])
+    def test_golden_grids_equal_the_scalar_search(self, name, ts, ls):
+        tab, shape = _N_TABLES[name], PowerLaw(2.0)
+        got = calN(tab, shape, ts[:, None], ls[None, :])
+        # the criteria iterated numpy arrays, so the reference sees numpy scalars
+        want = np.array([[_ref_calN(tab, shape, t, l) for l in ls] for t in ts])
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_call_is_a_float_equal_to_its_array_entry(self):
+        tab = _N_TABLES["power"]
+        got = calN(tab, 2.0, _C9_T[:, None], _C9_RHO)
+        for i, t in enumerate(_C9_T.tolist()):
+            for j, l in enumerate(_C9_RHO.tolist()):
+                one = calN(tab, 2.0, t, l)
+                assert type(one) is float and one == got[i, j]
+
+    def test_closed_form_oracle(self):
+        # phi(lam) = lam^{1/2}, Phi(s) = s^2: N(t,l) = (3/4) l (l/(4t))^{1/3}
+        t, l = _C6_T[:, None], _C6_L[None, :]
+        got = calN(_N_TABLES["power"], 2.0, t, l)
+        np.testing.assert_allclose(got, 0.75 * l * (l / (4.0 * t)) ** (1.0 / 3.0), rtol=1e-12)
+
+    @pytest.mark.parametrize("t, l", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                      (1.0, -math.inf), (1.0, math.nan), (0.0, 1.0), (1.0, 0.0)])
+    def test_calN_refuses_non_finite_or_non_positive_arguments(self, t, l):
+        with pytest.raises(DomainError, match="finite t, l > 0"):
+            calN(_N_TABLES["power"], 2.0, t, l)
+        with pytest.raises(DomainError, match="finite t, l > 0"):
+            calN(_N_TABLES["power"], 2.0, [1.0, t], l)
+
+    @pytest.mark.parametrize("t, l", [(1e-300, 1.0), (1.0, 1e300)])
+    def test_calN_search_leaving_the_float_range_is_a_range_error(self, t, l):
+        named = re.escape("left the float range at t=%r, l=%r" % (t, l))
+        with pytest.raises(RangeError, match=named):
+            calN(_N_TABLES["power"], 2.0, t, l)
+        # in an array, the first failing entry is named
+        with pytest.raises(RangeError, match=named):
+            calN(_N_TABLES["power"], 2.0, [1.0, t, 1e-299], l)
+
+    @pytest.mark.parametrize("t, l", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
+                                      (1.0, math.nan), (0.0, 1.0), (1.0, -1.0)])
+    def test_calM_refuses_non_finite_or_out_of_domain_arguments(self, t, l):
+        with pytest.raises(DomainError, match="finite t > 0 and l >= 0"):
+            calM(2.0, t, l)
+        with pytest.raises(DomainError, match="finite t > 0 and l >= 0"):
+            calM(2.0, np.array([1.0, t]), l)
+
+    def test_calM_of_empty_arrays(self):
+        assert calM(2.0, 1.0, np.array([])).shape == (0,)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(_N_TABLES)), lt=st.floats(-2.0, 2.0), ll=st.floats(-2.0, 2.0))
+def test_calN_equals_the_scalar_search(name, lt, ll):
+    tab, shape = _N_TABLES[name], PowerLaw(2.0)
+    t, l = 10.0**lt, 10.0**ll
+    want = _ref_calN(tab, shape, t, l)
+    assert calN(tab, shape, t, l) == want
+    assert calN(tab, shape, np.array([t, 1.0]), np.array([l, 1.0]))[0] == want
+
+
+def _batch(*objectives):
+    return lambda s, idx: [objectives[i](x) for x, i in zip(s, idx)]
+
+
+class TestMaximizeUnimodal:
+    def test_batch_equals_problems_alone(self):
+        objs = [lambda s, c=c: c / s - 1.0 / s**2 for c in (0.3, 1.0, 7.0)]
+        batch = _maximize_unimodal(_batch(*objs), [1.0, 2.0, 0.5])
+        alone = [_maximize_unimodal(_batch(f), [s])[0] for f, s in zip(objs, (1.0, 2.0, 0.5))]
+        assert batch == alone
+
+    def test_bimodal_objective_in_a_batch_warns(self):
+        # a dip between the factor-4 expansion points that the scan sees
+        def bimodal(s):
+            u = math.log(s)
+            return -0.01 * (u - 8.0) ** 2 - math.exp(-(((u - 3.47) / 0.2) ** 2))
+
+        with pytest.warns(RuntimeWarning, match="not unimodal"):
+            _maximize_unimodal(_batch(lambda s: 1.0 / s - 1.0 / s**2, bimodal), [1.0, 1.0])
+
+    def test_bracket_that_cannot_close_names_its_side(self):
+        unimodal, rises_left, rises_right = (lambda s: 1.0 / s - 1.0 / s**2), (lambda s: -s), (lambda s: s)
+        with pytest.raises(QuadratureError, match=r"\(left\)"):
+            _maximize_unimodal(_batch(unimodal, rises_left), [1.0, 1.0])
+        # the right side fails later in the lockstep, but first in array order
+        with pytest.raises(QuadratureError, match=r"\(right\)"):
+            _maximize_unimodal(_batch(unimodal, rises_right, rises_left), [1.0, 1.0, 1.0])
+
+
+class TestPhiInvFast:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_refuses_what_invert_refuses(self, y):
+        tab = _N_TABLES["power"]
+        with pytest.raises(RangeError) as want:
+            tab.invert("phi", y)
+        for arg in (y, np.array([1.0, y])):
+            with pytest.raises(RangeError) as got:
+                tab.phi_inv_fast(arg)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", sorted(_N_TABLES))
+    def test_array_entries_have_the_bits_of_scalar_calls(self, name):
+        tab = _N_TABLES[name]
+        ys = np.geomspace(1e-12, 1e12, 97)  # in and beyond the grid's phi range
+        got = tab.phi_inv_fast(ys)
+        assert got.tobytes() == np.array([tab.phi_inv_fast(y) for y in ys.tolist()]).tobytes()
