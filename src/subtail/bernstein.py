@@ -18,21 +18,18 @@ concentration function.  phi' and H are integrated with their own weights,
 so the identity phi - lambda*phi' = H compares independent quadratures.
 
 One evaluator, ``_bernstein_values``, computes all three on a 1-D array of
-lambda: per lambda, composite Gauss-Legendre panels on the 23 octaves of
-[1e-5/lambda, 50/lambda] (``quadrature.geometric_edges``, split additionally
-at kernel breakpoints), and a closed-form head: on [0, 1e-5/lambda] the
-factor e^{-lambda u} is Taylor expanded to three terms and the remaining
-truncated moments int_0^a u^k w(u) du come exactly from the kernel, one
-``kernel.moment`` call per k for the whole array.  The lambdas are grouped by
-panel count and evaluated in chunks of at most ``_PANEL_CHUNK`` panels, one
-``kernel.w`` call per chunk, which bounds the memory of a build.  Each
-lambda's panel sums reduce its own contiguous block of node values, and every
-power that feeds a value is rounded as a lone float's would be
-(``kernels.float_pow``), so a value never depends on the batch it was
-computed in.  Each integral is taken at 24 and at 40 nodes per panel and the
-discrepancy is the achieved-error diagnostic; a silent wrong value is never
-returned, and an array fails at its first failing lambda, as that lambda
-alone would.
+lambda: per lambda, the package's one checked rule (``quadrature``'s
+24- vs 40-node pair) on the 23 octaves of [1e-5/lambda, 50/lambda]
+(``quadrature.geometric_edges``, split additionally at kernel breakpoints),
+and a closed-form head: on [0, 1e-5/lambda] the factor e^{-lambda u} is
+Taylor expanded to three terms and the remaining truncated moments
+int_0^a u^k w(u) du come exactly from the kernel, one ``kernel.moment``
+call per k for the whole array.  The lambdas are grouped by panel count and
+evaluated in chunks of at most ``_PANEL_CHUNK`` panels, one ``kernel.w``
+call per chunk, which bounds the memory of a build.  Every power that feeds
+a value is rounded as a lone float's would be (``kernels.float_pow``), so a
+value never depends on the batch it was computed in, and an array fails at
+its first failing lambda, as that lambda alone would.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
 points per decade on [1e-9, 1e9]), built by one evaluator call the first time
@@ -70,11 +67,10 @@ import math
 import warnings
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, QuadratureError, RangeError
 from .kernels import float_pow
-from .quadrature import geometric_edges
+from .quadrature import PHI_RULES, checked, geometric_edges, panel_sums
 from .shapes import as_shape
 
 __all__ = ["BernsteinTable", "calM", "calN", "increasing_root"]
@@ -83,9 +79,6 @@ _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
 # geometric panels on [u0, 50/lambda]: 23 octaves for every lambda
 _OCTAVES = math.ceil(math.log2(_TAIL_MULT / _HEAD_FRAC))
-_COARSE = 24  # nodes per panel of the check; the 40-node values are returned
-# Gauss-Legendre nodes and weights on [-1, 1]: the 24-node rule, then the 40-node one
-_NODES, _WEIGHTS = (np.concatenate(v) for v in zip(leggauss(_COARSE), leggauss(40)))
 # most panels evaluated at once: bounds the (lambdas, panels, 64) temporaries
 _PANEL_CHUNK = 256
 _NAMES = ("phi", "H", "phi'")
@@ -135,14 +128,9 @@ def _panel_edges(kernel, u0, hi):
     return edges, np.isfinite(edges).sum(axis=1) - 1
 
 
-def _panel_sums(kernel, lam, edges):
-    """The 24-node and the 40-node panel sums of the three Laplace integrands,
-    each (3, n), for the n lam (shaped (n, 1, 1)) of one panel count (edges:
-    (n, panels + 1)).  Every lam's sums reduce its own contiguous block of
-    node values."""
-    a, b = edges[:, :-1, None], edges[:, 1:, None]
-    half = 0.5 * (b - a)
-    u = 0.5 * (a + b) + half * _NODES
+def _integrands(kernel, lam, u):
+    """e^{-lam u} w, u e^{-lam u} w and (1 - lam u) e^{-lam u} w, stacked, at
+    the nodes u of the lam (shaped (n, 1, 1))."""
     f = np.empty((3,) + u.shape)
     f0, f1, f2 = f
     np.multiply(lam, u, out=f2)  # lam u
@@ -151,63 +139,46 @@ def _panel_sums(kernel, lam, edges):
     np.multiply(f0, u, out=f1)
     np.subtract(1.0, f2, out=f2)
     f2 *= f0
-    f *= half * _WEIGHTS
-    rows = (3, len(lam), -1)
-    return f[..., :_COARSE].reshape(rows).sum(axis=2), f[..., _COARSE:].reshape(rows).sum(axis=2)
+    return f
 
 
 def _bernstein_values(kernel, lam, rtol):
-    """(phi, H, phi') at each entry of the 1-D array lam > 0, from the three
-    Laplace integrals
-
-        int e^{-lam u} w du,  int u e^{-lam u} w du,  int (1-lam u) e^{-lam u} w du.
-
-    The lam are grouped by panel count and evaluated in chunks of at most
-    _PANEL_CHUNK panels, one ``kernel.w`` call per chunk, and each lam's
-    panel sums reduce its own contiguous block, so a value does not depend
-    on the other entries of lam.  Returns the 40-node values.  At the first
-    lam (in array order) that fails: DomainError when it is not supported,
-    else QuadratureError for the first integral (phi, H, phi') whose 40-node
-    value differs from its 24-node one by more than rtol relative.
+    """(phi, H, phi') at each entry of the 1-D array lam > 0: the 40-node
+    sums of the ``_integrands``, chunked as the module docstring says, plus
+    their heads.  At the first lam (in array order) that fails: DomainError
+    when it is not supported, else the QuadratureError of its first integral
+    (phi, H, phi') whose 40- and 24-node values do not agree to rtol relative.
     """
     u0, hi, m, ok = _supported(kernel, lam)
-    all_ok = ok.all()
-    sub = slice(None) if all_ok else np.flatnonzero(ok)
-    l, (m0, m1, m2, m3) = lam[sub], m[:4, sub]
-    l2 = float_pow(l, 2.0)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        _bernstein_values(kernel, lam[:j], rtol)  # a miss before it raises first
+        raise _unsupported(kernel, lam[j])
+    m0, m1, m2, m3 = m[:4]
+    l2 = float_pow(lam, 2.0)
     heads = np.array([
-        m0 - l * m1 + 0.5 * l2 * m2,
-        m1 - l * m2 + 0.5 * l2 * m3,
-        m0 - 2.0 * l * m1 + 1.5 * l2 * m2,
+        m0 - lam * m1 + 0.5 * l2 * m2,
+        m1 - lam * m2 + 0.5 * l2 * m3,
+        m0 - 2.0 * lam * m1 + 1.5 * l2 * m2,
     ])
-    sums = np.empty((2, 3, l.size))
-    l3 = l[:, None, None]
-    edges, panels = _panel_edges(kernel, u0[sub], hi[sub])
+    sums = np.empty((2, 3, lam.size))
+    l3 = lam[:, None, None]
+    edges, panels = _panel_edges(kernel, u0, hi)
     for n_p in set(panels.tolist()):
         rows = np.flatnonzero(panels == n_p)
         per = max(1, _PANEL_CHUNK // n_p)
         for k in range(0, rows.size, per):
             r = rows[k : k + per]
-            sums[:, :, r] = _panel_sums(kernel, l3[r], edges[r, : n_p + 1])
+            sums[:, :, r] = panel_sums(lambda u: _integrands(kernel, l3[r], u),
+                                       edges[r, : n_p + 1], PHI_RULES)
     sums += heads
-    coarse, fine = sums
-    achieved = abs(coarse - fine) / np.maximum(abs(fine), 1e-300)
-    if (achieved > rtol).any() or not all_ok:
-        # the first failing lam in array order; there, its first failing integral
-        err = np.zeros((3, lam.size))
-        err[:, sub] = achieved
-        j = int(np.argmax(~ok | (err > rtol).any(axis=0)))
-        if not ok[j]:
-            raise _unsupported(kernel, lam[j])
-        q = int(np.argmax(err[:, j] > rtol))
-        raise QuadratureError(
-            "Laplace integral of %s did not converge at lambda=%g" % (_NAMES[q], lam[j]),
-            achieved=float(err[q, j]),
-            target=rtol,
-        )
-    fine[0] *= l
-    fine[1] *= l2
-    return fine[0], fine[1], fine[2]
+
+    def message(i, _):
+        return "Laplace integral of %s did not converge at lambda=%g" % (_NAMES[i % 3], lam[i // 3])
+
+    # checked (lam, integral)-major: the first failing lam, there its first failing integral
+    phi, H, dphi = checked(sums[0].T, sums[1].T, rtol, 0.0, message).T
+    return phi * lam, H * l2, dphi
 
 
 # Brent's tolerances: relative only, since an absolute xtol such as 2e-12
@@ -457,9 +428,11 @@ class BernsteinTable:
         flat = x.ravel()
         pos = flat > 0.0
         if not pos.all():
+            if np.isnan(flat).any():
+                raise DomainError("%s requires a lambda that is not NaN" % name)
             if (flat < 0.0).any() or (not zero_ok and (flat == 0.0).any()):
                 raise DomainError("%s requires lambda %s 0" % (name, ">=" if zero_ok else ">"))
-            pos = flat != 0.0  # NaN goes on to the evaluator, which rejects it
+            pos = flat != 0.0
         vals = [v[col] for v in self._values(flat[pos].tolist())]
         if np.ndim(lam) == 0:
             return vals[0] if vals else 0.0

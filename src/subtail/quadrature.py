@@ -1,14 +1,16 @@
-"""The checked quadrature rule and the graded panel builder of the package.
+"""The one checked quadrature rule and the graded panel builder of the package.
 
-Composite Gauss-Legendre on panel edges: the integrand is called once per
-check, on both rules' points of every panel (the 32 of GL32, then the 64 of
-GL64), the 64-node sum is returned, and it is accepted only when the
-32-node sum agrees with it to the target; otherwise QuadratureError,
-carrying the achieved and target errors.  Every integral over the clock r
-(p's, and the boundary integrals I and J) takes its edges from
-``graded_edges``, whose geometric part, like the octaves of phi's panels in
-``bernstein``, comes from ``geometric_edges``.  phi's Laplace integrals keep
-their own 24- vs 40-node check in ``bernstein``.
+Composite Gauss-Legendre on rows of panel edges: ``panel_sums`` calls the
+integrand once, on both rules' points of every panel (the coarse rule's,
+then the fine one's), and ``checked`` returns the fine sums only if each
+agrees with its coarse sum to the target, which a non-finite sum never does;
+otherwise QuadratureError at the first that does not, carrying the achieved
+and target errors.  Each caller has a fixed pair: ``Q_RULES`` (32 vs 64
+nodes) for every integral over q and the boundary integrals, through
+``checked_panels``, and ``PHI_RULES`` (24 vs 40) for phi's Laplace integrals
+in ``bernstein``.  Every integral over the clock r takes its edges from
+``graded_edges``, whose geometric part, like the octaves of phi's panels,
+comes from ``geometric_edges``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .errors import QuadratureError
 
 GL32 = leggauss(32)
 GL64 = leggauss(64)
-# the points of both rules on [-1, 1], GL32's then GL64's, for one integrand call
-_POINTS = np.concatenate([GL32[0], GL64[0]])
-_N32 = GL32[0].size
+# each checked rule's nodes on [-1, 1]: both rules' points, the coarse rule's
+# first, then the coarse and the fine weights
+Q_RULES, PHI_RULES = ((np.concatenate([c[0], f[0]]), c[1], f[1])
+                      for c, f in ((GL32, GL64), (leggauss(24), leggauss(40))))
 # Start of the graded panels, as a fraction of their end, for an integral from
 # 0 whose integrand ~ r^q is singular there.  The panel [0, hi*GRADE] is
 # resolved only roughly, so it must hold a negligible share: that share is
@@ -63,20 +66,38 @@ def integrate_panels(fn, edges, nodes):
     return float(np.sum(wt * vals))
 
 
+def panel_sums(fn, edges, rules):
+    """(coarse, fine) panel sums of ``fn`` per row of ``edges`` (rows,
+    panels + 1), for the rule ``rules`` (``Q_RULES`` or ``PHI_RULES``).
+    ``fn`` is called once, on the (rows, panels, points) array of both
+    rules' points, and may add leading axes, which the sums keep.  Each
+    row's sum reduces its own contiguous block, so it is
+    ``integrate_panels``'s on that row, bit for bit."""
+    points, wc, wf = rules
+    a, b = edges[:, :-1, None], edges[:, 1:, None]
+    half = 0.5 * (b - a)
+    vals = fn(0.5 * (a + b) + half * points)
+    rows = vals.shape[:-2] + (-1,)
+    coarse = (half * wc * vals[..., : wc.size]).reshape(rows).sum(axis=-1)
+    return coarse, (half * wf * vals[..., wc.size :]).reshape(rows).sum(axis=-1)
+
+
+def checked(coarse, fine, rtol, atol, message):
+    """``fine``, if each entry agrees with ``coarse`` to rtol relative or
+    atol absolute; else QuadratureError with message(i, achieved) at the
+    first entry i, in C order, that does not (NaN and inf never agree)."""
+    for i, (c, f) in enumerate(zip(coarse.ravel().tolist(), fine.ravel().tolist())):
+        diff = abs(f - c)
+        achieved = diff / max(abs(f), 1e-300)
+        if not (achieved <= rtol or diff <= atol):
+            raise QuadratureError(message(i, achieved), achieved=achieved, target=rtol)
+    return fine
+
+
 def checked_panels(what, fn, edges, rtol, atol=0.0):
     """64-node panel sum of ``fn``, checked against the 32-node sum to rtol
-    relative or atol absolute.  ``fn`` is called once, on both rules' points
-    of every panel; each sum is ``integrate_panels``'s, bit for bit."""
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a)
-    vals = fn((0.5 * (a + b) + half * _POINTS).ravel()).reshape(-1, _POINTS.size)
-    v32 = float(np.sum(half * GL32[1] * vals[:, :_N32]))
-    v64 = float(np.sum(half * GL64[1] * vals[:, _N32:]))
-    achieved = abs(v64 - v32) / max(abs(v64), 1e-300)
-    if achieved > rtol and abs(v64 - v32) > atol:
-        raise QuadratureError(
-            "%s quadrature achieved %.2g, target %.2g" % (what, achieved, rtol),
-            achieved=achieved,
-            target=rtol,
-        )
-    return v64
+    relative or atol absolute: ``panel_sums`` and ``checked`` on one row,
+    ``fn`` called on a flat array."""
+    coarse, fine = panel_sums(lambda u: fn(u.ravel()).reshape(u.shape), edges[None], Q_RULES)
+    return float(checked(coarse, fine, rtol, atol, lambda i, achieved:
+                         "%s quadrature achieved %.2g, target %.2g" % (what, achieved, rtol))[0])

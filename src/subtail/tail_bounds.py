@@ -76,10 +76,10 @@ def within_bound(value, bound, rtol):
 
     The theory's regions are closed (r phi(1/t) <= L and the like), but a
     ``value`` built from phi is certified only to the table's ``quad_rtol``:
-    ``bernstein._bernstein_values`` accepts phi when its 24- and 40-node
-    quadratures agree to that relative error, so at a tie the computed value
-    can land ulps above the bound, and a strict float comparison would decide
-    the edge by rounding noise.
+    the package's one checked rule (``quadrature.checked``) accepts phi when
+    its 24- and 40-node sums agree to that relative error, so at a tie the
+    computed value can land ulps above the bound, and a strict float
+    comparison would decide the edge by rounding noise.
     So the value counts as ``<= bound`` unless it exceeds the bound by more
     than ``rtol`` relative.  The slack is the certified error of phi because
     nothing finer is known about the value and nothing coarser is needed;

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -14,7 +15,7 @@ from subtail import bernstein, golden
 from subtail.bernstein import BernsteinTable, _maximize_unimodal, calM, calN
 from subtail.errors import DomainError, QuadratureError, RangeError
 from subtail.golden import builtin_kernel_set
-from subtail.kernels import Tabulated, Truncated, caputo
+from subtail.kernels import Power, Tabulated, Truncated, caputo
 from subtail.shapes import PowerLaw
 from subtail.tail_bounds import QUARTER_E2, truncated_small_r_threshold
 
@@ -300,6 +301,59 @@ class TestBuildErrors:
     def test_bad_grid_is_domain_error(self, grid):
         with pytest.raises(DomainError, match="lambda grid"):
             BernsteinTable(caputo(0.5), **grid)
+
+
+class TestFirstMiss:
+    """The evaluator's check goes over (lambda, integral) in that order: an
+    array fails at its first failing lambda, there at its first failing
+    integral (phi, H, phi'), and an unsupported lambda is a failing one."""
+
+    # relative shifts of the 24-node sums (phi, H, phi') per lambda; 1e-120 is
+    # below the smallest supported lambda
+    SHIFTS = {1e-3: (0.0, 0.0, 0.0), 7.0: (0.0, 1e-6, 1e-6), 1e-120: None,
+              1.0: (0.0, 0.0, 1e-6), 1e6: (1e-6, 1e-6, 0.0)}
+
+    def test_first_failing_lam_then_its_first_failing_integral(self, monkeypatch):
+        check, outcomes = bernstein.checked, set()
+        for order in itertools.permutations(self.SHIFTS):
+            shifts = np.array([self.SHIFTS[lam] or (0.0,) * 3 for lam in order])
+            # the evaluator checks a prefix of order, the lambdas before an unsupported one
+            monkeypatch.setattr(bernstein, "checked", lambda c, f, *a: check(
+                c * (1.0 + shifts[: len(c)]), f, *a))
+            first = next(lam for lam in order if self.SHIFTS[lam] != (0.0, 0.0, 0.0))
+            with pytest.raises((DomainError, QuadratureError)) as err:
+                bernstein._bernstein_values(caputo(0.5), np.array(order), 1e-8)
+            if self.SHIFTS[first] is None:
+                assert err.type is DomainError
+                assert str(err.value).startswith("lambda=1e-120 is below the smallest supported")
+                outcomes.add("unsupported")
+            else:
+                name = bernstein._NAMES[int(np.argmax(self.SHIFTS[first]))]
+                assert err.type is QuadratureError
+                assert str(err.value) == (
+                    "Laplace integral of %s did not converge at lambda=%g" % (name, first))
+                assert err.value.achieved == pytest.approx(1e-6, rel=1e-6)
+                assert err.value.target == 1e-8
+                outcomes.add(name)
+        assert outcomes == {"unsupported", "phi", "H", "phi'"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("query", ["phi", "H", "phi_prime"])
+    def test_an_infinite_integral_is_refused(self, query):
+        # the exact phi(1e14) is 1.77e307, but the panel sums overflow to inf
+        tab = BernsteinTable(Power(beta=0.5, scale=1e300))
+        assert math.isfinite(getattr(tab, query)(1e10))
+        with pytest.raises(QuadratureError, match=r"did not converge at lambda=1e\+14") as err:
+            getattr(tab, query)(1e14)
+        assert math.isnan(err.value.achieved) and err.value.target == tab.quad_rtol
+
+    @pytest.mark.parametrize("query", ["phi", "H", "phi_prime"])
+    def test_a_nan_lambda_is_refused_by_name(self, query, monkeypatch):
+        monkeypatch.setattr(bernstein, "_bernstein_values", None)  # nothing is evaluated
+        tab = BernsteinTable(caputo(0.5))
+        for lam in (math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError, match="^%s requires a lambda that is not NaN$" % query):
+                getattr(tab, query)(lam)
 
 
 class TestBSandwich:

@@ -1,9 +1,10 @@
-"""Every integral in the package goes through its one checked rule, every
-numeric root through ``bernstein``'s one bracketed root finder, no density
-is fitted by a spline, no module imports the package inside a function,
-every module-level import is used, every name in a module's ``__all__``
-is read somewhere in the package, and neither importing the CLI nor a
-half-Caputo ``fundsol`` run loads scipy or jsonschema.
+"""Every integral in the package goes through its one checked rule, whose
+Gauss-Legendre nodes only ``quadrature`` holds, every numeric root through
+``bernstein``'s one bracketed root finder, no density is fitted by a
+spline, no module imports the package inside a function, every
+module-level import is used, every name in a module's ``__all__`` is read
+somewhere in the package, and neither importing the CLI nor a half-Caputo
+``fundsol`` run loads scipy or jsonschema.
 
 The modules are parsed, not imported, so a banned import is found even in
 a branch no test runs; the checks of loaded modules run in a fresh
@@ -39,6 +40,14 @@ def test_no_scipy_integrate_and_one_root_finder():
     for path in modules:
         for name in _imported_modules(path):
             assert not name.startswith(("scipy.integrate", "scipy.optimize")), (path.name, name)
+
+
+def test_only_quadrature_holds_gauss_legendre_nodes():
+    # phi's Laplace integrals and every integral over q share quadrature's rule
+    holders = sorted(path.name for path in SRC.glob("*.py")
+                     if any(name.startswith("numpy.polynomial.legendre")
+                            for name in _imported_modules(path)))
+    assert holders == ["quadrature.py"]
 
 
 def test_no_scipy_interpolate():

@@ -1,15 +1,18 @@
 """The checked panel rule and the panel-edge builders of ``quadrature``.
 
-``checked_panels`` calls its integrand once, on both rules' points, and must
-return what two ``integrate_panels`` calls (GL32, then GL64) return, bit for
-bit.  ``graded_edges`` and ``geometric_edges`` must give np.geomspace's
-edges exactly.
+``panel_sums`` calls its integrand once, on both rules' points of every
+row, and each row's sums must be what two ``integrate_panels`` calls on
+that row return, bit for bit; ``checked`` refuses the first entry, in C
+order, that misses its target or is not finite.  ``checked_panels`` is
+their one-row case.  ``graded_edges`` and ``geometric_edges`` must give
+np.geomspace's edges exactly.
 """
 
 import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +25,14 @@ from subtail.quadrature import (
     GL32,
     GL64,
     GRADE,
+    PHI_RULES,
+    Q_RULES,
+    checked,
     checked_panels,
     geometric_edges,
     graded_edges,
     integrate_panels,
+    panel_sums,
 )
 
 
@@ -100,6 +107,61 @@ def test_absolute_target_accepts_a_vanishing_integral():
     v64, achieved = _two_call_rule(fn, edges)
     assert achieved > 1e-8
     assert checked_panels("sin", fn, edges, 1e-8, atol=1e-12) == v64
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_sum_is_refused(fill):
+    fn, edges = (lambda r: np.full_like(r, fill)), graded_edges(0.0, GRADE, 1.0, ())
+    with pytest.raises(QuadratureError) as err:
+        checked_panels("x", fn, edges, 1e-8, atol=1e300)
+    assert math.isnan(err.value.achieved) and err.value.target == 1e-8
+
+
+# three integrands stacked on a leading axis, elementwise in ops whose bits
+# do not depend on the array they run on, with values from 1e-200 to 1e200
+_STACKED = (lambda u: 1e-200 * u * u, lambda u: 1.0 / (1.0 + u), lambda u: 1e200 * np.sqrt(u))
+
+
+@pytest.mark.parametrize("rules, sizes", [(Q_RULES, (32, 64)), (PHI_RULES, (24, 40))], ids=["q", "phi"])
+def test_panel_sums_are_the_two_call_rule_row_by_row(rules, sizes):
+    rng = np.random.default_rng(3)
+    # rows of 12 panels at mixed magnitudes, 1e-6 to 1e6
+    edges = np.sort(10.0 ** (rng.uniform(-6.0, 6.0, (5, 1)) + rng.uniform(0.0, 2.0, (5, 13))), axis=1)
+    calls = []
+
+    def stacked(u):
+        calls.append(u.shape)
+        return np.stack([f(u) for f in _STACKED])
+
+    coarse, fine = panel_sums(stacked, edges, rules)
+    assert calls == [(5, 12, sum(sizes))] and coarse.shape == fine.shape == (3, 5)
+    coarse_rule, fine_rule = (leggauss(n) for n in sizes)
+    for k, f in enumerate(_STACKED):
+        for j, row in enumerate(edges):
+            assert coarse[k, j] == integrate_panels(f, row, coarse_rule), (k, j)
+            assert fine[k, j] == integrate_panels(f, row, fine_rule), (k, j)
+
+
+def test_checked_refuses_the_first_miss_in_c_order():
+    fine = np.ones((3, 4))
+    coarse = fine.copy()
+    coarse[2, 0] = coarse[1, 3] = 1.5  # C order meets (1, 3) first
+    coarse[0, 2] = np.nan
+    seen = []
+
+    def message(i, achieved):
+        seen.append((i, achieved))
+        return "miss"
+
+    assert np.array_equal(checked(coarse[:2, :2], fine[:2, :2], 0.1, 0.0, message), fine[:2, :2])
+    with pytest.raises(QuadratureError) as err:
+        checked(coarse, fine, 0.1, 0.0, message)  # the NaN at (0, 2) comes first
+    assert [i for i, _ in seen] == [2] and math.isnan(seen[0][1]) and math.isnan(err.value.achieved)
+    coarse[0, 2] = 1.0
+    with pytest.raises(QuadratureError) as err:
+        checked(coarse, fine, 0.1, 0.0, message)
+    assert seen[-1] == (7, 0.5) and err.value.achieved == 0.5 and err.value.target == 0.1
+    assert checked(coarse, fine, 0.1, 0.5, message) is fine  # atol admits both
 
 
 def _reference_graded_edges(lo, start, hi, kinks):
