@@ -5,12 +5,14 @@ From the repository root:
     PYTHONPATH=src python -m pytest benchmarks/test_estimates_layer.py
 
 pytest-benchmark times each case and prints min/median/mean per round.
-Every case uses one ½-Caputo table at 24 points per decade, as the golden
-criteria do, whose grid is read before timing, so a round times the case
-and not the grid build.  The cases: golden criterion 6's 10×10 N(t,l) in
-one ``calN`` call, ``theorem_estimate`` and ``p_quadrature`` at one fixed
-point of criterion 8's mainsmall-ii-a grid (J1 on the interval (0, 1)).  The
-default test run does not collect this directory (``testpaths = ["tests"]``).
+Every case uses a ½-Caputo table at 24 points per decade, as the golden
+criteria do; none of them reads the table's grid.  The cases: golden
+criterion 6's 10×10 N(t,l) in one ``calN`` call, on a fresh table every
+round, so a round pays for its evaluator calls as the report does; and
+``theorem_estimate`` and ``p_quadrature`` at one fixed point of criterion
+8's mainsmall-ii-a grid (J1 on the interval (0, 1)), on one shared table.
+The default test run does not collect this directory
+(``testpaths = ["tests"]``).
 """
 
 import numpy as np
@@ -29,19 +31,21 @@ POINT, MARGIN = (0.003727593720314938, 0.13530847888568107, 0.3804126614903103),
 MODEL, GEOMETRY = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
 
 
+def _table():
+    return BernsteinTable(caputo(0.5), points_per_decade=24)
+
+
 @pytest.fixture(scope="module")
 def table():
-    tab = BernsteinTable(caputo(0.5), points_per_decade=24)
-    tab.phi_grid
-    return tab
+    return _table()
 
 
 def _run(benchmark, fn, rounds):
     return benchmark.pedantic(fn, rounds=rounds, iterations=1, warmup_rounds=1)
 
 
-def test_calN_of_criterion_6(benchmark, table):
-    N = _run(benchmark, lambda: calN(table, PowerLaw(2.0), TS[:, None], LS[None, :]), rounds=10)
+def test_calN_of_criterion_6(benchmark):
+    N = _run(benchmark, lambda: calN(_table(), PowerLaw(2.0), TS[:, None], LS[None, :]), rounds=10)
     assert N.shape == (10, 10) and np.all(N > 0.0)
 
 

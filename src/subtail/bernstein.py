@@ -33,18 +33,21 @@ its first failing lambda, as that lambda alone would.
 
 A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
 points per decade on [1e-9, 1e9]), built by one evaluator call the first time
-something reads it (``phi_inv_fast``, ``phiHw_brackets``, a ``*_grid``
-attribute or ``bar_phi_alpha``'s envelope check at alpha < 1); a grid that
-cannot be built raises there, not when the table is made, and a table whose
-grid nothing reads never builds it.  Its queries phi(), phi_prime() and H()
-take a value from the table's memo, else from one evaluator call for all the
+something reads it (``phiHw_brackets``, a ``*_grid`` attribute or
+``bar_phi_alpha``'s envelope check at alpha < 1); a grid that cannot be
+built raises there, not when the table is made, and a table whose grid
+nothing reads never builds it.  Its queries phi(), phi_prime() and H() take
+a value from the table's memo, else from one evaluator call for all the
 lambdas of the query not memoised, so the grid holds bit for bit what they
 return at its nodes.  The table supplies monotone inverses, the composite
 function b(s) = s phi'(H^{-1}(1/s)), the envelope inverse bar_phi_alpha, all
 solved by one bracketed root finder, and the variational quantities
 
     M(t,l) = sup_{s>0} { l/s - t/Phi(s) }                 (closed form, arrays)
-    N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (golden section, arrays)
+    N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (first-order condition, arrays)
+
+for a power shape Phi(s) = s^alpha, alpha > 1; N is solved in lambda =
+phi^{-1}(1/Phi(s)) by the root finder, and needs no phi^{-1}.
 
 The root finder is written as step generators (``_brent_steps``,
 ``_increasing_root_steps``) that yield each lambda they need and receive the
@@ -53,12 +56,13 @@ Its first bracket is the grid cell np.searchsorted(g(lam_grid), 0.0) picks,
 found by probing g at only the nodes that search reads, in numpy's order
 (``_probe_search``), so no root solve builds the grid.  ``invert`` takes a
 scalar or an array of targets, rejects a NaN, infinite or non-positive one
-with RangeError before it evaluates anything, and solves them in lockstep,
-one solver per target and one evaluator call per step for the lambdas not
-yet memoised; if a step raises, the targets are solved again one at a time,
-in order, so an array raises what its first failing target raises alone.
-N's golden-section search is a step generator too (``_unimodal_steps``), and
-``_lockstep`` advances one per (t, l), as it advances ``invert``'s solvers.
+with RangeError before it evaluates anything, and solves them in lockstep
+(``_lockstep``), one solver per target and one evaluator call per step for
+the lambdas not yet memoised; if a step raises, the targets are solved
+again one at a time, in order, so an array raises what its first failing
+target raises alone.  ``calN`` solves one root per (t, l) in the same
+lockstep, and ``_maximize_unimodal``, criterion 6's numeric sup of M, is a
+step generator (``_unimodal_steps``) advanced by it too.
 """
 
 from __future__ import annotations
@@ -130,15 +134,17 @@ def _panel_edges(kernel, u0, hi):
 
 def _integrands(kernel, lam, u):
     """e^{-lam u} w, u e^{-lam u} w and (1 - lam u) e^{-lam u} w, stacked, at
-    the nodes u of the lam (shaped (n, 1, 1))."""
+    the nodes u of the lam (shaped (n, 1, 1)).  An overflow raises no
+    warning: ``quadrature.checked`` refuses the non-finite sum it makes."""
     f = np.empty((3,) + u.shape)
     f0, f1, f2 = f
-    np.multiply(lam, u, out=f2)  # lam u
-    np.exp(np.negative(f2, out=f0), out=f0)
-    f0 *= kernel.w(u)
-    np.multiply(f0, u, out=f1)
-    np.subtract(1.0, f2, out=f2)
-    f2 *= f0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(lam, u, out=f2)  # lam u
+        np.exp(np.negative(f2, out=f0), out=f0)
+        f0 *= kernel.w(u)
+        np.multiply(f0, u, out=f1)
+        np.subtract(1.0, f2, out=f2)
+        f2 *= f0
     return f
 
 
@@ -211,10 +217,20 @@ def _drive(steps, f):
         fx = f(x)
 
 
-def _lockstep(solvers, f):
-    """Run the step generators solvers to their results in lockstep.  Each
-    round answers the x of every live solver with one call f(xs, live),
-    live being their indices; a solver that returns drops out."""
+def _lockstep(start, n, f):
+    """Run n step generators, problem i's made by start(i), to their results
+    in lockstep.  Each round answers the x of every live problem with one
+    call f(xs, live), live being their indices; a problem that returns drops
+    out.  If a round raises, the problems run again one at a time, in order,
+    so a batch raises what its first failing problem raises alone."""
+    try:
+        return _rounds([start(i) for i in range(n)], f)
+    except Exception:
+        return [_rounds([start(i)], lambda xs, _: f(xs, [i]))[0] for i in range(n)]
+
+
+def _rounds(solvers, f):
+    """``_lockstep``'s rounds, without its retry."""
     xs, out = [float(s.send(None)) for s in solvers], [None] * len(solvers)
     live = list(range(len(solvers)))
     while live:
@@ -357,7 +373,7 @@ _INVERSES = {
 
 # the attributes of a table's grid, all built by one evaluator call at the
 # first read of any of them
-_GRID_ATTRS = frozenset(("phi_grid", "H_grid", "phi_prime_grid", "_log_lam", "_log_phi"))
+_GRID_ATTRS = frozenset(("phi_grid", "H_grid", "phi_prime_grid"))
 
 
 class BernsteinTable:
@@ -396,8 +412,7 @@ class BernsteinTable:
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
         # the checked values phi(), H() and phi_prime() return at the nodes
         phi, H, dphi = _bernstein_values(self.kernel, self.lam_grid, self.quad_rtol)
-        self.__dict__.update(phi_grid=phi, H_grid=H, phi_prime_grid=dphi,
-                             _log_lam=np.log(self.lam_grid), _log_phi=np.log(phi))
+        self.__dict__.update(phi_grid=phi, H_grid=H, phi_prime_grid=dphi)
         return self.__dict__[name]
 
     # -- forward maps -------------------------------------------------------
@@ -454,8 +469,8 @@ class BernsteinTable:
         """b(s) = s * phi'(H^{-1}(1/s)), strictly increasing; for an array
         s, one inversion and one phi' call."""
         s = float(s) if np.ndim(s) == 0 else np.asarray(s, dtype=float)
-        if np.any(s <= 0.0):
-            raise DomainError("b requires s > 0")
+        if not np.all((0.0 < s) & (s < math.inf)):  # NaN fails both
+            raise DomainError("b requires a finite s > 0")
         return s * self.phi_prime(self.invert("H", 1.0 / s))
 
     # -- inverses -----------------------------------------------------------
@@ -483,26 +498,14 @@ class BernsteinTable:
         """Root of g, increasing in lambda (``_root_steps``)."""
         return _drive(self._root_steps(), g)
 
-    def _solve(self, which, ys):
-        """invert's results at the float targets ys, one solver per target.
-        The solvers advance in lockstep: each step answers every solver's
-        lambda with one ``_values`` call."""
-        g = _INVERSES[which]
-        roots = _lockstep([self._root_steps() for _ in ys],
-                          lambda xs, live: [g(v, ys[i]) for v, i in zip(self._values(xs), live)])
-        if which == "b":
-            return [1.0 / v[1] for v in self._values(roots)]
-        return roots
-
     def invert(self, which, y):
         """Inverse of phi, H, b or phi' at y, a scalar or an array of
         targets; forward(invert(y)) = y to 1e-9.
 
         Every target is checked before any solve: a NaN, infinite or
         non-positive one raises RangeError.  The targets are solved in
-        lockstep (``_solve``); if that raises, they are solved again one at
-        a time, in order, so an array raises what its first failing target
-        raises alone.
+        ``_lockstep``, one solver per target and each round one ``_values``
+        call, so an array raises what its first failing target raises alone.
         """
         ys = np.array(y, dtype=float, ndmin=1)
         flat = ys.ravel().tolist()
@@ -513,28 +516,12 @@ class BernsteinTable:
                 raise RangeError("invert target must be positive", bracket=None)
         if which not in _INVERSES:
             raise DomainError("invert target must be one of phi, H, b, phi_prime")
-        try:
-            out = self._solve(which, flat)
-        except Exception:
-            # whatever a lockstep step raised, the first target that fails
-            # on its own raises again here
-            out = [self._solve(which, [v])[0] for v in flat]
+        g = _INVERSES[which]
+        out = _lockstep(lambda _: self._root_steps(), len(flat),
+                        lambda xs, live: [g(v, flat[i]) for v, i in zip(self._values(xs), live)])
+        if which == "b":
+            out = [1.0 / v[1] for v in self._values(out)]
         return out[0] if np.ndim(y) == 0 else np.array(out).reshape(ys.shape)
-
-    def phi_inv_fast(self, y):
-        """phi^{-1} by log-log interpolation on the cache (~1e-5 relative).
-
-        Used inside optimizer loops; out-of-grid targets fall back to the
-        precise bracketed inverse, which refuses a NaN, infinite or
-        non-positive one before any log is taken.  An array entry has the
-        bits of its scalar call.
-        """
-        y_arr = np.atleast_1d(np.asarray(y, float))
-        bad = ~((y_arr >= self.phi_grid[0]) & (y_arr <= self.phi_grid[-1]))  # NaN too
-        inv = self.invert("phi", y_arr[bad]) if bad.any() else ()
-        out = np.exp(np.interp(np.log(y_arr), self._log_phi, self._log_lam))
-        out[bad] = inv
-        return float(out[0]) if np.ndim(y) == 0 else out
 
     # -- envelope inverse ---------------------------------------------------
 
@@ -561,7 +548,7 @@ class BernsteinTable:
         # solved in logs, where s^alpha neither underflows nor overflows
         log_lam = math.log(lam)
         if alpha < 1.0:
-            log_g = alpha * self._log_lam - self._log_phi
+            log_g = alpha * np.log(self.lam_grid) - np.log(self.phi_grid)
             if np.any(np.diff(log_g) < 0.0):
                 warnings.warn(
                     "s^alpha/phi(s) is not monotone for alpha=%g; using its running-supremum "
@@ -673,13 +660,9 @@ def _maximize_unimodal(f, s0, scan_points=33):
     lockstep, each round one call f(s, idx) -> objective of problem idx[j] at
     s[j].  A problem's steps stay on libm (math.exp/math.log), never numpy's
     SIMD exp/log, so it has the bits it has alone.  If a round raises, the
-    problems run again one by one, so a batch raises what its first failing
-    problem raises alone."""
-    try:
-        return _lockstep([_unimodal_steps(s, scan_points) for s in s0], f)
-    except Exception:
-        return [_lockstep([_unimodal_steps(s, scan_points)], lambda xs, _: f(xs, [i]))[0]
-                for i, s in enumerate(s0)]
+    problems run again one by one (``_lockstep``), so a batch raises what its
+    first failing problem raises alone."""
+    return _lockstep(lambda i: _unimodal_steps(s0[i], scan_points), len(s0), f)
 
 
 def calM(phi_shape, t, l):
@@ -703,30 +686,37 @@ def calM(phi_shape, t, l):
 
 
 def calN(table, phi_shape, t, l):
-    """N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) } from the table.
+    """N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) } for a power shape
+    Phi(s) = s^alpha with alpha > 1, from the table.
 
-    t and l broadcast as in calM; each (t, l) is a problem of one
-    ``_maximize_unimodal``, a round one ``phi_inv_fast`` call with Phi(s)
-    and the rest in Python floats, so an entry has its scalar call's bits.
+    With lam = phi^{-1}(1/Phi(s)) it is sup_lam { l phi(lam)^{1/alpha} - t lam },
+    whose objective is concave (phi is a Bernstein function and alpha > 1),
+    so the sup sits at the root of the increasing
+    h(lam) = log(t alpha/l) + (1 - 1/alpha) log phi(lam) - log phi'(lam).
+    t and l broadcast as in calM; each (t, l) is one of the table's root
+    searches (``_root_steps``), all in ``_lockstep``, a round one ``_values``
+    call, so an entry has its scalar call's bits and no grid is built.
     """
     shape = as_shape(phi_shape)
-    if shape.alpha1 <= 1.0:
-        raise DomainError("N(t,l) requires the lower scaling index alpha_1 > 1")
+    if shape.alpha1 <= 1.0 or shape.alpha2 != shape.alpha1:
+        raise DomainError("N(t,l) requires a power shape s^alpha with alpha > 1")
     t, l = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(l, dtype=float))
     ts, ls = t.ravel().tolist(), l.ravel().tolist()
     if not all(0.0 < v < math.inf for v in ts + ls):
         raise DomainError("N(t,l) requires finite t, l > 0")
-    alpha = 0.5 * (shape.alpha1 + shape.alpha2)
+    a = shape.alpha1
+    c = 1.0 - 1.0 / a
 
-    def f(s, idx):
+    def h(lams, idx):
         try:
-            ys = table.phi_inv_fast(np.array([1.0 / shape(x) for x in s])).tolist()
-            return [ls[i] / x - ts[i] * y for x, i, y in zip(s, idx, ys)]
-        except (ArithmeticError, RangeError) as exc:
+            return [math.log(ts[i] * a / ls[i]) + c * math.log(v[0]) - math.log(v[2])
+                    for v, i in zip(table._values(lams), idx)]
+        except (ArithmeticError, ValueError) as exc:  # unsupported lambda, log of 0
             # named for idx[0]: a failing round is asked again problem by problem
             raise RangeError("the search for N(t,l) left the float range at t=%r, l=%r"
                              % (ts[idx[0]], ls[idx[0]]), bracket=None) from exc
 
-    s0 = float_pow(np.array([alpha * a / b for a, b in zip(ts, ls)]), 1.0 / (alpha - 1.0))
-    N = np.array([v for v, _ in _maximize_unimodal(f, s0.tolist())]).reshape(t.shape)
+    lams = _lockstep(lambda _: table._root_steps(), len(ts), h)
+    N = [v * p[0] ** (1.0 / a) - u * x for u, v, x, p in zip(ts, ls, lams, table._values(lams))]
+    N = np.array(N).reshape(t.shape)
     return float(N) if N.ndim == 0 else N

@@ -290,7 +290,8 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
 
 
 def crit_6_variational(tables):
-    """M against the numeric sup to 1e-6; defining relations within [1/8, 8]."""
+    """M against the numeric sup to 1e-6, N against its closed form for
+    phi(lam) = lam^{1/2} to 1e-12; defining relations within [1/8, 8]."""
 
     def run():
         ts = np.geomspace(0.05, 20.0, 10)
@@ -306,6 +307,9 @@ def crit_6_variational(tables):
         worst_m = (math.inf, 0.0)
         worst_n = (math.inf, 0.0)
         Ns = calN(tab, shape, ts[:, None], ls[None, :]).tolist()
+        # phi(lam) = lam^{1/2}, Phi(s) = s^2: N(t,l) = (3/4) l (l/(4t))^{1/3}
+        closed = [[0.75 * l * (l / (4.0 * t)) ** (1.0 / 3.0) for l in ls.tolist()] for t in ts.tolist()]
+        worst_N = max(abs(N - c) / c for N_t, c_t in zip(Ns, closed) for N, c in zip(N_t, c_t))
         for t, N_t in zip(ts, Ns):
             for l, N in zip(ls, N_t):
                 M = calM(shape, t, l)
@@ -316,11 +320,12 @@ def crit_6_variational(tables):
                 rel_ok = rel_ok and 0.125 <= rM <= 8.0 and 0.125 <= rN <= 8.0
         return {
             "name": "6 variational M/N oracles",
-            "passed": worst <= 1e-6 and rel_ok,
+            "passed": worst <= 1e-6 and worst_N <= 1e-12 and rel_ok,
             "max_rel_err_M": worst,
+            "max_rel_err_N": worst_N,
             "relation_M_bracket": list(worst_m),
             "relation_N_bracket": list(worst_n),
-            "budget": {"rel_err": 1e-6, "ratio": [0.125, 8.0], "runtime_s": 10.0},
+            "budget": {"rel_err": 1e-6, "rel_err_N": 1e-12, "ratio": [0.125, 8.0], "runtime_s": 10.0},
         }
 
     return _timed(run)

@@ -109,8 +109,9 @@ def test_criterion_05_truncated_structure(report_runs):
 
 def test_criterion_06_variational(report_runs):
     c = _crit(report_runs, "6 ")
-    _announce(c, "M_err=%.2e" % c["max_rel_err_M"])
+    _announce(c, "M_err=%.2e N_err=%.2e" % (c["max_rel_err_M"], c["max_rel_err_N"]))
     assert c["max_rel_err_M"] <= 1e-6
+    assert c["max_rel_err_N"] <= 1e-12
     for key in ("relation_M_bracket", "relation_N_bracket"):
         lo, hi = c[key]
         assert 0.125 <= lo <= hi <= 8.0
