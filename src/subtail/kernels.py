@@ -9,7 +9,9 @@ past a finite support endpoint) and integrable min{1,s}-moment:
 Such a w plays two roles at once: it is the convolution kernel of a
 generalized fractional-time derivative, and -dw is the Levy measure of a
 driftless subordinator.  The Caputo derivative of order beta corresponds to
-w(s) = s^{-beta} / Gamma(1-beta).
+w(s) = s^{-beta} / Gamma(1-beta).  Gamma is ``special.gamma``, which keeps
+scipy's bits; scipy itself is imported only for the upper incomplete gamma
+of ``Subexp``'s tail moments beyond s = 1, on first use.
 
 Five kernel families are built in:
 
@@ -48,6 +50,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import AtomError, DomainError
+from .special import gamma
 
 __all__ = [
     "Power",
@@ -259,14 +262,14 @@ class Subexp:
 
     def _tail_moment(self, k, a):
         # int_a^inf u^k c0 exp(-theta u^beta) du via the upper incomplete gamma
-        from scipy.special import gamma as gamma_fn, gammaincc
+        from scipy.special import gammaincc
 
         q = (k + 1.0) / self.beta
         return (
             self.c0
             / self.beta
             * self.theta ** (-q)
-            * gamma_fn(q)
+            * gamma(q)
             * gammaincc(q, self.theta * float_pow(a, self.beta))
         )
 
@@ -299,10 +302,11 @@ class DistributedOrder:
                 raise DomainError("DistributedOrder weights must be >= 0")
         if not any(k > 0.0 for _, k in ws):
             raise DomainError("DistributedOrder needs one strictly positive weight")
-        from scipy.special import gamma as gamma_fn
-
-        # (beta_i, c_i) of the Caputo terms c_i s^{-beta_i}, c_i = kappa_i/Gamma(1-beta_i)
-        object.__setattr__(self, "_terms", tuple((b, k / gamma_fn(1.0 - b)) for b, k in ws if k > 0.0))
+        # (beta_i, c_i) of the Caputo terms c_i s^{-beta_i}, c_i = kappa_i/Gamma(1-beta_i),
+        # and (beta_i, c_i beta_i) of their Levy densities, as kappa_i beta_i/Gamma(1-beta_i)
+        terms = tuple((b, k, gamma(1.0 - b)) for b, k in ws if k > 0.0)
+        object.__setattr__(self, "_terms", tuple((b, k / g) for b, k, g in terms))
+        object.__setattr__(self, "_nu_terms", tuple((b, k * b / g) for b, k, g in terms))
 
     support_end = math.inf
 
@@ -321,13 +325,10 @@ class DistributedOrder:
         return out
 
     def nu(self, s):
-        from scipy.special import gamma as gamma_fn
-
         s = _as_positive_array(s)
         out = np.zeros_like(s)
-        for b, k in self.weights:
-            if k > 0.0:
-                out += k * b / gamma_fn(1.0 - b) * s ** (-b - 1.0)
+        for b, n in self._nu_terms:
+            out += n * s ** (-b - 1.0)
         return out
 
     def moment(self, k, a):
@@ -508,9 +509,9 @@ class Tabulated:
 
 def caputo(beta):
     """Caputo kernel of order beta: w(s) = s^{-beta} / Gamma(1-beta)."""
-    from scipy.special import gamma as gamma_fn
-
-    return Power(beta=beta, scale=1.0 / gamma_fn(1.0 - beta))
+    if not 0.0 < beta < 1.0:  # before Gamma(1-beta), which refuses 1-beta <= 0 by its own name
+        raise DomainError("Caputo kernel requires beta in (0,1)")
+    return Power(beta=beta, scale=1.0 / gamma(1.0 - beta))
 
 
 def kernel_from_config(cfg):

@@ -39,7 +39,9 @@ reaches the cell's end.  Both integrals of kappa are checked quadratures.
 
 ``exact_stable_sampler`` draws S_r for the pure stable exponent
 phi(lambda) = lambda^beta by Kanter's method and is used only to validate
-the compound-Poisson approximation.
+the compound-Poisson approximation; ``stable_half_upper_cdf`` and
+``_lower_cdf`` give the beta = 1/2 tails in closed form, with
+``special``'s erf and erfc.
 
 Reproducibility: all randomness flows from an integer seed through one key
 constructor, ``_rng(seed, stream)``, which keys a counter-based Philox
@@ -64,6 +66,7 @@ from .bernstein import increasing_root
 from .errors import DomainError, RangeError
 from .kernels import inverse_w_vec
 from .quadrature import checked_panels, graded_edges
+from .special import erf, erfc
 
 __all__ = [
     "SimConfig",
@@ -410,13 +413,9 @@ def exact_stable_sampler(beta, r, n_samples, seed=0):
 
 def stable_half_upper_cdf(r, t):
     """P(S_r >= t) = erf(r/(2 sqrt(t))) for the beta = 1/2 stable subordinator."""
-    from scipy.special import erf
-
     return erf(r / (2.0 * np.sqrt(t)))
 
 
 def stable_half_lower_cdf(r, t):
     """P(S_r <= t) = erfc(r/(2 sqrt(t))) for the beta = 1/2 stable subordinator."""
-    from scipy.special import erfc
-
     return erfc(r / (2.0 * np.sqrt(t)))

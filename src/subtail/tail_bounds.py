@@ -42,7 +42,7 @@ import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import RegimeError
+from .errors import RangeError, RegimeError
 from .kernels import check_conditions
 
 __all__ = [
@@ -157,23 +157,47 @@ def _poly_form(p):
     return {"form": "r*w(t)", "value": p.r * float(p.kernel.w(p.t))}
 
 
+def _scaled_exp(p, form, scale, exponent):
+    """scale * exp(exponent), refused with RangeError naming r and t when the
+    value is too large for a float."""
+    try:
+        value = scale * math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise RangeError("%s = %g * exp(%g) overflows at r=%g, t=%g" % (form, scale, exponent, p.r, p.t))
+    return value
+
+
 def _subexp_form(p):
     beta, theta = p.conditions.sub["beta"], p.conditions.sub["theta"]
     out = {"form": "r*exp(-theta/2 t^beta)", "value": p.r * math.exp(-0.5 * theta * p.t**beta)}
     if beta < 1.0:
-        out["sharp_value"] = p.r * math.exp(-theta * p.t**beta + SUB_K * p.r)
-        out["sharp_form"] = "r*exp(-theta t^beta + k r)"
+        sharp = "r*exp(-theta t^beta + k r)"
+        out["sharp_value"] = _scaled_exp(p, sharp, p.r, -theta * p.t**beta + SUB_K * p.r)
+        out["sharp_form"] = sharp
     return out
 
 
 def _truncated_small_r_form(p):
     t_f = p.conditions.trunc["t_f"]
     n = math.floor(p.t / t_f) + 1
-    return {
-        "form": "[r+(n t_f - t)^n] r^n exp(-c t log t)",
-        "value": (p.r + (n * t_f - p.t) ** n) * p.r**n * math.exp(-p.t * math.log(p.t)),
-        "n_t": n,
-    }
+    gap = n * t_f - p.t
+    form = "[r+(n t_f - t)^n] r^n exp(-c t log t)"
+    try:
+        value = (p.r + gap**n) * p.r**n * math.exp(-p.t * math.log(p.t))
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        # a factor overflowed: the product in logs, log(r + gap^n) as a log-sum-exp
+        log_r = math.log(p.r)
+        log_sum = log_r
+        if gap > 0.0:
+            log_gap_n = n * math.log(gap)
+            hi, lo = max(log_gap_n, log_r), min(log_gap_n, log_r)
+            log_sum = hi + math.log1p(math.exp(lo - hi))
+        value = _scaled_exp(p, form, 1.0, log_sum + n * log_r - p.t * math.log(p.t))
+    return {"form": form, "value": value, "n_t": n}
 
 
 def _truncated_linear_form(p):

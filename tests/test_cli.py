@@ -245,6 +245,18 @@ class TestTails:
         err = json.loads((out / "manifest.json").read_text())["error"]
         assert err == {"type": "DomainError", "message": "n_paths must be at least 100"}
 
+    def test_an_overflowing_sharp_subexp_form_exits_3(self, tmp_path, capsys):
+        # r exp(-theta t^beta + k r) at r = 1000 is exp(~1000): it ended in a
+        # bare OverflowError traceback
+        cfg = {"kernel": {"kind": "subexp", "beta": 0.5, "theta": 1e-6},
+               "sim": {"n_paths": 100}, "grid": {"r": [1000.0], "t": [1e4]}}
+        status, out = run_cli(tmp_path, "tails", cfg)
+        assert status == 3
+        err = json.loads((out / "manifest.json").read_text())["error"]
+        assert err["type"] == "RangeError"
+        assert "r=1000, t=10000" in err["message"]
+        assert "RangeError" in capsys.readouterr().err
+
     def test_one_ensemble_per_clock_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
         from subtail.kernels import kernel_from_config
         from subtail.simulate import sample_S_at, tail_estimate

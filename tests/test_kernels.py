@@ -35,6 +35,11 @@ class TestEvalW:
         k = Subexp(beta=1.0, theta=1.0, c0=1.0, smallBeta=0.5)
         assert k.w(1e9) == 0.0  # underflow, not an error
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5, math.nan])
+    def test_caputo_outside_its_orders_names_beta(self, beta):
+        with pytest.raises(DomainError, match=r"beta in \(0,1\)"):
+            caputo(beta)
+
     def test_nonpositive_argument_is_domain_error(self):
         for s in (0.0, -1.0):
             with pytest.raises(DomainError):
@@ -49,6 +54,20 @@ class TestLevyDensity:
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
         assert k.nu(0.25) == pytest.approx(0.5 * 0.25**-1.5, rel=1e-12)  # = 4
         assert k.nu(2.0) == 0.0
+
+    def test_distributed_density_keeps_scipy_gammas_bits(self):
+        # nu's coefficients kappa beta/Gamma(1-beta) are computed once, and
+        # nu keeps the bits of that formula with scipy's Gamma in every call
+        weights = ((0.1, 0.4), (0.3, 1.0), (0.5, 0.0), (0.7, 2.5), (0.95, 0.2))
+        k = DistributedOrder(weights=weights)
+        s = 10.0 ** np.random.default_rng(11).uniform(-6.0, 6.0, 257)
+        want = np.zeros_like(s)
+        for b, kap in weights:
+            if kap > 0.0:
+                want += kap * b / gamma_fn(1.0 - b) * s ** (-b - 1.0)
+        got = k.nu(s)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert [float(k.nu(v)).hex() for v in s[:16]] == [v.hex() for v in want[:16]]
 
     def test_tabulated_knot_signals_atom(self):
         k = Tabulated(knots=((0.5, 1.8), (1.0, 1.0), (2.0, 0.55)))

@@ -5,7 +5,7 @@ import pytest
 
 from subtail import golden
 from subtail.bernstein import BernsteinTable
-from subtail.errors import RegimeError
+from subtail.errors import RangeError, RegimeError
 from subtail.kernels import Subexp, Truncated, caputo, check_conditions
 from subtail.simulate import SimConfig, sample_S_at, tail_estimate
 from subtail.tail_bounds import (
@@ -96,6 +96,30 @@ class TestUpperBoundForm:
         assert out["tag"] == "subexp"
         assert out["value"] == pytest.approx(0.1 * math.exp(-1.5), rel=1e-12)
         assert out["sharp_value"] == pytest.approx(0.1 * math.exp(-3.0 + 0.1), rel=1e-12)
+
+    def test_overflowing_sharp_subexp_form_is_range_error(self):
+        k = Subexp(beta=0.5, theta=1e-6)
+        tab = BernsteinTable(k, points_per_decade=16)
+        rep = check_conditions(k, points_per_decade=16)
+        with pytest.raises(RangeError, match=r"r=1000, t=10000"):
+            upper_bound_form(k, tab, 1000.0, 1e4, conditions=rep)
+
+    @pytest.mark.parametrize("t", [300.5, 3000.5, 16000.5])
+    def test_truncated_small_r_form_past_a_factors_overflow(self, t):
+        # (n t_f - t)^n overflows at t_f = 100 from n ~ 155 on; the product
+        # itself is tiny, and mpmath's value of the same formula is the oracle
+        mpmath = pytest.importorskip("mpmath")
+        k = Truncated(beta=0.5, delta=100.0, scale=1.0)
+        tab = BernsteinTable(k, points_per_decade=16)
+        rep = check_conditions(k, points_per_decade=16)
+        r = 1e-4
+        out = upper_bound_form(k, tab, r, t, conditions=rep)
+        assert out["tag"] == "truncated-small-r"
+        n = out["n_t"]
+        with mpmath.workdps(50):
+            mr, mt = mpmath.mpf(r), mpmath.mpf(t)
+            want = (mr + (n * 100 - mt) ** n) * mr**n * mpmath.exp(-mt * mpmath.log(mt))
+        assert out["value"] == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_unclassified_outside(self, caputo_table):
         k = caputo(0.5)
