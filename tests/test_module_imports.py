@@ -36,6 +36,21 @@ def _imported_modules(path):
             yield from (node.module + "." + alias.name for alias in node.names)
 
 
+def test_no_scipy_integrate_and_one_root_finder():
+    # the one root finder is bernstein's port of Brent's method
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        for name in _imported_modules(path):
+            assert not name.startswith(("scipy.integrate", "scipy.optimize")), (path.name, name)
+
+
+def test_no_scipy_interpolate():
+    for path in sorted(SRC.glob("*.py")):
+        for name in _imported_modules(path):
+            assert not name.startswith("scipy.interpolate"), (path.name, name)
+
+
 # Subexp's tail moments need the upper incomplete gamma Q(q, x), which the
 # package does not compute itself yet (ROADMAP item 11).  Every other special
 # function is ``special``'s, every integral ``quadrature``'s checked rule and
