@@ -61,8 +61,7 @@ with RangeError before it evaluates anything, and solves them in lockstep
 the lambdas not yet memoised; if a step raises, the targets are solved
 again one at a time, in order, so an array raises what its first failing
 target raises alone.  ``calN`` solves one root per (t, l) in the same
-lockstep, and ``_maximize_unimodal``, criterion 6's numeric sup of M, is a
-step generator (``_unimodal_steps``) advanced by it too.
+lockstep; ``_lockstep`` serves ``invert`` and ``calN`` only.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, RangeError
+from .errors import DomainError, RangeError
 from .kernels import float_pow
 from .quadrature import PHI_RULES, checked, geometric_edges, panel_sums
 from .shapes import as_shape
@@ -218,15 +217,15 @@ def _drive(steps, f):
 
 
 def _lockstep(start, n, f):
-    """Run n step generators, problem i's made by start(i), to their results
-    in lockstep.  Each round answers the x of every live problem with one
+    """Run n step generators, each made by start(), to their results in
+    lockstep.  Each round answers the x of every live problem with one
     call f(xs, live), live being their indices; a problem that returns drops
     out.  If a round raises, the problems run again one at a time, in order,
     so a batch raises what its first failing problem raises alone."""
     try:
-        return _rounds([start(i) for i in range(n)], f)
+        return _rounds([start() for _ in range(n)], f)
     except Exception:
-        return [_rounds([start(i)], lambda xs, _: f(xs, [i]))[0] for i in range(n)]
+        return [_rounds([start()], lambda xs, _: f(xs, [i]))[0] for i in range(n)]
 
 
 def _rounds(solvers, f):
@@ -517,7 +516,7 @@ class BernsteinTable:
         if which not in _INVERSES:
             raise DomainError("invert target must be one of phi, H, b, phi_prime")
         g = _INVERSES[which]
-        out = _lockstep(lambda _: self._root_steps(), len(flat),
+        out = _lockstep(self._root_steps, len(flat),
                         lambda xs, live: [g(v, flat[i]) for v, i in zip(self._values(xs), live)])
         if which == "b":
             out = [1.0 / v[1] for v in self._values(out)]
@@ -596,75 +595,6 @@ class BernsteinTable:
 # ---------------------------------------------------------------------------
 
 
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-
-
-def _unimodal_steps(s0, scan_points, tol=1e-12, maxiter=300):
-    """One problem of ``_maximize_unimodal``, as a step generator of s."""
-    f0 = yield s0
-    lo, hi = s0, s0
-    flo, fhi = f0, f0
-    for _ in range(200):
-        cand = lo / 4.0
-        fc = yield cand
-        if fc < flo:
-            break
-        lo, flo = cand, fc
-    else:
-        raise QuadratureError("bracket expansion failed (left)")
-    lo = lo / 4.0
-    for _ in range(200):
-        cand = hi * 4.0
-        fc = yield cand
-        if fc < fhi:
-            break
-        hi, fhi = cand, fc
-    else:
-        raise QuadratureError("bracket expansion failed (right)")
-    hi = hi * 4.0
-    # unimodality scan: values should rise then fall across the bracket
-    lw, hw = math.log(lo), math.log(hi)
-    ss = [math.exp(lw + (hw - lw) * i / (scan_points - 1)) for i in range(scan_points)]
-    vals = []
-    for s in ss:
-        vals.append((yield s))
-    k = max(range(scan_points), key=vals.__getitem__)
-    if any(vals[i] < vals[i - 1] - 1e-14 and vals[i] < vals[i + 1] - 1e-14
-           for i in range(1, scan_points - 1)):
-        warnings.warn("objective not unimodal on the bracket; reporting the best local scan "
-                      "peak", RuntimeWarning)
-    # golden section on the scan's cells next to its peak, in log coordinates
-    a, b = math.log(ss[max(k - 1, 0)]), math.log(ss[min(k + 1, scan_points - 1)])
-    x1 = b - _INV_GOLD * (b - a)
-    x2 = a + _INV_GOLD * (b - a)
-    f1 = yield math.exp(x1)
-    f2 = yield math.exp(x2)
-    for _ in range(maxiter):
-        if b - a <= tol:
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLD * (b - a)
-            f1 = yield math.exp(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLD * (b - a)
-            f2 = yield math.exp(x2)
-    x = x1 if f1 >= f2 else x2
-    return max(f1, f2, vals[k]), math.exp(x)
-
-
-def _maximize_unimodal(f, s0, scan_points=33):
-    """[(max, argmax)] per start s0[i]: factor-4 bracket expansion, a
-    unimodality scan, golden section to 1e-12 in log s, for all problems in
-    lockstep, each round one call f(s, idx) -> objective of problem idx[j] at
-    s[j].  A problem's steps stay on libm (math.exp/math.log), never numpy's
-    SIMD exp/log, so it has the bits it has alone.  If a round raises, the
-    problems run again one by one (``_lockstep``), so a batch raises what its
-    first failing problem raises alone."""
-    return _lockstep(lambda i: _unimodal_steps(s0[i], scan_points), len(s0), f)
-
-
 def calM(phi_shape, t, l):
     """M(t,l) = sup_{s>0} { l/s - t/Phi(s) } for a power shape Phi(s) = s^alpha.
 
@@ -716,7 +646,7 @@ def calN(table, phi_shape, t, l):
             raise RangeError("the search for N(t,l) left the float range at t=%r, l=%r"
                              % (ts[idx[0]], ls[idx[0]]), bracket=None) from exc
 
-    lams = _lockstep(lambda _: table._root_steps(), len(ts), h)
+    lams = _lockstep(table._root_steps, len(ts), h)
     N = [v * p[0] ** (1.0 / a) - u * x for u, v, x, p in zip(ts, ls, lams, table._values(lams))]
     N = np.array(N).reshape(t.shape)
     return float(N) if N.ndim == 0 else N

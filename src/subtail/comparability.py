@@ -107,13 +107,17 @@ class ExpFit:
     diagnostic: str | None = None
 
 
-def exp_constant_fit(log_ratio, X, se_log=None, min_decades=1.5):
+_MIN_DECADES = 1.5  # the span of X that exp_constant_fit requires
+
+
+def exp_constant_fit(log_ratio, X, se_log=None):
     """Least-squares slope of the log-ratio against the exponent argument X.
 
-    The structural polynomial prefactor must already be divided out of the
-    ratio; the fitted c is minus the slope.  c_low/c_high come from refitting
-    the +-3 se envelopes.  A |slope| t-statistic below 2 means no exponential
-    signal, reported as a diagnostic rather than a value to trust.
+    X must span at least _MIN_DECADES decades.  The structural polynomial
+    prefactor must already be divided out of the ratio; the fitted c is
+    minus the slope.  c_low/c_high come from refitting the +-3 se envelopes.
+    A |slope| t-statistic below 2 means no exponential signal, reported as
+    a diagnostic rather than a value to trust.
     """
     y = np.asarray(log_ratio, dtype=float)
     x = np.asarray(X, dtype=float)
@@ -121,10 +125,10 @@ def exp_constant_fit(log_ratio, X, se_log=None, min_decades=1.5):
         raise DomainError("exp_constant_fit needs aligned grids with >= 3 points")
     if np.any(~np.isfinite(y)):
         raise DomainError("log-ratio grid contains non-finite entries")
-    if np.min(x) <= 0.0 or math.log10(np.max(x) / np.min(x)) < min_decades:
+    if np.min(x) <= 0.0 or math.log10(np.max(x) / np.min(x)) < _MIN_DECADES:
         raise DomainError(
             "exponent argument must span >= %.1f decades (got %.2f)"
-            % (min_decades, math.log10(max(np.max(x) / max(np.min(x), 1e-300), 1.0)))
+            % (_MIN_DECADES, math.log10(max(np.max(x) / max(np.min(x), 1e-300), 1.0)))
         )
 
     def slope_fit(yy):

@@ -65,6 +65,8 @@ __all__ = [
 
 # the one target of the quadrature mode, relative
 _RTOL = 1e-8
+_PROBE_OCTAVES = 60  # diagonal_probe integrates over [2^-60, 1]
+_PROBE_REL_CUT = 1e-3  # the largest share of its last octave that is convergence
 
 
 def is_half_caputo(kernel):
@@ -253,15 +255,15 @@ def solve_u(req):
     return _mc_value(ens, np.interp(col, grid, qvals))
 
 
-def diagonal_probe(kernel, model, t, n_octaves=60, rel_cut=1e-3):
+def diagonal_probe(kernel, model, t):
     """Diagonal finiteness probe for truncated kernels.
 
     Integrates q(r,x,x) = r^{-d/alpha} against the structural small-r
     crossing law [r + (n t_f - t)^n] r^n (the exp(-c t log t) factor is an
     r-independent constant and irrelevant to convergence), over the octaves
-    [2^{-j-1}, 2^{-j}], j < n_octaves.  Convergence is declared when the
-    last octave contributes less than ``rel_cut`` of the total, otherwise
-    divergence.
+    [2^{-j-1}, 2^{-j}], j < _PROBE_OCTAVES.  Convergence is declared when
+    the last octave contributes less than _PROBE_REL_CUT of the total,
+    otherwise divergence.
     """
     t_f = kernel.support_end
     if not math.isfinite(t_f):
@@ -275,15 +277,15 @@ def diagonal_probe(kernel, model, t, n_octaves=60, rel_cut=1e-3):
     def integrand(r):  # q times the structural dP/dr, up to exp(-c t log t)
         return r**-s * ((n + 1.0) * r**n + n * weight * r ** (n - 1.0))
 
-    edges = 2.0 ** -np.arange(n_octaves, -1.0, -1.0)
+    edges = 2.0 ** -np.arange(_PROBE_OCTAVES, -1.0, -1.0)
     total = integrate_panels(integrand, edges, GL32)
     last = integrate_panels(integrand, edges[:2], GL32)
-    verdict = "converged" if last <= rel_cut * total else "diverged"
+    verdict = "converged" if last <= _PROBE_REL_CUT * total else "diverged"
     return {
         "verdict": verdict,
         "n_t": n,
         "weight": weight,
         "total": total,
         "last_fraction": last / total,
-        "octaves": n_octaves,
+        "octaves": _PROBE_OCTAVES,
     }

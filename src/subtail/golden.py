@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .bernstein import BernsteinTable, _maximize_unimodal, calM, calN
+from .bernstein import BernsteinTable, calM, calN
 from .comparability import RatioReport, exp_constant_fit, regime_grid, two_sided_check
 from .estimates import EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma, theorem_estimate
 from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
@@ -290,20 +290,16 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
 
 
 def crit_6_variational(tables):
-    """M against the numeric sup to 1e-6, N against its closed form for
-    phi(lam) = lam^{1/2} to 1e-12; defining relations within [1/8, 8]."""
+    """M and N against their closed forms for Phi(s) = s^2, phi(lam) = lam^{1/2}
+    to 1e-6 and 1e-12; defining relations within [1/8, 8]."""
 
     def run():
         ts = np.geomspace(0.05, 20.0, 10)
         ls = np.geomspace(0.05, 20.0, 10)
-        grid = [(t, l) for t in ts.tolist() for l in ls.tolist()]
-        # oracle: the numeric sup of l/s - t/s^2, searched from s = 1 for every (t, l)
-        sups = _maximize_unimodal(lambda s, idx: [grid[i][1] / x - grid[i][0] / x**2
-                                                  for x, i in zip(s, idx)], [1.0] * len(grid))
-        worst = max(abs(calM(2.0, t, l) - want) / want for (t, l), (want, _) in zip(grid, sups))
         shape = PowerLaw(2.0)
         tab = _half_caputo_table(tables)
         rel_ok = True
+        worst = 0.0
         worst_m = (math.inf, 0.0)
         worst_n = (math.inf, 0.0)
         Ns = calN(tab, shape, ts[:, None], ls[None, :]).tolist()
@@ -313,6 +309,8 @@ def crit_6_variational(tables):
         for t, N_t in zip(ts, Ns):
             for l, N in zip(ls, N_t):
                 M = calM(shape, t, l)
+                # Phi(s) = s^2: the sup of l/s - t/s^2 sits at s = 2t/l, M(t,l) = l^2/(4t)
+                worst = max(worst, abs(M - l * l / (4.0 * t)) / (l * l / (4.0 * t)))
                 rM = (t / M) / shape(l / M)
                 worst_m = (min(worst_m[0], rM), max(worst_m[1], rM))
                 rN = (1.0 / tab.phi(N / t)) / shape(l / N)

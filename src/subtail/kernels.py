@@ -178,7 +178,8 @@ class Truncated:
 
     def w(self, s):
         s = _as_positive_array(s)
-        out = self.scale * (s ** (-self.beta) - self.delta ** (-self.beta))
+        # delta^-beta ((s/delta)^-beta - 1): no cancellation next to delta
+        out = self.scale * self.delta ** (-self.beta) * np.expm1(-self.beta * np.log(s / self.delta))
         return np.where(s < self.delta, out, 0.0)
 
     def nu(self, s):
@@ -581,20 +582,24 @@ def _ratio_constants(logs, logw, delta):
     return np.minimum.accumulate(y - np.maximum.accumulate(y))
 
 
-def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25):
+_GRID_LO, _GRID_HI = 1e-6, 1e6  # check_conditions' grid, before clipping to the support
+_C_FLOOR = 0.25  # the smallest ratio constant check_conditions certifies
+
+
+def check_conditions(kernel, points_per_decade=64):
     """Certify (S.Poly.), (L.Poly.), (Sub.) and (Trunc.) on a log grid.
 
-    The grid has >= ``points_per_decade`` points per decade on [lo, hi]
-    clipped to the kernel support.  Exponents are taken from the variant's
-    structure and verified; t_s is the largest grid point whose ratio
-    constant stays above ``c_floor`` (capped at t_f/2 for truncated kernels,
-    where that value is structural rather than empirical).
+    The grid has >= ``points_per_decade`` points per decade on [_GRID_LO,
+    _GRID_HI] clipped to the kernel support.  Exponents are taken from the
+    variant's structure and verified; t_s is the largest grid point whose
+    ratio constant stays above _C_FLOOR (capped at t_f/2 for truncated
+    kernels, where that value is structural rather than empirical).
     """
     report = ConditionReport(ker_ok=True, ker_integral=float(kernel.moment(0, 1.0)))
     end = kernel.support_end
-    top = min(hi, end * (1.0 - 1e-9)) if math.isfinite(end) else hi
-    n = max(8, int(round(points_per_decade * math.log10(top / lo))))
-    grid = np.geomspace(lo, top, n + 1)
+    top = min(_GRID_HI, end * (1.0 - 1e-9)) if math.isfinite(end) else _GRID_HI
+    n = max(8, int(round(points_per_decade * math.log10(top / _GRID_LO))))
+    grid = np.geomspace(_GRID_LO, top, n + 1)
     w = kernel.w(grid)
 
     if isinstance(kernel, Tabulated) and len(kernel.knots) < 8:
@@ -615,7 +620,7 @@ def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25
     # ---- (S.Poly.)(t_s): LS^0(-delta1, t_s) --------------------------------
     delta1 = float(kernel.small_exponent)
     c_log = _ratio_constants(logs, logw, delta1)
-    ok = c_log >= math.log(c_floor)
+    ok = c_log >= math.log(_C_FLOOR)
     if ok[0]:
         j_star = len(grid) - 1 if ok.all() else max(0, int(np.nonzero(~ok)[0][0]) - 1)
         t_s = float(grid[j_star])
@@ -637,7 +642,7 @@ def check_conditions(kernel, points_per_decade=64, lo=1e-6, hi=1e6, c_floor=0.25
         delta2 = float(np.max(slopes))
         if 0.0 < delta2 <= 25.0:
             c2 = float(np.exp(_ratio_constants(logs[i1:], logw[i1:], delta2)[-1]))
-            if c2 >= c_floor:
+            if c2 >= _C_FLOOR:
                 report.lpoly = {"delta2": delta2, "c": c2}
 
     # ---- (Sub.)(beta, theta) ------------------------------------------------

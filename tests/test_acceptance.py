@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy
 import pytest
 import scipy
+from numpy._core._multiarray_umath import __cpu_features__
 
 from subtail.bernstein import BernsteinTable
 from subtail.cli import main
@@ -199,7 +200,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _host():
-    """What the reference's bits depend on besides the code."""
+    """What the reference's bits depend on besides the code: versions, the
+    CPU, the C library, and the dispatch targets numpy's ufuncs run on
+    (``NPY_DISABLE_CPU_FEATURES`` switches these off per process)."""
     cpu, flags = platform.processor(), ""
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -209,7 +212,9 @@ def _host():
         pass
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "scipy": scipy.__version__, "machine": platform.machine(), "cpu": cpu,
-            "avx512f": "avx512f" in flags.split()}
+            "avx512f": "avx512f" in flags.split(), "libc": "%s %s" % platform.libc_ver(),
+            **{"numpy_" + k: on for k, on in __cpu_features__.items()
+               if k in ("X86_V3", "X86_V4") or k.startswith("AVX512_")}}
 
 
 def _first_difference(ref, new, path="$"):
@@ -250,7 +255,8 @@ def test_report_matches_the_golden_reference(report_runs):
             problems.append("%s differs from tests/golden/%s: %s" % (name, name, _mismatch(name, ref, new)))
     if problems:
         recorded, host = json.loads((GOLDEN / "host.json").read_text()), _host()
-        changed = {k: (recorded.get(k), host[k]) for k in host if recorded.get(k) != host[k]}
+        changed = {k: (recorded.get(k), host.get(k)) for k in sorted(set(recorded) | set(host))
+                   if recorded.get(k) != host.get(k)}
         if changed:
             problems.append("this host differs from the reference's (recorded, now): %s" % changed)
     assert not problems, "\n".join(problems)

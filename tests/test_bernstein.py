@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from subtail import bernstein, golden
-from subtail.bernstein import BernsteinTable, _maximize_unimodal, calM, calN
+from subtail.bernstein import BernsteinTable, calM, calN
 from subtail.errors import DomainError, QuadratureError, RangeError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import Power, Tabulated, Truncated, caputo
@@ -802,11 +803,17 @@ class TestVariational:
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_calM_matches_numeric_sup(self, alpha):
-        # golden criterion 6's grid
+        # golden criterion 6's grid; the sup of l/s - t/s^alpha at 30 digits, at
+        # the root of its first-order condition in u = log s
         grid = [(t, l) for t in np.geomspace(0.05, 20.0, 10) for l in np.geomspace(0.05, 20.0, 10)]
-        f = lambda s, idx: [grid[i][1] / x - grid[i][0] / x**alpha for x, i in zip(s, idx)]
-        for (t, l), (want, _) in zip(grid, _maximize_unimodal(f, [1.0] * len(grid))):
-            assert calM(alpha, t, l) == pytest.approx(want, rel=1e-12), (t, l)
+        with mp.workdps(30):
+            a = mp.mpf(alpha)
+            for t, l in grid:
+                T, L = mp.mpf(t), mp.mpf(l)
+                foc = lambda u: (-L * mp.exp(-u) + a * T * mp.exp(-a * u)) * mp.exp(u)
+                s = mp.exp(mp.findroot(foc, (-40, 40), solver="ridder"))
+                want = float(L / s - T / s**a)
+                assert calM(alpha, t, l) == pytest.approx(want, rel=1e-12), (t, l)
 
     def test_calM_zero_distance_and_arrays(self):
         assert calM(2.0, 0.3, 0.0) == 0.0
@@ -1018,32 +1025,3 @@ def test_calN_equals_the_scalar_search(name, lt, ll):
     got = calN(tab, shape, t, l)
     assert got == pytest.approx(float(_ref_calN(tab, np.array([t]), np.array([l]))[0]), rel=1e-10)
     assert calN(tab, shape, np.array([t, 1.0]), np.array([l, 1.0]))[0] == got
-
-
-def _batch(*objectives):
-    return lambda s, idx: [objectives[i](x) for x, i in zip(s, idx)]
-
-
-class TestMaximizeUnimodal:
-    def test_batch_equals_problems_alone(self):
-        objs = [lambda s, c=c: c / s - 1.0 / s**2 for c in (0.3, 1.0, 7.0)]
-        batch = _maximize_unimodal(_batch(*objs), [1.0, 2.0, 0.5])
-        alone = [_maximize_unimodal(_batch(f), [s])[0] for f, s in zip(objs, (1.0, 2.0, 0.5))]
-        assert batch == alone
-
-    def test_bimodal_objective_in_a_batch_warns(self):
-        # a dip between the factor-4 expansion points that the scan sees
-        def bimodal(s):
-            u = math.log(s)
-            return -0.01 * (u - 8.0) ** 2 - math.exp(-(((u - 3.47) / 0.2) ** 2))
-
-        with pytest.warns(RuntimeWarning, match="not unimodal"):
-            _maximize_unimodal(_batch(lambda s: 1.0 / s - 1.0 / s**2, bimodal), [1.0, 1.0])
-
-    def test_bracket_that_cannot_close_names_its_side(self):
-        unimodal, rises_left, rises_right = (lambda s: 1.0 / s - 1.0 / s**2), (lambda s: -s), (lambda s: s)
-        with pytest.raises(QuadratureError, match=r"\(left\)"):
-            _maximize_unimodal(_batch(unimodal, rises_left), [1.0, 1.0])
-        # the right side fails later in the lockstep, but first in array order
-        with pytest.raises(QuadratureError, match=r"\(right\)"):
-            _maximize_unimodal(_batch(unimodal, rises_right, rises_left), [1.0, 1.0, 1.0])

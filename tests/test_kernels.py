@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn, gammaincc
 
@@ -30,6 +31,13 @@ class TestEvalW:
     def test_truncated_vanishes_at_endpoint(self):
         assert Truncated(beta=0.5, delta=1.0, scale=1.0).w(1.0) == 0.0
         assert Truncated(beta=0.5, delta=1.0, scale=1.0).w(2.0) == 0.0
+
+    @pytest.mark.parametrize("s", [1.0 - 1e-6, 1.0 - 1e-12, 0.5, 1e-8])
+    def test_truncated_against_mpmath_next_to_delta(self, s):
+        # s^-beta - delta^-beta cancels next to delta; 40 digits are the oracle
+        with mp.workdps(40):
+            want = float(mp.mpf(s) ** -0.5 - 1)
+        assert Truncated(beta=0.5, delta=1.0, scale=1.0).w(s) == pytest.approx(want, rel=2e-15, abs=0.0)
 
     def test_subexp_huge_argument_underflows_to_zero(self):
         k = Subexp(beta=1.0, theta=1.0, c0=1.0, smallBeta=0.5)
@@ -142,8 +150,8 @@ _ROUND_TRIP_KERNELS = {
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(_ROUND_TRIP_KERNELS)), log_y=st.floats(-2.0, 6.0))
 def test_inverse_w_round_trip_property(name, log_y):
-    # targets from 1e-2 up: below that the truncated kernel's w(s) cancels
-    # s^-beta against delta^-beta and loses digits whatever the inverse
+    # targets from 1e-2 up: below that the truncated kernel's root s sits next
+    # to delta, where one ulp of s moves w(s) by more than 1e-13 relative
     k = _ROUND_TRIP_KERNELS[name]
     y = 10.0**log_y
     if y <= max((m for _, m in k.atoms()), default=0.0):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,7 +109,6 @@ class TestUpperBoundForm:
     def test_truncated_small_r_form_past_a_factors_overflow(self, t):
         # (n t_f - t)^n overflows at t_f = 100 from n ~ 155 on; the product
         # itself is tiny, and mpmath's value of the same formula is the oracle
-        mpmath = pytest.importorskip("mpmath")
         k = Truncated(beta=0.5, delta=100.0, scale=1.0)
         tab = BernsteinTable(k, points_per_decade=16)
         rep = check_conditions(k, points_per_decade=16)
