@@ -15,7 +15,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 budget failure (the ratio report is still
 written); 2 an unreadable config file, a config schema violation (with
-the value's JSON path) or a ``--budget`` that is not a finite number > 0;
+the value's JSON path), a ``--budget`` that is not a finite number > 0 or
+a flag the subcommand does not read (``--case`` and ``--budget`` are
+``compare``'s, ``--paths`` is ``tails``' and ``fundsol``'s);
 3 empty or violated regime, or a target outside a map's range
 (RegimeError, RangeError); 4 an argument outside its domain (DomainError,
 AtomError); 5 a quadrature that missed its target (QuadratureError).  On
@@ -43,12 +45,11 @@ import numpy as np
 
 from . import __version__, golden
 from .bernstein import BernsteinTable
-from .comparability import two_sided_check
 from .errors import AtomError, DomainError, QuadratureError, RangeError, RegimeError, SubtailError
 from .estimates import CASE_TAGS, EstimateCase, theorem_estimate
 from .fundamental import SolutionRequest, p_mc, p_quadrature
 from .heat_kernel import model_from_config
-from .kernels import caputo, check_conditions, kernel_from_config
+from .kernels import check_conditions, kernel_from_config
 from .simulate import SimConfig, sample_S_at, tail_estimate
 from .tail_bounds import upper_bound_form
 
@@ -359,14 +360,6 @@ def _write_csv(path, header, rows, manifest):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _strip_seconds(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_seconds(v) for k, v in obj.items() if k != "seconds"}
-    if isinstance(obj, list):
-        return [_strip_seconds(v) for v in obj]
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
@@ -474,27 +467,13 @@ def _cmd_estimate(cfg, out, seed, manifest, args):
     return 0
 
 
-def _compare_case(tag, budget):
-    dgamma = tag[len("dgamma-"):] if tag.startswith("dgamma-") else None
-    if dgamma not in golden.DGAMMA_CASES and tag not in golden.C8_MARGINS:
-        raise RegimeError("compare supports mainsmall-i, mainsmall-ii-a and dgamma-<case>, "
-                          "<case> one of %s" % ", ".join(golden.DGAMMA_CASES))
-    tab = golden._half_caputo_table(golden.TableCache())
-    if dgamma:
-        obs, pred, coords, _ = golden._c7_case(tab, *golden.DGAMMA_CASES[dgamma])
-        return two_sided_check(np.array(obs), np.array(pred), 8.0 if budget is None else budget,
-                               coords=coords, case=tag)
-    return golden._c8_grid_spread(tab, tag, 8, 50.0 if budget is None else budget)
-
-
 def _cmd_compare(cfg, out, seed, manifest, args):
     tag = args.case or cfg.get("case")
     if not tag:
         raise RegimeError("compare needs --case or a 'case' config entry")
     budget = args.budget if args.budget is not None else cfg.get("budget")
-    rep = _compare_case(tag, budget)
-    payload = rep.to_dict()
-    _write_json(os.path.join(out, "compare_%s.json" % tag), payload, manifest)
+    rep = golden.compare(tag, budget)
+    _write_json(os.path.join(out, "compare_%s.json" % tag), rep.to_dict(), manifest)
     text = [
         "case          %s" % rep.case,
         "points        %d" % rep.n_points,
@@ -510,33 +489,20 @@ def _cmd_compare(cfg, out, seed, manifest, args):
 
 
 def _cmd_boundary(cfg, out, seed, manifest, args):
-    kern = caputo(0.5)
-    t_values = cfg.get("t_values", golden.C11_T_VALUES)
-    deltas = cfg.get("deltas", golden.C11_DELTAS)
     budget = cfg.get("band_budget", golden.C11_BAND)
-    rows = []
-    bands = {}
-    ok = True
-    for t in t_values:
-        us, ratios = golden._c11_sweep(kern, t, deltas)
-        rows.extend((float(t), float(dlt), u, ratio) for dlt, u, ratio in zip(deltas, us, ratios))
-        band = max(ratios) / min(ratios)
-        bands["t=%g" % t] = band
-        ok = ok and band <= budget
+    rows, sweeps, ok = golden.boundary_sweep(cfg.get("t_values", golden.C11_T_VALUES),
+                                             cfg.get("deltas", golden.C11_DELTAS), budget)
     _write_csv(
         os.path.join(out, "boundary.csv"), ["t", "delta", "u", "u_over_delta_ag"], rows, manifest
     )
-    _write_json(
-        os.path.join(out, "boundary.json"),
-        {"bands": bands, "budget": budget, "passed": ok},
-        manifest,
-    )
+    bands = {t: sweep["band"] for t, sweep in sweeps.items()}
+    _write_json(os.path.join(out, "boundary.json"), {"bands": bands, "budget": budget, "passed": ok},
+                manifest)
     return 0 if ok else 1
 
 
 def _cmd_report(cfg, out, seed, manifest, args):
-    results = golden.run_all(seed=seed)
-    payload = _strip_seconds(results)
+    payload, seconds = golden.run_all(seed=seed)
     _write_json(os.path.join(out, "report.json"), payload, manifest)
     lines = ["criterion                                      verdict", "-" * 55]
     for crit in payload["criteria"]:
@@ -544,8 +510,7 @@ def _cmd_report(cfg, out, seed, manifest, args):
     lines.append("-" * 55)
     lines.append("overall: %s" % ("pass" if payload["passed"] else "FAIL"))
     _atomic_write(os.path.join(out, "report.txt"), "\n".join(lines) + "\n")
-    timing = {c["name"]: c["seconds"] for c in results["criteria"]}
-    _write_json(os.path.join(out, "report_timing.json"), {"seconds": timing}, manifest)
+    _write_json(os.path.join(out, "report_timing.json"), {"seconds": seconds}, manifest)
     return 0 if payload["passed"] else 1
 
 
@@ -560,6 +525,9 @@ _COMMANDS = {
     "report": _cmd_report,
 }
 
+# the subcommands that read each flag; the others refuse it
+_FLAG_READERS = {"case": ("compare",), "paths": ("fundsol", "tails"), "budget": ("compare",)}
+
 _EXIT_CODES = {RegimeError: 3, RangeError: 3, DomainError: 4, AtomError: 4, QuadratureError: 5}
 
 
@@ -571,10 +539,16 @@ def main(argv=None):
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--case", default=None, help="estimate/compare case tag")
+    parser.add_argument("--case", default=None, help="compare case tag")
     parser.add_argument("--paths", type=int, default=None, help="override MC path count")
     parser.add_argument("--budget", type=float, default=None, help="override spread budget")
     args = parser.parse_args(argv)
+
+    for flag, readers in _FLAG_READERS.items():
+        if getattr(args, flag) is not None and args.subcommand not in readers:
+            print("--%s is not read by %s, only by %s"
+                  % (flag, args.subcommand, " and ".join(readers)), file=sys.stderr)
+            return 2
 
     cfg = {}
     if args.config:

@@ -11,8 +11,8 @@ envelope fits providing a (c_low, c_high) bracket and a t-statistic
 guarding against fitting noise.
 
 Budgets are configuration, tuned once and frozen in the golden cases: 8 for
-closed-form-vs-quadrature comparisons, 50 for MC-vs-theorem-form ones (the
-latter absorb the unknown constants of the theorems).
+closed-form-vs-quadrature comparisons, 50 for theorem forms against
+quadrature p (which absorbs the unknown constants of the theorems).
 """
 
 from __future__ import annotations

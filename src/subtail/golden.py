@@ -1,12 +1,15 @@
 """The golden verification suite.
 
-Each function runs one frozen acceptance case end to end and returns a
-JSON-serializable verdict dict: {"name", "passed", "seconds", details...}.
-The CLI `report` subcommand renders the pass/fail matrix from `run_all`;
-tests assert the same dicts.  All parameters (grids, seeds, budgets, path
-counts) are frozen here; nothing is tuned at run time.  The criteria of one
-``run_all`` share one ``TableCache``, so each (kernel, grid) table is built
-once per run and dropped with it.
+Each criterion runs one frozen acceptance case end to end and returns a
+JSON-serializable verdict dict {"name", "passed", "budget", details...}
+whose pass test reads its thresholds from that "budget".  ``run_all`` times
+the criteria and returns their seconds beside the report, which holds no
+wall time.  The CLI `report` subcommand renders the pass/fail matrix from
+it, and its `compare` and `boundary` rerun criteria 7, 8 and 11 through
+``compare`` and ``boundary_sweep``.  All parameters (grids, seeds, budgets,
+path counts) are frozen here; nothing is tuned at run time.  The criteria
+of one ``run_all`` share one ``TableCache``, so each (kernel, grid) table
+is built once per run and dropped with it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from .bernstein import BernsteinTable, calM, calN
 from .comparability import RatioReport, exp_constant_fit, regime_grid, two_sided_check
+from .errors import RegimeError
 from .estimates import EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma, theorem_estimate
 from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
 from .heat_kernel import Geometry, HKModel, a_gamma_delta
@@ -77,103 +81,91 @@ class TableCache:
         return tab
 
 
-def _half_caputo_table(tables):
+def half_caputo_table(tables):
+    """The 1/2-Caputo table of criteria 6-8 and ``compare``."""
     return tables(caputo(0.5), points_per_decade=24)
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    out["seconds"] = round(time.perf_counter() - t0, 3)
-    return out
 
 
 def crit_1_stable_identity(tables):
     """phi = lam^beta to 1e-8 and H = (1-beta) lam^beta to 1e-7."""
-
-    def run():
-        lams = np.geomspace(1e-3, 1e3, 64)
-        worst_phi = worst_H = 0.0
-        for beta in (0.3, 0.5, 0.8):
-            tab = tables(caputo(beta))
-            for lam in lams:
-                worst_phi = max(worst_phi, abs(tab.phi(lam) - lam**beta) / lam**beta)
-                wantH = (1.0 - beta) * lam**beta
-                worst_H = max(worst_H, abs(tab.H(lam) - wantH) / wantH)
-        return {
-            "name": "1 stable identity",
-            "passed": worst_phi <= 1e-8 and worst_H <= 1e-7,
-            "max_rel_err_phi": worst_phi,
-            "max_rel_err_H": worst_H,
-            "budget": {"phi": 1e-8, "H": 1e-7, "runtime_s": 5.0},
-        }
-
-    return _timed(run)
+    budget = {"phi": 1e-8, "H": 1e-7, "runtime_s": 5.0}
+    lams = np.geomspace(1e-3, 1e3, 64)
+    worst_phi = worst_H = 0.0
+    for beta in (0.3, 0.5, 0.8):
+        tab = tables(caputo(beta))
+        for lam in lams:
+            worst_phi = max(worst_phi, abs(tab.phi(lam) - lam**beta) / lam**beta)
+            wantH = (1.0 - beta) * lam**beta
+            worst_H = max(worst_H, abs(tab.H(lam) - wantH) / wantH)
+    return {
+        "name": "1 stable identity",
+        "passed": worst_phi <= budget["phi"] and worst_H <= budget["H"],
+        "max_rel_err_phi": worst_phi,
+        "max_rel_err_H": worst_H,
+        "budget": budget,
+    }
 
 
 def crit_2_b_sandwich(tables):
     """phi(1/s)^{-1} <= b^{-1}(s) <= 6.49569 phi(1/s)^{-1}, all five kernels."""
-
-    def run():
-        svals = np.geomspace(1e-3, 1e3, 48)
-        violations = []
-        worst = {"low": math.inf, "high": 0.0}
-        for name, kern in builtin_kernel_set().items():
-            tab = tables(kern)
-            ratios = tab.invert("b", svals) * tab.phi(1.0 / svals)
-            for s, ratio in zip(svals, ratios.tolist()):
-                worst["low"] = min(worst["low"], ratio)
-                worst["high"] = max(worst["high"], ratio)
-                if not (1.0 - 1e-9 <= ratio <= B_UPPER):
-                    violations.append({"kernel": name, "s": float(s), "ratio": float(ratio)})
-        return {
-            "name": "2 b-inverse sandwich",
-            "passed": not violations,
-            "violations": violations,
-            "achieved_bracket": [worst["low"], worst["high"]],
-            "budget": {"low": 1.0, "high": B_UPPER, "runtime_s": 30.0},
-        }
-
-    return _timed(run)
+    budget = {"low": 1.0, "high": B_UPPER, "runtime_s": 30.0}
+    svals = np.geomspace(1e-3, 1e3, 48)
+    violations = []
+    worst = {"low": math.inf, "high": 0.0}
+    for name, kern in builtin_kernel_set().items():
+        tab = tables(kern)
+        ratios = tab.invert("b", svals) * tab.phi(1.0 / svals)
+        for s, ratio in zip(svals, ratios.tolist()):
+            worst["low"] = min(worst["low"], ratio)
+            worst["high"] = max(worst["high"], ratio)
+            if not (budget["low"] - 1e-9 <= ratio <= budget["high"]):
+                violations.append({"kernel": name, "s": float(s), "ratio": float(ratio)})
+    return {
+        "name": "2 b-inverse sandwich",
+        "passed": not violations,
+        "violations": violations,
+        "achieved_bracket": [worst["low"], worst["high"]],
+        "budget": budget,
+    }
 
 
 def crit_3_mc_vs_closed_form(seed=GOLDEN_SEED):
     """MC tails vs erf/erfc within 3 se on a 20-point grid; KS < 0.01."""
+    budget = {"z": 3.0, "ks": 0.01, "runtime_s": 120.0}
+    kern = caputo(0.5)
+    rs = (0.5, 1.0, 2.0, 3.0)
+    ts = (0.25, 0.5, 1.0, 2.0, 4.0)
+    n = 100_000
+    worst_z = 0.0
+    rows = []
+    for i, r in enumerate(rs):
+        cfg = SimConfig(cutoff_eps=1e-4, n_paths=n, seed=seed + i)
+        ens = sample_S_at(kern, cfg, r)
+        for t in ts:
+            up, lo = (tail_estimate(kern, ens, t, side) for side in ("upper", "lower"))
+            z_up = (up.p_hat - stable_half_upper_cdf(r, t)) / up.se
+            z_lo = (lo.p_hat - stable_half_lower_cdf(r, t)) / lo.se
+            worst_z = max(worst_z, abs(z_up), abs(z_lo))
+            rows.append({"r": r, "t": t, "z_upper": z_up, "z_lower": z_lo})
+    # Kolmogorov-Smirnov: compound-Poisson ensemble vs exact stable sampler
+    cfg = SimConfig(cutoff_eps=1e-4, n_paths=n, seed=seed + 17)
+    approx = np.sort(sample_S_at(kern, cfg, 2.0).values)
+    exact = np.sort(exact_stable_sampler(0.5, 2.0, n, seed=seed + 23))
+    grid = np.concatenate([approx, exact])
+    f1 = np.searchsorted(approx, grid, side="right") / n
+    f2 = np.searchsorted(exact, grid, side="right") / n
+    ks = float(np.max(np.abs(f1 - f2)))
+    return {
+        "name": "3 MC vs closed form (beta=1/2)",
+        "passed": worst_z <= budget["z"] and ks < budget["ks"],
+        "worst_abs_z": worst_z,
+        "ks_vs_exact_sampler": ks,
+        "n_grid": len(rows),
+        "budget": budget,
+    }
 
-    def run():
-        kern = caputo(0.5)
-        rs = (0.5, 1.0, 2.0, 3.0)
-        ts = (0.25, 0.5, 1.0, 2.0, 4.0)
-        n = 100_000
-        worst_z = 0.0
-        rows = []
-        for i, r in enumerate(rs):
-            cfg = SimConfig(cutoff_eps=1e-4, n_paths=n, seed=seed + i)
-            ens = sample_S_at(kern, cfg, r)
-            for t in ts:
-                up, lo = (tail_estimate(kern, ens, t, side) for side in ("upper", "lower"))
-                z_up = (up.p_hat - stable_half_upper_cdf(r, t)) / up.se
-                z_lo = (lo.p_hat - stable_half_lower_cdf(r, t)) / lo.se
-                worst_z = max(worst_z, abs(z_up), abs(z_lo))
-                rows.append({"r": r, "t": t, "z_upper": z_up, "z_lower": z_lo})
-        # Kolmogorov-Smirnov: compound-Poisson ensemble vs exact stable sampler
-        cfg = SimConfig(cutoff_eps=1e-4, n_paths=n, seed=seed + 17)
-        approx = np.sort(sample_S_at(kern, cfg, 2.0).values)
-        exact = np.sort(exact_stable_sampler(0.5, 2.0, n, seed=seed + 23))
-        grid = np.concatenate([approx, exact])
-        f1 = np.searchsorted(approx, grid, side="right") / n
-        f2 = np.searchsorted(exact, grid, side="right") / n
-        ks = float(np.max(np.abs(f1 - f2)))
-        return {
-            "name": "3 MC vs closed form (beta=1/2)",
-            "passed": worst_z <= 3.0 and ks < 0.01,
-            "worst_abs_z": worst_z,
-            "ks_vs_exact_sampler": ks,
-            "n_grid": len(rows),
-            "budget": {"z": 3.0, "ks": 0.01, "runtime_s": 120.0},
-        }
 
-    return _timed(run)
+C4_SPREAD = 10.0  # criterion 4's spread budget, which _tail_ratio_grid checks
 
 
 def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
@@ -192,7 +184,7 @@ def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
             r = frac * r_edge
             form = upper_bound_form(kern, tab, r, t, conditions=conditions)
             if form.get("form") != "r*w(t)":
-                return RatioReport("", 0, math.nan, math.nan, math.inf, 10.0, False), False
+                return RatioReport("", 0, math.nan, math.nan, math.inf, C4_SPREAD, False), False
             cfg = SimConfig(cutoff_eps=min(1e-4, t * 1e-3), n_paths=n_paths, seed=seed + 37 * i + j)
             est = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper")
             lower = lower_bound_universal(tab, kern, r, t, r * phi_t)
@@ -201,40 +193,36 @@ def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
             pred.append(form["value"])
             ses.append(est.se)
             coords.append((float(t), float(r)))
-    rep = two_sided_check(np.array(obs), np.array(pred), 10.0, se=np.array(ses), coords=coords)
+    rep = two_sided_check(np.array(obs), np.array(pred), C4_SPREAD, se=np.array(ses), coords=coords)
     return rep, lower_ok
 
 
 def crit_4_tail_two_sidedness(tables, seed=GOLDEN_SEED):
     """P(S_r >= t)/(r w(t)) spread <= 10 and above e^{-eL}, Caputo+Truncated."""
-
-    def run():
-        results = {}
-        ok = True
-        for name, kern, t_vals in (
-            ("caputo", caputo(0.5), np.geomspace(0.05, 0.8, 5)),
-            ("truncated", Truncated(beta=0.5, delta=1.0, scale=1.0), (0.06, 0.12, 0.24)),
-        ):
-            tab = tables(kern, points_per_decade=24)
-            rep, lower_ok = _tail_ratio_grid(kern, tab, t_vals, seed, 100_000)
-            rep2, lower_ok2 = _tail_ratio_grid(kern, tab, t_vals, seed + 1000, 200_000)
-            stable = rep.passed == rep2.passed
-            results[name] = {
-                "spread": rep.spread,
-                "spread_doubled_paths": rep2.spread,
-                "lower_bound_ok": bool(lower_ok and lower_ok2),
-                "verdict_stable": bool(stable),
-                "n_points": rep.n_points,
-            }
-            ok = ok and rep.passed and lower_ok and lower_ok2 and stable
-        return {
-            "name": "4 poly-regime two-sidedness",
-            "passed": ok,
-            "kernels": results,
-            "budget": {"spread": 10.0, "runtime_s": 300.0},
+    results = {}
+    ok = True
+    for name, kern, t_vals in (
+        ("caputo", caputo(0.5), np.geomspace(0.05, 0.8, 5)),
+        ("truncated", Truncated(beta=0.5, delta=1.0, scale=1.0), (0.06, 0.12, 0.24)),
+    ):
+        tab = tables(kern, points_per_decade=24)
+        rep, lower_ok = _tail_ratio_grid(kern, tab, t_vals, seed, 100_000)
+        rep2, lower_ok2 = _tail_ratio_grid(kern, tab, t_vals, seed + 1000, 200_000)
+        stable = rep.passed == rep2.passed
+        results[name] = {
+            "spread": rep.spread,
+            "spread_doubled_paths": rep2.spread,
+            "lower_bound_ok": bool(lower_ok and lower_ok2),
+            "verdict_stable": bool(stable),
+            "n_points": rep.n_points,
         }
-
-    return _timed(run)
+        ok = ok and rep.passed and lower_ok and lower_ok2 and stable
+    return {
+        "name": "4 poly-regime two-sidedness",
+        "passed": ok,
+        "kernels": results,
+        "budget": {"spread": C4_SPREAD, "runtime_s": 300.0},
+    }
 
 
 def crit_5_truncated_structure(seed=GOLDEN_SEED):
@@ -243,90 +231,85 @@ def crit_5_truncated_structure(seed=GOLDEN_SEED):
     Every tail is a tilted estimate (``sample_S_tilted``); the path counts
     put each se below that of the plain 1M-8M-path estimate at its point.
     """
+    budget = {"residual": 0.5, "dip_spread": 10.0, "runtime_s": 5.0}
+    kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
 
-    def run():
-        kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
+    def tail(r, t, n, seed):
+        cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed)
+        return tail_estimate(kern, sample_S_tilted(kern, cfg, r, t), t, "upper").p_hat
 
-        def tail(r, t, n, seed):
-            cfg = SimConfig(cutoff_eps=1e-3, n_paths=n, seed=seed)
-            return tail_estimate(kern, sample_S_tilted(kern, cfg, r, t), t, "upper").p_hat
+    r = 0.3
+    pts = ((0.5, 2**19), (1.5, 2**16), (2.5, 2**16), (3.5, 2**16))
+    X, Y = [], []
+    for i, (t, n) in enumerate(pts):
+        p = tail(r, t, n, seed + 7 * i)
+        n_t = math.floor(t) + 1
+        X.append(n_t * math.log(n_t))
+        Y.append(math.log(p))
+    A = np.vstack([X, np.ones(4)]).T
+    sol, *_ = np.linalg.lstsq(A, np.array(Y), rcond=None)
+    resid = float(np.max(np.abs(np.array(Y) - A @ sol)))
+    slope = float(sol[0])
 
-        r = 0.3
-        pts = ((0.5, 2**19), (1.5, 2**16), (2.5, 2**16), (3.5, 2**16))
-        X, Y = [], []
-        for i, (t, n) in enumerate(pts):
-            p = tail(r, t, n, seed + 7 * i)
-            n_t = math.floor(t) + 1
-            X.append(n_t * math.log(n_t))
-            Y.append(math.log(p))
-        A = np.vstack([X, np.ones(4)]).T
-        sol, *_ = np.linalg.lstsq(A, np.array(Y), rcond=None)
-        resid = float(np.max(np.abs(np.array(Y) - A @ sol)))
-        slope = float(sol[0])
-
-        # dip of the (n t_f - t)^n factor as t -> n t_f, at n = 2
-        r2 = 0.05
-        ps = {t: tail(r2, t, 2**16, seed + 101 + off) for t, off in ((1.5, 0), (1.95, 1))}
-        # n_t log n_t tracks t log t affinely over this window, so the fitted
-        # slope doubles as the exponential rate; the factor-10 dip budget
-        # absorbs the affine mismatch
-        c_fit = -slope
-        form = lambda t: (r2 + (2.0 - t) ** 2) * math.exp(-c_fit * t * math.log(t))
-        pred_ratio = form(1.95) / form(1.5)
-        meas_ratio = ps[1.95] / ps[1.5]
-        dip_ok = 0.1 <= meas_ratio / pred_ratio <= 10.0
-        return {
-            "name": "5 truncated-kernel structure",
-            "passed": resid <= 0.5 and dip_ok,
-            "regression_residual": resid,
-            "slope": slope,
-            "dip_measured": meas_ratio,
-            "dip_predicted": pred_ratio,
-            "dip_ratio": meas_ratio / pred_ratio,
-            "budget": {"residual": 0.5, "dip_spread": 10.0, "runtime_s": 5.0},
-        }
-
-    return _timed(run)
+    # dip of the (n t_f - t)^n factor as t -> n t_f, at n = 2
+    r2 = 0.05
+    ps = {t: tail(r2, t, 2**16, seed + 101 + off) for t, off in ((1.5, 0), (1.95, 1))}
+    # n_t log n_t tracks t log t affinely over this window, so the fitted
+    # slope doubles as the exponential rate; the factor-10 dip budget
+    # absorbs the affine mismatch
+    c_fit = -slope
+    form = lambda t: (r2 + (2.0 - t) ** 2) * math.exp(-c_fit * t * math.log(t))
+    pred_ratio = form(1.95) / form(1.5)
+    meas_ratio = ps[1.95] / ps[1.5]
+    dip_ok = 1.0 / budget["dip_spread"] <= meas_ratio / pred_ratio <= budget["dip_spread"]
+    return {
+        "name": "5 truncated-kernel structure",
+        "passed": resid <= budget["residual"] and dip_ok,
+        "regression_residual": resid,
+        "slope": slope,
+        "dip_measured": meas_ratio,
+        "dip_predicted": pred_ratio,
+        "dip_ratio": meas_ratio / pred_ratio,
+        "budget": budget,
+    }
 
 
 def crit_6_variational(tables):
     """M and N against their closed forms for Phi(s) = s^2, phi(lam) = lam^{1/2}
     to 1e-6 and 1e-12; defining relations within [1/8, 8]."""
-
-    def run():
-        ts = np.geomspace(0.05, 20.0, 10)
-        ls = np.geomspace(0.05, 20.0, 10)
-        shape = PowerLaw(2.0)
-        tab = _half_caputo_table(tables)
-        rel_ok = True
-        worst = 0.0
-        worst_m = (math.inf, 0.0)
-        worst_n = (math.inf, 0.0)
-        Ns = calN(tab, shape, ts[:, None], ls[None, :]).tolist()
-        # phi(lam) = lam^{1/2}, Phi(s) = s^2: N(t,l) = (3/4) l (l/(4t))^{1/3}
-        closed = [[0.75 * l * (l / (4.0 * t)) ** (1.0 / 3.0) for l in ls.tolist()] for t in ts.tolist()]
-        worst_N = max(abs(N - c) / c for N_t, c_t in zip(Ns, closed) for N, c in zip(N_t, c_t))
-        for t, N_t in zip(ts, Ns):
-            for l, N in zip(ls, N_t):
-                M = calM(shape, t, l)
-                # Phi(s) = s^2: the sup of l/s - t/s^2 sits at s = 2t/l, M(t,l) = l^2/(4t)
-                worst = max(worst, abs(M - l * l / (4.0 * t)) / (l * l / (4.0 * t)))
-                rM = (t / M) / shape(l / M)
-                worst_m = (min(worst_m[0], rM), max(worst_m[1], rM))
-                rN = (1.0 / tab.phi(N / t)) / shape(l / N)
-                worst_n = (min(worst_n[0], rN), max(worst_n[1], rN))
-                rel_ok = rel_ok and 0.125 <= rM <= 8.0 and 0.125 <= rN <= 8.0
-        return {
-            "name": "6 variational M/N oracles",
-            "passed": worst <= 1e-6 and worst_N <= 1e-12 and rel_ok,
-            "max_rel_err_M": worst,
-            "max_rel_err_N": worst_N,
-            "relation_M_bracket": list(worst_m),
-            "relation_N_bracket": list(worst_n),
-            "budget": {"rel_err": 1e-6, "rel_err_N": 1e-12, "ratio": [0.125, 8.0], "runtime_s": 10.0},
-        }
-
-    return _timed(run)
+    budget = {"rel_err": 1e-6, "rel_err_N": 1e-12, "ratio": [0.125, 8.0], "runtime_s": 10.0}
+    lo, hi = budget["ratio"]
+    ts = np.geomspace(0.05, 20.0, 10)
+    ls = np.geomspace(0.05, 20.0, 10)
+    shape = PowerLaw(2.0)
+    tab = half_caputo_table(tables)
+    rel_ok = True
+    worst = 0.0
+    worst_m = (math.inf, 0.0)
+    worst_n = (math.inf, 0.0)
+    Ns = calN(tab, shape, ts[:, None], ls[None, :]).tolist()
+    # phi(lam) = lam^{1/2}, Phi(s) = s^2: N(t,l) = (3/4) l (l/(4t))^{1/3}
+    closed = [[0.75 * l * (l / (4.0 * t)) ** (1.0 / 3.0) for l in ls.tolist()] for t in ts.tolist()]
+    worst_N = max(abs(N - c) / c for N_t, c_t in zip(Ns, closed) for N, c in zip(N_t, c_t))
+    for t, N_t in zip(ts, Ns):
+        for l, N in zip(ls, N_t):
+            M = calM(shape, t, l)
+            # Phi(s) = s^2: the sup of l/s - t/s^2 sits at s = 2t/l, M(t,l) = l^2/(4t)
+            worst = max(worst, abs(M - l * l / (4.0 * t)) / (l * l / (4.0 * t)))
+            rM = (t / M) / shape(l / M)
+            worst_m = (min(worst_m[0], rM), max(worst_m[1], rM))
+            rN = (1.0 / tab.phi(N / t)) / shape(l / N)
+            worst_n = (min(worst_n[0], rN), max(worst_n[1], rN))
+            rel_ok = rel_ok and lo <= rM <= hi and lo <= rN <= hi
+    return {
+        "name": "6 variational M/N oracles",
+        "passed": worst <= budget["rel_err"] and worst_N <= budget["rel_err_N"] and rel_ok,
+        "max_rel_err_M": worst,
+        "max_rel_err_N": worst_N,
+        "relation_M_bracket": list(worst_m),
+        "relation_N_bracket": list(worst_n),
+        "budget": budget,
+    }
 
 
 DGAMMA_CASES = {
@@ -338,11 +321,15 @@ DGAMMA_CASES = {
     "f": (1.0, 1.0, 0.5),
     "g": (1.0, 2.0, 0.5),
 }
+C7_SPREAD = 8.0
 
 
-def _c7_case(tab, alpha, d, gamma):
-    """Criterion 7 for one exponent case: (quadrature, closed form, coords,
-    scenarios) of I_1^gamma on the margin-2 near-diagonal grid of (0, 1)."""
+def dgamma_report(tab, case, budget):
+    """Criterion 7's check of one exponent case of ``DGAMMA_CASES``:
+    closed_I_gamma against the quadrature of I_1^gamma on the margin-2
+    near-diagonal grid of (0, 1).  Returns the ratio report, named
+    ``dgamma-<case>``, and the set of scenarios the closed form took."""
+    alpha, d, gamma = DGAMMA_CASES[case]
     g = Geometry("interval", 1.0)
     m = HKModel("HK_J", alpha=alpha, d=d, gamma=gamma, lam=0.0, k=1)
     obs, pred, coords = [], [], []
@@ -364,42 +351,41 @@ def _c7_case(tab, alpha, d, gamma):
                 pred.append(closed)
                 coords.append((t, dx, y))
                 scen.add(sc)
-    return obs, pred, coords, scen
+    obs, pred = np.array(obs), np.array(pred)
+    return two_sided_check(obs, pred, budget, coords=coords, case="dgamma-" + case), scen
 
 
 def crit_7_dgamma(tables):
     """closed_I_gamma vs quadrature: spread <= 8 per case on >= 60 points."""
-
-    def run():
-        tab = _half_caputo_table(tables)
-        out = {}
-        ok = True
-        for case, (alpha, d, gamma) in DGAMMA_CASES.items():
-            obs, pred, coords, scen = _c7_case(tab, alpha, d, gamma)
-            rep = two_sided_check(np.array(obs), np.array(pred), 8.0, coords=coords, case=case)
-            out[case] = {
-                "n_points": rep.n_points,
-                "spread": rep.spread,
-                "scenarios": sorted(scen),
-            }
-            ok = ok and rep.passed and rep.n_points >= 60 and len(scen) == 3
-        return {
-            "name": "7 closed near-diagonal integral",
-            "passed": ok,
-            "cases": out,
-            "budget": {"spread": 8.0, "min_points": 60, "runtime_s": 60.0},
+    budget = {"spread": C7_SPREAD, "min_points": 60, "runtime_s": 60.0}
+    tab = half_caputo_table(tables)
+    out = {}
+    ok = True
+    for case in DGAMMA_CASES:
+        rep, scen = dgamma_report(tab, case, budget["spread"])
+        out[case] = {
+            "n_points": rep.n_points,
+            "spread": rep.spread,
+            "scenarios": sorted(scen),
         }
-
-    return _timed(run)
+        ok = ok and rep.passed and rep.n_points >= budget["min_points"] and len(scen) == 3
+    return {
+        "name": "7 closed near-diagonal integral",
+        "passed": ok,
+        "cases": out,
+        "budget": budget,
+    }
 
 
 # criterion 8's branches and the margin each is sampled with
 C8_MARGINS = {"mainsmall-i": 2.0, "mainsmall-ii-a": 40.0}
+C8_SPREAD = 50.0
 
 
-def _c8_grid_spread(tab, tag, resolution, budget, values=None):
-    """p_quadrature vs the theorem form of ``tag`` for J1 on the interval (0, 1);
-    a point's pair is read from the dict values if there, else added to it."""
+def mainsmall_report(tab, tag, resolution, budget, values=None):
+    """Criterion 8's check of branch ``tag`` at one grid resolution:
+    p_quadrature vs the theorem form for J1 on the interval (0, 1).  A
+    point's pair is read from the dict ``values`` if there, else added to it."""
     kern = tab.kernel
     m = HKModel("J1", alpha=1.0, d=1.0)
     g = Geometry("interval", 1.0)
@@ -427,104 +413,110 @@ def crit_8_mainsmall_quadrature(tables):
     8, exactly in binary, so every resolution-8 point is bitwise a
     resolution-15 point, and its values are computed once for both checks.
     """
-
-    def run():
-        tab = _half_caputo_table(tables)
-        out = {}
-        ok = True
-        for tag, margin in C8_MARGINS.items():
-            values = {}
-            rep = _c8_grid_spread(tab, tag, 8, 50.0, values)
-            rep_fine = _c8_grid_spread(tab, tag, 15, 50.0, values)
-            drift = abs(rep_fine.spread / rep.spread - 1.0)
-            out[tag] = {
-                "n_points": rep.n_points,
-                "spread": rep.spread,
-                "spread_refined": rep_fine.spread,
-                "refinement_drift": drift,
-                "margin": margin,
-            }
-            ok = ok and rep.passed and rep_fine.passed and rep.n_points >= 100 and drift <= 0.20
-        return {
-            "name": "8 near/off-diagonal quadrature comparability",
-            "passed": ok,
-            "branches": out,
-            "budget": {"spread": 50.0, "min_points": 100, "refinement_drift": 0.20},
+    budget = {"spread": C8_SPREAD, "min_points": 100, "refinement_drift": 0.20}
+    tab = half_caputo_table(tables)
+    out = {}
+    ok = True
+    for tag, margin in C8_MARGINS.items():
+        values = {}
+        rep = mainsmall_report(tab, tag, 8, budget["spread"], values)
+        rep_fine = mainsmall_report(tab, tag, 15, budget["spread"], values)
+        drift = abs(rep_fine.spread / rep.spread - 1.0)
+        out[tag] = {
+            "n_points": rep.n_points,
+            "spread": rep.spread,
+            "spread_refined": rep_fine.spread,
+            "refinement_drift": drift,
+            "margin": margin,
         }
+        ok = (ok and rep.passed and rep_fine.passed and rep.n_points >= budget["min_points"]
+              and drift <= budget["refinement_drift"])
+    return {
+        "name": "8 near/off-diagonal quadrature comparability",
+        "passed": ok,
+        "branches": out,
+        "budget": budget,
+    }
 
-    return _timed(run)
+
+def compare(tag, budget=None):
+    """The ratio report of case ``dgamma-<case>`` of criterion 7, or of
+    branch mainsmall-i or mainsmall-ii-a of criterion 8 at resolution 8, on
+    a table of its own; ``budget`` replaces the criterion's spread budget."""
+    dgamma = tag[len("dgamma-"):] if tag.startswith("dgamma-") else None
+    if dgamma not in DGAMMA_CASES and tag not in C8_MARGINS:
+        raise RegimeError("compare supports mainsmall-i, mainsmall-ii-a and dgamma-<case>, "
+                          "<case> one of %s" % ", ".join(DGAMMA_CASES))
+    tab = half_caputo_table(TableCache())
+    if dgamma:
+        return dgamma_report(tab, dgamma, C7_SPREAD if budget is None else budget)[0]
+    return mainsmall_report(tab, tag, 8, C8_SPREAD if budget is None else budget)
 
 
 def crit_9_exponential_constant(tables):
     """exp-constant fit of p vs the D2 form against N(t, rho)."""
-
-    def run():
-        kern = caputo(0.5)
-        tab = tables(kern, points_per_decade=24)
-        m = HKModel("D2", alpha=2.0, d=1.0)
-        g = Geometry("half-line")
-        x0 = 10.0
-        X, LR = [], []
-        ts, rhos = (0.02, 0.1, 0.5), np.geomspace(2.0, 14.0, 10)
-        Ns = calN(tab, m.Phi, np.array(ts)[:, None], rhos).tolist()
-        for t, N_t in zip(ts, Ns):
-            inv = 1.0 / tab.phi(1.0 / t)
-            for rho, N in zip(rhos, N_t):
-                if N > 80.0:
-                    continue
-                p = p_quadrature(SolutionRequest(kern, m, g, t, x0, x0 + rho)).value
-                if p <= 0.0:
-                    continue
-                a = a_gamma_delta(m.gamma, m.alpha, m.k, inv, g.delta(x0), g.delta(x0 + rho))
-                X.append(N)
-                LR.append(math.log(p / (a / inv**0.5)))
-        fit = exp_constant_fit(np.array(LR), np.array(X))
-        ok = 0.2 <= fit.c <= 5.0 and fit.residual <= 1.0 and fit.t_stat >= 5.0
-        return {
-            "name": "9 off-diagonal exponential constant",
-            "passed": ok,
-            "c": fit.c,
-            "residual": fit.residual,
-            "t_stat": fit.t_stat,
-            "n_points": len(X),
-            "budget": {"c": [0.2, 5.0], "residual": 1.0, "t_stat": 5.0},
-        }
-
-    return _timed(run)
+    budget = {"c": [0.2, 5.0], "residual": 1.0, "t_stat": 5.0}
+    kern = caputo(0.5)
+    tab = tables(kern, points_per_decade=24)
+    m = HKModel("D2", alpha=2.0, d=1.0)
+    g = Geometry("half-line")
+    x0 = 10.0
+    X, LR = [], []
+    ts, rhos = (0.02, 0.1, 0.5), np.geomspace(2.0, 14.0, 10)
+    Ns = calN(tab, m.Phi, np.array(ts)[:, None], rhos).tolist()
+    for t, N_t in zip(ts, Ns):
+        inv = 1.0 / tab.phi(1.0 / t)
+        for rho, N in zip(rhos, N_t):
+            if N > 80.0:
+                continue
+            p = p_quadrature(SolutionRequest(kern, m, g, t, x0, x0 + rho)).value
+            if p <= 0.0:
+                continue
+            a = a_gamma_delta(m.gamma, m.alpha, m.k, inv, g.delta(x0), g.delta(x0 + rho))
+            X.append(N)
+            LR.append(math.log(p / (a / inv**0.5)))
+    fit = exp_constant_fit(np.array(LR), np.array(X))
+    c_lo, c_hi = budget["c"]
+    ok = c_lo <= fit.c <= c_hi and fit.residual <= budget["residual"] and fit.t_stat >= budget["t_stat"]
+    return {
+        "name": "9 off-diagonal exponential constant",
+        "passed": ok,
+        "c": fit.c,
+        "residual": fit.residual,
+        "t_stat": fit.t_stat,
+        "n_points": len(X),
+        "budget": budget,
+    }
 
 
 def crit_10_diagonal_finiteness(tables):
     """p(t,x,x) < inf iff t >= floor(d/alpha) delta, via probe + branches."""
-
-    def run():
-        kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        tab = tables(kern, points_per_decade=16)
-        m = HKModel("HK_J", alpha=1.0, d=2.0, gamma=0.0, lam=0.0, k=1)
-        g = Geometry("free")
-        probe_bad = diagonal_probe(kern, m, 1.5)
-        probe_good = diagonal_probe(kern, m, 2.5)
-        seq = [
-            theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 1.5, 0.0, eps))["value"]
-            for eps in (1e-3, 1e-9, 1e-15)
-        ]
-        diag_val = theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 2.5, 0.0, 0.0))
-        ok = (
-            probe_bad["verdict"] == "diverged"
-            and probe_good["verdict"] == "converged"
-            and seq[0] < seq[1] < seq[2]
-            and math.isfinite(diag_val["value"])
-        )
-        return {
-            "name": "10 diagonal finiteness threshold",
-            "passed": ok,
-            "probe_t_1_5": probe_bad["verdict"],
-            "probe_t_2_5": probe_good["verdict"],
-            "estimate_growth": seq,
-            "diagonal_value_t_2_5": diag_val["value"],
-            "budget": {"threshold": 2.0},
-        }
-
-    return _timed(run)
+    kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
+    tab = tables(kern, points_per_decade=16)
+    m = HKModel("HK_J", alpha=1.0, d=2.0, gamma=0.0, lam=0.0, k=1)
+    g = Geometry("free")
+    probe_bad = diagonal_probe(kern, m, 1.5)
+    probe_good = diagonal_probe(kern, m, 2.5)
+    seq = [
+        theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 1.5, 0.0, eps))["value"]
+        for eps in (1e-3, 1e-9, 1e-15)
+    ]
+    diag_val = theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 2.5, 0.0, 0.0))
+    ok = (
+        probe_bad["verdict"] == "diverged"
+        and probe_good["verdict"] == "converged"
+        and seq[0] < seq[1] < seq[2]
+        and math.isfinite(diag_val["value"])
+    )
+    return {
+        "name": "10 diagonal finiteness threshold",
+        "passed": ok,
+        "probe_t_1_5": probe_bad["verdict"],
+        "probe_t_2_5": probe_good["verdict"],
+        "estimate_growth": seq,
+        "diagonal_value_t_2_5": diag_val["value"],
+        "budget": {"threshold": 2.0},
+    }
 
 
 C11_T_VALUES = (0.05, 0.2)
@@ -532,38 +524,37 @@ C11_DELTAS = (1e-4, 1e-3, 1e-2, 1e-1)
 C11_BAND = 4.0
 
 
-def _c11_sweep(kern, t, deltas):
-    """(u(t, delta), u/delta^{alpha gamma}) lists for J1 on (0, 1) with f = 1."""
+def boundary_sweep(t_values, deltas, band_budget):
+    """Criterion 11's u(t, delta) for J1 on (0, 1), f = 1, 1/2-Caputo kernel:
+    the (t, delta, u, u/delta^{alpha gamma}) rows, the {"band", "ratios"} of
+    each "t=<t>", and whether every band max/min is within ``band_budget``."""
+    kern = caputo(0.5)
     m = HKModel("J1", alpha=1.0, d=1.0)
     g = Geometry("interval", 1.0)
-    us, ratios = [], []
-    for dlt in deltas:
-        u = solve_u(SolutionRequest(kern, m, g, t, dlt, f=lambda y: 1.0)).value
-        us.append(u)
-        ratios.append(u / dlt ** (m.alpha * m.gamma))
-    return us, ratios
+    rows, sweeps = [], {}
+    ok = True
+    for t in t_values:
+        ratios = []
+        for dlt in deltas:
+            u = solve_u(SolutionRequest(kern, m, g, t, dlt, f=lambda y: 1.0)).value
+            ratios.append(u / dlt ** (m.alpha * m.gamma))
+            rows.append((float(t), float(dlt), u, ratios[-1]))
+        band = max(ratios) / min(ratios)
+        sweeps["t=%g" % t] = {"band": band, "ratios": ratios}
+        ok = ok and band <= band_budget
+    return rows, sweeps, ok
 
 
 def crit_11_boundary_decay():
     """u(t,x)/delta^{alpha gamma} stays in a factor-4 band near the wall."""
-
-    def run():
-        kern = caputo(0.5)
-        bands = {}
-        ok = True
-        for t in C11_T_VALUES:
-            _, ratios = _c11_sweep(kern, t, C11_DELTAS)
-            band = max(ratios) / min(ratios)
-            bands["t=%g" % t] = {"band": band, "ratios": ratios}
-            ok = ok and band <= C11_BAND
-        return {
-            "name": "11 boundary decay order",
-            "passed": ok,
-            "sweeps": bands,
-            "budget": {"band": C11_BAND},
-        }
-
-    return _timed(run)
+    budget = {"band": C11_BAND}
+    _, sweeps, ok = boundary_sweep(C11_T_VALUES, C11_DELTAS, budget["band"])
+    return {
+        "name": "11 boundary decay order",
+        "passed": ok,
+        "sweeps": sweeps,
+        "budget": budget,
+    }
 
 
 CRITERIA = (
@@ -584,14 +575,14 @@ CRITERIA = (
 def run_all(seed=GOLDEN_SEED):
     """Run every golden criterion; criterion 12 (determinism) is the caller
     re-running this very function and comparing bytes.  The criteria share
-    one TableCache, made here and dropped on return."""
+    one TableCache, made here and dropped on return.  Returns the report and,
+    beside it, each criterion's wall time in seconds by name."""
     shared = {"seed": seed, "tables": TableCache()}
-    results = []
+    results, seconds = [], {}
     for fn in CRITERIA:
         params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        results.append(fn(**{k: v for k, v in shared.items() if k in params}))
-    return {
-        "seed": seed,
-        "passed": all(r["passed"] for r in results),
-        "criteria": results,
-    }
+        t0 = time.perf_counter()
+        verdict = fn(**{k: v for k, v in shared.items() if k in params})
+        seconds[verdict["name"]] = round(time.perf_counter() - t0, 3)
+        results.append(verdict)
+    return {"seed": seed, "passed": all(r["passed"] for r in results), "criteria": results}, seconds

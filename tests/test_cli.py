@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +403,28 @@ class TestCompare:
         assert json.loads((out / "compare_dgamma-f.json").read_text())["budget"] == 1.0001
 
 
+_GOLDEN = json.loads((Path(__file__).parent / "golden" / "report.json").read_text())["criteria"]
+
+
+class TestGoldenCases:
+    # compare and boundary rerun criteria 7, 8 and 11 through golden's own
+    # case runners, so they reproduce the committed report bit for bit
+
+    @pytest.mark.parametrize("tag", ["dgamma-g", "mainsmall-i", "mainsmall-ii-a"])
+    def test_compare_gives_the_criterion_s_spread(self, tmp_path, tag):
+        status, out = run_cli(tmp_path, "compare", {}, extra=["--case", tag])
+        assert status == 0
+        rep = json.loads((out / ("compare_%s.json" % tag)).read_text())
+        want = _GOLDEN[6]["cases"]["g"] if tag == "dgamma-g" else _GOLDEN[7]["branches"][tag]
+        assert (rep["spread"], rep["n_points"]) == (want["spread"], want["n_points"])
+
+    def test_boundary_gives_criterion_11_s_bands(self, tmp_path):
+        status, out = run_cli(tmp_path, "boundary")
+        assert status == 0
+        bands = json.loads((out / "boundary.json").read_text())["bands"]
+        assert bands == {t: sweep["band"] for t, sweep in _GOLDEN[10]["sweeps"].items()}
+
+
 _UNIT_POWER = {"kind": "power", "beta": 0.5, "scale": 1.0}
 _PHI_TABLE_SHORT = {"kernel": _UNIT_POWER, "lambdas": {"lo": 0.1, "hi": 10.0, "n": 5}}
 
@@ -421,6 +444,21 @@ class TestManifest:
         assert s1 == s2 == 0
         assert (out1 / "phi_table.csv").read_bytes() == (out2 / "phi_table.csv").read_bytes()
         assert (out1 / "phi_table.json").read_bytes() == (out2 / "phi_table.json").read_bytes()
+
+
+class TestUnreadFlags:
+    # a flag the subcommand does not read is refused before anything runs;
+    # it used to be ignored, so the run silently did something else
+    @pytest.mark.parametrize("sub, cfg, flag, value, readers", [
+        ("estimate", _ESTIMATE, "--case", "mainsmall-ii-a", "compare"),
+        ("boundary", None, "--budget", "1.0", "compare"),
+        ("conditions", {"kernel": _UNIT_POWER}, "--paths", "100", "fundsol and tails"),
+    ], ids=["case", "budget", "paths"])
+    def test_exits_2_naming_the_flag(self, tmp_path, capsys, sub, cfg, flag, value, readers):
+        status, out = run_cli(tmp_path, sub, cfg, extra=[flag, value])
+        assert status == 2
+        assert capsys.readouterr().err == "%s is not read by %s, only by %s\n" % (flag, sub, readers)
+        assert not out.exists()
 
 
 class TestUnreadableConfig:

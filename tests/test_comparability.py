@@ -138,16 +138,16 @@ class TestCriterion8Reuse:
         # 1,815 distinct points: the resolution-8 grids' 288 lie in the resolution-15 ones
         assert len(seen) == len(set(seen)) == 1815
         monkeypatch.setattr(golden, "p_quadrature", p_quadrature)
-        tab = golden._half_caputo_table(tables)
+        tab = golden.half_caputo_table(tables)
         for tag, branch in out.items():
-            alone = [golden._c8_grid_spread(tab, tag, res, 50.0) for res in (8, 15)]
+            alone = [golden.mainsmall_report(tab, tag, res, 50.0) for res in (8, 15)]
             assert (branch["n_points"], branch["spread"], branch["spread_refined"]) == (
                 alone[0].n_points, alone[0].spread, alone[1].spread)
 
     def test_coarse_grid_is_inside_the_refined_one(self):
         from subtail import golden
 
-        tab = golden._half_caputo_table(golden.TableCache())
+        tab = golden.half_caputo_table(golden.TableCache())
         m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
         for tag, margin in golden.C8_MARGINS.items():
             coarse, fine = (regime_grid(tag, tab.kernel, tab, m, g, resolution=res, margin=margin,

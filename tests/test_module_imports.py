@@ -1,12 +1,13 @@
 """Every integral in the package goes through its one checked rule, whose
 Gauss-Legendre nodes only ``quadrature`` holds, every numeric root through
 ``bernstein``'s one bracketed root finder, no density is fitted by a
-spline, no module imports the package inside a function, every
-module-level import is used, every name in a module's ``__all__`` is read
-somewhere in the package, the one scipy import left is the allowlisted
-incomplete gamma, and neither importing the CLI, nor a half-Caputo
-``fundsol`` run, nor the callers of Gamma, erf and erfc and a ``tails`` run
-on each built-in kernel loads scipy (nor the first two jsonschema).
+spline, no module imports the package inside a function or reads another
+module's private names, every module-level import is used, every name in a
+module's ``__all__`` is read somewhere in the package, the one scipy import
+left is the allowlisted incomplete gamma, and neither importing the CLI,
+nor a half-Caputo ``fundsol`` run, nor the callers of Gamma, erf and erfc
+and a ``tails`` run on each built-in kernel loads scipy (nor the first two
+jsonschema).
 
 The modules are parsed, not imported, so a banned import is found even in
 a branch no test runs; the checks of loaded modules run in a fresh
@@ -191,6 +192,38 @@ def test_no_function_level_imports_of_the_package():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(fn):
                     assert not _imports_the_package(node), (path.name, fn.name, node.lineno)
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    # what one module needs of another is public; an attribute of an object
+    # (``table._root``) is not a module's and is not checked
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()  # the names this module binds to package modules
+        for node in ast.walk(tree):
+            if not _imports_the_package(node):
+                continue
+            for alias in node.names:
+                if isinstance(node, ast.Import):
+                    bound.add(alias.asname or alias.name.split(".")[0])
+                elif _private(alias.name):
+                    found.append((path.stem, alias.name))
+                elif (node.module or "subtail") == "subtail" and alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in bound:
+                    found.append((path.stem, ast.unparse(node)))
+    assert found == []
 
 
 def _referenced(tree, skip=None):
