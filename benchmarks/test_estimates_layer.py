@@ -23,7 +23,6 @@ from subtail.estimates import EstimateCase, theorem_estimate
 from subtail.fundamental import SolutionRequest, p_quadrature
 from subtail.heat_kernel import Geometry, HKModel
 from subtail.kernels import caputo
-from subtail.shapes import PowerLaw
 
 TS = LS = np.geomspace(0.05, 20.0, 10)  # criterion 6's (t, l) grid
 # a point of criterion 8's resolution-8 mainsmall-ii-a grid, and its margin
@@ -45,7 +44,7 @@ def _run(benchmark, fn, rounds):
 
 
 def test_calN_of_criterion_6(benchmark):
-    N = _run(benchmark, lambda: calN(_table(), PowerLaw(2.0), TS[:, None], LS[None, :]), rounds=10)
+    N = _run(benchmark, lambda: calN(_table(), 2.0, TS[:, None], LS[None, :]), rounds=10)
     assert N.shape == (10, 10) and np.all(N > 0.0)
 
 

@@ -46,8 +46,9 @@ solved by one bracketed root finder, and the variational quantities
     M(t,l) = sup_{s>0} { l/s - t/Phi(s) }                 (closed form, arrays)
     N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) }     (first-order condition, arrays)
 
-for a power shape Phi(s) = s^alpha, alpha > 1; N is solved in lambda =
-phi^{-1}(1/Phi(s)) by the root finder, and needs no phi^{-1}.
+for the power shape Phi(s) = s^alpha, alpha > 1: both take the exponent
+alpha.  N is solved in lambda = phi^{-1}(1/Phi(s)) by the root finder, and
+needs no phi^{-1}.
 
 The root finder is written as step generators (``_brent_steps``,
 ``_increasing_root_steps``) that yield each lambda they need and receive the
@@ -74,7 +75,6 @@ import numpy as np
 from .errors import DomainError, RangeError
 from .kernels import float_pow
 from .quadrature import PHI_RULES, checked, geometric_edges, panel_sums
-from .shapes import as_shape
 
 __all__ = ["BernsteinTable", "calM", "calN", "increasing_root"]
 
@@ -595,28 +595,26 @@ class BernsteinTable:
 # ---------------------------------------------------------------------------
 
 
-def calM(phi_shape, t, l):
-    """M(t,l) = sup_{s>0} { l/s - t/Phi(s) } for a power shape Phi(s) = s^alpha.
+def calM(alpha, t, l):
+    """M(t,l) = sup_{s>0} { l/s - t/Phi(s) } for the power shape Phi(s) = s^alpha.
 
     For alpha > 1 the sup sits at s* = (alpha t/l)^{1/(alpha-1)}, so
     M = (1 - 1/alpha) l (l/(alpha t))^{1/(alpha-1)}, and M(t,0) = 0.  t and
     l may be arrays, which broadcast; all-scalar arguments return a float.
     """
-    shape = as_shape(phi_shape)
-    if shape.alpha1 <= 1.0 or shape.alpha2 != shape.alpha1:
+    if not 1.0 < alpha < math.inf:
         raise DomainError("M(t,l) requires a power shape s^alpha with alpha > 1")
     t, l = np.asarray(t, dtype=float), np.asarray(l, dtype=float)
     # reductions without temporaries; a NaN propagates through min and max and fails
     if not (t.min(initial=math.inf) > 0.0 and l.min(initial=0.0) >= 0.0
             and max(t.max(initial=0.0), l.max(initial=0.0)) < math.inf):
         raise DomainError("M(t,l) requires finite t > 0 and l >= 0")
-    a = shape.alpha1
-    M = (1.0 - 1.0 / a) * l * (l / (a * t)) ** (1.0 / (a - 1.0))
+    M = (1.0 - 1.0 / alpha) * l * (l / (alpha * t)) ** (1.0 / (alpha - 1.0))
     return float(M) if M.ndim == 0 else M
 
 
-def calN(table, phi_shape, t, l):
-    """N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) } for a power shape
+def calN(table, alpha, t, l):
+    """N(t,l) = sup_{s>0} { l/s - t phi^{-1}(1/Phi(s)) } for the power shape
     Phi(s) = s^alpha with alpha > 1, from the table.
 
     With lam = phi^{-1}(1/Phi(s)) it is sup_lam { l phi(lam)^{1/alpha} - t lam },
@@ -627,19 +625,17 @@ def calN(table, phi_shape, t, l):
     searches (``_root_steps``), all in ``_lockstep``, a round one ``_values``
     call, so an entry has its scalar call's bits and no grid is built.
     """
-    shape = as_shape(phi_shape)
-    if shape.alpha1 <= 1.0 or shape.alpha2 != shape.alpha1:
+    if not 1.0 < alpha < math.inf:
         raise DomainError("N(t,l) requires a power shape s^alpha with alpha > 1")
     t, l = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(l, dtype=float))
     ts, ls = t.ravel().tolist(), l.ravel().tolist()
     if not all(0.0 < v < math.inf for v in ts + ls):
         raise DomainError("N(t,l) requires finite t, l > 0")
-    a = shape.alpha1
-    c = 1.0 - 1.0 / a
+    c = 1.0 - 1.0 / alpha
 
     def h(lams, idx):
         try:
-            return [math.log(ts[i] * a / ls[i]) + c * math.log(v[0]) - math.log(v[2])
+            return [math.log(ts[i] * alpha / ls[i]) + c * math.log(v[0]) - math.log(v[2])
                     for v, i in zip(table._values(lams), idx)]
         except (ArithmeticError, ValueError) as exc:  # unsupported lambda, log of 0
             # named for idx[0]: a failing round is asked again problem by problem
@@ -647,6 +643,6 @@ def calN(table, phi_shape, t, l):
                              % (ts[idx[0]], ls[idx[0]]), bracket=None) from exc
 
     lams = _lockstep(table._root_steps, len(ts), h)
-    N = [v * p[0] ** (1.0 / a) - u * x for u, v, x, p in zip(ts, ls, lams, table._values(lams))]
+    N = [v * p[0] ** (1.0 / alpha) - u * x for u, v, x, p in zip(ts, ls, lams, table._values(lams))]
     N = np.array(N).reshape(t.shape)
     return float(N) if N.ndim == 0 else N

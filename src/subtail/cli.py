@@ -17,7 +17,7 @@ Exit codes: 0 success; 1 budget failure (the ratio report is still
 written); 2 an unreadable config file, a config schema violation (with
 the value's JSON path), a ``--budget`` that is not a finite number > 0 or
 a flag the subcommand does not read (``--case`` and ``--budget`` are
-``compare``'s, ``--paths`` is ``tails``' and ``fundsol``'s);
+``compare``'s, ``--paths`` is ``tails``' and ``fundsol``'s with method mc);
 3 empty or violated regime, or a target outside a map's range
 (RegimeError, RangeError); 4 an argument outside its domain (DomainError,
 AtomError); 5 a quadrature that missed its target (QuadratureError).  On
@@ -566,6 +566,11 @@ def main(argv=None):
     if errors:
         for path, message in errors:
             print("config schema violation at %s: %s" % (path, message), file=sys.stderr)
+        return 2
+    method = cfg.get("method", "quadrature")
+    if args.paths is not None and args.subcommand == "fundsol" and method != "mc":
+        print("--paths is not read by fundsol with method %s, only by fundsol with method mc and tails"
+              % method, file=sys.stderr)
         return 2
 
     seed = args.seed if args.seed is not None else cfg.get("seed", golden.GOLDEN_SEED)

@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 from .bernstein import calN
 from .errors import DomainError, RegimeError
-from .heat_kernel import a_gamma_delta, boundary_min_form, geometry_probe, q_eval
+from .heat_kernel import (a_gamma_delta, boundary_min_form, boundary_power_form, delta_star_min_form,
+                          geometry_probe, q_eval)
 from .kernels import Truncated
 from .quadrature import GRADE, checked_panels, graded_edges
 from .tail_bounds import HORIZON_T, MARGIN, QUARTER_E2, near_diagonal, off_diagonal, within_bound
@@ -152,17 +153,15 @@ def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0):
 
 def I_gamma_quadrature(model, geometry, table, k, t, x, y):
     """The near-diagonal integral I_k^gamma(t,x,y) by the checked panel rule."""
-    p = geometry_probe(geometry, x, y)
-    lo = p["rho"] ** model.alpha
-    hi = HALF_E2 / table.phi(1.0 / t)
-    return boundary_integral(model, k, lo, hi, p["delta_x"], p["delta_y"])
+    rho, dx, dy = geometry_probe(geometry, x, y)
+    return boundary_integral(model, k, rho**model.alpha, HALF_E2 / table.phi(1.0 / t), dx, dy)
 
 
 def J_gamma(model, geometry, table, kernel, k, t, x, y):
     """J_k^gamma(t,x,y): the full near-diagonal estimate form."""
-    p = geometry_probe(geometry, x, y)
+    _, dx, dy = geometry_probe(geometry, x, y)
     phi_inv = 1.0 / table.phi(1.0 / t)
-    lead = a_gamma_delta(model.gamma, model.alpha, k, phi_inv, p["delta_x"], p["delta_y"])
+    lead = a_gamma_delta(model.gamma, model.alpha, k, phi_inv, dx, dy)
     lead /= model.V_inv_time(phi_inv)
     return lead + float(kernel.w(t)) * I_gamma_quadrature(model, geometry, table, k, t, x, y)
 
@@ -208,13 +207,11 @@ def closed_I_gamma(model, geometry, table, t, x, y):
     forces the interior scenario.
     """
     g, alpha, d = model.gamma, model.alpha, model.d
-    p = geometry_probe(geometry, x, y)
-    dx, dy = p["delta_x"], p["delta_y"]
+    l, dx, dy = geometry_probe(geometry, x, y)
     if dx > dy:
         dx, dy = dy, dx
     if g == 0.0:
         dx = dy = math.inf
-    l = p["rho"]
     phi_t = table.phi(1.0 / t)
     if not near_diagonal(l**alpha * phi_t, 1.0, table.quad_rtol):
         raise RegimeError(
@@ -376,15 +373,6 @@ def _boundary_class(cls, alpha):
     return (alpha / 2.0, 0.0, alpha / 2.0) if cls == "k" else (alpha - 1.0, 2.0 - alpha, 1.0)
 
 
-def _one_over_rho_sq(dx, dy, rho, expo):
-    if rho == 0.0:
-        return 1.0
-    ds = dx * dy
-    if math.isinf(ds):
-        return 1.0
-    return min(1.0, ds / rho**2) ** expo
-
-
 def _q_ct(case):
     return q_eval(case.model, case.geometry, case.t, case.x, case.y), "q(ct,x,y)"
 
@@ -400,9 +388,8 @@ def _diffusion_off(case, pt, bnd):
 def _f_special_near(cls, branch, case, pt):
     alpha, d = pt.alpha, pt.d
     expo = _boundary_class(cls, alpha)[0]
-    ds = pt.dx * pt.dy
-    first = (min(1.0, ds / pt.inv ** (2.0 / alpha)) ** expo if math.isfinite(ds) else 1.0) * pt.phi_t ** (d / alpha)
-    second = pt.w_t * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * F_alpha(cls, alpha, d, pt.inv, pt.rho, pt.dx, pt.dy)
+    first = delta_star_min_form(expo, pt.inv ** (2.0 / alpha), pt.dx, pt.dy) * pt.phi_t ** (d / alpha)
+    second = pt.w_t * delta_star_min_form(expo, pt.rho**2, pt.dx, pt.dy) * F_alpha(cls, alpha, d, pt.inv, pt.rho, pt.dx, pt.dy)
     return first + second, branch
 
 
@@ -420,18 +407,18 @@ def _f_bounded(cls, subexp, case, pt):
     # at t = T_D := [phi^{-1}(R^-alpha/(4e^2))]^{-1} the inverse exponent is
     # exactly 4e^2 R^alpha
     invTD = case.geometry.diam**pt.alpha / QUARTER_E2
-    ds = pt.dx * pt.dy
-    bracket = min(1.0, ds**expo) + F_alpha(cls, pt.alpha, pt.d, invTD, pt.rho, pt.dx, pt.dy)
+    bracket = delta_star_min_form(expo, 1.0, pt.dx, pt.dy) + F_alpha(cls, pt.alpha, pt.d, invTD, pt.rho, pt.dx, pt.dy)
+    rho_form = delta_star_min_form(expo, pt.rho**2, pt.dx, pt.dy)
     if not subexp:
-        return pt.w_t * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket, "large-time bounded"
+        return pt.w_t * rho_form * bracket, "large-time bounded"
     beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
-    val = math.exp(-theta * case.t**beta) * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket
+    val = math.exp(-theta * case.t**beta) * rho_form * bracket
     return val, "subexponential large-time"
 
 
 def _f_exterior(case, pt):
     alpha, d, family = pt.alpha, pt.d, case.model.family
-    b1 = min(1.0, pt.dx) ** (alpha / 2.0) * min(1.0, pt.dy) ** (alpha / 2.0)
+    b1 = boundary_min_form(1.0, alpha / 2.0, 1.0, pt.dx, pt.dy)
     if near_diagonal(pt.prod, case.margin, case.table.quad_rtol):
         G = G_alpha_d(case.table, alpha, d, case.t, max(1.0, pt.rho), case.horizon_T)
         first = b1 * (pt.phi_t ** (d / alpha) + pt.w_t * G)
@@ -440,7 +427,7 @@ def _f_exterior(case, pt):
             # at t* = [phi^{-1}(1/(4e^2))]^{-1} the inverse exponent is 4e^2
             second = (
                 pt.w_t
-                * _one_over_rho_sq(pt.dx, pt.dy, pt.rho, alpha / 2.0)
+                * delta_star_min_form(alpha / 2.0, pt.rho**2, pt.dx, pt.dy)
                 * F_alpha("k", alpha, d, 1.0 / QUARTER_E2, pt.rho, pt.dx, pt.dy)
             )
         return first + second, "exterior near-diagonal"
@@ -464,7 +451,7 @@ def _f_trunc(cls, case, pt):
     else:
         thresh = math.floor((d + alpha) / alpha) if cls == "k" else math.floor((d + 2.0 * alpha - 2.0) / alpha)
         if t >= thresh * t_f:
-            return ds**expo * math.exp(-t), "post-singular exponential"
+            return boundary_power_form(math.exp(-t), expo, pt.dx, pt.dy), "post-singular exponential"
         scale = case.geometry.diam**alpha / QUARTER_E2
         head = min(ds ** (alpha / 2.0), pt.inv)
     bracket = (
@@ -472,7 +459,7 @@ def _f_trunc(cls, case, pt):
         + F(d - alpha * n_t, scale, pt.rho, pt.dx, pt.dy)
         + (n_t * t_f - t) ** n_t * F(d - alpha * (n_t - 1), scale, pt.rho, pt.dx, pt.dy)
     )
-    return _one_over_rho_sq(pt.dx, pt.dy, pt.rho, expo) * bracket, "truncated polynomial window (n_t=%d)" % n_t
+    return delta_star_min_form(expo, pt.rho**2, pt.dx, pt.dy) * bracket, "truncated polynomial window (n_t=%d)" % n_t
 
 
 def _f_main_near(case, pt):
@@ -485,7 +472,7 @@ def _f_main_off(variant, case, pt):
     a = a_gamma_delta(m.gamma, pt.alpha, m.k, pt.inv, pt.dx, pt.dy)
     if variant == "a":
         return a / (pt.phi_t * m.Phi(pt.rho) * m.V(pt.rho)), "off-diagonal jump"
-    N = calN(case.table, m.Phi, case.t, pt.rho)
+    N = calN(case.table, pt.alpha, case.t, pt.rho)
     diff = a * math.exp(-N) / m.V_inv_time(pt.inv)
     if variant == "b":
         return diff, "off-diagonal diffusion"
@@ -517,9 +504,9 @@ def _f_main_sub_bounded(case, pt):
     if beta < 1.0:
         decay = math.exp(-theta * t**beta)
         return 0.5 * (w_t + decay) * I, "subexp boundary integral", w_t * I, decay * I
-    bnd = (pt.dx**alpha) ** m.gamma * (pt.dy**alpha) ** m.gamma
-    lower = w_t * I + math.exp(-m.lam * t) * bnd
-    upper = math.exp(-0.5 * theta * t) * I + math.exp(-m.lam * t) * bnd
+    tail = boundary_power_form(math.exp(-m.lam * t), m.gamma * alpha, pt.dx, pt.dy)
+    lower = w_t * I + tail
+    upper = math.exp(-0.5 * theta * t) * I + tail
     return 0.5 * (lower + upper), "exponential boundary mix", lower, upper
 
 
@@ -528,8 +515,7 @@ def _f_main2(bounded, case, pt):
     n_t = math.floor(t / t_f) + 1
     past_window = t >= math.floor(m.d / alpha + 2.0 * m.gamma) * t_f
     if bounded and past_window:
-        bnd = (pt.dx**alpha) ** m.gamma * (pt.dy**alpha) ** m.gamma
-        return math.exp(-t) * bnd, "post-singular exponential"
+        return boundary_power_form(math.exp(-t), m.gamma * alpha, pt.dx, pt.dy), "post-singular exponential"
     if not bounded and pt.rho**alpha > t:
         return _q_ct(case)
     if past_window:
@@ -665,10 +651,10 @@ def theorem_estimate(case):
     failed predicate.
     """
     m = case.model
-    p = geometry_probe(case.geometry, case.x, case.y)
+    rho, dx, dy = geometry_probe(case.geometry, case.x, case.y)
     phi_t = case.table.phi(1.0 / case.t)
-    pt = _Point(m.alpha, m.d, p["rho"], p["delta_x"], p["delta_y"], phi_t, 1.0 / phi_t,
-                float(case.kernel.w(case.t)), p["rho"] ** m.alpha * phi_t)
+    pt = _Point(m.alpha, m.d, rho, dx, dy, phi_t, 1.0 / phi_t, float(case.kernel.w(case.t)),
+                rho**m.alpha * phi_t)
     failed = regime_failure(case, phi_t)
     if failed is not None:
         raise RegimeError("outside regime: %s" % failed)

@@ -33,7 +33,6 @@ from .kernels import (
     caputo,
     check_conditions,
 )
-from .shapes import PowerLaw
 from .simulate import (
     SimConfig,
     exact_stable_sampler,
@@ -281,24 +280,23 @@ def crit_6_variational(tables):
     lo, hi = budget["ratio"]
     ts = np.geomspace(0.05, 20.0, 10)
     ls = np.geomspace(0.05, 20.0, 10)
-    shape = PowerLaw(2.0)
     tab = half_caputo_table(tables)
     rel_ok = True
     worst = 0.0
     worst_m = (math.inf, 0.0)
     worst_n = (math.inf, 0.0)
-    Ns = calN(tab, shape, ts[:, None], ls[None, :]).tolist()
+    Ns = calN(tab, 2.0, ts[:, None], ls[None, :]).tolist()
     # phi(lam) = lam^{1/2}, Phi(s) = s^2: N(t,l) = (3/4) l (l/(4t))^{1/3}
     closed = [[0.75 * l * (l / (4.0 * t)) ** (1.0 / 3.0) for l in ls.tolist()] for t in ts.tolist()]
     worst_N = max(abs(N - c) / c for N_t, c_t in zip(Ns, closed) for N, c in zip(N_t, c_t))
     for t, N_t in zip(ts, Ns):
         for l, N in zip(ls, N_t):
-            M = calM(shape, t, l)
+            M = calM(2.0, t, l)
             # Phi(s) = s^2: the sup of l/s - t/s^2 sits at s = 2t/l, M(t,l) = l^2/(4t)
             worst = max(worst, abs(M - l * l / (4.0 * t)) / (l * l / (4.0 * t)))
-            rM = (t / M) / shape(l / M)
+            rM = (t / M) / (l / M) ** 2.0
             worst_m = (min(worst_m[0], rM), max(worst_m[1], rM))
-            rN = (1.0 / tab.phi(N / t)) / shape(l / N)
+            rN = (1.0 / tab.phi(N / t)) / (l / N) ** 2.0
             worst_n = (min(worst_n[0], rN), max(worst_n[1], rN))
             rel_ok = rel_ok and lo <= rM <= hi and lo <= rN <= hi
     return {
@@ -463,7 +461,7 @@ def crit_9_exponential_constant(tables):
     x0 = 10.0
     X, LR = [], []
     ts, rhos = (0.02, 0.1, 0.5), np.geomspace(2.0, 14.0, 10)
-    Ns = calN(tab, m.Phi, np.array(ts)[:, None], rhos).tolist()
+    Ns = calN(tab, m.alpha, np.array(ts)[:, None], rhos).tolist()
     for t, N_t in zip(ts, Ns):
         inv = 1.0 / tab.phi(1.0 / t)
         for rho, N in zip(rhos, N_t):
@@ -527,7 +525,8 @@ C11_BAND = 4.0
 def boundary_sweep(t_values, deltas, band_budget):
     """Criterion 11's u(t, delta) for J1 on (0, 1), f = 1, 1/2-Caputo kernel:
     the (t, delta, u, u/delta^{alpha gamma}) rows, the {"band", "ratios"} of
-    each "t=<t>", and whether every band max/min is within ``band_budget``."""
+    each "t=<t>" (t's repr, so distinct t never share a band), and whether
+    every band max/min is within ``band_budget``."""
     kern = caputo(0.5)
     m = HKModel("J1", alpha=1.0, d=1.0)
     g = Geometry("interval", 1.0)
@@ -540,7 +539,7 @@ def boundary_sweep(t_values, deltas, band_budget):
             ratios.append(u / dlt ** (m.alpha * m.gamma))
             rows.append((float(t), float(dlt), u, ratios[-1]))
         band = max(ratios) / min(ratios)
-        sweeps["t=%g" % t] = {"band": band, "ratios": ratios}
+        sweeps["t=" + repr(float(t))] = {"band": band, "ratios": ratios}
         ok = ok and band <= band_budget
     return rows, sweeps, ok
 

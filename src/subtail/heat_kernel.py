@@ -11,17 +11,26 @@ lambda >= 0 and the boundary clock k in {1,2}:
     q^j(t,x,l) = t / (t V(x,Phi^-1(t)) + Psi(l) V(x,l))
     q^d(t,x,l) = exp(-a M(t,l)) / V(x, Phi^-1(t))
 
-with boundary factors
+times the boundary factor (from t = 1 on with lambda > 0: exp(-lambda t)
+a_k^gamma(1,x,y), or for the displayed classes exp(-lambda t) times its
+saturated form)
 
-    a_1^gamma(t,x,y) = (Phi(d(x))/(Phi(d(x))+t))^g (Phi(d(y))/(Phi(d(y])+t))^g
+    a_1^gamma(t,x,y) = (Phi(d(x))/(Phi(d(x))+t))^g (Phi(d(y))/(Phi(d(y))+t))^g,
     a_2^gamma(t,x,y) = a_1^gamma(t/(t+1),x,y).
+
+This module is the one home of the boundary calculus, which ``estimates``
+never writes inline: a_k^gamma (``a_gamma_delta``, the one place a_2's
+clock t/(t+1) is written), its min forms (1 ^ d/scale)^e (``boundary_min_form``)
+and (1 ^ d(x)d(y)/l^2)^e (``delta_star_min_form``), and its saturated form
+Phi(d(x))^gamma Phi(d(y))^gamma (``boundary_power_form``).
 
 Every comparability class is realized by a single representative member: the
 suppressed constants are 1 and the exponential rate inside q^d is the
-model's ``exp_c`` (default 1).  M(t,l) is evaluated through
-:func:`subtail.bernstein.calM`, the single source of truth, in one array
-expression per call.  :func:`q_eval` takes arrays of clock values and
-points, so an integral over q evaluates it once per node array.
+model's ``exp_c`` (default 1).  Phi(r) = r^alpha, Psi(r) = r^psi_alpha and
+M(t,l) is evaluated as :func:`subtail.bernstein.calM` of the exponent alpha,
+the single source of truth, in one array expression per call.
+:func:`q_eval` takes arrays of clock values and points, so an integral over
+q evaluates it once per node array.
 
 Geometries are one-dimensional (interval, half-line, exterior of [-1,1],
 free space) with the volume profile V(x,r) = r^d carried as a free exponent
@@ -39,10 +48,9 @@ import numpy as np
 
 from .bernstein import calM
 from .errors import DomainError
-from .shapes import PowerLaw
 
-__all__ = ["Geometry", "HKModel", "a_gamma_delta", "boundary_min_form", "q_eval",
-           "geometry_probe"]
+__all__ = ["Geometry", "HKModel", "a_gamma_delta", "boundary_min_form", "boundary_power_form",
+           "delta_star_min_form", "q_eval", "geometry_probe"]
 
 
 @dataclass(frozen=True)
@@ -99,16 +107,8 @@ class Geometry:
 
 
 def geometry_probe(geometry, x, y):
-    """All six point quantities of the boundary calculus at (x, y)."""
-    dx, dy = geometry.delta(x), geometry.delta(y)
-    return {
-        "rho": geometry.rho(x, y),
-        "delta_x": dx,
-        "delta_y": dy,
-        "delta_star": dx * dy,
-        "delta_min": min(dx, dy),
-        "delta_max": max(dx, dy),
-    }
+    """The point quantities (rho, delta_x, delta_y) of the boundary calculus at (x, y)."""
+    return geometry.rho(x, y), geometry.delta(x), geometry.delta(y)
 
 
 _SPECIAL = {
@@ -175,13 +175,11 @@ class HKModel:
         else:
             raise DomainError("unknown heat-kernel family %r" % (self.family,))
 
-    @property
-    def Phi(self):
-        return PowerLaw(self.alpha)
+    def Phi(self, r):
+        return r**self.alpha
 
-    @property
-    def Psi(self):
-        return PowerLaw(self.psi_alpha)
+    def Psi(self, r):
+        return r**self.psi_alpha
 
     def V(self, r):
         return r**self.d
@@ -241,6 +239,20 @@ def boundary_min_form(body, expo, scale, dx, dy):
     return body
 
 
+def delta_star_min_form(expo, l2, dx, dy):
+    """(1 ^ dx dy / l2)^expo for l2 = l^2: 1 when dx dy is infinite or l2 = 0 (scalars)."""
+    ds = dx * dy
+    if l2 == 0.0 or math.isinf(ds):
+        return 1.0
+    return min(1.0, ds / l2) ** expo
+
+
+def boundary_power_form(body, g, dx, dy):
+    """(body dx^g) dy^g, in that order: body Phi(dx)^gamma Phi(dy)^gamma with
+    g = gamma alpha, the saturated a_k^gamma; arrays broadcast."""
+    return body * dx**g * dy**g
+
+
 def q_eval(model, geometry, t, x, y):
     """Evaluate the model transition kernel at (t, x, y).
 
@@ -255,7 +267,7 @@ def q_eval(model, geometry, t, x, y):
     dx, dy = geometry.delta(x), geometry.delta(y)
     rho = geometry.rho(x, y)
     a, d, lam = model.alpha, model.d, model.lam
-    # long-time branch: exp(-lam t) times the boundary factor at clock 1
+    # long-time branch: exp(-lam t) times the boundary factor at t = 1
     late = (t >= 1.0) & (lam > 0.0)
     if model.family in _SPECIAL:
         g = model.gamma * a  # displayed boundary exponent alpha/2 or alpha-1
@@ -270,16 +282,15 @@ def q_eval(model, geometry, t, x, y):
             body = body * np.exp(-model.exp_c * rho ** (a / (a - 1.0)) / t ** (1.0 / (a - 1.0)))
         q = boundary_min_form(body, g, scale, dx, dy)
         if lam > 0.0:
-            q = np.where(late, np.exp(-lam * t) * dx**g * dy**g, q)
+            q = np.where(late, boundary_power_form(np.exp(-lam * t), g, dx, dy), q)
     else:
-        clock = np.where(t >= 1.0, t / (t + 1.0), t) if model.k == 2 else t  # a_2 from t = 1 on
-        a_k = a_gamma_delta(model.gamma, a, 1, np.where(late, 1.0, clock), dx, dy)
+        a_k = a_gamma_delta(model.gamma, a, model.k, np.where(late, 1.0, t), dx, dy)
         v = model.V_inv_time(t)
         parts = []
         if model.family != "HK_D":
             parts.append(t / (t * v + model.Psi(rho) * model.V(rho)))
         if model.family != "HK_J":
-            parts.append(np.exp(-model.exp_c * calM(model.Phi, t, rho)) / v)
+            parts.append(np.exp(-model.exp_c * calM(a, t, rho)) / v)
         if lam > 0.0:
             parts = [np.where(late, np.exp(-lam * t), part) for part in parts]
         q = sum(a_k * part for part in parts)

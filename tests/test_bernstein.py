@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from subtail.bernstein import BernsteinTable, calM, calN
 from subtail.errors import DomainError, QuadratureError, RangeError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import Power, Tabulated, Truncated, caputo
-from subtail.shapes import PowerLaw
 from subtail.tail_bounds import QUARTER_E2, truncated_small_r_threshold
 
 # the golden enclosure constant of the b-sandwich, (e^2-e)/(e-2)
@@ -819,7 +817,7 @@ class TestVariational:
         assert calM(2.0, 0.3, 0.0) == 0.0
         t = np.geomspace(0.01, 10.0, 7)[:, None]
         l = np.array([0.0, 0.1, 1.0, 30.0])
-        got = calM(PowerLaw(1.5), t, l)
+        got = calM(1.5, t, l)
         assert got.shape == (7, 4)
         want = [[calM(1.5, float(ti), float(li)) for li in l] for ti in t[:, 0]]
         assert np.array_equal(got, np.array(want))
@@ -839,20 +837,18 @@ class TestVariational:
 
     def test_defining_relation_M(self):
         # t/M comparable to Phi(l/M) with two-sided ratio in [1/8, 8]
-        shape = PowerLaw(2.0)
         for t in np.geomspace(0.1, 10.0, 5):
             for l in np.geomspace(0.1, 10.0, 5):
-                M = calM(shape, t, l)
-                ratio = (t / M) / shape(l / M)
+                M = calM(2.0, t, l)
+                ratio = (t / M) / (l / M) ** 2.0
                 assert 1.0 / 8.0 <= ratio <= 8.0
 
     def test_defining_relation_N(self, caputo_half):
         # 1/phi(N/t) comparable to Phi(l/N) with ratio in [1/8, 8]
-        shape = PowerLaw(2.0)
         for t in np.geomspace(0.1, 10.0, 5):
             for l in np.geomspace(0.5, 50.0, 5):
-                N = calN(caputo_half, shape, t, l)
-                ratio = (1.0 / caputo_half.phi(N / t)) / shape(l / N)
+                N = calN(caputo_half, 2.0, t, l)
+                ratio = (1.0 / caputo_half.phi(N / t)) / (l / N) ** 2.0
                 assert 1.0 / 8.0 <= ratio <= 8.0, (t, l, ratio)
 
 
@@ -941,23 +937,12 @@ _C6_T = _C6_L = np.geomspace(0.05, 20.0, 10)
 _C9_T, _C9_RHO = np.array([0.02, 0.1, 0.5]), np.geomspace(2.0, 14.0, 10)
 
 
-@dataclass(frozen=True)
-class _TwoIndexShape:
-    """s^alpha1 on (0, 1], s^alpha2 above: weak scaling indices alpha1 < alpha2."""
-
-    alpha1: float = 1.5
-    alpha2: float = 2.5
-
-    def __call__(self, s):
-        return s**self.alpha1 if s <= 1.0 else s**self.alpha2
-
-
 class TestLockstepN:
     @pytest.mark.parametrize("name", sorted(_N_TABLES))
     @pytest.mark.parametrize("ts, ls", [(_C6_T, _C6_L), (_C9_T, _C9_RHO)], ids=["crit6", "crit9"])
     def test_golden_grids_equal_the_scalar_search(self, name, ts, ls):
         tab = _N_TABLES[name]
-        got = calN(tab, PowerLaw(2.0), ts[:, None], ls[None, :])
+        got = calN(tab, 2.0, ts[:, None], ls[None, :])
         t, l = np.meshgrid(ts, ls, indexing="ij")
         want = _ref_calN(tab, t.ravel(), l.ravel()).reshape(t.shape)
         assert got.shape == want.shape
@@ -979,14 +964,17 @@ class TestLockstepN:
 
     def test_criteria_6_and_9_build_no_grid(self):
         tab = BernsteinTable(caputo(0.5), points_per_decade=24)
-        calN(tab, PowerLaw(2.0), _C6_T[:, None], _C6_L[None, :])
-        calN(tab, PowerLaw(2.0), _C9_T[:, None], _C9_RHO)
+        calN(tab, 2.0, _C6_T[:, None], _C6_L[None, :])
+        calN(tab, 2.0, _C9_T[:, None], _C9_RHO)
         assert "phi_grid" not in vars(tab)
 
-    @pytest.mark.parametrize("shape", [_TwoIndexShape(), PowerLaw(1.0), 0.5])
-    def test_calN_requires_a_power_shape_above_one(self, shape):
-        with pytest.raises(DomainError, match="requires a power shape s\\^alpha with alpha > 1"):
-            calN(_N_TABLES["power"], shape, 1.0, 1.0)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, math.inf, math.nan])
+    def test_calN_requires_a_power_shape_above_one(self, alpha):
+        # calM and calN take the exponent alpha of Phi(s) = s^alpha
+        with pytest.raises(DomainError, match="N\\(t,l\\) requires a power shape s\\^alpha with alpha > 1"):
+            calN(_N_TABLES["power"], alpha, 1.0, 1.0)
+        with pytest.raises(DomainError, match="M\\(t,l\\) requires a power shape s\\^alpha with alpha > 1"):
+            calM(alpha, 1.0, 1.0)
 
     @pytest.mark.parametrize("t, l", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf),
                                       (1.0, -math.inf), (1.0, math.nan), (0.0, 1.0), (1.0, 0.0)])
@@ -1020,8 +1008,8 @@ class TestLockstepN:
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(sorted(_N_TABLES)), lt=st.floats(-2.0, 2.0), ll=st.floats(-2.0, 2.0))
 def test_calN_equals_the_scalar_search(name, lt, ll):
-    tab, shape = _N_TABLES[name], PowerLaw(2.0)
+    tab = _N_TABLES[name]
     t, l = 10.0**lt, 10.0**ll
-    got = calN(tab, shape, t, l)
+    got = calN(tab, 2.0, t, l)
     assert got == pytest.approx(float(_ref_calN(tab, np.array([t]), np.array([l]))[0]), rel=1e-10)
-    assert calN(tab, shape, np.array([t, 1.0]), np.array([l, 1.0]))[0] == got
+    assert calN(tab, 2.0, np.array([t, 1.0]), np.array([l, 1.0]))[0] == got

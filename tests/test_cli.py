@@ -418,6 +418,14 @@ class TestGoldenCases:
         want = _GOLDEN[6]["cases"]["g"] if tag == "dgamma-g" else _GOLDEN[7]["branches"][tag]
         assert (rep["spread"], rep["n_points"]) == (want["spread"], want["n_points"])
 
+    def test_boundary_keeps_t_values_that_agree_to_six_digits_apart(self, tmp_path):
+        # each t keeps its own band, though both print as 0.123456 under %g
+        cfg = {"t_values": [0.1234561, 0.1234562], "deltas": [0.01, 0.1]}
+        status, out = run_cli(tmp_path, "boundary", cfg)
+        assert status == 0
+        bands = json.loads((out / "boundary.json").read_text())["bands"]
+        assert sorted(bands) == ["t=0.1234561", "t=0.1234562"]
+
     def test_boundary_gives_criterion_11_s_bands(self, tmp_path):
         status, out = run_cli(tmp_path, "boundary")
         assert status == 0
@@ -458,6 +466,16 @@ class TestUnreadFlags:
         status, out = run_cli(tmp_path, sub, cfg, extra=[flag, value])
         assert status == 2
         assert capsys.readouterr().err == "%s is not read by %s, only by %s\n" % (flag, sub, readers)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", [None, "quadrature"])
+    def test_paths_on_a_quadrature_fundsol_exits_2(self, tmp_path, capsys, method):
+        # a quadrature run draws no paths, so it would ignore the flag
+        cfg = dict(_FUNDSOL, **({"method": method} if method else {}))
+        status, out = run_cli(tmp_path, "fundsol", cfg, extra=["--paths", "5"])
+        assert status == 2
+        assert capsys.readouterr().err == ("--paths is not read by fundsol with method quadrature, "
+                                           "only by fundsol with method mc and tails\n")
         assert not out.exists()
 
 

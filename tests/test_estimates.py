@@ -303,7 +303,7 @@ class TestTheoremEstimate:
         t, x, y = 0.01, 0.0, 5.0
         out = theorem_estimate(EstimateCase("mainsmall-ii-b", kern, half_table, m, g, t, x, y))
         inv = 1.0 / half_table.phi(1.0 / t)
-        want = math.exp(-calN(half_table, m.Phi, t, 5.0)) / inv ** (1.0 / 2.0)
+        want = math.exp(-calN(half_table, m.alpha, t, 5.0)) / inv ** (1.0 / 2.0)
         assert out["value"] == pytest.approx(want, rel=1e-9)
 
     def test_specialsub_two_sided(self):

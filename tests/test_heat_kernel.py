@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,21 +12,13 @@ from subtail.heat_kernel import Geometry, HKModel, a_gamma_delta, geometry_probe
 class TestGeometry:
     def test_interval_probe(self):
         g = Geometry("interval", 1.0)
-        p = geometry_probe(g, 0.3, 0.8)
-        assert p["delta_x"] == pytest.approx(0.3)
-        assert p["delta_y"] == pytest.approx(0.2)
-        assert p["rho"] == pytest.approx(0.5)
-        assert p["delta_star"] == pytest.approx(0.06)
-        assert p["delta_min"] == pytest.approx(0.2)
-        assert p["delta_max"] == pytest.approx(0.3)
+        assert geometry_probe(g, 0.3, 0.8) == pytest.approx((0.5, 0.3, 0.2))
 
     def test_half_line_probe(self):
-        p = geometry_probe(Geometry("half-line"), 2.0, 5.0)
-        assert (p["delta_x"], p["delta_y"], p["rho"]) == (2.0, 5.0, 3.0)
+        assert geometry_probe(Geometry("half-line"), 2.0, 5.0) == (3.0, 2.0, 5.0)
 
     def test_exterior_probe(self):
-        p = geometry_probe(Geometry("exterior"), -3.0, 2.0)
-        assert (p["delta_x"], p["delta_y"], p["rho"]) == (2.0, 1.0, 5.0)
+        assert geometry_probe(Geometry("exterior"), -3.0, 2.0) == (5.0, 2.0, 1.0)
 
     def test_delta_lipschitz(self):
         g = Geometry("interval", 2.0)
@@ -64,6 +57,27 @@ class TestAGamma:
         assert a_gamma_delta(m.gamma, m.alpha, 2, t, dx, dy) == pytest.approx(
             a_gamma_delta(m.gamma, m.alpha, 1, 0.5, dx, dy), rel=1e-12
         )
+
+
+class TestKTwoClock:
+    # q's general branch takes a_2 from a_gamma_delta, the one place a_2(t) =
+    # a_1(t/(t+1)) is written, at every t: below t = 1 too, with no jump there
+    CASES = [HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.3, lam=0.0, k=2),
+             HKModel("HK_D", alpha=2.0, d=1.0, gamma=0.25, lam=0.0, k=2)]
+    G, X, Y = Geometry("half-line"), 0.1, 0.4
+
+    @pytest.mark.parametrize("m", CASES, ids=lambda m: m.family)
+    @pytest.mark.parametrize("t", [0.05, 0.5, 0.99])
+    def test_boundary_factor_is_a_2(self, m, t):
+        # gamma = 0 leaves q without its boundary factor
+        factor = q_eval(m, self.G, t, self.X, self.Y) / q_eval(replace(m, gamma=0.0), self.G, t, self.X, self.Y)
+        want = a_gamma_delta(m.gamma, m.alpha, 2, t, self.G.delta(self.X), self.G.delta(self.Y))
+        assert factor == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", CASES, ids=lambda m: m.family)
+    def test_q_is_continuous_across_t_one(self, m):
+        below, at = (q_eval(m, self.G, t, self.X, self.Y) for t in (1.0 - 1e-9, 1.0))
+        assert below == pytest.approx(at, rel=1e-6)
 
 
 class TestQEval:
@@ -142,7 +156,7 @@ class TestQEval:
         g = Geometry("free")
         m = HKModel("HK_D", alpha=2.0, d=1.0, gamma=0.0, lam=0.0, k=1)
         t, rho = 0.75, 2.25
-        want = math.exp(-calM(m.Phi, t, rho)) / m.V_inv_time(t)
+        want = math.exp(-calM(m.alpha, t, rho)) / m.V_inv_time(t)
         assert q_eval(m, g, t, 0.0, rho) == want  # exact equality, same code path
 
     def test_time_derivative_surrogate(self):

@@ -7,7 +7,7 @@ module's ``__all__`` is read somewhere in the package, the one scipy import
 left is the allowlisted incomplete gamma, and neither importing the CLI,
 nor a half-Caputo ``fundsol`` run, nor the callers of Gamma, erf and erfc
 and a ``tails`` run on each built-in kernel loads scipy (nor the first two
-jsonschema).
+jsonschema), and every layer benchmark under ``benchmarks/`` imports.
 
 The modules are parsed, not imported, so a banned import is found even in
 a branch no test runs; the checks of loaded modules run in a fresh
@@ -176,6 +176,15 @@ def test_the_cli_imports_no_jsonschema(cli_import_modules):
 
 def test_a_half_caputo_fundsol_run_imports_no_jsonschema(fundsol_run_modules):
     assert fundsol_run_modules & _JSONSCHEMA == set()
+
+
+@pytest.mark.parametrize("path", sorted((SRC.parents[1] / "benchmarks").glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_every_layer_benchmark_module_imports(path):
+    # the layer benchmarks are not collected by the default run, so a program
+    # name they import that is renamed or deleted would break them unseen
+    spec = importlib.util.spec_from_file_location("layer_" + path.stem, path)
+    spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def _imports_the_package(node):
