@@ -11,13 +11,16 @@ Subcommands:
 * ``compare``    regime grid -> (MC | quadrature) -> theorem form ->
                  two-sided ratio report (exit 1 on budget failure)
 * ``boundary``   the boundary-decay sweep u(t,x)/delta^{alpha gamma}
-* ``report``     the full golden suite as one pass/fail matrix
+* ``report``     the full golden suite as one pass/fail matrix, and each
+                 criterion's seconds in ``report_timing.json``
 
 Exit codes: 0 success; 1 budget failure (the ratio report is still
-written); 2 an unreadable config file, a config schema violation (with
-the value's JSON path), a ``--budget`` that is not a finite number > 0 or
-a flag the subcommand does not read (``--case`` and ``--budget`` are
-``compare``'s, ``--paths`` is ``tails``' and ``fundsol``'s with method mc);
+written), for ``report`` a failed criterion or one over its ``runtime_s``
+(named under ``over_budget`` in ``report_timing.json``); 2 an unreadable
+config file, a config schema violation (with the value's JSON path), a
+``--budget`` that is not a finite number > 0 or a flag the subcommand does
+not read (``--case`` and ``--budget`` are ``compare``'s, ``--paths`` is
+``tails``' and ``fundsol``'s with method mc);
 3 empty or violated regime, or a target outside a map's range
 (RegimeError, RangeError); 4 an argument outside its domain (DomainError,
 AtomError); 5 a quadrature that missed its target (QuadratureError).  On
@@ -510,8 +513,12 @@ def _cmd_report(cfg, out, seed, manifest, args):
     lines.append("-" * 55)
     lines.append("overall: %s" % ("pass" if payload["passed"] else "FAIL"))
     _atomic_write(os.path.join(out, "report.txt"), "\n".join(lines) + "\n")
-    _write_json(os.path.join(out, "report_timing.json"), {"seconds": seconds}, manifest)
-    return 0 if payload["passed"] else 1
+    slow = golden.over_budget(payload, seconds)
+    _write_json(os.path.join(out, "report_timing.json"), {"seconds": seconds, "over_budget": slow},
+                manifest)
+    if slow:
+        print("over their runtime_s budget: %s" % ", ".join(slow), file=sys.stderr)
+    return 0 if payload["passed"] and not slow else 1
 
 
 _COMMANDS = {

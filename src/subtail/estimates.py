@@ -440,20 +440,19 @@ def _f_trunc(cls, case, pt):
     """The (Trunc.) window forms; cls None is the unbounded J2/J3/D2/D3 class."""
     alpha, d, t, t_f = pt.alpha, pt.d, case.t, case.kernel.support_end
     n_t = math.floor(t / t_f) + 1
-    ds = pt.dx * pt.dy
     F = partial(F_alpha, cls or "k", alpha)
     expo = _boundary_class(cls or "k", alpha)[0]
     if cls is None:
         if not (pt.rho**alpha <= pt.inv and t < math.floor((d + alpha) / alpha) * t_f):
             return _q_ct(case)
         scale = pt.inv
-        head = min(ds ** (alpha / 2.0), pt.inv) if math.isfinite(ds) else pt.inv
     else:
         thresh = math.floor((d + alpha) / alpha) if cls == "k" else math.floor((d + 2.0 * alpha - 2.0) / alpha)
         if t >= thresh * t_f:
             return boundary_power_form(math.exp(-t), expo, pt.dx, pt.dy), "post-singular exponential"
         scale = case.geometry.diam**alpha / QUARTER_E2
-        head = min(ds ** (alpha / 2.0), pt.inv)
+    # 1/phi(1/t) (1 ^ delta_*/l^2)^{alpha/2} at l^2 = (1/phi(1/t))^{2/alpha}
+    head = pt.inv * delta_star_min_form(alpha / 2.0, pt.inv ** (2.0 / alpha), pt.dx, pt.dy)
     bracket = (
         head
         + F(d - alpha * n_t, scale, pt.rho, pt.dx, pt.dy)

@@ -4,12 +4,13 @@ Each criterion runs one frozen acceptance case end to end and returns a
 JSON-serializable verdict dict {"name", "passed", "budget", details...}
 whose pass test reads its thresholds from that "budget".  ``run_all`` times
 the criteria and returns their seconds beside the report, which holds no
-wall time.  The CLI `report` subcommand renders the pass/fail matrix from
-it, and its `compare` and `boundary` rerun criteria 7, 8 and 11 through
-``compare`` and ``boundary_sweep``.  All parameters (grids, seeds, budgets,
-path counts) are frozen here; nothing is tuned at run time.  The criteria
-of one ``run_all`` share one ``TableCache``, so each (kernel, grid) table
-is built once per run and dropped with it.
+wall time; ``over_budget`` checks those seconds against each criterion's
+``runtime_s`` budget.  The CLI `report` subcommand renders the pass/fail
+matrix from it, and its `compare` and `boundary` rerun criteria 7, 8 and
+11 through ``compare`` and ``boundary_sweep``.  All parameters (grids,
+seeds, budgets, path counts) are frozen here; nothing is tuned at run
+time.  The criteria of one ``run_all`` share one ``TableCache``, so each
+(kernel, grid) table is built once per run and dropped with it.
 """
 
 from __future__ import annotations
@@ -585,3 +586,11 @@ def run_all(seed=GOLDEN_SEED):
         seconds[verdict["name"]] = round(time.perf_counter() - t0, 3)
         results.append(verdict)
     return {"seed": seed, "passed": all(r["passed"] for r in results), "criteria": results}, seconds
+
+
+def over_budget(report, seconds):
+    """The names of the criteria of a ``run_all`` report whose wall time in
+    ``seconds`` exceeds their ``runtime_s`` budget, in report order (a
+    criterion without one has no time budget)."""
+    return [c["name"] for c in report["criteria"]
+            if seconds[c["name"]] > c["budget"].get("runtime_s", math.inf)]

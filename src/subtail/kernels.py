@@ -10,8 +10,7 @@ Such a w plays two roles at once: it is the convolution kernel of a
 generalized fractional-time derivative, and -dw is the Levy measure of a
 driftless subordinator.  The Caputo derivative of order beta corresponds to
 w(s) = s^{-beta} / Gamma(1-beta).  Gamma is ``special.gamma``, which keeps
-scipy's bits; scipy itself is imported only for the upper incomplete gamma
-of ``Subexp``'s tail moments beyond s = 1, on first use.
+scipy's bits; the package imports no scipy.
 
 Five kernel families are built in:
 
@@ -22,12 +21,14 @@ Five kernel families are built in:
 * ``DistributedOrder`` finite mixture of Caputo kernels
 * ``Tabulated``        piecewise log-linear table with a declared tail class
 
-Each family exposes, besides pointwise evaluation, the exact truncated
-moments M_k(a) = int_0^a u^k w(u) du in closed form, for a scalar or an
-array a; an array entry equals the scalar call at it bit for bit (powers go
-through ``float_pow``).  These drive the fast Laplace-transform quadrature
-in :mod:`subtail.bernstein` and give exact small-jump compensators for the
-simulator.
+Each family exposes, besides pointwise evaluation, the truncated moments
+M_k(a) = int_0^a u^k w(u) du, for a scalar or an array a: in closed form,
+except ``Subexp``'s beyond s = 1, which add to the closed-form head up to 1
+the integral from 1 on quadrature's one checked Gauss-Legendre rule.  An
+array entry equals the scalar call at it bit for bit (powers go through
+``float_pow``, and each Subexp entry gets its own row of panels).  These
+drive the fast Laplace-transform quadrature in :mod:`subtail.bernstein` and
+give exact small-jump compensators for the simulator.
 
 Each family inverts its own w (``w_inv``: a closed form, or Newton for
 ``DistributedOrder``) as the generalized inverse inf{s : w(s) < y}, which
@@ -49,7 +50,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import AtomError, DomainError
+from .errors import AtomError, DomainError, RangeError
+from .quadrature import Q_RULES, checked, geometric_edges, panel_sums
 from .special import gamma
 
 __all__ = [
@@ -91,6 +93,11 @@ def _pow_or_inf(a, b):
         return a**b
     except OverflowError:
         return math.inf
+
+
+# Subexp's integral beyond s = 1: geometric panels per entry, entries per
+# panel_sums call (bounding its temporaries) and the check's relative target
+_SUBEXP_PANELS, _SUBEXP_ROWS, _SUBEXP_RTOL = 32, 64, 1e-13
 
 
 def _like(a, out):
@@ -256,23 +263,47 @@ class Subexp:
         x = np.array(a, dtype=float, ndmin=1)
         p = k + 1.0 - self.smallBeta
         out = self._c_small * float_pow(np.minimum(x, 1.0), p) / p
-        far = ~(x <= 1.0)
-        if far.any():
-            out[far] = out[far] + self._tail_moment(k, 1.0) - self._tail_moment(k, x[far])
+        far = np.flatnonzero(x > 1.0)
+        # c0 e^{-theta} = 0 past theta ~ 745: the integral beyond 1 adds 0
+        if far.size and self._c_small > 0.0:
+            out[far] += self._c_small * self._tail_integral(k, x[far])
         return _like(a, out)
 
-    def _tail_moment(self, k, a):
-        # int_a^inf u^k c0 exp(-theta u^beta) du via the upper incomplete gamma
-        from scipy.special import gammaincc
+    def _tail_integral(self, k, a):
+        """int_1^b u^k e^{-theta(u^beta - 1)} du at each entry of the 1-D
+        array a > 1, where b = min(a, U) and U = (1 + L/theta)^{1/beta} is
+        the cut past which u^{k+1} e^{-theta(u^beta - 1)} < 2^-1074: with
+        q = (k+1)/beta, c = max(746, 2q) and L = c + 2q log(1 + c/theta),
+        its log at U is q log(1 + L/theta) - L <= -c, and the integral past
+        U is below that bound over k+1, as beta theta U^beta >= 2(k+1).
+        RangeError where U overflows and an entry needs it.
 
+        Each entry is one row of _SUBEXP_PANELS geometric panels on
+        ``quadrature.Q_RULES``, checked to _SUBEXP_RTOL, so its value does
+        not depend on the others.  The nodes u carry an absolute rounding of
+        ~1e-16, so the result is good to about theta * 1e-16 relative,
+        inside the check for every theta at which e^{-theta} is nonzero."""
         q = (k + 1.0) / self.beta
-        return (
-            self.c0
-            / self.beta
-            * self.theta ** (-q)
-            * gamma(q)
-            * gammaincc(q, self.theta * float_pow(a, self.beta))
-        )
+        c = max(746.0, 2.0 * q)
+        log_cut = math.log1p((c + 2.0 * q * math.log1p(c / self.theta)) / self.theta) / self.beta
+        b = np.minimum(a, math.exp(log_cut) if log_cut < 709.0 else math.inf)
+        if np.isinf(b).any():
+            raise RangeError("theta=%r is too small for Subexp's moments beyond s = 1: the cut "
+                             "where e^{-theta u^beta} has underflowed overflows" % self.theta)
+
+        def integrand(u):
+            return u**k * np.exp(-self.theta * np.expm1(self.beta * np.log(u)))
+
+        out = np.empty(b.size)
+        for i in range(0, b.size, _SUBEXP_ROWS):
+            rows = b[i : i + _SUBEXP_ROWS, None]
+            with np.errstate(over="ignore", invalid="ignore"):  # checked refuses a non-finite sum
+                coarse, fine = panel_sums(integrand, geometric_edges(1.0, rows, _SUBEXP_PANELS + 1),
+                                          Q_RULES)
+            out[i : i + rows.size] = checked(coarse, fine, _SUBEXP_RTOL, 0.0, lambda j, achieved: (
+                "Subexp moment M_%g(%r) quadrature achieved %.2g, target %.2g"
+                % (k, float(a[i + j]), achieved, _SUBEXP_RTOL)))
+        return out
 
     def w_inv(self, y):
         w1 = self._c_small

@@ -7,8 +7,8 @@ agrees with its coarse sum to the target, which a non-finite sum never does;
 otherwise QuadratureError at the first that does not, carrying the achieved
 and target errors.  Each caller has a fixed pair: ``Q_RULES`` (32 vs 64
 nodes) for every integral over q and the boundary integrals, through
-``checked_panels``, and ``PHI_RULES`` (24 vs 40) for phi's Laplace integrals
-in ``bernstein``.  Every integral over the clock r takes its edges from
+``checked_panels``, and for ``kernels.Subexp``'s moments beyond s = 1, and
+``PHI_RULES`` (24 vs 40) for phi's Laplace integrals in ``bernstein``.  Every integral over the clock r takes its edges from
 ``graded_edges``, whose geometric part, like the octaves of phi's panels,
 comes from ``geometric_edges``.
 """

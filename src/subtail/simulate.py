@@ -370,14 +370,19 @@ def sample_E_t(kernel, config, t):
         gaps = rng.standard_exponential(k) / w_eps
         jumps = inverse_w_vec(kernel, w_eps * rng.random(k))
         s_after_gap = S + drift * gaps if drift > 0.0 else S
-        by_drift = s_after_gap >= t  # never true without drift: S < t
-        E[idx[by_drift]] = clock[by_drift] + (t - S[by_drift]) / drift
-        by_jump = ~by_drift & (s_after_gap + jumps >= t)
-        E[idx[by_jump]] = clock[by_jump] + gaps[by_jump]
-        S = s_after_gap + jumps
+        S_next = s_after_gap + jumps
+        # jumps are >= 0, so a crossing inside the drift segment has S_next >= t too
+        crossed = S_next >= t
+        hit = np.flatnonzero(crossed)
+        when = clock[hit] + gaps[hit]
+        if drift > 0.0:  # without drift S < t: no path crosses before its jump
+            by_drift = s_after_gap[hit] >= t
+            on = hit[by_drift]
+            when[by_drift] = clock[on] + (t - S[on]) / drift
+        E[idx[hit]] = when
         clock = clock + gaps
-        go_on = ~(by_drift | by_jump) & (clock < budget)
-        idx, S, clock = idx[go_on], S[go_on], clock[go_on]
+        go_on = ~crossed & (clock < budget)
+        idx, S, clock = idx[go_on], S_next[go_on], clock[go_on]
 
     censored = np.isnan(E)
     return PathEnsemble(level=t, values=np.where(censored, budget, E), censored=censored)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtail import bernstein, cli
+from subtail import bernstein, cli, golden
 from subtail.cli import main
 from subtail.estimates import CASE_TAGS
 from subtail.simulate import SimConfig
@@ -431,6 +432,33 @@ class TestGoldenCases:
         assert status == 0
         bands = json.loads((out / "boundary.json").read_text())["bands"]
         assert bands == {t: sweep["band"] for t, sweep in _GOLDEN[10]["sweeps"].items()}
+
+
+class TestReportRuntimeBudget:
+    # criterion 1 (runtime_s 5) and criterion 10 (no runtime_s) on a clock
+    # that moves `step` seconds per reading, so each takes `step` seconds
+
+    def _report(self, tmp_path, monkeypatch, step):
+        ticks = iter(range(0, 1000, step))
+        monkeypatch.setattr(golden, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(golden, "CRITERIA", (golden.crit_1_stable_identity,
+                                                 golden.crit_10_diagonal_finiteness))
+        status, out = run_cli(tmp_path, "report")
+        return status, out, json.loads((out / "report_timing.json").read_text())
+
+    def test_a_criterion_over_its_runtime_budget_exits_1_and_is_named(self, tmp_path, monkeypatch,
+                                                                      capsys):
+        status, out, timing = self._report(tmp_path, monkeypatch, 6)
+        assert status == 1
+        assert timing["seconds"] == {"1 stable identity": 6, "10 diagonal finiteness threshold": 6}
+        assert timing["over_budget"] == ["1 stable identity"]
+        assert json.loads((out / "report.json").read_text())["passed"]
+        assert capsys.readouterr().err == "over their runtime_s budget: 1 stable identity\n"
+
+    def test_under_budget_the_report_passes(self, tmp_path, monkeypatch):
+        status, out, timing = self._report(tmp_path, monkeypatch, 5)
+        assert status == 0
+        assert timing["over_budget"] == []
 
 
 _UNIT_POWER = {"kind": "power", "beta": 0.5, "scale": 1.0}

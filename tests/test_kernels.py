@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy.integrate import quad
-from scipy.special import gamma as gamma_fn, gammaincc
+from scipy.special import gamma as gamma_fn
 
-from subtail.errors import AtomError, DomainError
+from subtail.errors import AtomError, DomainError, QuadratureError, RangeError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import (
     DistributedOrder,
@@ -194,7 +194,9 @@ class TestMomentsAndKerIntegral:
 
 def _moment_one_float(k, j, a):
     """M_j(a) of kernel k from its closed form, one Python float at a time:
-    the reference the array moments must match bit for bit."""
+    the reference the array moments must match bit for bit.  None for
+    Subexp beyond 1, which has no closed form; ``TestSubexpMoments`` holds
+    it to mpmath instead."""
     if isinstance(k, Power):
         p = j + 1.0 - k.beta
         return k.scale * a**p / p
@@ -202,11 +204,8 @@ def _moment_one_float(k, j, a):
         b, p = min(a, k.delta), j + 1.0 - k.beta
         return k.scale * (b**p / p - k.delta ** (-k.beta) * b ** (j + 1.0) / (j + 1.0))
     if isinstance(k, Subexp):
-        p, q = j + 1.0 - k.smallBeta, (j + 1.0) / k.beta
-        tail = lambda x: (k.c0 / k.beta * k.theta ** (-q) * gamma_fn(q)
-                          * gammaincc(q, k.theta * x**k.beta))
-        head = k.c0 * math.exp(-k.theta) * min(a, 1.0) ** p / p
-        return head if a <= 1.0 else head + tail(1.0) - tail(a)
+        p = j + 1.0 - k.smallBeta
+        return k.c0 * math.exp(-k.theta) * a**p / p if a <= 1.0 else None
     if isinstance(k, DistributedOrder):
         tot = 0.0
         for b, kap in k.weights:
@@ -260,7 +259,62 @@ def test_array_moments_equal_scalar_calls(name, j, logs, picks):
     one_by_one = [k.moment(j, float(x)) for x in a]
     assert all(isinstance(m, float) for m in one_by_one)
     assert np.array_equal(got, np.array(one_by_one, dtype=float))
-    assert np.array_equal(got, np.array([_moment_one_float(k, j, float(x)) for x in a], dtype=float))
+    closed = [_moment_one_float(k, j, float(x)) for x in a]
+    assert [g for g, c in zip(got.tolist(), closed) if c is not None] == [
+        c for c in closed if c is not None]
+
+
+def _subexp_moment_mp(k, j, a):
+    """M_j(a) of the Subexp kernel k at 30 digits: the head up to 1 in closed
+    form, then int_1^a u^j c0 e^{-theta u^beta} du split at each decade and
+    where theta u^beta passes its peak q - 1 = (j+1)/beta - 1 and two
+    points beyond."""
+    with mp.workdps(30):
+        beta, theta, c0 = mp.mpf(k.beta), mp.mpf(k.theta), mp.mpf(k.c0)
+        p = j + 1 - mp.mpf(k.smallBeta)
+        head = c0 * mp.exp(-theta) * mp.mpf(min(a, 1.0)) ** p / p
+        if a <= 1.0:
+            return head
+        q = (j + 1) / beta
+        peaks = [(v / theta) ** (1 / beta) for v in (q - 1, 2 * q + 20, 4 * q + 80) if v > theta]
+        decades = [mp.mpf(10) ** m for m in range(1, 40) if 10**m < max(peaks, default=10)]
+        hi = mp.inf if a == math.inf else mp.mpf(a)
+        pts = [mp.mpf(1), *sorted(u for u in peaks + decades if 1 < u < hi), hi]
+        return head + c0 * mp.quad(lambda u: u**j * mp.exp(-theta * u**beta), pts)
+
+
+class TestSubexpMoments:
+    """Beyond s = 1, M_k(a) is the closed-form head plus the integral from
+    1 on the checked Gauss-Legendre rule, held to 30-digit mpmath at 1e-14
+    relative.  Forming it as a difference of two upper incomplete gammas
+    put M_3 100% off at theta = 0.01 for a in (1, 2]."""
+
+    BUDGET = 1e-14
+
+    @pytest.mark.parametrize("theta", [0.01, 1.0, 30.0])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9, 1.0])
+    def test_against_mpmath(self, beta, theta):
+        k = Subexp(beta=beta, theta=theta)
+        misses = []
+        for j in range(4):
+            for a in (1.0 + 1e-12, 1.0 + 1e-8, 1.0001, 2.0, 50.0, 1e6, math.inf):
+                got, want = k.moment(j, a), float(_subexp_moment_mp(k, j, a))
+                rel = abs(got - want) / want
+                if not rel <= self.BUDGET:
+                    misses.append((j, a, rel))
+        assert misses == []
+
+    def test_an_unrepresentable_cut_is_a_range_error_naming_theta(self):
+        # U = (1 + L/theta)^(1/beta) overflows; a finite a needs no cut
+        k = Subexp(beta=0.1, theta=1e-30)
+        assert k.moment(0, 2.0) == pytest.approx(float(_subexp_moment_mp(k, 0, 2.0)), rel=1e-14)
+        with pytest.raises(RangeError, match="theta=1e-30"):
+            k.moment(0, math.inf)
+
+    def test_a_missed_check_is_a_quadrature_error(self):
+        # M_3(inf) ~ Gamma(80) theta^-80 / beta overflows, and so do the nodes' u^3
+        with pytest.raises(QuadratureError, match=r"Subexp moment M_3\(inf\)"):
+            Subexp(beta=0.05, theta=1e-6).moment(3, np.array([2.0, math.inf]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,11 +3,12 @@ Gauss-Legendre nodes only ``quadrature`` holds, every numeric root through
 ``bernstein``'s one bracketed root finder, no density is fitted by a
 spline, no module imports the package inside a function or reads another
 module's private names, every module-level import is used, every name in a
-module's ``__all__`` is read somewhere in the package, the one scipy import
-left is the allowlisted incomplete gamma, and neither importing the CLI,
-nor a half-Caputo ``fundsol`` run, nor the callers of Gamma, erf and erfc
-and a ``tails`` run on each built-in kernel loads scipy (nor the first two
-jsonschema), and every layer benchmark under ``benchmarks/`` imports.
+module's ``__all__`` is read somewhere in the package, no module imports
+scipy and the runtime dependencies are numpy alone, and neither importing
+the CLI, nor a half-Caputo ``fundsol`` run, nor the callers of Gamma, erf
+and erfc and a ``tails`` run on each built-in kernel, nor Subexp's moments
+beyond s = 1, loads scipy (nor the first two jsonschema), and every layer
+benchmark under ``benchmarks/`` imports.
 
 The modules are parsed, not imported, so a banned import is found even in
 a branch no test runs; the checks of loaded modules run in a fresh
@@ -19,6 +20,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,11 +54,10 @@ def test_no_scipy_interpolate():
             assert not name.startswith("scipy.interpolate"), (path.name, name)
 
 
-# Subexp's tail moments need the upper incomplete gamma Q(q, x), which the
-# package does not compute itself yet (ROADMAP item 11).  Every other special
-# function is ``special``'s, every integral ``quadrature``'s checked rule and
-# every root ``bernstein``'s port of Brent's method.
-_SCIPY_ALLOWED = {("kernels", "scipy.special.gammaincc")}
+# None: every special function is ``special``'s, every integral, Subexp's
+# moments beyond s = 1 among them, ``quadrature``'s checked rule and every
+# root ``bernstein``'s port of Brent's method.
+_SCIPY_ALLOWED = set()
 
 
 def _scipy_imports(path):
@@ -76,6 +77,14 @@ def test_the_only_scipy_imports_are_the_allowlisted_ones():
     assert len(modules) > 10
     found = {(path.stem, name) for path in modules for name in _scipy_imports(path)}
     assert found == _SCIPY_ALLOWED
+
+
+def test_the_runtime_dependencies_are_numpy_alone():
+    # scipy is in the test extra only, the oracle of the quad, brentq and
+    # special-function tests
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_only_quadrature_holds_gauss_legendre_nodes():
@@ -157,9 +166,33 @@ def special_function_modules(tmp_path_factory):
     return _modules_after(code)
 
 
+@pytest.fixture(scope="module")
+def subexp_tail_modules(tmp_path_factory):
+    # M_k(a) beyond s = 1 directly, through a phi-table run's grid (lambda
+    # down to 1e-9, so u0 = 1e-5/lambda up to 1e4) and through
+    # bar_phi_alpha(1, .), which reads M_0(inf)
+    tmp_path = tmp_path_factory.mktemp("subexp")
+    cfg = tmp_path / "phi.json"
+    cfg.write_text(json.dumps({"kernel": {"kind": "subexp", "beta": 0.5, "theta": 1.0},
+                               "lambdas": {"n": 5}}))
+    code = ("import math\n"
+            "from subtail import bernstein, cli, kernels\n"
+            "k = kernels.Subexp(beta=0.5, theta=1.0)\n"
+            "assert k.moment(3, 50.0) > k.moment(3, 1.0) > 0.0\n"
+            "assert math.isfinite(k.moment(0, math.inf))\n"
+            "assert cli.main(['phi-table', '--config', %r, '--out', %r]) == 0\n"
+            "assert bernstein.BernsteinTable(k, points_per_decade=8).bar_phi_alpha(1.0, 2.0) > 0.0\n"
+            % (str(cfg), str(tmp_path / "out")))
+    return _modules_after(code)
+
+
 def test_the_cli_imports_no_scipy(cli_import_modules):
-    # scipy.special loads on first use, by Subexp's moments beyond s = 1 only
+    # no module of the package imports scipy, so no run loads it either
     assert "scipy" not in cli_import_modules
+
+
+def test_subexp_moments_beyond_one_import_no_scipy(subexp_tail_modules):
+    assert "scipy" not in subexp_tail_modules
 
 
 def test_gamma_erf_erfc_and_tails_runs_import_no_scipy(special_function_modules):
