@@ -103,11 +103,18 @@ def _supported(kernel, lam):
 def _unsupported(kernel, lam):
     """DomainError naming the smallest or largest supported lambda of the
     kernel: going from 1 towards lam in factors of 2, the last power of 2
-    before the first unsupported one."""
+    before the first unsupported one, found by bisection over the exponent
+    (support is monotone in lambda; 2^{+-1079} is never supported)."""
     up = lam >= 1.0
     with np.errstate(over="ignore"):
         powers = np.ldexp(1.0, np.arange(1, 1080) if up else -np.arange(1, 1080))
-    j = int(np.argmin(_supported(kernel, powers)[3]))
+    lo, j = 0, powers.size - 1  # powers[j] is unsupported, all before lo are
+    while lo < j:
+        mid = (lo + j) // 2
+        if _supported(kernel, powers[mid : mid + 1])[3][0]:
+            lo = mid + 1
+        else:
+            j = mid
     edge = float(powers[j - 1]) if j else 1.0
     return DomainError("lambda=%g is %s the %s supported lambda %r of this kernel "
                        "(its truncated moments or its panels overflow)"

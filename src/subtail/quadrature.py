@@ -8,7 +8,9 @@ otherwise QuadratureError at the first that does not, carrying the achieved
 and target errors.  Each caller has a fixed pair: ``Q_RULES`` (32 vs 64
 nodes) for every integral over q and the boundary integrals, through
 ``checked_panels``, and for ``kernels.Subexp``'s moments beyond s = 1, and
-``PHI_RULES`` (24 vs 40) for phi's Laplace integrals in ``bernstein``.  Every integral over the clock r takes its edges from
+``PHI_RULES`` (24 vs 40) for phi's Laplace integrals in ``bernstein``.
+There is no unchecked Gauss sum: every one goes through ``panel_sums`` and
+``checked``.  Every integral over the clock r takes its edges from
 ``graded_edges``, whose geometric part, like the octaves of phi's panels,
 comes from ``geometric_edges``.
 """
@@ -55,24 +57,13 @@ def graded_edges(lo, start, hi, kinks):
     return np.array(sorted(edges))
 
 
-def integrate_panels(fn, edges, nodes):
-    """Sum over the panels between consecutive ``edges`` of the Gauss rule
-    ``nodes`` = (points, weights) on [-1, 1], with one call of ``fn``."""
-    x, w = nodes
-    a, b = edges[:-1], edges[1:]
-    mid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
-    wt = 0.5 * (b - a)[:, None] * w[None, :]
-    vals = fn(mid.ravel()).reshape(mid.shape)
-    return float(np.sum(wt * vals))
-
-
 def panel_sums(fn, edges, rules):
     """(coarse, fine) panel sums of ``fn`` per row of ``edges`` (rows,
     panels + 1), for the rule ``rules`` (``Q_RULES`` or ``PHI_RULES``).
     ``fn`` is called once, on the (rows, panels, points) array of both
     rules' points, and may add leading axes, which the sums keep.  Each
-    row's sum reduces its own contiguous block, so it is
-    ``integrate_panels``'s on that row, bit for bit."""
+    row's sum reduces its own contiguous block, so it is the plain
+    composite Gauss sum of that row alone, bit for bit."""
     points, wc, wf = rules
     a, b = edges[:, :-1, None], edges[:, 1:, None]
     half = 0.5 * (b - a)

@@ -346,7 +346,8 @@ def sample_E_t(kernel, config, t):
     Walks the compound-Poisson jumps in the r-clock; a crossing inside a
     drift segment is resolved analytically, a crossing by a jump happens at
     the jump's epoch.  Paths that have not crossed within
-    r <= 1e6/phi(1/t) are censored at the budget and flagged.
+    r <= 1e6/phi(1/t) are censored at the budget and flagged.  A walk whose
+    paths expect more than _MAX_EXPECTED_JUMPS jumps in all is refused.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("the level must be a positive finite number")
@@ -355,7 +356,10 @@ def sample_E_t(kernel, config, t):
     w_eps = float(kernel.w(eps))
     if w_eps <= 0.0 or not math.isfinite(w_eps):
         raise DomainError("kernel has no jump activity above eps=%g" % eps)
-    budget = 1e6 / _phi_proxy(kernel, 1.0 / t)
+    phi_t = _phi_proxy(kernel, 1.0 / t)
+    # a path walks ~ w(eps) E_t jumps, with E_t of order 1/phi(1/t)
+    _check_jump_budget(config, w_eps / phi_t)
+    budget = 1e6 / phi_t
     rng = _rng(config.seed, 2)
     n = config.n_paths
     drift = _drift_rate(kernel, eps)

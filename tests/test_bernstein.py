@@ -534,6 +534,29 @@ class TestSmallestLambda:
         assert caputo_half.phi(floor) == pytest.approx(math.sqrt(floor), rel=1e-8)
 
 
+def _scanned_edge(kernel, lam):
+    """The edge _unsupported names, by the scan of every power of 2 from 1
+    towards lam: the last supported one before the first unsupported."""
+    up = lam >= 1.0
+    with np.errstate(over="ignore"):
+        powers = np.ldexp(1.0, np.arange(1, 1080) if up else -np.arange(1, 1080))
+    j = int(np.argmin(bernstein._supported(kernel, powers)[3]))
+    return float(powers[j - 1]) if j else 1.0
+
+
+@pytest.mark.parametrize("lam", [1e-320, 1e300], ids=["below", "above"])
+@pytest.mark.parametrize("name", sorted(builtin_kernel_set()))
+def test_unsupported_bisects_to_the_scanned_edge(monkeypatch, name, lam):
+    kern = builtin_kernel_set()[name]
+    edge = _scanned_edge(kern, lam)
+    calls = []
+    supported = bernstein._supported
+    monkeypatch.setattr(bernstein, "_supported", lambda k, l: calls.append(l.size) or supported(k, l))
+    err = bernstein._unsupported(kern, lam)
+    assert set(calls) == {1} and len(calls) <= 11  # one lambda per call
+    assert " supported lambda %r of this kernel " % edge in str(err)
+
+
 def _scipy_brentq(g, lo, hi):
     from scipy.optimize import brentq
 

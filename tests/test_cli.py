@@ -349,6 +349,16 @@ class TestTypedExits:
         assert status == 4
         assert err["type"] == "DomainError" and 'method="mc"' in err["message"]
 
+    def test_mc_fundsol_beyond_the_jump_budget_exits_4(self, tmp_path):
+        # at t = 1e300 the E_t walk would never end; it is refused up front
+        cfg = {"kernel": _HALF_CAPUTO, "model": _D1, "method": "mc",
+               "sim": {"cutoff_eps": 1e-2, "n_paths": 100},
+               "points": [{"t": 1e300, "x": 0.3, "y": 0.5}]}
+        status, out = run_cli(tmp_path, "fundsol", cfg)
+        err = json.loads((out / "manifest.json").read_text())["error"]
+        assert status == 4
+        assert err["type"] == "DomainError" and "raise cutoff_eps" in err["message"]
+
     def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
         from subtail.errors import QuadratureError
 

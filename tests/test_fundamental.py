@@ -189,6 +189,31 @@ class TestDiagonalProbe:
         m = HKModel("HK_J", alpha=1.0, d=2.0, gamma=0.0, lam=0.0, k=1)
         assert diagonal_probe(k, m, 1.5)["verdict"] == "diverged"
         assert diagonal_probe(k, m, 2.5)["verdict"] == "converged"
+        # the integrand's lowest power of r: log-divergent at t = 1.5
+        assert diagonal_probe(k, m, 1.5)["lowest_exponent"] == -1.0
+        assert diagonal_probe(k, m, 2.5)["lowest_exponent"] == 0.0
+
+    @pytest.mark.parametrize("d, alpha, t", [(3.0, 1.0, 2.875), (4.0, 1.0, 3.875),
+                                             (1.5, 0.5, 2.875), (5.0, 1.0, 4.875)])
+    def test_log_divergent_cases_diverge(self, d, alpha, t):
+        # lowest exponent exactly -1 with a small weight (n t_f - t)^n: the
+        # integral diverges like log r, however little the weight
+        k = Truncated(beta=0.5, delta=1.0, scale=1.0)
+        m = HKModel("HK_J", alpha=alpha, d=d, gamma=0.0, lam=0.0, k=1)
+        probe = diagonal_probe(k, m, t)
+        assert probe["lowest_exponent"] == -1.0 and probe["weight"] > 0.0
+        assert probe["verdict"] == "diverged"
+
+    def test_verdict_is_the_estimates_threshold(self):
+        # p(t,x,x) < inf iff t >= floor(d/alpha) t_f (Example 1)
+        k = Truncated(beta=0.5, delta=1.0, scale=1.0)
+        for d in np.arange(0.5, 6.0, 0.5):
+            for alpha in (0.5, 1.0, 1.5, 2.0):
+                m = HKModel("HK_J", alpha=alpha, d=float(d), gamma=0.0, lam=0.0, k=1)
+                for t in np.linspace(0.5, 6.0, 45):
+                    finite = t >= math.floor(d / alpha) * k.support_end
+                    expect = "converged" if finite else "diverged"
+                    assert diagonal_probe(k, m, float(t))["verdict"] == expect, (d, alpha, t)
 
     def test_threshold_is_sharp(self):
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)

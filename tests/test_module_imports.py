@@ -87,12 +87,28 @@ def test_the_runtime_dependencies_are_numpy_alone():
     assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
+# quadrature's plain Gauss nodes and unchecked sum: only its checked rules leave it
+_UNCHECKED = {"GL32", "GL64", "integrate_panels"}
+
+
 def test_only_quadrature_holds_gauss_legendre_nodes():
     # phi's Laplace integrals and every integral over q share quadrature's rule
     holders = sorted(path.name for path in SRC.glob("*.py")
                      if any(name.startswith("numpy.polynomial.legendre")
                             for name in _imported_modules(path)))
     assert holders == ["quadrature.py"]
+    # ... and no other module reaches its nodes, by import or by attribute
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            assert not names & _UNCHECKED, (path.name, sorted(names & _UNCHECKED))
 
 
 def _modules_after(code):

@@ -1,9 +1,11 @@
 """The checked panel rule and the panel-edge builders of ``quadrature``.
 
 ``panel_sums`` calls its integrand once, on both rules' points of every
-row, and each row's sums must be what two ``integrate_panels`` calls on
-that row return, bit for bit; ``checked`` refuses the first entry, in C
-order, that misses its target or is not finite.  ``checked_panels`` is
+row, and each row's sums must be what two plain one-rule sums on that row
+return, bit for bit.  That plain, unchecked sum, ``_integrate_panels``,
+lives here as the oracle, since no module of the package sums without a
+check.  ``checked`` refuses the first entry, in C order, that misses its
+target or is not finite.  ``checked_panels`` is
 their one-row case.  ``graded_edges`` and ``geometric_edges`` must give
 np.geomspace's edges exactly.
 """
@@ -31,15 +33,25 @@ from subtail.quadrature import (
     checked_panels,
     geometric_edges,
     graded_edges,
-    integrate_panels,
     panel_sums,
 )
 
 
+def _integrate_panels(fn, edges, nodes):
+    """Sum over the panels between consecutive ``edges`` of the Gauss rule
+    ``nodes`` = (points, weights) on [-1, 1], with one call of ``fn``."""
+    x, w = nodes
+    a, b = edges[:-1], edges[1:]
+    mid = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x[None, :]
+    wt = 0.5 * (b - a)[:, None] * w[None, :]
+    vals = fn(mid.ravel()).reshape(mid.shape)
+    return float(np.sum(wt * vals))
+
+
 def _two_call_rule(fn, edges):
     """(64-node sum, achieved error) of the rule with one call per node set."""
-    v32 = integrate_panels(fn, edges, GL32)
-    v64 = integrate_panels(fn, edges, GL64)
+    v32 = _integrate_panels(fn, edges, GL32)
+    v64 = _integrate_panels(fn, edges, GL64)
     return v64, abs(v64 - v32) / max(abs(v64), 1e-300)
 
 
@@ -138,8 +150,8 @@ def test_panel_sums_are_the_two_call_rule_row_by_row(rules, sizes):
     coarse_rule, fine_rule = (leggauss(n) for n in sizes)
     for k, f in enumerate(_STACKED):
         for j, row in enumerate(edges):
-            assert coarse[k, j] == integrate_panels(f, row, coarse_rule), (k, j)
-            assert fine[k, j] == integrate_panels(f, row, fine_rule), (k, j)
+            assert coarse[k, j] == _integrate_panels(f, row, coarse_rule), (k, j)
+            assert fine[k, j] == _integrate_panels(f, row, fine_rule), (k, j)
 
 
 def test_checked_refuses_the_first_miss_in_c_order():

@@ -163,6 +163,13 @@ class TestSampleEt:
         with pytest.raises(DomainError, match="the level must be a positive finite number"):
             sample_E_t(kernel, SimConfig(cutoff_eps=1e-3, n_paths=100, seed=1), t)
 
+    def test_jump_budget_refuses_a_walk_too_long_to_run(self):
+        # a path expects ~ w(eps)/phi(1/t) jumps, ~ sqrt(t) here: 5e152 in all
+        # at t = 1e300, refused before the walk as sample_S_at refuses its draw
+        k = caputo(0.5)
+        with pytest.raises(DomainError, match=r"expected 5e\+152 jumps .*raise cutoff_eps"):
+            sample_E_t(k, SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1), 1e300)
+
     def test_determinism(self):
         k = caputo(0.5)
         a = sample_E_t(k, CFG, 1.0).values
