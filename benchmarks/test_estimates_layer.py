@@ -49,7 +49,7 @@ def test_calN_of_criterion_6(benchmark):
 
 
 def test_theorem_estimate_of_criterion_8(benchmark, table):
-    case = EstimateCase("mainsmall-ii-a", table.kernel, table, MODEL, GEOMETRY, *POINT, margin=MARGIN)
+    case = EstimateCase("mainsmall-ii-a", table, MODEL, GEOMETRY, *POINT, margin=MARGIN)
     assert _run(benchmark, lambda: theorem_estimate(case)["value"], rounds=200) > 0.0
 
 

@@ -36,10 +36,11 @@ points per decade on [1e-9, 1e9]), built by one evaluator call the first time
 something reads it (``phiHw_brackets``, a ``*_grid`` attribute or
 ``bar_phi_alpha``'s envelope check at alpha < 1); a grid that cannot be
 built raises there, not when the table is made, and a table whose grid
-nothing reads never builds it.  Its queries phi(), phi_prime() and H() take
-a value from the table's memo, else from one evaluator call for all the
-lambdas of the query not memoised, so the grid holds bit for bit what they
-return at its nodes.  The table supplies monotone inverses, the composite
+nothing reads never builds it.  It holds its ``kernel`` and, certified at
+the first read, the kernel's ``conditions`` (``kernels.check_conditions``).
+Its queries phi(), phi_prime() and H() take a value from the table's memo,
+else from one evaluator call for all the lambdas of the query not memoised,
+so the grid holds bit for bit what they return at its nodes.  The table supplies monotone inverses, the composite
 function b(s) = s phi'(H^{-1}(1/s)), the envelope inverse bar_phi_alpha, all
 solved by one bracketed root finder, and the variational quantities
 
@@ -69,11 +70,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .kernels import float_pow
+from .kernels import check_conditions, float_pow
 from .quadrature import PHI_RULES, checked, geometric_edges, panel_sums
 
 __all__ = ["BernsteinTable", "calM", "calN", "increasing_root"]
@@ -389,11 +391,11 @@ class BernsteinTable:
     values are built at the first read of any of them, and that read raises
     the build's DomainError or QuadratureError if the grid cannot be built;
     the queries phi(), H(), phi_prime(), b_fun(), invert() and
-    bar_phi_alpha() at alpha >= 1 neither build nor read it.  Beyond that
-    lazy build and a memo of evaluations, both holding only what the
-    evaluator returns, a table is immutable and all queries are pure, so it
-    can be shared freely across threads (two threads may both build the
-    grid, to the same values).
+    bar_phi_alpha() at alpha >= 1 neither build nor read it.  ``conditions``,
+    the kernel's ConditionReport, is likewise certified at its first read.
+    Beyond those lazy values and a memo of evaluations, a table is immutable
+    and all queries are pure, so it can be shared freely across threads (two
+    threads may both build the grid, to the same values).
     """
 
     def __init__(self, kernel, lam_lo=1e-9, lam_hi=1e9, points_per_decade=96, quad_rtol=1e-10):
@@ -420,6 +422,11 @@ class BernsteinTable:
         phi, H, dphi = _bernstein_values(self.kernel, self.lam_grid, self.quad_rtol)
         self.__dict__.update(phi_grid=phi, H_grid=H, phi_prime_grid=dphi)
         return self.__dict__[name]
+
+    @cached_property
+    def conditions(self):
+        """The kernel's structural conditions, certified once per table."""
+        return check_conditions(self.kernel)
 
     # -- forward maps -------------------------------------------------------
 

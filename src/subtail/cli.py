@@ -403,13 +403,12 @@ def _cmd_tails(cfg, out, seed, manifest, args):
     kern = kernel_from_config(cfg["kernel"])
     sim = _sim_config(cfg, seed, args, 100_000)
     tab = BernsteinTable(kern, points_per_decade=24)
-    conds = check_conditions(kern)
     rows = []
     for r in cfg["grid"]["r"]:
         ens = sample_S_at(kern, sim, r)
         for t in cfg["grid"]["t"]:
             up, lo = (tail_estimate(kern, ens, t, side) for side in ("upper", "lower"))
-            form = upper_bound_form(kern, tab, r, t, conditions=conds)
+            form = upper_bound_form(tab, r, t)
             rows.append(
                 (
                     float(r),
@@ -450,13 +449,11 @@ def _cmd_fundsol(cfg, out, seed, manifest, args):
 
 
 def _cmd_estimate(cfg, out, seed, manifest, args):
-    kern = kernel_from_config(cfg["kernel"])
     model, geometry = model_from_config(cfg["model"])
-    tab = BernsteinTable(kern, points_per_decade=24)
+    tab = BernsteinTable(kernel_from_config(cfg["kernel"]), points_per_decade=24)
     c = cfg["case"]
     # horizon_T and margin default to the classifier's HORIZON_T and MARGIN
-    case = EstimateCase(c["tag"], kern, tab, model, geometry, c["t"], c["x"], c["y"],
-                        conditions=check_conditions(kern),
+    case = EstimateCase(c["tag"], tab, model, geometry, c["t"], c["x"], c["y"],
                         **{k: c[k] for k in ("horizon_T", "margin") if k in c})
     res = theorem_estimate(case)
     payload = {

@@ -192,18 +192,17 @@ def _point_cloud(geometry, resolution):
     return pairs
 
 
-def regime_grid(tag, kernel, table, model, geometry, resolution=8, margin=MARGIN,
-                t_window=None, conditions=None):
+def regime_grid(tag, table, model, geometry, resolution=8, margin=MARGIN, t_window=None):
     """Admissible (t, x, y) tuples for a theorem branch, margin applied.
 
     A point is admitted exactly when the regime predicates that
     ``theorem_estimate`` checks for ``tag`` pass
-    (:func:`subtail.estimates.regime_failure`), so every point returned is
-    inside the theorem's regime; phi(1/t) is evaluated once per t.  The t
-    and point grids are log-spaced and nested under resolution doubling
-    (2n-1 refinement keeps supersets).  Returns the admissible list
-    (deterministic order); an unknown tag raises DomainError and an empty
-    set RegimeError.
+    (:func:`subtail.estimates.regime_failure`) on the table's kernel and
+    conditions, so every point returned is inside the theorem's regime;
+    phi(1/t) is evaluated once per t.  The t and point grids are log-spaced
+    and nested under resolution doubling (2n-1 refinement keeps supersets).
+    Returns the admissible list (deterministic order); an unknown tag raises
+    DomainError and an empty set RegimeError.
     """
     if t_window is None:
         t_window = (1e-3, 1.0)
@@ -214,8 +213,7 @@ def regime_grid(tag, kernel, table, model, geometry, resolution=8, margin=MARGIN
         phi_t = table.phi(1.0 / t)
         for x, y in pairs:
             point = (float(t), float(x), float(y))
-            case = EstimateCase(tag, kernel, table, model, geometry, *point, margin=margin,
-                                conditions=conditions)
+            case = EstimateCase(tag, table, model, geometry, *point, margin=margin)
             if regime_failure(case, phi_t) is None:
                 out.append(point)
     if not out:

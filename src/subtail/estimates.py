@@ -22,7 +22,8 @@ predicates and its form.  theorem_estimate checks the predicates and
 evaluates the form; regime_grid admits exactly the points that pass them.
 The regime inequality Phi(rho) phi(1/t) vs 1/(4e^2), its tie rule and the
 default margin and horizon come from ``tail_bounds``, the one place they are
-defined.
+defined.  A case reads w, the kernel's parameters and its certified (Sub.)
+constants from its table (``table.kernel``, ``table.conditions``).
 
 Conventions: log+ x = max(0, log x); when gamma = 0 the boundary distances
 are treated as infinite, which silently switches every scenario split to its
@@ -157,13 +158,13 @@ def I_gamma_quadrature(model, geometry, table, k, t, x, y):
     return boundary_integral(model, k, rho**model.alpha, HALF_E2 / table.phi(1.0 / t), dx, dy)
 
 
-def J_gamma(model, geometry, table, kernel, k, t, x, y):
-    """J_k^gamma(t,x,y): the full near-diagonal estimate form."""
+def J_gamma(model, geometry, table, k, t, x, y):
+    """J_k^gamma(t,x,y): the full near-diagonal estimate form (w the table's)."""
     _, dx, dy = geometry_probe(geometry, x, y)
     phi_inv = 1.0 / table.phi(1.0 / t)
     lead = a_gamma_delta(model.gamma, model.alpha, k, phi_inv, dx, dy)
     lead /= model.V_inv_time(phi_inv)
-    return lead + float(kernel.w(t)) * I_gamma_quadrature(model, geometry, table, k, t, x, y)
+    return lead + float(table.kernel.w(t)) * I_gamma_quadrature(model, geometry, table, k, t, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +227,7 @@ def closed_I_gamma(model, geometry, table, t, x, y):
     if Phi(dx) <= 4.0 * A:
         sc = 1
         val = dstar_phi**g * S(2.0 * g, A, B)
-    elif Phi(dy) <= QUARTER_E2 / phi_t:
+    elif near_diagonal(Phi(dy) * phi_t, 1.0, table.quad_rtol):
         sc = 2
         val = S(0.0, A, Phi(dx) / 2.0)
         val += Phi(dx) ** g * S(g, Phi(dx) / 2.0, Phi(dy))
@@ -276,7 +277,6 @@ class EstimateCase:
     """
 
     tag: str
-    kernel: object
     table: object
     model: object
     geometry: object
@@ -285,16 +285,15 @@ class EstimateCase:
     y: float
     horizon_T: float = HORIZON_T
     margin: float = MARGIN
-    conditions: object = None
 
     def __post_init__(self):
         if self.tag not in CASE_TAGS:
             raise DomainError("unknown estimate case tag %r" % (self.tag,))
         # Example 1 is stated for w = s^-beta - delta^-beta on (0, delta]: its
         # regimes and forms read the kernel's beta and delta
-        if self.tag.startswith("example1-") and not isinstance(self.kernel, Truncated):
+        if self.tag.startswith("example1-") and not isinstance(self.table.kernel, Truncated):
             raise DomainError("case tag %r needs a Truncated kernel, got %s"
-                              % (self.tag, type(self.kernel).__name__))
+                              % (self.tag, type(self.table.kernel).__name__))
 
 
 class _Point(NamedTuple):
@@ -327,16 +326,16 @@ _OFF = ("Phi(rho) phi(1/t) > 1/(4e^2)",
 _NEAR_OR_OFF = ("Phi(rho) phi(1/t) outside the margin band around 1/(4e^2)",
                 lambda c, prod: _NEAR[1](c, prod) or _OFF[1](c, prod))
 _LATE = ("t >= T", lambda c, prod: within_bound(c.margin * c.horizon_T, c.t, c.table.quad_rtol))
-_TRUNC_LATE = ("t >= t_f/2", lambda c, prod: within_bound(c.kernel.support_end / 2.0, c.t, c.table.quad_rtol))
-_EX1_EARLY = ("t <= delta/2", lambda c, prod: within_bound(c.t, c.kernel.delta / 2.0, c.table.quad_rtol))
-_EX1_LATE = ("t >= delta/2", lambda c, prod: within_bound(c.kernel.delta / 2.0, c.t, c.table.quad_rtol))
+_TRUNC_LATE = ("t >= t_f/2", lambda c, prod: within_bound(c.table.kernel.support_end / 2.0, c.t, c.table.quad_rtol))
+_EX1_EARLY = ("t <= delta/2", lambda c, prod: within_bound(c.t, c.table.kernel.delta / 2.0, c.table.quad_rtol))
+_EX1_LATE = ("t >= delta/2", lambda c, prod: within_bound(c.table.kernel.delta / 2.0, c.t, c.table.quad_rtol))
 _UNIT_EARLY = ("t <= 1", lambda c, prod: within_bound(c.t, 1.0, c.table.quad_rtol))
 _UNIT_LATE = ("t >= 1", lambda c, prod: within_bound(1.0, c.t, c.table.quad_rtol))
 _BOUNDED = ("diam(D) < inf", lambda c, prod: c.geometry.bounded)
 _LAMBDA_ZERO = ("lambda = 0", lambda c, prod: c.model.lam is None or c.model.lam == 0.0)
 _LAMBDA_POS = ("lambda > 0", lambda c, prod: c.model.lam is not None and c.model.lam > 0.0)
-_SUB = ("(Sub.) certified", lambda c, prod: c.conditions is not None and c.conditions.sub is not None)
-_TRUNC = ("(Trunc.) kernel", lambda c, prod: math.isfinite(c.kernel.support_end))
+_SUB = ("(Sub.) certified", lambda c, prod: c.table.conditions.sub is not None)
+_TRUNC = ("(Trunc.) kernel", lambda c, prod: math.isfinite(c.table.kernel.support_end))
 
 
 def _large_time(near_tag, off_tag, branch):
@@ -411,7 +410,7 @@ def _f_bounded(cls, subexp, case, pt):
     rho_form = delta_star_min_form(expo, pt.rho**2, pt.dx, pt.dy)
     if not subexp:
         return pt.w_t * rho_form * bracket, "large-time bounded"
-    beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
+    beta, theta = case.table.conditions.sub["beta"], case.table.conditions.sub["theta"]
     val = math.exp(-theta * case.t**beta) * rho_form * bracket
     return val, "subexponential large-time"
 
@@ -438,7 +437,7 @@ def _f_exterior(case, pt):
 
 def _f_trunc(cls, case, pt):
     """The (Trunc.) window forms; cls None is the unbounded J2/J3/D2/D3 class."""
-    alpha, d, t, t_f = pt.alpha, pt.d, case.t, case.kernel.support_end
+    alpha, d, t, t_f = pt.alpha, pt.d, case.t, case.table.kernel.support_end
     n_t = math.floor(t / t_f) + 1
     F = partial(F_alpha, cls or "k", alpha)
     expo = _boundary_class(cls or "k", alpha)[0]
@@ -463,7 +462,7 @@ def _f_trunc(cls, case, pt):
 
 def _f_main_near(case, pt):
     m = case.model
-    return J_gamma(m, case.geometry, case.table, case.kernel, m.k, case.t, case.x, case.y), "near-diagonal J form"
+    return J_gamma(m, case.geometry, case.table, m.k, case.t, case.x, case.y), "near-diagonal J form"
 
 
 def _f_main_off(variant, case, pt):
@@ -488,7 +487,7 @@ def _f_main_sub_near(case, pt):
     if not near_diagonal(pt.prod, case.margin, case.table.quad_rtol):
         return _q_ct(case)
     m, t = case.model, case.t
-    beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
+    beta, theta = case.table.conditions.sub["beta"], case.table.conditions.sub["theta"]
     lead = a_gamma_delta(m.gamma, pt.alpha, m.k, t, pt.dx, pt.dy) / m.V_inv_time(t)
     I = boundary_integral(m, m.k, pt.rho**pt.alpha, HALF_E2 / pt.phi_t, pt.dx, pt.dy)
     lower = lead + pt.w_t * I
@@ -498,7 +497,7 @@ def _f_main_sub_near(case, pt):
 
 def _f_main_sub_bounded(case, pt):
     m, t, w_t, alpha = case.model, case.t, pt.w_t, pt.alpha
-    beta, theta = case.conditions.sub["beta"], case.conditions.sub["theta"]
+    beta, theta = case.table.conditions.sub["beta"], case.table.conditions.sub["theta"]
     I = boundary_integral(m, 1, pt.rho**alpha, 2.0 * case.geometry.diam**alpha, pt.dx, pt.dy)
     if beta < 1.0:
         decay = math.exp(-theta * t**beta)
@@ -510,7 +509,7 @@ def _f_main_sub_bounded(case, pt):
 
 
 def _f_main2(bounded, case, pt):
-    m, t, t_f, alpha = case.model, case.t, case.kernel.support_end, pt.alpha
+    m, t, t_f, alpha = case.model, case.t, case.table.kernel.support_end, pt.alpha
     n_t = math.floor(t / t_f) + 1
     past_window = t >= math.floor(m.d / alpha + 2.0 * m.gamma) * t_f
     if bounded and past_window:
@@ -526,7 +525,7 @@ def _f_main2(bounded, case, pt):
 
 
 def _f_example1_small(case, pt):
-    alpha, d, t, rho, beta = pt.alpha, pt.d, case.t, pt.rho, case.kernel.beta
+    alpha, d, t, rho, beta = pt.alpha, pt.d, case.t, pt.rho, case.table.kernel.beta
     if rho <= t ** (beta / alpha):
         if d < alpha:
             return t ** (-beta * d / alpha), "on-diagonal d<alpha"
@@ -544,7 +543,7 @@ def _f_example1_small(case, pt):
 
 
 def _f_example1_large(case, pt):
-    alpha, d, t, rho, delta = pt.alpha, pt.d, case.t, pt.rho, case.kernel.delta
+    alpha, d, t, rho, delta = pt.alpha, pt.d, case.t, pt.rho, case.table.kernel.delta
     n_t = math.floor(t / delta) + 1
     if rho**alpha > t:
         if not _diffusive(case):
@@ -652,7 +651,7 @@ def theorem_estimate(case):
     m = case.model
     rho, dx, dy = geometry_probe(case.geometry, case.x, case.y)
     phi_t = case.table.phi(1.0 / case.t)
-    pt = _Point(m.alpha, m.d, rho, dx, dy, phi_t, 1.0 / phi_t, float(case.kernel.w(case.t)),
+    pt = _Point(m.alpha, m.d, rho, dx, dy, phi_t, 1.0 / phi_t, float(case.table.kernel.w(case.t)),
                 rho**m.alpha * phi_t)
     failed = regime_failure(case, phi_t)
     if failed is not None:

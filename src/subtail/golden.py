@@ -26,14 +26,7 @@ from .errors import RegimeError
 from .estimates import EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma, theorem_estimate
 from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
 from .heat_kernel import Geometry, HKModel, a_gamma_delta
-from .kernels import (
-    DistributedOrder,
-    Subexp,
-    Tabulated,
-    Truncated,
-    caputo,
-    check_conditions,
-)
+from .kernels import DistributedOrder, Subexp, Tabulated, Truncated, caputo
 from .simulate import (
     SimConfig,
     exact_stable_sampler,
@@ -168,13 +161,13 @@ def crit_3_mc_vs_closed_form(seed=GOLDEN_SEED):
 C4_SPREAD = 10.0  # criterion 4's spread budget, which _tail_ratio_grid checks
 
 
-def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
+def _tail_ratio_grid(tab, t_vals, seed, n_paths):
     """MC tails P(S_r >= t) against the ``tail_bounds`` form r w(t) and the
     universal lower bound at L = r phi(1/t), on r = 0.1, 0.3 and 1 times the
     classifier's margin edge.  Returns the ratio report and whether every
     point clears the lower bound; a point outside the r w(t) form leaves the
     criterion without a prediction, so it fails with an infinite spread."""
-    conditions = check_conditions(kern)
+    kern = tab.kernel
     obs, pred, ses, coords = [], [], [], []
     lower_ok = True
     for i, t in enumerate(t_vals):
@@ -182,12 +175,12 @@ def _tail_ratio_grid(kern, tab, t_vals, seed, n_paths):
         r_edge = QUARTER_E2 / (MARGIN * phi_t)
         for j, frac in enumerate((0.1, 0.3, 1.0)):
             r = frac * r_edge
-            form = upper_bound_form(kern, tab, r, t, conditions=conditions)
+            form = upper_bound_form(tab, r, t)
             if form.get("form") != "r*w(t)":
                 return RatioReport("", 0, math.nan, math.nan, math.inf, C4_SPREAD, False), False
             cfg = SimConfig(cutoff_eps=min(1e-4, t * 1e-3), n_paths=n_paths, seed=seed + 37 * i + j)
             est = tail_estimate(kern, sample_S_at(kern, cfg, r), t, "upper")
-            lower = lower_bound_universal(tab, kern, r, t, r * phi_t)
+            lower = lower_bound_universal(tab, r, t, r * phi_t)
             lower_ok = lower_ok and est.p_hat + 3.0 * est.se >= lower
             obs.append(est.p_hat)
             pred.append(form["value"])
@@ -206,8 +199,8 @@ def crit_4_tail_two_sidedness(tables, seed=GOLDEN_SEED):
         ("truncated", Truncated(beta=0.5, delta=1.0, scale=1.0), (0.06, 0.12, 0.24)),
     ):
         tab = tables(kern, points_per_decade=24)
-        rep, lower_ok = _tail_ratio_grid(kern, tab, t_vals, seed, 100_000)
-        rep2, lower_ok2 = _tail_ratio_grid(kern, tab, t_vals, seed + 1000, 200_000)
+        rep, lower_ok = _tail_ratio_grid(tab, t_vals, seed, 100_000)
+        rep2, lower_ok2 = _tail_ratio_grid(tab, t_vals, seed + 1000, 200_000)
         stable = rep.passed == rep2.passed
         results[name] = {
             "spread": rep.spread,
@@ -389,17 +382,16 @@ def mainsmall_report(tab, tag, resolution, budget, values=None):
     m = HKModel("J1", alpha=1.0, d=1.0)
     g = Geometry("interval", 1.0)
     margin = C8_MARGINS[tag]
-    pts = regime_grid(tag, kern, tab, m, g, resolution=resolution, margin=margin,
-                      t_window=(1e-3, 0.1))
+    pts = regime_grid(tag, tab, m, g, resolution=resolution, margin=margin, t_window=(1e-3, 0.1))
     values = {} if values is None else values
     for (t, x, y) in pts:
         if (t, x, y) in values:
             continue
         obs = p_quadrature(SolutionRequest(kern, m, g, t, x, y)).value
         if tag == "mainsmall-i":
-            values[t, x, y] = obs, J_gamma(m, g, tab, kern, m.k, t, x, y)
+            values[t, x, y] = obs, J_gamma(m, g, tab, m.k, t, x, y)
         else:
-            case = EstimateCase(tag, kern, tab, m, g, t, x, y, margin=margin)
+            case = EstimateCase(tag, tab, m, g, t, x, y, margin=margin)
             values[t, x, y] = obs, theorem_estimate(case)["value"]
     obs, pred = zip(*(values[pt] for pt in pts))
     return two_sided_check(np.array(obs), np.array(pred), budget, case=tag)
@@ -497,10 +489,10 @@ def crit_10_diagonal_finiteness(tables):
     probe_bad = diagonal_probe(kern, m, 1.5)
     probe_good = diagonal_probe(kern, m, 2.5)
     seq = [
-        theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 1.5, 0.0, eps))["value"]
+        theorem_estimate(EstimateCase("example1-large", tab, m, g, 1.5, 0.0, eps))["value"]
         for eps in (1e-3, 1e-9, 1e-15)
     ]
-    diag_val = theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 2.5, 0.0, 0.0))
+    diag_val = theorem_estimate(EstimateCase("example1-large", tab, m, g, 2.5, 0.0, 0.0))
     ok = (
         probe_bad["verdict"] == "diverged"
         and probe_good["verdict"] == "converged"

@@ -84,6 +84,10 @@ __all__ = [
 ]
 
 _MAX_EXPECTED_JUMPS = 4e8  # across all paths; beyond this, ask for a larger eps
+# per path of an E_t walk: it makes one numpy round per jump of its longest path,
+# which the total does not bound when paths are few (3.9 s CPU at 5e4 per path
+# for 1/2-Caputo at eps 1e-2 and 100 paths on a 2-CPU x86 host)
+_MAX_WALK_JUMPS = 1e5
 _JUMP_BLOCK = 1 << 15  # jumps held at once by an S_r sampler, unless one path has more
 _KAPPA_RTOL = 1e-12  # target of the two checked integrals of kappa
 
@@ -347,7 +351,8 @@ def sample_E_t(kernel, config, t):
     drift segment is resolved analytically, a crossing by a jump happens at
     the jump's epoch.  Paths that have not crossed within
     r <= 1e6/phi(1/t) are censored at the budget and flagged.  A walk whose
-    paths expect more than _MAX_EXPECTED_JUMPS jumps in all is refused.
+    paths expect more than _MAX_EXPECTED_JUMPS jumps in all, or more than
+    _MAX_WALK_JUMPS each, is refused.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("the level must be a positive finite number")
@@ -358,7 +363,10 @@ def sample_E_t(kernel, config, t):
         raise DomainError("kernel has no jump activity above eps=%g" % eps)
     phi_t = _phi_proxy(kernel, 1.0 / t)
     # a path walks ~ w(eps) E_t jumps, with E_t of order 1/phi(1/t)
-    _check_jump_budget(config, w_eps / phi_t)
+    per_path = w_eps / phi_t
+    _check_jump_budget(config, per_path)
+    if per_path > _MAX_WALK_JUMPS:
+        raise DomainError("expected %.2g jumps per path for eps=%g; raise cutoff_eps" % (per_path, eps))
     budget = 1e6 / phi_t
     rng = _rng(config.seed, 2)
     n = config.n_paths

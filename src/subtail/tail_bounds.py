@@ -25,8 +25,11 @@ Lower bounds:
 The regime inequality r phi(1/t) vs 1/(4e^2), which the heat-kernel
 estimates reuse with r = Phi(rho) (near_diagonal / off_diagonal), its tie
 rule (within_bound) and the classifier's constants are defined here and
-nowhere else.  The tail-regime table maps each tag to the structural
-condition it needs, its predicates and its form.
+nowhere else; r_0's cap and the closed forms' scenario split test it by
+near_diagonal too.  The tail-regime table maps each tag to the structural
+condition it needs, its predicates and its form.  Every bound reads w and
+the kernel's conditions from its BernsteinTable (``table.kernel``,
+``table.conditions``), never from arguments beside it.
 
 Regime classification applies a margin factor of 2 to every boundary
 inequality, because the statements are asymptotic near their boundaries and
@@ -43,7 +46,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import RangeError, RegimeError
-from .kernels import check_conditions
 
 __all__ = [
     "QUARTER_E2",
@@ -100,61 +102,58 @@ def off_diagonal(prod, margin, rtol):
     return not within_bound(prod, margin * QUARTER_E2, rtol)
 
 
-_R0 = weakref.WeakKeyDictionary()  # table -> {t_f: r_0}
+_R0 = weakref.WeakKeyDictionary()  # table -> r_0
 
 
-def truncated_small_r_threshold(table, kernel):
-    """r_0 with r phi(1/r) <= 1/(4e^2) and r <= t_f/6 for all r <= r_0.
+def truncated_small_r_threshold(table):
+    """r_0 of the table's truncated kernel: r phi(1/r) <= 1/(4e^2) and
+    r <= t_f/6 for all r <= r_0.
 
-    r phi(1/r) = phi(lam)/lam at lam = 1/r falls as lam grows, so below the
-    cap t_f/6 r_0 is 1/lam at the root of 1/(4e^2) - phi(lam)/lam, found by
-    the table's root finder from the grid cell its probes pick, without
-    building the grid.  r_0 depends only on the table's phi and on t_f, so
-    the root is solved once per (table, t_f) and later calls return the
-    remembered value.
+    r phi(1/r) = phi(lam)/lam at lam = 1/r falls as lam grows, so r_0 is the
+    cap t_f/6 when the cap passes ``near_diagonal``, else 1/lam at the root
+    of 1/(4e^2) - phi(lam)/lam, found by the table's root finder from the
+    grid cell its probes pick, without building the grid.  r_0 depends only
+    on the table, so the root is solved once per table and later calls
+    return the remembered value.
     """
-    t_f = kernel.support_end
-    known = _R0.setdefault(table, {})
-    if t_f not in known:
-        r0 = t_f / 6.0
-        if r0 * table.phi(1.0 / r0) > QUARTER_E2:
+    if table not in _R0:
+        r0 = table.kernel.support_end / 6.0
+        if not near_diagonal(r0 * table.phi(1.0 / r0), 1.0, table.quad_rtol):
             r0 = 1.0 / table._root(lambda lam: QUARTER_E2 - table.phi(lam) / lam)
-        known[t_f] = r0
-    return known[t_f]
+        _R0[table] = r0
+    return _R0[table]
 
 
 class _TailPoint(NamedTuple):
     """What every predicate and form shares; rp is r phi(1/t), r0 the
     truncated small-r threshold (None unless the kernel is truncated)."""
 
-    kernel: object
-    conditions: object
+    table: object
     r: float
     t: float
     rp: float
     r0: float | None
-    rtol: float
 
 
 def _edge(value):
     """The predicate value(p) <= 1/MARGIN under the tie rule."""
-    return lambda p: within_bound(value(p), 1.0 / MARGIN, p.rtol)
+    return lambda p: within_bound(value(p), 1.0 / MARGIN, p.table.quad_rtol)
 
 
 def _near(p):
-    return near_diagonal(p.rp, MARGIN, p.rtol)
+    return near_diagonal(p.rp, MARGIN, p.table.quad_rtol)
 
 
-_SMALL_T = _edge(lambda p: p.t / p.conditions.spoly["t_s"])
+_SMALL_T = _edge(lambda p: p.t / p.table.conditions.spoly["t_s"])
 _LATE = _edge(lambda p: HORIZON_T / p.t)
 _SMALL_R_OVER_T = _edge(lambda p: (p.r / p.t) / SUB_L)
-_TRUNC_LATE = _edge(lambda p: p.conditions.trunc["t_f"] / (2.0 * p.t))
+_TRUNC_LATE = _edge(lambda p: p.table.conditions.trunc["t_f"] / (2.0 * p.t))
 _BELOW_R0 = _edge(lambda p: p.r / p.r0)
 _ABOVE_R0 = _edge(lambda p: p.r0 / p.r)
 
 
 def _poly_form(p):
-    return {"form": "r*w(t)", "value": p.r * float(p.kernel.w(p.t))}
+    return {"form": "r*w(t)", "value": p.r * float(p.table.kernel.w(p.t))}
 
 
 def _scaled_exp(p, form, scale, exponent):
@@ -170,7 +169,7 @@ def _scaled_exp(p, form, scale, exponent):
 
 
 def _subexp_form(p):
-    beta, theta = p.conditions.sub["beta"], p.conditions.sub["theta"]
+    beta, theta = p.table.conditions.sub["beta"], p.table.conditions.sub["theta"]
     out = {"form": "r*exp(-theta/2 t^beta)", "value": p.r * math.exp(-0.5 * theta * p.t**beta)}
     if beta < 1.0:
         sharp = "r*exp(-theta t^beta + k r)"
@@ -180,7 +179,7 @@ def _subexp_form(p):
 
 
 def _truncated_small_r_form(p):
-    t_f = p.conditions.trunc["t_f"]
+    t_f = p.table.conditions.trunc["t_f"]
     n = math.floor(p.t / t_f) + 1
     gap = n * t_f - p.t
     form = "[r+(n t_f - t)^n] r^n exp(-c t log t)"
@@ -218,14 +217,12 @@ _TAIL_REGIMES = {
 }
 
 
-def _point(kernel, table, r, t, conditions):
-    if conditions is None:
-        conditions = check_conditions(kernel)
-    r0 = None if conditions.trunc is None else truncated_small_r_threshold(table, kernel)
-    return _TailPoint(kernel, conditions, r, t, r * table.phi(1.0 / t), r0, table.quad_rtol)
+def _point(table, r, t):
+    r0 = None if table.conditions.trunc is None else truncated_small_r_threshold(table)
+    return _TailPoint(table, r, t, r * table.phi(1.0 / t), r0)
 
 
-def lower_bound_universal(table, kernel, r, t, L):
+def lower_bound_universal(table, r, t, L):
     """Universal lower bound e^{-eL} r w(t), valid whenever r phi(1/t) <= L.
 
     The edge r phi(1/t) = L is admitted by the tie rule of ``within_bound``.
@@ -233,22 +230,22 @@ def lower_bound_universal(table, kernel, r, t, L):
     rp = r * table.phi(1.0 / t)
     if not within_bound(rp, L, table.quad_rtol):
         raise RegimeError("universal lower bound needs r phi(1/t) = %g <= L = %g" % (rp, L))
-    return math.exp(-math.e * L) * r * float(kernel.w(t))
+    return math.exp(-math.e * L) * r * float(table.kernel.w(t))
 
 
-def upper_bound_form(kernel, table, r, t, conditions=None):
-    """Structural upper bound for P(S_r >= t) at (r, t).
+def upper_bound_form(table, r, t):
+    """Structural upper bound for P(S_r >= t) at (r, t) for the table's kernel.
 
-    A regime admits (r, t) when the kernel satisfies its structural
+    A regime admits (r, t) when ``table.conditions`` certifies its structural
     condition and every predicate holds under the tie rule ``within_bound``.
     Returns the form of the unique admissible regime (free constant left at
     1), with the admitting tags under "regimes".  Points admitted by several
     regimes are fine only when the forms coincide structurally; otherwise the
     result is the tag "unclassified", never a guess.
     """
-    p = _point(kernel, table, r, t, conditions)
+    p = _point(table, r, t)
     tags = [tag for tag, (needs, predicates, _) in _TAIL_REGIMES.items()
-            if getattr(p.conditions, needs) is not None and all(test(p) for test in predicates)]
+            if getattr(table.conditions, needs) is not None and all(test(p) for test in predicates)]
     if not tags:
         return {"tag": "unclassified", "reason": "no regime admits (r=%g, t=%g)" % (r, t)}
     vals = [{"tag": tag, **_TAIL_REGIMES[tag][2](p)} for tag in tags]

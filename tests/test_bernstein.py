@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -758,10 +759,22 @@ class TestLockstepInvert:
         assert len(made) == 5
         assert not any("phi_grid" in vars(tab) for tab in made)
 
+    def test_conditions_are_the_kernels_certified_once_per_table(self, monkeypatch):
+        calls = []
+        real = bernstein.check_conditions
+        monkeypatch.setattr(bernstein, "check_conditions", lambda k: calls.append(k) or real(k))
+        made = [BernsteinTable(k, points_per_decade=8) for k in builtin_kernel_set().values()]
+        for tab in made:
+            first = tab.conditions
+            assert tab.conditions is first
+            assert asdict(first) == asdict(real(tab.kernel))
+            assert "phi_grid" not in vars(tab)
+        assert calls == [tab.kernel for tab in made]
+
     def test_truncated_r0_builds_no_grid_and_keeps_its_bits(self):
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
         fresh, ref = BernsteinTable(k), BernsteinTable(k)
-        r0 = truncated_small_r_threshold(fresh, k)
+        r0 = truncated_small_r_threshold(fresh)
         assert "phi_grid" not in vars(fresh)
         root = _grid_root(ref, QUARTER_E2 - ref.phi_grid / ref.lam_grid,
                           lambda lam: QUARTER_E2 - ref.phi(lam) / lam)

@@ -82,33 +82,32 @@ class TestExpFit:
 
 @pytest.fixture(scope="module")
 def setup():
-    k = caputo(0.5)
-    tab = BernsteinTable(k, points_per_decade=16)
+    tab = BernsteinTable(caputo(0.5), points_per_decade=16)
     m = HKModel("J1", alpha=1.0, d=1.0)
     g = Geometry("interval", 1.0)
-    return k, tab, m, g
+    return tab, m, g
 
 
 class TestRegimeGrid:
 
     def test_near_and_off_are_disjoint(self, setup):
-        k, tab, m, g = setup
-        near = set(regime_grid("mainsmall-i", k, tab, m, g, resolution=6))
-        off = set(regime_grid("mainsmall-ii-a", k, tab, m, g, resolution=6))
+        tab, m, g = setup
+        near = set(regime_grid("mainsmall-i", tab, m, g, resolution=6))
+        off = set(regime_grid("mainsmall-ii-a", tab, m, g, resolution=6))
         assert near and off
         assert not near & off
 
     def test_near_predicate_margin(self, setup):
-        k, tab, m, g = setup
-        pts = regime_grid("mainsmall-i", k, tab, m, g, resolution=6, margin=2.0)
+        tab, m, g = setup
+        pts = regime_grid("mainsmall-i", tab, m, g, resolution=6, margin=2.0)
         for t, x, y in pts:
             prod = abs(x - y) ** m.alpha * tab.phi(1.0 / t)
             assert prod <= 1.0 / (8.0 * math.e**2) * (1.0 + 1e-12)
 
     def test_refinement_is_superset(self, setup):
-        k, tab, m, g = setup
-        coarse = set(regime_grid("mainsmall-i", k, tab, m, g, resolution=6))
-        fine = set(regime_grid("mainsmall-i", k, tab, m, g, resolution=11))
+        tab, m, g = setup
+        coarse = set(regime_grid("mainsmall-i", tab, m, g, resolution=6))
+        fine = set(regime_grid("mainsmall-i", tab, m, g, resolution=11))
         # 2n-1 point refinement of each axis keeps the coarse t-nodes;
         # spatial pairs follow the same nesting
         coarse_t = {t for t, _, _ in coarse}
@@ -116,9 +115,9 @@ class TestRegimeGrid:
         assert coarse_t <= fine_t
 
     def test_empty_set_is_an_error(self, setup):
-        k, tab, m, g = setup
+        tab, m, g = setup
         with pytest.raises(RegimeError):
-            regime_grid("mainsmall-ii-a", k, tab, m, g, resolution=4, t_window=(1e6, 1e7))
+            regime_grid("mainsmall-ii-a", tab, m, g, resolution=4, t_window=(1e6, 1e7))
 
 
 class TestCriterion8Reuse:
@@ -150,6 +149,6 @@ class TestCriterion8Reuse:
         tab = golden.half_caputo_table(golden.TableCache())
         m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
         for tag, margin in golden.C8_MARGINS.items():
-            coarse, fine = (regime_grid(tag, tab.kernel, tab, m, g, resolution=res, margin=margin,
+            coarse, fine = (regime_grid(tag, tab, m, g, resolution=res, margin=margin,
                                         t_window=(1e-3, 0.1)) for res in (8, 15))
             assert set(coarse) <= set(fine)

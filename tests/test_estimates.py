@@ -18,7 +18,8 @@ from subtail.estimates import (
 )
 from subtail.heat_kernel import Geometry, HKModel
 from subtail.golden import builtin_kernel_set
-from subtail.kernels import Truncated, caputo, check_conditions
+from subtail.kernels import Truncated, caputo
+from subtail.tail_bounds import QUARTER_E2
 
 INF = math.inf
 
@@ -113,11 +114,10 @@ class TestIGamma:
         assert I_gamma_quadrature(m, g, half_table, 1, 1e-8, 1.0, 5.0) == 0.0
 
     def test_J_dominates_first_term(self, half_table):
-        k = caputo(0.5)
         m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.5, lam=0.0, k=1)
         g = Geometry("interval", 1.0)
         t = 1e4
-        first = J_gamma(m, g, half_table, k, 1, t, 0.4, 0.5)
+        first = J_gamma(m, g, half_table, 1, t, 0.4, 0.5)
         assert first >= 0.0
         # J >= leading term alone (w(t) I >= 0)
         phi_inv = 1.0 / half_table.phi(1.0 / t)
@@ -202,6 +202,18 @@ class TestClosedIGamma:
         assert v == v0
         assert q == pytest.approx(q0, rel=0.05)
 
+    def test_sc2_split_follows_the_tie_rule(self, half_table):
+        # Phi(delta_y) phi(1/t) 1e-12 relative past 1/(4e^2) is inside phi's
+        # certified error, so the closed Sc.2 band keeps it; 1e-8 past is Sc.3
+        m = HKModel("HK_J", alpha=1.0, d=2.0, gamma=0.5, lam=0.0, k=1)
+        g = Geometry("half-line")
+        t = 1e4
+        phi_t = half_table.phi(1.0 / t)
+        for rel, scenario in ((1e-12, "Sc.2"), (1e-8, "Sc.3")):
+            y = QUARTER_E2 * (1.0 + rel) / phi_t
+            assert y * phi_t > QUARTER_E2
+            assert closed_I_gamma(m, g, half_table, t, 0.9 * y, y)[2] == scenario
+
 
 class TestSp:
     def test_log_case(self):
@@ -236,11 +248,10 @@ class TestSp:
 
 class TestTheoremEstimate:
     def test_example1_small_on_diagonal(self, half_table):
-        kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        tab = BernsteinTable(kern, points_per_decade=16)
+        tab = BernsteinTable(Truncated(beta=0.5, delta=1.0, scale=1.0), points_per_decade=16)
         m = HKModel("D2", alpha=2.0, d=1.0)
         g = Geometry("free")
-        case = EstimateCase("example1-small", kern, tab, m, g, 0.25, 0.0, 0.05)
+        case = EstimateCase("example1-small", tab, m, g, 0.25, 0.0, 0.05)
         out = theorem_estimate(case)
         assert out["branch"] == "on-diagonal d<alpha"
         assert out["value"] == pytest.approx(0.25**-0.25, rel=1e-12)
@@ -248,60 +259,55 @@ class TestTheoremEstimate:
 
     def test_example1_finiteness_threshold(self):
         # d=2, alpha=1, delta=1: p(t,x,x) < inf iff t >= 2
-        kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        tab = BernsteinTable(kern, points_per_decade=16)
+        tab = BernsteinTable(Truncated(beta=0.5, delta=1.0, scale=1.0), points_per_decade=16)
         m = HKModel("HK_J", alpha=1.0, d=2.0, gamma=0.0, lam=0.0, k=1)
         g = Geometry("free")
         # below the threshold the log-window branch grows without bound
         vals = [
-            theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 1.5, 0.0, eps))
+            theorem_estimate(EstimateCase("example1-large", tab, m, g, 1.5, 0.0, eps))
             for eps in (1e-3, 1e-9, 1e-15)
         ]
         assert all(v["branch"] == "log window" for v in vals)
         assert vals[0]["value"] < vals[1]["value"] < vals[2]["value"]
         # above the threshold the diagonal value is finite even at rho = 0
-        fine = theorem_estimate(EstimateCase("example1-large", kern, tab, m, g, 2.5, 0.0, 0.0))
+        fine = theorem_estimate(EstimateCase("example1-large", tab, m, g, 2.5, 0.0, 0.0))
         assert fine["branch"] == "diagonal-regular"
         assert fine["value"] == pytest.approx(2.5**-2.0, rel=1e-12)
 
     def test_main2_weight_arithmetic(self):
-        kern = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        tab = BernsteinTable(kern, points_per_decade=16)
+        tab = BernsteinTable(Truncated(beta=0.5, delta=1.0, scale=1.0), points_per_decade=16)
         m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.5, lam=0.0, k=1)
         g = Geometry("half-line")
         t = 1.75
         n_t = math.floor(t / 1.0) + 1
         assert n_t == 2
         assert (n_t * 1.0 - t) ** n_t == pytest.approx(0.0625)
-        out = theorem_estimate(EstimateCase("main2-i", kern, tab, m, g, t, 3.0, 3.2))
+        out = theorem_estimate(EstimateCase("main2-i", tab, m, g, t, 3.0, 3.2))
         assert "n_t=2" in out["branch"]
         assert out["value"] > 0.0
 
     def test_mainlarge_ii_divergent_diagonal_is_quadrature_error(self):
         # on the diagonal rho = 0, and for J1 (d = alpha) the boundary integral
         # from Phi(rho) = 0 diverges like int_0 dr/r
-        kern = builtin_kernel_set()["distributed"]
-        tab = BernsteinTable(kern, points_per_decade=24)
+        tab = BernsteinTable(builtin_kernel_set()["distributed"], points_per_decade=24)
         m = HKModel("J1", alpha=1.0, d=1.0)
         g = Geometry("interval", 1.0)
         with pytest.raises(QuadratureError):
-            theorem_estimate(EstimateCase("mainlarge-ii", kern, tab, m, g, 9.0, 0.3, 0.3))
+            theorem_estimate(EstimateCase("mainlarge-ii", tab, m, g, 9.0, 0.3, 0.3))
 
     def test_mainsmall_regime_guard(self, half_table):
-        kern = caputo(0.5)
         m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.5, lam=0.0, k=1)
         g = Geometry("interval", 1.0)
         with pytest.raises(RegimeError, match="4e"):
-            theorem_estimate(EstimateCase("mainsmall-i", kern, half_table, m, g, 1e-9, 0.2, 0.8))
+            theorem_estimate(EstimateCase("mainsmall-i", half_table, m, g, 1e-9, 0.2, 0.8))
 
     def test_mainsmall_offdiag_diffusion_value(self, half_table):
         from subtail.bernstein import calN
 
-        kern = caputo(0.5)
         m = HKModel("HK_D", alpha=2.0, d=1.0, gamma=0.0, lam=0.0, k=1)
         g = Geometry("free")
         t, x, y = 0.01, 0.0, 5.0
-        out = theorem_estimate(EstimateCase("mainsmall-ii-b", kern, half_table, m, g, t, x, y))
+        out = theorem_estimate(EstimateCase("mainsmall-ii-b", half_table, m, g, t, x, y))
         inv = 1.0 / half_table.phi(1.0 / t)
         want = math.exp(-calN(half_table, m.alpha, t, 5.0)) / inv ** (1.0 / 2.0)
         assert out["value"] == pytest.approx(want, rel=1e-9)
@@ -309,14 +315,10 @@ class TestTheoremEstimate:
     def test_specialsub_two_sided(self):
         from subtail.kernels import Subexp
 
-        kern = Subexp(beta=0.5, theta=1.0)
-        tab = BernsteinTable(kern, points_per_decade=16)
-        rep = check_conditions(kern, points_per_decade=16)
+        tab = BernsteinTable(Subexp(beta=0.5, theta=1.0), points_per_decade=16)
         m = HKModel("J1", alpha=1.0, d=1.0)
         g = Geometry("interval", 1.0)
-        out = theorem_estimate(
-            EstimateCase("specialsub-i", kern, tab, m, g, 9.0, 0.3, 0.5, conditions=rep)
-        )
+        out = theorem_estimate(EstimateCase("specialsub-i", tab, m, g, 9.0, 0.3, 0.5))
         assert out["value"] > 0.0
         assert "subexponential" in out["branch"]
 

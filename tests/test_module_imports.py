@@ -7,8 +7,9 @@ module's ``__all__`` is read somewhere in the package, no module imports
 scipy and the runtime dependencies are numpy alone, and neither importing
 the CLI, nor a half-Caputo ``fundsol`` run, nor the callers of Gamma, erf
 and erfc and a ``tails`` run on each built-in kernel, nor Subexp's moments
-beyond s = 1, loads scipy (nor the first two jsonschema), and every layer
-benchmark under ``benchmarks/`` imports.
+beyond s = 1, loads scipy (nor the first two jsonschema), every layer
+benchmark under ``benchmarks/`` imports, and no signature or record takes a
+kernel or its conditions beside the BernsteinTable that holds them.
 
 The modules are parsed, not imported, so a banned import is found even in
 a branch no test runs; the checks of loaded modules run in a fresh
@@ -343,3 +344,34 @@ def test_every_exported_name_has_a_caller_in_the_package():
             if name not in own and not any(name in refs[o] for o in trees if o != mod):
                 uncalled.append((mod, name))
     assert sorted(set(uncalled) - _AWAITING_A_CALLER) == []
+
+
+# the names a kernel, its certified conditions and a BernsteinTable go by
+_HELD_BY_A_TABLE = {"kernel", "kern", "conditions"}
+_TABLE = {"table", "tab"}
+
+
+def _fields(node):
+    """The parameters of a function, or the annotated fields of a class (a
+    dataclass's or a NamedTuple's); None for any other node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        return {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+    if isinstance(node, ast.ClassDef):
+        return {stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+    return None
+
+
+def test_a_table_is_the_one_handle_on_its_kernel():
+    # a BernsteinTable holds its kernel and the kernel's conditions, so a
+    # kernel or conditions passed beside it could only disagree with them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = _fields(node)
+            if names and names & _TABLE and names & _HELD_BY_A_TABLE:
+                found.append((path.stem, node.lineno, sorted(names & (_TABLE | _HELD_BY_A_TABLE))))
+            if isinstance(node, ast.Call) and any(kw.arg == "conditions" for kw in node.keywords):
+                found.append((path.stem, node.lineno, "conditions="))
+    assert found == []

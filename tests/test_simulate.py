@@ -170,6 +170,21 @@ class TestSampleEt:
         with pytest.raises(DomainError, match=r"expected 5e\+152 jumps .*raise cutoff_eps"):
             sample_E_t(k, SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1), 1e300)
 
+    def test_walk_budget_per_path_refuses_a_long_walk_of_few_paths(self, monkeypatch):
+        # the walk makes one round per jump of its longest path, so 100 paths
+        # expecting ~5e5 jumps each (5e7 in all, inside the total budget) are
+        # refused before any draw; t = 1e6 (~5e3 each) still walks
+        k = caputo(0.5)
+        cfg = SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1)
+        assert sample_E_t(k, cfg, 1e6).n_paths == 100
+
+        def no_draw(*args):
+            raise AssertionError("the walk began")
+
+        monkeypatch.setattr(simulate, "inverse_w_vec", no_draw)
+        with pytest.raises(DomainError, match=r"expected 5e\+05 jumps per path .*raise cutoff_eps"):
+            sample_E_t(k, cfg, 1e10)
+
     def test_determinism(self):
         k = caputo(0.5)
         a = sample_E_t(k, CFG, 1.0).values

@@ -4,12 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from subtail import golden
+from subtail import bernstein, golden
 from subtail.bernstein import BernsteinTable
 from subtail.errors import RangeError, RegimeError
-from subtail.kernels import Subexp, Truncated, caputo, check_conditions
+from subtail.kernels import Subexp, Truncated, caputo
 from subtail.simulate import SimConfig, sample_S_at, tail_estimate
 from subtail.tail_bounds import (
+    QUARTER_E2,
     lower_bound_universal,
     lower_tail_bounds,
     truncated_small_r_threshold,
@@ -23,40 +24,36 @@ def caputo_table():
 
 
 @pytest.fixture(scope="module")
-def trunc_pair():
-    k = Truncated(beta=0.5, delta=1.0, scale=1.0)
-    return k, BernsteinTable(k, points_per_decade=24), check_conditions(k, points_per_decade=16)
+def trunc_table():
+    return BernsteinTable(Truncated(beta=0.5, delta=1.0, scale=1.0), points_per_decade=24)
 
 
 class TestUniversalLower:
     def test_hand_value(self, caputo_table):
-        k = caputo(0.5)
-        got = lower_bound_universal(caputo_table, k, 0.01, 1.0, L=0.01)
+        got = lower_bound_universal(caputo_table, 0.01, 1.0, L=0.01)
         want = math.exp(-0.01 * math.e) * 0.01 / math.sqrt(math.pi)
         assert got == pytest.approx(want, rel=1e-10)
         assert want == pytest.approx(0.0054905, rel=1e-4)
 
     def test_linear_in_r(self, caputo_table):
-        k = caputo(0.5)
-        v1 = lower_bound_universal(caputo_table, k, 1e-4, 1.0, L=0.01)
-        v2 = lower_bound_universal(caputo_table, k, 1e-5, 1.0, L=0.01)
+        v1 = lower_bound_universal(caputo_table, 1e-4, 1.0, L=0.01)
+        v2 = lower_bound_universal(caputo_table, 1e-5, 1.0, L=0.01)
         assert v1 / v2 == pytest.approx(10.0, rel=1e-9)
 
     def test_regime_error_names_inequality(self, caputo_table):
         with pytest.raises(RegimeError, match="r phi"):
-            lower_bound_universal(caputo_table, caputo(0.5), 10.0, 1.0, L=0.01)
+            lower_bound_universal(caputo_table, 10.0, 1.0, L=0.01)
 
     def test_tie_rule_at_edge(self, caputo_table):
         # r phi(1/t) = L up to rounding is on the closed regime; a real excess
         # of 1e-6 relative is far above phi's certified error and is refused
-        k = caputo(0.5)
         L = 0.05
         for t in (0.01, 0.25, 0.7, 1.0, 3.0, 40.0):
             r = L / caputo_table.phi(1.0 / t)
             for r_edge in (r, np.nextafter(r, np.inf)):
-                assert lower_bound_universal(caputo_table, k, r_edge, t, L=L) > 0.0
+                assert lower_bound_universal(caputo_table, r_edge, t, L=L) > 0.0
             with pytest.raises(RegimeError, match="r phi"):
-                lower_bound_universal(caputo_table, k, r * (1.0 + 1e-6), t, L=L)
+                lower_bound_universal(caputo_table, r * (1.0 + 1e-6), t, L=L)
 
     def test_mc_dominance(self, caputo_table):
         # the MC estimate must sit above the bound minus noise
@@ -65,55 +62,47 @@ class TestUniversalLower:
         for t in (0.25, 1.0):
             L = 0.05
             r = L / caputo_table.phi(1.0 / t)
-            bound = lower_bound_universal(caputo_table, k, r, t, L=L)
+            bound = lower_bound_universal(caputo_table, r, t, L=L)
             est = tail_estimate(k, sample_S_at(k, cfg, r), t, "upper")
             assert est.p_hat + 3.0 * est.se >= bound
 
 
 class TestUpperBoundForm:
     def test_caputo_small_time_form(self, caputo_table):
-        k = caputo(0.5)
         t = 0.25
         r = 0.9 / (8.0 * math.e**2 * caputo_table.phi(1.0 / t))
-        out = upper_bound_form(k, caputo_table, r, t)
+        out = upper_bound_form(caputo_table, r, t)
         assert out["form"] == "r*w(t)"
         assert out["value"] == pytest.approx(r * 2.0 / math.sqrt(math.pi), rel=1e-9)
 
-    def test_truncated_weight_example(self, trunc_pair):
-        k, tab, rep = trunc_pair
-        r0 = truncated_small_r_threshold(tab, k)
+    def test_truncated_weight_example(self, trunc_table):
+        r0 = truncated_small_r_threshold(trunc_table)
         r = r0 / 4.0
-        out = upper_bound_form(k, tab, r, 1.75, conditions=rep)
+        out = upper_bound_form(trunc_table, r, 1.75)
         assert out["tag"] == "truncated-small-r"
         assert out["n_t"] == 2
         want = (r + 0.25**2) * r**2 * math.exp(-1.75 * math.log(1.75))
         assert out["value"] == pytest.approx(want, rel=1e-12)
 
     def test_subexp_form(self):
-        k = Subexp(beta=0.5, theta=1.0)
-        tab = BernsteinTable(k, points_per_decade=16)
-        rep = check_conditions(k, points_per_decade=16)
-        out = upper_bound_form(k, tab, 0.1, 9.0, conditions=rep)
+        tab = BernsteinTable(Subexp(beta=0.5, theta=1.0), points_per_decade=16)
+        out = upper_bound_form(tab, 0.1, 9.0)
         assert out["tag"] == "subexp"
         assert out["value"] == pytest.approx(0.1 * math.exp(-1.5), rel=1e-12)
         assert out["sharp_value"] == pytest.approx(0.1 * math.exp(-3.0 + 0.1), rel=1e-12)
 
     def test_overflowing_sharp_subexp_form_is_range_error(self):
-        k = Subexp(beta=0.5, theta=1e-6)
-        tab = BernsteinTable(k, points_per_decade=16)
-        rep = check_conditions(k, points_per_decade=16)
+        tab = BernsteinTable(Subexp(beta=0.5, theta=1e-6), points_per_decade=16)
         with pytest.raises(RangeError, match=r"r=1000, t=10000"):
-            upper_bound_form(k, tab, 1000.0, 1e4, conditions=rep)
+            upper_bound_form(tab, 1000.0, 1e4)
 
     @pytest.mark.parametrize("t", [300.5, 3000.5, 16000.5])
     def test_truncated_small_r_form_past_a_factors_overflow(self, t):
         # (n t_f - t)^n overflows at t_f = 100 from n ~ 155 on; the product
         # itself is tiny, and mpmath's value of the same formula is the oracle
-        k = Truncated(beta=0.5, delta=100.0, scale=1.0)
-        tab = BernsteinTable(k, points_per_decade=16)
-        rep = check_conditions(k, points_per_decade=16)
+        tab = BernsteinTable(Truncated(beta=0.5, delta=100.0, scale=1.0), points_per_decade=16)
         r = 1e-4
-        out = upper_bound_form(k, tab, r, t, conditions=rep)
+        out = upper_bound_form(tab, r, t)
         assert out["tag"] == "truncated-small-r"
         n = out["n_t"]
         with mpmath.workdps(50):
@@ -122,18 +111,16 @@ class TestUpperBoundForm:
         assert out["value"] == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
     def test_unclassified_outside(self, caputo_table):
-        k = caputo(0.5)
-        out = upper_bound_form(k, caputo_table, 100.0, 1e-3)  # far beyond r phi(1/t) bound
+        out = upper_bound_form(caputo_table, 100.0, 1e-3)  # far beyond r phi(1/t) bound
         assert out["tag"] == "unclassified"
 
-    def test_truncated_regimes_partition(self, trunc_pair):
-        k, tab, rep = trunc_pair
-        r0 = truncated_small_r_threshold(tab, k)
+    def test_truncated_regimes_partition(self, trunc_table):
+        r0 = truncated_small_r_threshold(trunc_table)
         # r below r_0: only the sharp small-r statement fires
-        out = upper_bound_form(k, tab, r0 / 8.0, 2.0, conditions=rep)
+        out = upper_bound_form(trunc_table, r0 / 8.0, 2.0)
         assert out["regimes"] == ["truncated-small-r"]
         # r well above r_0 with r/t still small: only the linear-in-log one
-        out = upper_bound_form(k, tab, 16.0 * r0, 2.0, conditions=rep)
+        out = upper_bound_form(trunc_table, 16.0 * r0, 2.0)
         assert out["regimes"] == ["truncated-linear"]
         assert out["form"] == "exp(-c t log(t/r))"
 
@@ -143,7 +130,6 @@ class TestUpperBoundForm:
         # The first call's root probes phi at the ceil(log2(nodes + 1)) nodes
         # that pick its first bracket and builds no grid.
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
-        rep = check_conditions(k, points_per_decade=16)
         tab = BernsteinTable(k, points_per_decade=8)
         calls = []
         phi = tab.phi
@@ -151,7 +137,7 @@ class TestUpperBoundForm:
         per_call = []
         for r, t in ((1e-3, 2.0), (0.05, 0.8), (1e-3, 2.0), (0.2, 5.0)):
             del calls[:]
-            upper_bound_form(k, tab, r, t, conditions=rep)
+            upper_bound_form(tab, r, t)
             per_call.append(len(calls))
         probes = math.ceil(math.log2(len(tab.lam_grid) + 1))
         assert probes == 8
@@ -159,14 +145,40 @@ class TestUpperBoundForm:
         assert "phi_grid" not in vars(tab)
         # the remembered r_0 is the root finder's own value on a fresh table
         fresh = BernsteinTable(k, points_per_decade=8)
-        assert truncated_small_r_threshold(tab, k) == truncated_small_r_threshold(fresh, k)
+        assert truncated_small_r_threshold(tab) == truncated_small_r_threshold(fresh)
+
+    def test_small_r_cap_follows_the_tie_rule(self):
+        # phi is linear in the kernel's scale, so a scale puts t_f/6 phi(6/t_f)
+        # just past 1/(4e^2): 1e-12 relative past, inside phi's certified
+        # error, r_0 is the cap itself; 1e-8 past, it is the root below it
+        cap = 1.0 / 6.0
+        unit = BernsteinTable(Truncated(beta=0.5, delta=1.0, scale=1.0), points_per_decade=16)
+        prod = cap * unit.phi(1.0 / cap)
+        for rel, at_cap in ((1e-12, True), (1e-8, False)):
+            k = Truncated(beta=0.5, delta=1.0, scale=QUARTER_E2 * (1.0 + rel) / prod)
+            tab = BernsteinTable(k, points_per_decade=16)
+            assert cap * tab.phi(1.0 / cap) > QUARTER_E2
+            r0 = truncated_small_r_threshold(tab)
+            assert (r0 == cap) is at_cap and r0 <= cap
+
+    def test_the_form_reads_the_tables_own_kernel(self, monkeypatch):
+        # w and the conditions come from the table, certified once for all
+        # the table's forms
+        calls = []
+        real = bernstein.check_conditions
+        monkeypatch.setattr(bernstein, "check_conditions", lambda k: calls.append(k) or real(k))
+        tab = BernsteinTable(Subexp(beta=0.5, theta=1.0), points_per_decade=16)
+        out = upper_bound_form(tab, 0.01, 0.2)
+        assert out["tag"] == "small-t-poly"
+        assert out["value"] == 0.01 * float(tab.kernel.w(0.2))
+        assert upper_bound_form(tab, 0.1, 9.0)["tag"] == "subexp"
+        assert calls == [tab.kernel]
 
     def test_power_overlap_of_equal_forms_classifies(self, caputo_table):
         # power kernels satisfy both polynomial regimes with the same form
-        k = caputo(0.5)
         t = 10.0
         r = 0.9 / (8.0 * math.e**2 * caputo_table.phi(1.0 / t))
-        out = upper_bound_form(k, caputo_table, r, t)
+        out = upper_bound_form(caputo_table, r, t)
         assert out["form"] == "r*w(t)"
         assert set(out["regimes"]) == {"small-t-poly", "large-t-poly"}
 
@@ -198,13 +210,12 @@ class TestLowerTail:
 
 class TestRegimePartition:
     def test_margin_enforced(self, caputo_table):
-        k = caputo(0.5)
         t = 0.25
         r_edge = 1.0 / (4.0 * math.e**2 * caputo_table.phi(1.0 / t))
         # just inside the unmargined boundary but outside margin 2
-        out = upper_bound_form(k, caputo_table, 0.9 * r_edge, t)
+        out = upper_bound_form(caputo_table, 0.9 * r_edge, t)
         assert out["tag"] == "unclassified" and out["reason"].startswith("no regime admits")
-        assert "small-t-poly" in upper_bound_form(k, caputo_table, 0.4 * r_edge, t)["regimes"]
+        assert "small-t-poly" in upper_bound_form(caputo_table, 0.4 * r_edge, t)["regimes"]
 
 
 class TestCriterionFour:
@@ -221,7 +232,7 @@ class TestCriterionFour:
             return {"tag": "unclassified", "reason": "patched"}
 
         monkeypatch.setattr(golden, "upper_bound_form", first_point_only)
-        rep, lower_ok = golden._tail_ratio_grid(caputo(0.5), caputo_table, (0.1, 0.4), 7, 200)
+        rep, lower_ok = golden._tail_ratio_grid(caputo_table, (0.1, 0.4), 7, 200)
         assert len(calls) == 2
         assert not (rep.passed and lower_ok)
         monkeypatch.setattr(golden, "upper_bound_form", lambda *a, **k: {"tag": "unclassified"})

@@ -10,7 +10,7 @@ from subtail.bernstein import BernsteinTable
 from subtail.errors import RegimeError
 from subtail.estimates import CASE_TAGS, EstimateCase, theorem_estimate
 from subtail.heat_kernel import Geometry, HKModel
-from subtail.kernels import DistributedOrder, Subexp, Truncated, caputo, check_conditions
+from subtail.kernels import DistributedOrder, Subexp, Truncated, caputo
 
 INTERVAL = Geometry("interval", 1.0)
 FREE = Geometry("free")
@@ -25,15 +25,7 @@ def tabs():
         "subexp": Subexp(beta=0.5, theta=1.0),
         "distributed": DistributedOrder(weights=((0.3, 1.0), (0.7, 1.0))),
     }
-    return {
-        name: (k, BernsteinTable(k, points_per_decade=16), check_conditions(k, points_per_decade=16))
-        for name, k in kernels.items()
-    }
-
-
-def _case(tag, bundle, model, geometry, t, x, y, **kw):
-    kern, tab, cond = bundle
-    return EstimateCase(tag, kern, tab, model, geometry, t, x, y, conditions=cond, **kw)
+    return {name: BernsteinTable(k, points_per_decade=16) for name, k in kernels.items()}
 
 
 # (tag, kernel name, model ctor args, geometry, t, x, y, extra kwargs)
@@ -81,7 +73,7 @@ def _model(args):
 @pytest.mark.parametrize("row", DISPATCH_MATRIX, ids=[r[0] for r in DISPATCH_MATRIX])
 def test_dispatch_in_regime(row, tabs):
     tag, kname, margs, geo, t, x, y, kw = row
-    case = _case(tag, tabs[kname], _model(margs), geo, t, x, y, **kw)
+    case = EstimateCase(tag, tabs[kname], _model(margs), geo, t, x, y, **kw)
     out = theorem_estimate(case)
     assert out["branch"]
     assert math.isfinite(out["value"]) and out["value"] > 0.0, (tag, out)
@@ -94,25 +86,25 @@ def test_every_tag_covered():
 
 class TestExample2Reduction:
     def test_near_diagonal_matches_special(self, tabs):
-        bundle = tabs["distributed"]
+        tab = tabs["distributed"]
         m = HKModel("J1", alpha=1.0, d=1.0)
-        a = theorem_estimate(_case("example2-i", bundle, m, INTERVAL, 0.05, 0.4, 0.4005))
-        b = theorem_estimate(_case("specialsmall-i-a", bundle, m, INTERVAL, 0.05, 0.4, 0.4005))
+        a = theorem_estimate(EstimateCase("example2-i", tab, m, INTERVAL, 0.05, 0.4, 0.4005))
+        b = theorem_estimate(EstimateCase("specialsmall-i-a", tab, m, INTERVAL, 0.05, 0.4, 0.4005))
         assert a["value"] == pytest.approx(b["value"], rel=1e-12)
 
     def test_large_time_tracks_w(self, tabs):
         # for t >= 1 the bound scale is w(t) itself
-        kern, tab, cond = tabs["distributed"]
+        tab = tabs["distributed"]
         m = HKModel("J1", alpha=1.0, d=1.0)
-        v1 = theorem_estimate(_case("example2-iii", tabs["distributed"], m, INTERVAL, 4.0, 0.3, 0.6))
-        v2 = theorem_estimate(_case("example2-iii", tabs["distributed"], m, INTERVAL, 40.0, 0.3, 0.6))
+        v1 = theorem_estimate(EstimateCase("example2-iii", tab, m, INTERVAL, 4.0, 0.3, 0.6))
+        v2 = theorem_estimate(EstimateCase("example2-iii", tab, m, INTERVAL, 40.0, 0.3, 0.6))
         ratio = v1["value"] / v2["value"]
-        want = float(kern.w(4.0) / kern.w(40.0))
+        want = float(tab.kernel.w(4.0) / tab.kernel.w(40.0))
         assert ratio == pytest.approx(want, rel=1e-9)
 
     def test_off_diagonal_uses_alpha_branch(self, tabs):
         out = theorem_estimate(
-            _case("example2-ii", tabs["distributed"], HKModel("J1", alpha=1.0, d=1.0),
+            EstimateCase("example2-ii", tabs["distributed"], HKModel("J1", alpha=1.0, d=1.0),
                   INTERVAL, 0.004, 0.2, 0.8)
         )
         assert "off-diagonal" in out["branch"]
@@ -121,7 +113,7 @@ class TestExample2Reduction:
 class TestMainsubTwoSided:
     def test_bounds_ordered(self, tabs):
         out = theorem_estimate(
-            _case("mainsub-i", tabs["subexp"],
+            EstimateCase("mainsub-i", tabs["subexp"],
                   HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.5, lam=0.0, k=1),
                   INTERVAL, 9.0, 0.3, 0.6)
         )
@@ -130,7 +122,7 @@ class TestMainsubTwoSided:
     def test_out_of_regime_raises(self, tabs):
         with pytest.raises(RegimeError):
             theorem_estimate(
-                _case("mainsub-i", tabs["subexp"],
+                EstimateCase("mainsub-i", tabs["subexp"],
                       HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.5, lam=0.0, k=1),
                       INTERVAL, 0.5, 0.3, 0.6)
             )
