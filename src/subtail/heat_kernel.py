@@ -1,22 +1,25 @@
 """Model transition kernels q(t,x,y) realizing the two-sided estimate classes.
 
-Seven explicit families are available, covering bounded domains with
-exponential long-time decay (J1, J4, D1), half-space-like domains (J2, D2)
-and exteriors of a bounded set (J3, D3); J-families have jump-type
-off-diagonal decay t/rho^{d+alpha}, D-families Gaussian-type
-exp(-c rho^{a/(a-1)}/t^{1/(a-1)}).  The general classes HK_J / HK_D / HK_M
-are parametrized by the boundary exponent gamma in [0,1), the long-time rate
-lambda >= 0 and the boundary clock k in {1,2}:
+The general classes HK_J / HK_D / HK_M are parametrized by the boundary
+exponent gamma in [0,1), the long-time rate lambda >= 0 and the boundary
+clock k in {1,2}; HK_J sums the jump part, HK_D the diffusion part and HK_M
+both:
 
     q^j(t,x,l) = t / (t V(x,Phi^-1(t)) + Psi(l) V(x,l))
-    q^d(t,x,l) = exp(-a M(t,l)) / V(x, Phi^-1(t))
+    q^d(t,x,l) = exp(-c M(t,l)) / V(x, Phi^-1(t))
 
-times the boundary factor (from t = 1 on with lambda > 0: exp(-lambda t)
-a_k^gamma(1,x,y), or for the displayed classes exp(-lambda t) times its
-saturated form)
+times the boundary factor, which from t = 1 on with lambda > 0 is
+exp(-lambda t) a_k^gamma(1,x,y) in place of the whole q:
 
     a_1^gamma(t,x,y) = (Phi(d(x))/(Phi(d(x))+t))^g (Phi(d(y))/(Phi(d(y))+t))^g,
     a_2^gamma(t,x,y) = a_1^gamma(t/(t+1),x,y).
+
+The seven displayed classes are presets of these, evaluated by the same
+formula: J1..J4 are HK_J and D1..D3 HK_D with gamma, k and psi_alpha = alpha
+fixed, covering bounded domains with exponential long-time decay (J1, J4,
+D1; lambda defaults to 1), half-space-like domains (J2, D2) and exteriors
+of a bounded set (J3, D3, k = 2).  J4 has gamma = (alpha-1)/alpha, the
+others gamma = 1/2.
 
 This module is the one home of the boundary calculus, which ``estimates``
 never writes inline: a_k^gamma (``a_gamma_delta``, the one place a_2's
@@ -25,7 +28,7 @@ and (1 ^ d(x)d(y)/l^2)^e (``delta_star_min_form``), and its saturated form
 Phi(d(x))^gamma Phi(d(y))^gamma (``boundary_power_form``).
 
 Every comparability class is realized by a single representative member: the
-suppressed constants are 1 and the exponential rate inside q^d is the
+suppressed constants are 1 and the exponential rate c inside q^d is the
 model's ``exp_c`` (default 1).  Phi(r) = r^alpha, Psi(r) = r^psi_alpha and
 M(t,l) is evaluated as :func:`subtail.bernstein.calM` of the exponent alpha,
 the single source of truth, in one array expression per call.
@@ -112,15 +115,17 @@ def geometry_probe(geometry, x, y):
 
 
 _SPECIAL = {
-    # family: (gamma_exponent_fn, kind, k, needs_alpha_gt1, lam_allowed)
-    "J1": ("half", "jump", 1, False, True),
-    "J2": ("half", "jump", 1, False, False),
-    "J3": ("half", "jump", 2, False, False),
-    "J4": ("censored", "jump", 1, True, True),
-    "D1": ("half", "diffusion", 1, True, True),
-    "D2": ("half", "diffusion", 1, True, False),
-    "D3": ("half", "diffusion", 2, True, False),
+    # family: (gamma_exponent_fn, parts, k, needs_alpha_gt1, lam_allowed)
+    "J1": ("half", "j", 1, False, True),
+    "J2": ("half", "j", 1, False, False),
+    "J3": ("half", "j", 2, False, False),
+    "J4": ("censored", "j", 1, True, True),
+    "D1": ("half", "d", 1, True, True),
+    "D2": ("half", "d", 1, True, False),
+    "D3": ("half", "d", 2, True, False),
 }
+# the parts of q each family sums: the jump part q^j ("j"), the diffusion part q^d ("d") or both
+_PARTS = {"HK_J": "j", "HK_D": "d", "HK_M": "jd", **{fam: spec[1] for fam, spec in _SPECIAL.items()}}
 _DEFAULT_LAMBDA = 1.0  # long-time rate of the displayed classes that have one (J1, J4, D1)
 
 
@@ -129,10 +134,12 @@ class HKModel:
     """One representative member of a heat-kernel estimate class.
 
     ``family`` is one of the displayed classes J1..J4, D1..D3 or a general
-    tag "HK_J" / "HK_D" / "HK_M".  For the displayed classes gamma and k are
-    implied (J1 realizes HK_J with gamma=1/2, k=1 and lambda>0; J4 realizes
+    tag "HK_J" / "HK_D" / "HK_M".  A displayed class is a preset of HK_J or
+    HK_D: gamma, k and psi_alpha are fixed, and given values for them are
+    refused (J1 realizes HK_J with gamma=1/2, k=1 and lambda>0; J4 realizes
     gamma=(alpha-1)/alpha; D3 realizes gamma=1/2, k=2 with lambda=0, and so
-    on) and only (alpha, d, lambda) are free.
+    on), so only (alpha, d, lambda, exp_c) are free.  ``exp_c`` must be a
+    finite number > 0.
     """
 
     family: str
@@ -147,8 +154,14 @@ class HKModel:
     def __post_init__(self):
         if self.alpha <= 0.0 or self.d <= 0.0:
             raise DomainError("alpha and d must be positive")
+        if not (math.isfinite(self.exp_c) and self.exp_c > 0.0):
+            raise DomainError("exp_c must be a finite number > 0, got %r" % (self.exp_c,))
         if self.family in _SPECIAL:
-            g_kind, kind, k, needs_a1, lam_ok = _SPECIAL[self.family]
+            given = [name for name in ("gamma", "k", "psi_alpha") if getattr(self, name) is not None]
+            if given:
+                raise DomainError("%s fixes %s; give only alpha, d, lambda and exp_c"
+                                  % (self.family, ", ".join(given)))
+            g_kind, _, k, needs_a1, lam_ok = _SPECIAL[self.family]
             if needs_a1 and self.alpha <= 1.0:
                 raise DomainError("%s requires alpha > 1" % self.family)
             gamma = 0.5 if g_kind == "half" else (self.alpha - 1.0) / self.alpha
@@ -266,32 +279,17 @@ def q_eval(model, geometry, t, x, y):
         raise DomainError("lambda > 0 requires a bounded geometry")
     dx, dy = geometry.delta(x), geometry.delta(y)
     rho = geometry.rho(x, y)
-    a, d, lam = model.alpha, model.d, model.lam
+    a, lam = model.alpha, model.lam
     # long-time branch: exp(-lam t) times the boundary factor at t = 1
     late = (t >= 1.0) & (lam > 0.0)
-    if model.family in _SPECIAL:
-        g = model.gamma * a  # displayed boundary exponent alpha/2 or alpha-1
-        scale = t ** (1.0 / a)
-        if model.k == 2:
-            scale = np.minimum(scale, 1.0)
-        body = t ** (-d / a)
-        if _SPECIAL[model.family][1] == "jump":
-            with np.errstate(divide="ignore"):  # rho = 0 leaves t^{-d/a}
-                body = np.minimum(body, t / rho ** (d + a))
-        else:
-            body = body * np.exp(-model.exp_c * rho ** (a / (a - 1.0)) / t ** (1.0 / (a - 1.0)))
-        q = boundary_min_form(body, g, scale, dx, dy)
-        if lam > 0.0:
-            q = np.where(late, boundary_power_form(np.exp(-lam * t), g, dx, dy), q)
-    else:
-        a_k = a_gamma_delta(model.gamma, a, model.k, np.where(late, 1.0, t), dx, dy)
-        v = model.V_inv_time(t)
-        parts = []
-        if model.family != "HK_D":
-            parts.append(t / (t * v + model.Psi(rho) * model.V(rho)))
-        if model.family != "HK_J":
-            parts.append(np.exp(-model.exp_c * calM(a, t, rho)) / v)
-        if lam > 0.0:
-            parts = [np.where(late, np.exp(-lam * t), part) for part in parts]
-        q = sum(a_k * part for part in parts)
+    a_k = a_gamma_delta(model.gamma, a, model.k, np.where(late, 1.0, t), dx, dy)
+    v = model.V_inv_time(t)
+    parts = []
+    if "j" in _PARTS[model.family]:
+        parts.append(t / (t * v + model.Psi(rho) * model.V(rho)))
+    if "d" in _PARTS[model.family]:
+        parts.append(np.exp(-model.exp_c * calM(a, t, rho)) / v)
+    if lam > 0.0:
+        parts = [np.where(late, np.exp(-lam * t), part) for part in parts]
+    q = sum(a_k * part for part in parts)
     return float(q) if np.ndim(q) == 0 else q

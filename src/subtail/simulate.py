@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import increasing_root
+from .bernstein import BernsteinTable, increasing_root
 from .errors import DomainError, RangeError
 from .kernels import inverse_w_vec
 from .quadrature import checked_panels, graded_edges
@@ -338,12 +338,6 @@ def tail_estimate(kernel, ens, t, side):
     return TailEstimate(p_hat=p, se=se, n_paths=n, diagnostic=diag)
 
 
-def _phi_proxy(kernel, lam):
-    # phi(lam) is comparable (within [1/4,4]-ish) to lam * int_0^{1/lam} w,
-    # which is closed-form; good enough to size the censoring budget
-    return lam * kernel.moment(0, 1.0 / lam)
-
-
 def sample_E_t(kernel, config, t):
     """Sample the inverse subordinator at one level t > 0.
 
@@ -352,7 +346,8 @@ def sample_E_t(kernel, config, t):
     the jump's epoch.  Paths that have not crossed within
     r <= 1e6/phi(1/t) are censored at the budget and flagged.  A walk whose
     paths expect more than _MAX_EXPECTED_JUMPS jumps in all, or more than
-    _MAX_WALK_JUMPS each, is refused.
+    _MAX_WALK_JUMPS each, is refused.  phi(1/t) is the table's evaluator's,
+    so a level whose 1/t it does not support is refused with its DomainError.
     """
     if not 0.0 < t < math.inf:
         raise DomainError("the level must be a positive finite number")
@@ -361,7 +356,7 @@ def sample_E_t(kernel, config, t):
     w_eps = float(kernel.w(eps))
     if w_eps <= 0.0 or not math.isfinite(w_eps):
         raise DomainError("kernel has no jump activity above eps=%g" % eps)
-    phi_t = _phi_proxy(kernel, 1.0 / t)
+    phi_t = BernsteinTable(kernel).phi(1.0 / t)
     # a path walks ~ w(eps) E_t jumps, with E_t of order 1/phi(1/t)
     per_path = w_eps / phi_t
     _check_jump_budget(config, per_path)

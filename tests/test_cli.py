@@ -159,13 +159,13 @@ def test_config_the_program_cannot_run_exits_2_with_its_path(tmp_path, capsys, s
     assert "config schema violation at %s:" % path in capsys.readouterr().err
 
 
-_NO_TABLE = [
-    ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "points": [{"t": 0.1, "x": 0.3, "y": 0.6}]}),
-    ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "method": "mc",
-                 "sim": {"cutoff_eps": 1e-2, "n_paths": 200},
-                 "points": [{"t": 0.1, "x": 0.3, "y": 0.6}]}),
-    ("boundary", {"t_values": [0.2], "deltas": [1e-2, 1e-1]}),
-]
+_QUAD_FUNDSOL = ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1,
+                             "points": [{"t": 0.1, "x": 0.3, "y": 0.6}]})
+_MC_FUNDSOL = ("fundsol", {"kernel": _HALF_CAPUTO, "model": _J1, "method": "mc",
+                           "sim": {"cutoff_eps": 1e-2, "n_paths": 200},
+                           "points": [{"t": 0.1, "x": 0.3, "y": 0.6}, {"t": 0.4, "x": 0.3, "y": 0.6}]})
+_BOUNDARY = ("boundary", {"t_values": [0.2], "deltas": [1e-2, 1e-1]})
+_NO_TABLE = [_QUAD_FUNDSOL, _BOUNDARY]
 
 
 @pytest.mark.parametrize("sub, cfg", _NO_TABLE)
@@ -177,6 +177,21 @@ def test_commands_that_read_no_bernstein_table_build_none(tmp_path, monkeypatch,
     monkeypatch.setattr(bernstein.BernsteinTable, "__init__", refuse)
     status, _ = run_cli(tmp_path, sub, cfg)
     assert status == 0
+
+
+def test_mc_fundsol_reads_phi_once_per_level_and_builds_no_grid(tmp_path, monkeypatch):
+    # the E_t walk sizes its budgets from phi(1/t): one scalar evaluation per level
+    calls = []
+    evaluate = bernstein._bernstein_values
+
+    def counting(kernel, lam, rtol):
+        calls.append(lam.tolist())
+        return evaluate(kernel, lam, rtol)
+
+    monkeypatch.setattr(bernstein, "_bernstein_values", counting)
+    status, _ = run_cli(tmp_path, *_MC_FUNDSOL)
+    assert status == 0
+    assert calls == [[1.0 / 0.1], [1.0 / 0.4]]
 
 
 @pytest.mark.parametrize("call", _MC_TAILS, ids=lambda call: call["label"])
@@ -350,14 +365,24 @@ class TestTypedExits:
         assert err["type"] == "DomainError" and 'method="mc"' in err["message"]
 
     def test_mc_fundsol_beyond_the_jump_budget_exits_4(self, tmp_path):
-        # at t = 1e300 the E_t walk would never end; it is refused up front
+        # at t = 1e80 the E_t walk would never end; it is refused up front
         cfg = {"kernel": _HALF_CAPUTO, "model": _D1, "method": "mc",
                "sim": {"cutoff_eps": 1e-2, "n_paths": 100},
-               "points": [{"t": 1e300, "x": 0.3, "y": 0.5}]}
+               "points": [{"t": 1e80, "x": 0.3, "y": 0.5}]}
         status, out = run_cli(tmp_path, "fundsol", cfg)
         err = json.loads((out / "manifest.json").read_text())["error"]
         assert status == 4
         assert err["type"] == "DomainError" and "raise cutoff_eps" in err["message"]
+
+    @pytest.mark.parametrize("model, named", [({**_J1, "gamma": 0.9, "k": 2}, "J1 fixes gamma, k;"),
+                                              ({**_D1, "exp_c": -1}, "exp_c must be a finite number > 0")])
+    def test_a_model_parameter_that_would_be_dropped_exits_4(self, tmp_path, model, named):
+        # J1 fixes gamma and k, and exp_c is q^d's rate, so only a finite rate > 0 is read
+        cfg = {"kernel": _HALF_CAPUTO, "model": model, "points": [{"t": 0.01, "x": 0.3, "y": 0.6}]}
+        status, out = run_cli(tmp_path, "fundsol", cfg)
+        err = json.loads((out / "manifest.json").read_text())["error"]
+        assert status == 4
+        assert err["type"] == "DomainError" and named in err["message"]
 
     def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
         from subtail.errors import QuadratureError
@@ -564,7 +589,7 @@ _VALID_CONFIGS = [
     *[("estimate", {"kernel": kern, "model": model, "case": {"tag": tag, "t": 0.05, "x": 0.3,
                                                              "y": 0.6, "margin": 2}})
       for kern in (_HALF_CAPUTO, _SUBEXP) for model in (_J1, _HK_J_FREE) for tag in CASE_TAGS[:3]],
-    *_NO_TABLE,
+    _QUAD_FUNDSOL, _MC_FUNDSOL, _BOUNDARY,
     ("compare", {}), ("compare", {"case": "dgamma-g", "budget": 8}),
     ("boundary", {}), ("report", {}),
     *_workload_configs(),

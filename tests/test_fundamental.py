@@ -160,15 +160,18 @@ class TestSolveU:
         assert abs(out.value) <= 1e-6 * ref.value
 
     def test_inner_integral_closed_form(self):
-        # J1 on (0, 1) at r >= 1 is e^{-r} delta(x)^{1/2} delta(y)^{1/2}, so
-        # Q(r, x) = e^{-r} delta(x)^{1/2} int_0^1 delta(y)^{1/2} dy
-        #         = e^{-r} delta(x)^{1/2} sqrt(2)/3
+        # J1 (alpha = 1) on (0, 1) at r >= 1 is e^{-r} a_1^{1/2}(1,x,y)
+        # = e^{-r} sqrt(dx/(dx+1)) sqrt(dy/(dy+1)), and with
+        # int sqrt(u/(u+1)) du = sqrt(u(u+1)) - asinh(sqrt(u)),
+        # Q(r, x) = e^{-r} sqrt(dx/(dx+1)) 2 (sqrt(3)/2 - asinh(1/sqrt(2)))
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
         for x in (1e-3, 0.3, 0.5):
             req = SolutionRequest(caputo(0.5), m, g, 0.2, x, f=lambda y: 1.0)
             for r in (1.5, 4.0):
-                want = math.exp(-r) * math.sqrt(min(x, 1.0 - x)) * math.sqrt(2.0) / 3.0
+                dx = min(x, 1.0 - x)
+                want = (math.exp(-r) * math.sqrt(dx / (dx + 1.0))
+                        * 2.0 * (math.sqrt(3.0) / 2.0 - math.asinh(1.0 / math.sqrt(2.0))))
                 assert _inner_Q(req, r) == pytest.approx(want, rel=1e-10), (x, r)
 
     def test_mc_mode_agrees(self):

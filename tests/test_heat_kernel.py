@@ -88,12 +88,12 @@ class TestQEval:
         assert q_eval(m, g, 1.0, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_D2_off_diagonal_value(self):
-        # interior points with a ~ 1: exp(-c rho^{a/(a-1)}/t^{1/(a-1)}) = e^-4
+        # interior points with a ~ 1: exp(-M(t, rho)) = exp(-rho^2/(4t)) = e^-1
         g = Geometry("half-line")
         m = HKModel("D2", alpha=2.0, d=1.0)
         x, y = 1e6, 1e6 + 2.0
         got = q_eval(m, g, 1.0, x, y)
-        assert got == pytest.approx(math.exp(-4.0), rel=1e-6)
+        assert got == pytest.approx(math.exp(-1.0), rel=1e-6)
 
     def test_qj_sandwich(self):
         # q^j within [1/2, 1] of min{1/V(Phi^-1(t)), t/(Psi(l)V(l))}
@@ -123,11 +123,12 @@ class TestQEval:
             assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_lambda_branch(self):
-        # J1 at t >= 1: e^{-lam t} delta_x^{a/2} delta_y^{a/2}
+        # J1 at t >= 1: e^{-lam t} a_1^{1/2}(1,x,y), Phi(delta) = delta^2
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=2.0, d=1.0)
         got = q_eval(m, g, 2.0, 0.3, 0.6)
-        assert got == pytest.approx(math.exp(-2.0) * 0.3 * 0.4, rel=1e-12)
+        want = math.exp(-2.0) * math.sqrt(0.09 / 1.09) * math.sqrt(0.16 / 1.16)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_lambda_needs_bounded(self):
         m = HKModel("J1", alpha=2.0, d=1.0)
@@ -141,6 +142,20 @@ class TestQEval:
             HKModel("J4", alpha=1.0, d=1.0)
         with pytest.raises(DomainError):
             HKModel("HK_M", alpha=2.0, d=1.0, gamma=0.5, lam=0.0, k=1, psi_alpha=1.5)
+
+    @pytest.mark.parametrize("fixed", [{"gamma": 0.9}, {"k": 2}, {"psi_alpha": 2.5},
+                                       {"gamma": 0.5, "k": 1}])
+    def test_a_displayed_family_refuses_what_it_fixes(self, fixed):
+        # J1 fixes gamma = 1/2, k = 1 and psi_alpha = alpha; a given value is refused, not dropped
+        with pytest.raises(DomainError, match="J1 fixes %s;" % ", ".join(fixed)):
+            HKModel("J1", alpha=2.0, d=1.0, **fixed)
+
+    @pytest.mark.parametrize("exp_c", [0.0, -1.0, math.inf, math.nan])
+    def test_exp_c_must_be_finite_and_positive(self, exp_c):
+        for fam in ("D1", "HK_D"):
+            with pytest.raises(DomainError, match="exp_c must be a finite number > 0"):
+                HKModel(fam, alpha=2.0, d=1.0, exp_c=exp_c,
+                        **({} if fam == "D1" else {"gamma": 0.5, "lam": 0.0, "k": 1}))
 
     def test_hk_m_is_sum(self):
         g = Geometry("free")
@@ -192,6 +207,33 @@ ARRAY_CASES = [
     (HKModel("HK_M", alpha=2.0, d=1.0, gamma=0.5, lam=0.0, k=1), _HALF_LINE),
 ]
 ARRAY_TIMES = np.array([0.05, 0.7, 1.0, 2.5])  # both sides of the long-time switch t = 1
+
+
+def _general_preset(model):
+    """The general-family model with a displayed model's gamma, k, lambda and psi_alpha."""
+    general = "HK_J" if model.family.startswith("J") else "HK_D"
+    return HKModel(general, alpha=model.alpha, d=model.d, gamma=model.gamma, lam=model.lam,
+                   k=model.k, psi_alpha=model.psi_alpha)
+
+
+class TestDisplayedFamiliesArePresets:
+    # a displayed family is its general class at fixed (gamma, k, lambda, psi):
+    # J1-J4 take HK_J's q^j and D1-D3 HK_D's q^d, by the one formula
+    @pytest.mark.parametrize("model,case", [c for c in ARRAY_CASES if not c[0].family.startswith("HK")],
+                             ids=lambda v: getattr(v, "family", ""))
+    def test_q_equals_the_general_preset_bit_for_bit(self, model, case):
+        g, x, ys = case
+        t, y = ARRAY_TIMES[:, None], np.array(ys)[None, :]
+        got, want = q_eval(model, g, t, x, y), q_eval(_general_preset(model), g, t, x, y)
+        assert got.tobytes() == want.tobytes()
+
+    def test_presets(self):
+        got = {m.family: (_general_preset(m).family, m.gamma, m.k, m.lam, m.psi_alpha)
+               for m, _ in ARRAY_CASES if not m.family.startswith("HK")}
+        assert got == {"J1": ("HK_J", 0.5, 1, 1.0, 1.0), "J2": ("HK_J", 0.5, 1, 0.0, 1.0),
+                       "J3": ("HK_J", 0.5, 2, 0.0, 1.0), "J4": ("HK_J", 1.0 / 3.0, 1, 1.0, 1.5),
+                       "D1": ("HK_D", 0.5, 1, 1.0, 2.0), "D2": ("HK_D", 0.5, 1, 0.0, 2.0),
+                       "D3": ("HK_D", 0.5, 2, 0.0, 2.0)}
 
 
 class TestQArrays:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import erfinv
 
 from subtail import simulate
+from subtail.bernstein import BernsteinTable
 from subtail.errors import DomainError, RangeError
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import Subexp, Tabulated, Truncated, caputo, inverse_w_vec
@@ -164,16 +165,25 @@ class TestSampleEt:
             sample_E_t(kernel, SimConfig(cutoff_eps=1e-3, n_paths=100, seed=1), t)
 
     def test_jump_budget_refuses_a_walk_too_long_to_run(self):
-        # a path expects ~ w(eps)/phi(1/t) jumps, ~ sqrt(t) here: 5e152 in all
-        # at t = 1e300, refused before the walk as sample_S_at refuses its draw
+        # a path expects ~ w(eps)/phi(1/t) = 10 sqrt(t/pi) jumps here: 5.6e42
+        # in all at t = 1e80, refused before the walk as sample_S_at refuses its draw
         k = caputo(0.5)
-        with pytest.raises(DomainError, match=r"expected 5e\+152 jumps .*raise cutoff_eps"):
-            sample_E_t(k, SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1), 1e300)
+        with pytest.raises(DomainError, match=r"expected 5.6e\+42 jumps .*raise cutoff_eps"):
+            sample_E_t(k, SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1), 1e80)
+
+    def test_a_level_beyond_phis_support_is_refused_before_the_walk(self, monkeypatch):
+        # phi(1/t) sizes the budgets, and the evaluator refuses 1/t = 1e-300
+        def no_draw(*args):
+            raise AssertionError("the walk began")
+
+        monkeypatch.setattr(simulate, "inverse_w_vec", no_draw)
+        with pytest.raises(DomainError, match="lambda=1e-300 is below the smallest supported lambda"):
+            sample_E_t(caputo(0.5), SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1), 1e300)
 
     def test_walk_budget_per_path_refuses_a_long_walk_of_few_paths(self, monkeypatch):
         # the walk makes one round per jump of its longest path, so 100 paths
-        # expecting ~5e5 jumps each (5e7 in all, inside the total budget) are
-        # refused before any draw; t = 1e6 (~5e3 each) still walks
+        # expecting ~5.6e5 jumps each (5.6e7 in all, inside the total budget)
+        # are refused before any draw; t = 1e6 (~5.6e3 each) still walks
         k = caputo(0.5)
         cfg = SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1)
         assert sample_E_t(k, cfg, 1e6).n_paths == 100
@@ -182,7 +192,7 @@ class TestSampleEt:
             raise AssertionError("the walk began")
 
         monkeypatch.setattr(simulate, "inverse_w_vec", no_draw)
-        with pytest.raises(DomainError, match=r"expected 5e\+05 jumps per path .*raise cutoff_eps"):
+        with pytest.raises(DomainError, match=r"expected 5.6e\+05 jumps per path .*raise cutoff_eps"):
             sample_E_t(k, cfg, 1e10)
 
     def test_determinism(self):
@@ -197,7 +207,7 @@ def _gathering_E(kernel, config, t):
     scattered into at every step: the reference for the uncrossed-only walk."""
     eps, n = config.cutoff_eps, config.n_paths
     w_eps = float(kernel.w(eps))
-    budget = 1e6 / simulate._phi_proxy(kernel, 1.0 / t)
+    budget = 1e6 / BernsteinTable(kernel).phi(1.0 / t)
     rng = simulate._rng(config.seed, 2)
     drift = simulate._drift_rate(kernel, eps)
     S, clock, E = np.zeros(n), np.zeros(n), np.full(n, np.nan)
@@ -227,7 +237,7 @@ class TestUncrossedWalk:
         t = 0.5
         # a budget at the median of E_t censors about half of the paths
         budget = float(np.median(sample_E_t(k, cfg, t).values))
-        monkeypatch.setattr(simulate, "_phi_proxy", lambda kernel, lam: 1e6 / budget)
+        monkeypatch.setattr(BernsteinTable, "phi", lambda tab, lam: 1e6 / budget)
         ens = sample_E_t(k, cfg, t)
         values, censored = _gathering_E(k, cfg, t)
         assert np.array_equal(ens.values, values) and np.array_equal(ens.censored, censored)
@@ -249,9 +259,6 @@ class TestMassSpreadsOverWindow:
     def test_quarter_mass_moves_across_the_phi_window(self):
         # searching dyadic multiples c in {2^k}: some eps1 < N have
         # P(S_{N/phi(1/t)} >= t) - P(S_{eps1/phi(1/t)} >= t) >= 1/4
-        from subtail.bernstein import BernsteinTable
-        from subtail.kernels import Truncated
-
         for kern in (caputo(0.5), Truncated(beta=0.5, delta=1.0, scale=1.0)):
             tab = BernsteinTable(kern, points_per_decade=8)
             for t in (0.1, 0.25):
