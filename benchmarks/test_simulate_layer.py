@@ -7,8 +7,9 @@ From the repository root:
 pytest-benchmark times each case and prints min/median/mean per round.
 Each case is one sampler call as ``report`` or the ``mc`` workload makes
 it: golden criterion 3's S_r at r = 2, criterion 5's rarest tilted S_r, and
-a ``fundsol --method mc`` ensemble of E_t.  The default test run does not
-collect this directory (``testpaths = ["tests"]``).
+the E_t ensembles of a ``fundsol --method mc`` call, at one level and at
+the 16 levels of the ``mc`` workload's call at seed 1 in one walk.  The
+default test run does not collect this directory (``testpaths = ["tests"]``).
 """
 
 import numpy as np
@@ -42,3 +43,19 @@ def test_sample_E_t_of_the_mc_workload(benchmark):
     cfg = SimConfig(cutoff_eps=1e-3, n_paths=4000, seed=1)
     ens = _run(benchmark, sample_E_t, (caputo(0.5), cfg, 0.1), rounds=20)
     assert not ens.censored.any()
+
+
+# the 16 distinct t of the mc workload's fundsol call at seed 1, sorted
+_MC_LEVELS = np.array([
+    0.04199650584790154, 0.05078018285847165, 0.058314057333912386, 0.06677043855028353,
+    0.07779706372215926, 0.081854513402246, 0.09673216959996127, 0.11703567545385461,
+    0.1199598880283902, 0.13323034766131123, 0.17315211192519336, 0.24536898194926227,
+    0.2608350480724837, 0.34313941076426596, 0.4083352020653859, 0.48928373282336096,
+])
+
+
+def test_sample_E_t_of_the_mc_workload_levels(benchmark):
+    # the same call's 16 levels in one walk to the largest
+    cfg = SimConfig(cutoff_eps=1e-3, n_paths=4000, seed=1)
+    ens = _run(benchmark, sample_E_t, (caputo(0.5), cfg, _MC_LEVELS), rounds=20)
+    assert ens.values.shape == (16, 4000) and not ens.censored.any()

@@ -11,6 +11,13 @@ inverse subordinator in both modes:
 * Monte Carlo:  p = E[ q(E_t, x, y) ], the ensemble mean over sample_E_t;
 * quadrature:   p = int q(r,x,y) g_t(r) dr with g_t the density of E_t.
 
+A Monte Carlo request walks its own E_t ensemble from its SimConfig, or
+reads a shared one from ``SolutionRequest.ensemble``: the CLI's fundsol
+walks the subordinator paths once, to its largest t, and hands each point
+its level's row (``PathEnsemble.row``).  A shared ensemble at any level but
+the request's t is refused with DomainError, since it would give p at the
+wrong t.
+
 Quadrature mode needs the closed-form density of the order-1/2 Caputo
 kernel, g_t(r) = exp(-r^2/(4t)) / sqrt(pi t); any other kernel is refused
 with DomainError and goes through method="mc".  Its target is 1e-8
@@ -134,9 +141,14 @@ def _density_for(req):
 
 
 def _ensemble(req, what):
-    """The shared E_t ensemble of ``req``, or a fresh one from its SimConfig."""
-    if req.ensemble is not None:
-        return req.ensemble
+    """The shared E_t ensemble of ``req``, which must be at its level t, or a
+    fresh one from its SimConfig."""
+    ens = req.ensemble
+    if ens is not None:
+        if np.ndim(ens.level) != 0 or float(ens.level) != float(req.t):
+            raise DomainError("%s: the shared E_t ensemble is at level %s, not at t=%r"
+                              % (what, ens.level, req.t))
+        return ens
     if req.sim is None:
         raise DomainError("%s needs a SimConfig or a shared ensemble" % what)
     return sample_E_t(req.kernel, req.sim, req.t)

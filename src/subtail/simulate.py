@@ -10,12 +10,15 @@ which is exact from the kernel's closed-form truncated moments.  What remains
 is the bias of replacing the sub-eps jumps by their mean; it shrinks with
 eps, and halving eps must move a tail estimate by no more than its noise.
 
-Both samplers work at one level: ``sample_S_at`` draws S_r at one clock
-value r, and ``sample_E_t`` draws the inverse subordinator
-E_t = inf{ r > 0 : S_r > t } at one level t by walking the jump epochs in the
-r-clock until the running sum plus drift crosses t; a crossing inside a
-jump-free drift segment is resolved analytically, so E_t carries no
-time-discretization error.  Each returns a flat ``PathEnsemble``.
+``sample_S_at`` draws S_r at one clock value r as a flat ``PathEnsemble``.
+``sample_E_t`` draws the inverse subordinator E_t = inf{ r > 0 : S_r > t }
+by walking the jump epochs in the r-clock until the running sum plus drift
+crosses t; a crossing inside a jump-free drift segment is resolved
+analytically, so E_t carries no time-discretization error.  At one level t
+it returns a flat ensemble; given an array of levels it walks each path once,
+to the largest level, and reads every level's first passage from that one
+path, so the levels share paths as E_t of one S does, and the largest
+level's row is the one-level walk's bit for bit.
 
 ``sample_S_tilted`` draws S_r for one rare event {S_r >= t} under an
 exponentially tilted law (Asmussen & Glynn, *Stochastic Simulation*, 2007,
@@ -115,20 +118,27 @@ def _rng(seed, stream):
 
 @dataclass
 class PathEnsemble:
-    """Per-path samples at one level: S_r at the clock value r, or E_t at the
-    level t.  For E_t, ``censored`` flags the paths that had not crossed
-    within the r-budget; they hold the budget and are flagged, not dropped.
-    A tilted S_r ensemble carries each path's likelihood ratio in ``weights``.
+    """Per-path samples: S_r at the clock value r, or E_t at the level t.  A
+    multi-level E_t ensemble has an array ``level`` and one row of
+    ``values``/``censored`` per level (levels x paths).  For E_t,
+    ``censored`` flags the paths that had not crossed within the r-budget;
+    they hold the budget and are flagged, not dropped.  A tilted S_r
+    ensemble carries each path's likelihood ratio in ``weights``.
     """
 
-    level: float
+    level: float | np.ndarray
     values: np.ndarray
     censored: np.ndarray | None = None
     weights: np.ndarray | None = None
 
     @property
     def n_paths(self):
-        return len(self.values)
+        return self.values.shape[-1]
+
+    def row(self, i):
+        """The one-level E_t ensemble of level i of a multi-level one; its
+        arrays are views of this ensemble's rows."""
+        return PathEnsemble(level=float(self.level[i]), values=self.values[i], censored=self.censored[i])
 
 
 @dataclass
@@ -339,24 +349,36 @@ def tail_estimate(kernel, ens, t, side):
 
 
 def sample_E_t(kernel, config, t):
-    """Sample the inverse subordinator at one level t > 0.
+    """Sample the inverse subordinator at a level t > 0, or at each level of
+    a 1-D array t.
 
     Walks the compound-Poisson jumps in the r-clock; a crossing inside a
     drift segment is resolved analytically, a crossing by a jump happens at
-    the jump's epoch.  Paths that have not crossed within
-    r <= 1e6/phi(1/t) are censored at the budget and flagged.  A walk whose
-    paths expect more than _MAX_EXPECTED_JUMPS jumps in all, or more than
-    _MAX_WALK_JUMPS each, is refused.  phi(1/t) is the table's evaluator's,
-    so a level whose 1/t it does not support is refused with its DomainError.
+    the jump's epoch.  The walk carries each path until it crosses the
+    largest level t_max; a step takes its path across the levels in
+    (S before, S after], found by np.searchsorted on the sorted distinct
+    levels.  Paths that have not crossed a level within r <= 1e6/phi(1/t_max)
+    are censored there at that one budget and flagged; phi increases, so it
+    is no level's own 1e6/phi(1/t) below.  A walk whose paths expect more
+    than _MAX_EXPECTED_JUMPS jumps in all, or more than _MAX_WALK_JUMPS each,
+    is refused.  phi(1/t_max) is the table's evaluator's, its one call, so a
+    t_max whose 1/t_max it does not support is refused with its DomainError
+    before the walk.  An array t gives ``level`` = t and (levels x paths)
+    ``values``/``censored`` in the order of t; ``PathEnsemble.row`` hands
+    out one level's row.
     """
-    if not 0.0 < t < math.inf:
+    levels = np.asarray(t, dtype=float)
+    if levels.ndim > 1 or levels.size == 0:
+        raise DomainError("the levels must be one number or a non-empty 1-D array")
+    if not np.all((levels > 0.0) & (levels < math.inf)):
         raise DomainError("the level must be a positive finite number")
-    t = float(t)
+    tops, row_of = np.unique(levels, return_inverse=True)
+    t_max = float(tops[-1])
     eps = config.cutoff_eps
     w_eps = float(kernel.w(eps))
     if w_eps <= 0.0 or not math.isfinite(w_eps):
         raise DomainError("kernel has no jump activity above eps=%g" % eps)
-    phi_t = BernsteinTable(kernel).phi(1.0 / t)
+    phi_t = BernsteinTable(kernel).phi(1.0 / t_max)
     # a path walks ~ w(eps) E_t jumps, with E_t of order 1/phi(1/t)
     per_path = w_eps / phi_t
     _check_jump_budget(config, per_path)
@@ -367,11 +389,13 @@ def sample_E_t(kernel, config, t):
     n = config.n_paths
     drift = _drift_rate(kernel, eps)
 
-    # the uncrossed paths only: their index, running sum and clock
+    # the paths below t_max only: their index, running sum, clock and the
+    # number of levels they have crossed
     idx = np.arange(n)
     S = np.zeros(n)
     clock = np.zeros(n)
-    E = np.full(n, np.nan)
+    done = np.zeros(n, dtype=np.intp)
+    E = np.full((tops.size, n), np.nan)
     while idx.size:
         k = idx.size
         gaps = rng.standard_exponential(k) / w_eps
@@ -379,20 +403,31 @@ def sample_E_t(kernel, config, t):
         s_after_gap = S + drift * gaps if drift > 0.0 else S
         S_next = s_after_gap + jumps
         # jumps are >= 0, so a crossing inside the drift segment has S_next >= t too
-        crossed = S_next >= t
-        hit = np.flatnonzero(crossed)
-        when = clock[hit] + gaps[hit]
+        reached = np.searchsorted(tops, S_next, side="right")
+        counts = reached - done
+        hit = np.flatnonzero(counts)
+        # one entry per (path, level) crossed in this step
+        counts = counts[hit]
+        at = np.repeat(hit, counts)
+        lev = np.repeat(done[hit] - (np.cumsum(counts) - counts), counts) + np.arange(at.size)
+        when = clock[at] + gaps[at]
         if drift > 0.0:  # without drift S < t: no path crosses before its jump
-            by_drift = s_after_gap[hit] >= t
-            on = hit[by_drift]
-            when[by_drift] = clock[on] + (t - S[on]) / drift
-        E[idx[hit]] = when
+            t_at = tops[lev]
+            by_drift = s_after_gap[at] >= t_at
+            on = at[by_drift]
+            when[by_drift] = clock[on] + (t_at[by_drift] - S[on]) / drift
+        E[lev, idx[at]] = when
         clock = clock + gaps
-        go_on = ~crossed & (clock < budget)
-        idx, S, clock = idx[go_on], S_next[go_on], clock[go_on]
+        go_on = (reached < tops.size) & (clock < budget)
+        idx, S, clock, done = idx[go_on], S_next[go_on], clock[go_on], reached[go_on]
 
     censored = np.isnan(E)
-    return PathEnsemble(level=t, values=np.where(censored, budget, E), censored=censored)
+    values = np.where(censored, budget, E)
+    if levels.ndim == 0:
+        return PathEnsemble(level=float(levels), values=values[0], censored=censored[0])
+    if not np.array_equal(levels, tops):
+        values, censored = values[row_of], censored[row_of]
+    return PathEnsemble(level=levels, values=values, censored=censored)
 
 
 def exact_stable_sampler(beta, r, n_samples, seed=0):

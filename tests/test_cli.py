@@ -179,8 +179,9 @@ def test_commands_that_read_no_bernstein_table_build_none(tmp_path, monkeypatch,
     assert status == 0
 
 
-def test_mc_fundsol_reads_phi_once_per_level_and_builds_no_grid(tmp_path, monkeypatch):
-    # the E_t walk sizes its budgets from phi(1/t): one scalar evaluation per level
+def test_mc_fundsol_reads_phi_once_per_call_and_builds_no_grid(tmp_path, monkeypatch):
+    # the call's one E_t walk sizes its budgets from phi(1/t) at its largest
+    # level: one scalar evaluation per call
     calls = []
     evaluate = bernstein._bernstein_values
 
@@ -191,7 +192,7 @@ def test_mc_fundsol_reads_phi_once_per_level_and_builds_no_grid(tmp_path, monkey
     monkeypatch.setattr(bernstein, "_bernstein_values", counting)
     status, _ = run_cli(tmp_path, *_MC_FUNDSOL)
     assert status == 0
-    assert calls == [[1.0 / 0.1], [1.0 / 0.4]]
+    assert calls == [[1.0 / 0.4]]
 
 
 @pytest.mark.parametrize("call", _MC_TAILS, ids=lambda call: call["label"])
@@ -312,6 +313,31 @@ class TestFundsolEstimate:
         assert lines[1] == "t,x,y,p,se,method"
         assert len(lines) == 4
         assert float(lines[2].split(",")[3]) > 0.0
+
+    def test_one_walk_per_mc_call_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
+        from subtail.fundamental import SolutionRequest, p_mc
+        from subtail.heat_kernel import model_from_config
+        from subtail.kernels import kernel_from_config
+        from subtail.simulate import sample_E_t
+
+        calls = []
+        sample = cli.sample_E_t
+        monkeypatch.setattr(cli, "sample_E_t", lambda *a: calls.append(a[2].tolist()) or sample(*a))
+        pts = [{"t": 0.4, "x": 0.3, "y": 0.6}, {"t": 0.1, "x": 0.2, "y": 0.7},
+               {"t": 0.4, "x": 0.6, "y": 0.3}]
+        status, out = run_cli(tmp_path, "fundsol", {**_MC_FUNDSOL[1], "points": pts},
+                              extra=["--seed", "5"])
+        assert status == 0 and calls == [[0.1, 0.4]]
+        kern = kernel_from_config(_HALF_CAPUTO)
+        model, geometry = model_from_config(_J1)
+        ens = sample_E_t(kern, SimConfig(cutoff_eps=1e-2, n_paths=200, seed=5), np.array([0.1, 0.4]))
+        rows = [row.split(",") for row in (out / "fundsol.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 3
+        for row, pnt in zip(rows, pts):
+            shared = ens.row([0.1, 0.4].index(pnt["t"]))
+            res = p_mc(SolutionRequest(kern, model, geometry, pnt["t"], pnt["x"], pnt["y"],
+                                       method="mc", ensemble=shared))
+            assert row == ["%.17g" % v for v in (pnt["t"], pnt["x"], pnt["y"], res.value, res.se)] + ["mc"]
 
     def test_estimate_json(self, tmp_path):
         status, out = run_cli(tmp_path, "estimate", _ESTIMATE)

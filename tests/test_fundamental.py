@@ -90,6 +90,25 @@ class TestPValues:
         b = p_mc(SolutionRequest(k, m, g, 0.8, 0.7, 0.3, ensemble=ens))
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
+    def test_a_shared_ensemble_at_another_level_is_refused(self):
+        # it would give p at the ensemble's level, not at the request's t
+        k = caputo(0.5)
+        cfg = SimConfig(cutoff_eps=1e-2, n_paths=200, seed=29)
+        g = Geometry("interval", 1.0)
+        m = HKModel("J1", alpha=1.0, d=1.0)
+        ens = sample_E_t(k, cfg, 0.8)
+        req = SolutionRequest(k, m, g, 0.4, 0.3, 0.7, method="mc", ensemble=ens)
+        with pytest.raises(DomainError, match=r"p_mc: the shared E_t ensemble is at level 0.8, not at t=0.4"):
+            p_mc(req)
+        req.f = lambda y: 1.0
+        with pytest.raises(DomainError, match=r"solve_u MC mode: .* at level 0.8, not at t=0.4"):
+            solve_u(req)
+        # a multi-level ensemble is handed out by rows, never whole
+        both = sample_E_t(k, cfg, np.array([0.4, 0.8]))
+        with pytest.raises(DomainError, match=r"at level \[0.4 0.8\], not at t=0.4"):
+            p_mc(SolutionRequest(k, m, g, 0.4, 0.3, 0.7, method="mc", ensemble=both))
+        assert p_mc(SolutionRequest(k, m, g, 0.4, 0.3, 0.7, method="mc", ensemble=both.row(0))).n_paths == 200
+
     def test_quadrature_symmetry_and_positivity(self):
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)

@@ -204,13 +204,17 @@ class TestSampleEt:
 
 def _gathering_E(kernel, config, t):
     """E_t walked over n-length running sums and clocks, gathered from and
-    scattered into at every step: the reference for the uncrossed-only walk."""
+    scattered into at every step: the reference for the uncrossed-only walk.
+    At a list of levels it walks until each path crosses the largest, with
+    the largest level's budget, and fills one row per level in that order."""
+    levels = np.atleast_1d(np.asarray(t, dtype=float))
+    top = int(np.argmax(levels))
     eps, n = config.cutoff_eps, config.n_paths
     w_eps = float(kernel.w(eps))
-    budget = 1e6 / BernsteinTable(kernel).phi(1.0 / t)
+    budget = 1e6 / BernsteinTable(kernel).phi(1.0 / levels[top])
     rng = simulate._rng(config.seed, 2)
     drift = simulate._drift_rate(kernel, eps)
-    S, clock, E = np.zeros(n), np.zeros(n), np.full(n, np.nan)
+    S, clock, E = np.zeros(n), np.zeros(n), np.full((levels.size, n), np.nan)
     active = np.arange(n)
     while active.size:
         k = active.size
@@ -218,15 +222,18 @@ def _gathering_E(kernel, config, t):
         jumps = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=k))
         s_a, c_a = S[active], clock[active]
         s_after_gap = s_a + drift * gaps if drift > 0.0 else s_a
-        by_drift = s_after_gap >= t
-        E[active[by_drift]] = c_a[by_drift] + (t - s_a[by_drift]) / drift
-        by_jump = ~by_drift & (s_after_gap + jumps >= t)
-        E[active[by_jump]] = c_a[by_jump] + gaps[by_jump]
+        for row, level in zip(E, levels):
+            open_ = np.isnan(row[active])
+            by_drift = open_ & (s_after_gap >= level)
+            row[active[by_drift]] = c_a[by_drift] + (level - s_a[by_drift]) / drift
+            by_jump = open_ & ~by_drift & (s_after_gap + jumps >= level)
+            row[active[by_jump]] = c_a[by_jump] + gaps[by_jump]
         S[active] = s_after_gap + jumps
         clock[active] = c_a + gaps
-        active = active[np.isnan(E[active]) & (clock[active] < budget)]
+        active = active[np.isnan(E[top, active]) & (clock[active] < budget)]
     censored = np.isnan(E)
-    return np.where(censored, budget, E), censored
+    values = np.where(censored, budget, E)
+    return (values[0], censored[0]) if np.ndim(t) == 0 else (values, censored)
 
 
 class TestUncrossedWalk:
@@ -242,6 +249,69 @@ class TestUncrossedWalk:
         values, censored = _gathering_E(k, cfg, t)
         assert np.array_equal(ens.values, values) and np.array_equal(ens.censored, censored)
         assert 0 < np.count_nonzero(censored) < cfg.n_paths
+
+
+# unsorted, with a repeat: rows come in the order given
+_LEVELS = [0.5, 0.05, 2.0, 0.2, 0.05]
+
+
+class TestMultiLevelWalk:
+    @pytest.mark.parametrize("name", sorted(builtin_kernel_set()))
+    def test_largest_level_row_is_the_one_level_walk(self, name):
+        k = builtin_kernel_set()[name]
+        cfg = SimConfig(cutoff_eps=1e-2, n_paths=2000, seed=17)
+        ens = sample_E_t(k, cfg, np.array(_LEVELS))
+        one = sample_E_t(k, cfg, max(_LEVELS))
+        top = _LEVELS.index(max(_LEVELS))
+        assert ens.values.shape == ens.censored.shape == (len(_LEVELS), 2000) and ens.n_paths == 2000
+        assert np.array_equal(ens.values[top], one.values)
+        assert np.array_equal(ens.censored[top], one.censored)
+
+    @pytest.mark.parametrize("name", sorted(builtin_kernel_set()))
+    def test_every_row_equals_the_gathering_walk_with_censoring(self, monkeypatch, name):
+        k = builtin_kernel_set()[name]
+        cfg = SimConfig(cutoff_eps=1e-2, n_paths=2000, seed=17)
+        # a budget at the median of the largest level's E_t censors about half there
+        budget = float(np.median(sample_E_t(k, cfg, max(_LEVELS)).values))
+        monkeypatch.setattr(BernsteinTable, "phi", lambda tab, lam: 1e6 / budget)
+        ens = sample_E_t(k, cfg, np.array(_LEVELS))
+        values, censored = _gathering_E(k, cfg, _LEVELS)
+        assert np.array_equal(ens.level, _LEVELS)
+        assert np.array_equal(ens.values, values) and np.array_equal(ens.censored, censored)
+        assert 0 < np.count_nonzero(censored[_LEVELS.index(max(_LEVELS))]) < cfg.n_paths
+        for i, level in enumerate(_LEVELS):
+            row = ens.row(i)
+            assert row.level == level and np.shares_memory(row.values, ens.values)
+            assert np.array_equal(row.values, values[i]) and np.array_equal(row.censored, censored[i])
+
+    def test_half_caputo_levels_match_the_closed_form(self):
+        # P(E_t <= r) = P(S_r >= t) = erf(r/(2 sqrt t)) at every level of one walk
+        k = caputo(0.5)
+        cfg = SimConfig(cutoff_eps=1e-4, n_paths=20_000, seed=41)
+        levels = np.array([0.03, 0.2, 1.0, 4.0])
+        ens = sample_E_t(k, cfg, levels)
+        assert not ens.censored.any()
+        n = ens.n_paths
+        for values, t in zip(ens.values, levels):
+            for r in np.sqrt(t) * np.array([0.3, 1.0, 2.0, 3.5]):
+                p = stable_half_upper_cdf(r, t)
+                se = math.sqrt(p * (1.0 - p) / n)
+                assert abs(float(np.mean(values <= r)) - p) <= 5.0 * se, (t, r)
+
+    @pytest.mark.parametrize("levels", [[], [[0.5]], [0.5, math.nan], [0.5, 0.0]])
+    def test_bad_level_arrays_are_refused(self, levels):
+        with pytest.raises(DomainError, match="the level"):
+            sample_E_t(caputo(0.5), SimConfig(cutoff_eps=1e-3, n_paths=100, seed=1), np.array(levels))
+
+    def test_one_phi_call_at_the_largest_level_sizes_the_walk(self, monkeypatch):
+        # 1/t = 1e-300 is below phi's support, so the largest level decides
+        def no_draw(*args):
+            raise AssertionError("the walk began")
+
+        monkeypatch.setattr(simulate, "inverse_w_vec", no_draw)
+        with pytest.raises(DomainError, match="lambda=1e-300 is below the smallest supported lambda"):
+            sample_E_t(caputo(0.5), SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1),
+                       np.array([0.1, 1e300, 1.0]))
 
 
 class TestUniformDraws:
