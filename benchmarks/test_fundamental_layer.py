@@ -7,16 +7,20 @@ From the repository root:
 pytest-benchmark times each case and prints min/median/mean per round.  The
 cases: the transition kernel q of the ``fundsol`` workload's HK_D model on
 the half-line, on the node array of one ``p_quadrature`` check (every
-panel's 32 and 64 Gauss-Legendre points, one ``q_at`` call), and
+panel's 32 and 64 Gauss-Legendre points, one ``q_at`` call),
 ``solve_u``'s inner integral Q(r, x) at one fixed r, for golden criterion
-11's request (J1 on the interval (0, 1), f = 1, x = 1e-2, t = 0.2).  The
-default test run does not collect this directory (``testpaths = ["tests"]``).
+11's request (J1 on the interval (0, 1), f = 1, x = 1e-2, t = 0.2), and p
+at golden criterion 8's resolution-8 mainsmall-i points through the call
+criterion 8 makes, one ``p_quadrature_many`` call (the points are drawn
+once from a 1/2-Caputo table, outside the timing).  The default test run
+does not collect this directory (``testpaths = ["tests"]``).
 """
 
 import numpy as np
 
-from subtail import fundamental
-from subtail.fundamental import SolutionRequest, StableHalfDensity
+from subtail import fundamental, golden
+from subtail.comparability import regime_grid
+from subtail.fundamental import SolutionRequest, StableHalfDensity, p_quadrature_many
 from subtail.heat_kernel import Geometry, HKModel
 from subtail.kernels import caputo
 from subtail.quadrature import GL32, GL64
@@ -48,3 +52,13 @@ def test_q_of_hk_d_on_p_nodes(benchmark):
 
 def test_inner_Q_at_fixed_r(benchmark):
     assert _run(benchmark, lambda: fundamental._inner_Q(C11, R), rounds=200) > 0.0
+
+
+def test_p_of_criterion_8s_mainsmall_i_points(benchmark):
+    m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
+    tab = golden.half_caputo_table(golden.TableCache())
+    pts = regime_grid("mainsmall-i", tab, m, g, resolution=8, margin=golden.C8_MARGINS["mainsmall-i"],
+                      t_window=(1e-3, 0.1))
+    reqs = [SolutionRequest(tab.kernel, m, g, *pt) for pt in pts]
+    p = _run(benchmark, lambda: p_quadrature_many(reqs), rounds=20)
+    assert len(p) == len(pts) > 100 and all(v.value > 0.0 for v in p)

@@ -24,9 +24,10 @@ lambda: per lambda, the package's one checked rule (``quadrature``'s
 and a closed-form head: on [0, 1e-5/lambda] the factor e^{-lambda u} is
 Taylor expanded to three terms and the remaining truncated moments
 int_0^a u^k w(u) du come exactly from the kernel, one ``kernel.moment``
-call per k for the whole array.  The lambdas are grouped by panel count and
-evaluated in chunks of at most ``_PANEL_CHUNK`` panels, one ``kernel.w``
-call per chunk, which bounds the memory of a build.  Every power that feeds
+call per k for the whole array.  The lambdas' panels are summed by
+``quadrature.grouped_panel_sums``, grouped by panel count in chunks of at
+most ``quadrature.PANEL_CHUNK`` panels, one ``kernel.w`` call per chunk,
+which bounds the memory of a build.  Every power that feeds
 a value is rounded as a lone float's would be (``kernels.float_pow``), so a
 value never depends on the batch it was computed in, and an array fails at
 its first failing lambda, as that lambda alone would.
@@ -76,7 +77,8 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .kernels import check_conditions, float_pow
-from .quadrature import PHI_RULES, checked, geometric_edges, panel_sums
+from .quadrature import PANEL_CHUNK as _PANEL_CHUNK  # the evaluator's chunk bound, read at each call
+from .quadrature import PHI_RULES, checked, geometric_edges, grouped_panel_sums
 
 __all__ = ["BernsteinTable", "calM", "calN", "increasing_root"]
 
@@ -84,8 +86,6 @@ _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
 # geometric panels on [u0, 50/lambda]: 23 octaves for every lambda
 _OCTAVES = math.ceil(math.log2(_TAIL_MULT / _HEAD_FRAC))
-# most panels evaluated at once: bounds the (lambdas, panels, 64) temporaries
-_PANEL_CHUNK = 256
 _NAMES = ("phi", "H", "phi'")
 
 
@@ -175,23 +175,19 @@ def _bernstein_values(kernel, lam, rtol):
         m1 - lam * m2 + 0.5 * l2 * m3,
         m0 - 2.0 * lam * m1 + 1.5 * l2 * m2,
     ])
-    sums = np.empty((2, 3, lam.size))
     l3 = lam[:, None, None]
     edges, panels = _panel_edges(kernel, u0, hi)
-    for n_p in set(panels.tolist()):
-        rows = np.flatnonzero(panels == n_p)
-        per = max(1, _PANEL_CHUNK // n_p)
-        for k in range(0, rows.size, per):
-            r = rows[k : k + per]
-            sums[:, :, r] = panel_sums(lambda u: _integrands(kernel, l3[r], u),
-                                       edges[r, : n_p + 1], PHI_RULES)
-    sums += heads
+    coarse, fine = grouped_panel_sums(lambda u, rows: _integrands(kernel, l3[rows], u),
+                                      [row[: n + 1] for row, n in zip(edges, panels.tolist())],
+                                      PHI_RULES, (3,), _PANEL_CHUNK)
+    coarse += heads
+    fine += heads
 
     def message(i, _):
         return "Laplace integral of %s did not converge at lambda=%g" % (_NAMES[i % 3], lam[i // 3])
 
     # checked (lam, integral)-major: the first failing lam, there its first failing integral
-    phi, H, dphi = checked(sums[0].T, sums[1].T, rtol, 0.0, message).T
+    phi, H, dphi = checked(coarse.T, fine.T, rtol, 0.0, message).T
     return phi * lam, H * l2, dphi
 
 

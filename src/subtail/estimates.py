@@ -12,7 +12,10 @@ the large-domain log factor G_d, the near-diagonal boundary integral
                        + w(t) I_k^gamma(t,x,y),
 
 evaluated, like every integral of a_k^gamma here, by the package's checked
-panel rule (``quadrature.checked_panels``), its closed forms per exponent
+panel rule (``quadrature.checked_panels_many``; the list forms
+``boundary_integral_many``, ``I_gamma_quadrature_many`` and ``J_gamma_many``
+check a whole list in one call, bit for bit as one at a time, and raise the
+first miss in list order), its closed forms per exponent
 case (a)..(g) and boundary scenario (Sc.1)-(Sc.3), the elementary integral
 S_p with its asymptotic regimes, and
 the theorem registry: each tag of the special classes, the general theorems
@@ -43,14 +46,16 @@ from .errors import DomainError, RegimeError
 from .heat_kernel import (a_gamma_delta, boundary_min_form, boundary_power_form, delta_star_min_form,
                           geometry_probe, q_eval)
 from .kernels import Truncated
-from .quadrature import GRADE, checked_panels, graded_edges
+from .quadrature import GRADE, checked_panels_many, graded_edges, row_columns
 from .tail_bounds import HORIZON_T, MARGIN, QUARTER_E2, near_diagonal, off_diagonal, within_bound
 
 __all__ = [
     "F_alpha",
     "G_alpha_d",
     "I_gamma_quadrature",
+    "I_gamma_quadrature_many",
     "J_gamma",
+    "J_gamma_many",
     "boundary_integral",
     "closed_I_gamma",
     "S_p",
@@ -140,31 +145,84 @@ def boundary_integral(model, k, lo, hi, dx, dy, weight_pow=0.0):
     hi*GRADE, below which one panel reaches 0 (``quadrature.graded_edges``).
     A divergent integral misses the target and raises QuadratureError.
     """
-    if hi <= lo:
-        return 0.0
+    return boundary_integral_many(model, k, [(lo, hi, dx, dy)], weight_pow)[0]
+
+
+def _distances(values):
+    """``quadrature.row_columns`` of the distances of a list, except that a
+    list of free-space ones stays the float inf, the only infinity
+    a_gamma_delta skips; a list mixing the two is refused."""
+    infinite = [math.isinf(v) for v in values]
+    if all(infinite):
+        return lambda rows: math.inf
+    if any(infinite):
+        raise DomainError("a list of boundary integrals takes infinite distances in every row or in none")
+    return row_columns(values)
+
+
+def boundary_integral_many(model, k, limits, weight_pow=0.0):
+    """[boundary_integral(model, k, lo, hi, dx, dy, weight_pow) for (lo, hi,
+    dx, dy) in limits], bit for bit: the non-empty ranges go through one
+    ``checked_panels_many`` call, an empty one (hi <= lo) gives 0.0 without
+    evaluation, and the first integral in list order that misses the target
+    raises its QuadratureError."""
+    out = [0.0] * len(limits)
+    live = [i for i, (lo, hi, _, _) in enumerate(limits) if hi > lo]
+    if not live:
+        return out
     g, alpha, d = model.gamma, model.alpha, model.d
+    edges = []
+    for i in live:
+        lo, hi, dx, dy = limits[i]
+        splits = {p**alpha for p in (dx, dy) if math.isfinite(p)} | {1.0}
+        edges.append(graded_edges(lo, lo or hi * GRADE, hi, splits))
+    dx, dy = (_distances([limits[i][j] for i in live]) for j in (2, 3))
 
-    def f(r):
-        return r**weight_pow * a_gamma_delta(g, alpha, k, r, dx, dy) / r ** (d / alpha)
+    def f(r, rows):
+        return r**weight_pow * a_gamma_delta(g, alpha, k, r, dx(rows), dy(rows)) / r ** (d / alpha)
 
-    splits = {p**alpha for p in (dx, dy) if math.isfinite(p)} | {1.0}
-    edges = graded_edges(lo, lo or hi * GRADE, hi, splits)
-    return checked_panels("boundary integral", f, edges, _BOUNDARY_RTOL)
+    for i, v in zip(live, checked_panels_many(("boundary integral",) * len(live), f, edges, _BOUNDARY_RTOL)):
+        out[i] = v
+    return out
+
+
+def I_gamma_quadrature_many(model, geometry, table, k, points):
+    """I_k^gamma at each (t, x, y) of ``points`` by ``boundary_integral_many``;
+    every point is checked against the domain before any evaluation."""
+    limits = []
+    for t, x, y in points:
+        rho, dx, dy = geometry_probe(geometry, x, y)
+        limits.append((rho**model.alpha, HALF_E2 / table.phi(1.0 / t), dx, dy))
+    return boundary_integral_many(model, k, limits)
 
 
 def I_gamma_quadrature(model, geometry, table, k, t, x, y):
     """The near-diagonal integral I_k^gamma(t,x,y) by the checked panel rule."""
-    rho, dx, dy = geometry_probe(geometry, x, y)
-    return boundary_integral(model, k, rho**model.alpha, HALF_E2 / table.phi(1.0 / t), dx, dy)
+    return I_gamma_quadrature_many(model, geometry, table, k, [(t, x, y)])[0]
+
+
+def _J_lead(model, geometry, table, k, t, x, y):
+    """J_k^gamma's first term a_k^gamma(1/phi(1/t))/V(Phi^{-1}(1/phi(1/t))) and w(t)."""
+    _, dx, dy = geometry_probe(geometry, x, y)
+    phi_inv = 1.0 / table.phi(1.0 / t)
+    lead = a_gamma_delta(model.gamma, model.alpha, k, phi_inv, dx, dy)
+    return lead / model.V_inv_time(phi_inv), float(table.kernel.w(t))
 
 
 def J_gamma(model, geometry, table, k, t, x, y):
     """J_k^gamma(t,x,y): the full near-diagonal estimate form (w the table's)."""
-    _, dx, dy = geometry_probe(geometry, x, y)
-    phi_inv = 1.0 / table.phi(1.0 / t)
-    lead = a_gamma_delta(model.gamma, model.alpha, k, phi_inv, dx, dy)
-    lead /= model.V_inv_time(phi_inv)
-    return lead + float(table.kernel.w(t)) * I_gamma_quadrature(model, geometry, table, k, t, x, y)
+    lead, w_t = _J_lead(model, geometry, table, k, t, x, y)
+    return lead + w_t * I_gamma_quadrature(model, geometry, table, k, t, x, y)
+
+
+def J_gamma_many(model, geometry, table, k, points):
+    """[J_gamma(model, geometry, table, k, t, x, y) for (t, x, y) in points],
+    bit for bit, its integrals from one ``I_gamma_quadrature_many`` call."""
+    out = []
+    for pt, integral in zip(points, I_gamma_quadrature_many(model, geometry, table, k, points)):
+        lead, w_t = _J_lead(model, geometry, table, k, *pt)
+        out.append(lead + w_t * integral)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,23 @@ The solution u(t,x) = int_D p(t,x,y) f(y) m(dy) is evaluated with the order
 of integration swapped: the inner boundary integral Q(r,x) = int q(r,x,y)
 f(y) dy is computed per clock value and then averaged against g_t (or the
 ensemble).  Every integral over q, p's and Q's alike, is checked by
-``quadrature.checked_panels`` and evaluates q once per check, on one node
-array holding the 32- and the 64-node Gauss-Legendre points of every panel:
-the two panel sums must agree to the target, otherwise QuadratureError.
-Model kernels here are class representatives, so u verifies structure
-(decay rates, symmetry, boundary order), not physical values.
+``quadrature.checked_panels_many`` on the 32- and the 64-node
+Gauss-Legendre points of its panels: the two panel sums must agree to the
+target, otherwise QuadratureError.  Model kernels here are class
+representatives, so u verifies structure (decay rates, symmetry, boundary
+order), not physical values.
+
+Quadrature mode has list forms: ``p_quadrature_many`` and ``solve_u_many``
+take requests that share kernel, model, geometry and f (refused with
+DomainError otherwise), and check all their integrals in one
+``checked_panels_many`` call, in groups of the same panel count, with q
+evaluated once per group chunk: x, y and t (for Q, x and r) reach q and
+the density as (rows, 1, 1) columns, and ``heat_kernel`` raises such a
+column as it raises a lone float, so every value equals its one-request
+call bit for bit.  Every point is checked against the domain before any
+evaluation, and the first request in list order whose integral misses its
+target raises its QuadratureError.  ``p_quadrature`` and ``solve_u``'s
+quadrature mode are the one-request cases; MC mode is per request.
 
 ``diagonal_probe`` feeds the truncated-kernel diagonal finiteness check:
 near r = 0 the crossing law follows the structural form
@@ -56,7 +68,7 @@ import numpy as np
 from .errors import DomainError
 from .heat_kernel import q_eval
 from .kernels import Power
-from .quadrature import GRADE, checked_panels, graded_edges
+from .quadrature import GRADE, checked_panels_many, graded_edges, row_columns
 from .simulate import SimConfig, sample_E_t
 
 __all__ = [
@@ -64,13 +76,16 @@ __all__ = [
     "PValue",
     "StableHalfDensity",
     "p_quadrature",
+    "p_quadrature_many",
     "p_mc",
-    "solve_u",
+    "solve_u_many",
     "diagonal_probe",
 ]
 
 # the one target of the quadrature mode, relative
 _RTOL = 1e-8
+# clock nodes of u's outer integral in quadrature mode
+_U_NODES = 160
 
 
 def is_half_caputo(kernel):
@@ -92,7 +107,7 @@ class StableHalfDensity:
         self.t = t
 
     def __call__(self, r):
-        return np.exp(-np.asarray(r) ** 2 / (4.0 * self.t)) / math.sqrt(math.pi * self.t)
+        return np.exp(-np.asarray(r) ** 2 / (4.0 * self.t)) / np.sqrt(math.pi * self.t)
 
     def r_max(self):
         return 18.0 * math.sqrt(self.t)  # exp(-81) tail mass
@@ -114,11 +129,12 @@ class SolutionRequest:
     ensemble: object = None  # shared E_t ensemble (MC mode)
     q_override: object = None  # diagnostic kernel r -> q(r), replaces q(r,x,y)
 
-    def q_at(self, r, y=None):
-        """q(r, x, y) on an array of clock values r or of points y (default self.y)."""
+    def q_at(self, r, y=None, x=None):
+        """q(r, x, y) on an array of clock values r or of points y (defaults
+        self.x and self.y)."""
         if self.q_override is not None:
             return self.q_override(r)
-        return q_eval(self.model, self.geometry, r, self.x, self.y if y is None else y)
+        return q_eval(self.model, self.geometry, r, self.x if x is None else x, self.y if y is None else y)
 
 
 @dataclass
@@ -131,13 +147,21 @@ class PValue:
     diagnostic: str | None = None
 
 
-def _density_for(req):
-    if not is_half_caputo(req.kernel):
+def _list_head(reqs, what):
+    """The first of ``reqs``, after checking that they all share its kernel,
+    model, geometry, f and q_override, and that the kernel has the
+    closed-form E_t density."""
+    head = reqs[0]
+    shared = (head.kernel, head.model, head.geometry, head.f, head.q_override)
+    for req in reqs:
+        if (req.kernel, req.model, req.geometry, req.f, req.q_override) != shared:
+            raise DomainError("%s takes requests that share kernel, model, geometry and f" % what)
+    if not is_half_caputo(head.kernel):
         raise DomainError(
             'quadrature mode needs the closed-form E_t density of the order-1/2 Caputo '
-            'kernel; use method="mc" for %s' % type(req.kernel).__name__
+            'kernel; use method="mc" for %s' % type(head.kernel).__name__
         )
-    return StableHalfDensity(req.t)
+    return head
 
 
 def _ensemble(req, what):
@@ -175,12 +199,28 @@ def _panel_edges(req, r_hi):
     return graded_edges(0.0, start, r_hi, kinks)
 
 
+def p_quadrature_many(reqs):
+    """[p_quadrature(req) for req in reqs], bit for bit, from one
+    ``checked_panels_many`` call: x, y and t reach q and the density as
+    columns.  Every point is checked against the domain before any
+    evaluation, and the first request in list order that misses 1e-8
+    raises its QuadratureError."""
+    if not reqs:
+        return []
+    head = _list_head(reqs, "p_quadrature_many")
+    edges = [_panel_edges(req, StableHalfDensity(req.t).r_max()) for req in reqs]
+    t, x, y = map(row_columns, zip(*((req.t, req.x, req.y) for req in reqs)))
+
+    def integrand(rs, rows):
+        return head.q_at(rs, y(rows), x(rows)) * StableHalfDensity(t(rows))(rs)
+
+    values = checked_panels_many(("p",) * len(reqs), integrand, edges, _RTOL)
+    return [PValue(value=v, method="quadrature") for v in values]
+
+
 def p_quadrature(req):
     """Deterministic p(t,x,y) through the E_t density, checked to 1e-8 relative."""
-    dens = _density_for(req)
-    edges = _panel_edges(req, dens.r_max())
-    value = checked_panels("p", lambda rs: req.q_at(rs) * dens(rs), edges, _RTOL)
-    return PValue(value=value, method="quadrature")
+    return p_quadrature_many([req])[0]
 
 
 def _mc_value(ens, vals):
@@ -231,32 +271,56 @@ def _inner_edges(req, r):
     return np.array([lo, *sorted(k for k in kinks if lo < k < hi), hi])
 
 
+def _inner_Qs(reqs, rs):
+    """Q(r,x) = int_D q(r,x,y) f(y) dy at each (request, r) pair of the lists
+    ``reqs`` and ``rs``, checked to 1e-7 relative or 1.49e-8 absolute in list
+    order; the requests share model, geometry and f, and x and r reach q as
+    columns."""
+    f = reqs[0].f if reqs[0].f is not None else (lambda y: 1.0)
+    edges = [_inner_edges(req, r) for req, r in zip(reqs, rs)]
+    x, r = row_columns([req.x for req in reqs]), row_columns(rs)
+    return checked_panels_many(["Q(r=%g, x)" % v for v in rs],
+                               lambda ys, rows: reqs[0].q_at(r(rows), ys, x(rows)) * f(ys),
+                               edges, 1e-7, 1.49e-8)
+
+
 def _inner_Q(req, r):
-    """Q(r,x) = int_D q(r,x,y) f(y) dy, checked to 1e-7 relative or 1.49e-8 absolute."""
-    f = req.f if req.f is not None else (lambda y: 1.0)
-    return checked_panels("Q(r=%g, x)" % r, lambda ys: req.q_at(r, ys) * f(ys),
-                           _inner_edges(req, r), 1e-7, 1.49e-8)
+    """Q(r,x) of one request at one clock value r."""
+    return _inner_Qs([req], [r])[0]
+
+
+def solve_u_many(reqs):
+    """[solve_u(req) for req in reqs] for quadrature requests that share
+    kernel, model, geometry and f, bit for bit: the inner integrals of every
+    request go through one ``checked_panels_many`` call, so the first one in
+    list order that misses its target raises its QuadratureError."""
+    if not reqs:
+        return []
+    _list_head(reqs, "solve_u_many")
+    dens = [StableHalfDensity(req.t) for req in reqs]
+    # the inner integral is smooth in log r; a trapezoid in log r at
+    # _U_NODES nodes resolves it far below the factor-level tolerances u feeds
+    nodes = [np.geomspace(d.r_max() * 1e-7, d.r_max(), _U_NODES) for d in dens]
+    vals = _inner_Qs([req for req in reqs for _ in range(_U_NODES)], [r for row in nodes for r in row])
+    out = []
+    for i, (d, edges) in enumerate(zip(dens, nodes)):
+        q = np.array(vals[_U_NODES * i : _U_NODES * (i + 1)])
+        gm = np.asarray(d(0.5 * (edges[:-1] + edges[1:])), dtype=float)
+        qm = 0.5 * (q[:-1] + q[1:])
+        out.append(PValue(value=float(np.sum(np.diff(edges) * gm * qm)), method="quadrature"))
+    return out
 
 
 def solve_u(req):
     """u(t,x) = int_D p(t,x,y) f(y) dy, by the swapped-order quadrature.
 
-    MC mode evaluates the inner integral on a log grid of clock values and
+    Quadrature mode is ``solve_u_many`` of the one request.  MC mode
+    evaluates the inner integral on a log grid of clock values and
     interpolates it over the shared ensemble, so the standard error is the
     per-path CLT error of Q(E_t, x).
     """
     if req.method == "quadrature":
-        dens = _density_for(req)
-        r_hi = dens.r_max()
-        # the inner integral is smooth in log r; a trapezoid in log r at 160
-        # nodes resolves it far below the factor-level tolerances u feeds
-        edges = np.geomspace(r_hi * 1e-7, r_hi, 160)
-        vals = np.array([_inner_Q(req, r) for r in edges])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        gm = np.asarray(dens(mids), dtype=float)
-        qm = 0.5 * (vals[:-1] + vals[1:])
-        total = float(np.sum(np.diff(edges) * gm * qm))
-        return PValue(value=total, method="quadrature")
+        return solve_u_many([req])[0]
     ens = _ensemble(req, "solve_u MC mode")
     col = ens.values
     grid = np.geomspace(max(col.min(), 1e-12), col.max(), 80)

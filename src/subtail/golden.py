@@ -23,8 +23,8 @@ import numpy as np
 from .bernstein import BernsteinTable, calM, calN
 from .comparability import RatioReport, exp_constant_fit, regime_grid, two_sided_check
 from .errors import RegimeError
-from .estimates import EstimateCase, I_gamma_quadrature, J_gamma, closed_I_gamma, theorem_estimate
-from .fundamental import SolutionRequest, diagonal_probe, p_quadrature, solve_u
+from .estimates import EstimateCase, I_gamma_quadrature_many, J_gamma_many, closed_I_gamma, theorem_estimate
+from .fundamental import SolutionRequest, diagonal_probe, p_quadrature_many, solve_u_many
 from .heat_kernel import Geometry, HKModel, a_gamma_delta
 from .kernels import DistributedOrder, Subexp, Tabulated, Truncated, caputo
 from .simulate import (
@@ -324,25 +324,24 @@ def dgamma_report(tab, case, budget):
     alpha, d, gamma = DGAMMA_CASES[case]
     g = Geometry("interval", 1.0)
     m = HKModel("HK_J", alpha=alpha, d=d, gamma=gamma, lam=0.0, k=1)
-    obs, pred, coords = [], [], []
-    scen = set()
+    pts = []
     for t in (0.003, 0.02, 0.12, 0.7, 5.0):
         phi_t = tab.phi(1.0 / t)
         for dx in (0.012, 0.02, 0.045, 0.08, 0.15, 0.25, 0.45):
             for rho in (0.001, 0.004, 0.012, 0.03, 0.09, 0.2, 0.4):
                 y = dx + rho
-                if y >= 1.0 - 1e-9:
-                    continue
-                if not near_diagonal(rho**alpha * phi_t, 2.0, tab.quad_rtol):
-                    continue
-                closed, _, sc = closed_I_gamma(m, g, tab, t, dx, y)
-                quadv = I_gamma_quadrature(m, g, tab, 1, t, dx, y)
-                if quadv <= 0.0 or closed <= 0.0:
-                    continue
-                obs.append(quadv)
-                pred.append(closed)
-                coords.append((t, dx, y))
-                scen.add(sc)
+                if y < 1.0 - 1e-9 and near_diagonal(rho**alpha * phi_t, 2.0, tab.quad_rtol):
+                    pts.append((t, dx, y))
+    closed = [closed_I_gamma(m, g, tab, *pt) for pt in pts]
+    obs, pred, coords = [], [], []
+    scen = set()
+    for pt, (closedv, _, sc), quadv in zip(pts, closed, I_gamma_quadrature_many(m, g, tab, 1, pts)):
+        if quadv <= 0.0 or closedv <= 0.0:
+            continue
+        obs.append(quadv)
+        pred.append(closedv)
+        coords.append(pt)
+        scen.add(sc)
     obs, pred = np.array(obs), np.array(pred)
     return two_sided_check(obs, pred, budget, coords=coords, case="dgamma-" + case), scen
 
@@ -384,15 +383,13 @@ def mainsmall_report(tab, tag, resolution, budget, values=None):
     margin = C8_MARGINS[tag]
     pts = regime_grid(tag, tab, m, g, resolution=resolution, margin=margin, t_window=(1e-3, 0.1))
     values = {} if values is None else values
-    for (t, x, y) in pts:
-        if (t, x, y) in values:
-            continue
-        obs = p_quadrature(SolutionRequest(kern, m, g, t, x, y)).value
-        if tag == "mainsmall-i":
-            values[t, x, y] = obs, J_gamma(m, g, tab, m.k, t, x, y)
-        else:
-            case = EstimateCase(tag, tab, m, g, t, x, y, margin=margin)
-            values[t, x, y] = obs, theorem_estimate(case)["value"]
+    new = list(dict.fromkeys(pt for pt in pts if pt not in values))
+    obs = p_quadrature_many([SolutionRequest(kern, m, g, *pt) for pt in new])
+    if tag == "mainsmall-i":
+        pred = J_gamma_many(m, g, tab, m.k, new)
+    else:
+        pred = [theorem_estimate(EstimateCase(tag, tab, m, g, *pt, margin=margin))["value"] for pt in new]
+    values.update(zip(new, zip((o.value for o in obs), pred)))
     obs, pred = zip(*(values[pt] for pt in pts))
     return two_sided_check(np.array(obs), np.array(pred), budget, case=tag)
 
@@ -452,20 +449,18 @@ def crit_9_exponential_constant(tables):
     m = HKModel("D2", alpha=2.0, d=1.0)
     g = Geometry("half-line")
     x0 = 10.0
-    X, LR = [], []
     ts, rhos = (0.02, 0.1, 0.5), np.geomspace(2.0, 14.0, 10)
     Ns = calN(tab, m.alpha, np.array(ts)[:, None], rhos).tolist()
-    for t, N_t in zip(ts, Ns):
+    pts = [(t, rho, N) for t, N_t in zip(ts, Ns) for rho, N in zip(rhos, N_t) if N <= 80.0]
+    ps = p_quadrature_many([SolutionRequest(kern, m, g, t, x0, x0 + rho) for t, rho, _ in pts])
+    X, LR = [], []
+    for (t, rho, N), p in zip(pts, ps):
+        if p.value <= 0.0:
+            continue
         inv = 1.0 / tab.phi(1.0 / t)
-        for rho, N in zip(rhos, N_t):
-            if N > 80.0:
-                continue
-            p = p_quadrature(SolutionRequest(kern, m, g, t, x0, x0 + rho)).value
-            if p <= 0.0:
-                continue
-            a = a_gamma_delta(m.gamma, m.alpha, m.k, inv, g.delta(x0), g.delta(x0 + rho))
-            X.append(N)
-            LR.append(math.log(p / (a / inv**0.5)))
+        a = a_gamma_delta(m.gamma, m.alpha, m.k, inv, g.delta(x0), g.delta(x0 + rho))
+        X.append(N)
+        LR.append(math.log(p.value / (a / inv**0.5)))
     fit = exp_constant_fit(np.array(LR), np.array(X))
     c_lo, c_hi = budget["c"]
     ok = c_lo <= fit.c <= c_hi and fit.residual <= budget["residual"] and fit.t_stat >= budget["t_stat"]
@@ -525,10 +520,11 @@ def boundary_sweep(t_values, deltas, band_budget):
     g = Geometry("interval", 1.0)
     rows, sweeps = [], {}
     ok = True
+    us = iter(solve_u_many([SolutionRequest(kern, m, g, t, dlt) for t in t_values for dlt in deltas]))
     for t in t_values:
         ratios = []
         for dlt in deltas:
-            u = solve_u(SolutionRequest(kern, m, g, t, dlt, f=lambda y: 1.0)).value
+            u = next(us).value
             ratios.append(u / dlt ** (m.alpha * m.gamma))
             rows.append((float(t), float(dlt), u, ratios[-1]))
         band = max(ratios) / min(ratios)

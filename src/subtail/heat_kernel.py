@@ -33,7 +33,11 @@ model's ``exp_c`` (default 1).  Phi(r) = r^alpha, Psi(r) = r^psi_alpha and
 M(t,l) is evaluated as :func:`subtail.bernstein.calM` of the exponent alpha,
 the single source of truth, in one array expression per call.
 :func:`q_eval` takes arrays of clock values and points, so an integral over
-q evaluates it once per node array.
+q evaluates it once per node array, and a list of integrals once per chunk
+of them, its per-integral points as columns.  A power of a point quantity
+(a distance to the boundary, rho, a boundary ratio at a point) is the C
+library's pow whether the point comes as a scalar or in a column, so a
+value never depends on the list it was computed in.
 
 Geometries are one-dimensional (interval, half-line, exterior of [-1,1],
 free space) with the volume profile V(x,r) = r^d carried as a free exponent
@@ -51,6 +55,7 @@ import numpy as np
 
 from .bernstein import calM
 from .errors import DomainError
+from .kernels import float_pow
 
 __all__ = ["Geometry", "HKModel", "a_gamma_delta", "boundary_min_form", "boundary_power_form",
            "delta_star_min_form", "q_eval", "geometry_probe"]
@@ -192,10 +197,10 @@ class HKModel:
         return r**self.alpha
 
     def Psi(self, r):
-        return r**self.psi_alpha
+        return _point_pow(r, self.psi_alpha)
 
     def V(self, r):
-        return r**self.d
+        return _point_pow(r, self.d)
 
     def V_inv_time(self, t):
         """V(Phi^{-1}(t)) = t^{d/alpha}."""
@@ -227,6 +232,19 @@ def _min(a, b):
     return min(a, b)
 
 
+def _point_pow(v, p):
+    """v**p for a quantity of the points (a distance to the boundary, rho, a
+    boundary ratio): a scalar, or a column (..., 1) holding one value per
+    integral of a list form, is raised as a lone float, by the C library's
+    pow (``kernels.float_pow``), so an integral's q has the same bits in a
+    list as alone; an array of nodes takes numpy's vectorised power."""
+    if not isinstance(v, np.ndarray):
+        return v**p
+    if v.ndim == 0:
+        return v[()] ** p
+    return float_pow(v, p) if v.shape[-1] == 1 else v**p
+
+
 def a_gamma_delta(gamma, alpha, k, t, dx, dy):
     """Boundary factor a_k^gamma from the distances dx, dy (inf contributes 1).
 
@@ -240,8 +258,8 @@ def a_gamma_delta(gamma, alpha, k, t, dx, dy):
     for dp in (dx, dy):
         if isinstance(dp, float) and math.isinf(dp):
             continue
-        ph = dp**alpha
-        out = out * (ph / (ph + t)) ** gamma
+        ph = _point_pow(dp, alpha)
+        out = out * _point_pow(ph / (ph + t), gamma)
     return out
 
 
@@ -270,7 +288,10 @@ def q_eval(model, geometry, t, x, y):
     """Evaluate the model transition kernel at (t, x, y).
 
     t, x and y may be arrays, which broadcast: one call evaluates q on a
-    whole node array.  All-scalar arguments return a float.
+    whole node array, and on the nodes of several integrals when their
+    points (or clock values) come as columns (rows, 1, 1), each row's values
+    bit for bit those of its scalar call.  All-scalar arguments return a
+    float.
     """
     t, x, y = np.asarray(t, dtype=float), np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if np.any(t <= 0.0):

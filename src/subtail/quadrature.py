@@ -6,10 +6,21 @@ then the fine one's), and ``checked`` returns the fine sums only if each
 agrees with its coarse sum to the target, which a non-finite sum never does;
 otherwise QuadratureError at the first that does not, carrying the achieved
 and target errors.  Each caller has a fixed pair: ``Q_RULES`` (32 vs 64
-nodes) for every integral over q and the boundary integrals, through
-``checked_panels``, and for ``kernels.Subexp``'s moments beyond s = 1, and
-``PHI_RULES`` (24 vs 40) for phi's Laplace integrals in ``bernstein``.
-There is no unchecked Gauss sum: every one goes through ``panel_sums`` and
+nodes) for every integral over q and the boundary integrals, and for
+``kernels.Subexp``'s moments beyond s = 1, and ``PHI_RULES`` (24 vs 40) for
+phi's Laplace integrals in ``bernstein``.
+
+A list of integrals is summed in groups (``grouped_panel_sums``): the
+integrals with the same panel count share one ``panel_sums`` call per chunk
+of at most ``PANEL_CHUNK`` panels, which bounds the node arrays, and the
+integrand ``fn(u, rows)`` learns which integrals of the list its rows are
+(``row_columns`` gives it their per-integral values as columns).  A row's
+sum reduces its own contiguous block, so each integral's sum is,
+bit for bit, its sum alone.  ``checked_panels_many`` checks such a list on
+``Q_RULES`` in list order, so it raises the QuadratureError of the first
+integral in the list that misses its target; ``checked_panels`` is its
+one-integral case, and phi's integrals are grouped the same way.  There is
+no unchecked Gauss sum: every one goes through ``panel_sums`` and
 ``checked``.  Every integral over the clock r takes its edges from
 ``graded_edges``, whose geometric part, like the octaves of phi's panels,
 comes from ``geometric_edges``.
@@ -35,6 +46,8 @@ Q_RULES, PHI_RULES = ((np.concatenate([c[0], f[0]]), c[1], f[1])
 # on the diagonal) to a 1e-8 target, while every divergent q <= -1 still
 # misses it by percents.
 GRADE = 1e-30
+# most panels summed in one panel_sums call: bounds the (rows, panels, points) temporaries
+PANEL_CHUNK = 256
 
 
 def geometric_edges(start, stop, num):
@@ -85,10 +98,50 @@ def checked(coarse, fine, rtol, atol, message):
     return fine
 
 
+def grouped_panel_sums(fn, edges, rules, lead=(), chunk=PANEL_CHUNK):
+    """(coarse, fine) panel sums of each integral of the list ``edges`` (1-D
+    arrays of panel edges) for the rule ``rules``, shaped lead + (len(edges),).
+    The integrals with the same panel count go through ``panel_sums``
+    together, at most ``chunk`` panels per call, and ``fn(u, rows)`` is called
+    once per call, on its (len(rows), panels, points) nodes u, rows being
+    the list indices of u's rows; it returns lead + u.shape.  ``chunk`` is
+    ``PANEL_CHUNK`` unless the caller names the bound it reads."""
+    if len(edges) == 1:  # one integral needs no grouping: keep its call as cheap as a plain panel_sums
+        return panel_sums(lambda u: fn(u, [0]), edges[0][None], rules)
+    coarse, fine = np.empty(lead + (len(edges),)), np.empty(lead + (len(edges),))
+    groups = {}
+    for i, e in enumerate(edges):
+        groups.setdefault(e.size, []).append(i)
+    for size, rows in groups.items():
+        per = max(1, chunk // (size - 1))
+        for k in range(0, len(rows), per):
+            r = rows[k : k + per]
+            block = np.stack([edges[i] for i in r])
+            coarse[..., r], fine[..., r] = panel_sums(lambda u: fn(u, r), block, rules)
+    return coarse, fine
+
+
+def row_columns(values):
+    """rows -> the entries ``rows`` of the per-integral ``values`` of a list,
+    as a (rows, 1, 1) column that broadcasts against ``fn``'s nodes; a lone
+    value is given as it is, so a one-integral list evaluates as a scalar
+    call would."""
+    if len(values) == 1:
+        return lambda rows: values[0]
+    return np.array(values, dtype=float)[:, None, None].__getitem__
+
+
+def checked_panels_many(whats, fn, edges, rtol, atol=0.0):
+    """The 64-node panel sum of each integral of the list ``edges``, each
+    checked against its 32-node sum to rtol relative or atol absolute, in list
+    order: ``grouped_panel_sums`` with ``fn(u, rows)``, then ``checked``.
+    ``whats`` names the integrals in a QuadratureError's message."""
+    coarse, fine = grouped_panel_sums(fn, edges, Q_RULES)
+    return checked(coarse, fine, rtol, atol, lambda i, achieved:
+                   "%s quadrature achieved %.2g, target %.2g" % (whats[i], achieved, rtol)).tolist()
+
+
 def checked_panels(what, fn, edges, rtol, atol=0.0):
-    """64-node panel sum of ``fn``, checked against the 32-node sum to rtol
-    relative or atol absolute: ``panel_sums`` and ``checked`` on one row,
-    ``fn`` called on a flat array."""
-    coarse, fine = panel_sums(lambda u: fn(u.ravel()).reshape(u.shape), edges[None], Q_RULES)
-    return float(checked(coarse, fine, rtol, atol, lambda i, achieved:
-                         "%s quadrature achieved %.2g, target %.2g" % (what, achieved, rtol))[0])
+    """``checked_panels_many`` of the one integral on ``edges``, ``fn`` called
+    on a flat array."""
+    return checked_panels_many((what,), lambda u, _: fn(u.ravel()).reshape(u.shape), [edges], rtol, atol)[0]

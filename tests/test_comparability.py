@@ -125,18 +125,18 @@ class TestCriterion8Reuse:
         from subtail import golden
 
         seen = []
-        p_quadrature = golden.p_quadrature
+        p_quadrature_many = golden.p_quadrature_many
 
-        def counted(req):
-            seen.append((req.t, req.x, req.y))
-            return p_quadrature(req)
+        def counted(reqs):
+            seen.extend((req.t, req.x, req.y) for req in reqs)
+            return p_quadrature_many(reqs)
 
-        monkeypatch.setattr(golden, "p_quadrature", counted)
+        monkeypatch.setattr(golden, "p_quadrature_many", counted)
         tables = golden.TableCache()
         out = golden.crit_8_mainsmall_quadrature(tables)["branches"]
         # 1,815 distinct points: the resolution-8 grids' 288 lie in the resolution-15 ones
         assert len(seen) == len(set(seen)) == 1815
-        monkeypatch.setattr(golden, "p_quadrature", p_quadrature)
+        monkeypatch.setattr(golden, "p_quadrature_many", p_quadrature_many)
         tab = golden.half_caputo_table(tables)
         for tag, branch in out.items():
             alone = [golden.mainsmall_report(tab, tag, res, 50.0) for res in (8, 15)]

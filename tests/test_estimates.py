@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from subtail import estimates, golden
 from subtail.bernstein import BernsteinTable
-from subtail.errors import QuadratureError, RegimeError
+from subtail.comparability import regime_grid
+from subtail.errors import DomainError, QuadratureError, RegimeError
 from subtail.estimates import (
     EstimateCase,
     F_alpha,
     G_alpha_d,
     I_gamma_quadrature,
+    I_gamma_quadrature_many,
     J_gamma,
+    J_gamma_many,
     boundary_integral,
+    boundary_integral_many,
     S_p,
     closed_I_gamma,
     theorem_estimate,
@@ -19,7 +24,7 @@ from subtail.estimates import (
 from subtail.heat_kernel import Geometry, HKModel
 from subtail.golden import builtin_kernel_set
 from subtail.kernels import Truncated, caputo
-from subtail.tail_bounds import QUARTER_E2
+from subtail.tail_bounds import QUARTER_E2, near_diagonal
 
 INF = math.inf
 
@@ -136,6 +141,52 @@ class TestIGamma:
         m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.0, lam=0.0, k=1)
         with pytest.raises(QuadratureError):
             boundary_integral(m, 1, 0.0, 1.0, INF, INF)
+
+
+class TestListForms:
+    """A list form returns, bit for bit, what its one-point calls return."""
+
+    @pytest.mark.parametrize("case", sorted(golden.DGAMMA_CASES))
+    def test_I_on_criterion_7s_points(self, half_table, case):
+        # criterion 7's near-diagonal grid of (0, 1) for each exponent case
+        alpha, d, gamma = golden.DGAMMA_CASES[case]
+        m, g = HKModel("HK_J", alpha=alpha, d=d, gamma=gamma, lam=0.0, k=1), Geometry("interval", 1.0)
+        pts = [(t, dx, dx + rho) for t in (0.003, 0.02, 0.12, 0.7, 5.0)
+               for dx in (0.012, 0.02, 0.045, 0.08, 0.15, 0.25, 0.45)
+               for rho in (0.001, 0.004, 0.012, 0.03, 0.09, 0.2, 0.4)
+               if dx + rho < 1.0 - 1e-9
+               and near_diagonal(rho**alpha * half_table.phi(1.0 / t), 2.0, half_table.quad_rtol)]
+        assert len(pts) >= 60
+        assert I_gamma_quadrature_many(m, g, half_table, 1, pts) == [
+            I_gamma_quadrature(m, g, half_table, 1, *pt) for pt in pts]
+
+    def test_J_on_criterion_8s_mainsmall_i_points(self, half_table):
+        m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
+        pts = regime_grid("mainsmall-i", half_table, m, g, resolution=8, margin=2.0, t_window=(1e-3, 0.1))
+        assert J_gamma_many(m, g, half_table, m.k, pts) == [J_gamma(m, g, half_table, m.k, *pt) for pt in pts]
+
+    def test_free_space_boundary_integrals(self):
+        # free space keeps its distances the float inf, which a_k^gamma skips
+        m = HKModel("HK_J", alpha=1.5, d=1.0, gamma=0.3, lam=0.0, k=2)
+        ranges = ((0.0, 1.0), (0.01, 3.0), (2.0, 1.0), (1e-4, 0.5), (0.01, 3.0))
+        limits = [(lo, hi, INF, INF) for lo, hi in ranges]
+        for w in (0.0, 1.0):
+            got = boundary_integral_many(m, 1, limits, weight_pow=w)
+            assert got == [boundary_integral(m, 1, *lim, weight_pow=w) for lim in limits]
+            assert got[2] == 0.0 and got[4] == got[1] and all(v > 0.0 for v in got[:2])
+        tab = BernsteinTable(caputo(0.5), points_per_decade=24)
+        pts = [(t, 0.0, y) for t in (0.5, 4.0) for y in (0.01, 0.3, 1e-6)]
+        g = Geometry("free")
+        assert I_gamma_quadrature_many(m, g, tab, 2, pts) == [
+            I_gamma_quadrature(m, g, tab, 2, *pt) for pt in pts]
+
+    def test_empty_ranges_are_not_evaluated_and_distances_do_not_mix(self, monkeypatch):
+        m = HKModel("HK_J", alpha=1.0, d=1.0, gamma=0.5, lam=0.0, k=1)
+        with pytest.raises(DomainError, match="infinite distances in every row or in none"):
+            boundary_integral_many(m, 1, [(0.1, 1.0, INF, INF), (0.1, 1.0, 0.5, INF)])
+        monkeypatch.setattr(estimates, "checked_panels_many", None)
+        assert boundary_integral_many(m, 1, [(1.0, 0.5, 0.2, 0.3), (2.0, 2.0, INF, INF)]) == [0.0, 0.0]
+        assert boundary_integral_many(m, 1, []) == []
 
 
 class TestClosedIGamma:

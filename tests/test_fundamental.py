@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from subtail import fundamental, golden
+from subtail.bernstein import calN
+from subtail.comparability import regime_grid
 from subtail.errors import DomainError, QuadratureError
 from subtail.fundamental import (
     PValue,
@@ -12,7 +15,9 @@ from subtail.fundamental import (
     _inner_Q,
     p_mc,
     p_quadrature,
+    p_quadrature_many,
     solve_u,
+    solve_u_many,
 )
 from subtail.heat_kernel import Geometry, HKModel
 from subtail.kernels import Truncated, caputo
@@ -202,6 +207,108 @@ class TestSolveU:
         base.sim = SimConfig(cutoff_eps=1e-4, n_paths=20_000, seed=37)
         u_m = solve_u(base)
         assert abs(u_m.value - u_q.value) <= 4.0 * u_m.se + 0.01 * u_q.value
+
+
+def _bits(values):
+    return [v.value for v in values]
+
+
+def _criterion_8_points():
+    """The 1,815 distinct (t, x, y) of criterion 8: both branches at
+    resolutions 8 and 15."""
+    tab = golden.half_caputo_table(golden.TableCache())
+    m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
+    pts = [pt for tag, margin in golden.C8_MARGINS.items() for res in (8, 15)
+           for pt in regime_grid(tag, tab, m, g, resolution=res, margin=margin, t_window=(1e-3, 0.1))]
+    return m, g, list(dict.fromkeys(pts))
+
+
+class TestListForms:
+    """A list form returns, bit for bit, what its one-request calls return,
+    and raises what the first failing request in the list raises alone."""
+
+    def test_p_on_criterion_8s_points(self):
+        m, g, pts = _criterion_8_points()
+        assert len(pts) == 1815
+        reqs = [SolutionRequest(caputo(0.5), m, g, *pt) for pt in pts]
+        assert _bits(p_quadrature_many(reqs)) == _bits(p_quadrature(req) for req in reqs)
+
+    def test_p_on_criterion_9s_points(self):
+        tab = golden.TableCache()(caputo(0.5), points_per_decade=24)
+        m, g = HKModel("D2", alpha=2.0, d=1.0), Geometry("half-line")
+        ts, rhos = (0.02, 0.1, 0.5), np.geomspace(2.0, 14.0, 10)
+        Ns = calN(tab, m.alpha, np.array(ts)[:, None], rhos).tolist()
+        reqs = [SolutionRequest(caputo(0.5), m, g, t, 10.0, 10.0 + rho)
+                for t, N_t in zip(ts, Ns) for rho, N in zip(rhos, N_t) if N <= 80.0]
+        assert len(reqs) > 20
+        assert _bits(p_quadrature_many(reqs)) == _bits(p_quadrature(req) for req in reqs)
+
+    def test_u_on_criterion_11s_requests(self):
+        m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
+        reqs = [SolutionRequest(caputo(0.5), m, g, t, dlt)
+                for t in golden.C11_T_VALUES for dlt in golden.C11_DELTAS]
+        assert len(reqs) == 8
+        assert _bits(solve_u_many(reqs)) == _bits(solve_u(req) for req in reqs)
+
+    @pytest.mark.parametrize("family, alpha, kind, kw", [
+        ("J4", 1.5, "interval", {}),
+        ("HK_M", 1.5, "interval", {"gamma": 0.5, "lam": 0.5, "k": 1}),
+        ("HK_J", 1.5, "half-line", {"gamma": 0.3, "lam": 0.0, "k": 2}),
+        ("D3", 2.0, "exterior", {}),
+    ])
+    def test_mixed_panel_counts_chunks_and_a_repeat(self, family, alpha, kind, kw):
+        # powers alpha, psi_alpha and gamma off numpy's exact special cases, so
+        # the points' columns must be raised as lone floats to keep the bits;
+        # at t = 0.002 the clock range ends below the kink at 1, so the list
+        # mixes panel counts, 15 points of ~45 panels span several chunks,
+        # and the list repeats a request
+        m, g = HKModel(family, alpha=alpha, d=1.0, **kw), Geometry(kind, 1.0)
+        lo = {"interval": 0.05, "half-line": 0.05, "exterior": 1.05}[kind]
+        rng = np.random.default_rng(7)
+        pts = [(10.0 ** rng.uniform(-2.0, 0.0), lo + rng.uniform(0.0, 0.9), lo + rng.uniform(0.0, 0.9))
+               for _ in range(12)]
+        pts += [(0.3, lo + 0.4, lo + 0.4 + 1e-3), (0.002, lo + 0.45, lo + 0.5), pts[3]]
+        reqs = [SolutionRequest(caputo(0.5), m, g, *pt) for pt in pts]
+        edges = [fundamental._panel_edges(req, 18.0 * math.sqrt(req.t)).size for req in reqs]
+        assert len(set(edges)) > 1 and sum(edges) > 2 * 256
+        got = _bits(p_quadrature_many(reqs))
+        assert got == _bits(p_quadrature(req) for req in reqs)
+        assert got[14] == got[3]
+
+    def test_the_first_miss_in_list_order_is_raised(self):
+        # requests 2 and 4 sit on the diagonal of J1, where p diverges
+        m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
+        pts = [(0.1, 0.2, 0.7), (0.01, 0.5, 0.5), (0.2, 0.3, 0.35), (0.5, 0.4, 0.4), (0.05, 0.6, 0.1)]
+        reqs = [SolutionRequest(caputo(0.5), m, g, *pt) for pt in pts]
+        alone = []
+        for i in (1, 3):
+            with pytest.raises(QuadratureError) as err:
+                p_quadrature(reqs[i])
+            alone.append(err.value)
+        assert alone[0].achieved != alone[1].achieved
+        with pytest.raises(QuadratureError) as err:
+            p_quadrature_many(reqs)
+        assert str(err.value) == str(alone[0]) and err.value.achieved == alone[0].achieved
+
+    def test_a_point_outside_the_domain_is_refused_before_any_evaluation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fundamental, "q_eval", lambda *a: calls.append(a))
+        m, g = HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
+        reqs = [SolutionRequest(caputo(0.5), m, g, 0.1, x, 0.5) for x in (0.2, 0.5, 1.5, 0.7)]
+        with pytest.raises(DomainError, match="not in the domain"):
+            p_quadrature_many(reqs)
+        reqs = [SolutionRequest(caputo(0.5), m, Geometry("exterior"), 0.1, x) for x in (1.2, 2.0)]
+        with pytest.raises(DomainError, match="interval, half-line and free"):
+            solve_u_many(reqs)
+        assert calls == []
+
+    def test_requests_that_do_not_share_their_model_are_refused(self):
+        g = Geometry("interval", 1.0)
+        reqs = [SolutionRequest(caputo(0.5), HKModel(fam, alpha=2.0, d=1.0), g, 0.1, 0.2, 0.5)
+                for fam in ("D1", "D2")]
+        with pytest.raises(DomainError, match="share kernel, model, geometry and f"):
+            p_quadrature_many(reqs)
+        assert p_quadrature_many([]) == [] and solve_u_many([]) == []
 
 
 class TestDiagonalProbe:

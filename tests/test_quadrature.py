@@ -5,8 +5,11 @@ row, and each row's sums must be what two plain one-rule sums on that row
 return, bit for bit.  That plain, unchecked sum, ``_integrate_panels``,
 lives here as the oracle, since no module of the package sums without a
 check.  ``checked`` refuses the first entry, in C order, that misses its
-target or is not finite.  ``checked_panels`` is
-their one-row case.  ``graded_edges`` and ``geometric_edges`` must give
+target or is not finite.  ``grouped_panel_sums`` sums a list of
+integrals by panel count, in chunks of at most ``PANEL_CHUNK`` panels, each
+integral's sums its sums alone, and ``checked_panels_many`` raises the first
+miss in list order; ``checked_panels`` is their one-integral case.
+``graded_edges`` and ``geometric_edges`` must give
 np.geomspace's edges exactly.
 """
 
@@ -27,13 +30,17 @@ from subtail.quadrature import (
     GL32,
     GL64,
     GRADE,
+    PANEL_CHUNK,
     PHI_RULES,
     Q_RULES,
     checked,
     checked_panels,
+    checked_panels_many,
     geometric_edges,
     graded_edges,
+    grouped_panel_sums,
     panel_sums,
+    row_columns,
 )
 
 
@@ -152,6 +159,64 @@ def test_panel_sums_are_the_two_call_rule_row_by_row(rules, sizes):
         for j, row in enumerate(edges):
             assert coarse[k, j] == _integrate_panels(f, row, coarse_rule), (k, j)
             assert fine[k, j] == _integrate_panels(f, row, fine_rule), (k, j)
+
+
+def _mixed_list():
+    """Rows of 12, 30 and 7 panels in turn, 40 of them: the 13 rows of 30
+    panels span two chunks of ``PANEL_CHUNK`` panels, and row 9 repeats
+    row 0."""
+    rng = np.random.default_rng(5)
+    edges = [np.sort(rng.uniform(0.5, 4.0, (12, 30, 7)[i % 3] + 1)) for i in range(40)]
+    edges[9] = edges[0]
+    scale = rng.uniform(0.5, 2.0, len(edges))
+    scale[9] = scale[0]
+    return edges, scale
+
+
+@pytest.mark.parametrize("rules", [Q_RULES, PHI_RULES], ids=["q", "phi"])
+def test_grouped_sums_are_each_integral_alone(rules):
+    edges, scale = _mixed_list()
+    col = row_columns(scale.tolist())
+    calls = []
+
+    def fn(u, rows):
+        calls.append((len(rows), u.shape[1]))
+        assert u.shape[0] == len(rows) and u.shape[1] == edges[rows[0]].size - 1
+        return np.stack([f(u) * col(rows) for f in _STACKED])
+
+    coarse, fine = grouped_panel_sums(fn, edges, rules, (3,))
+    assert coarse.shape == fine.shape == (3, len(edges))
+    assert all(rows * panels <= PANEL_CHUNK for rows, panels in calls)
+    per = {n: PANEL_CHUNK // n for n in (12, 30, 7)}
+    assert sorted(calls) == sorted((min(per[n], rows - k), n) for n, rows in ((12, 14), (30, 13), (7, 13))
+                                   for k in range(0, rows, per[n]))
+    assert (8, 30) in calls and (5, 30) in calls
+    for i, (e, c) in enumerate(zip(edges, scale)):
+        alone = panel_sums(lambda u: np.stack([f(u) * c for f in _STACKED]), e[None], rules)
+        assert np.array_equal(coarse[:, i], alone[0][:, 0]) and np.array_equal(fine[:, i], alone[1][:, 0]), i
+    assert np.array_equal(fine[:, 9], fine[:, 0])
+
+
+def test_checked_panels_many_raises_the_first_miss_in_list_order():
+    # integrals 2 and 4 (list indices 1 and 3) miss; 4's panel count comes
+    # first in the list, so its group is summed first, yet 2's error is raised
+    edges, _ = _mixed_list()
+    edges = [edges[1], edges[0], edges[2], edges[3], edges[4]]
+    # 1/(r - pole), a pole inside the panels of the missing ones
+    bad = {i: 0.4 * edges[i][0] + 0.6 * edges[i][-1] for i in (1, 3)}
+
+    poles = row_columns([bad.get(i, -1.0) for i in range(len(edges))])
+    names = ["integral %d" % (i + 1) for i in range(len(edges))]
+    with pytest.raises(QuadratureError) as err:
+        checked_panels_many(names, lambda u, rows: 1.0 / (u - poles(rows)), edges, 1e-8)
+    with pytest.raises(QuadratureError) as first:
+        checked_panels(names[1], lambda r: 1.0 / (r - bad[1]), edges[1], 1e-8)
+    assert str(err.value).startswith("integral 2 quadrature achieved")
+    assert str(err.value) == str(first.value) and err.value.achieved == first.value.achieved
+    good = [edges[i] for i in range(len(edges)) if i not in bad]
+    assert checked_panels_many(["good"] * 3, lambda u, rows: 1.0 / (u + 1.0), good, 1e-8) == [
+        checked_panels("good", lambda r: 1.0 / (r + 1.0), e, 1e-8) for e in good]
+    assert checked_panels_many([], None, [], 1e-8) == []
 
 
 def test_checked_refuses_the_first_miss_in_c_order():
