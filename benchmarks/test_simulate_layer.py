@@ -6,16 +6,18 @@ From the repository root:
 
 pytest-benchmark times each case and prints min/median/mean per round.
 Each case is one sampler call as ``report`` or the ``mc`` workload makes
-it: golden criterion 3's S_r at r = 2, criterion 5's rarest tilted S_r, and
-the E_t ensembles of a ``fundsol --method mc`` call, at one level and at
-the 16 levels of the ``mc`` workload's call at seed 1 in one walk.  The
+it: golden criterion 3's S_r at r = 2, the ``mc`` workload's S_r of its
+distributed-order ``tails`` call at seed 1 (both clocks), criterion 5's
+rarest tilted S_r, and the E_t ensembles of a ``fundsol --method mc`` call,
+at one level and at the 16 levels of the ``mc`` workload's call at seed 1 in
+one walk.  The
 default test run does not collect this directory (``testpaths = ["tests"]``).
 """
 
 import numpy as np
 
 from subtail.golden import GOLDEN_SEED
-from subtail.kernels import Truncated, caputo
+from subtail.kernels import DistributedOrder, Truncated, caputo
 from subtail.simulate import SimConfig, sample_E_t, sample_S_at, sample_S_tilted
 
 
@@ -28,6 +30,20 @@ def test_sample_S_at_of_criterion_3(benchmark):
     cfg = SimConfig(cutoff_eps=1e-4, n_paths=100_000, seed=GOLDEN_SEED + 2)
     ens = _run(benchmark, sample_S_at, (caputo(0.5), cfg, 2.0), rounds=10)
     assert np.all(ens.values > 0.0)
+
+
+# the two clocks of the mc workload's tails call on its distributed kernel at seed 1
+_MC_DISTRIBUTED_CLOCKS = (0.5044308006468157, 1.9783009777016363)
+
+
+def test_sample_S_at_of_the_mc_distributed_tails(benchmark):
+    # w(1e-3) ~ 48.2, so ~120k jumps over 1000 paths and both clocks, each
+    # drawn term by term from the two Caputo terms
+    k = DistributedOrder(weights=((0.3, 1.0), (0.7, 1.0)))
+    cfg = SimConfig(cutoff_eps=1e-3, n_paths=1000, seed=1)
+    ens = _run(benchmark, lambda: [sample_S_at(k, cfg, r) for r in _MC_DISTRIBUTED_CLOCKS], (),
+               rounds=20)
+    assert all(np.all(e.values > 0.0) for e in ens)
 
 
 def test_sample_S_tilted_of_criterion_5(benchmark):

@@ -23,8 +23,8 @@ lambda: per lambda, the package's one checked rule (``quadrature``'s
 (``quadrature.geometric_edges``, split additionally at kernel breakpoints),
 and a closed-form head: on [0, 1e-5/lambda] the factor e^{-lambda u} is
 Taylor expanded to three terms and the remaining truncated moments
-int_0^a u^k w(u) du come exactly from the kernel, one ``kernel.moment``
-call per k for the whole array.  The lambdas' panels are summed by
+int_0^a u^k w(u) du come exactly from the kernel, one ``kernel.moments``
+call for k = 0..3 and the whole array.  The lambdas' panels are summed by
 ``quadrature.grouped_panel_sums``, grouped by panel count in chunks of at
 most ``quadrature.PANEL_CHUNK`` panels, one ``kernel.w`` call per chunk,
 which bounds the memory of a build.  Every power that feeds
@@ -92,13 +92,13 @@ _NAMES = ("phi", "H", "phi'")
 def _supported(kernel, lam):
     """u0 = 1e-5/lam, hi = 50/lam, m and the mask of the supported lam.
 
-    Rows 0-3 of m are the truncated moments int_0^{u0} u^k w(u) du, one
-    kernel.moment call per k; rows 4-5, hi and 2 lam^2, only join the check.
+    Rows 0-3 of m are the truncated moments int_0^{u0} u^k w(u) du, from
+    one kernel.moments call; rows 4-5, hi and 2 lam^2, only join the check.
     A lam is supported where all of m is finite; overflow beyond that raises
     no warning."""
     with np.errstate(all="ignore"):
         u0, hi = _HEAD_FRAC / lam, _TAIL_MULT / lam
-        m = np.array([kernel.moment(k, u0) for k in range(4)] + [hi, 2.0 * lam * lam])
+        m = np.concatenate([kernel.moments(u0), [hi, 2.0 * lam * lam]])
     return u0, hi, m, np.isfinite(m).all(axis=0)
 
 

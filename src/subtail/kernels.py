@@ -28,12 +28,18 @@ the integral from 1 on quadrature's one checked Gauss-Legendre rule.  An
 array entry equals the scalar call at it bit for bit (powers go through
 ``float_pow``, and each Subexp entry gets its own row of panels).  These
 drive the fast Laplace-transform quadrature in :mod:`subtail.bernstein` and
-give exact small-jump compensators for the simulator.
+give exact small-jump compensators for the simulator.  ``moments(a)`` gives
+the rows k = 0..3 at once, each bit for bit its ``moment(k, a)``; Subexp's
+integrals beyond 1 share one exponential per distinct cut of the four rows.
 
 Each family inverts its own w (``w_inv``: a closed form, or Newton for
 ``DistributedOrder``) as the generalized inverse inf{s : w(s) < y}, which
 returns a zero-tail atom's location for any y at or below its mass;
-``inverse_w_vec`` applies it to an array.
+``inverse_w_vec`` applies it to an array.  ``jump_sizes`` draws the jumps
+above a cutoff eps from uniforms, with P(J > s) = w(s)/w(eps), for both
+samplers of S: through ``inverse_w_vec``, except that a ``DistributedOrder``
+kernel draws by composition over its Caputo terms (``terms``, each a
+``Power``), one term's closed-form inverse per jump and no Newton solve.
 
 ``check_conditions`` certifies, on a logarithmic grid, which of the
 structural scaling conditions a kernel satisfies: small-time polynomial
@@ -61,6 +67,7 @@ __all__ = [
     "DistributedOrder",
     "Tabulated",
     "caputo",
+    "jump_sizes",
     "kernel_from_config",
     "check_conditions",
     "ConditionReport",
@@ -95,9 +102,10 @@ def _pow_or_inf(a, b):
         return math.inf
 
 
-# Subexp's integral beyond s = 1: geometric panels per entry, entries per
-# panel_sums call (bounding its temporaries) and the check's relative target
-_SUBEXP_PANELS, _SUBEXP_ROWS, _SUBEXP_RTOL = 32, 64, 1e-13
+# Subexp's integral beyond s = 1: geometric panels per row, rows times
+# moments per panel_sums call (bounding its temporaries) and the check's
+# relative target
+_SUBEXP_PANELS, _SUBEXP_ROWS, _SUBEXP_RTOL = 32, 32, 1e-13
 
 
 def _like(a, out):
@@ -117,8 +125,17 @@ def _as_positive_array(s):
 # ---------------------------------------------------------------------------
 
 
+class _Kernel:
+    """What every kernel family shares."""
+
+    def moments(self, a):
+        """Rows k = 0..3 of the truncated moments M_k(a), each bit for bit
+        ``moment(k, a)``."""
+        return np.array([self.moment(k, a) for k in range(4)])
+
+
 @dataclass(frozen=True)
-class Power:
+class Power(_Kernel):
     """w(s) = scale * s^{-beta}.  Caputo when scale = 1/Gamma(1-beta)."""
 
     beta: float
@@ -159,7 +176,7 @@ class Power:
 
 
 @dataclass(frozen=True)
-class Truncated:
+class Truncated(_Kernel):
     """w(s) = scale * (s^{-beta} - delta^{-beta}) on (0, delta], zero after."""
 
     beta: float
@@ -208,7 +225,7 @@ class Truncated:
 
 
 @dataclass(frozen=True)
-class Subexp:
+class Subexp(_Kernel):
     """Sub- or plain exponential tail, c0*exp(-theta*s^beta) for s >= 1.
 
     The decay condition only constrains s >= 1; on (0, 1] we pin the power
@@ -260,49 +277,78 @@ class Subexp:
         return np.where(s <= 1.0, small, large)
 
     def moment(self, k, a):
+        return _like(a, self._moments((k,), a)[0])
+
+    def moments(self, a):
+        out = self._moments(range(4), a)
+        return out[:, 0] if np.ndim(a) == 0 else out
+
+    def _moments(self, ks, a):
+        """Rows M_k(a), k in ks, at a scalar or 1-D a, as (len(ks), a.size)."""
         x = np.array(a, dtype=float, ndmin=1)
-        p = k + 1.0 - self.smallBeta
-        out = self._c_small * float_pow(np.minimum(x, 1.0), p) / p
+        out = np.array([self._c_small * float_pow(np.minimum(x, 1.0), p) / p
+                        for p in (k + 1.0 - self.smallBeta for k in ks)])
         far = np.flatnonzero(x > 1.0)
         # c0 e^{-theta} = 0 past theta ~ 745: the integral beyond 1 adds 0
         if far.size and self._c_small > 0.0:
-            out[far] += self._c_small * self._tail_integral(k, x[far])
-        return _like(a, out)
+            out[:, far] += self._c_small * self._tail_integrals(ks, x[far])
+        return out
 
-    def _tail_integral(self, k, a):
-        """int_1^b u^k e^{-theta(u^beta - 1)} du at each entry of the 1-D
-        array a > 1, where b = min(a, U) and U = (1 + L/theta)^{1/beta} is
-        the cut past which u^{k+1} e^{-theta(u^beta - 1)} < 2^-1074: with
-        q = (k+1)/beta, c = max(746, 2q) and L = c + 2q log(1 + c/theta),
-        its log at U is q log(1 + L/theta) - L <= -c, and the integral past
-        U is below that bound over k+1, as beta theta U^beta >= 2(k+1).
-        RangeError where U overflows and an entry needs it.
-
-        Each entry is one row of _SUBEXP_PANELS geometric panels on
-        ``quadrature.Q_RULES``, checked to _SUBEXP_RTOL, so its value does
-        not depend on the others.  The nodes u carry an absolute rounding of
-        ~1e-16, so the result is good to about theta * 1e-16 relative,
-        inside the check for every theta at which e^{-theta} is nonzero."""
+    def _cut(self, k):
+        """U = (1 + L/theta)^{1/beta} of ``_tail_integrals``, inf where it overflows."""
         q = (k + 1.0) / self.beta
         c = max(746.0, 2.0 * q)
         log_cut = math.log1p((c + 2.0 * q * math.log1p(c / self.theta)) / self.theta) / self.beta
-        b = np.minimum(a, math.exp(log_cut) if log_cut < 709.0 else math.inf)
-        if np.isinf(b).any():
-            raise RangeError("theta=%r is too small for Subexp's moments beyond s = 1: the cut "
-                             "where e^{-theta u^beta} has underflowed overflows" % self.theta)
+        return math.exp(log_cut) if log_cut < 709.0 else math.inf
+
+    def _tail_integrals(self, ks, a):
+        """Row k of ks, entry j: int_1^b u^k e^{-theta(u^beta - 1)} du, for the
+        1-D array a > 1, where b = min(a_j, U_k) and U_k = (1 + L/theta)^{1/beta}
+        is the cut past which u^{k+1} e^{-theta(u^beta - 1)} < 2^-1074: with
+        q = (k+1)/beta, c = max(746, 2q) and L = c + 2q log(1 + c/theta),
+        its log at U is q log(1 + L/theta) - L <= -c, and the integral past
+        U is below that bound over k+1, as beta theta U^beta >= 2(k+1).
+        RangeError where U_k overflows and an entry needs it.
+
+        Each distinct b is one row of _SUBEXP_PANELS geometric panels on
+        ``quadrature.Q_RULES``, and the rows of every k with that b share its
+        nodes' exponential; each sum is checked to _SUBEXP_RTOL, k by k and
+        entry by entry, so a value does not depend on the other entries or
+        rows.  The nodes u carry an absolute rounding of ~1e-16, so the
+        result is good to about theta * 1e-16 relative, inside the check for
+        every theta at which e^{-theta} is nonzero."""
+        b = np.minimum(a, np.array([self._cut(k) for k in ks])[:, None])
+        cuts = np.unique(b[np.isfinite(b)])
+
+        per = max(1, _SUBEXP_ROWS // len(ks))
+        # every call's integrand values share one buffer: fresh arrays this
+        # size would be fresh pages, faulted in on every call
+        buf = np.empty((len(ks), min(per, cuts.size), _SUBEXP_PANELS, Q_RULES[0].size))
 
         def integrand(u):
-            return u**k * np.exp(-self.theta * np.expm1(self.beta * np.log(u)))
+            e = np.log(u)
+            e *= self.beta
+            np.exp(np.multiply(-self.theta, np.expm1(e, out=e), out=e), out=e)
+            out = buf[:, : len(u)]
+            for row, k in zip(out, ks):
+                np.multiply(u**k, e, out=row)
+            return out
 
-        out = np.empty(b.size)
-        for i in range(0, b.size, _SUBEXP_ROWS):
-            rows = b[i : i + _SUBEXP_ROWS, None]
+        coarse, fine = np.empty((2, len(ks), cuts.size))
+        for i in range(0, cuts.size, per):
+            rows = cuts[i : i + per, None]
             with np.errstate(over="ignore", invalid="ignore"):  # checked refuses a non-finite sum
-                coarse, fine = panel_sums(integrand, geometric_edges(1.0, rows, _SUBEXP_PANELS + 1),
-                                          Q_RULES)
-            out[i : i + rows.size] = checked(coarse, fine, _SUBEXP_RTOL, 0.0, lambda j, achieved: (
+                coarse[:, i : i + rows.size], fine[:, i : i + rows.size] = panel_sums(
+                    integrand, geometric_edges(1.0, rows, _SUBEXP_PANELS + 1), Q_RULES)
+        out = np.empty(b.shape)
+        for j, k in enumerate(ks):
+            if np.isinf(b[j]).any():
+                raise RangeError("theta=%r is too small for Subexp's moments beyond s = 1: the cut "
+                                 "where e^{-theta u^beta} has underflowed overflows" % self.theta)
+            at = np.searchsorted(cuts, b[j])
+            out[j] = checked(coarse[j, at], fine[j, at], _SUBEXP_RTOL, 0.0, lambda i, achieved: (
                 "Subexp moment M_%g(%r) quadrature achieved %.2g, target %.2g"
-                % (k, float(a[i + j]), achieved, _SUBEXP_RTOL)))
+                % (k, float(a[i]), achieved, _SUBEXP_RTOL)))
         return out
 
     def w_inv(self, y):
@@ -317,8 +363,9 @@ class Subexp:
 
 
 @dataclass(frozen=True)
-class DistributedOrder:
-    """w(s) = sum_i kappa_i s^{-beta_i} / Gamma(1-beta_i), a Caputo mixture."""
+class DistributedOrder(_Kernel):
+    """w(s) = sum_i kappa_i s^{-beta_i} / Gamma(1-beta_i), a Caputo mixture;
+    ``terms`` holds its terms of positive weight as ``Power`` kernels."""
 
     weights: tuple  # of (beta_i, kappa_i)
 
@@ -334,10 +381,11 @@ class DistributedOrder:
                 raise DomainError("DistributedOrder weights must be >= 0")
         if not any(k > 0.0 for _, k in ws):
             raise DomainError("DistributedOrder needs one strictly positive weight")
-        # (beta_i, c_i) of the Caputo terms c_i s^{-beta_i}, c_i = kappa_i/Gamma(1-beta_i),
-        # and (beta_i, c_i beta_i) of their Levy densities, as kappa_i beta_i/Gamma(1-beta_i)
+        # the Caputo terms c_i s^{-beta_i}, c_i = kappa_i/Gamma(1-beta_i), as Power
+        # kernels, and (beta_i, c_i beta_i) of their Levy densities, as
+        # kappa_i beta_i/Gamma(1-beta_i)
         terms = tuple((b, k, gamma(1.0 - b)) for b, k in ws if k > 0.0)
-        object.__setattr__(self, "_terms", tuple((b, k / g) for b, k, g in terms))
+        object.__setattr__(self, "terms", tuple(Power(beta=b, scale=k / g) for b, k, g in terms))
         object.__setattr__(self, "_nu_terms", tuple((b, k * b / g) for b, k, g in terms))
 
     support_end = math.inf
@@ -352,8 +400,8 @@ class DistributedOrder:
     def w(self, s):
         s = _as_positive_array(s)
         out = np.zeros_like(s)
-        for b, c in self._terms:
-            out += c * s ** (-b)
+        for p in self.terms:
+            out += p.scale * s ** (-p.beta)
         return out
 
     def nu(self, s):
@@ -365,9 +413,9 @@ class DistributedOrder:
 
     def moment(self, k, a):
         tot = 0.0
-        for b, c in self._terms:
-            p = k + 1.0 - b
-            tot += c * float_pow(a, p) / p
+        for term in self.terms:
+            p = k + 1.0 - term.beta
+            tot += term.scale * float_pow(a, p) / p
         return _like(a, tot)
 
     def w_inv(self, y):
@@ -381,7 +429,7 @@ class DistributedOrder:
         result does not depend on the other entries of the batch.
         """
         y = np.asarray(y, dtype=float)
-        terms = self._terms
+        terms = [(p.beta, p.scale) for p in self.terms]
         log_y = np.log(y)
         x = np.max([(math.log(c) - log_y) / b for b, c in terms], axis=0)
         done = np.zeros(x.shape, dtype=bool)
@@ -400,7 +448,7 @@ class DistributedOrder:
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Kernel):
     """Piecewise log-linear kernel through strictly decreasing knots.
 
     ``knots`` is a sequence of (s, w(s)) pairs with strictly increasing s and
@@ -578,6 +626,37 @@ def inverse_w_vec(kernel, y):
     Unchecked: at or below a zero-tail atom's mass it gives the atom's location.
     """
     return kernel.w_inv(np.asarray(y, dtype=float))
+
+
+def jump_sizes(kernel, eps, w_eps):
+    """u -> the jumps above eps of the uniforms u on [0, 1), one per entry,
+    with P(J > s) = w(s)/w_eps for w_eps = w(eps): ``inverse_w_vec(kernel,
+    w_eps * u)``.
+
+    A ``DistributedOrder`` kernel draws by composition (Devroye, *Non-Uniform
+    Random Variate Generation*, 1986, II.4) instead of Newton: [0, w_eps) is
+    cut into one slice per Caputo term, of length c_i eps^{-beta_i}, in term
+    order; y = w_eps u falls in slice i, start <= y < end (the last slice
+    has no end, so an ulp between the lengths' sum and w_eps cannot put y
+    past it), and the jump is that term's ``Power.w_inv`` at y less the
+    slice's start.  So P(J > s) = sum_i c_i s^{-beta_i}/w_eps, and each jump
+    still takes one uniform.
+    """
+    if not isinstance(kernel, DistributedOrder):
+        return lambda u: inverse_w_vec(kernel, w_eps * u)
+    terms = kernel.terms
+    starts = np.cumsum([0.0] + [p.scale * eps ** -p.beta for p in terms[:-1]]).tolist()
+    ends = starts[1:] + [math.inf]  # the last slice takes all y past the others
+
+    def draw(u):
+        y = w_eps * u
+        out = np.empty_like(y)
+        for p, start, end in zip(terms, starts, ends):
+            at = np.flatnonzero((y >= start) & (y < end))
+            out[at] = p.w_inv(y[at] - start)
+        return out
+
+    return draw
 
 
 # ---------------------------------------------------------------------------

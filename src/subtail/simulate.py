@@ -2,7 +2,11 @@
 
 S has Levy measure -dw and no drift or Gaussian part.  Jumps larger than a
 cutoff eps form a compound Poisson process with rate w(eps) and jump-size law
-P(J > s) = w(s)/w(eps); jumps below eps are replaced by their mean drift
+P(J > s) = w(s)/w(eps), each jump drawn from one uniform u by
+``kernels.jump_sizes``: by inverse transform, or for a sum of Caputo terms
+(``DistributedOrder``) by composition, the term whose slice of [0, w(eps))
+holds w(eps) u inverting its own power in closed form.  Jumps below eps are
+replaced by their mean drift
 
     d_eps = int_0^eps s (-dw(s)) = M_0(eps) - eps w(eps),
 
@@ -67,7 +71,7 @@ import numpy as np
 
 from .bernstein import BernsteinTable, increasing_root
 from .errors import DomainError, RangeError
-from .kernels import inverse_w_vec
+from .kernels import inverse_w_vec, jump_sizes
 from .quadrature import checked_panels, graded_edges
 from .special import erf, erfc
 
@@ -188,9 +192,8 @@ def _check_jump_budget(config, rate):
 def sample_S_at(kernel, config, r):
     """Sample S at one clock value r > 0.
 
-    Poisson(r w(eps)) jumps per path with sizes drawn by the inverse tail
-    CDF; the sub-eps activity adds the deterministic drift d_eps per unit
-    clock.
+    Poisson(r w(eps)) jumps per path with sizes drawn by ``jump_sizes``;
+    the sub-eps activity adds the deterministic drift d_eps per unit clock.
     """
     if not r > 0.0:
         raise DomainError("the clock value must be positive")
@@ -205,7 +208,8 @@ def sample_S_at(kernel, config, r):
     _check_jump_budget(config, r * w_eps)
     rng = _rng(config.seed, 1)
     counts = rng.poisson(r * w_eps, size=config.n_paths)
-    values = _path_sums(counts, lambda m: inverse_w_vec(kernel, w_eps * rng.random(m)))
+    draw = jump_sizes(kernel, eps, w_eps)
+    values = _path_sums(counts, lambda m: draw(rng.random(m)))
     values += _drift_rate(kernel, eps) * r
     return PathEnsemble(level=r, values=values)
 
@@ -396,10 +400,11 @@ def sample_E_t(kernel, config, t):
     clock = np.zeros(n)
     done = np.zeros(n, dtype=np.intp)
     E = np.full((tops.size, n), np.nan)
+    draw = jump_sizes(kernel, eps, w_eps)
     while idx.size:
         k = idx.size
         gaps = rng.standard_exponential(k) / w_eps
-        jumps = inverse_w_vec(kernel, w_eps * rng.random(k))
+        jumps = draw(rng.random(k))
         s_after_gap = S + drift * gaps if drift > 0.0 else S
         S_next = s_after_gap + jumps
         # jumps are >= 0, so a crossing inside the drift segment has S_next >= t too

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from subtail.kernels import (
     caputo,
     check_conditions,
     inverse_w_vec,
+    jump_sizes,
     kernel_from_config,
 )
 
@@ -159,6 +161,48 @@ def test_inverse_w_round_trip_property(name, log_y):
     assert k.w(k.w_inv(y)) == pytest.approx(y, rel=1e-13)
 
 
+_EPS = 1e-3
+
+
+class TestJumpSizes:
+    """Uniforms to the jumps above eps, P(J > s) = w(s)/w(eps): a
+    DistributedOrder kernel by composition over its Caputo terms, every
+    other kernel by its own inverse."""
+
+    @pytest.mark.parametrize("kernel", [
+        builtin_kernel_set()["distributed"],
+        DistributedOrder(weights=((0.2, 0.5), (0.5, 0.0), (0.9, 2.0))),
+    ], ids=["builtin", "three-terms-one-zero"])
+    def test_law_of_the_draw_by_composition(self, monkeypatch, kernel):
+        def no_newton(self, y):
+            raise AssertionError("Newton inverse called")
+
+        monkeypatch.setattr(DistributedOrder, "w_inv", no_newton)
+        w_eps = float(kernel.w(_EPS))
+        u = np.random.default_rng(5).uniform(0.0, 1.0, 1_000_000)
+        jumps = jump_sizes(kernel, _EPS, w_eps)(u)
+        assert jumps.min() >= _EPS * (1.0 - 1e-12)
+        for s in (2 * _EPS, 10 * _EPS, 0.1, 1.0, 10.0):
+            p = float(kernel.w(s)) / w_eps
+            se = math.sqrt(p * (1.0 - p) / u.size)
+            assert abs(np.mean(jumps > s) - p) <= 5.0 * se, (s, np.mean(jumps > s), p)
+
+    def test_a_target_past_the_slices_falls_in_the_last(self):
+        # w_eps a few ulps above the slices' sum: the top uniform still
+        # lands in the last term's slice, just above eps
+        k = builtin_kernel_set()["distributed"]
+        w_eps = float(k.w(_EPS)) * (1.0 + 4e-16)
+        s = jump_sizes(k, _EPS, w_eps)(np.array([0.5, 1.0 - 2.0**-53]))
+        assert s[0] > s[1] and s[1] == pytest.approx(_EPS, rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(set(_ROUND_TRIP_KERNELS) - {"distributed"}))
+    def test_other_kernels_draw_by_their_own_inverse(self, name):
+        k = _ROUND_TRIP_KERNELS[name]
+        w_eps = float(k.w(_EPS))
+        u = np.random.default_rng(6).uniform(0.0, 1.0, 1000)
+        assert np.array_equal(jump_sizes(k, _EPS, w_eps)(u), inverse_w_vec(k, w_eps * u))
+
+
 class TestMomentsAndKerIntegral:
     def test_moment_matches_quadrature(self, kernels):
         for name, k in kernels.items():
@@ -262,6 +306,38 @@ def test_array_moments_equal_scalar_calls(name, j, logs, picks):
     closed = [_moment_one_float(k, j, float(x)) for x in a]
     assert [g for g, c in zip(got.tolist(), closed) if c is not None] == [
         c for c in closed if c is not None]
+
+
+_ROW_KERNELS = {
+    **_MOMENT_KERNELS,
+    "subexp-theta-30": Subexp(beta=0.5, theta=30.0),  # cuts U_k below 1e6: one a, four b
+    "subexp-beta-0.3": Subexp(beta=0.3, theta=0.01),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROW_KERNELS))
+def test_moments_rows_are_the_moment_calls(name):
+    k = _ROW_KERNELS[name]
+    a = np.concatenate([np.geomspace(1e-6, 1e6, 193), [2.0, 2.0, 1.0 + 1e-12, math.inf]])
+    rows = k.moments(a)
+    assert rows.shape == (4, a.size)
+    for j in range(4):
+        assert np.array_equal(rows[j], k.moment(j, a)), (name, j)
+    for x in (0.5, 3.0, 1e4):
+        assert np.array_equal(k.moments(x), [k.moment(j, x) for j in range(4)]), (name, x)
+
+
+@pytest.mark.parametrize("kernel, a", [
+    (Subexp(beta=0.05, theta=1e-6), [2.0, math.inf]),
+    (Subexp(beta=0.1, theta=1e-30), [2.0, math.inf]),
+])
+def test_moments_fail_as_the_first_failing_moment_call(kernel, a):
+    a = np.array(a)
+    with pytest.raises((QuadratureError, RangeError)) as want:
+        for j in range(4):
+            kernel.moment(j, a)
+    with pytest.raises(want.type, match="^%s$" % re.escape(str(want.value))):
+        kernel.moments(a)
 
 
 def _subexp_moment_mp(k, j, a):

@@ -11,7 +11,8 @@ from subtail import simulate
 from subtail.bernstein import BernsteinTable
 from subtail.errors import DomainError, RangeError
 from subtail.golden import builtin_kernel_set
-from subtail.kernels import Subexp, Tabulated, Truncated, caputo, inverse_w_vec
+from subtail.kernels import (DistributedOrder, Subexp, Tabulated, Truncated, caputo, inverse_w_vec,
+                             jump_sizes)
 from subtail.simulate import (
     SimConfig,
     TailEstimate,
@@ -69,6 +70,18 @@ class TestSampleS:
         a = sample_S_at(k, CFG, 1.0).values
         b = sample_S_at(k, CFG, 1.0).values
         assert np.array_equal(a, b)
+
+    def test_distributed_jumps_need_no_newton_inverse(self, monkeypatch):
+        # both samplers draw a Caputo mixture's jumps term by term
+        def no_newton(self, y):
+            raise AssertionError("DistributedOrder.w_inv called")
+
+        monkeypatch.setattr(DistributedOrder, "w_inv", no_newton)
+        k = builtin_kernel_set()["distributed"]
+        cfg = SimConfig(cutoff_eps=1e-3, n_paths=500, seed=9)
+        assert np.all(sample_S_at(k, cfg, 2.0).values > 0.0)
+        ens = sample_E_t(k, cfg, np.array([0.3, 1.0, 3.0]))
+        assert ens.values.shape == (3, 500) and not ens.censored.any()
 
 
 class TestTailProbs:
@@ -176,7 +189,7 @@ class TestSampleEt:
         def no_draw(*args):
             raise AssertionError("the walk began")
 
-        monkeypatch.setattr(simulate, "inverse_w_vec", no_draw)
+        monkeypatch.setattr(simulate, "jump_sizes", no_draw)
         with pytest.raises(DomainError, match="lambda=1e-300 is below the smallest supported lambda"):
             sample_E_t(caputo(0.5), SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1), 1e300)
 
@@ -191,7 +204,7 @@ class TestSampleEt:
         def no_draw(*args):
             raise AssertionError("the walk began")
 
-        monkeypatch.setattr(simulate, "inverse_w_vec", no_draw)
+        monkeypatch.setattr(simulate, "jump_sizes", no_draw)
         with pytest.raises(DomainError, match=r"expected 5.6e\+05 jumps per path .*raise cutoff_eps"):
             sample_E_t(k, cfg, 1e10)
 
@@ -216,10 +229,11 @@ def _gathering_E(kernel, config, t):
     drift = simulate._drift_rate(kernel, eps)
     S, clock, E = np.zeros(n), np.zeros(n), np.full((levels.size, n), np.nan)
     active = np.arange(n)
+    draw = jump_sizes(kernel, eps, w_eps)
     while active.size:
         k = active.size
         gaps = rng.standard_exponential(k) / w_eps
-        jumps = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=k))
+        jumps = draw(rng.uniform(0.0, 1.0, size=k))
         s_a, c_a = S[active], clock[active]
         s_after_gap = s_a + drift * gaps if drift > 0.0 else s_a
         for row, level in zip(E, levels):
@@ -308,7 +322,7 @@ class TestMultiLevelWalk:
         def no_draw(*args):
             raise AssertionError("the walk began")
 
-        monkeypatch.setattr(simulate, "inverse_w_vec", no_draw)
+        monkeypatch.setattr(simulate, "jump_sizes", no_draw)
         with pytest.raises(DomainError, match="lambda=1e-300 is below the smallest supported lambda"):
             sample_E_t(caputo(0.5), SimConfig(cutoff_eps=1e-2, n_paths=100, seed=1),
                        np.array([0.1, 1e300, 1.0]))
@@ -414,7 +428,7 @@ def _one_shot_S(kernel, config, r):
     rng = simulate._rng(config.seed, 1)
     counts = rng.poisson(r * w_eps, size=n)
     path_idx = np.repeat(np.arange(n), counts)
-    sizes = inverse_w_vec(kernel, w_eps * rng.uniform(0.0, 1.0, size=int(counts.sum())))
+    sizes = jump_sizes(kernel, eps, w_eps)(rng.uniform(0.0, 1.0, size=int(counts.sum())))
     jumps = np.bincount(path_idx, weights=sizes, minlength=n)
     return jumps + simulate._drift_rate(kernel, eps) * r, counts
 

@@ -87,11 +87,12 @@ def test_install_wraps_and_counts():
         "m = tr.rounds[1]['metrics']\n"
         "assert m['heat_kernel.q_calls.p_quadrature'] > 0, m\n"
         "assert m['heat_kernel.q_calls.p_mc'] > 0, m\n"
-        # the sampler's and q's inner calls go through the wrapped names
+        # the sampler's and q's inner calls go through the wrapped names (a
+        # distributed-order kernel's jumps are drawn term by term, without them)
         "import numpy as np\n"
         "from subtail import heat_kernel, simulate\n"
         "from subtail.golden import builtin_kernel_set\n"
-        "simulate.sample_S_at(builtin_kernel_set()['distributed'],\n"
+        "simulate.sample_S_at(builtin_kernel_set()['tabulated'],\n"
         "                     SimConfig(cutoff_eps=1e-2, n_paths=200, seed=1), 0.5)\n"
         "heat_kernel.q_eval(HKModel('HK_D', alpha=2.0, d=1.0, gamma=0.5, lam=0.0, k=1),\n"
         "                   Geometry('interval', 1.0),\n"
