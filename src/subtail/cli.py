@@ -50,10 +50,10 @@ from . import __version__, golden
 from .bernstein import BernsteinTable
 from .errors import AtomError, DomainError, QuadratureError, RangeError, RegimeError, SubtailError
 from .estimates import CASE_TAGS, EstimateCase, theorem_estimate
-from .fundamental import SolutionRequest, p_mc, p_quadrature
+from .fundamental import SolutionRequest, p_mc_many, p_quadrature_many
 from .heat_kernel import model_from_config
 from .kernels import check_conditions, kernel_from_config
-from .simulate import SimConfig, sample_E_t, sample_S_at, tail_estimate
+from .simulate import SimConfig, sample_S_at, tail_estimate
 from .tail_bounds import upper_bound_form
 
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
@@ -435,20 +435,12 @@ def _cmd_fundsol(cfg, out, seed, manifest, args):
     model, geometry = model_from_config(cfg["model"])
     method = cfg.get("method", "quadrature")
     sim = _sim_config(cfg, seed, args, 50_000) if "sim" in cfg or method == "mc" else None
-    # mc: one E_t walk to the largest t, and each point reads its level's row
-    shared = {}
-    if method == "mc":
-        levels = sorted({float(pnt["t"]) for pnt in cfg["points"]})
-        ens = sample_E_t(kern, sim, np.array(levels))
-        shared = {t: ens.row(i) for i, t in enumerate(levels)}
-    rows = []
-    for pnt in cfg["points"]:
-        req = SolutionRequest(
-            kern, model, geometry, pnt["t"], pnt["x"], pnt["y"], method=method, sim=sim,
-            ensemble=shared.get(pnt["t"]),
-        )
-        res = p_mc(req) if method == "mc" else p_quadrature(req)
-        rows.append((pnt["t"], pnt["x"], pnt["y"], res.value, res.se, res.method))
+    pts = cfg["points"]
+    reqs = [SolutionRequest(kern, model, geometry, pnt["t"], pnt["x"], pnt["y"], method=method, sim=sim)
+            for pnt in pts]
+    # mc: one E_t walk to the largest t; quadrature: one panel-sum check
+    res = (p_mc_many if method == "mc" else p_quadrature_many)(reqs)
+    rows = [(pnt["t"], pnt["x"], pnt["y"], v.value, v.se, v.method) for pnt, v in zip(pts, res)]
     _write_csv(
         os.path.join(out, "fundsol.csv"), ["t", "x", "y", "p", "se", "method"], rows, manifest
     )

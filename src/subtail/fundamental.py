@@ -11,13 +11,6 @@ inverse subordinator in both modes:
 * Monte Carlo:  p = E[ q(E_t, x, y) ], the ensemble mean over sample_E_t;
 * quadrature:   p = int q(r,x,y) g_t(r) dr with g_t the density of E_t.
 
-A Monte Carlo request walks its own E_t ensemble from its SimConfig, or
-reads a shared one from ``SolutionRequest.ensemble``: the CLI's fundsol
-walks the subordinator paths once, to its largest t, and hands each point
-its level's row (``PathEnsemble.row``).  A shared ensemble at any level but
-the request's t is refused with DomainError, since it would give p at the
-wrong t.
-
 Quadrature mode needs the closed-form density of the order-1/2 Caputo
 kernel, g_t(r) = exp(-r^2/(4t)) / sqrt(pi t); any other kernel is refused
 with DomainError and goes through method="mc".  Its target is 1e-8
@@ -33,24 +26,30 @@ crossing-time form integrates the Stieltjes measure exactly.
 The solution u(t,x) = int_D p(t,x,y) f(y) m(dy) is evaluated with the order
 of integration swapped: the inner boundary integral Q(r,x) = int q(r,x,y)
 f(y) dy is computed per clock value and then averaged against g_t (or the
-ensemble).  Every integral over q, p's and Q's alike, is checked by
+E_t ensemble).  Every integral over q, p's and Q's alike, is checked by
 ``quadrature.checked_panels_many`` on the 32- and the 64-node
 Gauss-Legendre points of its panels: the two panel sums must agree to the
 target, otherwise QuadratureError.  Model kernels here are class
 representatives, so u verifies structure (decay rates, symmetry, boundary
 order), not physical values.
 
-Quadrature mode has list forms: ``p_quadrature_many`` and ``solve_u_many``
-take requests that share kernel, model, geometry and f (refused with
-DomainError otherwise), and check all their integrals in one
-``checked_panels_many`` call, in groups of the same panel count, with q
-evaluated once per group chunk: x, y and t (for Q, x and r) reach q and
-the density as (rows, 1, 1) columns, and ``heat_kernel`` raises such a
-column as it raises a lone float, so every value equals its one-request
-call bit for bit.  Every point is checked against the domain before any
-evaluation, and the first request in list order whose integral misses its
-target raises its QuadratureError.  ``p_quadrature`` and ``solve_u``'s
-quadrature mode are the one-request cases; MC mode is per request.
+Both modes have list forms for requests that share kernel, model,
+geometry and q_override (and f in quadrature mode, sim in MC mode),
+refused with DomainError otherwise; an empty list gives [].
+
+* ``p_mc_many`` walks one E_t ensemble, ``sample_E_t`` at the requests' t
+  in list order (unsorted and repeated levels allowed), to the largest t,
+  and request i reads row i, so every level's first passage comes from the
+  same subordinator paths.  ``p_mc`` is its one-request case.
+* ``p_quadrature_many`` and ``solve_u_many`` check all their integrals in
+  one ``checked_panels_many`` call, in groups of the same panel count, with
+  q evaluated once per group chunk: x, y and t (for Q, x and r) reach q and
+  the density as (rows, 1, 1) columns, and ``heat_kernel`` raises such a
+  column as it raises a lone float, so every value equals its one-request
+  call bit for bit.  Every point is checked against the domain before any
+  evaluation, and the first request in list order whose integral misses
+  its target raises its QuadratureError.  ``p_quadrature`` and
+  ``solve_u``'s quadrature mode are the one-request cases.
 
 ``diagonal_probe`` feeds the truncated-kernel diagonal finiteness check:
 near r = 0 the crossing law follows the structural form
@@ -61,6 +60,7 @@ sum of two powers of r and its finiteness follows from the lowest one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +75,8 @@ __all__ = [
     "SolutionRequest",
     "PValue",
     "StableHalfDensity",
-    "p_quadrature",
     "p_quadrature_many",
-    "p_mc",
+    "p_mc_many",
     "solve_u_many",
     "diagonal_probe",
 ]
@@ -126,7 +125,6 @@ class SolutionRequest:
     f: object = None  # callable on an array of points y -> f(y), for solve_u
     method: str = "quadrature"
     sim: SimConfig | None = None
-    ensemble: object = None  # shared E_t ensemble (MC mode)
     q_override: object = None  # diagnostic kernel r -> q(r), replaces q(r,x,y)
 
     def q_at(self, r, y=None, x=None):
@@ -147,35 +145,27 @@ class PValue:
     diagnostic: str | None = None
 
 
-def _list_head(reqs, what):
+def _shared_head(reqs, what, also):
     """The first of ``reqs``, after checking that they all share its kernel,
-    model, geometry, f and q_override, and that the kernel has the
-    closed-form E_t density."""
+    model, geometry, q_override and the field ``also`` (f or sim)."""
     head = reqs[0]
-    shared = (head.kernel, head.model, head.geometry, head.f, head.q_override)
+    key = operator.attrgetter("kernel", "model", "geometry", "q_override", also)
     for req in reqs:
-        if (req.kernel, req.model, req.geometry, req.f, req.q_override) != shared:
-            raise DomainError("%s takes requests that share kernel, model, geometry and f" % what)
+        if key(req) != key(head):
+            raise DomainError("%s takes requests that share kernel, model, geometry and %s" % (what, also))
+    return head
+
+
+def _half_caputo_head(reqs, what):
+    """``_shared_head`` of quadrature requests, whose kernel must have the
+    closed-form E_t density."""
+    head = _shared_head(reqs, what, "f")
     if not is_half_caputo(head.kernel):
         raise DomainError(
             'quadrature mode needs the closed-form E_t density of the order-1/2 Caputo '
             'kernel; use method="mc" for %s' % type(head.kernel).__name__
         )
     return head
-
-
-def _ensemble(req, what):
-    """The shared E_t ensemble of ``req``, which must be at its level t, or a
-    fresh one from its SimConfig."""
-    ens = req.ensemble
-    if ens is not None:
-        if np.ndim(ens.level) != 0 or float(ens.level) != float(req.t):
-            raise DomainError("%s: the shared E_t ensemble is at level %s, not at t=%r"
-                              % (what, ens.level, req.t))
-        return ens
-    if req.sim is None:
-        raise DomainError("%s needs a SimConfig or a shared ensemble" % what)
-    return sample_E_t(req.kernel, req.sim, req.t)
 
 
 def _panel_edges(req, r_hi):
@@ -207,7 +197,7 @@ def p_quadrature_many(reqs):
     raises its QuadratureError."""
     if not reqs:
         return []
-    head = _list_head(reqs, "p_quadrature_many")
+    head = _half_caputo_head(reqs, "p_quadrature_many")
     edges = [_panel_edges(req, StableHalfDensity(req.t).r_max()) for req in reqs]
     t, x, y = map(row_columns, zip(*((req.t, req.x, req.y) for req in reqs)))
 
@@ -239,10 +229,23 @@ def _mc_value(ens, vals):
     return PValue(value=mean, se=se, n_paths=n, censored=censored, method="mc", diagnostic=diag)
 
 
+def p_mc_many(reqs):
+    """[p_mc(req) for req in reqs] from one E_t walk: ``sample_E_t`` at the
+    requests' t in list order, to the largest t, and request i's ensemble
+    mean of q(E_t,x,y) over row i, censoring counted.  The requests share
+    kernel, model, geometry, q_override and sim."""
+    if not reqs:
+        return []
+    head = _shared_head(reqs, "p_mc_many", "sim")
+    if head.sim is None:
+        raise DomainError("p_mc_many needs a SimConfig")
+    rows = map(sample_E_t(head.kernel, head.sim, [req.t for req in reqs]).row, range(len(reqs)))
+    return [_mc_value(ens, np.asarray(req.q_at(ens.values), dtype=float)) for req, ens in zip(reqs, rows)]
+
+
 def p_mc(req):
     """Monte Carlo p(t,x,y): ensemble mean of q(E_t,x,y), censoring counted."""
-    ens = _ensemble(req, "p_mc")
-    return _mc_value(ens, np.asarray(req.q_at(ens.values), dtype=float))
+    return p_mc_many([req])[0]
 
 
 # panel edges toward a wall, as fractions of the distance to the window's middle
@@ -284,11 +287,6 @@ def _inner_Qs(reqs, rs):
                                edges, 1e-7, 1.49e-8)
 
 
-def _inner_Q(req, r):
-    """Q(r,x) of one request at one clock value r."""
-    return _inner_Qs([req], [r])[0]
-
-
 def solve_u_many(reqs):
     """[solve_u(req) for req in reqs] for quadrature requests that share
     kernel, model, geometry and f, bit for bit: the inner integrals of every
@@ -296,7 +294,7 @@ def solve_u_many(reqs):
     list order that misses its target raises its QuadratureError."""
     if not reqs:
         return []
-    _list_head(reqs, "solve_u_many")
+    _half_caputo_head(reqs, "solve_u_many")
     dens = [StableHalfDensity(req.t) for req in reqs]
     # the inner integral is smooth in log r; a trapezoid in log r at
     # _U_NODES nodes resolves it far below the factor-level tolerances u feeds
@@ -316,15 +314,18 @@ def solve_u(req):
 
     Quadrature mode is ``solve_u_many`` of the one request.  MC mode
     evaluates the inner integral on a log grid of clock values and
-    interpolates it over the shared ensemble, so the standard error is the
-    per-path CLT error of Q(E_t, x).
+    interpolates it over a fresh E_t ensemble from ``req.sim``, so the
+    standard error is the per-path CLT error of Q(E_t, x); the grid's
+    inner integrals are checked in one ``_inner_Qs`` call.
     """
     if req.method == "quadrature":
         return solve_u_many([req])[0]
-    ens = _ensemble(req, "solve_u MC mode")
+    if req.sim is None:
+        raise DomainError("solve_u MC mode needs a SimConfig")
+    ens = sample_E_t(req.kernel, req.sim, req.t)
     col = ens.values
     grid = np.geomspace(max(col.min(), 1e-12), col.max(), 80)
-    qvals = np.array([_inner_Q(req, r) for r in grid])
+    qvals = np.array(_inner_Qs([req] * grid.size, grid))
     return _mc_value(ens, np.interp(col, grid, qvals))
 
 

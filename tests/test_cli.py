@@ -315,29 +315,34 @@ class TestFundsolEstimate:
         assert float(lines[2].split(",")[3]) > 0.0
 
     def test_one_walk_per_mc_call_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
-        from subtail.fundamental import SolutionRequest, p_mc
+        from subtail import fundamental
+        from subtail.fundamental import SolutionRequest, p_mc_many
         from subtail.heat_kernel import model_from_config
         from subtail.kernels import kernel_from_config
-        from subtail.simulate import sample_E_t
 
         calls = []
-        sample = cli.sample_E_t
-        monkeypatch.setattr(cli, "sample_E_t", lambda *a: calls.append(a[2].tolist()) or sample(*a))
+        sample = fundamental.sample_E_t
+        monkeypatch.setattr(fundamental, "sample_E_t", lambda *a: calls.append(list(a[2])) or sample(*a))
         pts = [{"t": 0.4, "x": 0.3, "y": 0.6}, {"t": 0.1, "x": 0.2, "y": 0.7},
                {"t": 0.4, "x": 0.6, "y": 0.3}]
         status, out = run_cli(tmp_path, "fundsol", {**_MC_FUNDSOL[1], "points": pts},
                               extra=["--seed", "5"])
-        assert status == 0 and calls == [[0.1, 0.4]]
+        assert status == 0 and calls == [[0.4, 0.1, 0.4]]
         kern = kernel_from_config(_HALF_CAPUTO)
         model, geometry = model_from_config(_J1)
-        ens = sample_E_t(kern, SimConfig(cutoff_eps=1e-2, n_paths=200, seed=5), np.array([0.1, 0.4]))
+        sim = SimConfig(cutoff_eps=1e-2, n_paths=200, seed=5)
+        res = p_mc_many([SolutionRequest(kern, model, geometry, pnt["t"], pnt["x"], pnt["y"],
+                                         method="mc", sim=sim) for pnt in pts])
         rows = [row.split(",") for row in (out / "fundsol.csv").read_text().splitlines()[2:]]
         assert len(rows) == 3
-        for row, pnt in zip(rows, pts):
-            shared = ens.row([0.1, 0.4].index(pnt["t"]))
-            res = p_mc(SolutionRequest(kern, model, geometry, pnt["t"], pnt["x"], pnt["y"],
-                                       method="mc", ensemble=shared))
-            assert row == ["%.17g" % v for v in (pnt["t"], pnt["x"], pnt["y"], res.value, res.se)] + ["mc"]
+        for row, pnt, p in zip(rows, pts, res):
+            assert row == ["%.17g" % v for v in (pnt["t"], pnt["x"], pnt["y"], p.value, p.se)] + ["mc"]
+
+    @pytest.mark.parametrize("method", ["quadrature", "mc"])
+    def test_no_points_give_a_header_only_csv(self, tmp_path, method):
+        status, out = run_cli(tmp_path, "fundsol", {**_MC_FUNDSOL[1], "method": method, "points": []})
+        assert status == 0
+        assert (out / "fundsol.csv").read_text().splitlines()[1:] == ["t,x,y,p,se,method"]
 
     def test_estimate_json(self, tmp_path):
         status, out = run_cli(tmp_path, "estimate", _ESTIMATE)
@@ -413,10 +418,10 @@ class TestTypedExits:
     def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
         from subtail.errors import QuadratureError
 
-        def fail(req):
+        def fail(reqs):
             raise QuadratureError("p quadrature achieved 1e-3, target 1e-8")
 
-        monkeypatch.setattr(cli, "p_quadrature", fail)
+        monkeypatch.setattr(cli, "p_quadrature_many", fail)
         status, err = self._fundsol(tmp_path, _HALF_CAPUTO, 0.3)
         assert status == 5
         assert err == {"type": "QuadratureError",

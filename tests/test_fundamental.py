@@ -12,8 +12,9 @@ from subtail.fundamental import (
     PValue,
     SolutionRequest,
     diagonal_probe,
-    _inner_Q,
+    _inner_Qs,
     p_mc,
+    p_mc_many,
     p_quadrature,
     p_quadrature_many,
     solve_u,
@@ -88,31 +89,12 @@ class TestPValues:
 
     def test_mc_symmetry_shared_ensemble(self):
         k = caputo(0.5)
-        ens = sample_E_t(k, SimConfig(cutoff_eps=1e-3, n_paths=10_000, seed=29), 0.8)
+        sim = SimConfig(cutoff_eps=1e-3, n_paths=10_000, seed=29)
         g = Geometry("interval", 1.0)
         m = HKModel("J1", alpha=1.0, d=1.0)
-        a = p_mc(SolutionRequest(k, m, g, 0.8, 0.3, 0.7, ensemble=ens))
-        b = p_mc(SolutionRequest(k, m, g, 0.8, 0.7, 0.3, ensemble=ens))
+        a, b = p_mc_many([SolutionRequest(k, m, g, 0.8, 0.3, 0.7, sim=sim),
+                          SolutionRequest(k, m, g, 0.8, 0.7, 0.3, sim=sim)])
         assert a.value == pytest.approx(b.value, rel=1e-12)
-
-    def test_a_shared_ensemble_at_another_level_is_refused(self):
-        # it would give p at the ensemble's level, not at the request's t
-        k = caputo(0.5)
-        cfg = SimConfig(cutoff_eps=1e-2, n_paths=200, seed=29)
-        g = Geometry("interval", 1.0)
-        m = HKModel("J1", alpha=1.0, d=1.0)
-        ens = sample_E_t(k, cfg, 0.8)
-        req = SolutionRequest(k, m, g, 0.4, 0.3, 0.7, method="mc", ensemble=ens)
-        with pytest.raises(DomainError, match=r"p_mc: the shared E_t ensemble is at level 0.8, not at t=0.4"):
-            p_mc(req)
-        req.f = lambda y: 1.0
-        with pytest.raises(DomainError, match=r"solve_u MC mode: .* at level 0.8, not at t=0.4"):
-            solve_u(req)
-        # a multi-level ensemble is handed out by rows, never whole
-        both = sample_E_t(k, cfg, np.array([0.4, 0.8]))
-        with pytest.raises(DomainError, match=r"at level \[0.4 0.8\], not at t=0.4"):
-            p_mc(SolutionRequest(k, m, g, 0.4, 0.3, 0.7, method="mc", ensemble=both))
-        assert p_mc(SolutionRequest(k, m, g, 0.4, 0.3, 0.7, method="mc", ensemble=both.row(0))).n_paths == 200
 
     def test_quadrature_symmetry_and_positivity(self):
         g = Geometry("interval", 1.0)
@@ -196,7 +178,21 @@ class TestSolveU:
                 dx = min(x, 1.0 - x)
                 want = (math.exp(-r) * math.sqrt(dx / (dx + 1.0))
                         * 2.0 * (math.sqrt(3.0) / 2.0 - math.asinh(1.0 / math.sqrt(2.0))))
-                assert _inner_Q(req, r) == pytest.approx(want, rel=1e-10), (x, r)
+                assert _inner_Qs([req], [r])[0] == pytest.approx(want, rel=1e-10), (x, r)
+
+    @pytest.mark.parametrize("family, alpha, kind, kw", [
+        ("J1", 1.0, "interval", {}),
+        ("J4", 1.5, "interval", {}),
+        ("HK_M", 1.5, "interval", {"gamma": 0.5, "lam": 0.5, "k": 1}),
+        ("D2", 2.0, "half-line", {}),
+        ("HK_J", 1.0, "half-line", {"gamma": 0.3, "lam": 0.0, "k": 1}),
+    ])
+    def test_mc_modes_grid_in_one_call_is_the_per_r_integrals(self, family, alpha, kind, kw):
+        # solve_u's MC mode checks its 80 log-grid inner integrals together
+        m, g = HKModel(family, alpha=alpha, d=1.0, **kw), Geometry(kind, 1.0)
+        req = SolutionRequest(caputo(0.5), m, g, 0.2, 0.3, f=lambda y: np.exp(-y))
+        grid = np.geomspace(1e-6, 5.0, 80)
+        assert _inner_Qs([req] * grid.size, grid) == [_inner_Qs([req], [r])[0] for r in grid]
 
     def test_mc_mode_agrees(self):
         g = Geometry("interval", 1.0)
@@ -309,6 +305,57 @@ class TestListForms:
         with pytest.raises(DomainError, match="share kernel, model, geometry and f"):
             p_quadrature_many(reqs)
         assert p_quadrature_many([]) == [] and solve_u_many([]) == []
+
+
+def _fields(v):
+    return (v.value, v.se, v.n_paths, v.censored, v.method, v.diagnostic)
+
+
+class TestMCListForm:
+    """``p_mc_many`` reads every request's p from the rows of one E_t walk."""
+
+    K, M, G = caputo(0.5), HKModel("J1", alpha=1.0, d=1.0), Geometry("interval", 1.0)
+    SIM = SimConfig(cutoff_eps=1e-2, n_paths=500, seed=11)
+
+    def _req(self, t, x, y, sim=SIM, model=M):
+        return SolutionRequest(self.K, model, self.G, t, x, y, method="mc", sim=sim)
+
+    def test_p_mc_is_the_one_request_list(self):
+        req = self._req(0.3, 0.2, 0.6)
+        got = p_mc(req)
+        assert _fields(got) == _fields(p_mc_many([req])[0])
+        # the one-level walk of a scalar t, as p_mc drew it alone
+        ens = sample_E_t(self.K, self.SIM, 0.3)
+        assert got.value == float(np.mean(req.q_at(ens.values)))
+        assert p_mc_many([]) == []
+
+    def test_unsorted_and_repeated_t_read_the_rows_of_one_walk(self, monkeypatch):
+        calls = []
+        sample = fundamental.sample_E_t
+        monkeypatch.setattr(fundamental, "sample_E_t", lambda *a: calls.append(list(a[2])) or sample(*a))
+        pts = [(0.4, 0.3, 0.6), (0.1, 0.2, 0.7), (0.4, 0.6, 0.3), (0.25, 0.5, 0.55)]
+        reqs = [self._req(*pt) for pt in pts]
+        got = p_mc_many(reqs)
+        assert calls == [[0.4, 0.1, 0.4, 0.25]]
+        levels = [0.1, 0.25, 0.4]
+        ens = sample(self.K, self.SIM, np.array(levels))
+        for req, res in zip(reqs, got):
+            row = ens.row(levels.index(req.t))
+            assert res.value == float(np.mean(req.q_at(row.values)))
+            assert res.censored == int(np.count_nonzero(row.censored)) and res.n_paths == 500
+        assert got[0].value == pytest.approx(got[2].value, rel=1e-12)
+
+    @pytest.mark.parametrize("other", [
+        {"sim": SimConfig(cutoff_eps=1e-2, n_paths=500, seed=12)},
+        {"model": HKModel("J2", alpha=1.0, d=1.0)},
+    ], ids=["sim", "model"])
+    def test_requests_that_do_not_share_are_refused_before_any_walk(self, monkeypatch, other):
+        calls = []
+        monkeypatch.setattr(fundamental, "sample_E_t", lambda *a: calls.append(a))
+        reqs = [self._req(0.3, 0.2, 0.6), self._req(0.4, 0.3, 0.5, **other)]
+        with pytest.raises(DomainError, match="p_mc_many takes requests that share kernel, model, geometry and sim"):
+            p_mc_many(reqs)
+        assert calls == []
 
 
 class TestDiagonalProbe:
