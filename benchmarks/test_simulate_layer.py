@@ -6,12 +6,12 @@ From the repository root:
 
 pytest-benchmark times each case and prints min/median/mean per round.
 Each case is one sampler call as ``report`` or the ``mc`` workload makes
-it: golden criterion 3's S_r at r = 2, the ``mc`` workload's S_r of its
-distributed-order ``tails`` call at seed 1 (both clocks), criterion 5's
-rarest tilted S_r, and the E_t ensembles of a ``fundsol --method mc`` call,
-at one level and at the 16 levels of the ``mc`` workload's call at seed 1 in
-one walk.  The
-default test run does not collect this directory (``testpaths = ["tests"]``).
+it: golden criterion 3's S_r at r = 2 and criterion 4's at ~0.85 jumps per
+path, the ``mc`` workload's S_r of its distributed-order ``tails`` call at
+seed 1 (both clocks), criterion 5's rarest tilted S_r, and the E_t
+ensembles of a ``fundsol --method mc`` call, at one level and at the 16
+levels of the ``mc`` workload's call at seed 1 in one walk.  The default
+test run does not collect this directory (``testpaths = ["tests"]``).
 """
 
 import numpy as np
@@ -29,6 +29,14 @@ def test_sample_S_at_of_criterion_3(benchmark):
     # ~11M jumps over 100k paths
     cfg = SimConfig(cutoff_eps=1e-4, n_paths=100_000, seed=GOLDEN_SEED + 2)
     ens = _run(benchmark, sample_S_at, (caputo(0.5), cfg, 2.0), rounds=10)
+    assert np.all(ens.values > 0.0)
+
+
+def test_sample_S_at_of_criterion_4(benchmark):
+    # the doubled-paths Caputo call at t = 0.8: ~0.85 jumps per path, ~170k
+    # jumps over 200k paths, the fewest per path of any report sampler call
+    cfg = SimConfig(cutoff_eps=1e-4, n_paths=200_000, seed=GOLDEN_SEED + 1150)
+    ens = _run(benchmark, sample_S_at, (caputo(0.5), cfg, 0.015130944653562683), rounds=20)
     assert np.all(ens.values > 0.0)
 
 

@@ -168,6 +168,18 @@ def _half_caputo_head(reqs, what):
     return head
 
 
+def _kink(model, dist):
+    """Phi(dist) = dist^alpha for a distance dist > 0; DomainError unless it
+    is a positive float, since the clock panels start and split there."""
+    try:
+        phi = dist**model.alpha
+    except OverflowError:
+        phi = math.inf
+    if not 0.0 < phi < math.inf:
+        raise DomainError("Phi(%g) = %g^alpha leaves the positive floats for alpha=%g" % (dist, dist, model.alpha))
+    return phi
+
+
 def _panel_edges(req, r_hi):
     start = r_hi * 1e-9
     kinks = set()
@@ -176,12 +188,13 @@ def _panel_edges(req, r_hi):
         for pnt in (req.x, req.y):
             dp = geometry.delta(pnt)
             if math.isfinite(dp):
-                kinks.add(dp**model.alpha)
+                kinks.add(_kink(model, dp))
         rho = geometry.rho(req.x, req.y)
         if rho > 0.0:
-            kinks.add(rho**model.alpha)
+            phi_rho = _kink(model, rho)
+            kinks.add(phi_rho)
             # near the diagonal the kink would sit inside the first panel [0, start]
-            start = min(start, 1e-3 * rho**model.alpha)
+            start = min(start, 1e-3 * phi_rho)
         else:
             # on it the first panel must hold a negligible share of r^{-d/alpha}
             start = r_hi * GRADE

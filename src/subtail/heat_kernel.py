@@ -304,7 +304,11 @@ def q_eval(model, geometry, t, x, y):
     # long-time branch: exp(-lam t) times the boundary factor at t = 1
     late = (t >= 1.0) & (lam > 0.0)
     a_k = a_gamma_delta(model.gamma, a, model.k, np.where(late, 1.0, t), dx, dy)
-    v = model.V_inv_time(t)
+    with np.errstate(over="ignore", under="ignore"):
+        v = model.V_inv_time(t)
+    if not (0.0 < v.min() and v.max() < np.inf):
+        raise DomainError("V(Phi^-1(r)) = r^(d/alpha) leaves the positive floats at some r in [%g, %g] "
+                          "for d=%g, alpha=%g" % (np.min(t), np.max(t), model.d, model.alpha))
     parts = []
     if "j" in _PARTS[model.family]:
         parts.append(t / (t * v + model.Psi(rho) * model.V(rho)))

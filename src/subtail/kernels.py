@@ -73,6 +73,8 @@ __all__ = [
     "ConditionReport",
 ]
 
+_FLOAT_MAX = np.finfo(float).max
+
 
 def float_pow(x, p):
     """x**p elementwise, rounded as a Python float power rounds it (the C
@@ -146,6 +148,9 @@ class Power(_Kernel):
             raise DomainError("Power kernel requires beta in (0,1)")
         if self.scale <= 0.0:
             raise DomainError("Power kernel requires scale > 0")
+        if _FLOAT_MAX ** -self.beta == 1.0:
+            raise DomainError("Power kernel beta=%r is too small: s^-beta rounds to 1 at every float s, "
+                              "so w is flat and every jump overflows" % self.beta)
 
     support_end = math.inf
 
@@ -169,7 +174,9 @@ class Power(_Kernel):
         return _like(a, self.scale * float_pow(a, p) / p)
 
     def w_inv(self, y):
-        return (self.scale / y) ** (1.0 / self.beta)
+        # a jump past the largest float is inf, which lies above every level
+        with np.errstate(over="ignore", divide="ignore"):
+            return (self.scale / y) ** (1.0 / self.beta)
 
     def atoms(self):
         return ()

@@ -84,6 +84,8 @@ _POWER = {"kind": "power", "beta": 0.5}
 _HALF_CAPUTO = {"kind": "power", "beta": 0.5, "scale": 1.0 / math.gamma(0.5)}
 _J1 = {"family": "J1", "alpha": 1.0, "d": 1.0, "geometry": {"kind": "interval", "length": 1.0}}
 _SUBEXP = {"kind": "subexp", "beta": 0.5, "theta": 1.0}
+_HK_J_HALF_LINE = {"family": "HK_J", "alpha": 1.5, "d": 1.0, "gamma": 0.5, "lambda": 0.0, "k": 1,
+                   "geometry": {"kind": "half-line"}}
 _HK_J_FREE = {"family": "HK_J", "alpha": 1.0, "d": 1.0, "gamma": 0.3, "lambda": 0.0, "k": 1,
               "geometry": {"kind": "free"}}
 
@@ -414,6 +416,26 @@ class TestTypedExits:
         err = json.loads((out / "manifest.json").read_text())["error"]
         assert status == 4
         assert err["type"] == "DomainError" and named in err["message"]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sub, cfg, named", [
+        # w(s) = s^-1e-300 is flat in floats, so every jump of w_inv overflowed
+        ("tails", {"kernel": {"kind": "power", "beta": 1e-300}, "sim": {"cutoff_eps": 1e-2, "n_paths": 100},
+                   "grid": {"r": [0.5], "t": [1.0]}}, "beta=1e-300"),
+        # 0.3^1e300 underflows, so the clock panels started at 0
+        ("fundsol", {"kernel": _HALF_CAPUTO, "model": {**_HK_J_HALF_LINE, "alpha": 1e300},
+                     "points": [{"t": 0.1, "x": 0.3, "y": 0.5}]}, "alpha=1e+300"),
+        # r^(1e300/1.5) leaves the floats on both sides of r = 1
+        ("fundsol", {"kernel": _HALF_CAPUTO, "model": {**_HK_J_HALF_LINE, "d": 1e300},
+                     "points": [{"t": 0.1, "x": 0.3, "y": 0.5}]}, "d=1e+300"),
+    ])
+    def test_an_exponent_beyond_the_floats_exits_4_without_a_warning(self, tmp_path, capsys, sub, cfg,
+                                                                     named):
+        status, out = run_cli(tmp_path, sub, cfg)
+        err = json.loads((out / "manifest.json").read_text())["error"]
+        assert status == 4
+        assert err["type"] == "DomainError" and named in err["message"]
+        assert capsys.readouterr().err == "DomainError: %s\n" % err["message"]
 
     def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
         from subtail.errors import QuadratureError

@@ -10,7 +10,7 @@ from scipy.special import erfinv
 from subtail import simulate
 from subtail.bernstein import BernsteinTable
 from subtail.errors import DomainError, RangeError
-from subtail.golden import builtin_kernel_set
+from subtail.golden import GOLDEN_SEED, builtin_kernel_set
 from subtail.kernels import (DistributedOrder, Subexp, Tabulated, Truncated, caputo, inverse_w_vec,
                              jump_sizes)
 from subtail.simulate import (
@@ -421,16 +421,23 @@ _BLOCK_KERNELS = {
 }
 
 
-def _one_shot_S(kernel, config, r):
-    """S_r with every jump held at once: the reference for the blocked draws."""
-    n, eps = config.n_paths, config.cutoff_eps
+def _one_shot_jumps(kernel, config, r):
+    """Each path's jump count and every jump of S_r, in path order, drawn at once."""
+    eps = config.cutoff_eps
     w_eps = float(kernel.w(eps))
     rng = simulate._rng(config.seed, 1)
-    counts = rng.poisson(r * w_eps, size=n)
-    path_idx = np.repeat(np.arange(n), counts)
-    sizes = jump_sizes(kernel, eps, w_eps)(rng.uniform(0.0, 1.0, size=int(counts.sum())))
-    jumps = np.bincount(path_idx, weights=sizes, minlength=n)
-    return jumps + simulate._drift_rate(kernel, eps) * r, counts
+    counts = rng.poisson(r * w_eps, size=config.n_paths)
+    return counts, jump_sizes(kernel, eps, w_eps)(rng.uniform(0.0, 1.0, size=int(counts.sum())))
+
+
+def _one_shot_S(kernel, config, r):
+    """S_r with every jump held at once: the reference for the blocked draws."""
+    counts, sizes = _one_shot_jumps(kernel, config, r)
+    # pairwise over the non-empty paths: reduceat gives sizes[i], not 0, for an empty one
+    full = np.flatnonzero(counts)
+    jumps = np.zeros(config.n_paths)
+    jumps[full] = np.add.reduceat(sizes, (np.cumsum(counts) - counts)[full])
+    return jumps + simulate._drift_rate(kernel, config.cutoff_eps) * r, counts
 
 
 class TestBlockedDraws:
@@ -453,17 +460,56 @@ class TestBlockedDraws:
 
     def test_memory_scales_with_paths_not_jumps(self):
         # ~1.8M jumps: holding them all at once takes ~60 MB, several times
-        # the path arrays plus a few block-sized temporaries
+        # the path arrays plus a few block-sized temporaries; at ~0.2 jumps
+        # per path a block spans ~160k paths, most of them jump-free
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
         cfg = SimConfig(cutoff_eps=1e-3, n_paths=200_000, seed=7)
-        tracemalloc.start()
-        try:
-            sample_S_at(k, cfg, 0.3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         bound = 8 * (4 * cfg.n_paths + 8 * simulate._JUMP_BLOCK)
-        assert peak <= bound, (peak, bound)
+        for r in (0.3, 0.2 / float(k.w(cfg.cutoff_eps))):
+            tracemalloc.start()
+            try:
+                sample_S_at(k, cfg, r)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (r, peak, bound)
+
+    def test_path_sums_are_within_count_ulps_of_fsum(self):
+        # criterion 3 of the golden report at 2000 paths: its clocks, levels
+        # and eps; 28-169 jumps per path
+        k = caputo(0.5)
+        for i, r in enumerate((0.5, 1.0, 2.0, 3.0)):
+            cfg = SimConfig(cutoff_eps=1e-4, n_paths=2000, seed=GOLDEN_SEED + i)
+            counts, sizes = _one_shot_jumps(k, cfg, r)
+            exact = np.array([math.fsum(path) for path in np.split(sizes, np.cumsum(counts)[:-1])])
+            exact += simulate._drift_rate(k, cfg.cutoff_eps) * r
+            got = sample_S_at(k, cfg, r)
+            assert np.all(np.abs(got.values - exact) <= counts * np.spacing(exact)), r
+            for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+                for side, hit in (("upper", exact >= t), ("lower", exact <= t)):
+                    est = tail_estimate(k, got, t, side)
+                    assert est.p_hat == np.count_nonzero(hit) / cfg.n_paths, (r, t, side)
+
+    @pytest.mark.parametrize("in_order", [False, True])
+    def test_path_sums_do_not_depend_on_the_alignment_of_the_values(self, in_order):
+        rng = np.random.default_rng(5)
+        counts = rng.poisson(rng.choice([0.3, 40.0, 300.0], size=500))
+        values = rng.random(int(counts.sum())) ** -2.0
+
+        def draw_from(offset):
+            # the same values, their first one `offset` doubles into a fresh buffer
+            buf = np.empty(values.size + 8)[offset:offset + values.size]
+            buf[:] = values
+            pos = [0]
+
+            def draw(m):
+                pos[0] += m
+                return buf[pos[0] - m:pos[0]]
+            return draw
+
+        want = simulate._path_sums(counts, draw_from(0), in_order)
+        for offset in range(1, 8):
+            assert np.array_equal(simulate._path_sums(counts, draw_from(offset), in_order), want), offset
 
 
 _TRUNC = Truncated(beta=0.5, delta=1.0, scale=1.0)
