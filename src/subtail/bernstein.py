@@ -32,13 +32,14 @@ a value is rounded as a lone float's would be (``kernels.float_pow``), so a
 value never depends on the batch it was computed in, and an array fails at
 its first failing lambda, as that lambda alone would.
 
-A BernsteinTable caches phi, phi', H on a logarithmic grid (default 96
-points per decade on [1e-9, 1e9]), built by one evaluator call the first time
-something reads it (``phiHw_brackets``, a ``*_grid`` attribute or
-``bar_phi_alpha``'s envelope check at alpha < 1); a grid that cannot be
-built raises there, not when the table is made, and a table whose grid
-nothing reads never builds it.  It holds its ``kernel`` and, certified at
-the first read, the kernel's ``conditions`` (``kernels.check_conditions``).
+A BernsteinTable caches phi, phi', H, checked to ``PHI_RTOL`` relative, on a
+logarithmic grid on [1e-9, 1e9] (its one setting: 96 points per decade by
+default), built by one evaluator call the first time something reads it
+(``phiHw_brackets``, a ``*_grid`` attribute or ``bar_phi_alpha``'s envelope
+check at alpha < 1); a grid that cannot be built raises there, not when the
+table is made, and a table whose grid nothing reads never builds it.  It
+holds its ``kernel`` and, certified at the first read, the kernel's
+``conditions`` (``kernels.check_conditions``).
 Its queries phi(), phi_prime() and H() take a value from the table's memo,
 else from one evaluator call for all the lambdas of the query not memoised,
 so the grid holds bit for bit what they return at its nodes.  The table supplies monotone inverses, the composite
@@ -77,10 +78,12 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .kernels import check_conditions, float_pow
-from .quadrature import PANEL_CHUNK as _PANEL_CHUNK  # the evaluator's chunk bound, read at each call
 from .quadrature import PHI_RULES, checked, geometric_edges, grouped_panel_sums
 
-__all__ = ["BernsteinTable", "calM", "calN", "increasing_root"]
+__all__ = ["PHI_RTOL", "BernsteinTable", "calM", "calN", "increasing_root"]
+
+PHI_RTOL = 1e-10  # phi's checked target, relative: the slack of tail_bounds.within_bound
+_LAM_ENDS = (1e-9, 1e9)  # the ends of every table's lambda grid
 
 _HEAD_FRAC = 1e-5  # lambda*u0 at the closed-form head boundary
 _TAIL_MULT = 50.0  # integrate out to 50/lambda; the remainder is < e^-50
@@ -179,7 +182,7 @@ def _bernstein_values(kernel, lam, rtol):
     edges, panels = _panel_edges(kernel, u0, hi)
     coarse, fine = grouped_panel_sums(lambda u, rows: _integrands(kernel, l3[rows], u),
                                       [row[: n + 1] for row, n in zip(edges, panels.tolist())],
-                                      PHI_RULES, (3,), _PANEL_CHUNK)
+                                      PHI_RULES, (3,))
     coarse += heads
     fine += heads
 
@@ -383,7 +386,8 @@ _GRID_ATTRS = frozenset(("phi_grid", "H_grid", "phi_prime_grid"))
 class BernsteinTable:
     """Cached monotone representations of phi, phi', H, b and their inverses.
 
-    Construction checks the arguments and makes lam_grid only.  The grid
+    Construction checks points_per_decade and makes lam_grid only, on
+    [1e-9, 1e9] at that many nodes per decade.  The grid
     values are built at the first read of any of them, and that read raises
     the build's DomainError or QuadratureError if the grid cannot be built;
     the queries phi(), H(), phi_prime(), b_fun(), invert() and
@@ -394,18 +398,14 @@ class BernsteinTable:
     threads may both build the grid, to the same values).
     """
 
-    def __init__(self, kernel, lam_lo=1e-9, lam_hi=1e9, points_per_decade=96, quad_rtol=1e-10):
-        n = 0
-        if 0.0 < lam_lo < lam_hi and lam_hi / lam_lo < math.inf and 0.0 < points_per_decade < math.inf:
-            n = int(round(points_per_decade * math.log10(lam_hi / lam_lo)))
+    def __init__(self, kernel, points_per_decade=96):
+        lo, hi = _LAM_ENDS
+        n = int(round(points_per_decade * math.log10(hi / lo))) if 0.0 < points_per_decade < math.inf else 0
         if n < 1:
-            raise DomainError(
-                "the lambda grid needs 0 < lam_lo < lam_hi, a finite lam_hi/lam_lo and "
-                "points_per_decade > 0 making at least two nodes; got lam_lo=%r, lam_hi=%r, "
-                "points_per_decade=%r" % (lam_lo, lam_hi, points_per_decade))
+            raise DomainError("the lambda grid on [%g, %g] needs a finite points_per_decade > 0 making "
+                              "at least two nodes; got points_per_decade=%r" % (lo, hi, points_per_decade))
         self.kernel = kernel
-        self.quad_rtol = quad_rtol
-        self.lam_grid = np.geomspace(lam_lo, lam_hi, n + 1)
+        self.lam_grid = np.geomspace(lo, hi, n + 1)
         self._memo = {}
 
     def __getattr__(self, name):
@@ -415,7 +415,7 @@ class BernsteinTable:
         if name not in _GRID_ATTRS:
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
         # the checked values phi(), H() and phi_prime() return at the nodes
-        phi, H, dphi = _bernstein_values(self.kernel, self.lam_grid, self.quad_rtol)
+        phi, H, dphi = _bernstein_values(self.kernel, self.lam_grid, PHI_RTOL)
         self.__dict__.update(phi_grid=phi, H_grid=H, phi_prime_grid=dphi)
         return self.__dict__[name]
 
@@ -438,7 +438,7 @@ class BernsteinTable:
                 if v is None:
                     new.append(lam)
         if new:
-            vals = _bernstein_values(self.kernel, np.array(new), self.quad_rtol)
+            vals = _bernstein_values(self.kernel, np.array(new), PHI_RTOL)
             for lam, v in zip(new, zip(*(row.tolist() for row in vals))):
                 if len(memo) >= len(self.lam_grid):
                     memo.clear()

@@ -52,7 +52,6 @@ from .tail_bounds import HORIZON_T, MARGIN, QUARTER_E2, near_diagonal, off_diago
 __all__ = [
     "F_alpha",
     "G_alpha_d",
-    "I_gamma_quadrature",
     "I_gamma_quadrature_many",
     "J_gamma",
     "J_gamma_many",
@@ -211,13 +210,12 @@ def _J_lead(model, geometry, table, k, t, x, y):
 
 def J_gamma(model, geometry, table, k, t, x, y):
     """J_k^gamma(t,x,y): the full near-diagonal estimate form (w the table's)."""
-    lead, w_t = _J_lead(model, geometry, table, k, t, x, y)
-    return lead + w_t * I_gamma_quadrature(model, geometry, table, k, t, x, y)
+    return J_gamma_many(model, geometry, table, k, [(t, x, y)])[0]
 
 
 def J_gamma_many(model, geometry, table, k, points):
-    """[J_gamma(model, geometry, table, k, t, x, y) for (t, x, y) in points],
-    bit for bit, its integrals from one ``I_gamma_quadrature_many`` call."""
+    """J_k^gamma at each (t, x, y) of ``points``, its integrals from one
+    ``I_gamma_quadrature_many`` call."""
     out = []
     for pt, integral in zip(points, I_gamma_quadrature_many(model, geometry, table, k, points)):
         lead, w_t = _J_lead(model, geometry, table, k, *pt)
@@ -272,7 +270,7 @@ def closed_I_gamma(model, geometry, table, t, x, y):
     if g == 0.0:
         dx = dy = math.inf
     phi_t = table.phi(1.0 / t)
-    if not near_diagonal(l**alpha * phi_t, 1.0, table.quad_rtol):
+    if not near_diagonal(l**alpha * phi_t, 1.0):
         raise RegimeError(
             "closed_I_gamma needs Phi(rho) phi(1/t) = %g <= 1/(4e^2)" % (l**alpha * phi_t)
         )
@@ -285,7 +283,7 @@ def closed_I_gamma(model, geometry, table, t, x, y):
     if Phi(dx) <= 4.0 * A:
         sc = 1
         val = dstar_phi**g * S(2.0 * g, A, B)
-    elif near_diagonal(Phi(dy) * phi_t, 1.0, table.quad_rtol):
+    elif near_diagonal(Phi(dy) * phi_t, 1.0):
         sc = 2
         val = S(0.0, A, Phi(dx) / 2.0)
         val += Phi(dx) ** g * S(g, Phi(dx) / 2.0, Phi(dy))
@@ -378,17 +376,17 @@ class _Delegate(NamedTuple):
 # Regime predicates (name, test(case, prod)) with prod = Phi(rho) phi(1/t); every
 # non-strict inequality goes through the tie rule ``within_bound``.
 _NEAR = ("Phi(rho) phi(1/t) <= 1/(4e^2)",
-         lambda c, prod: near_diagonal(prod, c.margin, c.table.quad_rtol))
+         lambda c, prod: near_diagonal(prod, c.margin))
 _OFF = ("Phi(rho) phi(1/t) > 1/(4e^2)",
-        lambda c, prod: off_diagonal(prod, c.margin, c.table.quad_rtol))
+        lambda c, prod: off_diagonal(prod, c.margin))
 _NEAR_OR_OFF = ("Phi(rho) phi(1/t) outside the margin band around 1/(4e^2)",
                 lambda c, prod: _NEAR[1](c, prod) or _OFF[1](c, prod))
-_LATE = ("t >= T", lambda c, prod: within_bound(c.margin * c.horizon_T, c.t, c.table.quad_rtol))
-_TRUNC_LATE = ("t >= t_f/2", lambda c, prod: within_bound(c.table.kernel.support_end / 2.0, c.t, c.table.quad_rtol))
-_EX1_EARLY = ("t <= delta/2", lambda c, prod: within_bound(c.t, c.table.kernel.delta / 2.0, c.table.quad_rtol))
-_EX1_LATE = ("t >= delta/2", lambda c, prod: within_bound(c.table.kernel.delta / 2.0, c.t, c.table.quad_rtol))
-_UNIT_EARLY = ("t <= 1", lambda c, prod: within_bound(c.t, 1.0, c.table.quad_rtol))
-_UNIT_LATE = ("t >= 1", lambda c, prod: within_bound(1.0, c.t, c.table.quad_rtol))
+_LATE = ("t >= T", lambda c, prod: within_bound(c.margin * c.horizon_T, c.t))
+_TRUNC_LATE = ("t >= t_f/2", lambda c, prod: within_bound(c.table.kernel.support_end / 2.0, c.t))
+_EX1_EARLY = ("t <= delta/2", lambda c, prod: within_bound(c.t, c.table.kernel.delta / 2.0))
+_EX1_LATE = ("t >= delta/2", lambda c, prod: within_bound(c.table.kernel.delta / 2.0, c.t))
+_UNIT_EARLY = ("t <= 1", lambda c, prod: within_bound(c.t, 1.0))
+_UNIT_LATE = ("t >= 1", lambda c, prod: within_bound(1.0, c.t))
 _BOUNDED = ("diam(D) < inf", lambda c, prod: c.geometry.bounded)
 _LAMBDA_ZERO = ("lambda = 0", lambda c, prod: c.model.lam is None or c.model.lam == 0.0)
 _LAMBDA_POS = ("lambda > 0", lambda c, prod: c.model.lam is not None and c.model.lam > 0.0)
@@ -405,7 +403,7 @@ def _large_time(near_tag, off_tag, branch):
     """
 
     def select(case, prod):
-        near = near_diagonal(prod, 1.0, case.table.quad_rtol)
+        near = near_diagonal(prod, 1.0)
         return (near_tag if near else off_tag(case)), 1.0
 
     return _Delegate(select, branch)
@@ -476,7 +474,7 @@ def _f_bounded(cls, subexp, case, pt):
 def _f_exterior(case, pt):
     alpha, d, family = pt.alpha, pt.d, case.model.family
     b1 = boundary_min_form(1.0, alpha / 2.0, 1.0, pt.dx, pt.dy)
-    if near_diagonal(pt.prod, case.margin, case.table.quad_rtol):
+    if near_diagonal(pt.prod, case.margin):
         G = G_alpha_d(case.table, alpha, d, case.t, max(1.0, pt.rho), case.horizon_T)
         first = b1 * (pt.phi_t ** (d / alpha) + pt.w_t * G)
         second = 0.0
@@ -542,7 +540,7 @@ def _f_main_large_bounded(case, pt):
 
 
 def _f_main_sub_near(case, pt):
-    if not near_diagonal(pt.prod, case.margin, case.table.quad_rtol):
+    if not near_diagonal(pt.prod, case.margin):
         return _q_ct(case)
     m, t = case.model, case.t
     beta, theta = case.table.conditions.sub["beta"], case.table.conditions.sub["theta"]

@@ -40,7 +40,9 @@ refused with DomainError otherwise; an empty list gives [].
 * ``p_mc_many`` walks one E_t ensemble, ``sample_E_t`` at the requests' t
   in list order (unsorted and repeated levels allowed), to the largest t,
   and request i reads row i, so every level's first passage comes from the
-  same subordinator paths.  ``p_mc`` is its one-request case.
+  same subordinator paths.  Each point's Phi(delta_x), Phi(delta_y) and
+  Phi(rho) must be positive floats, as in quadrature mode, and are checked
+  before the walk.  ``p_mc`` is its one-request case.
 * ``p_quadrature_many`` and ``solve_u_many`` check all their integrals in
   one ``checked_panels_many`` call, in groups of the same panel count, with
   q evaluated once per group chunk: x, y and t (for Q, x and r) reach q and
@@ -180,18 +182,22 @@ def _kink(model, dist):
     return phi
 
 
+def _point_kinks(req):
+    """The set of Phi(delta_x) and Phi(delta_y) where the distance is finite,
+    and Phi(rho) where rho > 0, else None: the kinks of q(., x, y) in r,
+    each checked by ``_kink``."""
+    model, geometry = req.model, req.geometry
+    kinks = {_kink(model, dp) for dp in map(geometry.delta, (req.x, req.y)) if math.isfinite(dp)}
+    rho = geometry.rho(req.x, req.y)
+    return kinks, (_kink(model, rho) if rho > 0.0 else None)
+
+
 def _panel_edges(req, r_hi):
     start = r_hi * 1e-9
     kinks = set()
     if req.q_override is None:
-        model, geometry = req.model, req.geometry
-        for pnt in (req.x, req.y):
-            dp = geometry.delta(pnt)
-            if math.isfinite(dp):
-                kinks.add(_kink(model, dp))
-        rho = geometry.rho(req.x, req.y)
-        if rho > 0.0:
-            phi_rho = _kink(model, rho)
+        kinks, phi_rho = _point_kinks(req)
+        if phi_rho is not None:
             kinks.add(phi_rho)
             # near the diagonal the kink would sit inside the first panel [0, start]
             start = min(start, 1e-3 * phi_rho)
@@ -246,12 +252,17 @@ def p_mc_many(reqs):
     """[p_mc(req) for req in reqs] from one E_t walk: ``sample_E_t`` at the
     requests' t in list order, to the largest t, and request i's ensemble
     mean of q(E_t,x,y) over row i, censoring counted.  The requests share
-    kernel, model, geometry, q_override and sim."""
+    kernel, model, geometry, q_override and sim; without q_override, each
+    point's Phi(delta) and Phi(rho) are checked (``_point_kinks``) before
+    the walk."""
     if not reqs:
         return []
     head = _shared_head(reqs, "p_mc_many", "sim")
     if head.sim is None:
         raise DomainError("p_mc_many needs a SimConfig")
+    if head.q_override is None:
+        for req in reqs:
+            _point_kinks(req)
     rows = map(sample_E_t(head.kernel, head.sim, [req.t for req in reqs]).row, range(len(reqs)))
     return [_mc_value(ens, np.asarray(req.q_at(ens.values), dtype=float)) for req, ens in zip(reqs, rows)]
 

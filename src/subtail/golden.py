@@ -330,7 +330,7 @@ def dgamma_report(tab, case, budget):
         for dx in (0.012, 0.02, 0.045, 0.08, 0.15, 0.25, 0.45):
             for rho in (0.001, 0.004, 0.012, 0.03, 0.09, 0.2, 0.4):
                 y = dx + rho
-                if y < 1.0 - 1e-9 and near_diagonal(rho**alpha * phi_t, 2.0, tab.quad_rtol):
+                if y < 1.0 - 1e-9 and near_diagonal(rho**alpha * phi_t, 2.0):
                     pts.append((t, dx, y))
     closed = [closed_I_gamma(m, g, tab, *pt) for pt in pts]
     obs, pred, coords = [], [], []

@@ -98,14 +98,14 @@ def checked(coarse, fine, rtol, atol, message):
     return fine
 
 
-def grouped_panel_sums(fn, edges, rules, lead=(), chunk=PANEL_CHUNK):
+def grouped_panel_sums(fn, edges, rules, lead=()):
     """(coarse, fine) panel sums of each integral of the list ``edges`` (1-D
     arrays of panel edges) for the rule ``rules``, shaped lead + (len(edges),).
     The integrals with the same panel count go through ``panel_sums``
-    together, at most ``chunk`` panels per call, and ``fn(u, rows)`` is called
-    once per call, on its (len(rows), panels, points) nodes u, rows being
-    the list indices of u's rows; it returns lead + u.shape.  ``chunk`` is
-    ``PANEL_CHUNK`` unless the caller names the bound it reads."""
+    together, at most ``PANEL_CHUNK`` panels per call (read at each call),
+    and ``fn(u, rows)`` is called once per call, on its (len(rows), panels,
+    points) nodes u, rows being the list indices of u's rows; it returns
+    lead + u.shape."""
     if len(edges) == 1:  # one integral needs no grouping: keep its call as cheap as a plain panel_sums
         return panel_sums(lambda u: fn(u, [0]), edges[0][None], rules)
     coarse, fine = np.empty(lead + (len(edges),)), np.empty(lead + (len(edges),))
@@ -113,7 +113,7 @@ def grouped_panel_sums(fn, edges, rules, lead=(), chunk=PANEL_CHUNK):
     for i, e in enumerate(edges):
         groups.setdefault(e.size, []).append(i)
     for size, rows in groups.items():
-        per = max(1, chunk // (size - 1))
+        per = max(1, PANEL_CHUNK // (size - 1))
         for k in range(0, len(rows), per):
             r = rows[k : k + per]
             block = np.stack([edges[i] for i in r])

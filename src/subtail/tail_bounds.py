@@ -24,10 +24,11 @@ Lower bounds:
 
 The regime inequality r phi(1/t) vs 1/(4e^2), which the heat-kernel
 estimates reuse with r = Phi(rho) (near_diagonal / off_diagonal), its tie
-rule (within_bound) and the classifier's constants are defined here and
-nowhere else; r_0's cap and the closed forms' scenario split test it by
-near_diagonal too.  The tail-regime table maps each tag to the structural
-condition it needs, its predicates and its form.  Every bound reads w and
+rule (within_bound, slack ``bernstein.PHI_RTOL``, passed by no caller) and
+the classifier's constants are defined here and nowhere else; r_0's cap and
+the closed forms' scenario split test it by near_diagonal too.  The
+tail-regime table maps each tag to the structural condition it needs, its
+predicates and its form.  Every bound reads w and
 the kernel's conditions from its BernsteinTable (``table.kernel``,
 ``table.conditions``), never from arguments beside it.
 
@@ -45,6 +46,7 @@ import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import bernstein
 from .errors import RangeError, RegimeError
 
 __all__ = [
@@ -73,33 +75,33 @@ SUB_L = 0.5
 SUB_K = 1.0
 
 
-def within_bound(value, bound, rtol):
+def within_bound(value, bound):
     """Tie rule of the non-strict regime inequalities ``value <= bound``.
 
     The theory's regions are closed (r phi(1/t) <= L and the like), but a
-    ``value`` built from phi is certified only to the table's ``quad_rtol``:
-    the package's one checked rule (``quadrature.checked``) accepts phi when
-    its 24- and 40-node sums agree to that relative error, so at a tie the
-    computed value can land ulps above the bound, and a strict float
+    ``value`` built from phi is certified only to ``bernstein.PHI_RTOL``
+    (1e-10): the package's one checked rule (``quadrature.checked``) accepts
+    phi when its 24- and 40-node sums agree to that relative error, so at a
+    tie the computed value can land ulps above the bound, and a strict float
     comparison would decide the edge by rounding noise.
     So the value counts as ``<= bound`` unless it exceeds the bound by more
-    than ``rtol`` relative.  The slack is the certified error of phi because
-    nothing finer is known about the value and nothing coarser is needed;
-    the theory itself fixes only that the inequality is non-strict.
+    than ``PHI_RTOL`` relative.  The slack is the certified error of phi
+    because nothing finer is known about the value and nothing coarser is
+    needed; the theory itself fixes only that the inequality is non-strict.
     """
-    return value - bound <= rtol * abs(bound)
+    return value - bound <= bernstein.PHI_RTOL * abs(bound)
 
 
-def near_diagonal(prod, margin, rtol):
+def near_diagonal(prod, margin):
     """The regime inequality prod <= 1/(4e^2 margin), prod = r phi(1/t) (with
     r = Phi(rho) in the heat-kernel estimates); its edge is admitted by the
-    tie rule ``within_bound`` (rtol: the table's quad_rtol)."""
-    return within_bound(prod, QUARTER_E2 / margin, rtol)
+    tie rule ``within_bound``."""
+    return within_bound(prod, QUARTER_E2 / margin)
 
 
-def off_diagonal(prod, margin, rtol):
+def off_diagonal(prod, margin):
     """Its strict complement prod > margin/(4e^2)."""
-    return not within_bound(prod, margin * QUARTER_E2, rtol)
+    return not within_bound(prod, margin * QUARTER_E2)
 
 
 _R0 = weakref.WeakKeyDictionary()  # table -> r_0
@@ -118,7 +120,7 @@ def truncated_small_r_threshold(table):
     """
     if table not in _R0:
         r0 = table.kernel.support_end / 6.0
-        if not near_diagonal(r0 * table.phi(1.0 / r0), 1.0, table.quad_rtol):
+        if not near_diagonal(r0 * table.phi(1.0 / r0), 1.0):
             r0 = 1.0 / table._root(lambda lam: QUARTER_E2 - table.phi(lam) / lam)
         _R0[table] = r0
     return _R0[table]
@@ -137,11 +139,11 @@ class _TailPoint(NamedTuple):
 
 def _edge(value):
     """The predicate value(p) <= 1/MARGIN under the tie rule."""
-    return lambda p: within_bound(value(p), 1.0 / MARGIN, p.table.quad_rtol)
+    return lambda p: within_bound(value(p), 1.0 / MARGIN)
 
 
 def _near(p):
-    return near_diagonal(p.rp, MARGIN, p.table.quad_rtol)
+    return near_diagonal(p.rp, MARGIN)
 
 
 _SMALL_T = _edge(lambda p: p.t / p.table.conditions.spoly["t_s"])
@@ -228,7 +230,7 @@ def lower_bound_universal(table, r, t, L):
     The edge r phi(1/t) = L is admitted by the tie rule of ``within_bound``.
     """
     rp = r * table.phi(1.0 / t)
-    if not within_bound(rp, L, table.quad_rtol):
+    if not within_bound(rp, L):
         raise RegimeError("universal lower bound needs r phi(1/t) = %g <= L = %g" % (rp, L))
     return math.exp(-math.e * L) * r * float(table.kernel.w(t))
 

@@ -13,7 +13,7 @@ from mpmath import mp
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from subtail import bernstein, golden
+from subtail import bernstein, golden, quadrature
 from subtail.bernstein import BernsteinTable, calM, calN
 from subtail.errors import DomainError, QuadratureError, RangeError
 from subtail.golden import builtin_kernel_set
@@ -165,7 +165,7 @@ class TestArrayEvaluator:
     @pytest.mark.parametrize("chunk", [1, 7, 64, None])
     def test_batch_equals_one_element_calls(self, kernels, monkeypatch, chunk):
         if chunk is not None:
-            monkeypatch.setattr(bernstein, "_PANEL_CHUNK", chunk)
+            monkeypatch.setattr(quadrature, "PANEL_CHUNK", chunk)
         rng = np.random.default_rng(11)
         lam = 10.0 ** rng.uniform(-8.0, 8.0, 40)
         # duplicates, and lambdas around those at which the truncation point 1
@@ -197,8 +197,8 @@ class TestArrayEvaluator:
         assert calls == [4]
 
     def test_build_memory_is_bounded_by_the_panel_chunk(self, kernels):
-        # Chunks of at most _PANEL_CHUNK panels bound the build's node arrays:
-        # one (panels, 64) float array of a chunk is _PANEL_CHUNK * 64 * 8 B,
+        # Chunks of at most PANEL_CHUNK panels bound the build's node arrays:
+        # one (panels, 64) float array of a chunk is PANEL_CHUNK * 64 * 8 B,
         # and a chunk holds at most 16 of them at once.  Beside them live the
         # padded edges, n_lambda * (24 + breakpoints) floats, at most 3 copies.
         k = kernels["tabulated"]
@@ -210,7 +210,7 @@ class TestArrayEvaluator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = bernstein._PANEL_CHUNK * 64 * 8
+        chunk = quadrature.PANEL_CHUNK * 64 * 8
         edges = tab.lam_grid.size * (24 + len(k.breakpoints())) * 8
         assert peak <= 16 * chunk + 3 * edges, (peak, chunk, edges)
 
@@ -260,12 +260,13 @@ class TestBuildErrors:
     the first failing integral (phi, H, phi'), as a grid starting at that node does.
     The grid is built, and fails, at its first read."""
 
-    def test_quadrature_error_at_the_first_node(self):
+    def test_quadrature_error_at_the_first_node(self, monkeypatch):
+        # the table checks its values to PHI_RTOL, read at each evaluation
+        monkeypatch.setattr(bernstein, "PHI_RTOL", 1e-17)
         with pytest.raises(QuadratureError) as built:
-            BernsteinTable(caputo(0.5), quad_rtol=1e-17).phi_grid
+            BernsteinTable(caputo(0.5)).phi_grid
         with pytest.raises(QuadratureError) as alone:
-            BernsteinTable(caputo(0.5), lam_lo=1e-9, lam_hi=1e-8, points_per_decade=1,
-                           quad_rtol=1e-17).phi_grid
+            bernstein._bernstein_values(caputo(0.5), np.array([1e-9, 1e-8]), 1e-17)
         for err in (built.value, alone.value):
             assert str(err) == "Laplace integral of phi did not converge at lambda=1e-09"
             assert err.target == 1e-17
@@ -274,7 +275,7 @@ class TestBuildErrors:
 
     def test_domain_error_names_the_largest_supported_lambda(self):
         with pytest.raises(DomainError) as built:
-            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4).phi_grid
+            BernsteinTable(caputo(0.5)).phi(1e154)
         assert str(built.value) == (
             "lambda=1e+154 is above the largest supported lambda 6.703903964971299e+153 "
             "of this kernel (its truncated moments or its panels overflow)")
@@ -282,26 +283,29 @@ class TestBuildErrors:
     def test_earlier_node_decides_between_the_two(self):
         # the failing quadrature at 1e-9 comes before the unsupported 1e154 ...
         with pytest.raises(QuadratureError, match="lambda=1e-09"):
-            BernsteinTable(caputo(0.5), lam_hi=1e200, points_per_decade=4,
-                           quad_rtol=1e-17).phi_grid
+            bernstein._bernstein_values(caputo(0.5), np.array([1e-9, 1e154]), 1e-17)
         # ... and the unsupported 1e-120 before any failing quadrature
         with pytest.raises(DomainError, match="lambda=1e-120 is below the smallest supported"):
-            BernsteinTable(caputo(0.5), lam_lo=1e-120, points_per_decade=4,
-                           quad_rtol=1e-17).phi_grid
+            bernstein._bernstein_values(caputo(0.5), np.array([1e-120, 1e-9]), 1e-17)
 
     @pytest.mark.parametrize("grid", [
-        {"lam_lo": 0.0},
-        {"lam_lo": 1.0, "lam_hi": 0.5},
-        {"lam_lo": 1e-320},
-        {"lam_hi": math.inf},
-        {"lam_lo": math.nan},
         {"points_per_decade": 0},
         {"points_per_decade": -4},
-        {"lam_lo": 1.0, "lam_hi": 1.001, "points_per_decade": 1},
+        {"points_per_decade": math.nan},
+        {"points_per_decade": math.inf},
+        {"points_per_decade": -math.inf},
+        {"points_per_decade": 1e-300},
+        # 18 decades at these round to no step, one node
+        {"points_per_decade": 0.02},
+        {"points_per_decade": 0.025},
     ])
     def test_bad_grid_is_domain_error(self, grid):
         with pytest.raises(DomainError, match="lambda grid"):
             BernsteinTable(caputo(0.5), **grid)
+
+    def test_the_sparsest_grid_is_its_two_ends(self):
+        tab = BernsteinTable(caputo(0.5), points_per_decade=1.0 / 18.0)
+        assert tab.lam_grid.tolist() == [1e-9, 1e9]
 
 
 class TestFirstMiss:
@@ -345,7 +349,7 @@ class TestFirstMiss:
         assert math.isfinite(getattr(tab, query)(1e10))
         with pytest.raises(QuadratureError, match=r"did not converge at lambda=1e\+14") as err:
             getattr(tab, query)(1e14)
-        assert math.isnan(err.value.achieved) and err.value.target == tab.quad_rtol
+        assert math.isnan(err.value.achieved) and err.value.target == bernstein.PHI_RTOL
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("query", ["phi", "H", "phi_prime"])
@@ -505,20 +509,18 @@ class TestSmallestLambda:
             tab.phi(1e200)
 
     def test_bar_phi_turns_domain_error_into_range_error(self):
-        # s^2/phi(s) ~ s/E[S_1] = s near 0, so 1e-308 is reached only below
-        # the smallest supported lambda (~3.6e-307), where the search ends
-        tab = BernsteinTable(Truncated(0.5, 1.0, 1.0), lam_lo=1e-150, lam_hi=1.0, points_per_decade=1)
+        # s^2/phi(s) = s^1.5 for the 1/2-Caputo kernel, so 1e-160 is reached
+        # only at s ~ 1e-107, below its smallest supported lambda (~9.6e-94,
+        # where its head moments overflow), where the search ends
+        tab = BernsteinTable(caputo(0.5))
         with pytest.raises(RangeError) as info:
-            tab.bar_phi_alpha(2.0, 1e-308)
+            tab.bar_phi_alpha(2.0, 1e-160)
         assert isinstance(info.value.__cause__, DomainError)
 
     def test_bar_phi_below_the_limit_at_zero_is_zero(self):
         # s/phi(s) falls to 1/E[S_1] = 1/int_0^inf w = 1 as s -> 0, so every
-        # s > 0 has s/phi(s) >= 0.5, whatever the grid's smallest lambda
-        kern = Truncated(0.5, 1.0, 1.0)
-        for tab in (BernsteinTable(kern),
-                    BernsteinTable(kern, lam_lo=1e-150, lam_hi=1.0, points_per_decade=1)):
-            assert tab.bar_phi_alpha(1.0, 0.5) == 0.0
+        # s > 0 has s/phi(s) >= 0.5, below the grid's smallest lambda too
+        assert BernsteinTable(Truncated(0.5, 1.0, 1.0)).bar_phi_alpha(1.0, 0.5) == 0.0
 
     def test_moment_overflow_is_domain_error(self, caputo_half):
         # the head moments int_0^{1e-5/lam} u^k w(u) du overflow a float here

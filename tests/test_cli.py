@@ -428,6 +428,10 @@ class TestTypedExits:
         # r^(1e300/1.5) leaves the floats on both sides of r = 1
         ("fundsol", {"kernel": _HALF_CAPUTO, "model": {**_HK_J_HALF_LINE, "d": 1e300},
                      "points": [{"t": 0.1, "x": 0.3, "y": 0.5}]}, "d=1e+300"),
+        # the Monte Carlo route refuses 0.3^1e300 as quadrature does, before its walk
+        ("fundsol", {"kernel": _HALF_CAPUTO, "model": {**_HK_J_HALF_LINE, "alpha": 1e300}, "method": "mc",
+                     "sim": {"cutoff_eps": 1e-2, "n_paths": 200},
+                     "points": [{"t": 0.1, "x": 0.3, "y": 0.5}]}, "alpha=1e+300"),
     ])
     def test_an_exponent_beyond_the_floats_exits_4_without_a_warning(self, tmp_path, capsys, sub, cfg,
                                                                      named):

@@ -155,7 +155,7 @@ class TestListForms:
                for dx in (0.012, 0.02, 0.045, 0.08, 0.15, 0.25, 0.45)
                for rho in (0.001, 0.004, 0.012, 0.03, 0.09, 0.2, 0.4)
                if dx + rho < 1.0 - 1e-9
-               and near_diagonal(rho**alpha * half_table.phi(1.0 / t), 2.0, half_table.quad_rtol)]
+               and near_diagonal(rho**alpha * half_table.phi(1.0 / t), 2.0)]
         assert len(pts) >= 60
         assert I_gamma_quadrature_many(m, g, half_table, 1, pts) == [
             I_gamma_quadrature(m, g, half_table, 1, *pt) for pt in pts]

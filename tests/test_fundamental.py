@@ -357,6 +357,18 @@ class TestMCListForm:
             p_mc_many(reqs)
         assert calls == []
 
+    def test_a_point_whose_phi_leaves_the_floats_is_refused_before_any_walk(self, monkeypatch):
+        # 0.3^1e300 underflows to 0, which quadrature mode refuses as a clock
+        # kink; the Monte Carlo route refuses it too, before it walks E_t
+        def walk(*a):
+            raise AssertionError("sample_E_t was called")
+
+        monkeypatch.setattr(fundamental, "sample_E_t", walk)
+        model = HKModel("HK_J", alpha=1e300, d=1.0, gamma=0.5, lam=0.0, k=1)
+        req = SolutionRequest(self.K, model, Geometry("half-line"), 0.1, 0.3, 0.5, method="mc", sim=self.SIM)
+        with pytest.raises(DomainError, match=r"Phi\(0.3\) = 0.3\^alpha leaves the positive floats"):
+            p_mc_many([req])
+
 
 class TestDiagonalProbe:
     def test_example1_threshold(self):

@@ -8,8 +8,11 @@ scipy and the runtime dependencies are numpy alone, and neither importing
 the CLI, nor a half-Caputo ``fundsol`` run, nor the callers of Gamma, erf
 and erfc and a ``tails`` run on each built-in kernel, nor Subexp's moments
 beyond s = 1, loads scipy (nor the first two jsonschema), every layer
-benchmark under ``benchmarks/`` imports, and no signature or record takes a
-kernel or its conditions beside the BernsteinTable that holds them.
+benchmark under ``benchmarks/`` imports, no signature or record takes a
+kernel or its conditions beside the BernsteinTable that holds them, no
+module names a settable phi tolerance, grid end or chunk bound
+(``quad_rtol``, ``lam_lo``, ``lam_hi``, a ``chunk`` parameter), and only
+``bernstein`` assigns ``PHI_RTOL``.
 
 The modules are parsed, not imported, so a banned import is found even in
 a branch no test runs; the checks of loaded modules run in a fresh
@@ -375,3 +378,36 @@ def test_a_table_is_the_one_handle_on_its_kernel():
             if isinstance(node, ast.Call) and any(kw.arg == "conditions" for kw in node.keywords):
                 found.append((path.stem, node.lineno, "conditions="))
     assert found == []
+
+
+# phi's target, the grid's ends and the evaluator's chunk bound are module
+# constants (bernstein.PHI_RTOL and _LAM_ENDS, quadrature.PANEL_CHUNK) that
+# no caller passes
+_NOT_SETTABLE = {"quad_rtol", "lam_lo", "lam_hi"}
+
+
+def _assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+
+def test_phis_target_grid_ends_and_chunk_bound_are_constants():
+    named, params, rtol_owners = [], [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named += [(path.stem, name) for name in _referenced(tree) & _NOT_SETTABLE]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg) and node.arg in _NOT_SETTABLE | {"chunk"}:
+                params.append((path.stem, node.arg, node.lineno))
+            elif isinstance(node, ast.keyword) and node.arg in _NOT_SETTABLE | {"chunk"}:
+                params.append((path.stem, node.arg + "=", node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                if "PHI_RTOL" in _assigned_names(node):
+                    rtol_owners.add(path.stem)
+    assert named == [] and params == []
+    assert rtol_owners == {"bernstein"}

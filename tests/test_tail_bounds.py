@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from subtail import bernstein, golden
-from subtail.bernstein import BernsteinTable
+from subtail.bernstein import PHI_RTOL, BernsteinTable
 from subtail.errors import RangeError, RegimeError
 from subtail.kernels import Subexp, Truncated, caputo
 from subtail.simulate import SimConfig, sample_S_at, tail_estimate
@@ -15,6 +15,7 @@ from subtail.tail_bounds import (
     lower_tail_bounds,
     truncated_small_r_threshold,
     upper_bound_form,
+    within_bound,
 )
 
 
@@ -54,6 +55,16 @@ class TestUniversalLower:
                 assert lower_bound_universal(caputo_table, r_edge, t, L=L) > 0.0
             with pytest.raises(RegimeError, match="r phi"):
                 lower_bound_universal(caputo_table, r * (1.0 + 1e-6), t, L=L)
+
+    @pytest.mark.parametrize("b", [QUARTER_E2, 0.05, 1.0, 3e-7, 40.0, 1e12])
+    def test_tie_slack_is_phis_target(self, b, monkeypatch):
+        # the slack is phi's certified error PHI_RTOL, relative to the bound:
+        # half of it is admitted and twice it refused, at every scale
+        assert within_bound(b * (1.0 + PHI_RTOL / 2.0), b)
+        assert not within_bound(b * (1.0 + 2.0 * PHI_RTOL), b)
+        # ... and the rule reads the target bernstein checks phi to
+        monkeypatch.setattr(bernstein, "PHI_RTOL", 1e-6)
+        assert within_bound(b * (1.0 + 5e-7), b) and not within_bound(b * (1.0 + 2e-6), b)
 
     def test_mc_dominance(self, caputo_table):
         # the MC estimate must sit above the bound minus noise
