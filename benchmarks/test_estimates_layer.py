@@ -20,7 +20,7 @@ import pytest
 
 from subtail.bernstein import BernsteinTable, calN
 from subtail.estimates import EstimateCase, theorem_estimate
-from subtail.fundamental import SolutionRequest, p_quadrature
+from subtail.fundamental import Problem, p_quadrature
 from subtail.heat_kernel import Geometry, HKModel
 from subtail.kernels import caputo
 
@@ -54,5 +54,5 @@ def test_theorem_estimate_of_criterion_8(benchmark, table):
 
 
 def test_p_quadrature_of_criterion_8(benchmark, table):
-    req = SolutionRequest(table.kernel, MODEL, GEOMETRY, *POINT)
-    assert _run(benchmark, lambda: p_quadrature(req).value, rounds=100) > 0.0
+    problem = Problem(table.kernel, MODEL, GEOMETRY)
+    assert _run(benchmark, lambda: p_quadrature(problem, *POINT).value, rounds=100) > 0.0

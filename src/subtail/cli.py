@@ -50,7 +50,7 @@ from . import __version__, golden
 from .bernstein import BernsteinTable
 from .errors import AtomError, DomainError, QuadratureError, RangeError, RegimeError, SubtailError
 from .estimates import CASE_TAGS, EstimateCase, theorem_estimate
-from .fundamental import SolutionRequest, p_mc_many, p_quadrature_many
+from .fundamental import Problem, p_mc_many, p_quadrature_many
 from .heat_kernel import model_from_config
 from .kernels import check_conditions, kernel_from_config
 from .simulate import SimConfig, sample_S_at, tail_estimate
@@ -436,10 +436,9 @@ def _cmd_fundsol(cfg, out, seed, manifest, args):
     method = cfg.get("method", "quadrature")
     sim = _sim_config(cfg, seed, args, 50_000) if "sim" in cfg or method == "mc" else None
     pts = cfg["points"]
-    reqs = [SolutionRequest(kern, model, geometry, pnt["t"], pnt["x"], pnt["y"], method=method, sim=sim)
-            for pnt in pts]
     # mc: one E_t walk to the largest t; quadrature: one panel-sum check
-    res = (p_mc_many if method == "mc" else p_quadrature_many)(reqs)
+    res = (p_mc_many if method == "mc" else p_quadrature_many)(
+        Problem(kern, model, geometry, sim=sim), [(pnt["t"], pnt["x"], pnt["y"]) for pnt in pts])
     rows = [(pnt["t"], pnt["x"], pnt["y"], v.value, v.se, v.method) for pnt, v in zip(pts, res)]
     _write_csv(
         os.path.join(out, "fundsol.csv"), ["t", "x", "y", "p", "se", "method"], rows, manifest

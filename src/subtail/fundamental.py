@@ -13,7 +13,7 @@ inverse subordinator in both modes:
 
 Quadrature mode needs the closed-form density of the order-1/2 Caputo
 kernel, g_t(r) = exp(-r^2/(4t)) / sqrt(pi t); any other kernel is refused
-with DomainError and goes through method="mc".  Its target is 1e-8
+with DomainError and goes through the Monte Carlo route.  Its target is 1e-8
 relative.  The clock panels are geometric from r_hi*1e-9, split at the kinks
 of q; next to the diagonal they start below 1e-3 rho^alpha, and on it, where
 q ~ r^{-d/alpha} is singular at r = 0, they grade down to r_hi*1e-30
@@ -33,25 +33,28 @@ target, otherwise QuadratureError.  Model kernels here are class
 representatives, so u verifies structure (decay rates, symmetry, boundary
 order), not physical values.
 
-Both modes have list forms for requests that share kernel, model,
-geometry and q_override (and f in quadrature mode, sim in MC mode),
-refused with DomainError otherwise; an empty list gives [].
+A ``Problem`` holds what every point of one fundamental solution shares:
+the kernel, the model, the geometry, f for u, the SimConfig of the Monte
+Carlo routes and a diagnostic q_override.  Each route has a list form that
+takes the problem once and a list of points, (t, x, y) for p and (t, x) for
+u; an empty list gives [].  The one-point functions ``p_quadrature``,
+``p_mc`` and ``solve_u`` are their list form on one point.
 
-* ``p_mc_many`` walks one E_t ensemble, ``sample_E_t`` at the requests' t
+* ``p_mc_many`` walks one E_t ensemble, ``sample_E_t`` at the points' t
   in list order (unsorted and repeated levels allowed), to the largest t,
-  and request i reads row i, so every level's first passage comes from the
+  and point i reads row i, so every level's first passage comes from the
   same subordinator paths.  Each point's Phi(delta_x), Phi(delta_y) and
   Phi(rho) must be positive floats, as in quadrature mode, and are checked
-  before the walk.  ``p_mc`` is its one-request case.
+  before the walk.
 * ``p_quadrature_many`` and ``solve_u_many`` check all their integrals in
   one ``checked_panels_many`` call, in groups of the same panel count, with
   q evaluated once per group chunk: x, y and t (for Q, x and r) reach q and
   the density as (rows, 1, 1) columns, and ``heat_kernel`` raises such a
-  column as it raises a lone float, so every value equals its one-request
+  column as it raises a lone float, so every value equals its one-point
   call bit for bit.  Every point is checked against the domain before any
-  evaluation, and the first request in list order whose integral misses
-  its target raises its QuadratureError.  ``p_quadrature`` and
-  ``solve_u``'s quadrature mode are the one-request cases.
+  evaluation, and the first point in list order whose integral misses
+  its target raises its QuadratureError.
+* ``solve_u_mc`` is u's Monte Carlo route, one point at a time.
 
 ``diagonal_probe`` feeds the truncated-kernel diagonal finiteness check:
 near r = 0 the crossing law follows the structural form
@@ -62,7 +65,6 @@ sum of two powers of r and its finiteness follows from the lowest one.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +76,7 @@ from .quadrature import GRADE, checked_panels_many, graded_edges, row_columns
 from .simulate import SimConfig, sample_E_t
 
 __all__ = [
-    "SolutionRequest",
+    "Problem",
     "PValue",
     "StableHalfDensity",
     "p_quadrature_many",
@@ -115,26 +117,23 @@ class StableHalfDensity:
 
 
 @dataclass
-class SolutionRequest:
-    """One p(t,x,y) or u(t,x) evaluation request."""
+class Problem:
+    """One fundamental solution, evaluated at many points: the kernel w of
+    the time derivative, the estimate class q and the domain D, with what the
+    routes need besides the points."""
 
     kernel: object
     model: object
     geometry: object
-    t: float
-    x: float
-    y: float | None = None
-    f: object = None  # callable on an array of points y -> f(y), for solve_u
-    method: str = "quadrature"
-    sim: SimConfig | None = None
+    f: object = None  # callable on an array of points y -> f(y), for u
+    sim: SimConfig | None = None  # the Monte Carlo routes' E_t ensemble
     q_override: object = None  # diagnostic kernel r -> q(r), replaces q(r,x,y)
 
-    def q_at(self, r, y=None, x=None):
-        """q(r, x, y) on an array of clock values r or of points y (defaults
-        self.x and self.y)."""
+    def q_at(self, r, x, y):
+        """q(r, x, y); r, x and y broadcast against each other."""
         if self.q_override is not None:
             return self.q_override(r)
-        return q_eval(self.model, self.geometry, r, self.x if x is None else x, self.y if y is None else y)
+        return q_eval(self.model, self.geometry, r, x, y)
 
 
 @dataclass
@@ -147,27 +146,14 @@ class PValue:
     diagnostic: str | None = None
 
 
-def _shared_head(reqs, what, also):
-    """The first of ``reqs``, after checking that they all share its kernel,
-    model, geometry, q_override and the field ``also`` (f or sim)."""
-    head = reqs[0]
-    key = operator.attrgetter("kernel", "model", "geometry", "q_override", also)
-    for req in reqs:
-        if key(req) != key(head):
-            raise DomainError("%s takes requests that share kernel, model, geometry and %s" % (what, also))
-    return head
-
-
-def _half_caputo_head(reqs, what):
-    """``_shared_head`` of quadrature requests, whose kernel must have the
-    closed-form E_t density."""
-    head = _shared_head(reqs, what, "f")
-    if not is_half_caputo(head.kernel):
+def _half_caputo(problem):
+    """DomainError unless the problem's kernel has the closed-form E_t
+    density that quadrature mode integrates against."""
+    if not is_half_caputo(problem.kernel):
         raise DomainError(
             'quadrature mode needs the closed-form E_t density of the order-1/2 Caputo '
-            'kernel; use method="mc" for %s' % type(head.kernel).__name__
+            'kernel; use method="mc" for %s' % type(problem.kernel).__name__
         )
-    return head
 
 
 def _kink(model, dist):
@@ -182,21 +168,21 @@ def _kink(model, dist):
     return phi
 
 
-def _point_kinks(req):
+def _point_kinks(problem, x, y):
     """The set of Phi(delta_x) and Phi(delta_y) where the distance is finite,
     and Phi(rho) where rho > 0, else None: the kinks of q(., x, y) in r,
     each checked by ``_kink``."""
-    model, geometry = req.model, req.geometry
-    kinks = {_kink(model, dp) for dp in map(geometry.delta, (req.x, req.y)) if math.isfinite(dp)}
-    rho = geometry.rho(req.x, req.y)
+    model, geometry = problem.model, problem.geometry
+    kinks = {_kink(model, dp) for dp in map(geometry.delta, (x, y)) if math.isfinite(dp)}
+    rho = geometry.rho(x, y)
     return kinks, (_kink(model, rho) if rho > 0.0 else None)
 
 
-def _panel_edges(req, r_hi):
+def _panel_edges(problem, x, y, r_hi):
     start = r_hi * 1e-9
     kinks = set()
-    if req.q_override is None:
-        kinks, phi_rho = _point_kinks(req)
+    if problem.q_override is None:
+        kinks, phi_rho = _point_kinks(problem, x, y)
         if phi_rho is not None:
             kinks.add(phi_rho)
             # near the diagonal the kink would sit inside the first panel [0, start]
@@ -208,28 +194,28 @@ def _panel_edges(req, r_hi):
     return graded_edges(0.0, start, r_hi, kinks)
 
 
-def p_quadrature_many(reqs):
-    """[p_quadrature(req) for req in reqs], bit for bit, from one
-    ``checked_panels_many`` call: x, y and t reach q and the density as
-    columns.  Every point is checked against the domain before any
-    evaluation, and the first request in list order that misses 1e-8
+def p_quadrature_many(problem, points):
+    """[p_quadrature(problem, t, x, y) for (t, x, y) in points], bit for
+    bit, from one ``checked_panels_many`` call: x, y and t reach q and the
+    density as columns.  Every point is checked against the domain before
+    any evaluation, and the first point in list order that misses 1e-8
     raises its QuadratureError."""
-    if not reqs:
+    if not points:
         return []
-    head = _half_caputo_head(reqs, "p_quadrature_many")
-    edges = [_panel_edges(req, StableHalfDensity(req.t).r_max()) for req in reqs]
-    t, x, y = map(row_columns, zip(*((req.t, req.x, req.y) for req in reqs)))
+    _half_caputo(problem)
+    edges = [_panel_edges(problem, x, y, StableHalfDensity(t).r_max()) for t, x, y in points]
+    t, x, y = map(row_columns, zip(*points))
 
     def integrand(rs, rows):
-        return head.q_at(rs, y(rows), x(rows)) * StableHalfDensity(t(rows))(rs)
+        return problem.q_at(rs, x(rows), y(rows)) * StableHalfDensity(t(rows))(rs)
 
-    values = checked_panels_many(("p",) * len(reqs), integrand, edges, _RTOL)
+    values = checked_panels_many(("p",) * len(points), integrand, edges, _RTOL)
     return [PValue(value=v, method="quadrature") for v in values]
 
 
-def p_quadrature(req):
+def p_quadrature(problem, t, x, y):
     """Deterministic p(t,x,y) through the E_t density, checked to 1e-8 relative."""
-    return p_quadrature_many([req])[0]
+    return p_quadrature_many(problem, [(t, x, y)])[0]
 
 
 def _mc_value(ens, vals):
@@ -248,40 +234,39 @@ def _mc_value(ens, vals):
     return PValue(value=mean, se=se, n_paths=n, censored=censored, method="mc", diagnostic=diag)
 
 
-def p_mc_many(reqs):
-    """[p_mc(req) for req in reqs] from one E_t walk: ``sample_E_t`` at the
-    requests' t in list order, to the largest t, and request i's ensemble
-    mean of q(E_t,x,y) over row i, censoring counted.  The requests share
-    kernel, model, geometry, q_override and sim; without q_override, each
-    point's Phi(delta) and Phi(rho) are checked (``_point_kinks``) before
-    the walk."""
-    if not reqs:
+def p_mc_many(problem, points):
+    """[p_mc(problem, t, x, y) for (t, x, y) in points] from one E_t walk:
+    ``sample_E_t`` of ``problem.sim`` at the points' t in list order, to the
+    largest t, and point i's ensemble mean of q(E_t,x,y) over row i,
+    censoring counted.  Without q_override, each point's Phi(delta) and
+    Phi(rho) are checked (``_point_kinks``) before the walk."""
+    if not points:
         return []
-    head = _shared_head(reqs, "p_mc_many", "sim")
-    if head.sim is None:
+    if problem.sim is None:
         raise DomainError("p_mc_many needs a SimConfig")
-    if head.q_override is None:
-        for req in reqs:
-            _point_kinks(req)
-    rows = map(sample_E_t(head.kernel, head.sim, [req.t for req in reqs]).row, range(len(reqs)))
-    return [_mc_value(ens, np.asarray(req.q_at(ens.values), dtype=float)) for req, ens in zip(reqs, rows)]
+    if problem.q_override is None:
+        for _, x, y in points:
+            _point_kinks(problem, x, y)
+    rows = map(sample_E_t(problem.kernel, problem.sim, [t for t, _, _ in points]).row, range(len(points)))
+    return [_mc_value(ens, np.asarray(problem.q_at(ens.values, x, y), dtype=float))
+            for (_, x, y), ens in zip(points, rows)]
 
 
-def p_mc(req):
+def p_mc(problem, t, x, y):
     """Monte Carlo p(t,x,y): ensemble mean of q(E_t,x,y), censoring counted."""
-    return p_mc_many([req])[0]
+    return p_mc_many(problem, [(t, x, y)])[0]
 
 
 # panel edges toward a wall, as fractions of the distance to the window's middle
 _WALL_STEPS = 16.0 ** -np.arange(11)
 
 
-def _inner_edges(req, r):
+def _inner_edges(problem, x, r):
     """Panels of Q(r,x), split at the kinks of q(r,x,.): y = x +- r^{1/alpha} 8^j,
     delta(y) = r^{1/alpha} and the interval's midpoint.  Toward a wall
     q ~ delta(y)^{alpha gamma}, so the panels there shrink geometrically."""
-    g, x = req.geometry, req.x
-    scale = r ** (1.0 / req.model.alpha)
+    g = problem.geometry
+    scale = r ** (1.0 / problem.model.alpha)
     offs = scale * 8.0 ** np.arange(8)
     kinks = {x, *(x - offs), *(x + offs)}
     # unbounded windows sized so the power tail of q^j beyond them is <= 2e-4
@@ -298,32 +283,35 @@ def _inner_edges(req, r):
     return np.array([lo, *sorted(k for k in kinks if lo < k < hi), hi])
 
 
-def _inner_Qs(reqs, rs):
-    """Q(r,x) = int_D q(r,x,y) f(y) dy at each (request, r) pair of the lists
-    ``reqs`` and ``rs``, checked to 1e-7 relative or 1.49e-8 absolute in list
-    order; the requests share model, geometry and f, and x and r reach q as
-    columns."""
-    f = reqs[0].f if reqs[0].f is not None else (lambda y: 1.0)
-    edges = [_inner_edges(req, r) for req, r in zip(reqs, rs)]
-    x, r = row_columns([req.x for req in reqs]), row_columns(rs)
+def _inner_Qs(problem, xs, rs):
+    """Q(r,x) = int_D q(r,x,y) f(y) dy at each (x, r) pair of the lists ``xs``
+    and ``rs``, checked to 1e-7 relative or 1.49e-8 absolute in list order;
+    x and r reach q as columns."""
+    f = problem.f if problem.f is not None else (lambda y: 1.0)
+    edges = [_inner_edges(problem, x, r) for x, r in zip(xs, rs)]
+    x, r = row_columns(xs), row_columns(rs)
     return checked_panels_many(["Q(r=%g, x)" % v for v in rs],
-                               lambda ys, rows: reqs[0].q_at(r(rows), ys, x(rows)) * f(ys),
+                               lambda ys, rows: problem.q_at(r(rows), x(rows), ys) * f(ys),
                                edges, 1e-7, 1.49e-8)
 
 
-def solve_u_many(reqs):
-    """[solve_u(req) for req in reqs] for quadrature requests that share
-    kernel, model, geometry and f, bit for bit: the inner integrals of every
-    request go through one ``checked_panels_many`` call, so the first one in
-    list order that misses its target raises its QuadratureError."""
-    if not reqs:
+def solve_u_many(problem, points):
+    """[solve_u(problem, t, x) for (t, x) in points], bit for bit: every x is
+    checked against the domain before any evaluation, and the inner
+    integrals of every point go through one ``checked_panels_many`` call, so
+    the first one in list order that misses its target raises its
+    QuadratureError."""
+    if not points:
         return []
-    _half_caputo_head(reqs, "solve_u_many")
-    dens = [StableHalfDensity(req.t) for req in reqs]
+    _half_caputo(problem)
+    for _, x in points:
+        problem.geometry.delta(x)
+    dens = [StableHalfDensity(t) for t, _ in points]
     # the inner integral is smooth in log r; a trapezoid in log r at
     # _U_NODES nodes resolves it far below the factor-level tolerances u feeds
     nodes = [np.geomspace(d.r_max() * 1e-7, d.r_max(), _U_NODES) for d in dens]
-    vals = _inner_Qs([req for req in reqs for _ in range(_U_NODES)], [r for row in nodes for r in row])
+    vals = _inner_Qs(problem, [x for _, x in points for _ in range(_U_NODES)],
+                     [r for row in nodes for r in row])
     out = []
     for i, (d, edges) in enumerate(zip(dens, nodes)):
         q = np.array(vals[_U_NODES * i : _U_NODES * (i + 1)])
@@ -333,23 +321,22 @@ def solve_u_many(reqs):
     return out
 
 
-def solve_u(req):
-    """u(t,x) = int_D p(t,x,y) f(y) dy, by the swapped-order quadrature.
+def solve_u(problem, t, x):
+    """u(t,x) = int_D p(t,x,y) f(y) dy, by the swapped-order quadrature."""
+    return solve_u_many(problem, [(t, x)])[0]
 
-    Quadrature mode is ``solve_u_many`` of the one request.  MC mode
-    evaluates the inner integral on a log grid of clock values and
-    interpolates it over a fresh E_t ensemble from ``req.sim``, so the
-    standard error is the per-path CLT error of Q(E_t, x); the grid's
-    inner integrals are checked in one ``_inner_Qs`` call.
-    """
-    if req.method == "quadrature":
-        return solve_u_many([req])[0]
-    if req.sim is None:
-        raise DomainError("solve_u MC mode needs a SimConfig")
-    ens = sample_E_t(req.kernel, req.sim, req.t)
+
+def solve_u_mc(problem, t, x):
+    """Monte Carlo u(t,x): the inner integral on a log grid of clock values,
+    checked in one ``_inner_Qs`` call and interpolated over a fresh E_t
+    ensemble from ``problem.sim``, so the standard error is the per-path CLT
+    error of Q(E_t, x)."""
+    if problem.sim is None:
+        raise DomainError("solve_u_mc needs a SimConfig")
+    ens = sample_E_t(problem.kernel, problem.sim, t)
     col = ens.values
     grid = np.geomspace(max(col.min(), 1e-12), col.max(), 80)
-    qvals = np.array(_inner_Qs([req] * grid.size, grid))
+    qvals = np.array(_inner_Qs(problem, [x] * grid.size, grid))
     return _mc_value(ens, np.interp(col, grid, qvals))
 
 

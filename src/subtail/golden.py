@@ -24,7 +24,7 @@ from .bernstein import BernsteinTable, calM, calN
 from .comparability import RatioReport, exp_constant_fit, regime_grid, two_sided_check
 from .errors import RegimeError
 from .estimates import EstimateCase, I_gamma_quadrature_many, J_gamma_many, closed_I_gamma, theorem_estimate
-from .fundamental import SolutionRequest, diagonal_probe, p_quadrature_many, solve_u_many
+from .fundamental import Problem, diagonal_probe, p_quadrature_many, solve_u_many
 from .heat_kernel import Geometry, HKModel, a_gamma_delta
 from .kernels import DistributedOrder, Subexp, Tabulated, Truncated, caputo
 from .simulate import (
@@ -384,7 +384,7 @@ def mainsmall_report(tab, tag, resolution, budget, values=None):
     pts = regime_grid(tag, tab, m, g, resolution=resolution, margin=margin, t_window=(1e-3, 0.1))
     values = {} if values is None else values
     new = list(dict.fromkeys(pt for pt in pts if pt not in values))
-    obs = p_quadrature_many([SolutionRequest(kern, m, g, *pt) for pt in new])
+    obs = p_quadrature_many(Problem(kern, m, g), new)
     if tag == "mainsmall-i":
         pred = J_gamma_many(m, g, tab, m.k, new)
     else:
@@ -452,7 +452,7 @@ def crit_9_exponential_constant(tables):
     ts, rhos = (0.02, 0.1, 0.5), np.geomspace(2.0, 14.0, 10)
     Ns = calN(tab, m.alpha, np.array(ts)[:, None], rhos).tolist()
     pts = [(t, rho, N) for t, N_t in zip(ts, Ns) for rho, N in zip(rhos, N_t) if N <= 80.0]
-    ps = p_quadrature_many([SolutionRequest(kern, m, g, t, x0, x0 + rho) for t, rho, _ in pts])
+    ps = p_quadrature_many(Problem(kern, m, g), [(t, x0, x0 + rho) for t, rho, _ in pts])
     X, LR = [], []
     for (t, rho, N), p in zip(pts, ps):
         if p.value <= 0.0:
@@ -520,14 +520,15 @@ def boundary_sweep(t_values, deltas, band_budget):
     g = Geometry("interval", 1.0)
     rows, sweeps = [], {}
     ok = True
-    us = iter(solve_u_many([SolutionRequest(kern, m, g, t, dlt) for t in t_values for dlt in deltas]))
+    us = iter(solve_u_many(Problem(kern, m, g), [(t, dlt) for t in t_values for dlt in deltas]))
     for t in t_values:
         ratios = []
         for dlt in deltas:
             u = next(us).value
             ratios.append(u / dlt ** (m.alpha * m.gamma))
             rows.append((float(t), float(dlt), u, ratios[-1]))
-        band = max(ratios) / min(ratios)
+        # a ratio <= 0 makes the band infinite, as in ``two_sided_check``
+        band = math.inf if min(ratios) <= 0.0 else max(ratios) / min(ratios)
         sweeps["t=" + repr(float(t))] = {"band": band, "ratios": ratios}
         ok = ok and band <= band_budget
     return rows, sweeps, ok

@@ -144,7 +144,7 @@ class HKModel:
     refused (J1 realizes HK_J with gamma=1/2, k=1 and lambda>0; J4 realizes
     gamma=(alpha-1)/alpha; D3 realizes gamma=1/2, k=2 with lambda=0, and so
     on), so only (alpha, d, lambda, exp_c) are free.  ``exp_c`` must be a
-    finite number > 0.
+    finite number > 0, and lambda a number >= 0.
     """
 
     family: str
@@ -161,6 +161,8 @@ class HKModel:
             raise DomainError("alpha and d must be positive")
         if not (math.isfinite(self.exp_c) and self.exp_c > 0.0):
             raise DomainError("exp_c must be a finite number > 0, got %r" % (self.exp_c,))
+        if self.lam is not None and not self.lam >= 0.0:
+            raise DomainError("lambda must be a number >= 0, got %r" % (self.lam,))
         if self.family in _SPECIAL:
             given = [name for name in ("gamma", "k", "psi_alpha") if getattr(self, name) is not None]
             if given:

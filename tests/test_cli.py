@@ -318,7 +318,7 @@ class TestFundsolEstimate:
 
     def test_one_walk_per_mc_call_gives_the_per_point_estimates(self, tmp_path, monkeypatch):
         from subtail import fundamental
-        from subtail.fundamental import SolutionRequest, p_mc_many
+        from subtail.fundamental import Problem, p_mc_many
         from subtail.heat_kernel import model_from_config
         from subtail.kernels import kernel_from_config
 
@@ -333,8 +333,7 @@ class TestFundsolEstimate:
         kern = kernel_from_config(_HALF_CAPUTO)
         model, geometry = model_from_config(_J1)
         sim = SimConfig(cutoff_eps=1e-2, n_paths=200, seed=5)
-        res = p_mc_many([SolutionRequest(kern, model, geometry, pnt["t"], pnt["x"], pnt["y"],
-                                         method="mc", sim=sim) for pnt in pts])
+        res = p_mc_many(Problem(kern, model, geometry, sim=sim), [(pnt["t"], pnt["x"], pnt["y"]) for pnt in pts])
         rows = [row.split(",") for row in (out / "fundsol.csv").read_text().splitlines()[2:]]
         assert len(rows) == 3
         for row, pnt, p in zip(rows, pts, res):
@@ -408,9 +407,11 @@ class TestTypedExits:
         assert err["type"] == "DomainError" and "raise cutoff_eps" in err["message"]
 
     @pytest.mark.parametrize("model, named", [({**_J1, "gamma": 0.9, "k": 2}, "J1 fixes gamma, k;"),
-                                              ({**_D1, "exp_c": -1}, "exp_c must be a finite number > 0")])
+                                              ({**_D1, "exp_c": -1}, "exp_c must be a finite number > 0"),
+                                              ({**_J1, "lambda": -1}, "lambda must be a number >= 0, got -1")])
     def test_a_model_parameter_that_would_be_dropped_exits_4(self, tmp_path, model, named):
-        # J1 fixes gamma and k, and exp_c is q^d's rate, so only a finite rate > 0 is read
+        # J1 fixes gamma and k, and exp_c is q^d's rate, so only a finite rate > 0 is read;
+        # q reads only lambda > 0, so a negative lambda would act as lambda = 0
         cfg = {"kernel": _HALF_CAPUTO, "model": model, "points": [{"t": 0.01, "x": 0.3, "y": 0.6}]}
         status, out = run_cli(tmp_path, "fundsol", cfg)
         err = json.loads((out / "manifest.json").read_text())["error"]
@@ -441,10 +442,29 @@ class TestTypedExits:
         assert err["type"] == "DomainError" and named in err["message"]
         assert capsys.readouterr().err == "DomainError: %s\n" % err["message"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e20, 1e300])
+    def test_boundary_where_u_underflows_fails_its_band(self, tmp_path, t):
+        # the outer trapezoid starts far above the clock values that hold Q's
+        # mass, so u is 0 there; a ratio of 0 makes the band infinite, as in
+        # two_sided_check
+        status, out = run_cli(tmp_path, "boundary", {"t_values": [t], "deltas": [0.1]})
+        assert status == 1
+        rows = (out / "boundary.csv").read_text().splitlines()[1:]
+        assert rows == ["t,delta,u,u_over_delta_ag", "%.17g,%.17g,0,0" % (t, 0.1)]
+        rep = json.loads((out / "boundary.json").read_text())
+        assert rep["bands"] == {"t=" + repr(t): math.inf} and rep["passed"] is False
+
+    def test_boundary_names_the_point_outside_the_domain(self, tmp_path, capsys):
+        # one line naming the point, not q's (rows, 1, 1) column of x
+        status, out = run_cli(tmp_path, "boundary", {"deltas": [5.0]})
+        assert status == 4
+        assert capsys.readouterr().err == "DomainError: x=5.0 is not in the domain\n"
+
     def test_quadrature_error_exits_5(self, tmp_path, monkeypatch):
         from subtail.errors import QuadratureError
 
-        def fail(reqs):
+        def fail(problem, points):
             raise QuadratureError("p quadrature achieved 1e-3, target 1e-8")
 
         monkeypatch.setattr(cli, "p_quadrature_many", fail)

@@ -127,9 +127,9 @@ class TestCriterion8Reuse:
         seen = []
         p_quadrature_many = golden.p_quadrature_many
 
-        def counted(reqs):
-            seen.extend((req.t, req.x, req.y) for req in reqs)
-            return p_quadrature_many(reqs)
+        def counted(problem, points):
+            seen.extend(points)
+            return p_quadrature_many(problem, points)
 
         monkeypatch.setattr(golden, "p_quadrature_many", counted)
         tables = golden.TableCache()

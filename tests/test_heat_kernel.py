@@ -157,6 +157,13 @@ class TestQEval:
                 HKModel(fam, alpha=2.0, d=1.0, exp_c=exp_c,
                         **({} if fam == "D1" else {"gamma": 0.5, "lam": 0.0, "k": 1}))
 
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("fam", ["J1", "J2", "D1", "HK_J", "HK_D", "HK_M"])
+    def test_a_negative_lambda_is_refused(self, fam, lam):
+        # q reads only lambda > 0, so a negative rate would act as lambda = 0
+        with pytest.raises(DomainError, match="lambda must be a number >= 0, got"):
+            HKModel(fam, alpha=2.0, d=1.0, lam=lam, **({} if fam in ("J1", "J2", "D1") else {"gamma": 0.5, "k": 1}))
+
     def test_hk_m_is_sum(self):
         g = Geometry("free")
         m = HKModel("HK_M", alpha=2.0, d=1.0, gamma=0.0, lam=0.0, k=1, psi_alpha=2.5)

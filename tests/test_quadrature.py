@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from subtail import fundamental
 from subtail.errors import QuadratureError
-from subtail.fundamental import SolutionRequest, StableHalfDensity
+from subtail.fundamental import Problem, StableHalfDensity
 from subtail.heat_kernel import Geometry, HKModel
 from subtail.kernels import Truncated, caputo
 from subtail.quadrature import (
@@ -63,10 +63,10 @@ def _two_call_rule(fn, edges):
 
 
 def _p_case(family, alpha, t, x, y, **kw):
-    req = SolutionRequest(kernel=caputo(0.5), model=HKModel(family, alpha=alpha, d=1.0, **kw),
-                          geometry=Geometry("interval", length=1.0), t=t, x=x, y=y)
+    problem = Problem(kernel=caputo(0.5), model=HKModel(family, alpha=alpha, d=1.0, **kw),
+                      geometry=Geometry("interval", length=1.0))
     dens = StableHalfDensity(t)
-    return lambda rs: req.q_at(rs) * dens(rs), fundamental._panel_edges(req, dens.r_max())
+    return lambda rs: problem.q_at(rs, x, y) * dens(rs), fundamental._panel_edges(problem, x, y, dens.r_max())
 
 
 def _kappa_prime_case(theta):
