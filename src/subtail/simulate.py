@@ -56,19 +56,25 @@ generator by (seed mod 2^64, stream): stream 1 serves S_r, 2 serves E_t, 3
 the exact sampler and 4 the tilted S_r.  Both S_r samplers draw all Poisson
 jump counts first, then the per-jump uniforms in path order, consumed in
 blocks of whole paths of at most ``_JUMP_BLOCK`` = 2^15 jumps (a path with
-more gets a block of its own): memory is O(paths + block), and a block's
-256 KiB temporaries stay in L2 cache.  ``sample_S_at`` sums each path's
-jumps pairwise (np.add.reduceat), several times faster than a sum in order
-and at least as accurate (Higham, SIAM J. Sci. Comput. 14, 1993); its
-sums are read only against a level t, and on criterion 3's grid they split
-the paths as exactly rounded sums do.  ``sample_S_tilted`` sums them one at
-a time in path order (np.bincount): its sums enter the likelihood ratio
-exp(kappa - theta sum J), whose last bits the golden report's criterion 5
-numbers keep.  Either way a path's sum is reduced alone, in an order set by
-its jump count only, so the block size, the memory alignment and the CPU's
-vector extensions move no bit of it; with Philox's stream the same in any
-blocks, identical configs give bit-identical ensembles, and any integer
-seed works.
+more gets a block of its own); the counts' buffer becomes the running jump
+offsets.  Traced peaks at 10^6 paths (tracemalloc, numpy 2.4):
+``sample_S_at`` holds 16 bytes a path, the offsets and then the sums, plus
+under 2 MiB of block temporaries whatever the jump count (17.4-18.0 MB);
+``sample_S_tilted`` with a weighted ``tail_estimate`` of it 25 bytes a
+path, for the values, the weights, the estimate's x and its hit mask
+(25.0 MB); ``sample_E_t`` 117 bytes a path at one level and ~17.5 more per
+further level, for its walk's arrays (117 MB; 381 MB at 16 levels).
+``sample_S_at`` sums each path's jumps pairwise (np.add.reduceat), several
+times faster than a sum in order and at least as accurate (Higham, SIAM
+J. Sci. Comput. 14, 1993); its sums are read only against a level t, and
+on criterion 3's grid they split the paths as exactly rounded sums do.
+``sample_S_tilted`` sums them one at a time in path order (np.bincount):
+its sums enter the likelihood ratio exp(kappa - theta sum J), whose last
+bits the golden report's criterion 5 numbers keep.  Either way a path's sum
+is reduced alone, in an order set by its jump count only, so the block
+size, the memory alignment and the CPU's vector extensions move no bit of
+it; with Philox's stream the same in any blocks, identical configs give
+bit-identical ensembles, and any integer seed works.
 """
 
 from __future__ import annotations
@@ -104,13 +110,20 @@ _MAX_EXPECTED_JUMPS = 4e8  # across all paths; beyond this, ask for a larger eps
 # which the total does not bound when paths are few (3.9 s CPU at 5e4 per path
 # for 1/2-Caputo at eps 1e-2 and 100 paths on a 2-CPU x86 host)
 _MAX_WALK_JUMPS = 1e5
+_MAX_PATHS = 10**7  # paths of one ensemble (SimConfig's docstring gives the bytes)
 _JUMP_BLOCK = 1 << 15  # jumps held at once by an S_r sampler, unless one path has more
 _KAPPA_RTOL = 1e-12  # target of the two checked integrals of kappa
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Compound-Poisson simulation parameters with RNG provenance."""
+    """Compound-Poisson simulation parameters with RNG provenance.
+
+    n_paths runs from 100 to _MAX_PATHS = 10^7, a cap set by memory: an S_r
+    ensemble and its tail estimate hold 16-25 bytes a path, ~250 MB at the
+    cap, and a one-level E_t walk ~117 bytes a path and ~17 more per further
+    level, ~1.2 GB.  A larger count is refused here, before any array is made.
+    """
 
     cutoff_eps: float
     n_paths: int = 100_000
@@ -121,6 +134,9 @@ class SimConfig:
             raise DomainError("cutoff_eps must be positive")
         if self.n_paths < 100:
             raise DomainError("n_paths must be at least 100")
+        if self.n_paths > _MAX_PATHS:
+            raise DomainError("n_paths=%d is above the cap of %.0e paths of one ensemble"
+                              % (self.n_paths, _MAX_PATHS))
 
 
 def _rng(seed, stream):
@@ -176,6 +192,7 @@ def _path_sums(counts, draw, in_order=False):
     """Per path i, the sum of its counts[i] values of ``draw(m)``, which
     returns the next m per-jump values in path order; drawn in blocks of
     whole paths of at most _JUMP_BLOCK jumps, at least one path each.
+    ``counts`` is consumed: its buffer becomes the running jump offsets.
 
     Each path's values are summed pairwise by one np.add.reduceat per block,
     over the block's non-empty paths only (reduceat gives values[i], not 0,
@@ -183,22 +200,29 @@ def _path_sums(counts, draw, in_order=False):
     np.bincount, the sum ``sample_S_tilted`` keeps (module docstring).
     Either way a path's sum depends on its own values alone, not on the
     block it lands in, the memory alignment of its values or the CPU's
-    vector extensions.
+    vector extensions.  A block's temporaries grow with its jumps, and with
+    its paths by one byte each, however few jumps they have.
     """
     n = counts.size
-    ends = np.cumsum(counts)  # jump offset after each path
+    ends = np.cumsum(counts, out=counts)  # jump offset after each path
     sums = np.zeros(n)
     lo = start = 0
     while lo < n:
         hi = max(int(np.searchsorted(ends, start + _JUMP_BLOCK, side="right")), lo + 1)
         stop = int(ends[hi - 1])
         values = draw(stop - start)  # before the path indices, so their temporaries never coexist
+        block = ends[lo:hi]
+        grew = np.empty(hi - lo, dtype=bool)  # the non-empty paths: each ends past the one before
+        grew[0] = block[0] > start
+        np.greater(block[1:], block[:-1], out=grew[1:])
+        full = np.flatnonzero(grew)
+        first = block.take(full - 1) - start  # where each one's jumps start in values,
+        first[:1] = 0  # the first one's at 0 (take wrapped its index -1)
         if in_order:
-            path_idx = np.repeat(np.arange(hi - lo), counts[lo:hi])
+            path_idx = np.repeat(full, np.diff(first, append=stop - start))
             sums[lo:hi] = np.bincount(path_idx, weights=values, minlength=hi - lo)
         else:
-            full = lo + np.flatnonzero(counts[lo:hi])
-            sums[full] = np.add.reduceat(values, ends[full] - counts[full] - start)
+            sums[lo + full] = np.add.reduceat(values, first)
         lo, start = hi, stop
     return sums
 
@@ -216,6 +240,7 @@ def sample_S_at(kernel, config, r):
 
     Poisson(r w(eps)) jumps per path with sizes drawn by ``jump_sizes``;
     the sub-eps activity adds the deterministic drift d_eps per unit clock.
+    Holds 16 bytes a path and a block's temporaries (module docstring).
     """
     if not r > 0.0:
         raise DomainError("the clock value must be positive")
@@ -229,9 +254,8 @@ def sample_S_at(kernel, config, r):
         raise DomainError("w(eps) overflowed; raise cutoff_eps")
     _check_jump_budget(config, r * w_eps)
     rng = _rng(config.seed, 1)
-    counts = rng.poisson(r * w_eps, size=config.n_paths)
     draw = jump_sizes(kernel, eps, w_eps)
-    values = _path_sums(counts, lambda m: draw(rng.random(m)))
+    values = _path_sums(rng.poisson(r * w_eps, size=config.n_paths), lambda m: draw(rng.random(m)))
     values += _drift_rate(kernel, eps) * r
     return PathEnsemble(level=r, values=values)
 
@@ -305,7 +329,10 @@ def sample_S_tilted(kernel, config, r, t):
     module docstring), and path i has weight exp(kappa(theta) - theta J_i),
     J_i its jump sum, so mean(weight * 1{S >= t}) estimates P(S_r >= t)
     without bias.  DomainError unless the kernel has finite support and no
-    atoms.
+    atoms.  The weights and then the values are formed in place, so the
+    sampler and a weighted ``tail_estimate`` of its ensemble hold 25 bytes a
+    path (8 each for the values, the weights and the estimate's x, 1 for
+    its hit mask) and a block's temporaries.
     """
     if not r > 0.0:
         raise DomainError("the clock value must be positive")
@@ -327,7 +354,6 @@ def sample_S_tilted(kernel, config, r, t):
     dw = (w_lo - w_hi) / env  # w per unit of envelope mass, per cell
     _check_jump_budget(config, rate)
     rng = _rng(config.seed, 4)
-    counts = rng.poisson(rate, size=config.n_paths)
     cell_of = _cell_finder(cum)
 
     def draw(m):
@@ -339,15 +365,19 @@ def sample_S_tilted(kernel, config, r, t):
         s[u >= np.exp(theta * (s - top[cell]))] = 0.0  # thinned out
         return s
 
-    jumps = _path_sums(counts, draw, in_order=True)
-    weights = np.exp(kappa - theta * jumps)
-    return PathEnsemble(level=r, values=jumps + _drift_rate(kernel, eps) * r, weights=weights)
+    jumps = _path_sums(rng.poisson(rate, size=config.n_paths), draw, in_order=True)
+    # exp(kappa - theta J) and J + r d_eps, each formed in its one array
+    weights = np.multiply(theta, jumps)
+    np.exp(np.subtract(kappa, weights, out=weights), out=weights)
+    values = np.add(jumps, _drift_rate(kernel, eps) * r, out=jumps)
+    return PathEnsemble(level=r, values=values, weights=weights)
 
 
 def tail_estimate(kernel, ens, t, side):
     """Estimate of P(S_r >= t) (side "upper") or P(S_r <= t) ("lower") from
     an S_r ensemble, r = ens.level: binomial, or for a weighted ensemble the
-    mean of weight * 1{hit} with se its sample sd / sqrt(n)."""
+    mean of weight * 1{hit} with se its sample sd / sqrt(n), the bits of
+    np.std(ddof=1) with one n-long array in place of its two."""
     if t <= 0.0:
         raise DomainError("a tail estimate requires t > 0")
     if side not in ("upper", "lower"):
@@ -358,8 +388,11 @@ def tail_estimate(kernel, ens, t, side):
     if ens.weights is not None:
         x = np.where(hit, ens.weights, 0.0)
         diag = None if hit.any() else "no tilted path reached the tail"
-        return TailEstimate(p_hat=float(np.mean(x)), se=float(np.std(x, ddof=1)) / math.sqrt(n),
-                            n_paths=n, diagnostic=diag)
+        p_hat = float(np.mean(x))
+        # np.std(x, ddof=1) bit for bit, with x's buffer holding (x - mean)^2
+        np.subtract(x, p_hat, out=x)
+        sd = math.sqrt(float(np.sum(np.multiply(x, x, out=x))) / (n - 1))
+        return TailEstimate(p_hat=p_hat, se=sd / math.sqrt(n), n_paths=n, diagnostic=diag)
     hits = int(np.count_nonzero(hit))
     p = hits / n
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
@@ -449,12 +482,12 @@ def sample_E_t(kernel, config, t):
         idx, S, clock, done = idx[go_on], S_next[go_on], clock[go_on], reached[go_on]
 
     censored = np.isnan(E)
-    values = np.where(censored, budget, E)
+    E[censored] = budget
     if levels.ndim == 0:
-        return PathEnsemble(level=float(levels), values=values[0], censored=censored[0])
+        return PathEnsemble(level=float(levels), values=E[0], censored=censored[0])
     if not np.array_equal(levels, tops):
-        values, censored = values[row_of], censored[row_of]
-    return PathEnsemble(level=levels, values=values, censored=censored)
+        E, censored = E[row_of], censored[row_of]
+    return PathEnsemble(level=levels, values=E, censored=censored)
 
 
 def exact_stable_sampler(beta, r, n_samples, seed=0):

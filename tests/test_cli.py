@@ -443,6 +443,25 @@ class TestTypedExits:
         assert capsys.readouterr().err == "DomainError: %s\n" % err["message"]
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sub, cfg, extra", [
+        # r w(eps) is tiny, so the jump budget passes; the 1e11 Poisson counts
+        # alone would take 745 GiB
+        ("tails", {"kernel": _HALF_CAPUTO, "sim": {"cutoff_eps": 0.1, "n_paths": 10**11},
+                   "grid": {"r": [1e-9], "t": [1.0]}}, ()),
+        ("tails", {"kernel": _HALF_CAPUTO, "sim": {"cutoff_eps": 0.1}, "grid": {"r": [1e-9], "t": [1.0]}},
+         ("--paths", str(10**11))),
+        ("fundsol", {"kernel": _HALF_CAPUTO, "model": _D1, "method": "mc",
+                     "sim": {"cutoff_eps": 1e-2, "n_paths": 10**11}, "points": [{"t": 0.1, "x": 0.3, "y": 0.5}]},
+         ()),
+    ])
+    def test_a_path_count_above_the_cap_exits_4_before_any_draw(self, tmp_path, capsys, sub, cfg, extra):
+        status, out = run_cli(tmp_path, sub, cfg, extra)
+        err = json.loads((out / "manifest.json").read_text())["error"]
+        assert status == 4
+        assert err["type"] == "DomainError" and "n_paths=100000000000" in err["message"]
+        assert capsys.readouterr().err == "DomainError: %s\n" % err["message"]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [1e20, 1e300])
     def test_boundary_where_u_underflows_fails_its_band(self, tmp_path, t):
         # the outer trapezoid starts far above the clock values that hold Q's

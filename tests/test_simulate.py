@@ -10,7 +10,7 @@ from scipy.special import erfinv
 from subtail import simulate
 from subtail.bernstein import BernsteinTable
 from subtail.errors import DomainError, RangeError
-from subtail.golden import GOLDEN_SEED, builtin_kernel_set
+from subtail.golden import GOLDEN_SEED, KS_CHUNK, builtin_kernel_set, ks_distance
 from subtail.kernels import (DistributedOrder, Subexp, Tabulated, Truncated, caputo, inverse_w_vec,
                              jump_sizes)
 from subtail.simulate import (
@@ -387,6 +387,18 @@ class TestExactStable:
         assert np.all(np.isfinite(a)) and np.all(a > 0.0)
         assert np.array_equal(a, b)
 
+    def test_chunked_ks_distance_is_the_one_shot_formula(self):
+        # criterion 3's samples, read in 2^15-point chunks and all at once
+        n = 100_000
+        cfg = SimConfig(cutoff_eps=1e-4, n_paths=n, seed=GOLDEN_SEED + 17)
+        approx = np.sort(sample_S_at(caputo(0.5), cfg, 2.0).values)
+        exact = np.sort(exact_stable_sampler(0.5, 2.0, n, seed=GOLDEN_SEED + 23))
+        grid = np.concatenate([approx, exact])
+        f1 = np.searchsorted(approx, grid, side="right") / n
+        f2 = np.searchsorted(exact, grid, side="right") / n
+        assert n > KS_CHUNK
+        assert ks_distance(approx, exact) == float(np.max(np.abs(f1 - f2)))
+
     def test_cross_validates_compound_poisson_beta09(self):
         # KS distance sampler-vs-sampler < 0.01 at beta = 0.9
         # (eps = 1e-4 keeps the jump count desk-scale; compensated bias ~2e-3)
@@ -461,10 +473,12 @@ class TestBlockedDraws:
     def test_memory_scales_with_paths_not_jumps(self):
         # ~1.8M jumps: holding them all at once takes ~60 MB, several times
         # the path arrays plus a few block-sized temporaries; at ~0.2 jumps
-        # per path a block spans ~160k paths, most of them jump-free
+        # per path a block spans ~160k paths, most of them jump-free.  The
+        # sampler holds two path arrays (the jump offsets, then the sums);
+        # the bound allows a third and eight block-sized temporaries
         k = Truncated(beta=0.5, delta=1.0, scale=1.0)
         cfg = SimConfig(cutoff_eps=1e-3, n_paths=200_000, seed=7)
-        bound = 8 * (4 * cfg.n_paths + 8 * simulate._JUMP_BLOCK)
+        bound = 8 * (3 * cfg.n_paths + 8 * simulate._JUMP_BLOCK)
         for r in (0.3, 0.2 / float(k.w(cfg.cutoff_eps))):
             tracemalloc.start()
             try:
@@ -473,6 +487,20 @@ class TestBlockedDraws:
             finally:
                 tracemalloc.stop()
             assert peak <= bound, (r, peak, bound)
+
+    def test_tilted_sample_and_its_estimate_stay_within_25_bytes_a_path(self):
+        # criterion 5's first point at 200k paths: the ensemble's values and
+        # weights, the estimate's x and its hit mask, 8 + 8 + 8 + 1 bytes a
+        # path (sample_S_tilted's docstring), and eight block-sized temporaries
+        cfg = SimConfig(cutoff_eps=1e-3, n_paths=200_000, seed=7)
+        bound = 25 * cfg.n_paths + 8 * 8 * simulate._JUMP_BLOCK
+        tracemalloc.start()
+        try:
+            est = tail_estimate(_TRUNC, sample_S_tilted(_TRUNC, cfg, 0.3, 0.5), 0.5, "upper")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.p_hat > 0.0 and peak <= bound, (peak, bound)
 
     def test_path_sums_are_within_count_ulps_of_fsum(self):
         # criterion 3 of the golden report at 2000 paths: its clocks, levels
@@ -507,9 +535,10 @@ class TestBlockedDraws:
                 return buf[pos[0] - m:pos[0]]
             return draw
 
-        want = simulate._path_sums(counts, draw_from(0), in_order)
+        # _path_sums consumes its counts, so each call gets a fresh copy
+        want = simulate._path_sums(counts.copy(), draw_from(0), in_order)
         for offset in range(1, 8):
-            assert np.array_equal(simulate._path_sums(counts, draw_from(offset), in_order), want), offset
+            assert np.array_equal(simulate._path_sums(counts.copy(), draw_from(offset), in_order), want), offset
 
 
 _TRUNC = Truncated(beta=0.5, delta=1.0, scale=1.0)
@@ -651,3 +680,16 @@ class TestTiltedS:
         x = np.array([0.0, 0.5, 0.25, 0.0])
         assert est.p_hat == float(np.mean(x))
         assert est.se == pytest.approx(float(np.std(x, ddof=1)) / 2.0, rel=1e-15)
+
+    def test_weighted_se_is_np_std_over_root_n_bit_for_bit(self):
+        # the estimate squares x - mean in x's own buffer; its se must keep
+        # np.std's bits, over sizes on both sides of numpy's pairwise-sum blocks
+        rng = np.random.default_rng(23)
+        for n in (101, 128, 1000, 4097, 65_537, 2**19):
+            values = rng.random(n)
+            weights = rng.exponential(size=n) * 10.0 ** rng.uniform(-8.0, 0.0, size=n)
+            est = tail_estimate(_TRUNC, simulate.PathEnsemble(level=1.0, values=values, weights=weights),
+                                0.5, "upper")
+            x = np.where(values >= 0.5, weights, 0.0)
+            assert est.p_hat == float(np.mean(x)), n
+            assert est.se == float(np.std(x, ddof=1)) / math.sqrt(n), n
